@@ -7,21 +7,69 @@
 // jobs; the shared solver-result cache has a nonzero hit rate (per-path
 // re-execution re-derives prefix queries, and generators sharing CacheIR
 // prefixes share sub-queries) and contributes speedup on top of parallelism.
+//
+// Every configuration runs kSamples times and is reported by its median. The
+// >=2x-at-4-jobs criterion applies only when the host actually grants the
+// parallelism to reach it, as measured at start-up (MeasureParallelism), not
+// as hardware_concurrency() claims: a container can report 4 cores and grant
+// about one.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/obs/json.h"
 #include "src/platform/platform.h"
 #include "src/support/str_util.h"
 #include "src/support/thread_pool.h"
+#include "src/support/timing.h"
 #include "src/verifier/batch_verifier.h"
+
+namespace {
+
+constexpr int kSamples = 5;
+
+// Real parallelism for 4 threads: the same spin on one thread, then on four
+// threads at once; 4 * t1 / t4 is about 4 with four free cores and about 1
+// when only one core's worth of CPU is granted. Median of 3 rounds.
+double MeasureParallelism() {
+  auto spin = [] {
+    volatile uint64_t x = 0;
+    for (uint64_t i = 0; i < 20'000'000; ++i) {
+      x = x + i;
+    }
+  };
+  std::vector<double> ratios;
+  for (int round = 0; round < 3; ++round) {
+    icarus::WallTimer one;
+    spin();
+    double t1 = one.ElapsedSeconds();
+    icarus::WallTimer four;
+    std::vector<std::thread> threads;
+    for (int i = 0; i < 4; ++i) {
+      threads.emplace_back(spin);
+    }
+    for (std::thread& t : threads) {
+      t.join();
+    }
+    ratios.push_back(4.0 * t1 / four.ElapsedSeconds());
+  }
+  return icarus::ComputeStats(ratios).median;
+}
+
+icarus::obs::BenchEntry Entry(const std::string& name, const std::vector<double>& ms) {
+  icarus::SampleStats stats = icarus::ComputeStats(ms);
+  return {name, stats.mean, stats.median, stats.stddev, static_cast<int>(ms.size())};
+}
+
+}  // namespace
 
 // Usage: bench_batch [--json PATH]
 // --json writes one {name, mean_ms, median_ms, stddev_ms, runs} entry per
-// configuration (single run each, so mean == median and stddev is 0).
+// configuration over its kSamples runs.
 int main(int argc, char** argv) {
   using icarus::platform::Platform;
   using icarus::verifier::BatchOptions;
@@ -46,19 +94,29 @@ int main(int argc, char** argv) {
   BatchVerifier batch(platform.get());
 
   const int cores = icarus::ThreadPool::DefaultConcurrency();
-  std::printf("Batch verification driver: serial vs. parallel+cache (%d cores)\n", cores);
-  std::printf("(every platform generator, including the 6 buggy/fixed study pairs)\n\n");
+  const double parallelism = MeasureParallelism();
+  std::printf("Batch verification driver: serial vs. parallel+cache "
+              "(%d hardware threads, measured parallelism %.2f at 4 threads)\n",
+              cores, parallelism);
+  std::printf("(every platform generator, including the 6 buggy/fixed study pairs;\n"
+              " median wall of %d runs per configuration)\n\n",
+              kSamples);
 
   // Serial baseline: one job, no cache — exactly the cost profile of looping
   // Verifier::Verify by hand.
   BatchOptions serial;
   serial.jobs = 1;
   serial.use_cache = false;
-  BatchReport base = batch.VerifyEverything(serial).take();
-  std::printf("%-28s wall %7.3fs\n", "serial (1 job, no cache)", base.wall_seconds);
+  BatchReport base;
+  std::vector<double> base_ms;
+  for (int sample = 0; sample < kSamples; ++sample) {
+    base = batch.VerifyEverything(serial).take();
+    base_ms.push_back(base.wall_seconds * 1e3);
+  }
   std::vector<icarus::obs::BenchEntry> entries;
-  entries.push_back(
-      {"serial_1job_nocache", base.wall_seconds * 1e3, base.wall_seconds * 1e3, 0.0, 1});
+  entries.push_back(Entry("serial_1job_nocache", base_ms));
+  const double base_median = entries.back().median_ms;
+  std::printf("%-28s wall %7.3fs\n", "serial (1 job, no cache)", base_median / 1e3);
 
   struct Config {
     const char* label;
@@ -73,42 +131,51 @@ int main(int argc, char** argv) {
   };
 
   bool verdicts_match = true;
-  bool speedup_ok = false;
+  double speedup_at_4 = 0.0;
   bool cache_hits_seen = false;
   for (const Config& config : configs) {
     BatchOptions options;
     options.jobs = config.jobs;
     options.use_cache = config.cache;
-    BatchReport report = batch.VerifyEverything(options).take();
-    for (size_t i = 0; i < report.results.size(); ++i) {
-      if (report.results[i].outcome != base.results[i].outcome) {
-        std::printf("  VERDICT MISMATCH: %s (%s vs %s serial)\n",
-                    report.results[i].generator.c_str(),
-                    OutcomeName(report.results[i].outcome), OutcomeName(base.results[i].outcome));
-        verdicts_match = false;
+    BatchReport report;
+    std::vector<double> ms;
+    for (int sample = 0; sample < kSamples; ++sample) {
+      report = batch.VerifyEverything(options).take();
+      ms.push_back(report.wall_seconds * 1e3);
+      for (size_t i = 0; i < report.results.size(); ++i) {
+        if (report.results[i].outcome != base.results[i].outcome) {
+          std::printf("  VERDICT MISMATCH: %s (%s vs %s serial)\n",
+                      report.results[i].generator.c_str(),
+                      OutcomeName(report.results[i].outcome),
+                      OutcomeName(base.results[i].outcome));
+          verdicts_match = false;
+        }
       }
+      cache_hits_seen = cache_hits_seen || report.cache.hits + report.cache.negative_hits > 0;
     }
-    double speedup = report.wall_seconds > 0 ? base.wall_seconds / report.wall_seconds : 0.0;
-    std::printf("%-28s wall %7.3fs   speedup %5.2fx   %s\n", config.label, report.wall_seconds,
+    entries.push_back(Entry(icarus::StrFormat("%djobs_cache", config.jobs), ms));
+    double median = entries.back().median_ms;
+    double speedup = median > 0 ? base_median / median : 0.0;
+    std::printf("%-28s wall %7.3fs   speedup %5.2fx   %s\n", config.label, median / 1e3,
                 speedup, report.cache.ToString().c_str());
-    entries.push_back({icarus::StrFormat("%djobs_cache", config.jobs),
-                       report.wall_seconds * 1e3, report.wall_seconds * 1e3, 0.0, 1});
-    if (config.jobs == 4 && speedup >= 2.0) {
-      speedup_ok = true;
+    if (config.jobs == 4) {
+      speedup_at_4 = speedup;
     }
-    cache_hits_seen = cache_hits_seen || report.cache.hits + report.cache.negative_hits > 0;
   }
 
   std::printf("\nverdicts identical to serial across all configs: %s\n",
               verdicts_match ? "yes" : "NO");
   std::printf("cache hits observed: %s\n", cache_hits_seen ? "yes" : "NO");
-  if (cores >= 2) {
-    std::printf(">=2x speedup at 4 jobs: %s\n", speedup_ok ? "yes" : "NO");
+  bool speedup_ok = speedup_at_4 >= 2.0;
+  if (parallelism >= 3.0) {
+    std::printf(">=2x speedup at 4 jobs: %s (%.2fx)\n", speedup_ok ? "yes" : "NO",
+                speedup_at_4);
   } else {
-    // One hardware thread: the parallel configurations time-slice a single
-    // core, so wall-clock speedup is not attainable and the criterion is
-    // waived (verdict determinism and cache behaviour are still enforced).
-    std::printf(">=2x speedup at 4 jobs: waived (single-core machine)\n");
+    // The host grants too little parallelism for 4 jobs to reach 2x, whatever
+    // it reports as its core count; the criterion is waived (verdict
+    // determinism and cache behaviour are still enforced).
+    std::printf(">=2x speedup at 4 jobs: waived (measured parallelism %.2f < 3)\n",
+                parallelism);
     speedup_ok = true;
   }
   if (!json_path.empty()) {

@@ -9,6 +9,9 @@
 // excluded because refutations are deliberately never stored (re-running
 // them keeps counterexample reporting live), so they would re-verify on
 // every run by design.
+//
+// One sample is a cold run on freshly emptied stores followed by a warm run;
+// the bench takes kSamples of them, gates every sample, and reports medians.
 
 #include <cstdio>
 #include <cstring>
@@ -18,12 +21,19 @@
 #include "src/obs/json.h"
 #include "src/platform/platform.h"
 #include "src/support/str_util.h"
+#include "src/support/timing.h"
 #include "src/verifier/batch_verifier.h"
 #include "src/verifier/verdict_store.h"
 
+namespace {
+
+constexpr int kSamples = 5;
+
+}  // namespace
+
 // Usage: bench_incremental [--json PATH] [--cache-dir DIR]
 // --json writes one {name, mean_ms, median_ms, stddev_ms, runs} entry per
-// phase (single run each, so mean == median and stddev is 0).
+// phase over its kSamples runs.
 int main(int argc, char** argv) {
   using icarus::platform::Platform;
   using icarus::verifier::BatchOptions;
@@ -60,40 +70,49 @@ int main(int argc, char** argv) {
     fleet.push_back(info.function);
   }
 
-  // Start genuinely cold: drop any store a previous run left behind.
-  std::remove(icarus::verifier::VerdictStorePath(cache_dir).c_str());
-  std::remove(icarus::verifier::SolverCacheStorePath(cache_dir).c_str());
-
   BatchOptions options;
   options.incremental = true;
   options.cache_dir = cache_dir;
 
-  std::printf("Incremental verification: cold vs. warm over %zu generators\n\n", fleet.size());
+  std::printf("Incremental verification: cold vs. warm over %zu generators "
+              "(median of %d samples)\n\n",
+              fleet.size(), kSamples);
 
-  BatchReport cold = batch.VerifyAll(fleet, options).take();
-  int cold_verified = cold.NumWithOutcome(Outcome::kVerified);
-  std::printf("%-24s wall %7.3fs   %d/%zu verified\n", "cold (empty stores)", cold.wall_seconds,
-              cold_verified, fleet.size());
-  for (const std::string& note : cold.notes) {
-    std::printf("  note: %s\n", note.c_str());
+  // Gates, checked on every sample. The cold fleet must fully verify
+  // (otherwise the warm numbers are about a different workload), the warm
+  // run must be 100% CACHED_SAFE with zero solver dispatches, and the skip
+  // must be worth at least 5x on the medians.
+  bool cold_ok = true;
+  bool warm_all_cached = true;
+  bool warm_no_solving = true;
+  std::vector<double> cold_s;
+  std::vector<double> warm_s;
+  for (int sample = 0; sample < kSamples; ++sample) {
+    // Start genuinely cold: drop any store a previous run left behind.
+    std::remove(icarus::verifier::VerdictStorePath(cache_dir).c_str());
+    std::remove(icarus::verifier::SolverCacheStorePath(cache_dir).c_str());
+
+    BatchReport cold = batch.VerifyAll(fleet, options).take();
+    BatchReport warm = batch.VerifyAll(fleet, options).take();
+    cold_s.push_back(cold.wall_seconds);
+    warm_s.push_back(warm.wall_seconds);
+    cold_ok = cold_ok && cold.NumWithOutcome(Outcome::kVerified) == static_cast<int>(fleet.size());
+    warm_all_cached = warm_all_cached &&
+                      warm.NumWithOutcome(Outcome::kCachedSafe) == static_cast<int>(fleet.size());
+    warm_no_solving = warm_no_solving && warm.cache.lookups() == 0;
+    for (const BatchReport* report : {&cold, &warm}) {
+      for (const std::string& note : report->notes) {
+        std::printf("  note: %s\n", note.c_str());
+      }
+    }
   }
-
-  BatchReport warm = batch.VerifyAll(fleet, options).take();
-  int warm_cached = warm.NumWithOutcome(Outcome::kCachedSafe);
-  double speedup = warm.wall_seconds > 0 ? cold.wall_seconds / warm.wall_seconds : 0.0;
-  std::printf("%-24s wall %7.3fs   %d/%zu cached safe   speedup %5.1fx\n",
-              "warm (unchanged fleet)", warm.wall_seconds, warm_cached, fleet.size(), speedup);
-  for (const std::string& note : warm.notes) {
-    std::printf("  note: %s\n", note.c_str());
-  }
-
-  // Gates. The cold fleet must fully verify (otherwise the warm numbers are
-  // about a different workload), the warm run must be 100% CACHED_SAFE with
-  // zero solver dispatches, and the skip must be worth at least 5x.
-  bool cold_ok = cold_verified == static_cast<int>(fleet.size());
-  bool warm_all_cached = warm_cached == static_cast<int>(fleet.size());
-  bool warm_no_solving = warm.cache.lookups() == 0;
-  bool speedup_ok = warm.wall_seconds == 0.0 || speedup >= 5.0;
+  double cold_median = icarus::ComputeStats(cold_s).median;
+  double warm_median = icarus::ComputeStats(warm_s).median;
+  double speedup = warm_median > 0 ? cold_median / warm_median : 0.0;
+  bool speedup_ok = warm_median == 0.0 || speedup >= 5.0;
+  std::printf("%-24s wall %7.3fs\n", "cold (empty stores)", cold_median);
+  std::printf("%-24s wall %7.3fs   speedup %5.1fx\n", "warm (unchanged fleet)", warm_median,
+              speedup);
 
   std::printf("\ncold run fully verified: %s\n", cold_ok ? "yes" : "NO");
   std::printf("warm run 100%% CACHED_SAFE: %s\n", warm_all_cached ? "yes" : "NO");
@@ -104,12 +123,18 @@ int main(int argc, char** argv) {
     // JSON times are floored at 1ms: the warm run completes in microseconds,
     // where scheduler jitter dwarfs any percent threshold the regression gate
     // could apply. The >=5x speedup gate above runs on the unclamped numbers.
-    auto clamped_ms = [](double seconds) { return seconds * 1e3 < 1.0 ? 1.0 : seconds * 1e3; };
+    auto entry = [](const char* name, const std::vector<double>& seconds) {
+      std::vector<double> ms;
+      for (double s : seconds) {
+        ms.push_back(s * 1e3 < 1.0 ? 1.0 : s * 1e3);
+      }
+      icarus::SampleStats stats = icarus::ComputeStats(ms);
+      return icarus::obs::BenchEntry{name, stats.mean, stats.median, stats.stddev,
+                                     static_cast<int>(ms.size())};
+    };
     std::vector<icarus::obs::BenchEntry> entries;
-    entries.push_back({"cold_incremental", clamped_ms(cold.wall_seconds),
-                       clamped_ms(cold.wall_seconds), 0.0, 1});
-    entries.push_back({"warm_incremental", clamped_ms(warm.wall_seconds),
-                       clamped_ms(warm.wall_seconds), 0.0, 1});
+    entries.push_back(entry("cold_incremental", cold_s));
+    entries.push_back(entry("warm_incremental", warm_s));
     icarus::Status st = icarus::obs::WriteBenchJson(json_path, "bench_incremental", entries);
     if (!st.ok()) {
       std::fprintf(stderr, "--json: %s\n", st.message().c_str());

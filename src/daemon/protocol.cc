@@ -16,16 +16,6 @@ std::string Request::ToJsonLine() const {
   out += ",\"client\":";
   AppendJsonString(client, &out);
   out += StrFormat(",\"deadline_ms\":%.17g", deadline_ms);
-  if (count != 0) {
-    out += StrCat(",\"count\":", std::to_string(count));
-  }
-  if (!trace_id.empty()) {
-    out += ",\"trace_id\":";
-    AppendJsonString(trace_id, &out);
-  }
-  if (parent_span != 0) {
-    out += StrCat(",\"parent_span\":", std::to_string(parent_span));
-  }
   if (!format.empty()) {
     out += ",\"format\":";
     AppendJsonString(format, &out);
@@ -49,8 +39,6 @@ Status ParseRequest(std::string_view line, Request* request) {
           request->generator = std::move(value);
         } else if (key == "client") {
           request->client = std::move(value);
-        } else if (key == "trace_id") {
-          request->trace_id = std::move(value);
         } else if (key == "format") {
           request->format = std::move(value);
         }
@@ -60,10 +48,6 @@ Status ParseRequest(std::string_view line, Request* request) {
           request->v = static_cast<int>(value);
         } else if (key == "deadline_ms") {
           request->deadline_ms = value;
-        } else if (key == "count") {
-          request->count = static_cast<int64_t>(value);
-        } else if (key == "parent_span") {
-          request->parent_span = static_cast<int64_t>(value);
         }
       });
   if (!ok) {
@@ -77,17 +61,12 @@ Status ParseRequest(std::string_view line, Request* request) {
                                    request->v, kProtocolVersion));
   }
   if (request->op != kOpPing && request->op != kOpVerify && request->op != kOpStats &&
-      request->op != kOpShutdown && request->op != kOpClaim && request->op != kOpCollect &&
-      request->op != kOpSteal && request->op != kOpPublish && request->op != kOpMetrics) {
+      request->op != kOpShutdown && request->op != kOpMetrics) {
     return Status::Error(StrCat("unknown op '", request->op,
-                                "' (want ping, verify, stats, metrics, shutdown, claim, "
-                                "collect, steal, or publish)"));
+                                "' (want ping, verify, stats, metrics, or shutdown)"));
   }
-  if ((request->op == kOpVerify || request->op == kOpClaim) && request->generator.empty()) {
-    return Status::Error(StrCat(request->op, " request without a 'gen' field"));
-  }
-  if (request->op == kOpSteal && request->count <= 0) {
-    return Status::Error("steal request needs a positive 'count'");
+  if (request->op == kOpVerify && request->generator.empty()) {
+    return Status::Error("verify request without a 'gen' field");
   }
   if (request->op == kOpMetrics && !request->format.empty() && request->format != "prom" &&
       request->format != "json") {
@@ -120,22 +99,9 @@ std::string Response::ToJsonLine() const {
     out += ",\"stats_json\":";
     AppendJsonString(stats_json, &out);
   }
-  if (pending) {
-    out += ",\"pending\":true";
-  }
-  if (!units.empty()) {
-    out += ",\"units\":";
-    AppendJsonString(units, &out);
-  }
-  if (count != 0) {
-    out += StrCat(",\"count\":", std::to_string(count));
-  }
   if (!metrics.empty()) {
     out += ",\"metrics\":";
     AppendJsonString(metrics, &out);
-  }
-  if (trace_now_us != 0) {
-    out += StrFormat(",\"trace_now_us\":%.17g", trace_now_us);
   }
   out.push_back('}');
   return out;
@@ -158,8 +124,6 @@ Status ParseResponse(std::string_view line, Response* response) {
           response->error = std::move(value);
         } else if (key == "stats_json") {
           response->stats_json = std::move(value);
-        } else if (key == "units") {
-          response->units = std::move(value);
         } else if (key == "metrics") {
           response->metrics = std::move(value);
         }
@@ -177,12 +141,6 @@ Status ParseResponse(std::string_view line, Response* response) {
           response->queries = static_cast<int64_t>(value);
         } else if (key == "retry_after_ms") {
           response->retry_after_ms = value;
-        } else if (key == "pending") {
-          response->pending = value != 0;
-        } else if (key == "count") {
-          response->count = static_cast<int64_t>(value);
-        } else if (key == "trace_now_us") {
-          response->trace_now_us = value;
         }
       });
   if (!ok) {

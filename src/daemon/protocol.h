@@ -18,29 +18,6 @@
 //             (or JSON with `format:"json"`), for scrapers and `icarus top`.
 //   shutdown  ask the daemon to drain gracefully and exit 0.
 //
-// Trace context: any request may carry `trace_id` (the fleet-wide trace
-// label) and `parent_span` (the sender's span id). A worker serving the
-// request records its spans under that parent, so the coordinator's merged
-// Chrome trace shows dispatch spans parenting worker verify spans with no id
-// remapping (span ids embed the producing pid; src/obs/trace.h). Responses
-// to `claim` additionally report `trace_now_us` — the worker's monotonic
-// trace clock at serve time — which the coordinator uses as a clock-offset
-// handshake to align per-worker lanes.
-//
-// Distributed-fleet ops (src/dist/ coordinator ↔ worker):
-//   claim     enqueue one generator on the worker's dist queue and return
-//             immediately (OK = accepted, OVERLOADED = dist queue full).
-//             The verdict is delivered later by a `collect`.
-//   collect   block until a completed dist verdict is ready or `deadline_ms`
-//             elapses; a timeout answers OK with `pending` set and no
-//             verdict. Responses are verify-shaped (outcome/seconds/...).
-//   steal     remove up to `count` queued-but-not-started units from the
-//             dist queue tail; their names come back comma-joined in
-//             `units` so the coordinator can reassign them.
-//   publish   flush the worker's staged store deltas (fresh PASS verdicts +
-//             the in-memory solver cache) to its staging directory for the
-//             coordinator's end-of-run merge.
-//
 // Response statuses (`status` field):
 //   OK             the request was served; `outcome` holds the verdict for
 //                  verify ops (VERIFIED / COUNTEREXAMPLE / INCONCLUSIVE /
@@ -81,22 +58,14 @@ inline constexpr char kOpVerify[] = "verify";
 inline constexpr char kOpStats[] = "stats";
 inline constexpr char kOpMetrics[] = "metrics";
 inline constexpr char kOpShutdown[] = "shutdown";
-inline constexpr char kOpClaim[] = "claim";
-inline constexpr char kOpCollect[] = "collect";
-inline constexpr char kOpSteal[] = "steal";
-inline constexpr char kOpPublish[] = "publish";
 
 struct Request {
   int v = kProtocolVersion;
   std::string id;         // Client-chosen correlation id, echoed verbatim.
   std::string op;         // One of the kOp* tokens.
-  std::string generator;  // Target for verify/claim ops.
+  std::string generator;  // Target for verify ops.
   std::string client;     // Admission-control identity; empty → "anon".
-  double deadline_ms = 0; // Per-request deadline; 0 → server default. For
-                          // collect ops: how long to wait for a verdict.
-  int64_t count = 0;      // steal: max units to shed (must be > 0).
-  std::string trace_id;   // Fleet trace label; propagated, never required.
-  int64_t parent_span = 0;  // Sender's span id; 0 → no remote parent.
+  double deadline_ms = 0; // Per-request deadline; 0 → server default.
   std::string format;     // metrics: "prom" (default) or "json".
 
   std::string ToJsonLine() const;
@@ -120,11 +89,7 @@ struct Response {
   int64_t queries = 0;
   double retry_after_ms = 0; // Backoff hint for OVERLOADED / QUARANTINED.
   std::string stats_json;    // `stats` op payload (a JSON document, escaped).
-  bool pending = false;      // collect: timed out with no verdict ready.
-  std::string units;         // steal: shed unit names, comma-joined.
-  int64_t count = 0;         // steal: units shed; publish: records staged.
   std::string metrics;       // `metrics` op payload (escaped exposition text).
-  double trace_now_us = 0;   // claim: server trace clock (clock handshake).
 
   std::string ToJsonLine() const;
 };

@@ -1,6 +1,5 @@
 #include "src/daemon/server.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -12,7 +11,6 @@
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/obs/trace_shard.h"
 #include "src/support/failpoint.h"
 #include "src/support/flat_json.h"
 #include "src/support/net.h"
@@ -60,20 +58,15 @@ obs::Histogram* OpHistogram(const std::string& op) {
 
 }  // namespace
 
-// One queued verify request. For `verify` ops the ticket is allocated on the
-// Execute() caller's stack: exactly one of the worker pool or the drain path
-// fulfils the promise, and Execute() always waits on the future before
-// returning, so the ticket outlives every reference to it. Dist tickets
-// (`claim` ops) are heap-owned by the core instead — the claim response
-// returns before execution — and are deleted by whichever path retires them:
-// the worker after pushing the verdict to dist_done_, a steal that sheds
-// them, or BeginDrain.
+// One queued verify request. The ticket is allocated on the Execute()
+// caller's stack: exactly one of the worker pool or the drain path fulfils
+// the promise, and Execute() always waits on the future before returning, so
+// the ticket outlives every reference to it.
 struct ServerCore::Ticket {
   Request request;
   std::string unit_fp;
   std::atomic<bool> cancel{false};
   std::promise<Response> promise;
-  bool dist = false;
 };
 
 std::string DaemonStats::ToJson() const {
@@ -95,11 +88,6 @@ std::string DaemonStats::ToJson() const {
   w.Key("quarantine_active").Int(quarantine_active);
   w.Key("replayed").Int(replayed);
   w.Key("read_only_cache").Bool(read_only_cache);
-  w.Key("dist_claimed").Int(dist_claimed);
-  w.Key("dist_completed").Int(dist_completed);
-  w.Key("dist_stolen").Int(dist_stolen);
-  w.Key("dist_published").Int(dist_published);
-  w.Key("dist_queued").Int(dist_queued);
   w.Key("store_entries").Int(store_entries);
   w.Key("clients").BeginObject();
   for (const auto& [name, stats] : clients) {
@@ -163,47 +151,26 @@ Status ServerCore::Start() {
       notes_.push_back(StrCat(dir.message(), "; running without persistence"));
     } else {
       persistence_enabled_ = true;
-      if (!options_.staging_dir.empty()) {
-        // Fleet-worker staging mode: the shared cache_dir is a read-only
-        // startup snapshot (deliberately *not* locked — every worker in the
-        // fleet reads it concurrently) and this worker's deltas go to its
-        // private staging dir, merged by the coordinator after the run.
-        Status staging = verifier::EnsureCacheDir(options_.staging_dir);
-        if (!staging.ok()) {
-          notes_.push_back(StrCat(staging.message(), "; running without persistence"));
-          persistence_enabled_ = false;
-        } else {
-          staging_mode_ = true;
-          notes_.push_back(StrCat("staging mode: shared cache is a read-only snapshot; "
-                                  "deltas publish to ",
-                                  options_.staging_dir));
-        }
+      FileLock::Result lock = FileLock::TryExclusive(options_.cache_dir + "/lock");
+      if (lock.state == FileLock::State::kAcquired) {
+        cache_lock_ = std::move(lock.lock);
       } else {
-        FileLock::Result lock = FileLock::TryExclusive(options_.cache_dir + "/lock");
-        if (lock.state == FileLock::State::kAcquired) {
-          cache_lock_ = std::move(lock.lock);
-        } else {
-          read_only_cache_ = true;
-          notes_.push_back(StrCat(lock.message, "; cache degraded to read-only"));
-          if (obs::Enabled()) {
-            static obs::Counter* degraded = obs::Registry::Global().GetCounter(
-                "icarus_cache_readonly_degraded_total",
-                "Runs degraded to a read-only cache view by advisory-lock contention");
-            degraded->Add(1);
-          }
+        read_only_cache_ = true;
+        notes_.push_back(StrCat(lock.message, "; cache degraded to read-only"));
+        if (obs::Enabled()) {
+          static obs::Counter* degraded = obs::Registry::Global().GetCounter(
+              "icarus_cache_readonly_degraded_total",
+              "Runs degraded to a read-only cache view by advisory-lock contention");
+          degraded->Add(1);
         }
       }
-      if (persistence_enabled_) {
-        solver_store_path_ = verifier::SolverCacheStorePath(options_.cache_dir);
-        verifier::VerdictStore::LoadResult loaded =
-            store_.Load(verifier::VerdictStorePath(options_.cache_dir), verifier::kVerifierEpoch);
-        if (!loaded.note.empty()) {
-          notes_.push_back(loaded.note);
-        }
+      solver_store_path_ = verifier::SolverCacheStorePath(options_.cache_dir);
+      verifier::VerdictStore::LoadResult loaded =
+          store_.Load(verifier::VerdictStorePath(options_.cache_dir), verifier::kVerifierEpoch);
+      if (!loaded.note.empty()) {
+        notes_.push_back(loaded.note);
       }
     }
-  } else if (!options_.staging_dir.empty()) {
-    notes_.push_back("--staging has no effect without --incremental");
   }
   if (options_.use_cache) {
     cache_ = std::make_unique<sym::SolverCache>();
@@ -323,11 +290,6 @@ Response ServerCore::Execute(const Request& request) {
         "icarus_daemon_requests_total", "Requests executed by the daemon core");
     requests->Add(1);
   }
-  // Adopt the fleet trace context the request carried: the first traced
-  // request labels this process's shard with the coordinator's trace id.
-  if (!request.trace_id.empty() && obs::TracingActive() && obs::TraceId().empty()) {
-    obs::SetTraceId(request.trace_id);
-  }
 
   Response resp = [&]() -> Response {
     Response out;
@@ -351,26 +313,6 @@ Response ServerCore::Execute(const Request& request) {
       out.status = kStatusOk;
       return out;
     }
-    if (request.op == kOpClaim) {
-      out = ExecuteClaim(request);
-      out.id = request.id;
-      return out;
-    }
-    if (request.op == kOpCollect) {
-      out = ExecuteCollect(request);
-      out.id = request.id;
-      return out;
-    }
-    if (request.op == kOpSteal) {
-      out = ExecuteSteal(request);
-      out.id = request.id;
-      return out;
-    }
-    if (request.op == kOpPublish) {
-      out = ExecutePublish(request);
-      out.id = request.id;
-      return out;
-    }
     out = ExecuteVerify(request);
     out.id = request.id;
     return out;
@@ -389,158 +331,6 @@ Response ServerCore::ExecuteMetrics(const Request& request) {
   resp.metrics = request.format == "json" ? obs::Registry::Global().RenderJson()
                                           : obs::Registry::Global().RenderPrometheus();
   return resp;
-}
-
-Response ServerCore::ExecuteClaim(const Request& request) {
-  Response resp;
-  resp.generator = request.generator;
-  if (draining()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.rejected_draining;
-    resp.status = kStatusShuttingDown;
-    return resp;
-  }
-  // Fingerprint outside mu_ (UnitFingerprint takes it internally).
-  std::string unit_fp;
-  if (options_.incremental && persistence_enabled_) {
-    unit_fp = UnitFingerprint(request.generator);
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (draining_.load(std::memory_order_acquire)) {
-      ++counters_.rejected_draining;
-      resp.status = kStatusShuttingDown;
-      return resp;
-    }
-    if (dist_queued_ >= options_.dist_queue_limit) {
-      ++counters_.shed_queue;
-      resp.status = kStatusOverloaded;
-      resp.error = "dist queue is full";
-      resp.retry_after_ms = 50;
-      return resp;
-    }
-    auto* ticket = new Ticket;
-    ticket->dist = true;
-    ticket->request = request;
-    ticket->unit_fp = std::move(unit_fp);
-    queue_.push_back(ticket);
-    ++dist_queued_;
-    ++counters_.dist_claimed;
-  }
-  cv_.notify_one();
-  UpdateGauges();
-  resp.status = kStatusOk;
-  // Clock-offset handshake: report this worker's trace clock at serve time;
-  // the coordinator maps it to the request's round-trip midpoint.
-  if (obs::TracingActive()) {
-    resp.trace_now_us = obs::TraceNowMicros();
-  }
-  return resp;
-}
-
-Response ServerCore::ExecuteCollect(const Request& request) {
-  Response resp;
-  // How long to wait for a verdict before answering `pending`; the
-  // coordinator polls with short collects so its driver thread stays
-  // responsive to steal requests and new pending units.
-  double wait_ms = request.deadline_ms > 0 ? request.deadline_ms : 250.0;
-  auto wait = std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-      std::chrono::duration<double>(wait_ms / 1e3));
-  std::unique_lock<std::mutex> lock(mu_);
-  dist_cv_.wait_for(lock, wait, [this] {
-    return !dist_done_.empty() || draining_.load(std::memory_order_acquire);
-  });
-  if (!dist_done_.empty()) {
-    // Deliver finished work even while draining: the verdict is already
-    // earned and the coordinator is waiting for it.
-    resp = std::move(dist_done_.front());
-    dist_done_.pop_front();
-    resp.id.clear();  // Execute() stamps the collect request's id.
-    ++counters_.dist_completed;
-    return resp;
-  }
-  if (draining_.load(std::memory_order_acquire)) {
-    ++counters_.rejected_draining;
-    resp.status = kStatusShuttingDown;
-    return resp;
-  }
-  resp.status = kStatusOk;
-  resp.pending = true;
-  return resp;
-}
-
-Response ServerCore::ExecuteSteal(const Request& request) {
-  Response resp;
-  resp.status = kStatusOk;
-  std::vector<std::string> shed;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Shed from the queue tail: the units furthest from execution, so a
-    // steal never races the worker pulling from the front.
-    for (auto it = queue_.rbegin();
-         it != queue_.rend() && static_cast<int64_t>(shed.size()) < request.count;) {
-      Ticket* ticket = *it;
-      if (!ticket->dist) {
-        ++it;
-        continue;
-      }
-      shed.push_back(ticket->request.generator);
-      // reverse_iterator erase dance: base() points one past the element.
-      it = std::make_reverse_iterator(queue_.erase(std::next(it).base()));
-      --dist_queued_;
-      ++counters_.dist_stolen;
-      delete ticket;
-    }
-  }
-  resp.units = Join(shed, ",");
-  resp.count = static_cast<int64_t>(shed.size());
-  UpdateGauges();
-  return resp;
-}
-
-Response ServerCore::ExecutePublish(const Request& request) {
-  (void)request;
-  Response resp;
-  resp.generator.clear();
-  bool shard = !options_.trace_shard_path.empty();
-  if (!staging_mode_ && !shard) {
-    resp.status = kStatusBadRequest;
-    resp.error = "publish on a worker without a staging dir (--staging) or trace shard";
-    return resp;
-  }
-  Status saved = staging_mode_ ? PublishStaging() : Status::Ok();
-  if (shard) {
-    Status shard_saved = PublishTraceShard();
-    if (!shard_saved.ok() && saved.ok()) {
-      saved = shard_saved;
-    }
-  }
-  if (!saved.ok()) {
-    resp.status = kStatusError;
-    resp.error = saved.message();
-    return resp;
-  }
-  resp.status = kStatusOk;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    resp.count = static_cast<int64_t>(delta_store_.size());
-    ++counters_.dist_published;
-  }
-  return resp;
-}
-
-Status ServerCore::PublishTraceShard() {
-  std::string doc = obs::ExportTraceShard(options_.worker_label);
-  std::ofstream out(options_.trace_shard_path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::Error(StrCat("cannot write trace shard '", options_.trace_shard_path, "'"));
-  }
-  out << doc;
-  out.flush();
-  if (!out) {
-    return Status::Error(StrCat("short write to trace shard '", options_.trace_shard_path, "'"));
-  }
-  return Status::Ok();
 }
 
 void ServerCore::MaybeLogSlow(const Request& request,
@@ -580,28 +370,6 @@ void ServerCore::MaybeLogSlow(const Request& request,
   if (out) {
     out << line;
   }
-}
-
-Status ServerCore::PublishStaging() {
-  // Verdict deltas: only the PASSes this worker earned, never the shared
-  // snapshot — the coordinator's merge stays proportional to new work.
-  Status status = Status::Ok();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    status = delta_store_.Save(verifier::VerdictStorePath(options_.staging_dir));
-  }
-  if (cache_ != nullptr) {
-    // The whole in-memory solver cache (snapshot + fresh entries): the merge
-    // preloads the shared store first, so duplicates are skipped there and
-    // only this worker's new entries land.
-    Status cache_saved = sym::SaveSolverCache(
-        *cache_, verifier::SolverCacheStorePath(options_.staging_dir), verifier::kVerifierEpoch,
-        options_.cache_max_mb * 1024 * 1024);
-    if (!cache_saved.ok() && status.ok()) {
-      status = cache_saved;
-    }
-  }
-  return status;
 }
 
 Response ServerCore::ExecuteVerify(const Request& request) {
@@ -743,19 +511,9 @@ void ServerCore::WorkerLoop() {
       ticket = queue_.front();
       queue_.pop_front();
       active_.insert(ticket);
-      if (ticket->dist) {
-        --dist_queued_;
-      }
     }
     Response resp;
     try {
-      if (ticket->dist) {
-        // Worker-death injection point: with action=abort this kills the
-        // whole worker process mid-unit, which is exactly the failure the
-        // coordinator's requeue logic must contain. A throwing spec instead
-        // burns just this unit (an ERROR verdict the coordinator retries).
-        ICARUS_FAILPOINT(failpoint::kDistWorkerCrash);
-      }
       resp = ServeVerify(ticket);
     } catch (const std::exception& e) {
       // ServeVerify contains verification crashes itself; this net catches a
@@ -765,18 +523,6 @@ void ServerCore::WorkerLoop() {
       resp.status = kStatusError;
       resp.generator = ticket->request.generator;
       resp.error = e.what();
-    }
-    if (ticket->dist) {
-      // Dist tickets are core-owned: park the verdict for `collect` and
-      // reclaim the ticket here.
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        active_.erase(ticket);
-        dist_done_.push_back(std::move(resp));
-      }
-      dist_cv_.notify_all();
-      delete ticket;
-      continue;
     }
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -788,10 +534,6 @@ void ServerCore::WorkerLoop() {
 
 Response ServerCore::ServeVerify(Ticket* ticket) {
   const Request& request = ticket->request;
-  // Record this request's spans under the trace context it carried: the
-  // coordinator's dispatch span id arrives in `parent_span`, so this
-  // worker's verify span parents back to it in the merged fleet trace.
-  obs::ScopedRemoteParent remote_parent(request.parent_span);
   obs::ScopedSpan verify_span("daemon.verify", request.generator);
   Response resp;
   resp.status = kStatusOk;
@@ -868,14 +610,6 @@ Response ServerCore::ServeVerify(Ticket* ticket) {
     static obs::Histogram* seconds = obs::Registry::Global().GetHistogram(
         "icarus_daemon_request_seconds", "Verify-request service time (queue wait excluded)");
     seconds->Observe(result.seconds);
-    // Claimed dist units never pass through the `verify` protocol op (the
-    // claim op returns before execution), but they are verify work: record
-    // them here so a fleet worker's op_verify histogram answers the same
-    // per-verify latency questions a standalone daemon's does. Direct
-    // `verify` ops are already timed by Execute's op histogram.
-    if (ticket->dist) {
-      OpHistogram(kOpVerify)->Observe(result.seconds);
-    }
   }
   MaybeLogSlow(request, result);
 
@@ -912,9 +646,6 @@ Response ServerCore::ServeVerify(Ticket* ticket) {
     verifier::JournalRecord pass = verifier::RecordFromResult(result, verifier::kVerifierEpoch);
     std::lock_guard<std::mutex> lock(mu_);
     store_.Put(pass);  // In-memory: later requests hit CACHED_SAFE.
-    if (staging_mode_) {
-      delta_store_.Put(pass);  // Published to staging, merged by the coordinator.
-    }
   }
   // Journal every verdict (fsync'd): the next daemon instance replays the
   // decisive ones into its warm view.
@@ -931,7 +662,6 @@ void ServerCore::BeginDrain() {
     }
     queued.assign(queue_.begin(), queue_.end());
     queue_.clear();
-    dist_queued_ = 0;
     // Cancel in-flight work; each verification stops at its next path
     // boundary and its caller sees INCONCLUSIVE.
     for (Ticket* ticket : active_) {
@@ -939,25 +669,18 @@ void ServerCore::BeginDrain() {
     }
   }
   // Fail queued-but-unstarted tickets fast, outside the lock (their
-  // Execute() callers are blocked on these promises). Queued dist tickets
-  // have no waiting caller — the coordinator learns SHUTTING_DOWN from its
-  // next collect and requeues the units elsewhere — so they are just freed.
+  // Execute() callers are blocked on these promises).
   for (Ticket* ticket : queued) {
-    if (ticket->dist) {
-      delete ticket;
-      continue;
-    }
     Response resp;
     resp.status = kStatusShuttingDown;
     resp.generator = ticket->request.generator;
     ticket->promise.set_value(std::move(resp));
   }
   cv_.notify_all();
-  dist_cv_.notify_all();
   UpdateGauges();
 }
 
-Status ServerCore::FinishDrain(bool persist) {
+Status ServerCore::FinishDrain() {
   BeginDrain();
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -977,16 +700,7 @@ Status ServerCore::FinishDrain(bool persist) {
   // store save machinery); it surfaces as a drain error, never a crash.
   try {
     ICARUS_FAILPOINT(failpoint::kDaemonDrain);
-    if (!persist) {
-      // Simulated worker death: leave no trace (no saves, no publish).
-    } else if (staging_mode_) {
-      // Fleet worker: final publish of any deltas not yet flushed by an
-      // explicit publish op. The shared stores are never written here.
-      Status saved = PublishStaging();
-      if (!saved.ok()) {
-        status = saved;
-      }
-    } else if (persistence_enabled_ && !read_only_cache_) {
+    if (persistence_enabled_ && !read_only_cache_) {
       Status saved = store_.Save(verifier::VerdictStorePath(options_.cache_dir));
       if (!saved.ok()) {
         status = saved;
@@ -998,14 +712,6 @@ Status ServerCore::FinishDrain(bool persist) {
         if (!cache_saved.ok() && status.ok()) {
           status = cache_saved;
         }
-      }
-    }
-    if (persist && !options_.trace_shard_path.empty()) {
-      // Final shard export: covers runs where the coordinator never sent an
-      // explicit publish (or sent one before the last spans were recorded).
-      Status shard_saved = PublishTraceShard();
-      if (!shard_saved.ok() && status.ok()) {
-        status = shard_saved;
       }
     }
   } catch (const std::exception& e) {
@@ -1027,7 +733,6 @@ DaemonStats ServerCore::StatsSnapshot() const {
     stats = counters_;
     stats.queue_depth = static_cast<int>(queue_.size());
     stats.in_flight = static_cast<int>(active_.size());
-    stats.dist_queued = dist_queued_;
     stats.store_entries = static_cast<int64_t>(store_.size());
   }
   stats.read_only_cache = read_only_cache_;

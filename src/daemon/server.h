@@ -88,27 +88,11 @@ struct DaemonOptions {
   bool incremental = false;
   std::string cache_dir = ".icarus-cache";
   int64_t cache_max_mb = 64;
-  // Fleet-worker staging mode (requires incremental): read the shared
-  // cache_dir stores as a startup snapshot *without* taking the advisory
-  // lock, never write them back, and publish this worker's deltas (fresh
-  // PASS verdicts + the in-memory solver cache) to this directory on a
-  // `publish` op or at drain. The coordinator merges every worker's staging
-  // dir into the shared store after the run (src/dist/store_merge.h).
-  std::string staging_dir;
-  // Bounded dist queue: `claim` ops beyond this many queued-but-unstarted
-  // units are shed with OVERLOADED. Claims bypass per-client admission (the
-  // coordinator self-paces via its dispatch window); this bound is the
-  // backstop.
-  int dist_queue_limit = 256;
   // Observability. slow_ms > 0 appends one flat JSON line per verify request
   // slower than the threshold to slow_log_path (stderr when empty), with the
-  // journal's per-stage cost attribution. trace_shard_path makes `publish`
-  // (and drain) export this process's recorded spans as a trace shard for
-  // the coordinator's fleet merge; worker_label is the shard's attribution.
+  // journal's per-stage cost attribution.
   double slow_ms = 0;
   std::string slow_log_path;
-  std::string trace_shard_path;
-  std::string worker_label = "daemon";
   // Monotonic seconds for admission/quarantine schedules; null uses the
   // steady clock. Injected by tests to drive backoff deterministically.
   std::function<double()> clock;
@@ -133,13 +117,7 @@ struct DaemonStats {
   int64_t quarantine_active = 0;  // Targets currently inside a window.
   int64_t replayed = 0;           // Warm-view entries restored at startup.
   bool read_only_cache = false;
-  // Distributed-fleet counters (claim/collect/steal/publish ops).
-  int64_t dist_claimed = 0;    // Units accepted onto the dist queue.
-  int64_t dist_completed = 0;  // Dist verdicts delivered via collect.
-  int64_t dist_stolen = 0;     // Queued units shed back via steal.
-  int64_t dist_published = 0;  // Publish ops served.
-  int dist_queued = 0;         // Dist units queued but not started.
-  int64_t store_entries = 0;   // Verdict-store size (cold-worker detection).
+  int64_t store_entries = 0;   // Persistent verdict-store size.
   std::vector<std::pair<std::string, ClientStats>> clients;
   std::vector<Quarantine::Entry> quarantine;
 
@@ -174,10 +152,7 @@ class ServerCore {
   // Joins the workers and durably saves the persistent stores. Call after
   // BeginDrain once the transport has stopped feeding Execute. Returns the
   // first drain error (store save failure, injected daemon-drain fault).
-  // `persist = false` skips the store saves / staging publish — used by the
-  // in-process worker host's Kill() to model a crashed worker, which leaves
-  // nothing behind.
-  Status FinishDrain(bool persist = true);
+  Status FinishDrain();
 
   bool draining() const { return draining_.load(std::memory_order_acquire); }
   // Set when a `shutdown` op was served; the transport loop polls this.
@@ -198,19 +173,8 @@ class ServerCore {
   // boundary lives here).
   Response ServeVerify(Ticket* ticket);
   Response ExecuteVerify(const Request& request);
-  // Distributed-fleet ops (see protocol.h): claim enqueues a self-owned dist
-  // ticket, collect blocks for a completed dist verdict, steal sheds queued
-  // dist tickets back to the coordinator, publish flushes staged deltas.
-  Response ExecuteClaim(const Request& request);
-  Response ExecuteCollect(const Request& request);
-  Response ExecuteSteal(const Request& request);
-  Response ExecutePublish(const Request& request);
   // The `metrics` op: this process's registry as an exposition document.
   Response ExecuteMetrics(const Request& request);
-  // Writes delta_store_ + the in-memory solver cache to staging_dir.
-  Status PublishStaging();
-  // Writes this process's span ring buffers to options_.trace_shard_path.
-  Status PublishTraceShard();
   // Appends one slow-request line (flat JSON) when the request cleared
   // options_.slow_ms, with per-stage cost attribution from the report.
   void MaybeLogSlow(const Request& request, const verifier::GeneratorResult& result);
@@ -232,12 +196,6 @@ class ServerCore {
   std::condition_variable cv_;
   std::deque<Ticket*> queue_;
   std::set<Ticket*> active_;
-  // Distributed-fleet state (guarded by mu_). Dist tickets are heap-owned by
-  // the core (claims return before execution); their responses land in
-  // dist_done_ for `collect` to drain, signalled by dist_cv_.
-  std::deque<Response> dist_done_;
-  std::condition_variable dist_cv_;
-  int dist_queued_ = 0;  // Dist tickets currently in queue_.
   std::map<std::string, Response> warm_;  // Decisive verdicts only.
   bool stop_workers_ = false;
   std::vector<std::thread> workers_;
@@ -254,10 +212,6 @@ class ServerCore {
   std::unique_ptr<FileLock> cache_lock_;
   bool persistence_enabled_ = false;
   bool read_only_cache_ = false;
-  // Staging mode: fresh PASSes accumulate here (guarded by mu_) and are
-  // written to options_.staging_dir on publish/drain, never to cache_dir.
-  bool staging_mode_ = false;
-  verifier::VerdictStore delta_store_;
   std::string solver_store_path_;
   std::map<std::string, std::string> unit_fp_cache_;  // Guarded by mu_.
 
@@ -274,8 +228,7 @@ class ServerCore {
 
 // Serves one accepted connection: a request line in, a response line out, in
 // order, until the peer closes or the daemon drains. Every fault here is
-// contained to this connection. Closes `fd` on exit. Shared by the icarusd
-// transport loop and the in-process worker host (src/dist/worker_host.h).
+// contained to this connection. Closes `fd` on exit.
 void ServeConnection(ServerCore* core, int fd);
 
 }  // namespace icarus::daemon

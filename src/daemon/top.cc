@@ -1,8 +1,5 @@
 #include "src/daemon/top.h"
 
-#include <dirent.h>
-
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <map>
@@ -113,26 +110,6 @@ std::string BaseName(const std::string& path) {
 
 }  // namespace
 
-StatusOr<std::vector<std::string>> DiscoverSockets(const std::string& fleet_dir) {
-  DIR* dir = ::opendir(fleet_dir.c_str());
-  if (dir == nullptr) {
-    return Status::Error(StrCat("cannot open fleet dir ", fleet_dir));
-  }
-  std::vector<std::string> sockets;
-  while (struct dirent* entry = ::readdir(dir)) {
-    std::string name = entry->d_name;
-    if (name.size() > 5 && name.compare(name.size() - 5, 5, ".sock") == 0) {
-      sockets.push_back(StrCat(fleet_dir, "/", name));
-    }
-  }
-  ::closedir(dir);
-  std::sort(sockets.begin(), sockets.end());
-  if (sockets.empty()) {
-    return Status::Error(StrCat("no *.sock files under ", fleet_dir));
-  }
-  return sockets;
-}
-
 TopSample SampleWorker(const std::string& socket_path) {
   TopSample sample;
   StatusOr<int> connected = net::ConnectUnix(socket_path);
@@ -164,8 +141,6 @@ TopSample SampleWorker(const std::string& socket_path) {
   sample.shed_rate = Fetch(numbers, "shed_rate");
   sample.shed_queue = Fetch(numbers, "shed_queue");
   sample.quarantine_active = Fetch(numbers, "quarantine_active");
-  sample.dist_queued = Fetch(numbers, "dist_queued");
-  sample.dist_completed = Fetch(numbers, "dist_completed");
 
   Request metrics_req;
   metrics_req.op = kOpMetrics;
@@ -217,19 +192,10 @@ std::string RenderTopFrame(const std::vector<TopRow>& rows, double interval_s) {
 }
 
 Status RunTop(const TopOptions& options, std::FILE* out) {
-  std::vector<std::string> sockets = options.sockets;
+  const std::vector<std::string>& sockets = options.sockets;
   std::vector<std::string> names = options.names;
-  if (!options.fleet_dir.empty()) {
-    StatusOr<std::vector<std::string>> discovered = DiscoverSockets(options.fleet_dir);
-    if (!discovered.ok()) {
-      return discovered.status();
-    }
-    for (std::string& socket : discovered.value()) {
-      sockets.push_back(std::move(socket));
-    }
-  }
   if (sockets.empty()) {
-    return Status::Error("nothing to poll (give --socket or --fleet-dir)");
+    return Status::Error("nothing to poll (give --socket)");
   }
   names.resize(sockets.size());
   for (size_t i = 0; i < sockets.size(); ++i) {
@@ -254,8 +220,7 @@ Status RunTop(const TopOptions& options, std::FILE* out) {
       row.name = names[i];
       row.sample = SampleWorker(sockets[i]);
       if (have_prev && row.sample.reachable && prev[i].reachable) {
-        double delta = (row.sample.served + row.sample.dist_completed) -
-                       (prev[i].served + prev[i].dist_completed);
+        double delta = row.sample.served - prev[i].served;
         row.verdicts_per_s = delta > 0 ? delta / interval_s : 0;
       }
       prev[i] = row.sample;

@@ -1,12 +1,12 @@
-// `icarus top`: live fleet introspection.
+// `icarus top`: live daemon introspection.
 //
 // Polls one or more daemons over their Unix sockets with `stats` +
-// `metrics` ops and renders a refreshing table: per-worker throughput
+// `metrics` ops and renders a refreshing table: per-daemon throughput
 // (verdicts/s between polls), queue depth and in-flight count, cache hit
 // rate, shed/quarantine state, and p50/p99 verify latency from the metrics
-// histogram. One fresh connection per worker per poll — a daemon serves a
+// histogram. One fresh connection per daemon per poll — a daemon serves a
 // connection strictly serially, so `top` never competes with a long verify
-// already in flight on another connection, and a worker that dies between
+// already in flight on another connection, and a daemon that dies between
 // polls just renders as unreachable.
 //
 // The frame renderer is a pure function of samples, so tests drive it
@@ -23,19 +23,17 @@
 namespace icarus::daemon {
 
 struct TopOptions {
-  // Workers to poll, with parallel display labels (labels may be empty —
+  // Daemons to poll, with parallel display labels (labels may be empty —
   // derived from the socket filename).
   std::vector<std::string> sockets;
   std::vector<std::string> names;
-  // Alternative to explicit sockets: scan a fleet dir for *.sock.
-  std::string fleet_dir;
   double interval_ms = 1000;
   // Frames to render; 0 = until the process is interrupted.
   int iterations = 0;
   bool clear = true;  // ANSI home+clear between frames (off when piped).
 };
 
-// One worker's poll result.
+// One daemon's poll result.
 struct TopSample {
   bool reachable = false;
   std::string status;  // Response status, or the transport error.
@@ -49,8 +47,6 @@ struct TopSample {
   double shed_rate = 0;
   double shed_queue = 0;
   double quarantine_active = 0;
-  double dist_queued = 0;
-  double dist_completed = 0;
   // From the `metrics` exposition (absent instruments stay negative).
   double p50_ms = -1;
   double p99_ms = -1;
@@ -61,11 +57,8 @@ struct TopSample {
 struct TopRow {
   std::string name;
   TopSample sample;
-  double verdicts_per_s = 0;  // Δ(served + dist_completed) / interval.
+  double verdicts_per_s = 0;  // Δserved / interval.
 };
-
-// Scans `fleet_dir` for worker sockets (*.sock), sorted by name.
-StatusOr<std::vector<std::string>> DiscoverSockets(const std::string& fleet_dir);
 
 // One stats+metrics poll against a daemon (fresh connection).
 TopSample SampleWorker(const std::string& socket_path);
@@ -74,7 +67,7 @@ TopSample SampleWorker(const std::string& socket_path);
 std::string RenderTopFrame(const std::vector<TopRow>& rows, double interval_s);
 
 // The refresh loop: poll, diff against the previous samples, render to
-// `out`. Errors only on unusable options (nothing to poll); per-worker
+// `out`. Errors only on unusable options (nothing to poll); per-daemon
 // failures render as unreachable rows.
 Status RunTop(const TopOptions& options, std::FILE* out);
 

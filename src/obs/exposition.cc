@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdlib>
 
-#include "src/obs/json.h"
 #include "src/obs/metrics.h"
 #include "src/support/str_util.h"
 
@@ -94,110 +93,6 @@ const ExpositionScalar* Exposition::FindGauge(std::string_view name) const {
 
 const ExpositionHistogram* Exposition::FindHistogram(std::string_view name) const {
   return FindByName(histograms, name);
-}
-
-Status Exposition::Merge(const Exposition& other) {
-  for (const ExpositionScalar& c : other.counters) {
-    if (ExpositionScalar* mine = FindByName(counters, c.name)) {
-      mine->value += c.value;
-    } else {
-      counters.push_back(c);
-    }
-  }
-  for (const ExpositionScalar& g : other.gauges) {
-    if (ExpositionScalar* mine = FindByName(gauges, g.name)) {
-      mine->value += g.value;
-    } else {
-      gauges.push_back(g);
-    }
-  }
-  for (const ExpositionHistogram& h : other.histograms) {
-    ExpositionHistogram* mine = FindByName(histograms, h.name);
-    if (mine == nullptr) {
-      histograms.push_back(h);
-      continue;
-    }
-    if (mine->cumulative.size() != h.cumulative.size()) {
-      return Status::Error(StrCat("histogram '", h.name,
-                                  "': incompatible bucket layouts across expositions"));
-    }
-    // The shared fixed bucket scheme makes this exact: the cumulative count
-    // of a sum is the sum of cumulative counts, bucket by bucket.
-    for (size_t i = 0; i < mine->cumulative.size(); ++i) {
-      mine->cumulative[i] += h.cumulative[i];
-    }
-    mine->count += h.count;
-    mine->sum += h.sum;
-  }
-  return Status::Ok();
-}
-
-std::string Exposition::RenderPrometheus() const {
-  std::string out;
-  for (const ExpositionScalar& c : counters) {
-    out += StrCat("# HELP ", c.name, " ", c.help, "\n");
-    out += StrCat("# TYPE ", c.name, " counter\n");
-    out += StrFormat("%s %lld\n", c.name.c_str(), static_cast<long long>(c.value));
-  }
-  for (const ExpositionScalar& g : gauges) {
-    out += StrCat("# HELP ", g.name, " ", g.help, "\n");
-    out += StrCat("# TYPE ", g.name, " gauge\n");
-    out += StrFormat("%s %lld\n", g.name.c_str(), static_cast<long long>(g.value));
-  }
-  for (const ExpositionHistogram& h : histograms) {
-    out += StrCat("# HELP ", h.name, " ", h.help, "\n");
-    out += StrCat("# TYPE ", h.name, " histogram\n");
-    for (size_t i = 0; i < h.cumulative.size(); ++i) {
-      out += StrFormat("%s_bucket{le=\"%.9g\"} %lld\n", h.name.c_str(),
-                       Histogram::BucketBound(static_cast<int>(i)),
-                       static_cast<long long>(h.cumulative[i]));
-    }
-    out += StrFormat("%s_bucket{le=\"+Inf\"} %lld\n", h.name.c_str(),
-                     static_cast<long long>(h.count));
-    out += StrFormat("%s_sum %.9g\n", h.name.c_str(), h.sum);
-    out += StrFormat("%s_count %lld\n", h.name.c_str(), static_cast<long long>(h.count));
-  }
-  return out;
-}
-
-std::string Exposition::RenderJson() const {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("counters").BeginObject();
-  for (const ExpositionScalar& c : counters) {
-    w.Key(c.name).Int(static_cast<int64_t>(c.value));
-  }
-  w.EndObject();
-  w.Key("gauges").BeginObject();
-  for (const ExpositionScalar& g : gauges) {
-    w.Key(g.name).Int(static_cast<int64_t>(g.value));
-  }
-  w.EndObject();
-  w.Key("histograms").BeginObject();
-  for (const ExpositionHistogram& h : histograms) {
-    w.Key(h.name).BeginObject();
-    w.Key("count").Int(h.count);
-    w.Key("sum").Double(h.sum);
-    w.Key("buckets").BeginArray();
-    int64_t prev = 0;
-    for (size_t i = 0; i < h.cumulative.size(); ++i) {
-      if (h.cumulative[i] != prev) {
-        w.BeginArray()
-            .Double(Histogram::BucketBound(static_cast<int>(i)))
-            .Int(h.cumulative[i])
-            .EndArray();
-        prev = h.cumulative[i];
-      }
-    }
-    if (h.count != prev) {
-      w.BeginArray().Null().Int(h.count).EndArray();
-    }
-    w.EndArray();
-    w.EndObject();
-  }
-  w.EndObject();
-  w.EndObject();
-  return w.Take();
 }
 
 StatusOr<Exposition> ParsePrometheus(std::string_view text) {

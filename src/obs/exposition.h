@@ -1,16 +1,11 @@
-// Parsed metric expositions: the cross-process half of the metrics registry.
+// Parsed metric expositions: the reading half of the metrics registry.
 //
 // The registry (src/obs/metrics.h) renders Prometheus text; this module
-// parses that text back into instruments, merges expositions from many
-// processes into one, and answers quantile queries against the merged
-// histograms. Merging is exact *because* every histogram in the tree shares
-// the registry's fixed log-scale bucket scheme — counters and histogram
-// buckets sum, gauges sum (every gauge in the catalogue is an occupancy
-// count, so fleet-wide occupancy is the sum of per-worker occupancy).
+// parses that text back into instruments and answers quantile queries
+// against the parsed histograms, which share the registry's fixed log-scale
+// bucket scheme.
 //
-// Consumers: `verify-all --workers N --metrics` (merge every worker's
-// `metrics` op payload with the coordinator's own registry into one
-// exposition) and `icarus top` (poll per-worker expositions and render
+// Consumer: `icarus top` (poll a daemon's `metrics` op payload and render
 // p50/p99 latencies live).
 #ifndef ICARUS_OBS_EXPOSITION_H_
 #define ICARUS_OBS_EXPOSITION_H_
@@ -45,7 +40,7 @@ struct ExpositionHistogram {
   double Quantile(double q) const;
 };
 
-// One process's (or one merged fleet's) metric exposition.
+// One process's metric exposition.
 struct Exposition {
   std::vector<ExpositionScalar> counters;
   std::vector<ExpositionScalar> gauges;
@@ -54,20 +49,9 @@ struct Exposition {
   const ExpositionScalar* FindCounter(std::string_view name) const;
   const ExpositionScalar* FindGauge(std::string_view name) const;
   const ExpositionHistogram* FindHistogram(std::string_view name) const;
-
-  // Folds `other` into this exposition: counters/gauges/histogram buckets
-  // sum per name; instruments only one side knows are kept. Errors when the
-  // same histogram arrives with an incompatible bucket layout.
-  Status Merge(const Exposition& other);
-
-  // Renders back out in the registry's formats, so a merged exposition is
-  // interchangeable with a single-process `--metrics` file.
-  std::string RenderPrometheus() const;
-  std::string RenderJson() const;
 };
 
-// Parses Prometheus text as rendered by Registry::RenderPrometheus (and by
-// RenderPrometheus above). Unknown sample shapes (labels other than `le`)
+// Parses Prometheus text as rendered by Registry::RenderPrometheus. Unknown sample shapes (labels other than `le`)
 // are an error — this is an internal exchange format, not a general scraper.
 StatusOr<Exposition> ParsePrometheus(std::string_view text);
 

@@ -228,17 +228,7 @@ std::string RenderHtmlReport(const ReportInput& input) {
          "<span><i class=\"s-gen\"></i>generate</span>"
          "<span><i class=\"s-interp\"></i>interpret</span>"
          "<span><i class=\"s-solve\"></i>solve</span></p>\n";
-  // Fleet runs carry per-worker attribution; the Worker column appears only
-  // when at least one row has it, so single-process reports are unchanged.
-  bool any_worker = false;
-  for (const ReportRow& r : input.rows) {
-    any_worker = any_worker || !r.worker.empty();
-  }
-  out += "<table>\n<tr><th>Generator</th><th>Outcome</th>";
-  if (any_worker) {
-    out += "<th>Worker</th>";
-  }
-  out += "<th>Paths</th>"
+  out += "<table>\n<tr><th>Generator</th><th>Outcome</th><th>Paths</th>"
          "<th>Attached</th><th>Infeasible</th><th>Queries</th><th>Tries</th>"
          "<th>Time (s)</th><th>Stage costs</th></tr>\n";
   double max_stage_total = 0.0;
@@ -255,9 +245,6 @@ std::string RenderHtmlReport(const ReportInput& input) {
     }
     out += StrFormat("</td><td><span class=\"badge %s\">%s</span></td>",
                      BadgeClass(r.outcome), HtmlEscape(r.outcome).c_str());
-    if (any_worker) {
-      out += StrFormat("<td>%s</td>", HtmlEscape(r.worker).c_str());
-    }
     out += StrFormat(
         "<td class=\"num\">%lld</td><td class=\"num\">%lld</td>"
         "<td class=\"num\">%lld</td><td class=\"num\">%lld</td>"

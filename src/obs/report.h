@@ -1,4 +1,4 @@
-// HTML fleet report: aggregates a verification run (journal rows) plus an
+// HTML run report: aggregates a verification run (journal rows) plus an
 // optional metrics snapshot into one self-contained dashboard file.
 //
 // The emitter lives in obs/, below the verifier layer, so its input is an
@@ -36,9 +36,6 @@ struct ReportRow {
   double gen_s = 0.0;
   double interp_s = 0.0;
   double solve_s = 0.0;
-  // Distributed-fleet attribution: which worker earned the verdict (empty
-  // outside fleet runs; a Worker column renders only when some row has one).
-  std::string worker;
   // Counterexample drill-down (empty cx_contract = none).
   std::string cx_contract;
   std::string cx_function;

@@ -53,7 +53,6 @@ struct TraceState {
   std::vector<std::shared_ptr<RingBuffer>> buffers;  // Keeps exited threads' data.
   std::atomic<int> next_tid{1};
   Clock::time_point epoch = Clock::now();
-  std::string trace_id;  // Guarded by mu.
 };
 
 TraceState& State() {
@@ -77,9 +76,9 @@ double NowMicros() {
   return std::chrono::duration<double, std::micro>(Clock::now() - State().epoch).count();
 }
 
-// Fleet-unique span ids: pid in the high bits, a process-local counter in
-// the low 31. Linux pids fit in 22 bits (pid_max <= 2^22), so ids stay
-// within 53 bits and survive a round-trip through a JSON double exactly.
+// Span ids: pid in the high bits, a process-local counter in the low 31.
+// Linux pids fit in 22 bits (pid_max <= 2^22), so ids stay within 53 bits
+// and survive a round-trip through a JSON double exactly.
 int64_t NextSpanId() {
   static std::atomic<int64_t> counter{0};
   static const int64_t base = static_cast<int64_t>(::getpid()) << 31;
@@ -90,8 +89,6 @@ thread_local int t_depth = 0;
 // The enclosing-span stack for parent ids (mirrors t_depth; small — spans
 // nest as deep as the C++ scopes that open them).
 thread_local std::vector<int64_t> t_span_stack;
-// Remote parent for depth-0 spans (ScopedRemoteParent).
-thread_local int64_t t_remote_parent = 0;
 
 }  // namespace
 
@@ -148,33 +145,11 @@ ScopedSpan::~ScopedSpan() {
   e.dur_us = NowMicros() - start_us_;
   e.depth = depth_;
   e.id = id_;
-  e.parent = t_span_stack.empty() ? t_remote_parent : t_span_stack.back();
+  e.parent = t_span_stack.empty() ? 0 : t_span_stack.back();
   RingBuffer& buffer = ThisThreadBuffer();
   e.tid = buffer.tid;
   buffer.Push(std::move(e));
 }
-
-ScopedRemoteParent::ScopedRemoteParent(int64_t span_id) : prev_(t_remote_parent) {
-  if (span_id != 0) {
-    t_remote_parent = span_id;
-  }
-}
-
-ScopedRemoteParent::~ScopedRemoteParent() { t_remote_parent = prev_; }
-
-void SetTraceId(std::string trace_id) {
-  TraceState& s = State();
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.trace_id = std::move(trace_id);
-}
-
-std::string TraceId() {
-  TraceState& s = State();
-  std::lock_guard<std::mutex> lock(s.mu);
-  return s.trace_id;
-}
-
-double TraceNowMicros() { return NowMicros(); }
 
 std::vector<SpanEvent> SnapshotSpans() {
   TraceState& s = State();
@@ -237,10 +212,6 @@ std::string ExportChromeTrace() {
   w.Key("displayTimeUnit").String("ms");
   w.Key("otherData").BeginObject();
   w.Key("dropped_spans").Int(DroppedSpans());
-  std::string trace_id = TraceId();
-  if (!trace_id.empty()) {
-    w.Key("trace_id").String(trace_id);
-  }
   w.EndObject();
   w.EndObject();
   return w.Take();

@@ -10,15 +10,10 @@
 // its stack depth so tests can validate well-formed nesting without a JSON
 // parser.
 //
-// Span identity and cross-process parenting: every recorded span gets an id
-// unique across the whole fleet — the process id in the high bits, a
-// process-local counter in the low 31 (53 bits total, so ids survive a
-// round-trip through JSON doubles) — and records its parent's id. Within a
-// process the parent is the enclosing span on the same thread; across
-// processes, a coordinator stamps its dispatch span's id onto the protocol
-// request and the worker installs it with ScopedRemoteParent, so the
-// worker's top-level span parents back to the coordinator's dispatch span in
-// the merged fleet trace (src/obs/trace_shard.h).
+// Span identity: every recorded span gets an id — the process id in the high
+// bits, a process-local counter in the low 31 (53 bits total, so ids survive
+// a round-trip through JSON doubles) — and records the id of the enclosing
+// span on the same thread as its parent.
 //
 // Ring buffers: fixed capacity per thread, oldest events overwritten, so a
 // path-exploding generator cannot OOM the tracer — you lose the oldest
@@ -47,10 +42,8 @@ struct SpanEvent {
   double dur_us = 0;
   int tid = 0;    // Small stable per-thread id (not the OS tid).
   int depth = 0;  // Nesting depth at span start (0 = top level).
-  int64_t id = 0;      // Fleet-unique span id ((pid << 31) | counter).
-  int64_t parent = 0;  // Parent span id; 0 = no parent. For a depth-0 span
-                       // this may be a *remote* span (another process's
-                       // dispatch span, installed via ScopedRemoteParent).
+  int64_t id = 0;      // Span id ((pid << 31) | counter).
+  int64_t parent = 0;  // Enclosing span's id; 0 = top level.
 };
 
 #ifdef ICARUS_OBS_DISABLED
@@ -80,9 +73,7 @@ class ScopedSpan {
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
-  // This span's fleet-unique id, 0 when tracing was inactive at
-  // construction. A coordinator stamps this onto outgoing protocol requests
-  // as the remote parent for the worker's spans.
+  // This span's id, 0 when tracing was inactive at construction.
   int64_t id() const { return id_; }
 
  private:
@@ -94,34 +85,6 @@ class ScopedSpan {
   int64_t id_ = 0;
   std::string name_;
 };
-
-// Installs `span_id` as the calling thread's remote parent for the duration
-// of the scope: any depth-0 span opened on this thread records it as its
-// parent. Used by the daemon to adopt the trace context a request carried
-// (protocol `parent_span` field); 0 installs nothing.
-class ScopedRemoteParent {
- public:
-  explicit ScopedRemoteParent(int64_t span_id);
-  ~ScopedRemoteParent();
-
-  ScopedRemoteParent(const ScopedRemoteParent&) = delete;
-  ScopedRemoteParent& operator=(const ScopedRemoteParent&) = delete;
-
- private:
-  int64_t prev_;
-};
-
-// The trace id of the current run: set by the coordinator when it starts a
-// fleet trace, adopted by workers from the first request that carries one
-// (protocol `trace_id` field). Purely a correlation label — it travels in
-// shard metadata and the merged trace's otherData, never per span.
-void SetTraceId(std::string trace_id);
-std::string TraceId();
-
-// The trace clock: microseconds since StartTracing() on this process's
-// steady clock. Workers report this in claim responses so the coordinator
-// can estimate each worker's clock offset and align the merged lanes.
-double TraceNowMicros();
 
 // Every recorded span across all thread buffers, in no particular order.
 // Safe to call while tracing is active (per-buffer locking).

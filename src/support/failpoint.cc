@@ -50,10 +50,9 @@ std::atomic<bool> g_any_armed{false};
 
 const std::vector<std::string>& AllSites() {
   static const std::vector<std::string> kSites = {
-      kSolverDecision, kCacheLookup,    kCacheInsert,  kPoolTask,
-      kExternCall,     kBoogieLower,    kDaemonAccept, kDaemonParse,
+      kSolverDecision, kCacheLookup,    kCacheInsert,   kPoolTask,
+      kExternCall,     kBoogieLower,    kDaemonAccept,  kDaemonParse,
       kDaemonEnqueue,  kDaemonDispatch, kDaemonRespond, kDaemonDrain,
-      kDistDispatch,   kDistResult,     kDistWorkerCrash, kDistMerge,
   };
   return kSites;
 }

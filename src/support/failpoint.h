@@ -49,16 +49,6 @@ inline constexpr const char* kDaemonEnqueue = "daemon-enqueue";
 inline constexpr const char* kDaemonDispatch = "daemon-dispatch";
 inline constexpr const char* kDaemonRespond = "daemon-respond";
 inline constexpr const char* kDaemonDrain = "daemon-drain";
-// Distributed-fleet sites (src/dist/): the coordinator's dispatch and
-// result-processing paths, the worker's dist-task execution path (arm with
-// action=abort to kill a real worker process mid-run), and the end-of-run
-// cross-store merge. Each proves a different failure domain: a dispatch or
-// result fault costs one bounded requeue, a worker crash costs a requeue of
-// its in-flight units, and a merge fault leaves the shared stores untouched.
-inline constexpr const char* kDistDispatch = "dist-dispatch";
-inline constexpr const char* kDistResult = "dist-result";
-inline constexpr const char* kDistWorkerCrash = "dist-worker-crash";
-inline constexpr const char* kDistMerge = "dist-merge";
 
 // Every registered site, for tests that iterate the whole surface.
 const std::vector<std::string>& AllSites();

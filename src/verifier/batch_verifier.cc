@@ -327,7 +327,6 @@ JournalRecord RecordFromResult(const GeneratorResult& r, const std::string& fing
   rec.unit_fp = r.unit_fp;
   rec.budget_decisions = r.budget_decisions;
   rec.budget_seconds = r.budget_seconds;
-  rec.worker = r.worker;
   // Flight recorder: journal the first violation's counterexample (the
   // journal row is flat; additional violations stay in memory and in the
   // explain rendering).
@@ -372,7 +371,6 @@ StatusOr<GeneratorResult> ResultFromRecord(const JournalRecord& rec) {
   r.unit_fp = rec.unit_fp;
   r.budget_decisions = rec.budget_decisions;
   r.budget_seconds = rec.budget_seconds;
-  r.worker = rec.worker;
   // Reconstruct the journaled counterexample so a resumed REFUTED row still
   // renders and reports. The witness summary and decision string come back
   // pre-rendered (the journal stores the wire form, not Witness structs);

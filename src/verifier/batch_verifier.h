@@ -118,9 +118,6 @@ struct GeneratorResult {
   std::string unit_fp;
   int64_t budget_decisions = 0;
   double budget_seconds = 0.0;
-  // Distributed-fleet attribution (schema v6): which worker earned this
-  // verdict. Empty outside fleet runs.
-  std::string worker;
 };
 
 // Aggregate result of BatchVerifier::VerifyAll.

@@ -173,8 +173,6 @@ class LineParser {
         rec->cx_decisions = std::move(s);
       } else if (key == "unit_fp") {
         rec->unit_fp = std::move(s);
-      } else if (key == "worker") {
-        rec->worker = std::move(s);
       }
       return true;
     }
@@ -266,12 +264,6 @@ std::string JournalRecord::ToJsonLine() const {
     AppendJsonString(unit_fp, &out);
     out += StrFormat(",\"budget_decisions\":%lld,\"budget_seconds\":%.17g",
                      static_cast<long long>(budget_decisions), budget_seconds);
-  }
-  // Fleet attribution (schema >= 6): only on rows a coordinator stamped, so
-  // single-process journals stay byte-identical to v5 bodies.
-  if (!worker.empty()) {
-    out += ",\"worker\":";
-    AppendJsonString(worker, &out);
   }
   // Counterexample block: only on rows that carry one, so VERIFIED rows stay
   // as compact as before.
@@ -394,7 +386,6 @@ obs::ReportRow ReportRowFromRecord(const JournalRecord& rec) {
   row.cx_source_ops = rec.cx_source_ops;
   row.cx_target_ops = rec.cx_target_ops;
   row.cx_decisions = rec.cx_decisions;
-  row.worker = rec.worker;
   return row;
 }
 

@@ -48,11 +48,10 @@ namespace icarus::verifier {
 //   5 — adds the CDCL solver counters (propagations/learned_clauses/
 //       restarts), rendered by `verify-all --stats`. Additive: older rows
 //       read fine with the counters defaulting to 0.
-//   6 — adds per-worker attribution (`worker`), stamped by the distributed
-//       coordinator when it merges per-worker journals into one fleet
-//       journal. Additive and conditional: single-process runs never write
-//       the field, so their journals are byte-identical to v5 apart from the
-//       version number, and older rows read fine with an empty worker.
+//   6 — added per-worker attribution (`worker`), written only by the
+//       multi-process worker fleet, since removed. Readers now skip the key
+//       like any other unknown one, so v6 rows (with or without it) still
+//       parse and resume.
 //   7 — adds the path-merging counter (`paths_merged`: joins folded by
 //       ite-lifting instead of forking), rendered by `verify-all --stats`.
 //       Additive: older rows read fine with the counter defaulting to 0,
@@ -94,9 +93,6 @@ struct JournalRecord {
   std::string unit_fp;          // ast::UnitFingerprint(...).ToHex() of the unit.
   int64_t budget_decisions = 0; // Solver::Limits the verdict was earned under.
   double budget_seconds = 0.0;
-  // Distributed-fleet attribution (schema >= 6): which worker earned this
-  // verdict. Empty — and never serialized — outside fleet journals.
-  std::string worker;
   // Flight-recorder counterexample (schema >= 3). Present — cx_contract
   // non-empty — only on rows whose verdict carries a violation. The journal
   // stays a *flat* object: list-valued data is pre-rendered with "; " (ops)

@@ -86,9 +86,6 @@ class VerdictStore {
 
   size_t size() const { return by_generator_.size(); }
 
-  // Read access for cross-store merging (src/dist/store_merge.h).
-  const std::map<std::string, JournalRecord>& entries() const { return by_generator_; }
-
  private:
   std::map<std::string, JournalRecord> by_generator_;
 };

@@ -3,14 +3,16 @@
 // acceptance criteria the in-process suites cannot — a SIGTERM delivered in
 // the middle of a request storm drains to exit code 0 with the journal
 // fsync'd, and a restarted daemon replays that journal into an identical
-// warm verdict view. Also exercises the `icarus client` subcommand as a real
-// subprocess.
+// warm verdict view. Also exercises the `icarus client` and `icarus top`
+// subcommands as real subprocesses.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <sys/stat.h>
 #include <sys/types.h>
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "src/daemon/protocol.h"
+#include "src/obs/metrics.h"
 #include "src/support/net.h"
 #include "src/verifier/journal.h"
 
@@ -314,6 +317,63 @@ TEST(DaemonE2E, CliClientSubcommandRoundTrips) {
   // shutdown drains the daemon.
   std::string bye = cli + " client --socket " + socket + " shutdown >/dev/null";
   EXPECT_EQ(std::system(bye.c_str()), 0) << bye;
+  EXPECT_EQ(WaitForExit(pid), 0);
+}
+
+std::string Slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+// `icarus top` against one live daemon and one socket nobody listens on: the
+// live one renders an OK row with latency quantiles, the missing one a dead
+// row — never a dropped row or a failed run.
+TEST(DaemonE2E, TopRendersLiveAndDeadDaemons) {
+  std::string socket = TempPath("e2e_top.sock");
+  pid_t pid = SpawnDaemon({"--socket", socket, "--jobs", "1", "--obs"});
+  ASSERT_GT(pid, 0);
+  ASSERT_TRUE(AwaitReady(socket)) << "daemon never became ready";
+  // One served verify puts a sample in the latency histogram.
+  ASSERT_EQ(RoundTrip(socket, VerifyReq("tryAttachCompareInt32")).outcome, "VERIFIED");
+
+  std::string out = TempPath("e2e_top.out");
+  std::string cmd = std::string(ICARUS_CLI_PATH) + " top --socket " + socket +
+                    " --socket /nonexistent --iterations 2 --interval-ms 50 --no-clear > " +
+                    out + " 2>&1";
+  EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd << "\n" << Slurp(out);
+  std::string text = Slurp(out);
+  EXPECT_NE(text.find("icarus top"), std::string::npos) << text;
+  EXPECT_NE(text.find("P50(ms)"), std::string::npos) << text;
+  EXPECT_NE(text.find("P99(ms)"), std::string::npos) << text;
+
+  bool live_row = false;
+  bool dead_row = false;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    std::istringstream fields(line);
+    std::vector<std::string> cols;
+    for (std::string col; fields >> col;) {
+      cols.push_back(col);
+    }
+    if (cols.size() != 10) {
+      continue;
+    }
+    if (cols[0] == "e2e_top" && cols[1] == kStatusOk) {
+      // P50 and P99 are numbers, not the '-' of an empty histogram (which
+      // is all a build with the instrumentation compiled out can show).
+      live_row = !obs::kCompiledIn || (std::strtod(cols[8].c_str(), nullptr) > 0 &&
+                                       std::strtod(cols[9].c_str(), nullptr) > 0);
+    }
+    if (cols[0] == "nonexistent" && cols[1] == "dead") {
+      dead_row = true;
+    }
+  }
+  EXPECT_TRUE(live_row) << text;
+  EXPECT_TRUE(dead_row) << text;
+
+  ASSERT_EQ(::kill(pid, SIGTERM), 0);
   EXPECT_EQ(WaitForExit(pid), 0);
 }
 #endif  // ICARUS_CLI_PATH

@@ -123,24 +123,7 @@ TEST(Protocol, ParseResponseRequiresStatus) {
   EXPECT_TRUE(ParseResponse("{\"status\":\"OK\"}", &resp).ok());
 }
 
-TEST(Protocol, TraceContextAndMetricsFieldsRoundTrip) {
-  // Trace context rides any request; span ids use the full 53-bit range
-  // ((pid << 31) | counter) and must survive the wire exactly.
-  Request req;
-  req.op = kOpVerify;
-  req.generator = "g";
-  req.trace_id = "fleet-123-456";
-  req.parent_span = (int64_t{54321} << 31) | 42;
-  Request back;
-  ASSERT_TRUE(ParseRequest(req.ToJsonLine(), &back).ok());
-  EXPECT_EQ(back.trace_id, "fleet-123-456");
-  EXPECT_EQ(back.parent_span, req.parent_span);
-  // A context-free request serializes without the trace keys at all (the
-  // pre-tracing byte shape, so old captures stay comparable).
-  Request plain;
-  plain.op = kOpPing;
-  EXPECT_EQ(plain.ToJsonLine().find("trace_id"), std::string::npos);
-
+TEST(Protocol, MetricsFieldsRoundTrip) {
   Request metrics;
   metrics.op = kOpMetrics;
   metrics.format = "json";
@@ -153,11 +136,9 @@ TEST(Protocol, TraceContextAndMetricsFieldsRoundTrip) {
   Response resp;
   resp.status = kStatusOk;
   resp.metrics = "# HELP x y\n# TYPE x counter\nx 1\n";
-  resp.trace_now_us = 123.5;
   Response rback;
   ASSERT_TRUE(ParseResponse(resp.ToJsonLine(), &rback).ok());
   EXPECT_EQ(rback.metrics, resp.metrics);
-  EXPECT_DOUBLE_EQ(rback.trace_now_us, 123.5);
 }
 
 // --- Admission control (fake clock) --------------------------------------
@@ -392,6 +373,31 @@ TEST_F(ServerCoreTest, ServesRealVerdictsAndWarmRepeats) {
   EXPECT_TRUE(core.FinishDrain().ok());
 }
 
+TEST_F(ServerCoreTest, OlderClientTraceContextIsParsedAndServed) {
+  // Older clients stamp a trace label and a 53-bit parent span id onto
+  // verify requests. The daemon no longer reads either key, but such a line
+  // must still parse like any other with unknown keys and be served.
+  const std::string line =
+      "{\"v\":1,\"id\":\"old-1\",\"op\":\"verify\",\"gen\":\"tryAttachCompareInt32\","
+      "\"client\":\"old\",\"deadline_ms\":0,\"trace_id\":\"trace-123-456\","
+      "\"parent_span\":116653459243050}";
+  Request req;
+  Status parsed = ParseRequest(line, &req);
+  ASSERT_TRUE(parsed.ok()) << parsed.message();
+  EXPECT_EQ(req.op, kOpVerify);
+  EXPECT_EQ(req.generator, "tryAttachCompareInt32");
+  EXPECT_EQ(req.client, "old");
+  EXPECT_EQ(req.ToJsonLine().find("trace_id"), std::string::npos);
+
+  ServerCore core(platform_, DaemonOptions{});
+  ASSERT_TRUE(core.Start().ok());
+  Response resp = core.Execute(req);
+  EXPECT_EQ(resp.id, "old-1");
+  EXPECT_EQ(resp.status, kStatusOk);
+  EXPECT_EQ(resp.outcome, "VERIFIED");
+  EXPECT_TRUE(core.FinishDrain().ok());
+}
+
 TEST_F(ServerCoreTest, StatsJsonSurvivesControlByteClientNames) {
   ServerCore core(platform_, DaemonOptions{});
   ASSERT_TRUE(core.Start().ok());
@@ -593,10 +599,19 @@ TEST_F(ServerCoreTest, DeadlineDegradesQueuedRequestsToInconclusive) {
   ServerCore core(platform_, options);
   ASSERT_TRUE(core.Start().ok());
 
-  // Six healthy generators race for one worker with a 50µs deadline: the
-  // head of the line may finish, but queued requests blow their deadline,
-  // their cancel flag flips, and the verification observes it at its next
-  // path boundary — INCONCLUSIVE, never a made-up verdict.
+  // Occupy the one worker with the slowest unit (no deadline), so the
+  // requests below are still queued when their deadline passes however the
+  // host schedules the client threads.
+  Response head;
+  std::thread head_client(
+      [&core, &head] { head = core.Execute(Verify("tryAttachCompareStrictDifferentTypes")); });
+  while (core.StatsSnapshot().in_flight == 0 && core.StatsSnapshot().served == 0) {
+    std::this_thread::yield();
+  }
+
+  // Six healthy generators queue behind it with a 50µs deadline: they blow
+  // their deadline, their cancel flag flips, and the verification observes
+  // it at its next path boundary — INCONCLUSIVE, never a made-up verdict.
   const std::vector<std::string> generators = {
       "tryAttachCompareInt32",  "tryAttachCompareString", "tryAttachCompareObject",
       "tryAttachCompareSymbol", "tryAttachInt32Add",      "tryAttachObjectLength",
@@ -611,6 +626,8 @@ TEST_F(ServerCoreTest, DeadlineDegradesQueuedRequestsToInconclusive) {
   for (std::thread& t : clients) {
     t.join();
   }
+  head_client.join();
+  EXPECT_EQ(head.outcome, "VERIFIED");
 
   int inconclusive = 0;
   for (const Response& resp : responses) {

@@ -229,6 +229,52 @@ TEST_F(JournalBatchTest, ResumeSkipsJournaledGeneratorsAndRestoresRows) {
   std::remove(path.c_str());
 }
 
+TEST_F(JournalBatchTest, SchemaSixWorkerRowsStillParseAndResume) {
+  // Schema 6 added a `worker` key that only the multi-process fleet wrote.
+  // The fleet is gone and readers skip the key like any unknown one, so a
+  // journal mixing such a row with a schema-7 row still reads and resumes.
+  std::string path = TempPath("schema6_worker.jsonl");
+  const std::string fp = platform_->Fingerprint();
+  WriteFile(path,
+            StrCat("{\"schema\":6,\"platform\":\"", fp,
+                   "\",\"generator\":\"tryAttachCompareInt32\",\"outcome\":\"VERIFIED\","
+                   "\"error\":\"\",\"paths\":5,\"queries\":17,\"seconds\":0.25,\"attempts\":1,"
+                   "\"worker\":\"w0\"}\n",
+                   "{\"schema\":7,\"platform\":\"", fp,
+                   "\",\"generator\":\"bug1685925_buggy\",\"outcome\":\"COUNTEREXAMPLE\","
+                   "\"error\":\"\",\"paths\":9,\"queries\":23,\"seconds\":0.5,\"attempts\":1,"
+                   "\"paths_merged\":2}\n"));
+  StatusOr<std::vector<JournalRecord>> read = ReadJournal(path, fp);
+  ASSERT_TRUE(read.ok()) << read.status().message();
+  ASSERT_EQ(read.value().size(), 2u);
+  EXPECT_EQ(read.value()[0].schema, 6);
+  EXPECT_EQ(read.value()[0].generator, "tryAttachCompareInt32");
+  EXPECT_EQ(read.value()[0].paths, 5);
+  EXPECT_EQ(read.value()[1].schema, 7);
+  EXPECT_EQ(read.value()[1].paths_merged, 2);
+  // Rewriting a parsed row drops the key rather than carrying it forward.
+  EXPECT_EQ(read.value()[0].ToJsonLine().find("worker"), std::string::npos);
+
+  BatchVerifier batch(platform_);
+  BatchOptions opts;
+  opts.resume_path = path;
+  StatusOr<BatchReport> report =
+      batch.VerifyAll({"tryAttachCompareInt32", "bug1685925_buggy"}, opts);
+  ASSERT_TRUE(report.ok()) << report.status().message();
+  ASSERT_EQ(report.value().results.size(), 2u);
+  EXPECT_EQ(report.value().num_resumed, 2);
+  const GeneratorResult& six = report.value().results[0];
+  const GeneratorResult& seven = report.value().results[1];
+  EXPECT_TRUE(six.resumed);
+  EXPECT_EQ(six.outcome, Outcome::kVerified);
+  EXPECT_EQ(six.report.meta.paths_explored, 5);
+  EXPECT_EQ(six.report.meta.solver_queries, 17);
+  EXPECT_TRUE(seven.resumed);
+  EXPECT_EQ(seven.outcome, Outcome::kRefuted);
+  EXPECT_EQ(seven.report.meta.paths_merged, 2);
+  std::remove(path.c_str());
+}
+
 TEST_F(JournalBatchTest, ResumeAgainstForeignJournalFails) {
   std::string path = TempPath("foreign.jsonl");
   JournalRecord rec = MakeRecord("tryAttachCompareInt32", "VERIFIED");

@@ -192,12 +192,6 @@ TEST_F(ObsMetricsTest, ParsePrometheusRoundTripsTheRegistry) {
   ASSERT_EQ(hist->cumulative.size(), static_cast<size_t>(Histogram::kNumBuckets));
   EXPECT_EQ(hist->cumulative[Histogram::BucketFor(0.5)], 2);
   EXPECT_EQ(hist->cumulative[Histogram::BucketFor(3.0)], 3);
-
-  // The parse renders back out and re-parses identically — the exchange
-  // format is stable through arbitrarily many merge hops.
-  auto again = ParsePrometheus(exp.RenderPrometheus());
-  ASSERT_TRUE(again.ok()) << again.status().message();
-  EXPECT_EQ(again.value().RenderPrometheus(), exp.RenderPrometheus());
 }
 
 TEST_F(ObsMetricsTest, ParsePrometheusRejectsForeignShapes) {
@@ -206,44 +200,6 @@ TEST_F(ObsMetricsTest, ParsePrometheusRejectsForeignShapes) {
   EXPECT_FALSE(ParsePrometheus("x_total{worker=\"w0\"} 1\n").ok());
   EXPECT_FALSE(ParsePrometheus("x_bucket{le=\"0.123\"} 1\n").ok());
   EXPECT_FALSE(ParsePrometheus("x_total notanumber\n").ok());
-}
-
-TEST_F(ObsMetricsTest, ExpositionMergeSumsPerName) {
-  auto make = [](int64_t reqs, int64_t queue, int64_t slow_bucket, double sum) {
-    Exposition e;
-    e.counters.push_back({"reqs_total", "reqs", static_cast<double>(reqs)});
-    e.gauges.push_back({"queue_depth", "depth", static_cast<double>(queue)});
-    ExpositionHistogram h;
-    h.name = "lat_seconds";
-    h.cumulative.assign(Histogram::kNumBuckets, 0);
-    for (int i = Histogram::BucketFor(2.0); i < Histogram::kNumBuckets; ++i) {
-      h.cumulative[i] = slow_bucket;
-    }
-    h.count = slow_bucket;
-    h.sum = sum;
-    e.histograms.push_back(std::move(h));
-    return e;
-  };
-  Exposition merged = make(3, 2, 4, 8.0);
-  Exposition other = make(4, 1, 6, 12.0);
-  other.counters.push_back({"only_other_total", "x", 9});
-  ASSERT_TRUE(merged.Merge(other).ok());
-  EXPECT_EQ(merged.FindCounter("reqs_total")->value, 7);
-  EXPECT_EQ(merged.FindGauge("queue_depth")->value, 3);  // Occupancy sums.
-  EXPECT_EQ(merged.FindCounter("only_other_total")->value, 9);
-  const ExpositionHistogram* h = merged.FindHistogram("lat_seconds");
-  EXPECT_EQ(h->count, 10);
-  EXPECT_NEAR(h->sum, 20.0, 1e-9);
-  EXPECT_EQ(h->cumulative[Histogram::BucketFor(2.0)], 10);
-  EXPECT_EQ(h->cumulative[Histogram::BucketFor(1.0)], 0);
-
-  // Incompatible bucket layouts refuse to merge rather than mis-sum.
-  Exposition narrow;
-  ExpositionHistogram bad;
-  bad.name = "lat_seconds";
-  bad.cumulative.assign(4, 0);
-  narrow.histograms.push_back(std::move(bad));
-  EXPECT_FALSE(merged.Merge(narrow).ok());
 }
 
 TEST_F(ObsMetricsTest, ExpositionQuantiles) {

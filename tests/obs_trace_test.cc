@@ -11,8 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/obs/trace_shard.h"
-
 namespace icarus::obs {
 namespace {
 
@@ -154,134 +152,10 @@ TEST_F(ObsTraceTest, SpanIdsCarryPidAndLocalParent) {
   EXPECT_EQ(outer->id, outer_id);
   EXPECT_EQ(outer->parent, 0);
   EXPECT_EQ(inner->parent, outer_id);
-  // The high bits carry the producing pid (fleet-wide uniqueness without any
-  // id remapping at merge time)...
+  // The high bits carry the producing pid...
   EXPECT_EQ(outer->id >> 31, static_cast<int64_t>(::getpid()));
   // ...and the whole id still fits a JSON double exactly.
   EXPECT_LT(outer->id, int64_t{1} << 53);
-}
-
-TEST_F(ObsTraceTest, RemoteParentAttachesToTopLevelSpansOnly) {
-  {
-    ScopedRemoteParent remote(424242);
-    ScopedSpan top("remote.top");
-    ScopedSpan nested("remote.nested");
-  }
-  { ScopedSpan after("remote.after"); }
-  std::vector<SpanEvent> spans = SnapshotSpans();
-  const SpanEvent* top = FindSpan(spans, "remote.top");
-  const SpanEvent* nested = FindSpan(spans, "remote.nested");
-  const SpanEvent* after = FindSpan(spans, "remote.after");
-  ASSERT_NE(top, nullptr);
-  ASSERT_NE(nested, nullptr);
-  ASSERT_NE(after, nullptr);
-  // The installed remote id parents the depth-0 span; nested spans keep the
-  // local chain, and the installation dies with the scope.
-  EXPECT_EQ(top->parent, 424242);
-  EXPECT_EQ(nested->parent, top->id);
-  EXPECT_EQ(after->parent, 0);
-}
-
-TEST_F(ObsTraceTest, TraceShardRoundTrips) {
-  SetTraceId("trace-rt");
-  {
-    ScopedSpan outer("shard.outer");
-    ScopedSpan inner("shard.inner");
-  }
-  TraceShard shard = SnapshotShard("w3");
-  EXPECT_EQ(shard.worker, "w3");
-  EXPECT_EQ(shard.trace_id, "trace-rt");
-  EXPECT_EQ(shard.pid, static_cast<int64_t>(::getpid()));
-  EXPECT_FALSE(shard.truncated());
-
-  auto parsed = ParseTraceShard(RenderTraceShard(shard));
-  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  const TraceShard& back = parsed.value();
-  EXPECT_EQ(back.worker, "w3");
-  EXPECT_EQ(back.trace_id, "trace-rt");
-  EXPECT_EQ(back.pid, shard.pid);
-  EXPECT_FALSE(back.truncated());
-  ASSERT_EQ(back.spans.size(), shard.spans.size());
-  const SpanEvent* outer = FindSpan(back.spans, "shard.outer");
-  const SpanEvent* inner = FindSpan(back.spans, "shard.inner");
-  ASSERT_NE(outer, nullptr);
-  ASSERT_NE(inner, nullptr);
-  // Ids, parents, and timing survive the text round-trip.
-  EXPECT_EQ(inner->parent, outer->id);
-  EXPECT_EQ(inner->depth, 1);
-  EXPECT_GE(inner->start_us, outer->start_us);
-  SetTraceId("");
-}
-
-TEST_F(ObsTraceTest, TruncatedShardParsesUpToTheTear) {
-  {
-    ScopedSpan a("trunc.a");
-    ScopedSpan b("trunc.b");
-  }
-  TraceShard shard = SnapshotShard("w0");
-  ASSERT_GE(shard.spans.size(), 2u);
-  std::string doc = RenderTraceShard(shard);
-  // Tear the document mid-way through the last span line, as a worker dying
-  // during export would leave it.
-  std::string torn = doc.substr(0, doc.size() - 8);
-  auto parsed = ParseTraceShard(torn);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  EXPECT_TRUE(parsed.value().truncated());
-  EXPECT_EQ(parsed.value().declared_spans, static_cast<int64_t>(shard.spans.size()));
-  EXPECT_EQ(parsed.value().spans.size(), shard.spans.size() - 1);
-  // A missing metadata line is a hard error, not an empty shard.
-  EXPECT_FALSE(ParseTraceShard("{\"name\":\"x\"}\n").ok());
-  EXPECT_FALSE(ParseTraceShard("").ok());
-}
-
-TEST_F(ObsTraceTest, MergeChromeTraceRendersOneLanePerProcess) {
-  // Hand-built lanes standing in for a coordinator and two workers; worker
-  // spans parent back to the coordinator's dispatch span by id alone.
-  auto span = [](const char* name, double start, int64_t id, int64_t parent) {
-    SpanEvent e;
-    e.name = name;
-    e.start_us = start;
-    e.dur_us = 5;
-    e.id = id;
-    e.parent = parent;
-    return e;
-  };
-  TraceLane coord;
-  coord.shard.worker = "coordinator";
-  coord.shard.pid = 100;
-  coord.shard.spans = {span("fleet.dispatch", 10, 7001, 0)};
-  coord.shard.declared_spans = 1;
-  coord.offset_valid = true;
-  TraceLane w0;
-  w0.shard.worker = "w0";
-  w0.shard.pid = 101;
-  w0.shard.dropped = 3;
-  w0.shard.spans = {span("daemon.verify", 2, 8001, 7001)};
-  w0.shard.declared_spans = 1;
-  w0.clock_offset_us = 9.5;
-  w0.offset_valid = true;
-  TraceLane w1;  // Declared 2 spans but carries 0: a truncated shard.
-  w1.shard.worker = "w1";
-  w1.shard.pid = 102;
-  w1.shard.declared_spans = 2;
-
-  std::string json = MergeChromeTrace({coord, w0, w1}, "trace-merge");
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-  // One process_name metadata event per lane, coordinator first.
-  EXPECT_NE(json.find("\"name\":\"coordinator\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"name\":\"w0\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"w1\""), std::string::npos);
-  EXPECT_NE(json.find("\"process_sort_index\""), std::string::npos);
-  // The worker span lands on the coordinator clock (2 + 9.5) in lane pid 2,
-  // with its cross-process parent intact.
-  EXPECT_NE(json.find("\"ts\":11.5"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"parent\":7001"), std::string::npos);
-  // otherData accounts per lane: drops, truncation, clock alignment.
-  EXPECT_NE(json.find("\"trace_id\":\"trace-merge\""), std::string::npos);
-  EXPECT_NE(json.find("\"dropped_spans\":3"), std::string::npos);
-  EXPECT_NE(json.find("\"truncated\":true"), std::string::npos);
-  EXPECT_NE(json.find("\"clock_aligned\":false"), std::string::npos);
 }
 
 }  // namespace

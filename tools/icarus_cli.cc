@@ -27,9 +27,9 @@
 //   icarus client [flags] <op>       Talk to a running icarusd service:
 //                                    ping, stats, shutdown, verify GEN...,
 //                                    verify-all. See `icarus client --help`.
-//   icarus top [flags]               Live fleet introspection: poll stats +
+//   icarus top [flags]               Live daemon introspection: poll stats +
 //                                    metrics across running daemons and
-//                                    render a refreshing per-worker table.
+//                                    render a refreshing per-daemon table.
 //                                    See `icarus top --help`.
 
 #include <unistd.h>
@@ -53,8 +53,6 @@
 #include "src/boogie/boogie_dce.h"
 #include "src/daemon/protocol.h"
 #include "src/daemon/top.h"
-#include "src/dist/coordinator.h"
-#include "src/dist/fleet.h"
 #include "src/boogie/boogie_lower.h"
 #include "src/boogie/boogie_printer.h"
 #include "src/extract/cpp_backend.h"
@@ -82,7 +80,7 @@ int Usage() {
                "client [flags] <op>|top [flags]>\n"
                "       icarus verify-all --help   for batch flags and exit codes\n"
                "       icarus client --help       for the icarusd client ops\n"
-               "       icarus top --help          for live fleet introspection\n");
+               "       icarus top --help          for live daemon introspection\n");
   return 2;
 }
 
@@ -156,17 +154,10 @@ int VerifyAllHelp() {
       "                  cost bars, path/solver histograms, CFA effectiveness.\n"
       "  --trace FILE    Record pipeline spans and write a Chrome trace_event\n"
       "                  JSON file (load in Perfetto or chrome://tracing).\n"
-      "                  Enables the observability runtime for the run. With\n"
-      "                  --workers, every worker records spans under the same\n"
-      "                  trace id and FILE becomes one merged fleet timeline:\n"
-      "                  a clock-aligned process lane per worker plus the\n"
-      "                  coordinator, dispatch spans parenting worker spans.\n"
+      "                  Enables the observability runtime for the run.\n"
       "  --metrics FILE  Export the metrics registry after the run: Prometheus\n"
       "                  text format, or JSON when FILE ends in .json. Enables\n"
-      "                  the observability runtime for the run. With --workers,\n"
-      "                  FILE is the fleet-wide merge: every worker's registry\n"
-      "                  folded into the coordinator's over the shared\n"
-      "                  histogram bucket scheme.\n"
+      "                  the observability runtime for the run.\n"
       "  --journal FILE  Append each verdict to FILE as a JSON line, fsync'd as\n"
       "                  it lands, so a killed run can be resumed.\n"
       "  --resume FILE   Skip generators FILE already holds a verdict for,\n"
@@ -189,25 +180,6 @@ int VerifyAllHelp() {
       "                  Size bound for the persisted solver cache; least-\n"
       "                  recently-used entries are evicted at save time\n"
       "                  (default: 64; <= 0 means unbounded).\n"
-      "  --workers N     Distributed mode: spawn N icarusd worker processes and\n"
-      "                  shard the generators across them (claim/collect/steal\n"
-      "                  over the NDJSON protocol, process-granularity work\n"
-      "                  stealing, bounded requeue on worker death). With\n"
-      "                  --incremental, workers snapshot the shared cache\n"
-      "                  read-only and publish deltas to per-worker staging\n"
-      "                  dirs, merged crash-safely after the run. The merged\n"
-      "                  fleet journal/report attributes each verdict to the\n"
-      "                  worker that earned it. Not combinable with --resume.\n"
-      "  --window N      Per-worker in-flight dispatch window (default: 2).\n"
-      "  --worker-bin P  Worker executable (default: icarusd next to this\n"
-      "                  binary, else $PATH).\n"
-      "  --fleet-dir D   Keep sockets/journals/staging/logs under D instead of\n"
-      "                  a temp dir (useful for post-mortems).\n"
-      "  --worker-fail SPEC\n"
-      "                  Arm a fail-point on the next unassigned worker (first\n"
-      "                  use arms w0, second w1, ...). Repeatable. E.g.\n"
-      "                  --worker-fail after=dist-worker-crash:2,action=abort\n"
-      "                  kills w0 dead on its 3rd claimed unit.\n"
       "  --fail SPEC     Arm a fail-point (fault injection, for testing the\n"
       "                  containment machinery). SPEC is one of\n"
       "                    at=SITE:N     fault on exactly the N-th hit of SITE\n"
@@ -371,37 +343,6 @@ int ReportCmd(int argc, char** argv) {
   return WriteHtmlReport(std::move(input), out_path);
 }
 
-// `verify-all --workers N` configuration.
-struct FleetFlags {
-  int workers = 0;  // 0 = single-process verify-all (the default path).
-  std::string worker_bin;
-  std::string fleet_dir;
-  std::vector<std::string> worker_fail_specs;
-  int window = 2;
-};
-
-// Expected-outcome scoring shared by the single-process and fleet paths:
-// *_buggy generators must refute, everything else must verify (CACHED_SAFE
-// stands for VERIFIED).
-int CountUnexpected(const std::vector<icarus::verifier::GeneratorResult>& results) {
-  using icarus::verifier::Outcome;
-  using icarus::verifier::OutcomeName;
-  int failures = 0;
-  for (const icarus::verifier::GeneratorResult& r : results) {
-    Outcome expected = r.generator.find("_buggy") == std::string::npos ? Outcome::kVerified
-                                                                       : Outcome::kRefuted;
-    if (expected == Outcome::kVerified && r.outcome == Outcome::kCachedSafe) {
-      continue;
-    }
-    if (r.outcome != expected) {
-      std::printf("UNEXPECTED: %s is %s (expected %s)\n", r.generator.c_str(),
-                  OutcomeName(r.outcome), OutcomeName(expected));
-      ++failures;
-    }
-  }
-  return failures;
-}
-
 int VerifyAll(const Platform& platform, const icarus::verifier::BatchOptions& options,
               const ObsFlags& obs_flags) {
   using icarus::verifier::Outcome;
@@ -477,7 +418,20 @@ int VerifyAll(const Platform& platform, const icarus::verifier::BatchOptions& op
   // else must verify. Inconclusive results (deadline/budget) are reported but
   // also count as unexpected for the exit code. CACHED_SAFE stands for a
   // stored VERIFIED and satisfies the expectation the same way.
-  int failures = CountUnexpected(report.results);
+  int failures = 0;
+  for (const icarus::verifier::GeneratorResult& r : report.results) {
+    Outcome expected = r.generator.find("_buggy") == std::string::npos ? Outcome::kVerified
+                                                                       : Outcome::kRefuted;
+    if (expected == Outcome::kVerified && r.outcome == Outcome::kCachedSafe) {
+      continue;
+    }
+    if (r.outcome != expected) {
+      std::printf("UNEXPECTED: %s is %s (expected %s)\n", r.generator.c_str(),
+                  icarus::verifier::OutcomeName(r.outcome),
+                  icarus::verifier::OutcomeName(expected));
+      ++failures;
+    }
+  }
   std::printf("\n%d unexpected outcomes\n", failures);
   if (report.interrupted) {
     if (!options.journal_path.empty()) {
@@ -491,84 +445,6 @@ int VerifyAll(const Platform& platform, const icarus::verifier::BatchOptions& op
           "interrupted: run again with --journal FILE to make interrupted runs resumable\n");
     }
   }
-  return failures == 0 ? 0 : 1;
-}
-
-// `icarus verify-all --workers N`: spawn a fleet of icarusd worker processes,
-// shard the generator set across them, and merge the results (journal, HTML
-// report, persistent stores) into the same outputs the single-process driver
-// produces.
-int VerifyAllFleet(const Platform& platform, const icarus::verifier::BatchOptions& options,
-                   const ObsFlags& obs_flags, const FleetFlags& fleet_flags) {
-  std::vector<std::string> generators;
-  for (const auto* fn : platform.module().Generators()) {
-    generators.push_back(fn->name);
-  }
-
-  icarus::dist::FleetOptions fleet_options;
-  fleet_options.workers = fleet_flags.workers;
-  fleet_options.worker_bin = fleet_flags.worker_bin;
-  fleet_options.fleet_dir = fleet_flags.fleet_dir;
-  fleet_options.solver_limits = options.solver_limits;
-  fleet_options.incremental = options.incremental;
-  fleet_options.cache_dir = options.cache_dir;
-  fleet_options.cache_max_mb = options.cache_max_mb;
-  fleet_options.worker_fail_specs = fleet_flags.worker_fail_specs;
-  fleet_options.trace = !obs_flags.trace_path.empty();
-  fleet_options.metrics = !obs_flags.metrics_path.empty();
-  auto fleet = icarus::dist::Fleet::Spawn(fleet_options);
-  if (!fleet.ok()) {
-    std::fprintf(stderr, "fleet spawn failed: %s\n", fleet.status().message().c_str());
-    return 2;
-  }
-
-  icarus::dist::CoordinatorOptions coord_options;
-  coord_options.window = fleet_flags.window;
-  coord_options.cache_dir = options.incremental ? options.cache_dir : "";
-  coord_options.cache_max_mb = options.cache_max_mb;
-  coord_options.journal_path = options.journal_path;
-  coord_options.fingerprint = platform.Fingerprint();
-  // The coordinator owns the fleet-wide observability outputs: it merges the
-  // worker trace shards into one clock-aligned Chrome trace and folds every
-  // worker's metrics registry into one exposition. Write failures degrade to
-  // notes in the summary, so there is no separate CLI-side export here.
-  coord_options.trace_path = obs_flags.trace_path;
-  coord_options.metrics_path = obs_flags.metrics_path;
-  icarus::dist::Coordinator coordinator(coord_options);
-  auto ran = coordinator.Run(generators, fleet.value()->endpoints());
-  fleet.value()->Shutdown();
-  if (!ran.ok()) {
-    std::fprintf(stderr, "fleet run failed: %s\n", ran.status().message().c_str());
-    return 2;
-  }
-  const icarus::dist::FleetReport& report = ran.value();
-  std::printf("%s", report.batch.RenderTable().c_str());
-  std::printf("\n%s", report.RenderSummary().c_str());
-  if (obs_flags.stats) {
-    std::printf("\n%s", report.batch.RenderStatsTable().c_str());
-  }
-  // Merged observability outputs are written by the coordinator; a failed
-  // write surfaces as a `note:` line in the summary above.
-  if (!obs_flags.trace_path.empty()) {
-    std::printf("fleet trace merged into %s\n", obs_flags.trace_path.c_str());
-  }
-  if (!obs_flags.metrics_path.empty()) {
-    std::printf("fleet metrics merged into %s\n", obs_flags.metrics_path.c_str());
-  }
-  if (!obs_flags.report_path.empty()) {
-    icarus::obs::ReportInput input;
-    input.fingerprint = platform.Fingerprint();
-    for (const icarus::verifier::GeneratorResult& r : report.batch.results) {
-      input.rows.push_back(icarus::verifier::ReportRowFromRecord(
-          icarus::verifier::RecordFromResult(r, input.fingerprint)));
-    }
-    int rc = WriteHtmlReport(std::move(input), obs_flags.report_path);
-    if (rc != 0) {
-      return rc;
-    }
-  }
-  int failures = CountUnexpected(report.batch.results);
-  std::printf("\n%d unexpected outcomes\n", failures);
   return failures == 0 ? 0 : 1;
 }
 
@@ -847,18 +723,16 @@ int ClientCmd(int argc, char** argv) {
 int TopUsage() {
   std::fprintf(
       stderr,
-      "usage: icarus top [--socket PATH]... [--fleet-dir D] [--interval-ms N]\n"
-      "                  [--iterations N] [--no-clear]\n"
+      "usage: icarus top [--socket PATH]... [--interval-ms N] [--iterations N]\n"
+      "                  [--no-clear]\n"
       "\n"
-      "Live fleet introspection: polls every named daemon with stats+metrics\n"
-      "each refresh and renders a per-worker table — throughput (verdicts/s\n"
+      "Live daemon introspection: polls every named daemon with stats+metrics\n"
+      "each refresh and renders a per-daemon table — throughput (verdicts/s\n"
       "between polls), queue depth, in-flight count, cache hit rate, shed and\n"
       "quarantine counts, and p50/p99 request latency from the daemon's\n"
-      "metrics histogram (needs workers running with --obs or --trace-shard;\n"
-      "latency columns render '-' otherwise).\n"
+      "metrics histogram (needs daemons running with --obs; latency columns\n"
+      "render '-' otherwise).\n"
       "  --socket PATH   Poll the daemon at PATH. Repeatable.\n"
-      "  --fleet-dir D   Poll every *.sock under D (what `verify-all\n"
-      "                  --workers N --fleet-dir D` leaves running mid-run).\n"
       "  --interval-ms N Refresh interval (default 1000).\n"
       "  --iterations N  Render N frames then exit (default: until ^C).\n"
       "  --no-clear      No ANSI clear between frames (for piped output).\n"
@@ -876,8 +750,6 @@ int TopCmd(int argc, char** argv) {
       return 0;
     } else if (arg == "--socket" && i + 1 < argc) {
       options.sockets.push_back(argv[++i]);
-    } else if (arg == "--fleet-dir" && i + 1 < argc) {
-      options.fleet_dir = argv[++i];
     } else if (arg == "--interval-ms" && i + 1 < argc) {
       options.interval_ms = std::atof(argv[++i]);
     } else if (arg == "--iterations" && i + 1 < argc) {
@@ -978,20 +850,9 @@ int Run(int argc, char** argv) {
   if (cmd == "verify-all") {
     icarus::verifier::BatchOptions options;
     ObsFlags obs_flags;
-    FleetFlags fleet_flags;
     for (int i = 2; i < argc; ++i) {
       std::string flag = argv[i];
-      if (flag == "--workers" && i + 1 < argc) {
-        fleet_flags.workers = std::atoi(argv[++i]);
-      } else if (flag == "--worker-bin" && i + 1 < argc) {
-        fleet_flags.worker_bin = argv[++i];
-      } else if (flag == "--fleet-dir" && i + 1 < argc) {
-        fleet_flags.fleet_dir = argv[++i];
-      } else if (flag == "--worker-fail" && i + 1 < argc) {
-        fleet_flags.worker_fail_specs.push_back(argv[++i]);
-      } else if (flag == "--window" && i + 1 < argc) {
-        fleet_flags.window = std::atoi(argv[++i]);
-      } else if (flag == "--stats") {
+      if (flag == "--stats") {
         obs_flags.stats = true;
       } else if (flag == "--explain") {
         obs_flags.explain = true;
@@ -1044,20 +905,12 @@ int Run(int argc, char** argv) {
         return Usage();
       }
     }
-    // SIGINT/SIGTERM wind the fleet down gracefully (verdicts stay fsync'd
+    // SIGINT/SIGTERM wind the batch down gracefully (verdicts stay fsync'd
     // in the journal and a resume hint is printed) instead of killing the
     // process mid-write.
     options.interrupt = &g_interrupt;
     std::signal(SIGINT, OnInterrupt);
     std::signal(SIGTERM, OnInterrupt);
-    if (fleet_flags.workers > 0) {
-      if (!options.resume_path.empty()) {
-        std::fprintf(stderr, "--resume cannot be combined with --workers (worker journals are\n"
-                             "per-run; use --incremental for cross-run reuse)\n");
-        return 2;
-      }
-      return VerifyAllFleet(*platform, options, obs_flags, fleet_flags);
-    }
     return VerifyAll(*platform, options, obs_flags);
   }
   if (cmd == "extract") {

@@ -32,7 +32,6 @@
 #include "src/daemon/protocol.h"
 #include "src/daemon/server.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/support/failpoint.h"
 #include "src/support/net.h"
 
@@ -74,20 +73,10 @@ int Usage() {
       "                   read-only cache view.\n"
       "  --cache-dir D    Store directory (default: .icarus-cache).\n"
       "  --cache-max-mb N Persisted solver-cache size bound (default 64).\n"
-      "  --staging D      Fleet-worker mode (requires --incremental): read the\n"
-      "                   shared --cache-dir stores as an unlocked snapshot and\n"
-      "                   publish this worker's deltas to D instead of writing\n"
-      "                   the shared stores (see `icarus verify-all --workers`).\n"
-      "  --dist-queue N   Bounded queue for fleet `claim` ops (default 256).\n"
       "  --metrics FILE   Export the metrics registry on exit (Prometheus\n"
       "                   text, or JSON when FILE ends in .json).\n"
       "  --obs            Enable the metrics registry without an exit export\n"
       "                   (the `metrics` protocol op serves live scrapes).\n"
-      "  --trace-shard FILE  Record spans and export them as a trace shard on\n"
-      "                   `publish` ops and at drain, for the coordinator's\n"
-      "                   merged fleet trace (see verify-all --trace).\n"
-      "  --worker NAME    Attribution label in the trace shard (default:\n"
-      "                   daemon).\n"
       "  --slow-ms D      Append a flat JSON line with per-stage cost\n"
       "                   attribution for every verify slower than D ms.\n"
       "  --slow-log FILE  Slow-request log destination (default: stderr).\n"
@@ -133,21 +122,11 @@ int RunDaemon(int argc, char** argv) {
       options.cache_dir = argv[++i];
     } else if (flag == "--cache-max-mb" && i + 1 < argc) {
       options.cache_max_mb = std::atoll(argv[++i]);
-    } else if (flag == "--staging" && i + 1 < argc) {
-      options.staging_dir = argv[++i];
-    } else if (flag == "--dist-queue" && i + 1 < argc) {
-      options.dist_queue_limit = std::atoi(argv[++i]);
     } else if (flag == "--metrics" && i + 1 < argc) {
       metrics_path = argv[++i];
       icarus::obs::SetEnabled(true);
     } else if (flag == "--obs") {
       icarus::obs::SetEnabled(true);
-    } else if (flag == "--trace-shard" && i + 1 < argc) {
-      options.trace_shard_path = argv[++i];
-      icarus::obs::SetEnabled(true);
-      icarus::obs::StartTracing();
-    } else if (flag == "--worker" && i + 1 < argc) {
-      options.worker_label = argv[++i];
     } else if (flag == "--slow-ms" && i + 1 < argc) {
       options.slow_ms = std::atof(argv[++i]);
     } else if (flag == "--slow-log" && i + 1 < argc) {
