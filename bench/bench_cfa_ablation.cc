@@ -9,105 +9,22 @@
 //   1. naive enumeration over all k target ops per buffer slot, under a
 //      wall-clock budget, with the projected time to exhaust the space;
 //   2. the same search constrained by the control-flow automaton;
-//   3. full symbolic meta-execution (buggy: counterexample; fixed: verified);
-//   4. CFA minimization on a diamond-heavy shape — the quotient automaton
-//      must show the solver at least 2x fewer paths (functional gate);
-//   5. path merging vs. forking ablation over a mixed generator set —
-//      verdict identity is an unconditional gate, wall-clock and path
-//      counts feed the perf baseline.
+//   3. full symbolic meta-execution (buggy: counterexample; fixed: verified).
 //
-// Usage: bench_cfa_ablation [--json PATH]
+// Exits nonzero unless the buggy stub is refuted and the fixed one verifies.
+//
+// Usage: bench_cfa_ablation
 
 #include <cstdio>
-#include <cstring>
-#include <string>
-#include <vector>
 
 #include "src/cfa/cfa.h"
 #include "src/meta/meta_executor.h"
 #include "src/meta/naive_executor.h"
-#include "src/obs/json.h"
 #include "src/platform/platform.h"
-#include "src/support/timing.h"
 
-namespace {
-
-// Diamond-heavy stress shape: a ladder of data-dependent *optional* guards.
-// Every `if` doubles the raw path count (2^4 = 16 abstract buffer shapes),
-// but all paths emit the same ops in the same order save for how many
-// guards precede the tail — exactly the redundancy partition refinement
-// folds. The verifier-visible quotient keeps one chain per distinct guard
-// count (5 words), a >=3x cut that section 4 gates at >=2x.
-constexpr char kDiamondHeavySource[] = R"ICARUS(
-generator benchCfaDiamond(
-    lhs: Value, lhsId: ValueId, rhs: Value, rhsId: ValueId
-) emits CacheIR {
-  if !Value::isInt32(lhs) || !Value::isInt32(rhs) {
-    return AttachDecision::NoAction;
-  }
-  let a = Value::toInt32(lhs);
-  if a < 1 {
-    emit CacheIR::GuardToInt32(lhsId);
-  }
-  if a < 2 {
-    emit CacheIR::GuardToInt32(lhsId);
-  }
-  if a < 3 {
-    emit CacheIR::GuardToInt32(lhsId);
-  }
-  if a < 4 {
-    emit CacheIR::GuardToInt32(lhsId);
-  }
-  emit CacheIR::GuardToInt32(lhsId);
-  emit CacheIR::GuardToInt32(rhsId);
-  emit CacheIR::Int32AddResult(OperandId::toInt32Id(lhsId), OperandId::toInt32Id(rhsId));
-  emit CacheIR::ReturnFromIC();
-  return AttachDecision::Attach;
-}
-)ICARUS";
-
-struct ModeRun {
-  bool verified = false;
-  bool inconclusive = false;
-  bool has_violation = false;
-  int paths = 0;
-  int merged = 0;
-};
-
-ModeRun RunMode(const icarus::platform::Platform& platform, const std::string& name,
-                bool merging) {
-  auto stub = platform.MakeMetaStub(name);
-  ModeRun out;
-  if (!stub.ok()) {
-    std::fprintf(stderr, "%s: %s\n", name.c_str(), stub.status().message().c_str());
-    return out;
-  }
-  icarus::meta::MetaExecutor executor(&platform.module(), &platform.externs());
-  executor.set_merging(merging);
-  icarus::meta::MetaResult r = executor.Run(stub.value());
-  out.verified = r.verified;
-  out.inconclusive = r.inconclusive;
-  out.has_violation = !r.violations.empty();
-  out.paths = r.paths_explored;
-  out.merged = r.paths_merged;
-  return out;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: bench_cfa_ablation [--json PATH]\n");
-      return 1;
-    }
-  }
-
+int main() {
   using icarus::platform::Platform;
-  auto loaded = Platform::LoadWithExtra({kDiamondHeavySource});
+  auto loaded = Platform::Load();
   if (!loaded.ok()) {
     std::fprintf(stderr, "platform load failed: %s\n", loaded.status().message().c_str());
     return 1;
@@ -179,108 +96,6 @@ int main(int argc, char** argv) {
               fixed.paths_explored);
   std::printf("(paper: counterexample in 12s, fix verified in 7s)\n\n");
 
-  // --- 4. CFA minimization on the diamond-heavy shape. ---
-  bool minimize_ok = true;
-  {
-    auto diamond_stub = platform->MakeMetaStub("benchCfaDiamond");
-    if (!diamond_stub.ok()) {
-      std::fprintf(stderr, "%s\n", diamond_stub.status().message().c_str());
-      return 1;
-    }
-    auto diamond_cfa = builder.Build(diamond_stub.value());
-    if (!diamond_cfa.ok()) {
-      std::fprintf(stderr, "%s\n", diamond_cfa.status().message().c_str());
-      return 1;
-    }
-    int64_t raw_paths = diamond_cfa.value().CountPaths(64);
-    icarus::cfa::MinimizeStats stats = diamond_cfa.value().Minimize();
-    int64_t min_paths = diamond_cfa.value().CountPaths(64);
-    double reduction = min_paths > 0 ? static_cast<double>(raw_paths) /
-                                           static_cast<double>(min_paths)
-                                     : 0.0;
-    std::printf("[minimize] diamond-heavy shape: %d -> %d nodes, %d -> %d edges "
-                "(%d merged), paths %lld -> %lld (%.1fx)\n",
-                stats.nodes_before, stats.nodes_after, stats.edges_before,
-                stats.edges_after, stats.merges, static_cast<long long>(raw_paths),
-                static_cast<long long>(min_paths), reduction);
-    minimize_ok = reduction >= 2.0;
-    std::printf(">=2x solver-visible path cut from minimization: %s\n\n",
-                minimize_ok ? "yes" : "NO");
-  }
-
-  // --- 5. Path merging vs. forking over a mixed generator set. ---
-  const std::vector<std::string> kAblationSet = {
-      "bug1685925_buggy", "bug1685925_fixed", "benchCfaDiamond",
-      "tryAttachCompareString", "tryAttachInt32MinMax",
-  };
-  constexpr int kRepeats = 5;
-  bool verdicts_identical = true;
-  long long merged_paths_total = 0;
-  long long forked_paths_total = 0;
-  long long joins_merged_total = 0;
-  std::vector<double> merged_ms;
-  std::vector<double> forked_ms;
-  for (int rep = 0; rep < kRepeats; ++rep) {
-    icarus::WallTimer t_merged;
-    std::vector<ModeRun> merged_runs;
-    for (const std::string& name : kAblationSet) {
-      merged_runs.push_back(RunMode(*platform, name, /*merging=*/true));
-    }
-    merged_ms.push_back(t_merged.ElapsedMillis());
-
-    icarus::WallTimer t_forked;
-    std::vector<ModeRun> forked_runs;
-    for (const std::string& name : kAblationSet) {
-      forked_runs.push_back(RunMode(*platform, name, /*merging=*/false));
-    }
-    forked_ms.push_back(t_forked.ElapsedMillis());
-
-    if (rep == 0) {
-      for (size_t i = 0; i < kAblationSet.size(); ++i) {
-        const ModeRun& m = merged_runs[i];
-        const ModeRun& f = forked_runs[i];
-        bool same = m.verified == f.verified && m.inconclusive == f.inconclusive &&
-                    m.has_violation == f.has_violation;
-        verdicts_identical = verdicts_identical && same;
-        merged_paths_total += m.paths;
-        forked_paths_total += f.paths;
-        joins_merged_total += m.merged;
-        std::printf("[merge] %-24s merged: %d paths (%d joins folded)  "
-                    "forking: %d paths  verdicts %s\n",
-                    kAblationSet[i].c_str(), m.paths, m.merged, f.paths,
-                    same ? "agree" : "DISAGREE");
-      }
-    }
-  }
-  icarus::SampleStats merged_stats = icarus::ComputeStats(merged_ms);
-  icarus::SampleStats forked_stats = icarus::ComputeStats(forked_ms);
-  std::printf("[merge] set wall-clock over %d repeats: merged median %.1fms, "
-              "forking median %.1fms\n",
-              kRepeats, merged_stats.median, forked_stats.median);
-  std::printf("[merge] solver-visible paths: %lld merged vs %lld forking "
-              "(%lld joins folded)\n",
-              merged_paths_total, forked_paths_total, joins_merged_total);
-  std::printf("verdict identity merged vs forking: %s\n",
-              verdicts_identical ? "yes" : "NO");
-  bool merged_engaged = joins_merged_total > 0 && merged_paths_total < forked_paths_total;
-  std::printf("merging engaged (fewer paths than forking): %s\n",
-              merged_engaged ? "yes" : "NO");
-
-  if (!json_path.empty()) {
-    std::vector<icarus::obs::BenchEntry> entries;
-    entries.push_back({"sme_merged_set", merged_stats.mean, merged_stats.median,
-                       merged_stats.stddev, kRepeats});
-    entries.push_back({"sme_forking_set", forked_stats.mean, forked_stats.median,
-                       forked_stats.stddev, kRepeats});
-    icarus::Status st =
-        icarus::obs::WriteBenchJson(json_path, "bench_cfa_ablation", entries);
-    if (!st.ok()) {
-      std::fprintf(stderr, "--json: %s\n", st.message().c_str());
-      return 1;
-    }
-    std::printf("json written to %s\n", json_path.c_str());
-  }
-
   bool sme_ok = !buggy.verified && fixed.verified;
-  return sme_ok && minimize_ok && verdicts_identical && merged_engaged ? 0 : 1;
+  return sme_ok ? 0 : 1;
 }

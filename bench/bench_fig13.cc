@@ -58,7 +58,7 @@ int main() {
   std::unique_ptr<icarus::platform::Platform> platform = loaded.take();
   icarus::vm::IcCompiler compiler(platform.get());
 
-  constexpr int kIterations = 300000;
+  constexpr int kTrips = 300000;
   constexpr int kRuns = 10;
 
   std::printf("Figure 13: JS benchmark analogues, ICARUS-generated ICs vs stock engine\n");
@@ -73,9 +73,9 @@ int main() {
   double worst_ratio = 0;
   for (int i = 0; i < 5; ++i) {
     Arm icarus_arm =
-        Measure(icarus::vm::IcStrategy::kIcarus, &compiler, i, kIterations, kRuns);
-    Arm native_arm = Measure(icarus::vm::IcStrategy::kNative, nullptr, i, kIterations, kRuns);
-    Arm none_arm = Measure(icarus::vm::IcStrategy::kNone, nullptr, i, kIterations, kRuns);
+        Measure(icarus::vm::IcStrategy::kIcarus, &compiler, i, kTrips, kRuns);
+    Arm native_arm = Measure(icarus::vm::IcStrategy::kNative, nullptr, i, kTrips, kRuns);
+    Arm none_arm = Measure(icarus::vm::IcStrategy::kNone, nullptr, i, kTrips, kRuns);
     bool match = icarus_arm.result == native_arm.result && icarus_arm.result == none_arm.result;
     all_match = all_match && match;
     double ratio = icarus_arm.stats.mean / native_arm.stats.mean;

@@ -1,7 +1,5 @@
 #include "src/cfa/cfa.h"
 
-#include <algorithm>
-
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/support/str_util.h"
@@ -99,98 +97,6 @@ int64_t Cfa::CountPaths(int max_len, int64_t cap) const {
     }
   }
   return total;
-}
-
-MinimizeStats Cfa::Minimize() {
-  MinimizeStats stats;
-  stats.nodes_before = num_nodes();
-  stats.edges_before = num_edges();
-  size_t n = nodes_.size();
-  int num_classes = 0;
-  std::vector<int> code(n, 0);
-  if (n != 0) {
-    // Initial partition: nodes emitting different target ops can never be
-    // language-equivalent (the op *is* the letter each state reads).
-    std::map<const ast::OpDecl*, int> by_op;
-    for (size_t i = 0; i < n; ++i) {
-      auto [it, inserted] = by_op.emplace(nodes_[i].op, static_cast<int>(by_op.size()));
-      code[i] = it->second;
-    }
-    num_classes = static_cast<int>(by_op.size());
-
-    // Refine to fixpoint: split classes whose members disagree on the *set*
-    // of successor classes. Sentinels keep their (negative) ids as fixed
-    // signature codes, so no real node can collapse into entry/exit/failure
-    // and the three sentinels stay distinct from each other. Refinement only
-    // ever splits, so the class count is strictly increasing until fixpoint.
-    for (;;) {
-      std::map<std::pair<int, std::vector<int>>, int> sig_to_class;
-      std::vector<int> next(n, 0);
-      for (size_t i = 0; i < n; ++i) {
-        std::vector<int> succ_codes;
-        for (int succ : Successors(static_cast<int>(i))) {
-          succ_codes.push_back(succ >= 0 ? code[static_cast<size_t>(succ)] : succ);
-        }
-        std::sort(succ_codes.begin(), succ_codes.end());
-        succ_codes.erase(std::unique(succ_codes.begin(), succ_codes.end()), succ_codes.end());
-        auto key = std::make_pair(code[i], std::move(succ_codes));
-        auto [it, inserted] =
-            sig_to_class.emplace(std::move(key), static_cast<int>(sig_to_class.size()));
-        next[i] = it->second;
-      }
-      int refined = static_cast<int>(sig_to_class.size());
-      code = std::move(next);
-      if (refined == num_classes) {
-        break;
-      }
-      num_classes = refined;
-    }
-  }
-
-  if (num_classes < static_cast<int>(n)) {
-    stats.merges = static_cast<int>(n) - num_classes;
-    // Each class is represented by its lowest original node id; new ids
-    // follow representative order so the quotient numbering is stable.
-    std::vector<int> rep(static_cast<size_t>(num_classes), static_cast<int>(n));
-    for (size_t i = 0; i < n; ++i) {
-      int& r = rep[static_cast<size_t>(code[i])];
-      r = std::min(r, static_cast<int>(i));
-    }
-    std::vector<int> class_order(static_cast<size_t>(num_classes));
-    for (int c = 0; c < num_classes; ++c) {
-      class_order[static_cast<size_t>(c)] = c;
-    }
-    std::sort(class_order.begin(), class_order.end(),
-              [&rep](int a, int b) { return rep[static_cast<size_t>(a)] < rep[static_cast<size_t>(b)]; });
-    std::vector<int> new_id(static_cast<size_t>(num_classes), 0);
-    std::vector<Node> new_nodes;
-    new_nodes.reserve(static_cast<size_t>(num_classes));
-    for (int cls : class_order) {
-      Node node = nodes_[static_cast<size_t>(rep[static_cast<size_t>(cls)])];
-      node.id = static_cast<int>(new_nodes.size());
-      new_id[static_cast<size_t>(cls)] = node.id;
-      new_nodes.push_back(node);
-    }
-    auto remap = [&](int id) {
-      return id >= 0 ? new_id[static_cast<size_t>(code[static_cast<size_t>(id)])] : id;
-    };
-    std::set<std::pair<int, int>> new_edges;
-    for (const auto& [from, to] : edges_) {
-      new_edges.insert({remap(from), remap(to)});
-    }
-    // Emit sites of merged nodes all resolve to the surviving class
-    // representative, so NodeFor stays consistent if the builder keeps going.
-    for (auto& [key, id] : by_site_) {
-      id = remap(id);
-    }
-    nodes_ = std::move(new_nodes);
-    edges_ = std::move(new_edges);
-    adjacency_dirty_ = true;
-  }
-
-  stats.nodes_after = num_nodes();
-  stats.edges_after = num_edges();
-  return stats;
 }
 
 std::string Cfa::ToDot() const {

@@ -43,17 +43,6 @@ struct Node {
   const ast::OpDecl* source_op = nullptr;
 };
 
-// What Cfa::Minimize did: node/edge counts around the quotient construction
-// plus how many states were folded together. Surfaced by `icarus cfa`,
-// `cfa-dot` and the verify-all --stats table.
-struct MinimizeStats {
-  int nodes_before = 0;
-  int nodes_after = 0;
-  int edges_before = 0;
-  int edges_after = 0;
-  int merges = 0;  // nodes_before - nodes_after.
-};
-
 class Cfa {
  public:
   const std::vector<Node>& nodes() const { return nodes_; }
@@ -80,14 +69,6 @@ class Cfa {
   // Number of distinct instruction sequences (paths entry → exit/failure) of
   // length <= max_len, saturating at `cap`.
   int64_t CountPaths(int max_len, int64_t cap = INT64_MAX / 4) const;
-
-  // Hopcroft-style partition refinement: merges nodes that emit the same
-  // target op and have language-equivalent successor behavior, so the
-  // constrained executor and CountPaths see the quotient automaton. The
-  // sentinel states (entry/exit/failure) are never merged — each keeps a
-  // fixed signature class of its own. Quotient classes are represented by
-  // their lowest original node id. Deterministic; idempotent at fixpoint.
-  MinimizeStats Minimize();
 
   // GraphViz DOT rendering (grouped by source op like Figure 6).
   std::string ToDot() const;

@@ -196,18 +196,6 @@ class ExternRegistry {
 
 enum class Mode { kSymbolic, kConcrete };
 
-// An assertion recorded during a speculative merge arm instead of being
-// checked immediately. Speculative arms issue *no* solver queries — that is
-// what makes a merge decision a deterministic function of program structure
-// and term values, so re-execution replays it identically — and the deferred
-// obligations are discharged (under the arm's guard) when the join commits.
-struct PendingAssert {
-  sym::ExprRef cond = nullptr;
-  std::string what;
-  std::string fn;
-  int line = 0;
-};
-
 // Called when a generator/helper emits a *source-language* op, after the
 // instruction is recorded; used by the meta-executor to run the compiler
 // callback for the op (the streaming structure of Figure 3).
@@ -247,10 +235,6 @@ class EvalContext {
     symbolic_inputs_.clear();
     events_.clear();
     events_dropped_ = 0;
-    merge_depth_ = 0;
-    merge_abort_ = false;
-    paths_merged_ = 0;
-    pending_asserts_.clear();
   }
   const std::vector<bool>& trace() const { return trace_; }
   // Traces for the sibling branches discovered while running this path.
@@ -349,78 +333,6 @@ class EvalContext {
   void set_abstract_mode(bool on) { abstract_mode_ = on; }
   bool abstract_mode() const { return abstract_mode_; }
 
-  // --- Path merging (ite-lifting at join points) ---
-  // With merging on, a symbolic `if` first tries to execute both arms
-  // speculatively and fold their effects into one state under
-  // ite(cond, then, else) terms; only incompatible joins fall back to the
-  // forking trace machinery. Off by default: the CFA builder, the naive
-  // executor, and the VM all want plain per-path semantics. The
-  // meta-executor turns it on (and off again for the differential oracle).
-  void set_merging(bool on) { merging_ = on; }
-  bool merging() const { return merging_; }
-  // Joins merged on this path (for stats/journal attribution).
-  int64_t paths_merged() const { return paths_merged_; }
-  // Nonzero while executing a speculative arm. Solver queries are skipped
-  // and assertions deferred in that window.
-  bool in_speculation() const { return merge_depth_ > 0; }
-  // Set when something inside a speculative arm cannot be speculated (a
-  // nested join whose arms are incompatible, a stray symbolic decision):
-  // the arm unwinds with kAbort and the enclosing join falls back to
-  // forking, which re-executes the arm with full semantics.
-  bool merge_abort() const { return merge_abort_; }
-  void set_merge_abort() { merge_abort_ = true; }
-  void clear_merge_abort() { merge_abort_ = false; }
-
-  // Snapshot of everything a speculative arm may mutate through this
-  // context. env-side state (slots, ret, goto) is the statement executor's
-  // to save.
-  struct SpecCheckpoint {
-    machine::MachineState machine;
-    EmitState emits;
-    size_t pc_size = 0;
-    size_t asserts_size = 0;
-    size_t inputs_size = 0;
-    size_t events_size = 0;
-    int64_t events_dropped = 0;
-    int64_t steps = 0;
-    uint64_t fresh = 0;
-    bool stub_return = false;
-  };
-
-  // What one speculative arm did to the context, extracted relative to the
-  // checkpoint it started from.
-  struct ArmCapture {
-    PathStatus status = PathStatus::kCompleted;
-    machine::MachineState machine;
-    bool stub_return = false;
-    bool emits_unchanged = false;
-    std::vector<sym::ExprRef> conjuncts;  // Path-condition additions.
-    std::vector<PendingAssert> asserts;   // Deferred assertion obligations.
-    std::vector<std::pair<std::string, sym::ExprRef>> inputs;
-    uint64_t fresh_end = 0;
-    int64_t steps = 0;
-  };
-
-  // Captures the pre-arm state and enters speculation (queries off,
-  // assertions deferred). Paired with EndSpeculation.
-  SpecCheckpoint BeginSpeculation();
-  // Extracts the running arm's effects and restores the context to the
-  // checkpoint, ready for the next arm (or the forking fallback). The fresh
-  // counter rolls back too, so both arms mint identical variables at
-  // identical positions; hash-consing aliases them, which is sound because
-  // every arm-originated constraint ends up guarded by one of two mutually
-  // exclusive guards.
-  ArmCapture CaptureAndRollback(const SpecCheckpoint& cp);
-  void EndSpeculation() { --merge_depth_; }
-  // Installs the merged machine state and folds both arms' path-condition
-  // additions into guarded implications (¬g∨c for the then arm, g∨c for the
-  // else arm). Deferred assertions are re-deferred under the guard when this
-  // join is itself inside an outer speculation, or discharged through
-  // CheckAssert now at top level — returns false if one of them fails (the
-  // path status is already set).
-  bool CommitMerge(sym::ExprRef guard, const ArmCapture& then_arm, const ArmCapture& else_arm,
-                   machine::MachineState merged_machine, int64_t steps);
-
  private:
   friend class Evaluator;
 
@@ -428,11 +340,6 @@ class EvalContext {
   // attached, or a fresh local solver otherwise, maintaining the per-context
   // cost counters either way.
   sym::SolveResult SolveQuery(const std::vector<sym::ExprRef>& conjuncts, bool want_model);
-
-  // True when the emit buffers and label bindings match the checkpoint's
-  // (joins whose arms emitted instructions or bound labels never merge —
-  // the instruction streams would diverge per arm).
-  bool EmitsUnchanged(const SpecCheckpoint& cp) const;
 
   const ast::Module* module_;
   sym::ExprPool* pool_;
@@ -457,11 +364,6 @@ class EvalContext {
   sym::Solver::Limits solver_limits_;
   sym::Solver* solver_ = nullptr;  // Shared persistent solver (not owned).
   bool abstract_mode_ = false;
-  bool merging_ = false;
-  int merge_depth_ = 0;
-  bool merge_abort_ = false;
-  int64_t paths_merged_ = 0;
-  std::vector<PendingAssert> pending_asserts_;
   bool recording_ = false;
   size_t max_events_ = 256;
   std::vector<std::string> events_;

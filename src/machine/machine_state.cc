@@ -198,76 +198,6 @@ Status MachineState::CheckStackBalanced(const std::string& where) const {
   return Status::Ok();
 }
 
-namespace {
-
-// Folds the else-arm term `b` into the then-arm term `a` under `cond`.
-// Terms are mergeable when pointer-equal (hash-consing makes structural
-// equality pointer equality), both null, or of a sort Ite can guard. A tag
-// mismatch was already rejected by the structural comparison, so the sorts
-// agree whenever both terms exist.
-bool MergeTerm(sym::ExprPool* pool, sym::ExprRef cond, sym::ExprRef* a, sym::ExprRef b,
-               int max_ite_depth) {
-  if (*a == b) {
-    return true;
-  }
-  if (*a == nullptr || b == nullptr) {
-    return false;
-  }
-  sym::ExprRef merged = pool->Ite(cond, *a, b);
-  if (sym::ExprPool::IteDepth(merged) > max_ite_depth) {
-    return false;
-  }
-  *a = merged;
-  return true;
-}
-
-}  // namespace
-
-bool MachineState::MergeWith(const MachineState& other, sym::ExprPool* pool, sym::ExprRef cond,
-                             int max_ite_depth) {
-  // Structural state must be identical; only symbolic value terms may differ.
-  if (operand_to_reg_ != other.operand_to_reg_ || known_types_ != other.known_types_ ||
-      entry_stack_depth_ != other.entry_stack_depth_ ||
-      next_operand_id_ != other.next_operand_id_ ||
-      stack_.size() != other.stack_.size() || saved_regs_.size() != other.saved_regs_.size()) {
-    return false;
-  }
-  for (int r = 0; r < kNumRegs; ++r) {
-    RegState& a = regs_[r];
-    const RegState& b = other.regs_[r];
-    if (a.alloc != b.alloc || a.operand_id != b.operand_id || a.clobbered != b.clobbered ||
-        a.ever_allocated != b.ever_allocated || a.val.content != b.val.content) {
-      return false;
-    }
-    if (!MergeTerm(pool, cond, &a.val.term, b.val.term, max_ite_depth)) {
-      return false;
-    }
-  }
-  for (size_t i = 0; i < stack_.size(); ++i) {
-    if (stack_[i].content != other.stack_[i].content) {
-      return false;
-    }
-    if (!MergeTerm(pool, cond, &stack_[i].term, other.stack_[i].term, max_ite_depth)) {
-      return false;
-    }
-  }
-  for (size_t i = 0; i < saved_regs_.size(); ++i) {
-    if (saved_regs_[i].size() != other.saved_regs_[i].size()) {
-      return false;
-    }
-    for (size_t j = 0; j < saved_regs_[i].size(); ++j) {
-      if (saved_regs_[i][j].content != other.saved_regs_[i][j].content) {
-        return false;
-      }
-      if (!MergeTerm(pool, cond, &saved_regs_[i][j].term, other.saved_regs_[i][j].term,
-                     max_ite_depth)) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 std::string MachineState::Describe() const {
   std::vector<std::string> parts;
   for (int r = 0; r < kNumRegs; ++r) {

@@ -133,22 +133,6 @@ class MachineState {
 
   std::string Describe() const;
 
-  // ------------------------------------------------------------------
-  // Path merging support.
-  // ------------------------------------------------------------------
-
-  // Attempts to fold `other` (the else-arm state) into *this (the then-arm
-  // state) under guard `cond`: every structural component — allocation
-  // states, operand bindings, content tags, clobber flags, stack shape,
-  // saved-register shapes — must be identical; only the symbolic value terms
-  // may differ, and those fold to ite(cond, this_term, other_term) as long
-  // as the resulting ite nesting stays within `max_ite_depth`. Returns
-  // false (leaving *this unspecified — callers discard it) when the states
-  // are structurally incompatible, in which case the executor falls back to
-  // forking.
-  bool MergeWith(const MachineState& other, sym::ExprPool* pool, sym::ExprRef cond,
-                 int max_ite_depth);
-
  private:
   struct RegState {
     AllocState alloc = AllocState::kFree;

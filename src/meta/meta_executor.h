@@ -68,7 +68,7 @@ struct MetaResult {
   int paths_attached = 0;  // Paths on which a stub was attached.
   int paths_limited = 0;   // Paths abandoned on a resource limit.
   int paths_forked = 0;    // Alternatives enqueued by symbolic branches.
-  int paths_merged = 0;    // Joins folded by ite-lifting instead of forking.
+  int paths_merged = 0;    // Always 0 (every join forks); perfbench still reads it.
   int64_t solver_queries = 0;
   double seconds = 0.0;
   // Per-stage cost attribution. The phase walls are *exclusive* of solver
@@ -113,11 +113,6 @@ class MetaExecutor {
   // Cooperative cancellation: checked between paths; when it flips true the
   // run stops early and the result is marked cancelled + inconclusive.
   void set_cancel_flag(const std::atomic<bool>* cancel) { cancel_ = cancel; }
-  // Path merging (on by default): symbolic joins whose arms are compatible
-  // fold into ite-lifted states instead of forking, cutting the number of
-  // solver-visible paths. Off runs the pure forking executor — retained as
-  // the differential oracle, mirroring --no-clause-learning for the solver.
-  void set_merging(bool on) { merging_ = on; }
   // Flight recorder: with recording on, every path keeps a bounded event log
   // (branch decisions, emits, assertion checks) that is attached to any
   // Violation collected on that path. Structured counterexample data
@@ -143,7 +138,6 @@ class MetaExecutor {
   sym::Solver::Options solver_options_;
   const std::atomic<bool>* cancel_ = nullptr;
   bool recording_ = false;
-  bool merging_ = true;
   // Warm state shared by every Run() on this executor (one executor per
   // generator). The pool hash-conses terms and every path resets the fresh
   // suffix sequence (ExprPool::ResetFresh), so repeated runs mint the same

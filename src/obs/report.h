@@ -27,7 +27,6 @@ struct ReportRow {
   int64_t paths = 0;
   int64_t paths_attached = 0;
   int64_t paths_infeasible = 0;
-  int64_t paths_merged = 0;  // Joins folded by ite-lifting instead of forking.
   int64_t queries = 0;
   int64_t decisions = 0;
   int attempts = 1;

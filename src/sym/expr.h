@@ -33,6 +33,8 @@ enum class Sort : uint8_t {
   kTerm,
 };
 
+// Enumerator values feed Node::chash, which keys the persisted solver cache:
+// append new kinds, never renumber.
 enum class Kind : uint8_t {
   kConstInt,   // value
   kConstBool,  // value (0/1)
@@ -58,13 +60,6 @@ enum class Kind : uint8_t {
   kNot,
   kAnd,
   kOr,
-  // Guarded choice: ite(c, t, e) with args [c, t, e], sort kInt or kTerm
-  // (boolean choice lowers through IteBool instead). Introduced only by path
-  // merging; every smart constructor distributes a top-level ite outward, so
-  // the solver never encounters this kind. For kIte nodes, `value` holds the
-  // ite-nesting depth (a deterministic function of the args, so interning and
-  // the canonical hash stay stable).
-  kIte,
 };
 
 struct Node;
@@ -111,13 +106,6 @@ class ExprPool {
   // verdicts carry across sibling paths instead of seeing each path's inputs
   // as brand-new atoms.
   void ResetFresh() { fresh_counter_ = 0; }
-  // Snapshot/restore of the Fresh() suffix sequence. The path-merging
-  // executor rolls the counter back between the two speculative arms of a
-  // join so both arms mint the *same* fresh variables at the same replay
-  // positions (hash-consing then aliases them — sound because every
-  // arm-originated constraint is guarded by mutually exclusive guards).
-  uint64_t fresh_counter() const { return fresh_counter_; }
-  void set_fresh_counter(uint64_t v) { fresh_counter_ = v; }
 
   // Uninterpreted function application.
   ExprRef App(const std::string& fn, std::vector<ExprRef> args, Sort result_sort);
@@ -145,20 +133,6 @@ class ExprPool {
   ExprRef And(ExprRef a, ExprRef b);
   ExprRef Or(ExprRef a, ExprRef b);
   ExprRef Implies(ExprRef a, ExprRef b) { return Or(Not(a), b); }
-  // Boolean if-then-else, lowered to (c∧t)∨(¬c∧e) so the solver never sees ite.
-  ExprRef IteBool(ExprRef c, ExprRef t, ExprRef e);
-  // Guarded choice over kInt/kTerm values (kBool routes through IteBool).
-  // Used by the path-merging executor to fold the two arms of a join into one
-  // value. Later smart-constructor applications distribute the ite outward
-  // (e.g. Eq(ite(c,t,e), x) → IteBool(c, Eq(t,x), Eq(e,x))) so the CDCL
-  // encoder only ever sees the existing kinds.
-  ExprRef Ite(ExprRef c, ExprRef t, ExprRef e);
-  // Ite-nesting depth of a term: 0 for non-ite nodes. The merge machinery
-  // caps this so pathological join chains fall back to forking instead of
-  // building exponentially wide guard trees.
-  static int IteDepth(ExprRef e) {
-    return e->kind == Kind::kIte ? static_cast<int>(e->value) : 0;
-  }
 
   size_t size() const { return nodes_.size(); }
 

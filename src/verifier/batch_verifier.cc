@@ -136,18 +136,16 @@ std::string BatchReport::RenderExplain() const {
 
 std::string BatchReport::RenderStatsTable() const {
   std::string out =
-      StrFormat("%-44s %-15s %9s %8s %8s %9s %9s %10s %8s %7s %9s %8s %8s %-9s\n", "Generator",
-                "Outcome", "Total(s)", "CFA(s)", "Gen(s)", "Interp(s)", "Solve(s)", "Decisions",
-                "Queries", "Merges", "Props", "Learned", "Restarts", "Dominant");
-  const size_t rule_width = 176;
+      StrFormat("%-44s %-15s %9s %8s %9s %9s %10s %8s %9s %8s %8s %-9s\n", "Generator",
+                "Outcome", "Total(s)", "Gen(s)", "Interp(s)", "Solve(s)", "Decisions", "Queries",
+                "Props", "Learned", "Restarts", "Dominant");
+  const size_t rule_width = 159;
   out += std::string(rule_width, '-') + "\n";
-  double sum_cfa = 0.0;
   double sum_gen = 0.0;
   double sum_interp = 0.0;
   double sum_solve = 0.0;
   long long sum_decisions = 0;
   long long sum_queries = 0;
-  long long sum_merged = 0;
   long long sum_propagations = 0;
   long long sum_learned = 0;
   long long sum_restarts = 0;
@@ -158,14 +156,13 @@ std::string BatchReport::RenderStatsTable() const {
                        r.error.c_str());
       continue;
     }
-    const double cfa = r.report.cfa_seconds;
     const double gen = r.report.meta.gen_seconds;
     const double interp = r.report.meta.interp_seconds;
     const double solve = r.report.meta.solve_seconds;
     const char* dominant = "-";
     double best = 0.0;
     const std::pair<const char*, double> stages[] = {
-        {"cfa", cfa}, {"generate", gen}, {"interpret", interp}, {"solve", solve}};
+        {"generate", gen}, {"interpret", interp}, {"solve", solve}};
     for (const auto& [name, seconds] : stages) {
       if (seconds > best) {
         best = seconds;
@@ -173,21 +170,18 @@ std::string BatchReport::RenderStatsTable() const {
       }
     }
     out += StrFormat(
-        "%-44s %-15s %9.4f %8.4f %8.4f %9.4f %9.4f %10lld %8lld %7lld %9lld %8lld %8lld %-9s\n",
-        r.generator.c_str(), OutcomeName(r.outcome), r.seconds, cfa, gen, interp,
-        solve, static_cast<long long>(r.report.meta.solver_decisions),
+        "%-44s %-15s %9.4f %8.4f %9.4f %9.4f %10lld %8lld %9lld %8lld %8lld %-9s\n",
+        r.generator.c_str(), OutcomeName(r.outcome), r.seconds, gen, interp, solve,
+        static_cast<long long>(r.report.meta.solver_decisions),
         static_cast<long long>(r.report.meta.solver_queries),
-        static_cast<long long>(r.report.meta.paths_merged),
         static_cast<long long>(r.report.meta.solver_propagations),
         static_cast<long long>(r.report.meta.solver_learned_clauses),
         static_cast<long long>(r.report.meta.solver_restarts), dominant);
-    sum_cfa += cfa;
     sum_gen += gen;
     sum_interp += interp;
     sum_solve += solve;
     sum_decisions += r.report.meta.solver_decisions;
     sum_queries += r.report.meta.solver_queries;
-    sum_merged += r.report.meta.paths_merged;
     sum_propagations += r.report.meta.solver_propagations;
     sum_learned += r.report.meta.solver_learned_clauses;
     sum_restarts += r.report.meta.solver_restarts;
@@ -199,9 +193,9 @@ std::string BatchReport::RenderStatsTable() const {
     sum_total += s;
   }
   out += StrFormat(
-      "%-44s %-15s %9.4f %8.4f %8.4f %9.4f %9.4f %10lld %8lld %7lld %9lld %8lld %8lld\n",
-      "TOTAL", "", sum_total, sum_cfa, sum_gen, sum_interp, sum_solve, sum_decisions,
-      sum_queries, sum_merged, sum_propagations, sum_learned, sum_restarts);
+      "%-44s %-15s %9.4f %8.4f %9.4f %9.4f %10lld %8lld %9lld %8lld %8lld\n", "TOTAL", "",
+      sum_total, sum_gen, sum_interp, sum_solve, sum_decisions, sum_queries, sum_propagations,
+      sum_learned, sum_restarts);
   SampleStats stats = ComputeStats(row_seconds);
   out += StrFormat("per-generator seconds: p50 %.4f, p90 %.4f, p99 %.4f (n=%d)\n", stats.p50,
                    stats.p90, stats.p99, static_cast<int>(row_seconds.size()));
@@ -240,12 +234,11 @@ GeneratorResult VerifyOne(const platform::Platform* platform, const std::string&
 
     VerifyOptions vopts;
     vopts.runs = options.runs;
-    vopts.build_cfa = options.build_cfa;
+    vopts.build_cfa = false;  // No verdict reads the CFA artifact.
     vopts.solver_cache = cache;
     vopts.solver_limits = limits;
     vopts.solver_options = options.solver_options;
     vopts.cancel = cancel;
-    vopts.merge_paths = options.merge_paths;
     vopts.record = options.record;
     Verifier verifier(platform);
     StatusOr<VerifyReport> report = verifier.Verify(name, vopts);
@@ -323,7 +316,6 @@ JournalRecord RecordFromResult(const GeneratorResult& r, const std::string& fing
   rec.restarts = r.report.meta.solver_restarts;
   rec.paths_attached = r.report.meta.paths_attached;
   rec.paths_infeasible = r.report.meta.paths_infeasible;
-  rec.paths_merged = r.report.meta.paths_merged;
   rec.unit_fp = r.unit_fp;
   rec.budget_decisions = r.budget_decisions;
   rec.budget_seconds = r.budget_seconds;
@@ -367,7 +359,6 @@ StatusOr<GeneratorResult> ResultFromRecord(const JournalRecord& rec) {
   r.report.meta.solver_restarts = rec.restarts;
   r.report.meta.paths_attached = static_cast<int>(rec.paths_attached);
   r.report.meta.paths_infeasible = static_cast<int>(rec.paths_infeasible);
-  r.report.meta.paths_merged = static_cast<int>(rec.paths_merged);
   r.unit_fp = rec.unit_fp;
   r.budget_decisions = rec.budget_decisions;
   r.budget_seconds = rec.budget_seconds;

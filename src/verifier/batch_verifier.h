@@ -40,13 +40,6 @@ struct BatchOptions {
   sym::Solver::Options solver_options;
   // Timing repeats per generator (passed through to VerifyOptions.runs).
   int runs = 1;
-  // Path merging inside every task (merge_paths = false is the
-  // `--no-merge-paths` ablation: pure forking executor, the differential
-  // oracle for the merged mode).
-  bool merge_paths = true;
-  // Also build each generator's CFA artifact (off by default: the batch
-  // driver reports verdicts, not DOT renderings).
-  bool build_cfa = false;
   // Re-verify a budget-inconclusive generator up to this many extra times,
   // doubling the per-query decision and wall budgets on each attempt (and
   // bypassing cached kUnknown entries so the retry actually re-solves).
@@ -147,8 +140,8 @@ struct BatchReport {
   // meta::RenderCounterexample) per violation of every refuted row. Resumed
   // rows render from their journaled counterexample fields.
   std::string RenderExplain() const;
-  // Cost-attribution table: per-generator stage breakdown (CFA build,
-  // generate, interpret, solver), decision/query counts, and the dominant
+  // Cost-attribution table: per-generator stage breakdown (generate,
+  // interpret, solver), decision/query counts, and the dominant
   // stage, plus aggregate and tail-percentile footers. Stage columns are 0
   // for rows resumed from a schema-1 journal (written before the breakdown
   // existed).

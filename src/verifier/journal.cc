@@ -210,8 +210,6 @@ class LineParser {
       rec->paths_attached = static_cast<int64_t>(v);
     } else if (key == "paths_infeasible") {
       rec->paths_infeasible = static_cast<int64_t>(v);
-    } else if (key == "paths_merged") {
-      rec->paths_merged = static_cast<int64_t>(v);
     } else if (key == "cx_line") {
       rec->cx_line = static_cast<int>(v);
     } else if (key == "budget_decisions") {
@@ -253,10 +251,9 @@ std::string JournalRecord::ToJsonLine() const {
                    static_cast<long long>(propagations),
                    static_cast<long long>(learned_clauses),
                    static_cast<long long>(restarts));
-  out += StrFormat(",\"paths_attached\":%lld,\"paths_infeasible\":%lld,\"paths_merged\":%lld",
+  out += StrFormat(",\"paths_attached\":%lld,\"paths_infeasible\":%lld",
                    static_cast<long long>(paths_attached),
-                   static_cast<long long>(paths_infeasible),
-                   static_cast<long long>(paths_merged));
+                   static_cast<long long>(paths_infeasible));
   // Incremental-verification block (schema >= 4): only on rows that carry a
   // unit fingerprint, so journals from non-incremental runs stay compact.
   if (!unit_fp.empty()) {
@@ -370,7 +367,6 @@ obs::ReportRow ReportRowFromRecord(const JournalRecord& rec) {
   row.paths = rec.paths;
   row.paths_attached = rec.paths_attached;
   row.paths_infeasible = rec.paths_infeasible;
-  row.paths_merged = rec.paths_merged;
   row.queries = rec.queries;
   row.decisions = rec.decisions;
   row.attempts = rec.attempts;

@@ -52,10 +52,10 @@ namespace icarus::verifier {
 //       multi-process worker fleet, since removed. Readers now skip the key
 //       like any other unknown one, so v6 rows (with or without it) still
 //       parse and resume.
-//   7 — adds the path-merging counter (`paths_merged`: joins folded by
-//       ite-lifting instead of forking), rendered by `verify-all --stats`.
-//       Additive: older rows read fine with the counter defaulting to 0,
-//       which is also what the --no-merge-paths ablation writes.
+//   7 — added a merged-joins counter, written only by the ite-based
+//       path-merging executor, since removed. Readers now skip the key like
+//       any other unknown one, so v7 rows (with or without it) still parse
+//       and resume; new rows are still stamped 7.
 inline constexpr int kJournalSchemaVersion = 7;
 inline constexpr int kJournalMinReadSchemaVersion = 1;
 
@@ -86,9 +86,6 @@ struct JournalRecord {
   // Path-outcome counters (schema >= 3; 0 in older rows).
   int64_t paths_attached = 0;
   int64_t paths_infeasible = 0;
-  // Joins folded by ite-lifting instead of forking (schema >= 7; 0 in older
-  // rows and under the --no-merge-paths ablation).
-  int64_t paths_merged = 0;
   // Incremental verification (schema >= 4; empty/0 in older rows).
   std::string unit_fp;          // ast::UnitFingerprint(...).ToHex() of the unit.
   int64_t budget_decisions = 0; // Solver::Limits the verdict was earned under.

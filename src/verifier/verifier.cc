@@ -15,8 +15,8 @@ std::string VerifyReport::Render() const {
     out += StrCat("inconclusive: ", note, "\n");
   }
   out += StrFormat(
-      "paths: %d explored, %d attached, %d infeasible, %d merged; %lld solver queries\n",
-      meta.paths_explored, meta.paths_attached, meta.paths_infeasible, meta.paths_merged,
+      "paths: %d explored, %d attached, %d infeasible; %lld solver queries\n",
+      meta.paths_explored, meta.paths_attached, meta.paths_infeasible,
       static_cast<long long>(meta.solver_queries));
   out += StrFormat("time: mean %.3fs, median %.3fs, sigma %.4fs over runs\n", timing.mean,
                    timing.median, timing.stddev);
@@ -24,12 +24,6 @@ std::string VerifyReport::Render() const {
   if (cfa_nodes > 0) {
     out += StrFormat("cfa: %d nodes, %d edges, %lld feasible instruction sequences\n",
                      cfa_nodes, cfa_edges, static_cast<long long>(cfa_paths));
-    if (cfa_merges > 0) {
-      out += StrFormat(
-          "cfa minimization: %d -> %d nodes, %d -> %d edges (%d merged), paths %lld -> %lld\n",
-          cfa_raw_nodes, cfa_nodes, cfa_raw_edges, cfa_edges, cfa_merges,
-          static_cast<long long>(cfa_raw_paths), static_cast<long long>(cfa_paths));
-    }
   }
   for (const exec::Violation& v : meta.violations) {
     out += StrCat("\nviolation: ", v.message, "\n  at ", v.function,
@@ -65,14 +59,6 @@ StatusOr<VerifyReport> Verifier::Verify(const std::string& generator_name,
     if (!automaton.ok()) {
       return automaton.status();
     }
-    report.cfa_raw_paths = automaton.value().CountPaths(64, 1000000000);
-    // Run the quotient construction before anything downstream reads the
-    // automaton, so path counts (and any consumer of the artifact) see the
-    // minimized machine; the raw shape is kept for the ablation columns.
-    cfa::MinimizeStats min_stats = automaton.value().Minimize();
-    report.cfa_raw_nodes = min_stats.nodes_before;
-    report.cfa_raw_edges = min_stats.edges_before;
-    report.cfa_merges = min_stats.merges;
     report.cfa_nodes = automaton.value().num_nodes();
     report.cfa_edges = automaton.value().num_edges();
     report.cfa_paths = automaton.value().CountPaths(64, 1000000000);
@@ -85,7 +71,6 @@ StatusOr<VerifyReport> Verifier::Verify(const std::string& generator_name,
   executor.set_solver_limits(options.solver_limits);
   executor.set_solver_options(options.solver_options);
   executor.set_cancel_flag(options.cancel);
-  executor.set_merging(options.merge_paths);
   executor.set_recording(options.record);
 
   // Timed loop: meta-execution only, `runs` samples.

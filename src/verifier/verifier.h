@@ -38,10 +38,6 @@ struct VerifyOptions {
   sym::Solver::Options solver_options;
   // Cooperative cancellation (fleet deadline); checked between paths.
   const std::atomic<bool>* cancel = nullptr;
-  // Path merging (ite-lifting at post-dominating joins; see
-  // MetaExecutor::set_merging). Off is the pure forking executor, retained
-  // as the differential oracle — the --no-merge-paths ablation.
-  bool merge_paths = true;
   // Flight recorder: keep a bounded per-path event log, attached to any
   // violation found (see MetaExecutor::set_recording). Off by default — the
   // structured counterexample (witnesses, decisions, op sequences) is
@@ -58,16 +54,11 @@ struct VerifyReport {
   SampleStats timing;         // Seconds per run (meta-execution only).
   double cfa_seconds = 0.0;   // Wall time of the CFA build (0 when skipped).
   int total_loc = 0;          // Figure 12-style LoC attribution.
-  // Automaton shape after minimization (what downstream consumers see).
+  // The automaton artifact (empty unless build_cfa).
   int cfa_nodes = 0;
   int cfa_edges = 0;
   int64_t cfa_paths = 0;      // Instruction sequences through the automaton.
-  // Raw shape before Cfa::Minimize and what the quotient saved.
-  int cfa_raw_nodes = 0;
-  int cfa_raw_edges = 0;
-  int64_t cfa_raw_paths = 0;
-  int cfa_merges = 0;         // States folded by partition refinement.
-  std::string cfa_dot;        // GraphViz rendering (when build_cfa; minimized).
+  std::string cfa_dot;        // GraphViz rendering.
 
   // Human-readable report: verdict, stub shapes, counterexample if any.
   std::string Render() const;

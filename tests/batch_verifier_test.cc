@@ -189,6 +189,14 @@ TEST_F(BatchVerifierTest, RenderTableMentionsEveryGenerator) {
   EXPECT_NE(table.find("VERIFIED"), std::string::npos);
   EXPECT_NE(table.find("COUNTEREXAMPLE"), std::string::npos);
   EXPECT_NE(table.find("2 generators"), std::string::npos);
+  // The batch never builds a CFA, so the stats table attributes generate,
+  // interpret and solve only: no CFA column and no `cfa` Dominant.
+  std::string stats = report.RenderStatsTable();
+  EXPECT_NE(stats.find("Interp(s)"), std::string::npos);
+  EXPECT_NE(stats.find("Dominant"), std::string::npos);
+  EXPECT_EQ(stats.find("CFA"), std::string::npos);
+  EXPECT_EQ(stats.find("cfa"), std::string::npos);
+  EXPECT_EQ(stats.find("Merges"), std::string::npos);
 }
 
 }  // namespace

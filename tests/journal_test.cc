@@ -230,9 +230,10 @@ TEST_F(JournalBatchTest, ResumeSkipsJournaledGeneratorsAndRestoresRows) {
 }
 
 TEST_F(JournalBatchTest, SchemaSixWorkerRowsStillParseAndResume) {
-  // Schema 6 added a `worker` key that only the multi-process fleet wrote.
-  // The fleet is gone and readers skip the key like any unknown one, so a
-  // journal mixing such a row with a schema-7 row still reads and resumes.
+  // Schema 6 added a `worker` key that only the multi-process fleet wrote,
+  // and schema 7 a `paths_merged` key that only the path-merging executor
+  // wrote. Both are gone and readers skip the keys like any unknown one, so
+  // a journal mixing such rows still reads and resumes.
   std::string path = TempPath("schema6_worker.jsonl");
   const std::string fp = platform_->Fingerprint();
   WriteFile(path,
@@ -251,9 +252,11 @@ TEST_F(JournalBatchTest, SchemaSixWorkerRowsStillParseAndResume) {
   EXPECT_EQ(read.value()[0].generator, "tryAttachCompareInt32");
   EXPECT_EQ(read.value()[0].paths, 5);
   EXPECT_EQ(read.value()[1].schema, 7);
-  EXPECT_EQ(read.value()[1].paths_merged, 2);
+  EXPECT_EQ(read.value()[1].generator, "bug1685925_buggy");
+  EXPECT_EQ(read.value()[1].paths, 9);
   // Rewriting a parsed row drops the key rather than carrying it forward.
   EXPECT_EQ(read.value()[0].ToJsonLine().find("worker"), std::string::npos);
+  EXPECT_EQ(read.value()[1].ToJsonLine().find("paths_merged"), std::string::npos);
 
   BatchVerifier batch(platform_);
   BatchOptions opts;
@@ -271,7 +274,8 @@ TEST_F(JournalBatchTest, SchemaSixWorkerRowsStillParseAndResume) {
   EXPECT_EQ(six.report.meta.solver_queries, 17);
   EXPECT_TRUE(seven.resumed);
   EXPECT_EQ(seven.outcome, Outcome::kRefuted);
-  EXPECT_EQ(seven.report.meta.paths_merged, 2);
+  EXPECT_EQ(seven.report.meta.paths_explored, 9);
+  EXPECT_EQ(seven.report.meta.solver_queries, 23);
   std::remove(path.c_str());
 }
 

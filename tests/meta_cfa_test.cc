@@ -81,6 +81,32 @@ TEST_F(CfaTest, EveryFig12GeneratorHasFiniteCfa) {
   }
 }
 
+TEST_F(CfaTest, CountPathsSaturatesAtLargeCapsWithoutOverflow) {
+  // Two nodes with edges to each other and to exit: the number of paths
+  // doubles per length step, overflowing int64 well before len 100. A
+  // sat_add that computed a + b before clamping would hit signed overflow
+  // (UB) once the cap exceeds INT64_MAX/2.
+  ast::OpDecl op_a;
+  op_a.name = "OpA";
+  ast::OpDecl op_b;
+  op_b.name = "OpB";
+  ast::Stmt sites[2] = {};
+  cfa::Cfa a;
+  int n0 = a.NodeFor(&op_a, &sites[0], 0, nullptr);
+  int n1 = a.NodeFor(&op_b, &sites[1], 0, nullptr);
+  a.AddEdge(cfa::kEntry, n0);
+  a.AddEdge(n0, n0);
+  a.AddEdge(n0, n1);
+  a.AddEdge(n1, n0);
+  a.AddEdge(n1, n1);
+  a.AddEdge(n0, cfa::kExit);
+  a.AddEdge(n1, cfa::kExit);
+  EXPECT_EQ(a.CountPaths(100, INT64_MAX), INT64_MAX);
+  EXPECT_EQ(a.CountPaths(100, INT64_MAX - 1), INT64_MAX - 1);
+  // Small budgets still count exactly: len<=1 is the single path [A].
+  EXPECT_EQ(a.CountPaths(1, INT64_MAX), 1);
+}
+
 TEST_F(CfaTest, NaiveExplosionVsCfaConstraint) {
   auto stub = platform_->MakeMetaStub("bug1685925_buggy");
   ASSERT_TRUE(stub.ok());

@@ -103,15 +103,5 @@ TEST_F(ExprTest, ToString) {
   EXPECT_EQ(ExprPool::ToString(app), "f(x)");
 }
 
-TEST_F(ExprTest, IteBoolLowering) {
-  ExprRef c = pool_.Var("c", Sort::kBool);
-  ExprRef t = pool_.Var("t", Sort::kBool);
-  ExprRef e = pool_.Var("e", Sort::kBool);
-  ExprRef ite = pool_.IteBool(c, t, e);
-  EXPECT_EQ(ite->sort, Sort::kBool);
-  EXPECT_EQ(pool_.IteBool(pool_.True(), t, e), t);
-  EXPECT_EQ(pool_.IteBool(pool_.False(), t, e), e);
-}
-
 }  // namespace
 }  // namespace icarus::sym

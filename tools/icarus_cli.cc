@@ -132,15 +132,8 @@ int VerifyAllHelp() {
       "                  Debug/ablation: solve every query with the decide-only\n"
       "                  search (no conflict clause learning, no cross-path\n"
       "                  reuse). See EXPERIMENTS.md §\"Solver ablation\".\n"
-      "  --merge-paths   Fold compatible symbolic joins into ite-lifted states\n"
-      "                  instead of forking (default). The Merges column of\n"
-      "                  --stats counts the joins folded.\n"
-      "  --no-merge-paths\n"
-      "                  Debug/ablation: pure forking executor — every symbolic\n"
-      "                  branch forks two paths. The differential oracle for\n"
-      "                  merged mode; see EXPERIMENTS.md §\"Path merging\".\n"
       "  --stats         Also render the cost-attribution table: per-generator\n"
-      "                  stage breakdown (CFA / generate / interpret / solve),\n"
+      "                  stage breakdown (generate / interpret / solve),\n"
       "                  decision/propagation counts, learned clauses, restarts,\n"
       "                  and the dominant stage. With --trace, also reports the\n"
       "                  span ring-buffer retention/drop count.\n"
@@ -460,16 +453,6 @@ int DumpCfa(const Platform& platform, const std::string& name, const std::string
     std::fprintf(stderr, "%s\n", automaton.status().message().c_str());
     return 2;
   }
-  // Minimize before rendering so the DOT shows the quotient automaton; the
-  // raw→minimized shape goes to stderr so stdout stays valid GraphViz.
-  long long raw_paths = automaton.value().CountPaths(32, 1000000);
-  icarus::cfa::MinimizeStats min_stats = automaton.value().Minimize();
-  long long min_paths = automaton.value().CountPaths(32, 1000000);
-  std::fprintf(stderr,
-               "cfa minimization: %d -> %d nodes, %d -> %d edges (%d merged), "
-               "paths (len<=32) %lld -> %lld\n",
-               min_stats.nodes_before, min_stats.nodes_after, min_stats.edges_before,
-               min_stats.edges_after, min_stats.merges, raw_paths, min_paths);
   std::string dot = automaton.value().ToDot();
   if (out_path.empty()) {
     std::printf("%s", dot.c_str());
@@ -878,10 +861,6 @@ int Run(int argc, char** argv) {
         options.solver_limits.max_decisions = std::atoll(argv[++i]);
       } else if (flag == "--no-clause-learning") {
         options.solver_options.clause_learning = false;
-      } else if (flag == "--merge-paths") {
-        options.merge_paths = true;
-      } else if (flag == "--no-merge-paths") {
-        options.merge_paths = false;
       } else if (flag == "--retries" && i + 1 < argc) {
         options.retries = std::atoi(argv[++i]);
       } else if (flag == "--journal" && i + 1 < argc) {
