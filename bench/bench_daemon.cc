@@ -108,8 +108,6 @@ int main(int argc, char** argv) {
   // are served from it.
   icarus::daemon::DaemonOptions options;
   options.jobs = 1;
-  options.admission.burst = 1e9;  // Latency bench, not an admission bench.
-  options.admission.rate_per_sec = 1e9;
   icarus::daemon::ServerCore core(platform.get(), options);
   icarus::Status started = core.Start();
   if (!started.ok()) {

@@ -1,5 +1,5 @@
 // Solver ablation: per-query latency of the persistent CDCL core vs. the
-// decide-only engine (`--no-clause-learning`) on a path-pruning workload.
+// decide-only search (tests/decide_only_oracle.h) on a path-pruning workload.
 //
 // Shape to check: the stream below replays what a generator's path
 // exploration sends the solver — a shared vocabulary of guards and ordered
@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -24,12 +25,14 @@
 #include "src/sym/expr.h"
 #include "src/sym/solver.h"
 #include "src/support/str_util.h"
+#include "tests/decide_only_oracle.h"
 
 namespace {
 
 using icarus::sym::ExprPool;
 using icarus::sym::ExprRef;
 using icarus::sym::Solver;
+using icarus::sym::SolverStats;
 using icarus::sym::Sort;
 using icarus::sym::Verdict;
 
@@ -95,19 +98,20 @@ double MedianMs(std::vector<double> xs) {
   return n == 0 ? 0.0 : (n % 2 == 1 ? xs[n / 2] : (xs[n / 2 - 1] + xs[n / 2]) / 2.0);
 }
 
-// Replays the stream `kRepeats` times through one solver instance. Each
-// pass is timed as a whole and divided by the query count: single queries
-// run in low microseconds where clock jitter would swamp the signal, so the
-// per-query latency samples are per-pass averages (one sample per pass).
-// Aborts on a wrong verdict.
-std::vector<double> RunStream(Solver& solver, const std::vector<PathQuery>& stream,
-                              const char* engine, bool* ok) {
+// Replays the stream `kRepeats` times through one engine. Each pass is
+// timed as a whole and divided by the query count: single queries run in low
+// microseconds where clock jitter would swamp the signal, so the per-query
+// latency samples are per-pass averages (one sample per pass). Aborts on a
+// wrong verdict.
+std::vector<double> RunStream(const std::function<Verdict(const std::vector<ExprRef>&)>& solve,
+                              const std::vector<PathQuery>& stream, const char* engine,
+                              bool* ok) {
   std::vector<double> ms;
   ms.reserve(kRepeats);
   for (int r = 0; r < kRepeats; ++r) {
     auto t0 = std::chrono::steady_clock::now();
     for (const PathQuery& q : stream) {
-      Verdict got = solver.Solve(q.conjuncts, /*want_model=*/false).verdict;
+      Verdict got = solve(q.conjuncts);
       if (got != q.expected) {
         std::fprintf(stderr, "%s: wrong verdict on a stream query (got %d, want %d)\n", engine,
                      static_cast<int>(got), static_cast<int>(q.expected));
@@ -122,13 +126,12 @@ std::vector<double> RunStream(Solver& solver, const std::vector<PathQuery>& stre
   return ms;
 }
 
-void PrintEngine(const char* name, const std::vector<double>& ms, const Solver& solver) {
+void PrintEngine(const char* name, const std::vector<double>& ms, const SolverStats& st) {
   double mean = 0.0;
   for (double x : ms) {
     mean += x;
   }
   mean = ms.empty() ? 0.0 : mean / static_cast<double>(ms.size());
-  const auto& st = solver.stats();
   std::printf("%-14s per-query median %9.4f ms   mean %9.4f ms   (%zu passes)\n", name,
               MedianMs(ms), mean, ms.size());
   std::printf("%-14s decisions %lld  propagations %lld  conflicts %lld  learned %lld  "
@@ -158,15 +161,21 @@ int main(int argc, char** argv) {
               stream.size(), kRepeats);
 
   bool ok = true;
-  Solver::Options learning_off;
-  learning_off.clause_learning = false;
-  Solver decide_only(Solver::Limits{}, learning_off);
-  std::vector<double> off_ms = RunStream(decide_only, stream, "decide-only", &ok);
+  SolverStats decide_only;
+  std::vector<double> off_ms = RunStream(
+      [&decide_only](const std::vector<ExprRef>& conjuncts) {
+        return icarus::sym::DecideOnlySolve(conjuncts, &decide_only).verdict;
+      },
+      stream, "decide-only", &ok);
   PrintEngine("decide-only", off_ms, decide_only);
 
-  Solver cdcl;  // Defaults: clause_learning = true, one persistent instance.
-  std::vector<double> on_ms = RunStream(cdcl, stream, "cdcl", &ok);
-  PrintEngine("cdcl", on_ms, cdcl);
+  Solver cdcl;  // One persistent instance across every pass.
+  std::vector<double> on_ms = RunStream(
+      [&cdcl](const std::vector<ExprRef>& conjuncts) {
+        return cdcl.Solve(conjuncts, /*want_model=*/false).verdict;
+      },
+      stream, "cdcl", &ok);
+  PrintEngine("cdcl", on_ms, cdcl.stats());
 
   double off_median = MedianMs(off_ms);
   double on_median = MedianMs(on_ms);

@@ -11,9 +11,9 @@
 //
 // Request ops:
 //   ping      liveness probe; answered inline (never queued or shed).
-//   verify    verify one generator; subject to admission control, the
-//             per-request deadline, and quarantine.
-//   stats     service counters + per-client stats as a JSON document.
+//   verify    verify one generator; subject to the bounded queue and the
+//             per-request deadline.
+//   stats     service counters as a JSON document.
 //   metrics   the daemon's metric registry as a Prometheus text exposition
 //             (or JSON with `format:"json"`), for scrapers and `icarus top`.
 //   shutdown  ask the daemon to drain gracefully and exit 0.
@@ -22,12 +22,9 @@
 //   OK             the request was served; `outcome` holds the verdict for
 //                  verify ops (VERIFIED / COUNTEREXAMPLE / INCONCLUSIVE /
 //                  ERROR / INTERNAL_ERROR — journal outcome tokens).
-//   OVERLOADED     shed by admission control (client over its token budget,
-//                  or the bounded request queue is full). `retry_after_ms`
-//                  is the server's backoff hint; nothing was executed.
-//   QUARANTINED    the target generator is quarantined after repeated
-//                  internal errors; `retry_after_ms` says when the
-//                  quarantine lapses.
+//   OVERLOADED     shed because the bounded request queue is full.
+//                  `retry_after_ms` is the server's backoff hint; nothing
+//                  was executed.
 //   SHUTTING_DOWN  the daemon is draining; retry against the next instance.
 //   BAD_REQUEST    unparseable or semantically invalid request (`error`).
 //   ERROR          the serving machinery itself failed on this request (an
@@ -48,10 +45,13 @@ inline constexpr int kProtocolVersion = 1;
 
 inline constexpr char kStatusOk[] = "OK";
 inline constexpr char kStatusOverloaded[] = "OVERLOADED";
-inline constexpr char kStatusQuarantined[] = "QUARANTINED";
 inline constexpr char kStatusShuttingDown[] = "SHUTTING_DOWN";
 inline constexpr char kStatusBadRequest[] = "BAD_REQUEST";
 inline constexpr char kStatusError[] = "ERROR";
+
+// The backoff an OVERLOADED response advertises, and the one a client
+// assumes when a shed response carries no hint.
+inline constexpr double kOverloadedRetryAfterMs = 50;
 
 inline constexpr char kOpPing[] = "ping";
 inline constexpr char kOpVerify[] = "verify";
@@ -64,7 +64,7 @@ struct Request {
   std::string id;         // Client-chosen correlation id, echoed verbatim.
   std::string op;         // One of the kOp* tokens.
   std::string generator;  // Target for verify ops.
-  std::string client;     // Admission-control identity; empty → "anon".
+  std::string client;     // Caller identity for the slow log; empty → "anon".
   double deadline_ms = 0; // Per-request deadline; 0 → server default.
   std::string format;     // metrics: "prom" (default) or "json".
 
@@ -87,7 +87,7 @@ struct Response {
   double seconds = 0.0;      // Service time (verify ops; 0 for warm hits).
   int64_t paths = 0;
   int64_t queries = 0;
-  double retry_after_ms = 0; // Backoff hint for OVERLOADED / QUARANTINED.
+  double retry_after_ms = 0; // Backoff hint for OVERLOADED.
   std::string stats_json;    // `stats` op payload (a JSON document, escaped).
   std::string metrics;       // `metrics` op payload (escaped exposition text).
 

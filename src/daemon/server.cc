@@ -1,5 +1,6 @@
 #include "src/daemon/server.h"
 
+#include <chrono>
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -76,47 +77,22 @@ std::string DaemonStats::ToJson() const {
   w.Key("served").Int(served);
   w.Key("warm_hits").Int(warm_hits);
   w.Key("cached_safe").Int(cached_safe);
-  w.Key("shed_rate").Int(shed_rate);
   w.Key("shed_queue").Int(shed_queue);
-  w.Key("quarantined").Int(quarantined);
   w.Key("rejected_draining").Int(rejected_draining);
   w.Key("bad_requests").Int(bad_requests);
   w.Key("internal_errors").Int(internal_errors);
   w.Key("deadline_cancelled").Int(deadline_cancelled);
   w.Key("queue_depth").Int(queue_depth);
   w.Key("in_flight").Int(in_flight);
-  w.Key("quarantine_active").Int(quarantine_active);
   w.Key("replayed").Int(replayed);
   w.Key("read_only_cache").Bool(read_only_cache);
   w.Key("store_entries").Int(store_entries);
-  w.Key("clients").BeginObject();
-  for (const auto& [name, stats] : clients) {
-    w.Key(name).BeginObject();
-    w.Key("admitted").Int(stats.admitted);
-    w.Key("shed_rate").Int(stats.shed_rate);
-    w.Key("shed_queue").Int(stats.shed_queue);
-    w.EndObject();
-  }
-  w.EndObject();
-  w.Key("quarantine").BeginArray();
-  for (const Quarantine::Entry& entry : quarantine) {
-    w.BeginObject();
-    w.Key("generator").String(entry.generator);
-    w.Key("strikes").Int(entry.strikes);
-    w.Key("until").Double(entry.until);
-    w.EndObject();
-  }
-  w.EndArray();
   w.EndObject();
   return w.Take();
 }
 
 ServerCore::ServerCore(const platform::Platform* platform, const DaemonOptions& options)
-    : platform_(platform),
-      options_(options),
-      epoch_(std::chrono::steady_clock::now()),
-      admission_(options.admission),
-      quarantine_(options.quarantine) {
+    : platform_(platform), options_(options) {
   if (options_.jobs <= 0) {
     options_.jobs = 1;
   }
@@ -127,13 +103,6 @@ ServerCore::~ServerCore() {
     BeginDrain();
     (void)FinishDrain();
   }
-}
-
-double ServerCore::Now() const {
-  if (options_.clock) {
-    return options_.clock();
-  }
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - epoch_).count();
 }
 
 Status ServerCore::Start() {
@@ -172,14 +141,12 @@ Status ServerCore::Start() {
       }
     }
   }
-  if (options_.use_cache) {
-    cache_ = std::make_unique<sym::SolverCache>();
-    if (persistence_enabled_ && !solver_store_path_.empty()) {
-      sym::CacheLoadResult loaded =
-          sym::LoadSolverCache(solver_store_path_, verifier::kVerifierEpoch, cache_.get());
-      if (!loaded.note.empty()) {
-        notes_.push_back(loaded.note);
-      }
+  cache_ = std::make_unique<sym::SolverCache>();
+  if (persistence_enabled_ && !solver_store_path_.empty()) {
+    sym::CacheLoadResult loaded =
+        sym::LoadSolverCache(solver_store_path_, verifier::kVerifierEpoch, cache_.get());
+    if (!loaded.note.empty()) {
+      notes_.push_back(loaded.note);
     }
   }
 
@@ -253,14 +220,9 @@ void ServerCore::UpdateGauges() {
       "icarus_daemon_queue_depth", "Verify requests waiting in the bounded queue");
   static obs::Gauge* in_flight = obs::Registry::Global().GetGauge(
       "icarus_daemon_in_flight", "Verify requests currently executing");
-  static obs::Gauge* quarantine_active = obs::Registry::Global().GetGauge(
-      "icarus_daemon_quarantine_active", "Targets currently inside a quarantine window");
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    depth->Set(static_cast<int64_t>(queue_.size()));
-    in_flight->Set(static_cast<int64_t>(active_.size()));
-  }
-  quarantine_active->Set(quarantine_.ActiveCount(Now()));
+  std::lock_guard<std::mutex> lock(mu_);
+  depth->Set(static_cast<int64_t>(queue_.size()));
+  in_flight->Set(static_cast<int64_t>(active_.size()));
 }
 
 void ServerCore::AppendJournal(const verifier::JournalRecord& record) {
@@ -384,7 +346,7 @@ Response ServerCore::ExecuteVerify(const Request& request) {
   }
 
   // Warm view: a decisive verdict this service (or the journal it replayed)
-  // already earned. Free — no admission cost, no queueing.
+  // already earned. Free — no queueing.
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = warm_.find(request.generator);
@@ -400,56 +362,6 @@ Response ServerCore::ExecuteVerify(const Request& request) {
     }
   }
 
-  double now = Now();
-  Quarantine::Check check = quarantine_.Probe(request.generator, now);
-  if (check.quarantined) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++counters_.quarantined;
-    }
-    if (obs::Enabled()) {
-      static obs::Counter* refused = obs::Registry::Global().GetCounter(
-          "icarus_daemon_quarantine_refusals_total",
-          "Requests refused because their target is quarantined");
-      refused->Add(1);
-    }
-    resp.status = kStatusQuarantined;
-    resp.error = StrCat("generator '", request.generator,
-                        "' is quarantined after repeated internal errors");
-    resp.retry_after_ms = check.retry_after_s * 1e3;
-    return resp;
-  }
-
-  int depth;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    depth = static_cast<int>(queue_.size());
-  }
-  std::string client = request.client.empty() ? "anon" : request.client;
-  double retry_after_s = 0;
-  AdmissionController::Decision decision = admission_.Admit(client, depth, now, &retry_after_s);
-  if (decision != AdmissionController::Decision::kAdmit) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (decision == AdmissionController::Decision::kShedRate) {
-        ++counters_.shed_rate;
-      } else {
-        ++counters_.shed_queue;
-      }
-    }
-    if (obs::Enabled()) {
-      static obs::Counter* shed = obs::Registry::Global().GetCounter(
-          "icarus_daemon_shed_total", "Requests shed by admission control");
-      shed->Add(1);
-    }
-    resp.status = kStatusOverloaded;
-    resp.error = decision == AdmissionController::Decision::kShedRate
-                     ? StrCat("client '", client, "' is over its request budget")
-                     : "request queue is full";
-    resp.retry_after_ms = retry_after_s * 1e3;
-    return resp;
-  }
-
   Ticket ticket;
   ticket.request = request;
   if (options_.incremental && persistence_enabled_) {
@@ -462,6 +374,20 @@ Response ServerCore::ExecuteVerify(const Request& request) {
     if (draining_.load(std::memory_order_acquire)) {
       ++counters_.rejected_draining;
       resp.status = kStatusShuttingDown;
+      return resp;
+    }
+    // The bound check and the push share this critical section, so the
+    // queue never holds more than queue_limit tickets.
+    if (static_cast<int>(queue_.size()) >= options_.queue_limit) {
+      ++counters_.shed_queue;
+      if (obs::Enabled()) {
+        static obs::Counter* shed = obs::Registry::Global().GetCounter(
+            "icarus_daemon_shed_total", "Requests shed because the queue was full");
+        shed->Add(1);
+      }
+      resp.status = kStatusOverloaded;
+      resp.error = "request queue is full";
+      resp.retry_after_ms = kOverloadedRetryAfterMs;
       return resp;
     }
     queue_.push_back(&ticket);
@@ -569,8 +495,8 @@ Response ServerCore::ServeVerify(Ticket* ticket) {
   WallTimer timer;
   // Containment boundary: a crash inside one request's verification (a
   // genuine bug or the daemon-dispatch fail point) becomes that request's
-  // INTERNAL_ERROR response and a quarantine strike; the worker, the queue,
-  // and every other request are untouched.
+  // INTERNAL_ERROR response; the worker, the queue, and every other request
+  // are untouched.
   try {
     ICARUS_FAILPOINT(failpoint::kDaemonDispatch);
     verifier::VerifyOptions vopts;
@@ -624,9 +550,6 @@ Response ServerCore::ServeVerify(Ticket* ticket) {
           "Request crashes contained to an INTERNAL_ERROR response");
       contained->Add(1);
     }
-    quarantine_.RecordStrike(request.generator, Now());
-  } else {
-    quarantine_.RecordSuccess(request.generator);
   }
 
   bool decisive = result.outcome == verifier::Outcome::kVerified ||
@@ -736,9 +659,6 @@ DaemonStats ServerCore::StatsSnapshot() const {
     stats.store_entries = static_cast<int64_t>(store_.size());
   }
   stats.read_only_cache = read_only_cache_;
-  stats.clients = admission_.Snapshot();
-  stats.quarantine = quarantine_.Snapshot();
-  stats.quarantine_active = quarantine_.ActiveCount(Now());
   return stats;
 }
 

@@ -15,18 +15,16 @@
 // Request lifecycle inside Execute():
 //
 //   draining? ──────────────▶ SHUTTING_DOWN
-//   warm view hit ──────────▶ OK (cached=true; no work, no admission cost)
-//   quarantined target? ────▶ QUARANTINED (+retry_after_ms)
-//   admission control ──────▶ OVERLOADED on a rate or queue shed
+//   warm view hit ──────────▶ OK (cached=true; no work, no queueing)
+//   queue full? ────────────▶ OVERLOADED (+retry_after_ms)
 //   bounded queue ──────────▶ worker dispatch inside the containment
 //                             boundary; per-request deadline flips the
 //                             ticket's cancel flag → INCONCLUSIVE
 //
 // Failure domains: a request that throws (a genuine bug or an injected
 // fault at daemon-dispatch) burns only itself — the worker catches at the
-// boundary, answers INTERNAL_ERROR, and records a quarantine strike for the
-// target; after `quarantine.strikes` consecutive strikes the target is
-// refused up front with exponential backoff. Drain (BeginDrain/FinishDrain)
+// boundary and answers INTERNAL_ERROR for that request; the next request
+// for the same target runs normally. Drain (BeginDrain/FinishDrain)
 // stops admission, fails queued tickets fast with SHUTTING_DOWN, cancels
 // in-flight work, then saves the persistent stores. The journal is fsync'd
 // per record at append time, so a crash loses at most the record being
@@ -36,23 +34,18 @@
 #define ICARUS_DAEMON_SERVER_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
-#include "src/daemon/admission.h"
 #include "src/daemon/protocol.h"
-#include "src/daemon/quarantine.h"
 #include "src/platform/platform.h"
 #include "src/support/file_lock.h"
 #include "src/support/status.h"
@@ -69,8 +62,9 @@ namespace icarus::daemon {
 
 struct DaemonOptions {
   int jobs = 1;  // Worker threads executing verify requests.
-  AdmissionController::Options admission;
-  Quarantine::Options quarantine;
+  // Bound on verify requests waiting for a worker; past it a request is shed
+  // with OVERLOADED, so memory stays bounded however many clients pile on.
+  int queue_limit = 32;
   // Deadline applied to requests that do not carry their own; 0 = none.
   double default_deadline_ms = 0;
   // Per-query solver budgets for every verification this daemon runs (the
@@ -78,7 +72,6 @@ struct DaemonOptions {
   // per-request — two clients asking under different budgets would defeat
   // the warm view).
   sym::Solver::Limits solver_limits;
-  bool use_cache = true;  // Shared in-memory solver-result cache.
   // When non-empty, every verdict is appended (fsync'd) here and replayed
   // into the warm view on startup.
   std::string journal_path;
@@ -93,9 +86,6 @@ struct DaemonOptions {
   // journal's per-stage cost attribution.
   double slow_ms = 0;
   std::string slow_log_path;
-  // Monotonic seconds for admission/quarantine schedules; null uses the
-  // steady clock. Injected by tests to drive backoff deterministically.
-  std::function<double()> clock;
 };
 
 // Point-in-time service counters, exported via the `stats` op and mirrored
@@ -105,21 +95,16 @@ struct DaemonStats {
   int64_t served = 0;          // Verify requests that ran to a verdict.
   int64_t warm_hits = 0;       // Served from the warm verdict view.
   int64_t cached_safe = 0;     // Served from the persistent verdict store.
-  int64_t shed_rate = 0;       // OVERLOADED: per-client token bucket.
   int64_t shed_queue = 0;      // OVERLOADED: bounded queue full.
-  int64_t quarantined = 0;     // Refused: target in quarantine.
   int64_t rejected_draining = 0;
   int64_t bad_requests = 0;
-  int64_t internal_errors = 0;     // Contained crashes (strikes).
+  int64_t internal_errors = 0;     // Contained crashes.
   int64_t deadline_cancelled = 0;  // Requests degraded to INCONCLUSIVE.
   int queue_depth = 0;
   int in_flight = 0;
-  int64_t quarantine_active = 0;  // Targets currently inside a window.
   int64_t replayed = 0;           // Warm-view entries restored at startup.
   bool read_only_cache = false;
   int64_t store_entries = 0;   // Persistent verdict-store size.
-  std::vector<std::pair<std::string, ClientStats>> clients;
-  std::vector<Quarantine::Entry> quarantine;
 
   std::string ToJson() const;
 };
@@ -168,7 +153,6 @@ class ServerCore {
  private:
   struct Ticket;
 
-  double Now() const;
   // Runs one verify ticket to a response (worker thread; containment
   // boundary lives here).
   Response ServeVerify(Ticket* ticket);
@@ -185,10 +169,6 @@ class ServerCore {
 
   const platform::Platform* platform_;
   DaemonOptions options_;
-  std::chrono::steady_clock::time_point epoch_;
-
-  AdmissionController admission_;
-  Quarantine quarantine_;
 
   // Serving state. `mu_` guards the queue, the active set, the warm view,
   // and the counters; verification itself runs outside the lock.
@@ -203,7 +183,7 @@ class ServerCore {
   std::atomic<bool> shutdown_requested_{false};
   bool started_ = false;
 
-  // Counters not derivable from admission_/quarantine_ (guarded by mu_).
+  // Service counters (guarded by mu_); StatsSnapshot fills in the gauges.
   DaemonStats counters_;
 
   // Warm verification state.

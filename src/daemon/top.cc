@@ -1,12 +1,12 @@
 #include "src/daemon/top.h"
 
 #include <chrono>
-#include <cstdlib>
 #include <map>
 #include <thread>
 
 #include "src/daemon/protocol.h"
 #include "src/obs/exposition.h"
+#include "src/support/flat_json.h"
 #include "src/support/net.h"
 #include "src/support/str_util.h"
 
@@ -14,69 +14,12 @@ namespace icarus::daemon {
 
 namespace {
 
-// Extracts the top-level numeric fields of a (possibly nested) JSON object:
-// values at depth 1 that are numbers or booleans. Nested objects/arrays
-// (clients, quarantine) are skipped wholesale — `top` only renders the
-// service-level counters. This is a scanner, not a validator; it assumes the
-// well-formed documents DaemonStats::ToJson produces.
-std::map<std::string, double> TopLevelNumbers(const std::string& json) {
+// The numeric fields (booleans as 0/1) of the flat `stats` document
+// DaemonStats::ToJson produces.
+std::map<std::string, double> StatsNumbers(const std::string& json) {
   std::map<std::string, double> out;
-  int depth = 0;
-  std::string key;
-  size_t i = 0;
-  auto skip_string = [&](std::string* capture) {
-    ++i;  // Opening quote.
-    std::string s;
-    while (i < json.size() && json[i] != '"') {
-      if (json[i] == '\\' && i + 1 < json.size()) {
-        ++i;  // Escapes never contain a raw quote we care about.
-      }
-      s.push_back(json[i]);
-      ++i;
-    }
-    ++i;  // Closing quote.
-    if (capture != nullptr) {
-      *capture = std::move(s);
-    }
-  };
-  while (i < json.size()) {
-    char c = json[i];
-    if (c == '{' || c == '[') {
-      ++depth;
-      ++i;
-    } else if (c == '}' || c == ']') {
-      --depth;
-      ++i;
-    } else if (c == '"') {
-      if (depth == 1) {
-        skip_string(&key);  // A top-level key (or a string value; see ':').
-      } else {
-        skip_string(nullptr);
-      }
-    } else if (c == ':' && depth == 1 && !key.empty()) {
-      ++i;
-      while (i < json.size() && (json[i] == ' ' || json[i] == '\t')) {
-        ++i;
-      }
-      if (i >= json.size()) {
-        break;
-      }
-      char v = json[i];
-      if (v == 't') {
-        out[key] = 1;
-      } else if (v == 'f' || v == 'n') {
-        out[key] = 0;
-      } else if (v == '-' || (v >= '0' && v <= '9')) {
-        out[key] = std::strtod(json.c_str() + i, nullptr);
-      } else if (v == '"') {
-        skip_string(nullptr);
-      }
-      key.clear();
-      // Containers fall through to the depth tracking above.
-    } else {
-      ++i;
-    }
-  }
+  FlatLineParser(json).Parse([](const std::string&, std::string) {},
+                             [&out](const std::string& key, double value) { out[key] = value; });
   return out;
 }
 
@@ -131,16 +74,14 @@ TopSample SampleWorker(const std::string& socket_path) {
   }
   sample.reachable = true;
   sample.status = stats_resp.status;
-  std::map<std::string, double> numbers = TopLevelNumbers(stats_resp.stats_json);
+  std::map<std::string, double> numbers = StatsNumbers(stats_resp.stats_json);
   sample.requests = Fetch(numbers, "requests");
   sample.served = Fetch(numbers, "served");
   sample.warm_hits = Fetch(numbers, "warm_hits");
   sample.cached_safe = Fetch(numbers, "cached_safe");
   sample.queue_depth = Fetch(numbers, "queue_depth");
   sample.in_flight = Fetch(numbers, "in_flight");
-  sample.shed_rate = Fetch(numbers, "shed_rate");
   sample.shed_queue = Fetch(numbers, "shed_queue");
-  sample.quarantine_active = Fetch(numbers, "quarantine_active");
 
   Request metrics_req;
   metrics_req.op = kOpMetrics;
@@ -166,13 +107,13 @@ TopSample SampleWorker(const std::string& socket_path) {
 std::string RenderTopFrame(const std::vector<TopRow>& rows, double interval_s) {
   std::string out = StrFormat(
       "icarus top — %d worker%s, refresh %.1fs\n"
-      "%-10s %-8s %9s %6s %7s %8s %7s %6s %9s %9s\n",
+      "%-10s %-8s %9s %6s %7s %8s %7s %9s %9s\n",
       static_cast<int>(rows.size()), rows.size() == 1 ? "" : "s", interval_s, "WORKER",
-      "STATUS", "VERD/S", "QUEUE", "INFLT", "HIT%", "SHED", "QUAR", "P50(ms)", "P99(ms)");
+      "STATUS", "VERD/S", "QUEUE", "INFLT", "HIT%", "SHED", "P50(ms)", "P99(ms)");
   for (const TopRow& row : rows) {
     if (!row.sample.reachable) {
-      out += StrFormat("%-10s %-8s %9s %6s %7s %8s %7s %6s %9s %9s\n", row.name.c_str(),
-                       "dead", "-", "-", "-", "-", "-", "-", "-", "-");
+      out += StrFormat("%-10s %-8s %9s %6s %7s %8s %7s %9s %9s\n", row.name.c_str(), "dead",
+                       "-", "-", "-", "-", "-", "-", "-");
       continue;
     }
     const TopSample& s = row.sample;
@@ -182,11 +123,10 @@ std::string RenderTopFrame(const std::vector<TopRow>& rows, double interval_s) {
         hit_base > 0 ? StrFormat("%.1f", 100.0 * hits / hit_base) : std::string("-");
     std::string p50 = s.p50_ms >= 0 ? StrFormat("%.2f", s.p50_ms) : std::string("-");
     std::string p99 = s.p99_ms >= 0 ? StrFormat("%.2f", s.p99_ms) : std::string("-");
-    out += StrFormat("%-10s %-8s %9.1f %6d %7d %8s %7d %6d %9s %9s\n", row.name.c_str(),
+    out += StrFormat("%-10s %-8s %9.1f %6d %7d %8s %7d %9s %9s\n", row.name.c_str(),
                      s.status.c_str(), row.verdicts_per_s, static_cast<int>(s.queue_depth),
-                     static_cast<int>(s.in_flight), hit.c_str(),
-                     static_cast<int>(s.shed_rate + s.shed_queue),
-                     static_cast<int>(s.quarantine_active), p50.c_str(), p99.c_str());
+                     static_cast<int>(s.in_flight), hit.c_str(), static_cast<int>(s.shed_queue),
+                     p50.c_str(), p99.c_str());
   }
   return out;
 }

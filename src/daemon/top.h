@@ -3,7 +3,7 @@
 // Polls one or more daemons over their Unix sockets with `stats` +
 // `metrics` ops and renders a refreshing table: per-daemon throughput
 // (verdicts/s between polls), queue depth and in-flight count, cache hit
-// rate, shed/quarantine state, and p50/p99 verify latency from the metrics
+// rate, queue sheds, and p50/p99 verify latency from the metrics
 // histogram. One fresh connection per daemon per poll — a daemon serves a
 // connection strictly serially, so `top` never competes with a long verify
 // already in flight on another connection, and a daemon that dies between
@@ -44,9 +44,7 @@ struct TopSample {
   double cached_safe = 0;
   double queue_depth = 0;
   double in_flight = 0;
-  double shed_rate = 0;
   double shed_queue = 0;
-  double quarantine_active = 0;
   // From the `metrics` exposition (absent instruments stay negative).
   double p50_ms = -1;
   double p99_ms = -1;

@@ -42,13 +42,6 @@ MetaExecutor::MetaExecutor(const ast::Module* module, const exec::ExternRegistry
 
 MetaExecutor::~MetaExecutor() = default;
 
-void MetaExecutor::set_solver_options(const sym::Solver::Options& options) {
-  solver_options_ = options;
-  solver_.reset();
-  run_cache_.reset();
-  pool_.reset();
-}
-
 bool MetaExecutor::RunInterpreterPhase(exec::EvalContext& ctx, const MetaStub& stub) {
   using exec::PathStatus;
   exec::EmitState& emits = ctx.emits();
@@ -127,7 +120,7 @@ MetaResult MetaExecutor::Run(const MetaStub& stub) {
   // run-local result cache.
   if (pool_ == nullptr) {
     pool_ = std::make_unique<sym::ExprPool>();
-    solver_ = std::make_unique<sym::Solver>(solver_limits_, solver_options_);
+    solver_ = std::make_unique<sym::Solver>(solver_limits_);
     run_cache_ = std::make_unique<sym::SolverCache>();
   }
   sym::ExprPool& pool = *pool_;

@@ -106,10 +106,6 @@ class MetaExecutor {
   void set_solver_cache(sym::SolverCache* cache) { solver_cache_ = cache; }
   // Per-query solver budgets applied to every path's context.
   void set_solver_limits(const sym::Solver::Limits& limits) { solver_limits_ = limits; }
-  // Engine selection for the run's persistent solver (clause learning on/off;
-  // off is the `--no-clause-learning` ablation path). Discards any warm
-  // solver state carried from earlier Run() calls.
-  void set_solver_options(const sym::Solver::Options& options);
   // Cooperative cancellation: checked between paths; when it flips true the
   // run stops early and the result is marked cancelled + inconclusive.
   void set_cancel_flag(const std::atomic<bool>* cancel) { cancel_ = cancel; }
@@ -135,7 +131,6 @@ class MetaExecutor {
   Limits limits_;
   sym::SolverCache* solver_cache_ = nullptr;
   sym::Solver::Limits solver_limits_;
-  sym::Solver::Options solver_options_;
   const std::atomic<bool>* cancel_ = nullptr;
   bool recording_ = false;
   // Warm state shared by every Run() on this executor (one executor per

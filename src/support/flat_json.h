@@ -1,14 +1,13 @@
-// The flat-JSON-line dialect shared by the daemon wire protocol, the trace
-// shard files, and every other line-oriented exchange format in the tree:
+// The flat-JSON-line dialect shared by the daemon wire protocol, the daemon
+// `stats` document, and every other line-oriented exchange format in the tree:
 // one JSON object per line, string / number / bool / null values only (no
 // nesting), unknown keys skipped, so either side of an exchange can be newer
 // than the other without breaking it.
 //
 // Writers build lines with AppendJsonString (controls escape as \u00XX);
 // readers scan them with FlatLineParser, which surfaces each key through a
-// string or number callback. Structurally rich payloads (the daemon `stats`
-// op, metric expositions) travel as pre-rendered documents inside a string
-// field of a flat line.
+// string or number callback. Pre-rendered documents (the daemon `stats`
+// object, metric expositions) travel inside a string field of a flat line.
 #ifndef ICARUS_SUPPORT_FLAT_JSON_H_
 #define ICARUS_SUPPORT_FLAT_JSON_H_
 

@@ -15,10 +15,6 @@
 
 namespace icarus::sym {
 
-namespace {
-
-enum class Tri : uint8_t { kFalse, kTrue, kUnknown };
-
 bool IsAtomKind(ExprRef e) {
   if (e->sort != Sort::kBool) {
     return false;
@@ -35,107 +31,7 @@ bool IsAtomKind(ExprRef e) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Atom collection and three-valued evaluation of the boolean skeleton.
-// ---------------------------------------------------------------------------
-
-void CollectAtoms(ExprRef e, std::vector<ExprRef>* atoms, std::unordered_set<ExprRef>* seen) {
-  if (!seen->insert(e).second) {
-    return;
-  }
-  if (IsAtomKind(e)) {
-    atoms->push_back(e);
-    return;
-  }
-  switch (e->kind) {
-    case Kind::kNot:
-    case Kind::kAnd:
-    case Kind::kOr:
-      for (ExprRef a : e->args) {
-        CollectAtoms(a, atoms, seen);
-      }
-      break;
-    case Kind::kConstBool:
-      break;
-    default:
-      // Non-boolean structure below an atom is handled by the theory layer.
-      break;
-  }
-}
-
-class SkeletonEval {
- public:
-  explicit SkeletonEval(const std::unordered_map<ExprRef, Tri>* assignment)
-      : assignment_(assignment) {}
-
-  Tri Eval(ExprRef e) {
-    if (e->kind == Kind::kConstBool) {
-      return e->value != 0 ? Tri::kTrue : Tri::kFalse;
-    }
-    if (IsAtomKind(e)) {
-      auto it = assignment_->find(e);
-      return it == assignment_->end() ? Tri::kUnknown : it->second;
-    }
-    switch (e->kind) {
-      case Kind::kNot: {
-        Tri v = Eval(e->args[0]);
-        if (v == Tri::kUnknown) {
-          return Tri::kUnknown;
-        }
-        return v == Tri::kTrue ? Tri::kFalse : Tri::kTrue;
-      }
-      case Kind::kAnd: {
-        Tri a = Eval(e->args[0]);
-        if (a == Tri::kFalse) {
-          return Tri::kFalse;
-        }
-        Tri b = Eval(e->args[1]);
-        if (b == Tri::kFalse) {
-          return Tri::kFalse;
-        }
-        if (a == Tri::kTrue && b == Tri::kTrue) {
-          return Tri::kTrue;
-        }
-        return Tri::kUnknown;
-      }
-      case Kind::kOr: {
-        Tri a = Eval(e->args[0]);
-        if (a == Tri::kTrue) {
-          return Tri::kTrue;
-        }
-        Tri b = Eval(e->args[1]);
-        if (b == Tri::kTrue) {
-          return Tri::kTrue;
-        }
-        if (a == Tri::kFalse && b == Tri::kFalse) {
-          return Tri::kFalse;
-        }
-        return Tri::kUnknown;
-      }
-      default:
-        ICARUS_BUG("non-boolean node in skeleton");
-    }
-  }
-
-  // First undecided atom in `e`, or nullptr.
-  ExprRef PickUndecided(ExprRef e) {
-    if (e->kind == Kind::kConstBool) {
-      return nullptr;
-    }
-    if (IsAtomKind(e)) {
-      return assignment_->count(e) != 0 ? nullptr : e;
-    }
-    for (ExprRef a : e->args) {
-      if (ExprRef pick = PickUndecided(a)) {
-        return pick;
-      }
-    }
-    return nullptr;
-  }
-
- private:
-  const std::unordered_map<ExprRef, Tri>* assignment_;
-};
+namespace {
 
 // ---------------------------------------------------------------------------
 // Theory checking: congruence closure + interval propagation.
@@ -776,6 +672,23 @@ void TheoryChecker::BuildModel(Model* model) {
 }
 
 }  // namespace
+
+bool CheckTheory(const std::vector<std::pair<ExprRef, bool>>& literals, Model* model) {
+  TheoryChecker theory;
+  if (!theory.Check(literals)) {
+    return false;
+  }
+  model->atoms = literals;
+  theory.BuildModel(model);
+  // Boolean variables are atoms, not theory terms; record their truth values
+  // as witnesses alongside the integer/term class values.
+  for (const auto& [atom, truth] : literals) {
+    if (atom->kind == Kind::kVar && atom->sort == Sort::kBool) {
+      model->witnesses.push_back(Witness{atom->name, Sort::kBool, truth ? 1 : 0});
+    }
+  }
+  return true;
+}
 
 std::string Witness::ToString() const {
   switch (sort) {
@@ -1422,9 +1335,14 @@ class Solver::Cdcl {
           }
         }
       } else {
-        for (Lit l : clauses_[static_cast<size_t>(reason)]) {
-          if (vars_[static_cast<size_t>(VarOf(l))].level > 0) {
-            seen_[static_cast<size_t>(VarOf(l))] = 1;
+        // Skip index 0, v's own implied literal: the walk has already passed
+        // v, so re-marking it would leave a stale seen_ mark that corrupts
+        // the next Analyze. (Analyze and MiniSat's analyzeFinal also start
+        // at 1.)
+        const std::vector<Lit>& c = clauses_[static_cast<size_t>(reason)];
+        for (size_t j = 1; j < c.size(); ++j) {
+          if (vars_[static_cast<size_t>(VarOf(c[j]))].level > 0) {
+            seen_[static_cast<size_t>(VarOf(c[j]))] = 1;
           }
         }
       }
@@ -1550,12 +1468,11 @@ class Solver::Cdcl {
 };
 
 // ---------------------------------------------------------------------------
-// Solver: the incremental interface over the engines.
+// Solver: the incremental interface over the CDCL engine.
 // ---------------------------------------------------------------------------
 
-Solver::Solver() : Solver(Limits{}, Options{}) {}
-Solver::Solver(Limits limits) : Solver(limits, Options{}) {}
-Solver::Solver(Limits limits, Options options) : limits_(limits), options_(options) {}
+Solver::Solver() : Solver(Limits{}) {}
+Solver::Solver(Limits limits) : limits_(limits) {}
 Solver::~Solver() = default;
 
 void Solver::Push() { scopes_.emplace_back(); }
@@ -1584,15 +1501,13 @@ void Solver::AddTempClause(const std::vector<ExprRef>& lits) {
   }
   Scope& scope = scopes_.back();
   scope.temp_clauses.push_back(lits);
-  if (options_.clause_learning) {
-    if (cdcl_ == nullptr) {
-      cdcl_ = std::make_unique<Cdcl>(&stats_);
-    }
-    if (scope.selector_var < 0) {
-      scope.selector_var = cdcl_->NewSelectorVar();
-    }
-    cdcl_->AddGuardedClause(scope.selector_var, lits);
+  if (cdcl_ == nullptr) {
+    cdcl_ = std::make_unique<Cdcl>(&stats_);
   }
+  if (scope.selector_var < 0) {
+    scope.selector_var = cdcl_->NewSelectorVar();
+  }
+  cdcl_->AddGuardedClause(scope.selector_var, lits);
 }
 
 std::vector<ExprRef> Solver::FlattenAssumptions() const {
@@ -1751,25 +1666,12 @@ SolveResult Solver::SolveImpl(bool want_model) {
 
 SolveResult Solver::SolveCore(bool want_model) {
   // One failpoint hit per searched (cache-missed) query, in addition to the
-  // per-decision hits inside the engines, so fault-injection tests observe
+  // per-decision hits inside the engine, so fault-injection tests observe
   // query-grained activity even when learned clauses answer with few or no
   // decisions. Cache hits do not fire.
   ICARUS_FAILPOINT(failpoint::kSolverDecision);
   std::vector<ExprRef> conjuncts = FlattenAssumptions();
   final_conflict_.clear();
-  if (!options_.clause_learning) {
-    std::vector<std::vector<ExprRef>> clauses;
-    for (const Scope& s : scopes_) {
-      clauses.insert(clauses.end(), s.temp_clauses.begin(), s.temp_clauses.end());
-    }
-    SolveResult result = SolveDecideOnly(conjuncts, clauses);
-    if (result.verdict == Verdict::kUnsat) {
-      // The decide-only engine has no conflict analysis; every assumed
-      // conjunct is reported (a sound over-approximation of the core).
-      final_conflict_ = conjuncts;
-    }
-    return result;
-  }
   if (cdcl_ == nullptr) {
     cdcl_ = std::make_unique<Cdcl>(&stats_);
   }
@@ -1785,130 +1687,6 @@ SolveResult Solver::SolveCore(bool want_model) {
   }
   return cdcl_->Solve(conjuncts, selectors, clause_roots, limits_, want_model,
                       &final_conflict_);
-}
-
-// The retained pre-CDCL engine: recursive DPLL over the query's atoms with
-// early skeleton evaluation, fresh per call, no learning. Serves as the
-// --no-clause-learning ablation engine and as the oracle for the solver's
-// differential fuzz tests.
-SolveResult Solver::SolveDecideOnly(const std::vector<ExprRef>& conjuncts,
-                                    const std::vector<std::vector<ExprRef>>& clauses) {
-  std::vector<ExprRef> atoms;
-  std::unordered_set<ExprRef> seen;
-  for (ExprRef c : conjuncts) {
-    CollectAtoms(c, &atoms, &seen);
-  }
-  for (const auto& clause : clauses) {
-    for (ExprRef l : clause) {
-      CollectAtoms(l, &atoms, &seen);
-    }
-  }
-
-  std::unordered_map<ExprRef, Tri> assignment;
-  SolveResult result;
-  bool exhausted = false;
-  // Budgets are per query: decisions are counted relative to this query's
-  // start, and the wall clock (checked every 64 decisions to keep it off the
-  // hot path) starts now.
-  const int64_t decisions_at_start = stats_.decisions;
-  WallTimer query_timer;
-
-  auto search = [&](auto&& self) -> bool {
-    if (stats_.decisions - decisions_at_start > limits_.max_decisions) {
-      exhausted = true;
-      return false;
-    }
-    if (limits_.max_seconds > 0.0 &&
-        (stats_.decisions - decisions_at_start) % 64 == 0 &&
-        query_timer.ElapsedSeconds() > limits_.max_seconds) {
-      exhausted = true;
-      return false;
-    }
-    SkeletonEval eval(&assignment);
-    ExprRef branch_atom = nullptr;
-    for (ExprRef c : conjuncts) {
-      Tri v = eval.Eval(c);
-      if (v == Tri::kFalse) {
-        return false;
-      }
-      if (v == Tri::kUnknown && branch_atom == nullptr) {
-        branch_atom = eval.PickUndecided(c);
-      }
-    }
-    for (const auto& clause : clauses) {
-      // Disjunctive temporary clause: or-fold its literals.
-      Tri v = Tri::kFalse;
-      ExprRef undecided = nullptr;
-      for (ExprRef l : clause) {
-        Tri lv = eval.Eval(l);
-        if (lv == Tri::kTrue) {
-          v = Tri::kTrue;
-          break;
-        }
-        if (lv == Tri::kUnknown) {
-          v = Tri::kUnknown;
-          if (undecided == nullptr) {
-            undecided = eval.PickUndecided(l);
-          }
-        }
-      }
-      if (v == Tri::kFalse) {
-        return false;
-      }
-      if (v == Tri::kUnknown && branch_atom == nullptr) {
-        branch_atom = undecided;
-      }
-    }
-    if (branch_atom == nullptr) {
-      // Everything propositionally true; check the decided literals against
-      // the theory.
-      ++stats_.theory_checks;
-      std::vector<std::pair<ExprRef, bool>> literals;
-      literals.reserve(assignment.size());
-      for (const auto& [atom, tri] : assignment) {
-        literals.emplace_back(atom, tri == Tri::kTrue);
-      }
-      TheoryChecker theory;
-      if (!theory.Check(literals)) {
-        return false;
-      }
-      result.verdict = Verdict::kSat;
-      result.model.atoms = literals;
-      theory.BuildModel(&result.model);
-      // Boolean variables are atoms, not theory terms; record their truth
-      // values as witnesses alongside the integer/term class values.
-      for (const auto& [atom, truth] : literals) {
-        if (atom->kind == Kind::kVar && atom->sort == Sort::kBool) {
-          result.model.witnesses.push_back(Witness{atom->name, Sort::kBool, truth ? 1 : 0});
-        }
-      }
-      return true;
-    }
-    for (Tri choice : {Tri::kTrue, Tri::kFalse}) {
-      ICARUS_FAILPOINT(failpoint::kSolverDecision);
-      ++stats_.decisions;
-      assignment[branch_atom] = choice;
-      if (self(self)) {
-        return true;
-      }
-      assignment.erase(branch_atom);
-      if (exhausted) {
-        return false;
-      }
-    }
-    return false;
-  };
-
-  if (search(search)) {
-    return result;
-  }
-  if (exhausted) {
-    ++stats_.budget_exhausted;
-    result.verdict = Verdict::kUnknown;
-  } else {
-    result.verdict = Verdict::kUnsat;
-  }
-  return result;
 }
 
 }  // namespace icarus::sym

@@ -27,9 +27,10 @@
 // to SAT with a best-effort model, which for a verifier is the conservative
 // direction: it can cause a spurious counterexample, never a missed bug.
 //
-// The pre-CDCL decide-only search (atom-level DPLL, no learning) is retained
-// behind Options::clause_learning = false as the `--no-clause-learning`
-// ablation engine and as the oracle for the differential fuzz tests.
+// The pre-CDCL decide-only search (atom-level DPLL, no learning) lives in
+// tests/decide_only_oracle.h, as the differential fuzz oracle and the
+// ablation baseline of bench_solver; it reaches the theory layer through
+// IsAtomKind and CheckTheory below.
 #ifndef ICARUS_SYM_SOLVER_H_
 #define ICARUS_SYM_SOLVER_H_
 
@@ -94,7 +95,7 @@ struct Model {
 // (per-generator) solver the counters accumulate across queries; callers
 // attributing cost per query take deltas.
 struct SolverStats {
-  int64_t decisions = 0;         // Branching decisions (CDCL or decide-only).
+  int64_t decisions = 0;         // Branching decisions.
   int64_t propagations = 0;      // Literals assigned by unit propagation.
   int64_t conflicts = 0;         // Conflicts hit (propositional + theory).
   int64_t learned_clauses = 0;   // Clauses added by 1-UIP analysis + lemmas.
@@ -113,6 +114,15 @@ struct SolveResult {
   Verdict verdict = Verdict::kUnknown;
   Model model;  // Valid only when verdict == kSat.
 };
+
+// True for the boolean terms the solver treats as atoms: (in)equalities,
+// integer comparisons, boolean variables and uninterpreted predicates.
+bool IsAtomKind(ExprRef e);
+
+// Theory check of one full assignment: `literals` are (atom, truth) pairs.
+// Returns false on a theory conflict. On success fills `*model` with the
+// assignment, the class values and the variable witnesses.
+bool CheckTheory(const std::vector<std::pair<ExprRef, bool>>& literals, Model* model);
 
 // Decides satisfiability of conjunctions of hash-consed boolean terms.
 //
@@ -151,17 +161,8 @@ class Solver {
     double max_seconds = 0.0;  // Wall-clock budget per query; 0 = unlimited.
   };
 
-  // Engine selection, fixed at construction.
-  struct Options {
-    // Default: the CDCL core. False selects the decide-only DPLL search
-    // (no clause learning, no cross-query reuse) — the `--no-clause-learning`
-    // ablation path and the oracle for differential fuzzing.
-    bool clause_learning = true;
-  };
-
   Solver();
   explicit Solver(Limits limits);
-  Solver(Limits limits, Options options);
   ~Solver();
   Solver(const Solver&) = delete;
   Solver& operator=(const Solver&) = delete;
@@ -177,7 +178,6 @@ class Solver {
   // on a persistent solver).
   void set_limits(const Limits& limits) { limits_ = limits; }
   const Limits& limits() const { return limits_; }
-  const Options& options() const { return options_; }
 
   // --- Incremental assumption-scope interface ---
 
@@ -222,7 +222,8 @@ class Solver {
   class Cdcl;     // The clause-learning engine (solver.cc).
   struct Scope {  // One open assumption scope.
     std::vector<ExprRef> assumed;
-    std::vector<std::vector<ExprRef>> temp_clauses;  // Decide-only engine view.
+    // This scope's temporary clauses (relevancy roots for the search).
+    std::vector<std::vector<ExprRef>> temp_clauses;
     int selector_var = -1;  // CDCL selector guarding this scope's temp clauses.
   };
 
@@ -230,21 +231,16 @@ class Solver {
   SolveResult SolveImpl(bool want_model);
   // Cache-independent search over the current assumption stack.
   SolveResult SolveCore(bool want_model);
-  // The retained pre-CDCL engine: atom-level DPLL over `conjuncts` plus
-  // scope-local temp clauses, fresh per call, no learning.
-  SolveResult SolveDecideOnly(const std::vector<ExprRef>& conjuncts,
-                              const std::vector<std::vector<ExprRef>>& clauses);
   // All assumed terms across open scopes, in assertion order.
   std::vector<ExprRef> FlattenAssumptions() const;
   bool HasTempClauses() const;
 
   Limits limits_;
-  Options options_;
   SolverStats stats_;
   SolverCache* cache_ = nullptr;
   std::vector<Scope> scopes_;
   std::vector<ExprRef> final_conflict_;
-  std::unique_ptr<Cdcl> cdcl_;  // Lazily created on first CDCL query.
+  std::unique_ptr<Cdcl> cdcl_;  // Lazily created on first query.
 };
 
 }  // namespace icarus::sym

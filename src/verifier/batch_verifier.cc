@@ -233,11 +233,9 @@ GeneratorResult VerifyOne(const platform::Platform* platform, const std::string&
     }
 
     VerifyOptions vopts;
-    vopts.runs = options.runs;
     vopts.build_cfa = false;  // No verdict reads the CFA artifact.
     vopts.solver_cache = cache;
     vopts.solver_limits = limits;
-    vopts.solver_options = options.solver_options;
     vopts.cancel = cancel;
     vopts.record = options.record;
     Verifier verifier(platform);

@@ -35,11 +35,6 @@ struct BatchOptions {
   double deadline_seconds = 0.0;
   // Per-query solver budgets applied inside every task.
   sym::Solver::Limits solver_limits;
-  // Solver engine selection applied inside every task (clause_learning =
-  // false is the `--no-clause-learning` ablation).
-  sym::Solver::Options solver_options;
-  // Timing repeats per generator (passed through to VerifyOptions.runs).
-  int runs = 1;
   // Re-verify a budget-inconclusive generator up to this many extra times,
   // doubling the per-query decision and wall budgets on each attempt (and
   // bypassing cached kUnknown entries so the retry actually re-solves).

@@ -78,8 +78,7 @@ struct JournalRecord {
   double interp_s = 0.0;   // Meta-execution phase 2, minus solver time.
   double solve_s = 0.0;    // Wall time inside Solver::Solve.
   int64_t decisions = 0;   // Branching decisions across the task's queries.
-  // CDCL solver counters (schema >= 5; 0 in older rows and under the
-  // --no-clause-learning ablation engine).
+  // CDCL solver counters (schema >= 5; 0 in older rows).
   int64_t propagations = 0;     // Literals assigned by unit propagation.
   int64_t learned_clauses = 0;  // 1-UIP clauses + theory lemmas learned.
   int64_t restarts = 0;         // Luby restarts.

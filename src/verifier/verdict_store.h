@@ -47,7 +47,10 @@ namespace icarus::verifier {
 // Bumped to v2 when the CDCL core replaced the decide-only solver (same
 // verdicts, but budget semantics — what a given decision budget can decide —
 // changed, so pre-CDCL PASSes must not short-circuit re-verification).
-inline constexpr char kVerifierEpoch[] = "icarus-cdcl-v2";
+// Bumped to v3 when a stale conflict-analysis mark that let the warm CDCL
+// core answer UNSAT on satisfiable queries was fixed: PASSes and cached
+// UNSAT answers from the unsound core must be re-earned.
+inline constexpr char kVerifierEpoch[] = "icarus-cdcl-v3";
 
 // Canonical file layout under a --cache-dir directory.
 std::string VerdictStorePath(const std::string& cache_dir);

@@ -33,9 +33,6 @@ struct VerifyOptions {
   // Per-query solver budgets; over-budget queries degrade the report to
   // inconclusive rather than hanging the pipeline.
   sym::Solver::Limits solver_limits;
-  // Solver engine selection (clause_learning = false is the
-  // `--no-clause-learning` ablation: decide-only search, no cross-path reuse).
-  sym::Solver::Options solver_options;
   // Cooperative cancellation (fleet deadline); checked between paths.
   const std::atomic<bool>* cancel = nullptr;
   // Flight recorder: keep a bounded per-path event log, attached to any

@@ -54,21 +54,28 @@ class DaemonSoakTest : public ::testing::Test {
     Request req;
     req.op = kOpVerify;
     req.generator = generator;
-    // A handful of client identities, as a real fleet would present.
     req.client = "soak-" + std::to_string(i % 4);
     return req;
   }
 
   // Fires `count` one-request client threads and collects every response.
+  // The threads start together: released one by one as they are spawned,
+  // they can trickle in no faster than two workers drain the queue on a
+  // loaded host, and the storm never fills it.
   static std::vector<Response> Storm(ServerCore* core, int count) {
     std::vector<Response> responses(count);
+    std::atomic<bool> go{false};
     std::vector<std::thread> clients;
     clients.reserve(count);
     for (int i = 0; i < count; ++i) {
-      clients.emplace_back([core, &responses, i] {
+      clients.emplace_back([core, &responses, &go, i] {
+        while (!go.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
         responses[i] = core->Execute(Verify(kPool[i % kPool.size()], i));
       });
     }
+    go.store(true, std::memory_order_release);
     for (std::thread& t : clients) {
       t.join();
     }
@@ -89,10 +96,7 @@ TEST_F(DaemonSoakTest, OverloadStormShedsInsteadOfGrowing) {
 
   DaemonOptions options;
   options.jobs = 2;
-  options.admission.queue_limit = kQueueLimit;
-  // Generous per-client budgets so the *queue* bound is the gate under test.
-  options.admission.burst = kClients;
-  options.admission.rate_per_sec = kClients;
+  options.queue_limit = kQueueLimit;
   ServerCore core(platform_, options);
   ASSERT_TRUE(core.Start().ok());
 
@@ -124,7 +128,8 @@ TEST_F(DaemonSoakTest, OverloadStormShedsInsteadOfGrowing) {
   DaemonStats stats = core.StatsSnapshot();
   EXPECT_EQ(stats.requests, kClients);
   EXPECT_EQ(stats.served + stats.warm_hits, ok);
-  EXPECT_EQ(stats.shed_rate + stats.shed_queue, overloaded);
+  EXPECT_EQ(stats.shed_queue, overloaded);
+  EXPECT_EQ(stats.served + stats.warm_hits + stats.shed_queue, stats.requests);
   EXPECT_EQ(stats.queue_depth, 0);
   EXPECT_EQ(stats.in_flight, 0);
   EXPECT_TRUE(core.FinishDrain().ok());
@@ -139,9 +144,7 @@ TEST_F(DaemonSoakTest, FaultStormWithMidStormDrainCompletesCleanly) {
 
   DaemonOptions options;
   options.jobs = 2;
-  options.admission.queue_limit = 16;
-  options.admission.burst = kClients;
-  options.admission.rate_per_sec = kClients;
+  options.queue_limit = 16;
   ServerCore core(platform_, options);
   ASSERT_TRUE(core.Start().ok());
 
@@ -172,8 +175,7 @@ TEST_F(DaemonSoakTest, FaultStormWithMidStormDrainCompletesCleanly) {
     // else (an empty status, a hang — the join above already rules that
     // out) is a dropped request.
     bool valid = resp.status == kStatusOk || resp.status == kStatusOverloaded ||
-                 resp.status == kStatusQuarantined || resp.status == kStatusShuttingDown ||
-                 resp.status == kStatusError;
+                 resp.status == kStatusShuttingDown || resp.status == kStatusError;
     ASSERT_TRUE(valid) << "status '" << resp.status << "' error '" << resp.error << "'";
     if (resp.status == kStatusShuttingDown) {
       ++shut_down;
@@ -205,8 +207,6 @@ TEST_F(DaemonSoakTest, FaultStormWithMidStormDrainCompletesCleanly) {
 TEST_F(DaemonSoakTest, DrainIsIdempotentUnderConcurrentCallers) {
   DaemonOptions options;
   options.jobs = 2;
-  options.admission.burst = 64;
-  options.admission.rate_per_sec = 64;
   ServerCore core(platform_, options);
   ASSERT_TRUE(core.Start().ok());
 

@@ -1,15 +1,12 @@
 // Daemon serving-layer suite: wire-protocol round-trips and rejection
-// diagnostics, token-bucket admission under a fake clock, deterministic
-// quarantine backoff (exponential windows with bounded jitter), and the
-// ServerCore request lifecycle end to end — real verdicts, the warm view,
-// load shedding, per-request deadlines degrading to INCONCLUSIVE, contained
-// dispatch faults feeding quarantine, graceful drain, journal replay into a
-// warm restart, and read-only degradation when another process holds the
-// cache lock. Everything here is in-process; daemon_e2e_test.cc covers the
-// real icarusd binary over a Unix socket.
+// diagnostics, and the ServerCore request lifecycle end to end — real
+// verdicts, the warm view, bounded-queue shedding, per-request deadlines
+// degrading to INCONCLUSIVE, contained dispatch faults, graceful drain,
+// journal replay into a warm restart, and read-only degradation when another
+// process holds the cache lock. Everything here is in-process;
+// daemon_e2e_test.cc covers the real icarusd binary over a Unix socket.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -18,14 +15,13 @@
 #include <thread>
 #include <vector>
 
-#include "src/daemon/admission.h"
 #include "src/daemon/protocol.h"
-#include "src/daemon/quarantine.h"
 #include "src/daemon/server.h"
 #include "src/obs/exposition.h"
 #include "src/obs/metrics.h"
 #include "src/platform/platform.h"
 #include "src/support/failpoint.h"
+#include "src/support/flat_json.h"
 #include "src/support/status.h"
 #include "src/verifier/batch_verifier.h"
 #include "src/verifier/verdict_store.h"
@@ -141,137 +137,6 @@ TEST(Protocol, MetricsFieldsRoundTrip) {
   EXPECT_EQ(rback.metrics, resp.metrics);
 }
 
-// --- Admission control (fake clock) --------------------------------------
-
-TEST(Admission, TokenBucketRefillsAtConfiguredRate) {
-  TokenBucket bucket(/*burst=*/2.0, /*rate_per_sec=*/4.0, /*now=*/100.0);
-  double retry = 0;
-  EXPECT_TRUE(bucket.TryAcquire(100.0, &retry));
-  EXPECT_TRUE(bucket.TryAcquire(100.0, &retry));
-  // Bucket empty; the hint says when the next token lands (1/rate = 0.25s).
-  EXPECT_FALSE(bucket.TryAcquire(100.0, &retry));
-  EXPECT_GT(retry, 0.0);
-  EXPECT_LE(retry, 0.25 + 1e-9);
-  // A quarter second refills exactly one token — and only one.
-  EXPECT_TRUE(bucket.TryAcquire(100.25, &retry));
-  EXPECT_FALSE(bucket.TryAcquire(100.25, &retry));
-  // Refill caps at burst: after a long idle stretch we get burst, not more.
-  EXPECT_TRUE(bucket.TryAcquire(200.0, &retry));
-  EXPECT_TRUE(bucket.TryAcquire(200.0, &retry));
-  EXPECT_FALSE(bucket.TryAcquire(200.0, &retry));
-}
-
-TEST(Admission, PerClientBucketsAndGlobalQueueBound) {
-  AdmissionController::Options options;
-  options.burst = 2;
-  options.rate_per_sec = 1;
-  options.queue_limit = 3;
-  AdmissionController admission(options);
-  double retry = 0;
-
-  // Client A burns its burst; client B is unaffected (per-client buckets).
-  EXPECT_EQ(admission.Admit("a", 0, 100.0, &retry), AdmissionController::Decision::kAdmit);
-  EXPECT_EQ(admission.Admit("a", 0, 100.0, &retry), AdmissionController::Decision::kAdmit);
-  EXPECT_EQ(admission.Admit("a", 0, 100.0, &retry), AdmissionController::Decision::kShedRate);
-  EXPECT_GT(retry, 0.0);
-  EXPECT_EQ(admission.Admit("b", 0, 100.0, &retry), AdmissionController::Decision::kAdmit);
-
-  // A full queue sheds regardless of the client's token balance.
-  EXPECT_EQ(admission.Admit("b", 3, 100.0, &retry), AdmissionController::Decision::kShedQueue);
-  EXPECT_GT(retry, 0.0);
-
-  // Stats: sorted by client, shed kinds attributed separately.
-  auto snapshot = admission.Snapshot();
-  ASSERT_EQ(snapshot.size(), 2u);
-  EXPECT_EQ(snapshot[0].first, "a");
-  EXPECT_EQ(snapshot[0].second.admitted, 2);
-  EXPECT_EQ(snapshot[0].second.shed_rate, 1);
-  EXPECT_EQ(snapshot[1].first, "b");
-  EXPECT_EQ(snapshot[1].second.admitted, 1);
-  EXPECT_EQ(snapshot[1].second.shed_queue, 1);
-  EXPECT_EQ(admission.total_admitted(), 3);
-  EXPECT_EQ(admission.total_shed(), 2);
-}
-
-// --- Quarantine (deterministic backoff schedule) --------------------------
-
-TEST(QuarantineTest, OpensAfterStrikesWithExponentialJitteredBackoff) {
-  Quarantine::Options options;
-  options.strikes = 3;
-  options.base_s = 0.5;
-  options.max_s = 60.0;
-  options.jitter = 0.25;
-  options.seed = 42;
-  Quarantine q(options);
-
-  // Below the threshold nothing is quarantined.
-  EXPECT_FALSE(q.RecordStrike("g", 100.0));
-  EXPECT_FALSE(q.RecordStrike("g", 100.0));
-  EXPECT_FALSE(q.Probe("g", 100.0).quarantined);
-
-  // Strike 3 opens the first window: base stretched by jitter in [1, 1.25).
-  EXPECT_TRUE(q.RecordStrike("g", 100.0));
-  Quarantine::Check check = q.Probe("g", 100.0);
-  ASSERT_TRUE(check.quarantined);
-  EXPECT_GE(check.retry_after_s, 0.5);
-  EXPECT_LT(check.retry_after_s, 0.5 * 1.25);
-  double w0 = check.retry_after_s;
-
-  // The window lapses on its own...
-  EXPECT_FALSE(q.Probe("g", 100.0 + w0 + 1e-6).quarantined);
-  EXPECT_EQ(q.ActiveCount(100.0 + w0 + 1e-6), 0);
-
-  // ...but the strike count does not reset: each further strike doubles the
-  // base window, jitter staying inside its band.
-  EXPECT_TRUE(q.RecordStrike("g", 200.0));
-  double w1 = q.Probe("g", 200.0).retry_after_s;
-  EXPECT_GE(w1, 1.0);
-  EXPECT_LT(w1, 1.0 * 1.25);
-  EXPECT_TRUE(q.RecordStrike("g", 300.0));
-  double w2 = q.Probe("g", 300.0).retry_after_s;
-  EXPECT_GE(w2, 2.0);
-  EXPECT_LT(w2, 2.0 * 1.25);
-
-  // Backoff is capped: pile on strikes and the window never exceeds
-  // max_s * (1 + jitter) — and never overflows, however many strikes land.
-  for (int i = 0; i < 80; ++i) {
-    EXPECT_TRUE(q.RecordStrike("g", 400.0));
-  }
-  double capped = q.Probe("g", 400.0).retry_after_s;
-  EXPECT_GE(capped, 60.0);
-  EXPECT_LT(capped, 60.0 * 1.25);
-
-  // A success clears the record entirely — no half-remembered strikes.
-  q.RecordSuccess("g");
-  EXPECT_FALSE(q.Probe("g", 400.0).quarantined);
-  EXPECT_TRUE(q.Snapshot().empty());
-}
-
-TEST(QuarantineTest, ScheduleIsDeterministicForAFixedSeed) {
-  Quarantine::Options options;
-  options.strikes = 1;
-  options.seed = 7;
-  auto schedule = [&options] {
-    Quarantine q(options);
-    std::vector<double> windows;
-    for (int i = 0; i < 6; ++i) {
-      q.RecordStrike("g", 0.0);
-      windows.push_back(q.Probe("g", 0.0).retry_after_s);
-    }
-    return windows;
-  };
-  EXPECT_EQ(schedule(), schedule());
-
-  // A different seed lands different jitter (the schedule is seeded, not
-  // accidentally constant).
-  Quarantine::Options other = options;
-  other.seed = 8;
-  Quarantine q(other);
-  q.RecordStrike("g", 0.0);
-  std::vector<double> base = schedule();
-  EXPECT_NE(q.Probe("g", 0.0).retry_after_s, base[0]);
-}
-
 // --- ServerCore: the full request lifecycle -------------------------------
 
 class ServerCoreTest : public ::testing::Test {
@@ -354,7 +219,7 @@ TEST_F(ServerCoreTest, ServesRealVerdictsAndWarmRepeats) {
   EXPECT_NE(unknown.error.find("noSuchGenerator"), std::string::npos) << unknown.error;
 
   // Decisive verdicts are warm: the repeat is served from memory, marked
-  // cached, with no admission cost and no recomputation.
+  // cached, with no queueing and no recomputation.
   Response warm = core.Execute(Verify("tryAttachCompareInt32"));
   EXPECT_EQ(warm.status, kStatusOk);
   EXPECT_EQ(warm.outcome, "VERIFIED");
@@ -395,33 +260,6 @@ TEST_F(ServerCoreTest, OlderClientTraceContextIsParsedAndServed) {
   EXPECT_EQ(resp.id, "old-1");
   EXPECT_EQ(resp.status, kStatusOk);
   EXPECT_EQ(resp.outcome, "VERIFIED");
-  EXPECT_TRUE(core.FinishDrain().ok());
-}
-
-TEST_F(ServerCoreTest, StatsJsonSurvivesControlByteClientNames) {
-  ServerCore core(platform_, DaemonOptions{});
-  ASSERT_TRUE(core.Start().ok());
-
-  // A hostile (or merely buggy) client name: quote, backslash, newline, and
-  // raw control bytes. It becomes a JSON object key inside stats_json, which
-  // itself travels as a JSON string inside the response line — two rounds of
-  // escaping that must both be loss-free.
-  std::string client = std::string("ci\x01\x1f\"\\\n\t") + "shard";
-  Response served = core.Execute(Verify("tryAttachInt32Add", client));
-  EXPECT_EQ(served.status, kStatusOk);
-
-  Request stats;
-  stats.op = kOpStats;
-  Response counters = core.Execute(stats);
-  EXPECT_EQ(counters.status, kStatusOk);
-  // Control bytes are \u-escaped in the payload (a stats line must never
-  // contain a raw newline — it would tear the NDJSON framing).
-  EXPECT_NE(counters.stats_json.find("\\u0001"), std::string::npos) << counters.stats_json;
-  EXPECT_EQ(counters.stats_json.find('\n'), std::string::npos);
-
-  Response back;
-  ASSERT_TRUE(ParseResponse(counters.ToJsonLine(), &back).ok());
-  EXPECT_EQ(back.stats_json, counters.stats_json);
   EXPECT_TRUE(core.FinishDrain().ok());
 }
 
@@ -478,9 +316,13 @@ TEST_F(ServerCoreTest, SlowRequestLogAttributesStageCosts) {
   std::remove(options.slow_log_path.c_str());
   ServerCore core(platform_, options);
   ASSERT_TRUE(core.Start().ok());
-  EXPECT_EQ(core.Execute(Verify("tryAttachCompareInt32", "slowpoke")).status, kStatusOk);
+  // A hostile (or merely buggy) client name: quote, backslash, newline, and
+  // raw control bytes. The log line must carry it loss-free, and a raw
+  // newline would tear the JSONL framing.
+  const std::string client = std::string("ci\x01\x1f\"\\\n\t") + "shard";
+  EXPECT_EQ(core.Execute(Verify("tryAttachCompareInt32", client)).status, kStatusOk);
   // Warm hits skip the service path entirely — no second log line.
-  EXPECT_EQ(core.Execute(Verify("tryAttachCompareInt32", "slowpoke")).status, kStatusOk);
+  EXPECT_EQ(core.Execute(Verify("tryAttachCompareInt32", client)).status, kStatusOk);
   EXPECT_TRUE(core.FinishDrain().ok());
 
   std::ifstream in(options.slow_log_path);
@@ -491,8 +333,19 @@ TEST_F(ServerCoreTest, SlowRequestLogAttributesStageCosts) {
     ++lines;
     EXPECT_NE(line.find("\"slow_request\":true"), std::string::npos) << line;
     EXPECT_NE(line.find("\"gen\":\"tryAttachCompareInt32\""), std::string::npos);
-    EXPECT_NE(line.find("\"client\":\"slowpoke\""), std::string::npos);
     EXPECT_NE(line.find("\"outcome\":\"VERIFIED\""), std::string::npos);
+    // Control bytes are \u-escaped, and the name parses back intact.
+    EXPECT_NE(line.find("\\u0001"), std::string::npos) << line;
+    std::string logged;
+    EXPECT_TRUE(FlatLineParser(line).Parse(
+        [&logged](const std::string& key, std::string value) {
+          if (key == "client") {
+            logged = std::move(value);
+          }
+        },
+        [](const std::string&, double) {}))
+        << line;
+    EXPECT_EQ(logged, client);
     // Stage attribution mirrors the journal's breakdown.
     for (const char* key : {"\"seconds\":", "\"cfa_s\":", "\"gen_s\":", "\"interp_s\":",
                             "\"solve_s\":", "\"paths\":", "\"queries\":"}) {
@@ -502,45 +355,10 @@ TEST_F(ServerCoreTest, SlowRequestLogAttributesStageCosts) {
   EXPECT_EQ(lines, 1);
 }
 
-TEST_F(ServerCoreTest, RateShedsRecoverWhenTheBucketRefills) {
-  std::atomic<double> now{100.0};
-  DaemonOptions options;
-  options.admission.burst = 1;
-  options.admission.rate_per_sec = 2;
-  options.clock = [&now] { return now.load(); };
-  ServerCore core(platform_, options);
-  ASSERT_TRUE(core.Start().ok());
-
-  // Distinct generators so the warm view cannot mask admission.
-  Response first = core.Execute(Verify("tryAttachInt32Add", "ci"));
-  EXPECT_EQ(first.status, kStatusOk);
-  Response shed = core.Execute(Verify("tryAttachInt32Sub", "ci"));
-  EXPECT_EQ(shed.status, kStatusOverloaded);
-  EXPECT_NE(shed.error.find("'ci'"), std::string::npos) << shed.error;
-  EXPECT_GT(shed.retry_after_ms, 0);
-  // Another client has its own bucket.
-  EXPECT_EQ(core.Execute(Verify("tryAttachInt32Mul", "other")).status, kStatusOk);
-
-  // Honouring the retry hint works: advance the clock and the shed client is
-  // admitted again.
-  now.store(100.0 + shed.retry_after_ms / 1e3 + 1e-6);
-  Response retried = core.Execute(Verify("tryAttachInt32Sub", "ci"));
-  EXPECT_EQ(retried.status, kStatusOk);
-
-  DaemonStats stats = core.StatsSnapshot();
-  EXPECT_EQ(stats.shed_rate, 1);
-  ASSERT_EQ(stats.clients.size(), 2u);
-  EXPECT_EQ(stats.clients[0].first, "ci");
-  EXPECT_EQ(stats.clients[0].second.shed_rate, 1);
-  EXPECT_TRUE(core.FinishDrain().ok());
-}
-
 TEST_F(ServerCoreTest, BoundedQueueShedsUnderConcurrentLoad) {
   DaemonOptions options;
   options.jobs = 1;
-  options.admission.burst = 1000;  // Rate gate out of the way.
-  options.admission.rate_per_sec = 1000;
-  options.admission.queue_limit = 1;
+  options.queue_limit = 1;
   ServerCore core(platform_, options);
   ASSERT_TRUE(core.Start().ok());
 
@@ -572,7 +390,7 @@ TEST_F(ServerCoreTest, BoundedQueueShedsUnderConcurrentLoad) {
     } else {
       ASSERT_EQ(resp.status, kStatusOverloaded) << resp.status;
       EXPECT_EQ(resp.error, "request queue is full");
-      EXPECT_GT(resp.retry_after_ms, 0);
+      EXPECT_EQ(resp.retry_after_ms, kOverloadedRetryAfterMs);
       ++shed;
     }
   }
@@ -594,8 +412,6 @@ TEST_F(ServerCoreTest, BoundedQueueShedsUnderConcurrentLoad) {
 TEST_F(ServerCoreTest, DeadlineDegradesQueuedRequestsToInconclusive) {
   DaemonOptions options;
   options.jobs = 1;
-  options.admission.burst = 1000;
-  options.admission.rate_per_sec = 1000;
   ServerCore core(platform_, options);
   ASSERT_TRUE(core.Start().ok());
 
@@ -646,58 +462,30 @@ TEST_F(ServerCoreTest, DeadlineDegradesQueuedRequestsToInconclusive) {
   EXPECT_TRUE(core.FinishDrain().ok());
 }
 
-TEST_F(ServerCoreTest, DispatchFaultsAreContainedAndQuarantineTheTarget) {
-  std::atomic<double> now{100.0};
-  DaemonOptions options;
-  options.admission.burst = 100;
-  options.quarantine.strikes = 2;
-  options.quarantine.base_s = 0.5;
-  options.quarantine.jitter = 0.25;
-  options.quarantine.seed = 7;
-  options.clock = [&now] { return now.load(); };
-  ServerCore core(platform_, options);
+TEST_F(ServerCoreTest, DispatchFaultsAreContained) {
+  ServerCore core(platform_, DaemonOptions{});
   ASSERT_TRUE(core.Start().ok());
 
-  // Every dispatch throws while armed; the supervisor must convert each into
-  // an INTERNAL_ERROR response for that request alone.
+  // Every dispatch throws while armed; the worker must convert each into an
+  // INTERNAL_ERROR response for that request alone — a repeat of the same
+  // target and another target alike are still served.
   ASSERT_TRUE(failpoint::Arm(std::string("p=") + failpoint::kDaemonDispatch + ":1").ok());
-  for (int i = 0; i < 2; ++i) {
-    Response resp = core.Execute(Verify("tryAttachCompareInt32"));
+  for (const char* generator :
+       {"tryAttachCompareInt32", "tryAttachCompareInt32", "tryAttachInt32Add"}) {
+    Response resp = core.Execute(Verify(generator));
     EXPECT_EQ(resp.status, kStatusOk);
     EXPECT_EQ(resp.outcome, "INTERNAL_ERROR");
     EXPECT_NE(resp.error.find("injected fault"), std::string::npos) << resp.error;
   }
+  EXPECT_EQ(core.StatsSnapshot().internal_errors, 3);
 
-  // Two strikes → quarantined: refused up front, with a retry hint inside
-  // the first backoff window (0.5s stretched by jitter < 1.25x).
-  Response refused = core.Execute(Verify("tryAttachCompareInt32"));
-  EXPECT_EQ(refused.status, kStatusQuarantined);
-  EXPECT_NE(refused.error.find("quarantined"), std::string::npos) << refused.error;
-  EXPECT_GE(refused.retry_after_ms, 500.0);
-  EXPECT_LT(refused.retry_after_ms, 625.0);
-
-  // Other targets are unaffected (still served — here burned by the same
-  // armed fault, but *served*, not refused).
-  Response other = core.Execute(Verify("tryAttachInt32Add"));
-  EXPECT_EQ(other.status, kStatusOk);
-  EXPECT_EQ(other.outcome, "INTERNAL_ERROR");
-
-  DaemonStats stats = core.StatsSnapshot();
-  EXPECT_EQ(stats.internal_errors, 3);
-  EXPECT_EQ(stats.quarantined, 1);
-  EXPECT_EQ(stats.quarantine_active, 1);
-
-  // The window lapses with time; a healthy run then clears the record.
+  // INTERNAL_ERROR is not decisive, so nothing was kept warm: once the fault
+  // is gone, the next request for the same target really verifies.
   failpoint::DisarmAll();
-  now.store(102.0);
   Response recovered = core.Execute(Verify("tryAttachCompareInt32"));
   EXPECT_EQ(recovered.status, kStatusOk);
   EXPECT_EQ(recovered.outcome, "VERIFIED");
-  // The success wiped this target's strike record (tryAttachInt32Add keeps
-  // its single sub-threshold strike — that one was never cleared).
-  for (const Quarantine::Entry& entry : core.StatsSnapshot().quarantine) {
-    EXPECT_NE(entry.generator, "tryAttachCompareInt32");
-  }
+  EXPECT_FALSE(recovered.cached);
   EXPECT_TRUE(core.FinishDrain().ok());
 }
 
@@ -736,8 +524,6 @@ TEST_F(ServerCoreTest, ParseFaultIsARecoverableException) {
 TEST_F(ServerCoreTest, DrainFailsQueuedRequestsFastAndStopsAdmission) {
   DaemonOptions options;
   options.jobs = 1;
-  options.admission.burst = 1000;
-  options.admission.rate_per_sec = 1000;
   ServerCore core(platform_, options);
   ASSERT_TRUE(core.Start().ok());
 
@@ -900,19 +686,16 @@ TEST_F(ServerCoreTest, StatsJsonCarriesTheFullSnapshot) {
   stats.requests = 3;
   stats.shed_queue = 1;
   stats.read_only_cache = true;
-  stats.clients.push_back({"ci", ClientStats{2, 0, 1}});
-  Quarantine::Entry entry;
-  entry.generator = "g";
-  entry.strikes = 4;
-  entry.until = 12.5;
-  stats.quarantine.push_back(entry);
 
   std::string json = stats.ToJson();
   EXPECT_NE(json.find("\"requests\":3"), std::string::npos) << json;
   EXPECT_NE(json.find("\"shed_queue\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"read_only_cache\":true"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"ci\":{\"admitted\":2"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"generator\":\"g\""), std::string::npos) << json;
+  // The document is one flat object: `icarus top` reads it with the
+  // flat-line parser.
+  EXPECT_TRUE(FlatLineParser(json).Parse([](const std::string&, std::string) {},
+                                         [](const std::string&, double) {}))
+      << json;
 }
 
 }  // namespace

@@ -128,10 +128,6 @@ int VerifyAllHelp() {
       "  --retries N     Re-verify budget-inconclusive generators up to N extra\n"
       "                  times, doubling the per-query solver budgets each time\n"
       "                  (default: 0). Deadline-cancelled tasks are not retried.\n"
-      "  --no-clause-learning\n"
-      "                  Debug/ablation: solve every query with the decide-only\n"
-      "                  search (no conflict clause learning, no cross-path\n"
-      "                  reuse). See EXPERIMENTS.md §\"Solver ablation\".\n"
       "  --stats         Also render the cost-attribution table: per-generator\n"
       "                  stage breakdown (generate / interpret / solve),\n"
       "                  decision/propagation counts, learned clauses, restarts,\n"
@@ -618,7 +614,8 @@ int ClientCmd(int argc, char** argv) {
       if (resp->status != icarus::daemon::kStatusOverloaded || attempt >= retries) {
         return true;
       }
-      double delay_ms = resp->retry_after_ms > 0 ? resp->retry_after_ms : 50.0;
+      double delay_ms = resp->retry_after_ms > 0 ? resp->retry_after_ms
+                                                 : icarus::daemon::kOverloadedRetryAfterMs;
       delay_ms *= 0.75 + 0.5 * retry_rng.NextDouble();
       std::fprintf(stderr, "icarus client: overloaded, retrying in %.0f ms (%d/%d)\n",
                    delay_ms, attempt + 1, retries);
@@ -711,10 +708,10 @@ int TopUsage() {
       "\n"
       "Live daemon introspection: polls every named daemon with stats+metrics\n"
       "each refresh and renders a per-daemon table — throughput (verdicts/s\n"
-      "between polls), queue depth, in-flight count, cache hit rate, shed and\n"
-      "quarantine counts, and p50/p99 request latency from the daemon's\n"
-      "metrics histogram (needs daemons running with --obs; latency columns\n"
-      "render '-' otherwise).\n"
+      "between polls), queue depth, in-flight count, cache hit rate, queue\n"
+      "sheds, and p50/p99 request latency from the daemon's metrics\n"
+      "histogram (needs daemons running with --obs; latency columns render\n"
+      "'-' otherwise).\n"
       "  --socket PATH   Poll the daemon at PATH. Repeatable.\n"
       "  --interval-ms N Refresh interval (default 1000).\n"
       "  --iterations N  Render N frames then exit (default: until ^C).\n"
@@ -859,8 +856,6 @@ int Run(int argc, char** argv) {
         options.use_cache = false;
       } else if (flag == "--max-decisions" && i + 1 < argc) {
         options.solver_limits.max_decisions = std::atoll(argv[++i]);
-      } else if (flag == "--no-clause-learning") {
-        options.solver_options.clause_learning = false;
       } else if (flag == "--retries" && i + 1 < argc) {
         options.retries = std::atoi(argv[++i]);
       } else if (flag == "--journal" && i + 1 < argc) {

@@ -4,8 +4,8 @@
 // verdict store, and a warm verdict view in memory, and serves verify
 // requests over newline-delimited JSON on a Unix-domain socket (see
 // src/daemon/protocol.h for the wire format and src/daemon/server.h for the
-// serving semantics: admission control, bounded queue, per-request
-// deadlines, quarantine, graceful drain).
+// serving semantics: bounded queue, per-request deadlines, graceful
+// drain).
 //
 // Lifecycle: SIGTERM/SIGINT (or a `shutdown` op) begins a graceful drain —
 // the daemon stops accepting, fails queued requests fast with
@@ -58,10 +58,6 @@ int Usage() {
       "  --jobs N         Worker threads executing verify requests (default 1).\n"
       "  --queue N        Bounded request queue length; beyond it requests are\n"
       "                   shed with OVERLOADED (default 32).\n"
-      "  --rate R         Per-client verify requests per second (default 16).\n"
-      "  --burst B        Per-client token-bucket burst (default 8).\n"
-      "  --strikes N      Consecutive internal errors before a generator is\n"
-      "                   quarantined with exponential backoff (default 3).\n"
       "  --deadline-ms D  Default per-request deadline; past it the request\n"
       "                   degrades to INCONCLUSIVE (default: none).\n"
       "  --max-decisions N  Per-query solver decision budget.\n"
@@ -101,13 +97,7 @@ int RunDaemon(int argc, char** argv) {
     } else if (flag == "--jobs" && i + 1 < argc) {
       options.jobs = std::atoi(argv[++i]);
     } else if (flag == "--queue" && i + 1 < argc) {
-      options.admission.queue_limit = std::atoi(argv[++i]);
-    } else if (flag == "--rate" && i + 1 < argc) {
-      options.admission.rate_per_sec = std::atof(argv[++i]);
-    } else if (flag == "--burst" && i + 1 < argc) {
-      options.admission.burst = std::atof(argv[++i]);
-    } else if (flag == "--strikes" && i + 1 < argc) {
-      options.quarantine.strikes = std::atoi(argv[++i]);
+      options.queue_limit = std::atoi(argv[++i]);
     } else if (flag == "--deadline-ms" && i + 1 < argc) {
       options.default_deadline_ms = std::atof(argv[++i]);
     } else if (flag == "--max-decisions" && i + 1 < argc) {
@@ -173,7 +163,7 @@ int RunDaemon(int argc, char** argv) {
   ::sigaction(SIGINT, &sa, nullptr);
 
   std::fprintf(stderr, "icarusd: serving on %s (%d worker%s, queue %d)\n", socket_path.c_str(),
-               options.jobs, options.jobs == 1 ? "" : "s", options.admission.queue_limit);
+               options.jobs, options.jobs == 1 ? "" : "s", options.queue_limit);
 
   std::mutex conn_mu;
   std::set<int> conn_fds;
