@@ -1,5 +1,7 @@
 #include "src/daemon/protocol.h"
 
+#include <cmath>
+
 #include "src/support/failpoint.h"
 #include "src/support/flat_json.h"
 #include "src/support/str_util.h"
@@ -27,7 +29,9 @@ std::string Request::ToJsonLine() const {
 Status ParseRequest(std::string_view line, Request* request) {
   ICARUS_FAILPOINT(failpoint::kDaemonParse);
   *request = Request{};
-  request->v = 0;  // Distinguish "absent" from an explicit version.
+  // Compared as parsed, never narrowed: any value but the one we speak
+  // (0 stands for "absent") is an unsupported version.
+  double version = 0;
   FlatLineParser parser(line);
   bool ok = parser.Parse(
       [&](const std::string& key, std::string value) {
@@ -45,7 +49,7 @@ Status ParseRequest(std::string_view line, Request* request) {
       },
       [&](const std::string& key, double value) {
         if (key == "v") {
-          request->v = static_cast<int>(value);
+          version = value;
         } else if (key == "deadline_ms") {
           request->deadline_ms = value;
         }
@@ -53,12 +57,10 @@ Status ParseRequest(std::string_view line, Request* request) {
   if (!ok) {
     return Status::Error("malformed request (want one flat JSON object per line)");
   }
-  if (request->v == 0) {
-    request->v = kProtocolVersion;  // Tolerate omitted version from simple clients.
-  }
-  if (request->v != kProtocolVersion) {
-    return Status::Error(StrFormat("unsupported protocol version %d (this server speaks %d)",
-                                   request->v, kProtocolVersion));
+  // An omitted version is tolerated from simple clients.
+  if (version != 0 && version != kProtocolVersion) {
+    return Status::Error(StrFormat("unsupported protocol version %.17g (this server speaks %d)",
+                                   version, kProtocolVersion));
   }
   if (request->op != kOpPing && request->op != kOpVerify && request->op != kOpStats &&
       request->op != kOpShutdown && request->op != kOpMetrics) {
@@ -72,6 +74,9 @@ Status ParseRequest(std::string_view line, Request* request) {
       request->format != "json") {
     return Status::Error(StrCat("unknown metrics format '", request->format,
                                 "' (want prom or json)"));
+  }
+  if (!std::isfinite(request->deadline_ms)) {
+    return Status::Error("non-finite deadline_ms");
   }
   if (request->deadline_ms < 0) {
     return Status::Error("negative deadline_ms");
@@ -109,6 +114,10 @@ std::string Response::ToJsonLine() const {
 
 Status ParseResponse(std::string_view line, Response* response) {
   *response = Response{};
+  bool in_range = true;
+  auto narrow = [&in_range](double v, auto* field) {
+    in_range = NarrowJsonNumber(v, field) && in_range;
+  };
   FlatLineParser parser(line);
   bool ok = parser.Parse(
       [&](const std::string& key, std::string value) {
@@ -130,20 +139,20 @@ Status ParseResponse(std::string_view line, Response* response) {
       },
       [&](const std::string& key, double value) {
         if (key == "v") {
-          response->v = static_cast<int>(value);
+          narrow(value, &response->v);
         } else if (key == "cached") {
           response->cached = value != 0;
         } else if (key == "seconds") {
           response->seconds = value;
         } else if (key == "paths") {
-          response->paths = static_cast<int64_t>(value);
+          narrow(value, &response->paths);
         } else if (key == "queries") {
-          response->queries = static_cast<int64_t>(value);
+          narrow(value, &response->queries);
         } else if (key == "retry_after_ms") {
           response->retry_after_ms = value;
         }
       });
-  if (!ok) {
+  if (!ok || !in_range) {
     return Status::Error("malformed response line");
   }
   if (response->status.empty()) {

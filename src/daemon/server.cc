@@ -408,9 +408,7 @@ Response ServerCore::ExecuteVerify(const Request& request) {
   double deadline_ms =
       request.deadline_ms > 0 ? request.deadline_ms : options_.default_deadline_ms;
   if (deadline_ms > 0) {
-    auto wait = std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-        std::chrono::duration<double>(deadline_ms / 1e3));
-    if (future.wait_for(wait) == std::future_status::timeout) {
+    if (future.wait_until(DeadlineAfter(deadline_ms / 1e3)) == std::future_status::timeout) {
       ticket.cancel.store(true, std::memory_order_relaxed);
       std::lock_guard<std::mutex> lock(mu_);
       ++counters_.deadline_cancelled;
@@ -469,7 +467,6 @@ Response ServerCore::ServeVerify(Ticket* ticket) {
   result.generator = request.generator;
   result.unit_fp = ticket->unit_fp;
   result.budget_decisions = options_.solver_limits.max_decisions;
-  result.budget_seconds = options_.solver_limits.max_seconds;
 
   // Persistent-store hit: an unchanged unit previously VERIFIED under this
   // exact budget — same contract as `verify-all --incremental`.

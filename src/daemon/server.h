@@ -67,10 +67,10 @@ struct DaemonOptions {
   int queue_limit = 32;
   // Deadline applied to requests that do not carry their own; 0 = none.
   double default_deadline_ms = 0;
-  // Per-query solver budgets for every verification this daemon runs (the
-  // budget is part of the verdict-store key, so it is service config, not
-  // per-request — two clients asking under different budgets would defeat
-  // the warm view).
+  // Per-query solver decision budget for every verification this daemon runs
+  // (the budget is part of the verdict-store key, so it is service config,
+  // not per-request — two clients asking under different budgets would
+  // defeat the warm view).
   sym::Solver::Limits solver_limits;
   // When non-empty, every verdict is appended (fsync'd) here and replayed
   // into the warm view on startup.

@@ -94,15 +94,13 @@ sym::SolveResult EvalContext::SolveQuery(const std::vector<sym::ExprRef>& conjun
   WallTimer solve_timer;
   sym::SolveResult r;
   if (solver_ != nullptr) {
-    // Persistent solver: re-sync budgets (retry escalation replaces the
-    // context's limits between attempts) and attribute cost by delta — its
-    // counters accumulate across every query of the run.
-    solver_->set_limits(solver_limits_);
+    // Persistent solver: attribute cost by delta — its counters accumulate
+    // across every query of the run.
     const int64_t decisions_before = solver_->stats().decisions;
     r = solver_->Solve(conjuncts, want_model);
     solver_decisions_ += solver_->stats().decisions - decisions_before;
   } else {
-    sym::Solver solver(solver_limits_);
+    sym::Solver solver;
     solver.set_cache(solver_cache_);
     r = solver.Solve(conjuncts, want_model);
     solver_decisions_ += solver.stats().decisions;

@@ -269,15 +269,12 @@ class EvalContext {
   // Attaches a shared, concurrency-safe solver-result cache (may be null).
   void set_solver_cache(sym::SolverCache* cache) { solver_cache_ = cache; }
   sym::SolverCache* solver_cache() const { return solver_cache_; }
-  // Per-query resource budgets; queries over budget degrade to kUnknown.
-  void set_solver_limits(const sym::Solver::Limits& limits) { solver_limits_ = limits; }
-  const sym::Solver::Limits& solver_limits() const { return solver_limits_; }
   // Attaches a persistent Solver owned by the caller (the meta-executor keeps
   // one per generator run, so clauses learned on one path prune its
   // siblings). Null (the default) makes every query build a fresh throwaway
-  // solver. The solver must outlive the context; its limits are re-synced
-  // from solver_limits() before each query, and this context's per-query
-  // cost counters are accumulated as deltas against its stats.
+  // solver with the default limits. The solver must outlive the context and
+  // keeps the limits it was built with; this context's per-query cost
+  // counters are accumulated as deltas against its stats.
   void set_solver(sym::Solver* solver) { solver_ = solver; }
   sym::Solver* solver() const { return solver_; }
 
@@ -361,7 +358,6 @@ class EvalContext {
   double solver_seconds_ = 0.0;
   int64_t solver_decisions_ = 0;
   sym::SolverCache* solver_cache_ = nullptr;
-  sym::Solver::Limits solver_limits_;
   sym::Solver* solver_ = nullptr;  // Shared persistent solver (not owned).
   bool abstract_mode_ = false;
   bool recording_ = false;

@@ -152,7 +152,6 @@ MetaResult MetaExecutor::Run(const MetaStub& stub) {
 
     exec::EvalContext ctx(module_, &pool, externs_, exec::Mode::kSymbolic);
     ctx.set_solver_cache(solver_cache_);
-    ctx.set_solver_limits(solver_limits_);
     ctx.set_solver(&solver);
     ctx.set_recording(recording_);
     ctx.set_max_events(static_cast<size_t>(limits_.max_path_events));

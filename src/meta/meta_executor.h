@@ -104,7 +104,8 @@ class MetaExecutor {
   // Shared solver-result cache applied to every path's context (may be null;
   // must be concurrency-safe when the executor runs on a pool worker).
   void set_solver_cache(sym::SolverCache* cache) { solver_cache_ = cache; }
-  // Per-query solver budgets applied to every path's context.
+  // Per-query decision budget of the persistent solver, which the first
+  // Run() builds: set it before then.
   void set_solver_limits(const sym::Solver::Limits& limits) { solver_limits_ = limits; }
   // Cooperative cancellation: checked between paths; when it flips true the
   // run stops early and the result is marked cancelled + inconclusive.

@@ -8,13 +8,11 @@
 
 namespace icarus::obs {
 
-#ifndef ICARUS_OBS_DISABLED
 namespace internal {
 std::atomic<bool> g_enabled{false};
 }  // namespace internal
 
 void SetEnabled(bool on) { internal::g_enabled.store(on, std::memory_order_relaxed); }
-#endif
 
 int ThisThreadShard() {
   static std::atomic<int> next{0};

@@ -27,11 +27,7 @@
 //   }
 //
 // Cost discipline (same as src/support/failpoint.h): when the runtime flag
-// is off, the instrumentation is one relaxed atomic load; when the library
-// is compiled out (ICARUS_ENABLE_OBS=OFF ⇒ -DICARUS_OBS_DISABLED),
-// Enabled() is constexpr false and the whole guarded block is dead code the
-// compiler deletes — the registry API remains linkable so exporters and
-// tests still build.
+// is off, the instrumentation is one relaxed atomic load.
 #ifndef ICARUS_OBS_METRICS_H_
 #define ICARUS_OBS_METRICS_H_
 
@@ -45,13 +41,6 @@
 
 namespace icarus::obs {
 
-// True when this build carries the instrumentation (compile-time gate).
-#ifdef ICARUS_OBS_DISABLED
-inline constexpr bool kCompiledIn = false;
-constexpr bool Enabled() { return false; }
-inline void SetEnabled(bool) {}
-#else
-inline constexpr bool kCompiledIn = true;
 namespace internal {
 extern std::atomic<bool> g_enabled;
 }  // namespace internal
@@ -59,7 +48,6 @@ extern std::atomic<bool> g_enabled;
 inline bool Enabled() { return internal::g_enabled.load(std::memory_order_relaxed); }
 // Flips the runtime flag (CLI --metrics/--trace/--stats, tests).
 void SetEnabled(bool on);
-#endif
 
 // Number of per-thread shards per instrument. A thread is assigned a shard
 // on first use (round-robin); more threads than shards just share lines.

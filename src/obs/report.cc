@@ -229,7 +229,7 @@ std::string RenderHtmlReport(const ReportInput& input) {
          "<span><i class=\"s-interp\"></i>interpret</span>"
          "<span><i class=\"s-solve\"></i>solve</span></p>\n";
   out += "<table>\n<tr><th>Generator</th><th>Outcome</th><th>Paths</th>"
-         "<th>Attached</th><th>Infeasible</th><th>Queries</th><th>Tries</th>"
+         "<th>Attached</th><th>Infeasible</th><th>Queries</th>"
          "<th>Time (s)</th><th>Stage costs</th></tr>\n";
   double max_stage_total = 0.0;
   for (const ReportRow& r : input.rows) {
@@ -248,10 +248,10 @@ std::string RenderHtmlReport(const ReportInput& input) {
     out += StrFormat(
         "<td class=\"num\">%lld</td><td class=\"num\">%lld</td>"
         "<td class=\"num\">%lld</td><td class=\"num\">%lld</td>"
-        "<td class=\"num\">%d</td><td class=\"num\">%.4f</td><td>",
+        "<td class=\"num\">%.4f</td><td>",
         static_cast<long long>(r.paths), static_cast<long long>(r.paths_attached),
         static_cast<long long>(r.paths_infeasible), static_cast<long long>(r.queries),
-        r.attempts, r.seconds);
+        r.seconds);
     AppendStageBar(r, max_stage_total, &out);
     out += "</td></tr>\n";
   }

@@ -29,7 +29,6 @@ struct ReportRow {
   int64_t paths_infeasible = 0;
   int64_t queries = 0;
   int64_t decisions = 0;
-  int attempts = 1;
   double seconds = 0.0;
   double cfa_s = 0.0;
   double gen_s = 0.0;

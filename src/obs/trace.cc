@@ -92,7 +92,6 @@ thread_local std::vector<int64_t> t_span_stack;
 
 }  // namespace
 
-#ifndef ICARUS_OBS_DISABLED
 namespace internal {
 std::atomic<bool> g_tracing{false};
 }  // namespace internal
@@ -110,7 +109,6 @@ void StartTracing() {
 }
 
 void StopTracing() { internal::g_tracing.store(false, std::memory_order_relaxed); }
-#endif
 
 ScopedSpan::ScopedSpan(const char* name) {
   if (TracingActive()) {

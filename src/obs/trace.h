@@ -22,16 +22,15 @@
 // workers die with the ThreadPool, before the CLI exports.
 //
 // Cost: when tracing is inactive, constructing a ScopedSpan is one relaxed
-// atomic load (the same discipline as metrics and fail points); when the
-// library is compiled out it is constexpr-false dead code.
+// atomic load (the same discipline as metrics and fail points).
 #ifndef ICARUS_OBS_TRACE_H_
 #define ICARUS_OBS_TRACE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
-
-#include "src/obs/metrics.h"  // kCompiledIn / compile-time gate.
 
 namespace icarus::obs {
 
@@ -46,11 +45,6 @@ struct SpanEvent {
   int64_t parent = 0;  // Enclosing span's id; 0 = top level.
 };
 
-#ifdef ICARUS_OBS_DISABLED
-constexpr bool TracingActive() { return false; }
-inline void StartTracing() {}
-inline void StopTracing() {}
-#else
 namespace internal {
 extern std::atomic<bool> g_tracing;
 }  // namespace internal
@@ -59,7 +53,6 @@ inline bool TracingActive() { return internal::g_tracing.load(std::memory_order_
 // Clears all buffers, restarts the epoch, and begins recording.
 void StartTracing();
 void StopTracing();
-#endif
 
 // Records the span [construction, destruction) on the calling thread when
 // tracing is active at construction time. `detail`, when given, is appended

@@ -11,7 +11,9 @@
 #ifndef ICARUS_SUPPORT_FLAT_JSON_H_
 #define ICARUS_SUPPORT_FLAT_JSON_H_
 
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <string_view>
 
@@ -21,8 +23,24 @@ namespace icarus {
 // control bytes (\n \r \t named; anything else below 0x20 as \u00XX).
 void AppendJsonString(std::string_view s, std::string* out);
 
+// Narrows a number FlatLineParser surfaced to the integer type T, truncating
+// toward zero. Returns false, leaving *out untouched, when the value is NaN or
+// out of T's range, where the conversion would be undefined behaviour.
+template <typename T>
+bool NarrowJsonNumber(double value, T* out) {
+  // Both bounds are exact in double: min() is a power of two, and max() + 1
+  // is (after rounding) the next one.
+  if (!(value >= static_cast<double>(std::numeric_limits<T>::min()) &&
+        value < static_cast<double>(std::numeric_limits<T>::max()) + 1.0)) {
+    return false;
+  }
+  *out = static_cast<T>(value);
+  return true;
+}
+
 // Flat-object scanner with a per-key callback. Bools surface as numbers
-// (0/1), nulls are skipped, unknown keys are the callback's business.
+// (0/1), nulls are skipped, unknown keys are the callback's business. A
+// number outside double's range (e.g. 1e999) makes the line malformed.
 class FlatLineParser {
  public:
   explicit FlatLineParser(std::string_view line)
@@ -169,8 +187,9 @@ class FlatLineParser {
     }
     std::string text(start, p_);
     char* endp = nullptr;
+    errno = 0;
     *out = std::strtod(text.c_str(), &endp);
-    return endp == text.c_str() + text.size();
+    return errno != ERANGE && endp == text.c_str() + text.size();
   }
 
   const char* p_;

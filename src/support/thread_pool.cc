@@ -4,28 +4,15 @@
 
 namespace icarus {
 
-namespace {
-
-// Identifies the pool/worker the current thread belongs to, so nested
-// submissions can go to the submitting worker's own deque.
-thread_local ThreadPool* tl_pool = nullptr;
-thread_local size_t tl_worker = 0;
-
-}  // namespace
-
 int ThreadPool::DefaultConcurrency() {
   return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
 }
 
 ThreadPool::ThreadPool(int num_threads) {
   int n = std::max(1, num_threads);
-  workers_.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
   threads_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    threads_.emplace_back([this, i]() { WorkerLoop(static_cast<size_t>(i)); });
+    threads_.emplace_back([this]() { WorkerLoop(); });
   }
 }
 
@@ -33,10 +20,10 @@ ThreadPool::~ThreadPool() { Shutdown(); }
 
 void ThreadPool::Shutdown() {
   {
-    std::lock_guard<std::mutex> lock(wake_mu_);
-    stop_.store(true);
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
   }
-  wake_cv_.notify_all();
+  cv_.notify_all();
   for (std::thread& t : threads_) {
     if (t.joinable()) {
       t.join();
@@ -46,26 +33,13 @@ void ThreadPool::Shutdown() {
 
 void ThreadPool::Enqueue(std::function<void()> task) {
   {
-    // The stop check and the queue push happen under the wake lock so they
-    // are atomic with respect to Shutdown() setting the flag: a task can
-    // never land in a queue after the last worker decided to exit (which
-    // would silently drop it and leave its future forever unready).
-    std::unique_lock<std::mutex> lock(wake_mu_);
-    if (!stop_.load()) {
-      if (tl_pool == this) {
-        // Nested submission: the task goes on the submitting worker's own
-        // deque (hot end), where the owner pops it LIFO and siblings can
-        // steal it FIFO.
-        Worker& w = *workers_[tl_worker];
-        std::lock_guard<std::mutex> worker_lock(w.mu);
-        w.deque.push_back(std::move(task));
-      } else {
-        std::lock_guard<std::mutex> inject_lock(injection_mu_);
-        injection_.push_back(std::move(task));
-      }
-      pending_.fetch_add(1, std::memory_order_release);
-      lock.unlock();
-      wake_cv_.notify_all();
+    // The stop check and the push share one critical section with Shutdown()
+    // setting the flag: a task can never land in the queue after the last
+    // worker decided to exit (which would leave its future forever unready).
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!stop_) {
+      queue_.push_back(std::move(task));
+      cv_.notify_one();
       return;
     }
   }
@@ -76,75 +50,20 @@ void ThreadPool::Enqueue(std::function<void()> task) {
   task();
 }
 
-bool ThreadPool::RunPendingTask() {
-  // A worker helps from its own deque first; a foreign thread starts at
-  // worker 0 (TryPopLocal(0) + TrySteal(0) together scan every deque).
-  size_t index = (tl_pool == this) ? tl_worker : 0;
-  std::function<void()> task;
-  if (TryPopLocal(index, &task) || TryPopInjected(&task) || TrySteal(index, &task)) {
-    pending_.fetch_sub(1, std::memory_order_acq_rel);
-    task();
-    return true;
-  }
-  return false;
-}
-
-bool ThreadPool::TryPopLocal(size_t index, std::function<void()>* task) {
-  Worker& w = *workers_[index];
-  std::lock_guard<std::mutex> lock(w.mu);
-  if (w.deque.empty()) {
-    return false;
-  }
-  *task = std::move(w.deque.back());
-  w.deque.pop_back();
-  return true;
-}
-
-bool ThreadPool::TryPopInjected(std::function<void()>* task) {
-  std::lock_guard<std::mutex> lock(injection_mu_);
-  if (injection_.empty()) {
-    return false;
-  }
-  *task = std::move(injection_.front());
-  injection_.pop_front();
-  return true;
-}
-
-bool ThreadPool::TrySteal(size_t thief, std::function<void()>* task) {
-  size_t n = workers_.size();
-  for (size_t i = 1; i < n; ++i) {
-    Worker& victim = *workers_[(thief + i) % n];
-    std::lock_guard<std::mutex> lock(victim.mu);
-    if (!victim.deque.empty()) {
-      // Steal from the cold (front) end, opposite the owner's pops.
-      *task = std::move(victim.deque.front());
-      victim.deque.pop_front();
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::WorkerLoop(size_t index) {
-  tl_pool = this;
-  tl_worker = index;
+void ThreadPool::WorkerLoop() {
   while (true) {
     std::function<void()> task;
-    if (TryPopLocal(index, &task) || TryPopInjected(&task) || TrySteal(index, &task)) {
-      pending_.fetch_sub(1, std::memory_order_acq_rel);
-      task();
-      continue;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [this]() { return stop_ || !queue_.empty(); });
+      if (queue_.empty()) {
+        return;  // Stopped and drained.
+      }
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
-    std::unique_lock<std::mutex> lock(wake_mu_);
-    if (stop_.load() && pending_.load() == 0) {
-      break;
-    }
-    wake_cv_.wait(lock, [this]() { return stop_.load() || pending_.load() > 0; });
-    if (stop_.load() && pending_.load() == 0) {
-      break;
-    }
+    task();
   }
-  tl_pool = nullptr;
 }
 
 }  // namespace icarus

@@ -1,28 +1,20 @@
-// Work-stealing thread pool for the batch verification driver.
+// FIFO thread pool for the batch verification driver.
 //
-// Structure: external submissions land in a global FIFO injection queue;
-// tasks submitted *from inside a worker* (nested parallelism, e.g. per-path
-// sharding of one generator) go to that worker's own deque. Each worker
-// services its own deque LIFO (hot caches), then the injection queue, then
-// steals FIFO from sibling deques — the classic owner-LIFO/thief-FIFO
-// discipline that keeps contention on the cold end of each deque.
+// Structure: one task queue, one mutex, one condition variable. Workers pop
+// from the front; Submit pushes to the back.
 //
 // Guarantees:
-//   - A single-threaded pool runs externally submitted tasks in submission
-//     order (the injection queue is FIFO).
+//   - A single-threaded pool runs tasks in submission order.
 //   - Exceptions thrown by a task are captured in the task's future and
 //     rethrown at .get(); they never escape a worker thread.
 //   - The destructor drains: every task submitted before destruction runs to
 //     completion before the threads are joined.
 //
-// Caveat: a plain future.get() *inside a task* can deadlock once every worker
-// blocks — the tasks being waited on never get a thread. Nested fork-join
-// must wait with WaitHelping(), which runs pending pool tasks on the waiting
-// thread instead of sleeping.
+// Caveat: a task must not block on the future of another task of the same
+// pool — once every worker blocks, the awaited task never gets a thread.
 #ifndef ICARUS_SUPPORT_THREAD_POOL_H_
 #define ICARUS_SUPPORT_THREAD_POOL_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -54,8 +46,7 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   // Schedules `fn` and returns a future for its result; a thrown exception is
-  // delivered through the future. Safe to call from any thread, including
-  // from inside a running task.
+  // delivered through the future. Safe to call from any thread.
   template <typename F>
   auto Submit(F fn) -> std::future<std::invoke_result_t<F>> {
     using R = std::invoke_result_t<F>;
@@ -71,55 +62,21 @@ class ThreadPool {
     return future;
   }
 
-  // Waits for `future`, running pending pool tasks on the calling thread
-  // while it is not ready. This is how a task joins its own sub-tasks: a
-  // plain future.get() from a worker deadlocks when all workers are blocked
-  // waiting, because the sub-tasks can then never be scheduled.
-  template <typename T>
-  T WaitHelping(std::future<T>& future) {
-    while (future.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
-      if (!RunPendingTask()) {
-        // Nothing runnable here; the result is being computed elsewhere.
-        future.wait_for(std::chrono::microseconds(100));
-      }
-    }
-    return future.get();
-  }
-
-  // Runs one pending task on the calling thread, if any is available.
-  // Returns false when every queue is empty.
-  bool RunPendingTask();
-
   // Number of worker threads.
-  int num_threads() const { return static_cast<int>(workers_.size()); }
+  int num_threads() const { return static_cast<int>(threads_.size()); }
 
   // Reasonable default parallelism for this machine (>= 1).
   static int DefaultConcurrency();
 
  private:
-  struct Worker {
-    std::mutex mu;
-    std::deque<std::function<void()>> deque;  // Back = owner's hot end.
-  };
-
   void Enqueue(std::function<void()> task);
-  void WorkerLoop(size_t index);
-  bool TryPopLocal(size_t index, std::function<void()>* task);
-  bool TryPopInjected(std::function<void()>* task);
-  bool TrySteal(size_t thief, std::function<void()>* task);
+  void WorkerLoop();
 
-  std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
-
-  std::mutex injection_mu_;
-  std::deque<std::function<void()>> injection_;  // External submissions, FIFO.
-
-  // Wakeup/shutdown coordination. `pending_` counts submitted-but-unstarted
-  // tasks; workers sleep only when it is zero.
-  std::mutex wake_mu_;
-  std::condition_variable wake_cv_;
-  std::atomic<int64_t> pending_{0};
-  std::atomic<bool> stop_{false};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<std::function<void()>> queue_;  // Guarded by mu_.
+  bool stop_ = false;                        // Guarded by mu_.
 };
 
 }  // namespace icarus

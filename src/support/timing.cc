@@ -7,6 +7,21 @@
 
 namespace icarus {
 
+std::chrono::steady_clock::time_point DeadlineAfter(double seconds) {
+  using Clock = std::chrono::steady_clock;
+  using Seconds = std::chrono::duration<double>;
+  const Clock::time_point now = Clock::now();
+  // Compare in double before converting: the conversion is defined only for
+  // tick counts the clock can hold. Half the clock's remaining range keeps
+  // both the rounded tick count and now + ticks clear of the limit.
+  const double headroom =
+      Seconds(Clock::duration::max()).count() - Seconds(now.time_since_epoch()).count();
+  if (!(seconds < headroom / 2)) {
+    return Clock::time_point::max();
+  }
+  return now + std::chrono::duration_cast<Clock::duration>(Seconds(std::max(seconds, 0.0)));
+}
+
 double Percentile(const std::vector<double>& sorted_samples, double q) {
   if (sorted_samples.empty()) {
     return 0.0;

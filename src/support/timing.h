@@ -22,6 +22,12 @@ class WallTimer {
   Clock::time_point start_;
 };
 
+// The steady-clock time point `seconds` from now, saturating: a value too
+// large to represent (including +inf and NaN) yields time_point::max(), which
+// never arrives, and a negative one yields now. Neither the double -> ticks
+// conversion nor the addition can overflow.
+std::chrono::steady_clock::time_point DeadlineAfter(double seconds);
+
 // Summary statistics over a sample of measurements. All fields are 0 for an
 // empty sample (ComputeStats never divides by a zero count).
 struct SampleStats {

@@ -38,8 +38,6 @@ void PutEntry(std::string* out, const QueryKey& key, const SolverCache::Entry& e
   PutRaw<uint64_t>(out, key.hi);
   PutRaw<uint8_t>(out, static_cast<uint8_t>(e.verdict));
   PutRaw<uint8_t>(out, e.has_model ? 1 : 0);
-  PutRaw<int64_t>(out, e.budget_decisions);
-  PutRaw<double>(out, e.budget_seconds);
   PutRaw<uint64_t>(out, e.tick);
   PutString(out, e.model_text);
   PutRaw<uint32_t>(out, static_cast<uint32_t>(e.witnesses.size()));
@@ -85,11 +83,11 @@ bool GetEntry(Cursor* c, QueryKey* key, SolverCache::Entry* e) {
   uint8_t verdict = 0;
   uint8_t has_model = 0;
   if (!c->Get(&key->lo) || !c->Get(&key->hi) || !c->Get(&verdict) || !c->Get(&has_model) ||
-      !c->Get(&e->budget_decisions) || !c->Get(&e->budget_seconds) || !c->Get(&e->tick) ||
-      !c->GetString(&e->model_text)) {
+      !c->Get(&e->tick) || !c->GetString(&e->model_text)) {
     return false;
   }
-  if (verdict > static_cast<uint8_t>(Verdict::kUnknown) || has_model > 1) {
+  // The cache holds decisive answers only: a kUnknown byte is corruption.
+  if (verdict >= static_cast<uint8_t>(Verdict::kUnknown) || has_model > 1) {
     return false;
   }
   e->verdict = static_cast<Verdict>(verdict);

@@ -32,8 +32,10 @@
 
 namespace icarus::sym {
 
-// Current on-disk format version; bump on any layout change.
-inline constexpr uint32_t kCacheStoreVersion = 1;
+// Current on-disk format version; bump on any layout change. Version 2
+// dropped the per-entry budget stamps when kUnknown entries stopped being
+// cached; a version-1 store is discarded with the unknown-version note.
+inline constexpr uint32_t kCacheStoreVersion = 2;
 
 struct CacheLoadResult {
   size_t entries = 0;  // Entries preloaded into the cache.

@@ -836,10 +836,8 @@ class Solver::Cdcl {
       MarkRelevant(t);
     }
 
-    // Budgets are per query; decisions count from this query's start.
+    // The budget is per query; decisions count from this query's start.
     const int64_t decisions_at_start = stats_->decisions;
-    WallTimer query_timer;
-    int64_t ticks = 0;
     int64_t conflicts_since_restart = 0;
     int64_t restart_seq = 0;
     int64_t restart_limit = kRestartBase * Luby(restart_seq);
@@ -850,10 +848,6 @@ class Solver::Cdcl {
       if (confl == kCRefUndef) {
         if (stats_->decisions - decisions_at_start > limits.max_decisions) {
           break;  // kUnknown: decision budget exhausted.
-        }
-        if (limits.max_seconds > 0.0 && (++ticks % 64 == 0) &&
-            query_timer.ElapsedSeconds() > limits.max_seconds) {
-          break;  // kUnknown: wall-clock budget exhausted.
         }
         if (conflicts_since_restart >= restart_limit) {
           ++stats_->restarts;
@@ -1564,9 +1558,7 @@ SolveResult Solver::SolveAssuming(bool want_model) {
   static obs::Counter* exhausted = reg.GetCounter("icarus_solver_budget_exhausted_total",
                                                   "Queries degraded to UNKNOWN by a budget");
   static obs::Counter* cache_hits =
-      reg.GetCounter("icarus_solver_cache_hits_total", "Queries answered by a decisive entry");
-  static obs::Counter* cache_negative = reg.GetCounter(
-      "icarus_solver_cache_negative_hits_total", "Queries answered by a kUnknown entry");
+      reg.GetCounter("icarus_solver_cache_hits_total", "Queries answered by a cached entry");
   static obs::Counter* cache_misses =
       reg.GetCounter("icarus_solver_cache_misses_total", "Cache consulted, no usable entry");
   static obs::Histogram* lat_sat = reg.GetHistogram("icarus_solver_latency_sat_seconds",
@@ -1588,7 +1580,6 @@ SolveResult Solver::SolveAssuming(bool want_model) {
   theory_checks->Add(stats_.theory_checks - before.theory_checks);
   exhausted->Add(stats_.budget_exhausted - before.budget_exhausted);
   cache_hits->Add(stats_.cache_hits - before.cache_hits);
-  cache_negative->Add(stats_.cache_negative_hits - before.cache_negative_hits);
   cache_misses->Add(stats_.cache_misses - before.cache_misses);
   switch (result.verdict) {
     case Verdict::kSat:
@@ -1613,11 +1604,9 @@ SolveResult Solver::SolveImpl(bool want_model) {
   }
   std::vector<ExprRef> conjuncts = FlattenAssumptions();
   QueryKey key = FingerprintQuery(conjuncts);
-  // A kSat entry stored without a model cannot serve a model-needing caller,
-  // and a kUnknown entry produced under a strictly smaller budget cannot
-  // serve this query; Lookup reports both as misses and the re-solve below
-  // upgrades the resident entry.
-  std::optional<SolverCache::Entry> entry = cache_->Lookup(key, want_model, &limits_);
+  // A kSat entry stored without a model cannot serve a model-needing caller;
+  // Lookup reports it as a miss and the re-solve below upgrades the entry.
+  std::optional<SolverCache::Entry> entry = cache_->Lookup(key, want_model);
   if (entry.has_value()) {
     SolveResult cached;
     cached.verdict = entry->verdict;
@@ -1625,19 +1614,12 @@ SolveResult Solver::SolveImpl(bool want_model) {
       cached.model.rendered = std::move(entry->model_text);
       cached.model.witnesses = std::move(entry->witnesses);
     }
-    if (entry->verdict == Verdict::kUnknown) {
-      // Negative entry earned under at-least-this budget: an earlier attempt
-      // already blew an equal-or-larger budget on this exact query; don't
-      // burn another budget rediscovering that.
-      ++stats_.cache_negative_hits;
-    } else {
-      ++stats_.cache_hits;
-    }
     if (entry->verdict == Verdict::kUnsat) {
       // Cached entries carry no core; the full assumption set is the sound
       // over-approximation of the final conflict.
       final_conflict_ = conjuncts;
     }
+    ++stats_.cache_hits;
     return cached;
   }
   ++stats_.cache_misses;
@@ -1651,15 +1633,12 @@ SolveResult Solver::SolveImpl(bool want_model) {
     fresh.model_text = result.model.ToString();
     fresh.witnesses = result.model.witnesses;
   }
-  if (result.verdict == Verdict::kUnknown) {
-    // Stamp the budget this give-up happened under; only strictly larger
-    // budgets will miss past it. Decisive verdicts are budget-independent —
-    // including ones found cheaply via learned clauses: a learned clause is
-    // a logical consequence of the database, so any answer derived from it
-    // would also have been found by uninformed search.
-    fresh.budget_decisions = limits_.max_decisions;
-    fresh.budget_seconds = limits_.max_seconds;
-  }
+  // Insert keeps decisive verdicts only. A kUnknown is a fact about this
+  // query's budget, not about the query, so it is returned but never cached.
+  // Decisive verdicts are budget-independent — including ones found cheaply
+  // via learned clauses: a learned clause is a logical consequence of the
+  // database, so any answer derived from it would also have been found by
+  // uninformed search.
   cache_->Insert(key, std::move(fresh));
   return result;
 }

@@ -51,7 +51,7 @@ class SolverCache;  // solver_cache.h
 enum class Verdict {
   kSat,
   kUnsat,
-  kUnknown,  // Resource limits hit (decision or wall-clock budget).
+  kUnknown,  // Decision budget exhausted.
 };
 
 // Concrete value assigned to one named symbolic variable by a satisfying
@@ -103,10 +103,9 @@ struct SolverStats {
   int64_t theory_checks = 0;     // Full-assignment theory checks.
   int64_t theory_conflicts = 0;  // Theory checks that produced a lemma.
   int64_t queries = 0;
-  int64_t cache_hits = 0;           // Queries answered by a kSat/kUnsat entry.
-  int64_t cache_negative_hits = 0;  // Queries answered by a kUnknown entry.
-  int64_t cache_misses = 0;         // Cache consulted but empty for the key.
-  int64_t budget_exhausted = 0;     // Queries that degraded to kUnknown.
+  int64_t cache_hits = 0;        // Queries answered by a cached entry.
+  int64_t cache_misses = 0;      // Cache consulted but empty for the key.
+  int64_t budget_exhausted = 0;  // Queries that degraded to kUnknown.
 };
 
 // Outcome of one Solve() call.
@@ -148,17 +147,15 @@ bool CheckTheory(const std::vector<std::pair<ExprRef, bool>>& literals, Model* m
 // clause derived from them).
 class Solver {
  public:
-  // Per-query resource budgets. A query that exceeds either budget degrades
-  // to Verdict::kUnknown instead of running unboundedly — callers treat that
-  // as "inconclusive", never as a verdict. Budgets are charged per query
-  // (counted from the start of each SolveAssuming), not per solver lifetime.
-  // Cached kUnknown (negative) entries remember the budget they were
-  // produced under; a query whose budget strictly exceeds it misses and
-  // re-solves (see SolverCache::Lookup), so escalated retries work without
-  // any bypass flag.
+  // Per-query resource budget. A query that makes more than `max_decisions`
+  // branching decisions degrades to Verdict::kUnknown instead of running
+  // unboundedly — callers treat that as "inconclusive", never as a verdict.
+  // The budget is charged per query (counted from the start of each
+  // SolveAssuming), not per solver lifetime, and counts decisions rather than
+  // wall time, so every answer is a deterministic function of the query and
+  // the budget.
   struct Limits {
     int64_t max_decisions = 2'000'000;
-    double max_seconds = 0.0;  // Wall-clock budget per query; 0 = unlimited.
   };
 
   Solver();
@@ -169,15 +166,10 @@ class Solver {
 
   // Attaches a shared result cache consulted (and filled) by Solve() /
   // SolveAssuming(). Pass nullptr to detach. The cache must outlive the
-  // solver. Decisive cached verdicts and decisive answers produced from
-  // learned clauses are interchangeable — both are budget-independent truths
-  // (see docs/SOLVER.md §"Cache interaction").
+  // solver. Only decisive answers are cached: cached verdicts and decisive
+  // answers produced from learned clauses are interchangeable — both are
+  // budget-independent truths (see docs/SOLVER.md §"Cache interaction").
   void set_cache(SolverCache* cache) { cache_ = cache; }
-
-  // Replaces the per-query budgets for subsequent queries (retry escalation
-  // on a persistent solver).
-  void set_limits(const Limits& limits) { limits_ = limits; }
-  const Limits& limits() const { return limits_; }
 
   // --- Incremental assumption-scope interface ---
 

@@ -17,22 +17,6 @@ uint64_t Mix(uint64_t h, uint64_t v) {
   return h;
 }
 
-// True when `limits` grants strictly more resources than the budget a
-// kUnknown entry was produced under — on at least one axis, with the other
-// axis no smaller is not required: any strictly-larger axis means the
-// original attempt's give-up does not bound this attempt. A wall budget of 0
-// means unlimited (mirrors Solver::Limits::max_seconds).
-bool LimitsExceedBudget(const Solver::Limits& limits, int64_t budget_decisions,
-                        double budget_seconds) {
-  if (limits.max_decisions > budget_decisions) {
-    return true;
-  }
-  if (budget_seconds > 0.0 && (limits.max_seconds == 0.0 || limits.max_seconds > budget_seconds)) {
-    return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 QueryKey FingerprintQuery(const std::vector<ExprRef>& conjuncts) {
@@ -61,23 +45,21 @@ QueryKey FingerprintQuery(const std::vector<ExprRef>& conjuncts) {
 
 double SolverCacheStats::HitRate() const {
   int64_t total = lookups();
-  return total == 0 ? 0.0 : static_cast<double>(hits + negative_hits) / static_cast<double>(total);
+  return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
 }
 
 std::string SolverCacheStats::ToString() const {
   // With zero lookups a percentage is meaningless (and used to render as a
   // confusing "0.0%"): show `-` instead.
   std::string rate = lookups() == 0 ? "-" : StrFormat("%.1f%%", HitRate() * 100.0);
-  return StrFormat(
-      "cache: %lld hits, %lld negative hits, %lld misses (%s hit rate), %lld upgrades",
-      static_cast<long long>(hits), static_cast<long long>(negative_hits),
-      static_cast<long long>(misses), rate.c_str(), static_cast<long long>(upgrades));
+  return StrFormat("cache: %lld hits, %lld misses (%s hit rate), %lld upgrades",
+                   static_cast<long long>(hits), static_cast<long long>(misses), rate.c_str(),
+                   static_cast<long long>(upgrades));
 }
 
 SolverCache::SolverCache() = default;
 
-std::optional<SolverCache::Entry> SolverCache::Lookup(const QueryKey& key, bool need_model,
-                                                      const Solver::Limits* limits) {
+std::optional<SolverCache::Entry> SolverCache::Lookup(const QueryKey& key, bool need_model) {
   ICARUS_FAILPOINT(failpoint::kCacheLookup);
   Shard& shard = ShardFor(key);
   std::optional<Entry> found;
@@ -86,31 +68,20 @@ std::optional<SolverCache::Entry> SolverCache::Lookup(const QueryKey& key, bool 
     auto it = shard.map.find(key);
     if (it != shard.map.end()) {
       const Entry& resident = it->second;
-      bool usable = !(need_model && resident.verdict == Verdict::kSat && !resident.has_model);
-      if (usable && resident.verdict == Verdict::kUnknown && limits != nullptr &&
-          LimitsExceedBudget(*limits, resident.budget_decisions, resident.budget_seconds)) {
-        // Stale negative entry: the caller's budget strictly exceeds the one
-        // the give-up happened under. Miss, so the caller re-solves; a
-        // decisive answer (or a bigger give-up) upgrades the entry.
-        usable = false;
-      }
-      if (usable) {
+      if (!(need_model && resident.verdict == Verdict::kSat && !resident.has_model)) {
         it->second.tick = tick_.fetch_add(1, std::memory_order_relaxed);
         found = it->second;
       }
     }
   }
-  if (!found.has_value()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-  } else if (found->verdict == Verdict::kUnknown) {
-    negative_hits_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-  }
+  (found.has_value() ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
   return found;
 }
 
 void SolverCache::Insert(const QueryKey& key, Entry entry) {
+  if (entry.verdict == Verdict::kUnknown) {
+    return;
+  }
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   // The fail point fires while the shard lock is held, before any mutation:
@@ -119,36 +90,16 @@ void SolverCache::Insert(const QueryKey& key, Entry entry) {
   ICARUS_FAILPOINT(failpoint::kCacheInsert);
   entry.tick = tick_.fetch_add(1, std::memory_order_relaxed);
   auto [it, inserted] = shard.map.emplace(key, entry);
-  bool upgraded = false;
   if (inserted) {
     insertions_.fetch_add(1, std::memory_order_relaxed);
   } else if (entry.has_model && !it->second.has_model) {
     // Upgrade: a model-needing caller re-solved a query originally cached by
     // a verdict-only caller; keep the richer entry.
     it->second = std::move(entry);
-    upgraded = true;
-  } else if (entry.verdict != Verdict::kUnknown && it->second.verdict == Verdict::kUnknown) {
-    // Upgrade: a decisive verdict (typically from a retry with a larger
-    // budget) replaces a resident negative entry, so siblings stop paying
-    // for the original budget blow-out.
-    it->second = std::move(entry);
-    upgraded = true;
-  } else if (entry.verdict == Verdict::kUnknown && it->second.verdict == Verdict::kUnknown &&
-             LimitsExceedBudget(
-                 Solver::Limits{.max_decisions = entry.budget_decisions,
-                                .max_seconds = entry.budget_seconds},
-                 it->second.budget_decisions, it->second.budget_seconds)) {
-    // Upgrade: still unknown, but under a strictly larger budget — advance
-    // the stamp so lookups at the new budget stop re-solving.
-    it->second = std::move(entry);
-    upgraded = true;
-  }
-  if (upgraded) {
     upgrades_.fetch_add(1, std::memory_order_relaxed);
     if (obs::Enabled()) {
       static obs::Counter* upgrades = obs::Registry::Global().GetCounter(
-          "icarus_solver_cache_upgrades_total",
-          "Resident entries upgraded in place (model added or kUnknown resolved)");
+          "icarus_solver_cache_upgrades_total", "Model-free kSat entries upgraded with a model");
       upgrades->Add(1);
     }
   }
@@ -197,7 +148,6 @@ size_t SolverCache::size() const {
 SolverCacheStats SolverCache::Snapshot() const {
   SolverCacheStats stats;
   stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.negative_hits = negative_hits_.load(std::memory_order_relaxed);
   stats.misses = misses_.load(std::memory_order_relaxed);
   stats.insertions = insertions_.load(std::memory_order_relaxed);
   stats.upgrades = upgrades_.load(std::memory_order_relaxed);
@@ -211,7 +161,6 @@ void SolverCache::Clear() {
     shard.map.clear();
   }
   hits_.store(0);
-  negative_hits_.store(0);
   misses_.store(0);
   insertions_.store(0);
   upgrades_.store(0);

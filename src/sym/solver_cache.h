@@ -12,9 +12,9 @@
 // solver work.
 //
 // Entries are pool-independent: verdict plus the pre-rendered model text for
-// kSat (counterexample reports only ever consume the rendered form).
-// kUnknown results are stored as *negative entries* so a query that already
-// blew its budget once is not retried by every sibling path.
+// kSat (counterexample reports only ever consume the rendered form). Only
+// decisive (kSat/kUnsat) answers are stored: they are truths about the query,
+// whereas a kUnknown is only a fact about the budget that produced it.
 //
 // Thread safety: the table is sharded (mutex per shard) and the statistics
 // counters are atomics; Lookup/Insert may be called concurrently from any
@@ -48,25 +48,24 @@ QueryKey FingerprintQuery(const std::vector<ExprRef>& conjuncts);
 
 // Monotonic counters; snapshot with SolverCache::Snapshot().
 struct SolverCacheStats {
-  int64_t hits = 0;           // Lookups served from a kSat/kUnsat entry.
-  int64_t negative_hits = 0;  // Lookups served from a kUnknown (negative) entry.
-  int64_t misses = 0;         // Lookups that found nothing usable.
-  int64_t insertions = 0;     // Entries stored by Insert (all verdicts).
-  int64_t upgrades = 0;       // Resident entries upgraded in place (model
-                              // added, or a retry resolved a kUnknown).
-  int64_t preloads = 0;       // Entries restored from a persisted store.
+  int64_t hits = 0;        // Lookups served from a resident entry.
+  int64_t misses = 0;      // Lookups that found nothing usable.
+  int64_t insertions = 0;  // Entries stored by Insert.
+  int64_t upgrades = 0;    // Model-free kSat entries upgraded with a model.
+  int64_t preloads = 0;    // Entries restored from a persisted store.
 
-  int64_t lookups() const { return hits + negative_hits + misses; }
-  // Fraction of lookups answered from the cache (any entry kind); 0.0 when no
-  // lookups have occurred (ToString renders the rate as `-` in that case).
+  int64_t lookups() const { return hits + misses; }
+  // Fraction of lookups answered from the cache; 0.0 when no lookups have
+  // occurred (ToString renders the rate as `-` in that case).
   double HitRate() const;
   std::string ToString() const;
 };
 
 class SolverCache {
  public:
-  // A cached result. `model_text` is the rendered model for kSat entries
-  // stored with `has_model` set; it is pool-independent by construction.
+  // A cached decisive result. `model_text` is the rendered model for kSat
+  // entries stored with `has_model` set; it is pool-independent by
+  // construction.
   // kSat entries inserted by model-free callers (feasibility checks) have
   // has_model == false: they answer verdict-only lookups, and a lookup that
   // needs the model re-solves and upgrades the entry.
@@ -78,14 +77,6 @@ class SolverCache {
     // Witnesses carry no ExprRefs, so they are pool-independent like
     // model_text and can feed counterexample reports from cached hits.
     std::vector<Witness> witnesses;
-    // The Solver::Limits budget the producing query ran under. Meaningful for
-    // kUnknown entries only: a negative entry answers exactly the budgets it
-    // was earned under — a lookup with a *strictly larger* budget is a miss,
-    // so escalated retries re-solve naturally instead of being served the
-    // stale "I gave up" answer. (0 seconds means the wall clock was
-    // unlimited, mirroring Solver::Limits::max_seconds.)
-    int64_t budget_decisions = 0;
-    double budget_seconds = 0.0;
     // Recency stamp maintained by Lookup/Insert; the persistent store evicts
     // lowest-tick-first when trimming to --cache-max-mb (LRU).
     uint64_t tick = 0;
@@ -98,20 +89,12 @@ class SolverCache {
   // Returns the cached entry for `key`, if present and usable, updating hit
   // statistics. With `need_model` set, a kSat entry stored without a model is
   // reported as a miss (the caller must re-solve; see Insert on upgrading).
-  // With `limits` set, a kUnknown entry whose producing budget is strictly
-  // smaller than `limits` is reported as a miss — the caller has more budget
-  // than the attempt that gave up, so the negative answer is stale for it.
-  // A null `limits` serves every resident entry (budget-blind lookup).
-  std::optional<Entry> Lookup(const QueryKey& key, bool need_model = false,
-                              const Solver::Limits* limits = nullptr);
+  std::optional<Entry> Lookup(const QueryKey& key, bool need_model = false);
 
-  // Stores `entry` under `key`. First writer wins — a concurrent duplicate
-  // insert (same structural query solved by two threads) is dropped — except
-  // that an entry carrying a model upgrades a resident model-free entry, a
-  // decisive verdict (kSat/kUnsat, e.g. from a retry with a larger budget)
-  // upgrades a resident kUnknown negative entry, and a kUnknown produced
-  // under a strictly larger budget upgrades a resident kUnknown's budget
-  // stamp (so the bigger give-up is not rediscovered).
+  // Stores `entry` under `key`; a kUnknown entry stores nothing. First writer
+  // wins — a concurrent duplicate insert (same structural query solved by two
+  // threads) is dropped — except that an entry carrying a model upgrades a
+  // resident model-free entry.
   void Insert(const QueryKey& key, Entry entry);
 
   // Bulk-loads one entry from a persisted snapshot (cache_store.h). Counts
@@ -147,7 +130,6 @@ class SolverCache {
 
   Shard shards_[kNumShards];
   std::atomic<int64_t> hits_{0};
-  std::atomic<int64_t> negative_hits_{0};
   std::atomic<int64_t> misses_{0};
   std::atomic<int64_t> insertions_{0};
   std::atomic<int64_t> upgrades_{0};

@@ -59,29 +59,21 @@ int BatchReport::NumWithOutcome(Outcome outcome) const {
   return n;
 }
 
-int BatchReport::TotalRetries() const {
-  int n = 0;
-  for (const GeneratorResult& r : results) {
-    n += r.attempts > 1 ? r.attempts - 1 : 0;
-  }
-  return n;
-}
-
 std::string BatchReport::RenderTable() const {
-  std::string out = StrFormat("%-44s %-15s %7s %9s %5s %10s\n", "Generator", "Outcome", "Paths",
-                              "Queries", "Tries", "Time (s)");
-  out += std::string(94, '-') + "\n";
+  std::string out = StrFormat("%-44s %-15s %7s %9s %10s\n", "Generator", "Outcome", "Paths",
+                              "Queries", "Time (s)");
+  out += std::string(88, '-') + "\n";
   for (const GeneratorResult& r : results) {
     if (r.outcome == Outcome::kError || r.outcome == Outcome::kInternalError) {
       out += StrFormat("%-44s %-15s %s\n", r.generator.c_str(), OutcomeName(r.outcome),
                        r.error.c_str());
       continue;
     }
-    out += StrFormat("%-44s %-15s %7d %9lld %5d %10.4f\n", r.generator.c_str(),
+    out += StrFormat("%-44s %-15s %7d %9lld %10.4f\n", r.generator.c_str(),
                      OutcomeName(r.outcome), r.report.meta.paths_explored,
-                     static_cast<long long>(r.report.meta.solver_queries), r.attempts, r.seconds);
+                     static_cast<long long>(r.report.meta.solver_queries), r.seconds);
   }
-  out += std::string(94, '-') + "\n";
+  out += std::string(88, '-') + "\n";
   out += StrFormat(
       "%d generators: %d verified, %d counterexamples, %d inconclusive, %d errors, "
       "%d internal errors\n",
@@ -91,9 +83,6 @@ std::string BatchReport::RenderTable() const {
   if (NumWithOutcome(Outcome::kCachedSafe) > 0) {
     out += StrFormat("%d cached safe (unchanged units skipped via the incremental store)\n",
                      NumWithOutcome(Outcome::kCachedSafe));
-  }
-  if (TotalRetries() > 0) {
-    out += StrFormat("%d retries consumed (budget escalation)\n", TotalRetries());
   }
   if (num_resumed > 0) {
     out += StrFormat("%d verdicts restored from journal\n", num_resumed);
@@ -214,67 +203,41 @@ GeneratorResult VerifyOne(const platform::Platform* platform, const std::string&
   GeneratorResult result;
   result.generator = name;
   WallTimer timer;
-  sym::Solver::Limits limits = options.solver_limits;
-  for (int attempt = 0;; ++attempt) {
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-      // Deadline expired before this task/attempt started: report it honestly
-      // rather than paying for a verification that would be cancelled
-      // immediately.
-      result.outcome = Outcome::kInconclusive;
-      result.report = VerifyReport{};
-      result.report.generator = name;
-      result.report.inconclusive = true;
-      result.report.meta.inconclusive = true;
-      result.report.meta.cancelled = true;
-      result.report.meta.limit_notes.push_back("cancelled (deadline) before start");
-      result.seconds = timer.ElapsedSeconds();
-      result.attempts = attempt + 1;
-      return result;
-    }
-
-    VerifyOptions vopts;
-    vopts.build_cfa = false;  // No verdict reads the CFA artifact.
-    vopts.solver_cache = cache;
-    vopts.solver_limits = limits;
-    vopts.cancel = cancel;
-    vopts.record = options.record;
-    Verifier verifier(platform);
-    StatusOr<VerifyReport> report = verifier.Verify(name, vopts);
+  if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
+    // Deadline expired before this task started: report it honestly rather
+    // than paying for a verification that would be cancelled immediately.
+    result.outcome = Outcome::kInconclusive;
+    result.report.generator = name;
+    result.report.inconclusive = true;
+    result.report.meta.inconclusive = true;
+    result.report.meta.cancelled = true;
+    result.report.meta.limit_notes.push_back("cancelled (deadline) before start");
     result.seconds = timer.ElapsedSeconds();
-    result.attempts = attempt + 1;
-    if (!report.ok()) {
-      result.outcome = Outcome::kError;
-      result.error = report.status().message();
-      return result;
-    }
-    result.report = report.take();
-    if (!result.report.meta.violations.empty()) {
-      result.outcome = Outcome::kRefuted;
-    } else if (result.report.inconclusive) {
-      result.outcome = Outcome::kInconclusive;
-    } else {
-      result.outcome = Outcome::kVerified;
-    }
-    // Retry only budget-inconclusive results: a deadline cancellation means
-    // the fleet is out of time, and decisive outcomes are final.
-    if (result.outcome != Outcome::kInconclusive || result.report.meta.cancelled ||
-        attempt >= options.retries) {
-      return result;
-    }
-    // Escalate: double both per-query budgets. Cached negative entries carry
-    // the budget they were produced under, so the escalated attempt misses
-    // past them and re-solves naturally (no bypass flag needed). A zero
-    // decision budget (a starved configuration) escalates to 1 so doubling
-    // has something to work with; a zero wall budget means unlimited and
-    // stays zero.
-    if (obs::Enabled()) {
-      static obs::Counter* retries = obs::Registry::Global().GetCounter(
-          "icarus_batch_retries_total", "Budget-escalation retries consumed");
-      retries->Add(1);
-    }
-    limits.max_decisions = limits.max_decisions > 0 ? limits.max_decisions * 2 : 1;
-    limits.max_seconds *= 2.0;
+    return result;
   }
+  VerifyOptions vopts;
+  vopts.build_cfa = false;  // No verdict reads the CFA artifact.
+  vopts.solver_cache = cache;
+  vopts.solver_limits = options.solver_limits;
+  vopts.cancel = cancel;
+  vopts.record = options.record;
+  Verifier verifier(platform);
+  StatusOr<VerifyReport> report = verifier.Verify(name, vopts);
+  result.seconds = timer.ElapsedSeconds();
+  if (!report.ok()) {
+    result.outcome = Outcome::kError;
+    result.error = report.status().message();
+    return result;
+  }
+  result.report = report.take();
+  if (!result.report.meta.violations.empty()) {
+    result.outcome = Outcome::kRefuted;
+  } else if (result.report.inconclusive) {
+    result.outcome = Outcome::kInconclusive;
+  } else {
+    result.outcome = Outcome::kVerified;
+  }
+  return result;
 }
 
 // Containment boundary helper: the INTERNAL_ERROR row for a task that threw.
@@ -303,7 +266,6 @@ JournalRecord RecordFromResult(const GeneratorResult& r, const std::string& fing
   rec.paths = r.report.meta.paths_explored;
   rec.queries = r.report.meta.solver_queries;
   rec.seconds = r.seconds;
-  rec.attempts = r.attempts;
   rec.cfa_s = r.report.cfa_seconds;
   rec.gen_s = r.report.meta.gen_seconds;
   rec.interp_s = r.report.meta.interp_seconds;
@@ -316,7 +278,6 @@ JournalRecord RecordFromResult(const GeneratorResult& r, const std::string& fing
   rec.paths_infeasible = r.report.meta.paths_infeasible;
   rec.unit_fp = r.unit_fp;
   rec.budget_decisions = r.budget_decisions;
-  rec.budget_seconds = r.budget_seconds;
   // Flight recorder: journal the first violation's counterexample (the
   // journal row is flat; additional violations stay in memory and in the
   // explain rendering).
@@ -342,7 +303,6 @@ StatusOr<GeneratorResult> ResultFromRecord(const JournalRecord& rec) {
   }
   r.error = rec.error;
   r.seconds = rec.seconds;
-  r.attempts = rec.attempts;
   r.resumed = true;
   r.report.generator = rec.generator;
   r.report.meta.paths_explored = static_cast<int>(rec.paths);
@@ -359,7 +319,6 @@ StatusOr<GeneratorResult> ResultFromRecord(const JournalRecord& rec) {
   r.report.meta.paths_infeasible = static_cast<int>(rec.paths_infeasible);
   r.unit_fp = rec.unit_fp;
   r.budget_decisions = rec.budget_decisions;
-  r.budget_seconds = rec.budget_seconds;
   // Reconstruct the journaled counterexample so a resumed REFUTED row still
   // renders and reports. The witness summary and decision string come back
   // pre-rendered (the journal stores the wire form, not Witness structs);
@@ -517,7 +476,6 @@ StatusOr<BatchReport> BatchVerifier::VerifyAll(const std::vector<std::string>& g
           skip.outcome = Outcome::kCachedSafe;
           skip.unit_fp = unit_fps[i];
           skip.budget_decisions = options.solver_limits.max_decisions;
-          skip.budget_seconds = options.solver_limits.max_seconds;
           skip.report.generator = generator_names[i];
           if (obs::Enabled()) {
             static obs::Counter* skips = obs::Registry::Global().GetCounter(
@@ -561,7 +519,6 @@ StatusOr<BatchReport> BatchVerifier::VerifyAll(const std::vector<std::string>& g
         if (options.incremental) {
           result.unit_fp = unit_fps[i];
           result.budget_decisions = options.solver_limits.max_decisions;
-          result.budget_seconds = options.solver_limits.max_seconds;
         }
         if (journal != nullptr) {
           std::lock_guard<std::mutex> lock(journal_mu);
@@ -583,10 +540,7 @@ StatusOr<BatchReport> BatchVerifier::VerifyAll(const std::vector<std::string>& g
     }
     if (options.deadline_seconds > 0.0 || options.interrupt != nullptr) {
       bool deadline_active = options.deadline_seconds > 0.0;
-      auto deadline = std::chrono::steady_clock::now() +
-                      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                          std::chrono::duration<double>(
-                              deadline_active ? options.deadline_seconds : 0.0));
+      auto deadline = DeadlineAfter(deadline_active ? options.deadline_seconds : 0.0);
       // Poll in short slices so an external interrupt (SIGINT/SIGTERM flag)
       // is noticed within ~50ms even while futures are far from done. Once
       // either trigger fires, flip the flag once and stop polling: every

@@ -1,6 +1,6 @@
 // Parallel verification driver: verifies a fleet of generators concurrently
-// on a work-stealing thread pool, with a shared solver-result cache and
-// per-query/fleet-level resource budgets.
+// on a FIFO thread pool, with a shared solver-result cache, a per-query
+// decision budget and a fleet-level deadline.
 //
 // Each generator is one task; tasks are independent (each owns its ExprPool
 // and machine state; the Platform is shared read-only), so verdicts are
@@ -33,13 +33,9 @@ struct BatchOptions {
   // tasks stop at their next path boundary and unfinished generators are
   // reported inconclusive — never silently dropped.
   double deadline_seconds = 0.0;
-  // Per-query solver budgets applied inside every task.
+  // Per-query solver decision budget applied inside every task. A query
+  // over budget degrades its generator to INCONCLUSIVE.
   sym::Solver::Limits solver_limits;
-  // Re-verify a budget-inconclusive generator up to this many extra times,
-  // doubling the per-query decision and wall budgets on each attempt (and
-  // bypassing cached kUnknown entries so the retry actually re-solves).
-  // Deadline-cancelled tasks are never retried — the fleet is out of time.
-  int retries = 0;
   // When non-empty, append each verdict to this JSONL journal as it lands
   // (fsync'd per record; see journal.h). A run killed mid-flight loses at
   // most the record being written.
@@ -98,14 +94,12 @@ struct GeneratorResult {
   std::string error;    // Set when outcome is kError / kInternalError.
   VerifyReport report;  // Valid unless outcome is kError / kInternalError.
   double seconds = 0.0; // Wall-clock for this task (queue wait excluded).
-  int attempts = 1;     // 1 + retries consumed by this generator.
   bool resumed = false; // Row restored from a journal, not recomputed.
   // Incremental verification: the unit's content fingerprint (hex; empty in
-  // non-incremental runs) and the solver budget the run was configured with.
+  // non-incremental runs) and the decision budget the run was configured with.
   // Journaled (schema v4) and matched by the verdict store.
   std::string unit_fp;
   int64_t budget_decisions = 0;
-  double budget_seconds = 0.0;
 };
 
 // Aggregate result of BatchVerifier::VerifyAll.
@@ -127,8 +121,6 @@ struct BatchReport {
 
   // Outcome counts over `results`.
   int NumWithOutcome(Outcome outcome) const;
-  // Total retries consumed across all rows (sum of attempts - 1).
-  int TotalRetries() const;
   // Multi-line summary table: one row per generator plus aggregate footer.
   std::string RenderTable() const;
   // Flight-recorder rendering: one explain block (see

@@ -1,7 +1,6 @@
 #include "src/verifier/journal.h"
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 
@@ -16,218 +15,76 @@
 
 namespace icarus::verifier {
 
-namespace {
-
-using icarus::AppendJsonString;
-
-// Minimal parser for the flat JSON objects this journal writes: string and
-// number values only, no nesting. Unknown keys are skipped so a newer writer
-// that adds fields stays readable (the schema version gates real breaks).
-class LineParser {
- public:
-  explicit LineParser(std::string_view line) : p_(line.data()), end_(line.data() + line.size()) {}
-
-  bool Parse(JournalRecord* rec) {
-    SkipWs();
-    if (!Consume('{')) {
-      return false;
-    }
-    SkipWs();
-    if (Consume('}')) {
-      return AtEnd();
-    }
-    while (true) {
-      std::string key;
-      if (!ParseString(&key)) {
-        return false;
-      }
-      SkipWs();
-      if (!Consume(':')) {
-        return false;
-      }
-      SkipWs();
-      if (!ParseValue(key, rec)) {
-        return false;
-      }
-      SkipWs();
-      if (Consume(',')) {
-        SkipWs();
-        continue;
-      }
-      break;
-    }
-    if (!Consume('}')) {
-      return false;
-    }
-    return AtEnd();
-  }
-
- private:
-  void SkipWs() {
-    while (p_ < end_ && (*p_ == ' ' || *p_ == '\t' || *p_ == '\r')) {
-      ++p_;
-    }
-  }
-  bool AtEnd() {
-    SkipWs();
-    return p_ == end_;
-  }
-  bool Consume(char c) {
-    if (p_ < end_ && *p_ == c) {
-      ++p_;
-      return true;
-    }
-    return false;
-  }
-
-  bool ParseString(std::string* out) {
-    if (!Consume('"')) {
-      return false;
-    }
-    out->clear();
-    while (p_ < end_ && *p_ != '"') {
-      char c = *p_++;
-      if (c == '\\') {
-        if (p_ >= end_) {
-          return false;
-        }
-        char e = *p_++;
-        switch (e) {
-          case '"': out->push_back('"'); break;
-          case '\\': out->push_back('\\'); break;
-          case '/': out->push_back('/'); break;
-          case 'n': out->push_back('\n'); break;
-          case 'r': out->push_back('\r'); break;
-          case 't': out->push_back('\t'); break;
-          case 'u': {
-            if (end_ - p_ < 4) {
-              return false;
-            }
-            char hex[5] = {p_[0], p_[1], p_[2], p_[3], '\0'};
-            char* hex_end = nullptr;
-            long cp = std::strtol(hex, &hex_end, 16);
-            if (hex_end != hex + 4) {
-              return false;
-            }
-            p_ += 4;
-            // The writer only emits \u00XX for control bytes; decode the
-            // low byte and ignore the (unused) wider range.
-            out->push_back(static_cast<char>(cp & 0xff));
-            break;
-          }
-          default:
-            return false;
-        }
-      } else {
-        out->push_back(c);
-      }
-    }
-    return Consume('"');
-  }
-
-  bool ParseNumber(double* out) {
-    const char* start = p_;
-    while (p_ < end_ && (std::isdigit(static_cast<unsigned char>(*p_)) != 0 || *p_ == '-' ||
-                         *p_ == '+' || *p_ == '.' || *p_ == 'e' || *p_ == 'E')) {
-      ++p_;
-    }
-    if (p_ == start) {
-      return false;
-    }
-    std::string text(start, p_);
-    char* num_end = nullptr;
-    errno = 0;
-    double v = std::strtod(text.c_str(), &num_end);
-    if (errno != 0 || num_end != text.c_str() + text.size()) {
-      return false;
-    }
-    *out = v;
-    return true;
-  }
-
-  bool ParseValue(const std::string& key, JournalRecord* rec) {
-    if (p_ < end_ && *p_ == '"') {
-      std::string s;
-      if (!ParseString(&s)) {
-        return false;
-      }
-      if (key == "platform") {
-        rec->platform = std::move(s);
-      } else if (key == "generator") {
-        rec->generator = std::move(s);
-      } else if (key == "outcome") {
-        rec->outcome = std::move(s);
-      } else if (key == "error") {
-        rec->error = std::move(s);
-      } else if (key == "cx_contract") {
-        rec->cx_contract = std::move(s);
-      } else if (key == "cx_function") {
-        rec->cx_function = std::move(s);
-      } else if (key == "cx_witnesses") {
-        rec->cx_witnesses = std::move(s);
-      } else if (key == "cx_source_ops") {
-        rec->cx_source_ops = std::move(s);
-      } else if (key == "cx_target_ops") {
-        rec->cx_target_ops = std::move(s);
-      } else if (key == "cx_decisions") {
-        rec->cx_decisions = std::move(s);
-      } else if (key == "unit_fp") {
-        rec->unit_fp = std::move(s);
-      }
-      return true;
-    }
-    double v = 0.0;
-    if (!ParseNumber(&v)) {
-      return false;
-    }
-    if (key == "schema") {
-      rec->schema = static_cast<int>(v);
-    } else if (key == "paths") {
-      rec->paths = static_cast<int64_t>(v);
-    } else if (key == "queries") {
-      rec->queries = static_cast<int64_t>(v);
-    } else if (key == "seconds") {
-      rec->seconds = v;
-    } else if (key == "attempts") {
-      rec->attempts = static_cast<int>(v);
-    } else if (key == "cfa_s") {
-      rec->cfa_s = v;
-    } else if (key == "gen_s") {
-      rec->gen_s = v;
-    } else if (key == "interp_s") {
-      rec->interp_s = v;
-    } else if (key == "solve_s") {
-      rec->solve_s = v;
-    } else if (key == "decisions") {
-      rec->decisions = static_cast<int64_t>(v);
-    } else if (key == "propagations") {
-      rec->propagations = static_cast<int64_t>(v);
-    } else if (key == "learned_clauses") {
-      rec->learned_clauses = static_cast<int64_t>(v);
-    } else if (key == "restarts") {
-      rec->restarts = static_cast<int64_t>(v);
-    } else if (key == "paths_attached") {
-      rec->paths_attached = static_cast<int64_t>(v);
-    } else if (key == "paths_infeasible") {
-      rec->paths_infeasible = static_cast<int64_t>(v);
-    } else if (key == "cx_line") {
-      rec->cx_line = static_cast<int>(v);
-    } else if (key == "budget_decisions") {
-      rec->budget_decisions = static_cast<int64_t>(v);
-    } else if (key == "budget_seconds") {
-      rec->budget_seconds = v;
-    }
-    return true;
-  }
-
-  const char* p_;
-  const char* end_;
-};
-
-}  // namespace
-
 bool ParseJournalLine(std::string_view line, JournalRecord* rec) {
-  return LineParser(line).Parse(rec);
+  // Unknown keys are skipped so a newer writer that adds fields stays
+  // readable (the schema version gates real breaks). An integer field whose
+  // value does not fit its type makes the line malformed.
+  bool in_range = true;
+  auto narrow = [&in_range](double v, auto* field) {
+    in_range = NarrowJsonNumber(v, field) && in_range;
+  };
+  bool ok = FlatLineParser(line).Parse(
+      [rec](const std::string& key, std::string s) {
+        if (key == "platform") {
+          rec->platform = std::move(s);
+        } else if (key == "generator") {
+          rec->generator = std::move(s);
+        } else if (key == "outcome") {
+          rec->outcome = std::move(s);
+        } else if (key == "error") {
+          rec->error = std::move(s);
+        } else if (key == "cx_contract") {
+          rec->cx_contract = std::move(s);
+        } else if (key == "cx_function") {
+          rec->cx_function = std::move(s);
+        } else if (key == "cx_witnesses") {
+          rec->cx_witnesses = std::move(s);
+        } else if (key == "cx_source_ops") {
+          rec->cx_source_ops = std::move(s);
+        } else if (key == "cx_target_ops") {
+          rec->cx_target_ops = std::move(s);
+        } else if (key == "cx_decisions") {
+          rec->cx_decisions = std::move(s);
+        } else if (key == "unit_fp") {
+          rec->unit_fp = std::move(s);
+        }
+      },
+      [rec, &narrow](const std::string& key, double v) {
+        if (key == "schema") {
+          narrow(v, &rec->schema);
+        } else if (key == "paths") {
+          narrow(v, &rec->paths);
+        } else if (key == "queries") {
+          narrow(v, &rec->queries);
+        } else if (key == "seconds") {
+          rec->seconds = v;
+        } else if (key == "cfa_s") {
+          rec->cfa_s = v;
+        } else if (key == "gen_s") {
+          rec->gen_s = v;
+        } else if (key == "interp_s") {
+          rec->interp_s = v;
+        } else if (key == "solve_s") {
+          rec->solve_s = v;
+        } else if (key == "decisions") {
+          narrow(v, &rec->decisions);
+        } else if (key == "propagations") {
+          narrow(v, &rec->propagations);
+        } else if (key == "learned_clauses") {
+          narrow(v, &rec->learned_clauses);
+        } else if (key == "restarts") {
+          narrow(v, &rec->restarts);
+        } else if (key == "paths_attached") {
+          narrow(v, &rec->paths_attached);
+        } else if (key == "paths_infeasible") {
+          narrow(v, &rec->paths_infeasible);
+        } else if (key == "cx_line") {
+          narrow(v, &rec->cx_line);
+        } else if (key == "budget_decisions") {
+          narrow(v, &rec->budget_decisions);
+        }
+      });
+  return ok && in_range;
 }
 
 std::string JournalRecord::ToJsonLine() const {
@@ -241,9 +98,8 @@ std::string JournalRecord::ToJsonLine() const {
   AppendJsonString(error, &out);
   // %.17g round-trips a double exactly through strtod, so a resumed run
   // re-renders the same "%.4f" table cell the interrupted run printed.
-  out += StrFormat(",\"paths\":%lld,\"queries\":%lld,\"seconds\":%.17g,\"attempts\":%d",
-                   static_cast<long long>(paths), static_cast<long long>(queries), seconds,
-                   attempts);
+  out += StrFormat(",\"paths\":%lld,\"queries\":%lld,\"seconds\":%.17g",
+                   static_cast<long long>(paths), static_cast<long long>(queries), seconds);
   out += StrFormat(
       ",\"cfa_s\":%.17g,\"gen_s\":%.17g,\"interp_s\":%.17g,\"solve_s\":%.17g,\"decisions\":%lld",
       cfa_s, gen_s, interp_s, solve_s, static_cast<long long>(decisions));
@@ -259,8 +115,7 @@ std::string JournalRecord::ToJsonLine() const {
   if (!unit_fp.empty()) {
     out += ",\"unit_fp\":";
     AppendJsonString(unit_fp, &out);
-    out += StrFormat(",\"budget_decisions\":%lld,\"budget_seconds\":%.17g",
-                     static_cast<long long>(budget_decisions), budget_seconds);
+    out += StrFormat(",\"budget_decisions\":%lld", static_cast<long long>(budget_decisions));
   }
   // Counterexample block: only on rows that carry one, so VERIFIED rows stay
   // as compact as before.
@@ -369,7 +224,6 @@ obs::ReportRow ReportRowFromRecord(const JournalRecord& rec) {
   row.paths_infeasible = rec.paths_infeasible;
   row.queries = rec.queries;
   row.decisions = rec.decisions;
-  row.attempts = rec.attempts;
   row.seconds = rec.seconds;
   row.cfa_s = rec.cfa_s;
   row.gen_s = rec.gen_s;

@@ -9,9 +9,8 @@
 // verdicts from different universes.
 //
 // The record holds exactly what the batch report renders for a finished
-// generator (outcome, path/query counts, wall seconds, attempts), so a
-// resumed run reproduces the interrupted run's rows byte-for-byte without
-// re-verifying.
+// generator (outcome, path/query counts, wall seconds), so a resumed run
+// reproduces the interrupted run's rows byte-for-byte without re-verifying.
 #ifndef ICARUS_VERIFIER_JOURNAL_H_
 #define ICARUS_VERIFIER_JOURNAL_H_
 
@@ -41,7 +40,7 @@ namespace icarus::verifier {
 //       unknown keys, so v1/v2 records read fine with empty counterexamples.
 //   4 — adds the incremental-verification fields: the verification unit's
 //       content fingerprint (unit_fp, ast::Fingerprint::ToHex) and the solver
-//       budget the run used (budget_decisions/budget_seconds). These are what
+//       budget the run used (decision and wall-clock budgets). These are what
 //       the persistent verdict store matches on before skipping a generator
 //       as CACHED_SAFE. Additive: older rows read fine with an empty
 //       fingerprint, which simply never matches (so they are re-verified).
@@ -56,6 +55,11 @@ namespace icarus::verifier {
 //       path-merging executor, since removed. Readers now skip the key like
 //       any other unknown one, so v7 rows (with or without it) still parse
 //       and resume; new rows are still stamped 7.
+//   Still 7 — rows stopped carrying `attempts` (budget-escalation retries
+//       were removed) and the wall-clock budget (the per-query wall-clock
+//       budget was removed; `budget_decisions` is the whole solver budget).
+//       Readers skip both keys like any other unknown one, so older v7 rows
+//       still parse, resume, and match in the verdict store.
 inline constexpr int kJournalSchemaVersion = 7;
 inline constexpr int kJournalMinReadSchemaVersion = 1;
 
@@ -71,7 +75,6 @@ struct JournalRecord {
   int64_t paths = 0;      // meta.paths_explored.
   int64_t queries = 0;    // meta.solver_queries.
   double seconds = 0.0;   // Per-task wall clock.
-  int attempts = 1;       // 1 + retries consumed.
   // Per-stage cost attribution (schema >= 2; 0 in resumed v1 rows).
   double cfa_s = 0.0;      // CFA construction.
   double gen_s = 0.0;      // Meta-execution phase 1, minus solver time.
@@ -88,7 +91,6 @@ struct JournalRecord {
   // Incremental verification (schema >= 4; empty/0 in older rows).
   std::string unit_fp;          // ast::UnitFingerprint(...).ToHex() of the unit.
   int64_t budget_decisions = 0; // Solver::Limits the verdict was earned under.
-  double budget_seconds = 0.0;
   // Flight-recorder counterexample (schema >= 3). Present — cx_contract
   // non-empty — only on rows whose verdict carries a violation. The journal
   // stays a *flat* object: list-valued data is pre-rendered with "; " (ops)

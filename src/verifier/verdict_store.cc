@@ -91,10 +91,7 @@ const JournalRecord* VerdictStore::FindPass(const std::string& generator,
   if (rec.outcome != "VERIFIED" || rec.unit_fp != unit_fp) {
     return nullptr;
   }
-  if (rec.budget_decisions != limits.max_decisions || rec.budget_seconds != limits.max_seconds) {
-    return nullptr;
-  }
-  return &rec;
+  return rec.budget_decisions == limits.max_decisions ? &rec : nullptr;
 }
 
 void VerdictStore::Put(const JournalRecord& rec) {

@@ -2,7 +2,7 @@
 //
 // The store maps a generator to the last PASS (VERIFIED) it earned, together
 // with the content fingerprint of its verification unit (ast/fingerprint.h)
-// and the solver budget the pass ran under. `verify-all --incremental`
+// and the solver decision budget the pass ran under. `verify-all --incremental`
 // consults it before dispatching a generator: a stored PASS whose fingerprint
 // matches the generator's current unit fingerprint *and* whose budget equals
 // the requested budget means a cold run would reproduce the same VERIFIED
@@ -75,7 +75,8 @@ class VerdictStore {
   LoadResult Load(const std::string& path, const std::string& epoch);
 
   // Returns the stored PASS for `generator` iff its fingerprint equals
-  // `unit_fp` and its budget equals `limits` exactly; null otherwise.
+  // `unit_fp` and its decision budget equals `limits.max_decisions`; null
+  // otherwise.
   const JournalRecord* FindPass(const std::string& generator, const std::string& unit_fp,
                                 const sym::Solver::Limits& limits) const;
 

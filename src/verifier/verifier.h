@@ -30,8 +30,8 @@ struct VerifyOptions {
   // (may be null). Must be concurrency-safe if the same cache is used by
   // concurrent Verify() calls.
   sym::SolverCache* solver_cache = nullptr;
-  // Per-query solver budgets; over-budget queries degrade the report to
-  // inconclusive rather than hanging the pipeline.
+  // Per-query solver decision budget; over-budget queries degrade the report
+  // to inconclusive rather than hanging the pipeline.
   sym::Solver::Limits solver_limits;
   // Cooperative cancellation (fleet deadline); checked between paths.
   const std::atomic<bool>* cancel = nullptr;

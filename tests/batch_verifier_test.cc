@@ -5,13 +5,17 @@
 // bite.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/platform/platform.h"
 #include "src/support/str_util.h"
+#include "src/sym/cache_store.h"
 #include "src/verifier/batch_verifier.h"
+#include "src/verifier/verdict_store.h"
 #include "src/verifier/verifier.h"
 
 namespace icarus::verifier {
@@ -159,22 +163,61 @@ TEST_F(BatchVerifierTest, ExpiredDeadlineReportsInconclusiveNotWrong) {
   }
 }
 
+TEST_F(BatchVerifierTest, HugeDeadlineMeansNoDeadline) {
+  // A deadline past the clock's range behaves as none. Converting it to
+  // clock ticks used to overflow into a deadline that had already passed.
+  BatchVerifier batch(platform_);
+  for (double seconds : {1e300, std::numeric_limits<double>::infinity()}) {
+    BatchOptions opts;
+    opts.jobs = 1;
+    opts.deadline_seconds = seconds;
+    BatchReport report = batch.VerifyAll({"tryAttachInt32Add", "bug1685925_buggy"}, opts).take();
+    EXPECT_FALSE(report.deadline_hit) << seconds;
+    ASSERT_EQ(report.results.size(), 2u);
+    EXPECT_EQ(report.results[0].outcome, Outcome::kVerified) << seconds;
+    EXPECT_EQ(report.results[1].outcome, Outcome::kRefuted) << seconds;
+  }
+}
+
 TEST_F(BatchVerifierTest, TinyDecisionBudgetDegradesToInconclusive) {
-  // Per-query budgets: a 0-decision budget can only produce INCONCLUSIVE or a
-  // propositionally-trivial verdict, never a wrong one.
+  // A 0-decision budget starves real generators (the CDCL core's unit
+  // propagation decides many queries without branching, so only budget 0
+  // reliably starves them). It may only produce INCONCLUSIVE or a verdict the
+  // generator earns, and its give-ups never enter the shared cache, whose
+  // persisted export holds decisive answers only.
+  const std::string cache_dir = ::testing::TempDir() + "batch_tiny_budget_cache";
+  std::filesystem::remove_all(cache_dir);
+  const std::vector<std::string> fleet = {"tryAttachCompareInt32", "tryAttachObjectLength",
+                                          "tryAttachInt32Add", "bug1685925_buggy"};
   BatchVerifier batch(platform_);
   BatchOptions opts;
   opts.jobs = 2;
+  opts.use_cache = true;
+  opts.incremental = true;
+  opts.cache_dir = cache_dir;
   opts.solver_limits.max_decisions = 0;
-  BatchReport report =
-      batch.VerifyAll({"tryAttachCompareInt32", "tryAttachObjectLength"}, opts).take();
+  BatchReport report = batch.VerifyAll(fleet, opts).take();
+  ASSERT_EQ(report.results.size(), fleet.size());
+  EXPECT_GT(report.NumWithOutcome(Outcome::kInconclusive), 0) << report.RenderTable();
   for (const GeneratorResult& r : report.results) {
+    bool buggy = r.generator.find("_buggy") != std::string::npos;
+    EXPECT_NE(r.outcome, buggy ? Outcome::kVerified : Outcome::kRefuted) << r.generator;
     EXPECT_NE(r.outcome, Outcome::kError) << r.generator;
     if (r.outcome == Outcome::kInconclusive) {
       EXPECT_FALSE(r.report.verified) << r.generator;
       EXPECT_FALSE(r.report.meta.limit_notes.empty()) << r.generator;
     }
   }
+
+  sym::SolverCache persisted;
+  sym::CacheLoadResult loaded =
+      sym::LoadSolverCache(SolverCacheStorePath(cache_dir), kVerifierEpoch, &persisted);
+  ASSERT_TRUE(loaded.note.empty()) << loaded.note;
+  ASSERT_GT(loaded.entries, 0u);
+  for (const auto& [key, entry] : persisted.Export()) {
+    EXPECT_NE(entry.verdict, sym::Verdict::kUnknown);
+  }
+  std::filesystem::remove_all(cache_dir);
 }
 
 TEST_F(BatchVerifierTest, RenderTableMentionsEveryGenerator) {

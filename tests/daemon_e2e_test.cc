@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "src/daemon/protocol.h"
-#include "src/obs/metrics.h"
 #include "src/support/net.h"
 #include "src/verifier/journal.h"
 
@@ -365,10 +364,9 @@ TEST(DaemonE2E, TopRendersLiveAndDeadDaemons) {
       continue;
     }
     if (cols[0] == "e2e_top" && cols[1] == kStatusOk) {
-      // P50 and P99 are numbers, not the '-' of an empty histogram (which
-      // is all a build with the instrumentation compiled out can show).
-      live_row = !obs::kCompiledIn || (std::strtod(cols[7].c_str(), nullptr) > 0 &&
-                                       std::strtod(cols[8].c_str(), nullptr) > 0);
+      // P50 and P99 are numbers, not the '-' of an empty histogram.
+      live_row = std::strtod(cols[7].c_str(), nullptr) > 0 &&
+                 std::strtod(cols[8].c_str(), nullptr) > 0;
     }
     if (cols[0] == "nonexistent" && cols[1] == "dead") {
       dead_row = true;

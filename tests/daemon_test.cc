@@ -91,6 +91,12 @@ TEST(Protocol, ParseRequestRejectsMalformedInput) {
   EXPECT_FALSE(ParseRequest("not json at all", &req).ok());
   // Future protocol version: refuse rather than mis-serve.
   EXPECT_FALSE(ParseRequest("{\"v\":99,\"op\":\"ping\"}", &req).ok());
+  // A version past int's range is an unsupported version too; it is never
+  // narrowed (which could wrap it onto the version this server speaks).
+  Status huge_version = ParseRequest("{\"v\":4294967297,\"op\":\"ping\"}", &req);
+  ASSERT_FALSE(huge_version.ok());
+  EXPECT_NE(huge_version.message().find("unsupported protocol version"), std::string::npos)
+      << huge_version.message();
   // Missing / unknown op (the diagnostic names the supported ops).
   EXPECT_FALSE(ParseRequest("{\"id\":\"x\"}", &req).ok());
   Status unknown_op = ParseRequest("{\"op\":\"frobnicate\"}", &req);
@@ -100,6 +106,10 @@ TEST(Protocol, ParseRequestRejectsMalformedInput) {
   EXPECT_FALSE(ParseRequest("{\"op\":\"verify\"}", &req).ok());
   // Negative deadlines are nonsense, not "no deadline".
   EXPECT_FALSE(ParseRequest("{\"op\":\"verify\",\"gen\":\"g\",\"deadline_ms\":-1}", &req).ok());
+  // A number past double's range is malformed, not infinity; a huge finite
+  // deadline is accepted and means no deadline.
+  EXPECT_FALSE(ParseRequest("{\"op\":\"verify\",\"gen\":\"g\",\"deadline_ms\":1e999}", &req).ok());
+  EXPECT_TRUE(ParseRequest("{\"op\":\"verify\",\"gen\":\"g\",\"deadline_ms\":1e300}", &req).ok());
 }
 
 TEST(Protocol, ParseRequestToleratesOmittedVersionAndUnknownKeys) {
@@ -117,6 +127,9 @@ TEST(Protocol, ParseResponseRequiresStatus) {
   Response resp;
   EXPECT_FALSE(ParseResponse("{\"id\":\"x\"}", &resp).ok());
   EXPECT_TRUE(ParseResponse("{\"status\":\"OK\"}", &resp).ok());
+  // Integers that do not fit their fields make the line malformed.
+  EXPECT_FALSE(ParseResponse("{\"status\":\"OK\",\"paths\":1e19}", &resp).ok());
+  EXPECT_FALSE(ParseResponse("{\"status\":\"OK\",\"v\":4294967297}", &resp).ok());
 }
 
 TEST(Protocol, MetricsFieldsRoundTrip) {
@@ -264,9 +277,6 @@ TEST_F(ServerCoreTest, OlderClientTraceContextIsParsedAndServed) {
 }
 
 TEST_F(ServerCoreTest, MetricsOpServesAParseableExposition) {
-  if (!obs::kCompiledIn) {
-    GTEST_SKIP() << "built with ICARUS_ENABLE_OBS=OFF";
-  }
   obs::SetEnabled(true);
   obs::Registry::Global().ResetAll();
   ServerCore core(platform_, DaemonOptions{});
@@ -459,6 +469,24 @@ TEST_F(ServerCoreTest, DeadlineDegradesQueuedRequestsToInconclusive) {
   EXPECT_GE(inconclusive, 1);
   DaemonStats stats = core.StatsSnapshot();
   EXPECT_GE(stats.deadline_cancelled, 1);
+  EXPECT_TRUE(core.FinishDrain().ok());
+}
+
+TEST_F(ServerCoreTest, HugeDeadlineMeansNoDeadline) {
+  // A deadline past the clock's range behaves as none, whether the request
+  // carries it or the daemon's default supplies it. Converting it to clock
+  // ticks used to overflow into a deadline that had already passed.
+  DaemonOptions options;
+  options.default_deadline_ms = 1e300;
+  ServerCore core(platform_, options);
+  ASSERT_TRUE(core.Start().ok());
+  Response own = core.Execute(Verify("tryAttachInt32Add", "test", /*deadline_ms=*/1e300));
+  EXPECT_EQ(own.status, kStatusOk) << own.error;
+  EXPECT_EQ(own.outcome, "VERIFIED");
+  Response by_default = core.Execute(Verify("tryAttachObjectLength"));
+  EXPECT_EQ(by_default.status, kStatusOk) << by_default.error;
+  EXPECT_EQ(by_default.outcome, "VERIFIED");
+  EXPECT_EQ(core.StatsSnapshot().deadline_cancelled, 0);
   EXPECT_TRUE(core.FinishDrain().ok());
 }
 

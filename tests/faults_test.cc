@@ -1,8 +1,7 @@
 // Fault-injection suite: arm every registered fail point in turn and prove
 // each injected fault surfaces as a contained per-generator outcome
 // (INTERNAL_ERROR or INCONCLUSIVE) — never a process crash and never a wrong
-// verdict — while the rest of the fleet runs to completion. Also covers the
-// bounded-retry/budget-escalation path.
+// verdict — while the rest of the fleet runs to completion.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -44,12 +43,11 @@ class FaultsTest : public ::testing::Test {
   }
   void TearDown() override { failpoint::DisarmAll(); }
 
-  static BatchReport RunFleet(int retries = 0) {
+  static BatchReport RunFleet() {
     BatchVerifier batch(platform_);
     BatchOptions opts;
     opts.jobs = 2;
     opts.use_cache = true;
-    opts.retries = retries;
     StatusOr<BatchReport> report = batch.VerifyAll(kFleet, opts);
     EXPECT_TRUE(report.ok()) << report.status().message();
     return report.take();
@@ -201,62 +199,6 @@ TEST_F(FaultsTest, ArmRejectsBadSpecs) {
   EXPECT_FALSE(failpoint::Arm("p=cache-insert:0.5,seed=99999999999999999999999").ok());
   EXPECT_TRUE(failpoint::Arm("at=solver-decision:3").ok());
   EXPECT_TRUE(failpoint::Arm("p=cache-insert:0.5,seed=7").ok());
-}
-
-// --- Bounded retry with budget escalation -------------------------------
-
-TEST_F(FaultsTest, RetriesEscalateBudgetsUntilDecisive) {
-  // A zero-decision budget leaves real generators inconclusive (the CDCL
-  // core's unit propagation decides many queries without branching, so only
-  // budget 0 reliably starves the fleet); escalation per retry must
-  // eventually clear them, and the consumed retries must be visible on the
-  // rows and in the table.
-  BatchVerifier batch(platform_);
-  BatchOptions base;
-  base.jobs = 2;
-  base.use_cache = true;
-  base.solver_limits.max_decisions = 0;
-  StatusOr<BatchReport> no_retry_or = batch.VerifyAll(kFleet, base);
-  ASSERT_TRUE(no_retry_or.ok());
-  BatchReport no_retry = no_retry_or.take();
-  int inconclusive_without_retries = no_retry.NumWithOutcome(Outcome::kInconclusive);
-  ASSERT_GT(inconclusive_without_retries, 0)
-      << "budget of 0 decisions unexpectedly decisive:\n"
-      << no_retry.RenderTable();
-
-  BatchOptions with_retries = base;
-  with_retries.retries = 24;  // 0 escalates to 1, then doubles: covers any query here.
-  StatusOr<BatchReport> retried_or = batch.VerifyAll(kFleet, with_retries);
-  ASSERT_TRUE(retried_or.ok());
-  BatchReport retried = retried_or.take();
-  EXPECT_EQ(retried.NumWithOutcome(Outcome::kInconclusive), 0) << retried.RenderTable();
-  ExpectNoWrongVerdicts(retried);
-  EXPECT_GT(retried.TotalRetries(), 0);
-  for (const GeneratorResult& r : retried.results) {
-    EXPECT_GE(r.attempts, 1) << r.generator;
-  }
-  EXPECT_NE(retried.RenderTable().find("retries consumed"), std::string::npos);
-}
-
-TEST_F(FaultsTest, RetryBypassesCachedNegativeEntries) {
-  // The subtle interaction: attempt 1 caches kUnknown under the starved
-  // budget. If the retry consulted that negative entry it would be a no-op
-  // and the generator would stay inconclusive forever. The escalated attempt
-  // must bypass (and then upgrade) the negative entry.
-  BatchVerifier batch(platform_);
-  BatchOptions opts;
-  opts.jobs = 1;
-  opts.use_cache = true;  // Shared cache is what makes this dangerous.
-  opts.solver_limits.max_decisions = 0;
-  opts.retries = 24;
-  // tryAttachInt32Add needs branching decisions even under the CDCL core, so
-  // a zero budget reliably produces the negative entry on attempt 1.
-  StatusOr<BatchReport> report_or = batch.VerifyAll({"tryAttachInt32Add"}, opts);
-  ASSERT_TRUE(report_or.ok());
-  BatchReport report = report_or.take();
-  ASSERT_EQ(report.results.size(), 1u);
-  EXPECT_EQ(report.results[0].outcome, Outcome::kVerified) << report.RenderTable();
-  EXPECT_GT(report.results[0].attempts, 1);
 }
 
 }  // namespace

@@ -62,7 +62,7 @@ void WriteFile(const std::string& path, const std::string& content) {
 
 // --- Persistent solver cache: round-trip ---------------------------------
 
-TEST(CacheStore, RoundTripsAllEntryKindsWithBudgetsAndWitnesses) {
+TEST(CacheStore, RoundTripsDecisiveEntriesWithWitnesses) {
   std::string path = TempPath("cache_roundtrip.bin");
   SolverCache cache;
 
@@ -78,19 +78,13 @@ TEST(CacheStore, RoundTripsAllEntryKindsWithBudgetsAndWitnesses) {
   unsat.verdict = Verdict::kUnsat;
   cache.Insert(QueryKey{2, 20}, unsat);
 
-  SolverCache::Entry unknown;
-  unknown.verdict = Verdict::kUnknown;
-  unknown.budget_decisions = 123;
-  unknown.budget_seconds = 4.5;
-  cache.Insert(QueryKey{3, 30}, unknown);
-
   ASSERT_TRUE(sym::SaveSolverCache(cache, path, "epoch-A", /*max_bytes=*/0).ok());
 
   SolverCache restored;
   sym::CacheLoadResult load = sym::LoadSolverCache(path, "epoch-A", &restored);
   EXPECT_TRUE(load.note.empty()) << load.note;
-  EXPECT_EQ(load.entries, 3u);
-  EXPECT_EQ(restored.Snapshot().preloads, 3);
+  EXPECT_EQ(load.entries, 2u);
+  EXPECT_EQ(restored.Snapshot().preloads, 2);
 
   auto got_sat = restored.Lookup(QueryKey{1, 10}, /*need_model=*/true);
   ASSERT_TRUE(got_sat.has_value());
@@ -104,20 +98,6 @@ TEST(CacheStore, RoundTripsAllEntryKindsWithBudgetsAndWitnesses) {
   auto got_unsat = restored.Lookup(QueryKey{2, 20});
   ASSERT_TRUE(got_unsat.has_value());
   EXPECT_EQ(got_unsat->verdict, Verdict::kUnsat);
-
-  // The negative entry keeps its producing budget: equal budget is served...
-  sym::Solver::Limits same;
-  same.max_decisions = 123;
-  same.max_seconds = 4.5;
-  auto got_unknown = restored.Lookup(QueryKey{3, 30}, false, &same);
-  ASSERT_TRUE(got_unknown.has_value());
-  EXPECT_EQ(got_unknown->verdict, Verdict::kUnknown);
-  EXPECT_EQ(got_unknown->budget_decisions, 123);
-  EXPECT_DOUBLE_EQ(got_unknown->budget_seconds, 4.5);
-  // ...and a strictly larger budget misses, same as before persistence.
-  sym::Solver::Limits bigger = same;
-  bigger.max_decisions = 124;
-  EXPECT_FALSE(restored.Lookup(QueryKey{3, 30}, false, &bigger).has_value());
 
   std::remove(path.c_str());
 }
@@ -160,6 +140,19 @@ TEST(CacheStore, CorruptStoresDegradeToColdStartWithNote) {
   std::string bad_version = intact;
   bad_version[4] = static_cast<char>(0x7f);  // Version field follows the magic.
   cases.push_back({"unknown version", bad_version});
+  // A version-1 store, as written before kUnknown entries stopped being
+  // cached (its entries also carried budget stamps).
+  std::string version_one = intact;
+  version_one[4] = 1;
+  cases.push_back({"version 1", version_one});
+  // The cache holds decisive answers only: a kUnknown verdict byte in the
+  // first entry (after magic, version, fingerprint, count, and its key) is
+  // corruption.
+  std::string unknown_entry = intact;
+  const size_t first_verdict = 4 + 4 + (4 + std::string("epoch-A").size()) + 8 + 16;
+  ASSERT_EQ(unknown_entry[first_verdict], static_cast<char>(Verdict::kUnsat));
+  unknown_entry[first_verdict] = static_cast<char>(Verdict::kUnknown);
+  cases.push_back({"kUnknown entry", unknown_entry});
   cases.push_back({"fingerprint mismatch", intact, "epoch-B"});
   cases.push_back({"trailing garbage", intact + "junk"});
 
@@ -216,7 +209,6 @@ JournalRecord PassRecord(const std::string& generator, const std::string& fp) {
   rec.outcome = "VERIFIED";
   rec.unit_fp = fp;
   rec.budget_decisions = 1000;
-  rec.budget_seconds = 0.0;
   rec.paths = 4;
   return rec;
 }
@@ -239,7 +231,6 @@ TEST(VerdictStoreTest, RoundTripsAndMatchesStrictly) {
 
   sym::Solver::Limits limits;
   limits.max_decisions = 1000;
-  limits.max_seconds = 0.0;
   const JournalRecord* hit = loaded.FindPass("genA", "aaaa", limits);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->paths, 4);
@@ -257,6 +248,18 @@ TEST(VerdictStoreTest, RoundTripsAndMatchesStrictly) {
   EXPECT_EQ(loaded.FindPass("genC", "cccc", limits), nullptr);
   // Empty fingerprint (unit failed to fingerprint) never matches.
   EXPECT_EQ(loaded.FindPass("genA", "", limits), nullptr);
+
+  // A row written before retries and the wall-clock budget were removed
+  // still matches on fingerprint plus decision budget.
+  std::string parent_row = PassRecord("genP", "pppp").ToJsonLine();
+  parent_row.insert(parent_row.size() - 1, ",\"attempts\":1,\"budget_seconds\":0");
+  WriteFile(path, parent_row + "\n");
+  VerdictStore parent;
+  load = parent.Load(path, kVerifierEpoch);
+  EXPECT_TRUE(load.note.empty()) << load.note;
+  EXPECT_EQ(load.entries, 1u);
+  EXPECT_NE(parent.FindPass("genP", "pppp", limits), nullptr);
+  EXPECT_EQ(parent.FindPass("genP", "pppp", more), nullptr);
   std::remove(path.c_str());
 }
 

@@ -39,7 +39,6 @@ JournalRecord MakeRecord(const std::string& generator, const std::string& outcom
   rec.paths = 12;
   rec.queries = 345;
   rec.seconds = 0.0625;
-  rec.attempts = 2;
   rec.cfa_s = 0.001;
   rec.gen_s = 0.0155;
   rec.interp_s = 0.008;
@@ -70,7 +69,6 @@ TEST(Journal, RecordRoundTripsThroughDisk) {
   EXPECT_EQ(r.paths, 12);
   EXPECT_EQ(r.queries, 345);
   EXPECT_DOUBLE_EQ(r.seconds, 0.0625);
-  EXPECT_EQ(r.attempts, 2);
   EXPECT_DOUBLE_EQ(r.cfa_s, 0.001);
   EXPECT_DOUBLE_EQ(r.gen_s, 0.0155);
   EXPECT_DOUBLE_EQ(r.interp_s, 0.008);
@@ -136,6 +134,20 @@ TEST(Journal, MalformedMiddleLineIsCorruption) {
   EXPECT_NE(read.status().message().find("malformed"), std::string::npos)
       << read.status().message();
   std::remove(path.c_str());
+}
+
+TEST(Journal, OutOfRangeIntegersAreMalformed) {
+  // A --resume file is input from outside the process: a value that does not
+  // fit its integer field makes the line malformed instead of being narrowed.
+  const std::string good = MakeRecord("g", "VERIFIED").ToJsonLine();
+  JournalRecord rec;
+  ASSERT_TRUE(ParseJournalLine(good, &rec));
+  for (const char* field :
+       {"\"schema\":4294967297", "\"cx_line\":1e300", "\"paths\":1e19", "\"paths\":1e999"}) {
+    std::string line = good;
+    line.insert(line.size() - 1, std::string(",") + field);
+    EXPECT_FALSE(ParseJournalLine(line, &rec)) << field;
+  }
 }
 
 TEST(Journal, MismatchedPlatformIsRefused) {

@@ -1,9 +1,7 @@
 // Metrics registry tests: histogram bucketing against hand-computed bounds,
 // counter correctness under concurrent increments from many threads (the
 // TSan preset runs this under -L obs), registry idempotence, and the two
-// exposition formats. Every test skips itself when the build compiled the
-// instrumentation out (ICARUS_ENABLE_OBS=OFF) — the API still links, but
-// Enabled() is constexpr false and nothing records.
+// exposition formats.
 #include "src/obs/metrics.h"
 
 #include <gtest/gtest.h>
@@ -22,9 +20,6 @@ namespace {
 class ObsMetricsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!kCompiledIn) {
-      GTEST_SKIP() << "built with ICARUS_ENABLE_OBS=OFF";
-    }
     SetEnabled(true);
     Registry::Global().ResetAll();
   }

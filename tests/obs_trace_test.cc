@@ -11,23 +11,20 @@
 #include <thread>
 #include <vector>
 
+#include "src/obs/metrics.h"
+
 namespace icarus::obs {
 namespace {
 
 class ObsTraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!kCompiledIn) {
-      GTEST_SKIP() << "built with ICARUS_ENABLE_OBS=OFF";
-    }
     SetEnabled(true);
     StartTracing();
   }
   void TearDown() override {
-    if (kCompiledIn) {
-      StopTracing();
-      SetEnabled(false);
-    }
+    StopTracing();
+    SetEnabled(false);
   }
 };
 

@@ -120,7 +120,6 @@ TEST(HtmlReport, JournalRecordFlattensFieldForField) {
   rec.paths_infeasible = 1;
   rec.queries = 9;
   rec.decisions = 77;
-  rec.attempts = 2;
   rec.seconds = 1.5;
   rec.solve_s = 0.75;
   rec.cx_contract = "assert c";
@@ -133,7 +132,6 @@ TEST(HtmlReport, JournalRecordFlattensFieldForField) {
   EXPECT_EQ(row.paths_infeasible, 1);
   EXPECT_EQ(row.queries, 9);
   EXPECT_EQ(row.decisions, 77);
-  EXPECT_EQ(row.attempts, 2);
   EXPECT_DOUBLE_EQ(row.seconds, 1.5);
   EXPECT_DOUBLE_EQ(row.solve_s, 0.75);
   EXPECT_EQ(row.cx_contract, "assert c");

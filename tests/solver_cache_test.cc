@@ -167,142 +167,40 @@ TEST_F(SolverCacheTest, ModelFreeEntryUpgradedOnDemand) {
   EXPECT_EQ(r4.model.ToString(), r3.model.ToString());
 }
 
-TEST_F(SolverCacheTest, UnknownStoredAsNegativeEntry) {
+TEST_F(SolverCacheTest, UnknownIsNeverCached) {
+  // A give-up is a fact about the budget, not the query: only decisive
+  // answers enter the cache, so no later solver can be served a stale one.
   SolverCache cache;
   // A budget of 0 decisions forces kUnknown on any query that needs a split.
   Solver::Limits tiny;
   tiny.max_decisions = 0;
-  Solver s1(tiny);
-  s1.set_cache(&cache);
+  Solver starved(tiny);
+  starved.set_cache(&cache);
 
   ExprRef p = pool_.Var("p", Sort::kBool);
   ExprRef q = pool_.Var("q", Sort::kBool);
   std::vector<ExprRef> query = {pool_.Or(p, q), pool_.Or(pool_.Not(p), q)};
-  SolveResult r = s1.Solve(query);
-  ASSERT_EQ(r.verdict, Verdict::kUnknown);
-  EXPECT_EQ(s1.stats().budget_exhausted, 1);
+  ASSERT_EQ(starved.Solve(query).verdict, Verdict::kUnknown);
+  EXPECT_EQ(starved.stats().budget_exhausted, 1);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.Snapshot().misses, 1);
+  EXPECT_EQ(cache.Snapshot().insertions, 0);
 
-  // A second solver sharing the cache gets the negative entry instead of
-  // burning its own budget.
-  Solver s2(tiny);
-  s2.set_cache(&cache);
-  EXPECT_EQ(s2.Solve(query).verdict, Verdict::kUnknown);
-  EXPECT_EQ(s2.stats().cache_negative_hits, 1);
-  EXPECT_EQ(s2.stats().budget_exhausted, 0);
-  EXPECT_EQ(cache.Snapshot().negative_hits, 1);
-}
-
-TEST_F(SolverCacheTest, DecisiveVerdictUpgradesNegativeEntry) {
-  SolverCache cache;
-  ExprRef x = pool_.Var("x", Sort::kInt);
-  QueryKey key = FingerprintQuery({pool_.Lt(x, pool_.IntConst(5))});
-
-  SolverCache::Entry negative;
-  negative.verdict = Verdict::kUnknown;
-  cache.Insert(key, negative);
-  ASSERT_EQ(cache.Lookup(key)->verdict, Verdict::kUnknown);
-
-  // A decisive verdict (as produced by a budget-escalated retry) must replace
-  // the resident negative entry, not be dropped by first-writer-wins.
-  SolverCache::Entry decisive;
-  decisive.verdict = Verdict::kSat;
-  decisive.has_model = true;
-  decisive.model_text = "x = 4";
-  cache.Insert(key, decisive);
-  std::optional<SolverCache::Entry> got = cache.Lookup(key, /*need_model=*/true);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->verdict, Verdict::kSat);
-  EXPECT_EQ(got->model_text, "x = 4");
+  // A solver with the default budget on the same cache misses, answers
+  // decisively, and that answer is inserted.
+  Solver solver;
+  solver.set_cache(&cache);
+  EXPECT_EQ(solver.Solve(query).verdict, Verdict::kSat);
+  EXPECT_EQ(solver.stats().cache_misses, 1);
   EXPECT_EQ(cache.size(), 1u);
-}
+  EXPECT_EQ(cache.Snapshot().insertions, 1);
 
-TEST_F(SolverCacheTest, LargerBudgetMissesPastNegativeEntryAndUpgradesIt) {
-  // The retry path: a starved solver caches kUnknown stamped with its budget;
-  // a retry with a strictly larger budget must miss past the negative entry
-  // and re-solve, and its decisive verdict must upgrade the entry so later
-  // lookups are decisive too.
-  SolverCache cache;
-  Solver::Limits tiny;
-  tiny.max_decisions = 0;
-  Solver starved(tiny);
-  starved.set_cache(&cache);
-
-  ExprRef p = pool_.Var("p", Sort::kBool);
-  ExprRef q = pool_.Var("q", Sort::kBool);
-  std::vector<ExprRef> query = {pool_.Or(p, q), pool_.Or(pool_.Not(p), q)};
-  ASSERT_EQ(starved.Solve(query).verdict, Verdict::kUnknown);
-
-  Solver::Limits escalated;
-  escalated.max_decisions = 1'000;
-  Solver retry(escalated);
-  retry.set_cache(&cache);
-  EXPECT_EQ(retry.Solve(query).verdict, Verdict::kSat);
-  EXPECT_EQ(retry.stats().cache_negative_hits, 0);
-  EXPECT_EQ(retry.stats().cache_misses, 1);
-
-  // The negative entry was upgraded in place: a plain solver now hits the
-  // decisive verdict without spending budget.
-  Solver after;
-  after.set_cache(&cache);
-  EXPECT_EQ(after.Solve(query).verdict, Verdict::kSat);
-  EXPECT_EQ(after.stats().cache_hits, 1);
-  EXPECT_EQ(after.stats().decisions, 0);
-}
-
-TEST_F(SolverCacheTest, EqualOrSmallerBudgetIsServedTheNegativeEntry) {
-  // Re-running under the same (or a smaller) budget must NOT re-solve: the
-  // give-up already happened under at least this much budget.
-  SolverCache cache;
-  Solver::Limits budget;
-  budget.max_decisions = 0;
-  Solver starved(budget);
-  starved.set_cache(&cache);
-
-  ExprRef p = pool_.Var("p", Sort::kBool);
-  ExprRef q = pool_.Var("q", Sort::kBool);
-  std::vector<ExprRef> query = {pool_.Or(p, q), pool_.Or(pool_.Not(p), q)};
-  ASSERT_EQ(starved.Solve(query).verdict, Verdict::kUnknown);
-
-  Solver same(budget);
-  same.set_cache(&cache);
-  EXPECT_EQ(same.Solve(query).verdict, Verdict::kUnknown);
-  EXPECT_EQ(same.stats().cache_negative_hits, 1);
-  EXPECT_EQ(same.stats().cache_misses, 0);
-  EXPECT_EQ(same.stats().budget_exhausted, 0);
-}
-
-TEST_F(SolverCacheTest, UnknownEntryStoresProducingBudget) {
-  // The entry written for a budget blow-out carries the budget it ran under,
-  // and a bigger give-up upgrades the stamp in place.
-  SolverCache cache;
-  Solver::Limits tiny;
-  tiny.max_decisions = 0;
-  tiny.max_seconds = 1.0;
-  Solver starved(tiny);
-  starved.set_cache(&cache);
-
-  ExprRef p = pool_.Var("p", Sort::kBool);
-  ExprRef q = pool_.Var("q", Sort::kBool);
-  std::vector<ExprRef> query = {pool_.Or(p, q), pool_.Or(pool_.Not(p), q)};
-  ASSERT_EQ(starved.Solve(query).verdict, Verdict::kUnknown);
-
-  QueryKey key = FingerprintQuery(query);
-  std::optional<SolverCache::Entry> entry = cache.Lookup(key);
-  ASSERT_TRUE(entry.has_value());
-  EXPECT_EQ(entry->verdict, Verdict::kUnknown);
-  EXPECT_EQ(entry->budget_decisions, 0);
-  EXPECT_DOUBLE_EQ(entry->budget_seconds, 1.0);
-
-  // A kUnknown produced under a strictly larger budget advances the stamp.
-  SolverCache::Entry bigger;
-  bigger.verdict = Verdict::kUnknown;
-  bigger.budget_decisions = 50;
-  bigger.budget_seconds = 1.0;
-  cache.Insert(key, bigger);
-  entry = cache.Lookup(key);
-  ASSERT_TRUE(entry.has_value());
-  EXPECT_EQ(entry->budget_decisions, 50);
-  EXPECT_EQ(cache.Snapshot().upgrades, 1);
+  // A kUnknown entry inserted directly is dropped too.
+  ExprRef x = pool_.Var("x", Sort::kInt);
+  SolverCache::Entry unknown;
+  unknown.verdict = Verdict::kUnknown;
+  cache.Insert(FingerprintQuery({pool_.Lt(x, pool_.IntConst(5))}), unknown);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST_F(SolverCacheTest, InjectedInsertFaultDoesNotPoisonShard) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <limits>
+
 #include "src/support/rng.h"
 #include "src/support/status.h"
 #include "src/support/str_util.h"
@@ -85,6 +88,22 @@ TEST(Timing, Stats) {
   SampleStats odd = ComputeStats({3.0, 1.0, 2.0});
   EXPECT_DOUBLE_EQ(odd.median, 2.0);
   EXPECT_EQ(ComputeStats({}).mean, 0.0);
+}
+
+TEST(Timing, DeadlineAfterSaturates) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point before = Clock::now();
+  const Clock::time_point one = DeadlineAfter(1.0);
+  EXPECT_GE(one, before + std::chrono::seconds(1));
+  EXPECT_LT(one, Clock::now() + std::chrono::seconds(2));
+  // Past the clock's range, or not a number: a deadline that never arrives.
+  for (double seconds : {1e10, 1e300, std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(DeadlineAfter(seconds), Clock::time_point::max()) << seconds;
+  }
+  // A negative wait has already elapsed.
+  const Clock::time_point negative = DeadlineAfter(-5.0);
+  EXPECT_LE(negative, Clock::now());
 }
 
 TEST(Rng, DeterministicAndInRange) {

@@ -1,6 +1,6 @@
 // Thread-pool unit tests: submission ordering, exception propagation through
-// futures, nested (work-stealing) submission, and shutdown under load —
-// including the no-dropped-tasks guarantee for submissions racing shutdown.
+// futures, and shutdown under load — including the no-dropped-tasks guarantee
+// for submissions racing shutdown.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -43,8 +43,8 @@ TEST(ThreadPoolTest, ReturnsValuesThroughFutures) {
 }
 
 TEST(ThreadPoolTest, SingleThreadPreservesSubmissionOrder) {
-  // External submissions go through the FIFO injection queue, so a 1-thread
-  // pool must execute them in submission order.
+  // The queue is FIFO, so a 1-thread pool must execute tasks in submission
+  // order.
   ThreadPool pool(1);
   std::vector<int> order;
   std::vector<std::future<void>> futures;
@@ -69,34 +69,9 @@ TEST(ThreadPoolTest, PropagatesExceptionsThroughFutures) {
   EXPECT_EQ(good.get(), 7);
 }
 
-TEST(ThreadPoolTest, NestedSubmissionFromWorkers) {
-  // Tasks submitted from inside a task land on the submitting worker's own
-  // deque and are still executed (by the owner or a stealing sibling). The
-  // join inside the task must use WaitHelping: with more roots than workers,
-  // a plain future.get() would block every worker and deadlock the pool.
-  ThreadPool pool(4);
-  std::atomic<int> leaf_sum{0};
-  std::vector<std::future<void>> roots;
-  for (int i = 0; i < 8; ++i) {
-    roots.push_back(pool.Submit([&pool, &leaf_sum]() {
-      std::vector<std::future<void>> leaves;
-      for (int j = 1; j <= 10; ++j) {
-        leaves.push_back(pool.Submit([&leaf_sum, j]() { leaf_sum.fetch_add(j); }));
-      }
-      for (auto& f : leaves) {
-        pool.WaitHelping(f);
-      }
-    }));
-  }
-  for (auto& f : roots) {
-    f.get();
-  }
-  EXPECT_EQ(leaf_sum.load(), 8 * 55);
-}
-
 TEST(ThreadPoolTest, WorkIsDistributedAcrossThreads) {
   // With many slow-ish tasks and several workers, more than one thread must
-  // participate (work-stealing/injection actually spreads the load).
+  // participate (the shared queue actually spreads the load).
   ThreadPool pool(4);
   std::mutex mu;
   std::set<std::thread::id> seen;

@@ -125,9 +125,6 @@ int VerifyAllHelp() {
       "  --max-decisions N\n"
       "                  Per-query solver decision budget (default: 2000000);\n"
       "                  exhaustion degrades that generator to INCONCLUSIVE.\n"
-      "  --retries N     Re-verify budget-inconclusive generators up to N extra\n"
-      "                  times, doubling the per-query solver budgets each time\n"
-      "                  (default: 0). Deadline-cancelled tasks are not retried.\n"
       "  --stats         Also render the cost-attribution table: per-generator\n"
       "                  stage breakdown (generate / interpret / solve),\n"
       "                  decision/propagation counts, learned clauses, restarts,\n"
@@ -155,7 +152,7 @@ int VerifyAllHelp() {
       "                  used with --journal pointing at the same FILE.\n"
       "  --incremental   Skip generators whose verification unit (the generator\n"
       "                  plus every DSL decl its verdict depends on) is unchanged\n"
-      "                  since a previously stored PASS under the same solver\n"
+      "                  since a previously stored PASS under the same decision\n"
       "                  budget. Skipped rows report CACHED_SAFE — it stands for\n"
       "                  VERIFIED and satisfies the exit code the same way. The\n"
       "                  persistent stores (verdict store + solver-result cache)\n"
@@ -789,11 +786,6 @@ int Run(int argc, char** argv) {
     for (int i = 2; i < argc; ++i) {
       if (std::strcmp(argv[i], "--trace") == 0 || std::strcmp(argv[i], "--metrics") == 0) {
         icarus::obs::SetEnabled(true);
-        if (!icarus::obs::kCompiledIn) {
-          std::fprintf(stderr,
-                       "note: this build has ICARUS_ENABLE_OBS=OFF; --trace/--metrics "
-                       "outputs will be empty\n");
-        }
       }
       if (std::strcmp(argv[i], "--trace") == 0) {
         icarus::obs::StartTracing();
@@ -856,8 +848,6 @@ int Run(int argc, char** argv) {
         options.use_cache = false;
       } else if (flag == "--max-decisions" && i + 1 < argc) {
         options.solver_limits.max_decisions = std::atoll(argv[++i]);
-      } else if (flag == "--retries" && i + 1 < argc) {
-        options.retries = std::atoi(argv[++i]);
       } else if (flag == "--journal" && i + 1 < argc) {
         options.journal_path = argv[++i];
       } else if (flag == "--resume" && i + 1 < argc) {

@@ -60,8 +60,8 @@ int Usage() {
       "                   shed with OVERLOADED (default 32).\n"
       "  --deadline-ms D  Default per-request deadline; past it the request\n"
       "                   degrades to INCONCLUSIVE (default: none).\n"
-      "  --max-decisions N  Per-query solver decision budget.\n"
-      "  --max-seconds S    Per-query solver wall budget.\n"
+      "  --max-decisions N  Per-query solver decision budget; exhaustion\n"
+      "                   degrades that request to INCONCLUSIVE.\n"
       "  --journal FILE   Append every verdict (fsync'd) and replay it into\n"
       "                   the warm verdict view on startup.\n"
       "  --incremental    Use the persistent stores under --cache-dir; if\n"
@@ -102,8 +102,6 @@ int RunDaemon(int argc, char** argv) {
       options.default_deadline_ms = std::atof(argv[++i]);
     } else if (flag == "--max-decisions" && i + 1 < argc) {
       options.solver_limits.max_decisions = std::atoll(argv[++i]);
-    } else if (flag == "--max-seconds" && i + 1 < argc) {
-      options.solver_limits.max_seconds = std::atof(argv[++i]);
     } else if (flag == "--journal" && i + 1 < argc) {
       options.journal_path = argv[++i];
     } else if (flag == "--incremental") {
