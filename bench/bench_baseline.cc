@@ -1,15 +1,18 @@
-#include "src/obs/bench_baseline.h"
+#include "bench/bench_baseline.h"
 
 #include <cctype>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
 
+#include "src/obs/json.h"
 #include "src/support/str_util.h"
 
-namespace icarus::obs {
+namespace icarus::bench {
 
 namespace {
 
@@ -256,6 +259,38 @@ double EntryMs(const BenchEntry& e) {
 
 }  // namespace
 
+Status WriteBenchJson(const std::string& path, std::string_view bench_name,
+                      const std::vector<BenchEntry>& entries) {
+  obs::JsonWriter w;
+  w.BeginObject();
+  w.Key("bench").String(bench_name);
+  w.Key("entries").BeginArray();
+  for (const BenchEntry& e : entries) {
+    w.BeginObject();
+    w.Key("name").String(e.name);
+    w.Key("mean_ms").Double(e.mean_ms);
+    w.Key("median_ms").Double(e.median_ms);
+    w.Key("stddev_ms").Double(e.stddev_ms);
+    w.Key("runs").Int(e.runs);
+    w.EndObject();
+  }
+  w.EndArray();
+  w.EndObject();
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) {
+    return Status::Error(
+        StrCat("cannot open '", path, "' for bench JSON: ", std::strerror(errno)));
+  }
+  const std::string& doc = w.str();
+  size_t written = std::fwrite(doc.data(), 1, doc.size(), f);
+  int newline = std::fputc('\n', f);
+  int closed = std::fclose(f);
+  if (written != doc.size() || newline == EOF || closed != 0) {
+    return Status::Error(StrCat("short write to bench JSON '", path, "'"));
+  }
+  return Status::Ok();
+}
+
 StatusOr<BenchRun> ParseBenchJson(std::string_view text) {
   BenchRun run;
   Status st = BenchJsonParser(text).Parse(&run);
@@ -344,4 +379,4 @@ std::string BenchComparison::Render() const {
   return out;
 }
 
-}  // namespace icarus::obs
+}  // namespace icarus::bench

@@ -1,7 +1,7 @@
-// Bench baseline store and regression comparison.
+// Bench result files and the regression comparison over them.
 //
 // The bench binaries emit machine-readable results via `--json`
-// (WriteBenchJson in json.h). This module reads those files back and
+// (WriteBenchJson below). This module also reads those files back and
 // compares a current run against a checked-in baseline
 // (bench/baselines/*.json), flagging any entry whose time regressed by more
 // than a configurable threshold. `bench_compare` wraps it as a CLI and the
@@ -12,17 +12,32 @@
 // machine), falling back to mean_ms for single-run benches that report no
 // median. Entries only in the current run ("added") or only in the baseline
 // ("removed") are reported but are not regressions: benches evolve.
-#ifndef ICARUS_OBS_BENCH_BASELINE_H_
-#define ICARUS_OBS_BENCH_BASELINE_H_
+#ifndef ICARUS_BENCH_BENCH_BASELINE_H_
+#define ICARUS_BENCH_BENCH_BASELINE_H_
 
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "src/obs/json.h"
 #include "src/support/status.h"
 
-namespace icarus::obs {
+namespace icarus::bench {
+
+// One row of a machine-readable benchmark result (the `--json` flag of the
+// bench binaries): name plus summary statistics in milliseconds.
+struct BenchEntry {
+  std::string name;
+  double mean_ms = 0.0;
+  double median_ms = 0.0;
+  double stddev_ms = 0.0;
+  int runs = 0;
+};
+
+// Writes `{"bench": <bench_name>, "entries": [{name, mean_ms, median_ms,
+// stddev_ms, runs}, ...]}` to `path`. The seed format for BENCH_*.json perf
+// trajectories: append-friendly, diffable, one file per bench run.
+Status WriteBenchJson(const std::string& path, std::string_view bench_name,
+                      const std::vector<BenchEntry>& entries);
 
 // One parsed bench result file.
 struct BenchRun {
@@ -72,6 +87,6 @@ struct BenchComparison {
 BenchComparison CompareBenchRuns(const BenchRun& baseline, const BenchRun& current,
                                  double threshold_pct, double noise_floor_ms = 0.25);
 
-}  // namespace icarus::obs
+}  // namespace icarus::bench
 
-#endif  // ICARUS_OBS_BENCH_BASELINE_H_
+#endif  // ICARUS_BENCH_BENCH_BASELINE_H_

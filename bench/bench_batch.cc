@@ -21,7 +21,7 @@
 #include <thread>
 #include <vector>
 
-#include "src/obs/json.h"
+#include "bench/bench_baseline.h"
 #include "src/platform/platform.h"
 #include "src/support/str_util.h"
 #include "src/support/thread_pool.h"
@@ -60,7 +60,7 @@ double MeasureParallelism() {
   return icarus::ComputeStats(ratios).median;
 }
 
-icarus::obs::BenchEntry Entry(const std::string& name, const std::vector<double>& ms) {
+icarus::bench::BenchEntry Entry(const std::string& name, const std::vector<double>& ms) {
   icarus::SampleStats stats = icarus::ComputeStats(ms);
   return {name, stats.mean, stats.median, stats.stddev, static_cast<int>(ms.size())};
 }
@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
     base = batch.VerifyEverything(serial).take();
     base_ms.push_back(base.wall_seconds * 1e3);
   }
-  std::vector<icarus::obs::BenchEntry> entries;
+  std::vector<icarus::bench::BenchEntry> entries;
   entries.push_back(Entry("serial_1job_nocache", base_ms));
   const double base_median = entries.back().median_ms;
   std::printf("%-28s wall %7.3fs\n", "serial (1 job, no cache)", base_median / 1e3);
@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
     speedup_ok = true;
   }
   if (!json_path.empty()) {
-    icarus::Status st = icarus::obs::WriteBenchJson(json_path, "bench_batch", entries);
+    icarus::Status st = icarus::bench::WriteBenchJson(json_path, "bench_batch", entries);
     if (!st.ok()) {
       std::fprintf(stderr, "--json: %s\n", st.message().c_str());
       return 1;

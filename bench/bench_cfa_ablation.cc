@@ -19,8 +19,8 @@
 
 #include "src/cfa/cfa.h"
 #include "src/meta/meta_executor.h"
-#include "src/meta/naive_executor.h"
 #include "src/platform/platform.h"
+#include "tests/naive_executor.h"
 
 int main() {
   using icarus::platform::Platform;

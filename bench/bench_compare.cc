@@ -4,7 +4,7 @@
 // Compares a current bench JSON (emitted by a bench binary's --json flag)
 // against a checked-in baseline (bench/baselines/*.json) and fails when any
 // entry's time exceeds the baseline by more than the threshold. The
-// comparison itself lives in src/obs/bench_baseline.{h,cc}; this binary is
+// comparison itself lives in bench/bench_baseline.{h,cc}; this binary is
 // the thin CLI over it.
 //
 // Usage: bench_compare --baseline FILE --current FILE [--threshold PCT]
@@ -24,7 +24,7 @@
 #include <cstring>
 #include <string>
 
-#include "src/obs/bench_baseline.h"
+#include "bench/bench_baseline.h"
 
 int main(int argc, char** argv) {
   std::string baseline_path;
@@ -51,25 +51,25 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bench_compare: --baseline and --current are required\n");
     return 2;
   }
-  auto baseline = icarus::obs::ReadBenchJsonFile(baseline_path);
+  auto baseline = icarus::bench::ReadBenchJsonFile(baseline_path);
   if (!baseline.ok()) {
     std::fprintf(stderr, "%s\n", baseline.status().message().c_str());
     return 2;
   }
-  auto current = icarus::obs::ReadBenchJsonFile(current_path);
+  auto current = icarus::bench::ReadBenchJsonFile(current_path);
   if (!current.ok()) {
     std::fprintf(stderr, "%s\n", current.status().message().c_str());
     return 2;
   }
   if (scale != 1.0) {
-    for (icarus::obs::BenchEntry& e : current.value().entries) {
+    for (icarus::bench::BenchEntry& e : current.value().entries) {
       e.mean_ms *= scale;
       e.median_ms *= scale;
     }
     std::printf("(current-run times scaled by %g for drill purposes)\n", scale);
   }
-  icarus::obs::BenchComparison cmp =
-      icarus::obs::CompareBenchRuns(baseline.value(), current.value(), threshold_pct);
+  icarus::bench::BenchComparison cmp =
+      icarus::bench::CompareBenchRuns(baseline.value(), current.value(), threshold_pct);
   std::printf("baseline: %s\ncurrent:  %s\n\n%s", baseline_path.c_str(), current_path.c_str(),
               cmp.Render().c_str());
   return cmp.regressed ? 1 : 0;

@@ -23,9 +23,9 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_baseline.h"
 #include "src/daemon/protocol.h"
 #include "src/daemon/server.h"
-#include "src/obs/json.h"
 #include "src/platform/platform.h"
 #include "src/support/timing.h"
 #include "src/sym/solver_cache.h"
@@ -88,7 +88,6 @@ int main(int argc, char** argv) {
   for (const std::string& name : fleet) {
     icarus::sym::SolverCache cache;
     icarus::verifier::VerifyOptions vopts;
-    vopts.build_cfa = false;
     vopts.solver_cache = &cache;
     icarus::verifier::Verifier verifier(platform.get());
     WallTimer timer;
@@ -164,7 +163,7 @@ int main(int argc, char** argv) {
     // microseconds, where scheduler jitter dwarfs any percentage threshold.
     // The warm-beats-cold gate above runs on the unclamped numbers.
     auto clamped = [](double ms) { return ms < 1.0 ? 1.0 : ms; };
-    std::vector<icarus::obs::BenchEntry> entries;
+    std::vector<icarus::bench::BenchEntry> entries;
     entries.push_back({"cold_p50", clamped(cold.p50), clamped(cold.p50), 0.0,
                        static_cast<int>(cold_ms.size())});
     entries.push_back({"cold_p99", clamped(cold.p99), clamped(cold.p99), 0.0,
@@ -173,7 +172,7 @@ int main(int argc, char** argv) {
                        static_cast<int>(warm_ms.size())});
     entries.push_back({"daemon_warm_p99", clamped(warm.p99), clamped(warm.p99), 0.0,
                        static_cast<int>(warm_ms.size())});
-    icarus::Status st = icarus::obs::WriteBenchJson(json_path, "bench_daemon", entries);
+    icarus::Status st = icarus::bench::WriteBenchJson(json_path, "bench_daemon", entries);
     if (!st.ok()) {
       std::fprintf(stderr, "--json: %s\n", st.message().c_str());
       return 1;

@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "src/obs/json.h"
+#include "bench/bench_baseline.h"
 #include "src/platform/platform.h"
 #include "src/support/str_util.h"
 #include "src/support/timing.h"
@@ -129,13 +129,13 @@ int main(int argc, char** argv) {
         ms.push_back(s * 1e3 < 1.0 ? 1.0 : s * 1e3);
       }
       icarus::SampleStats stats = icarus::ComputeStats(ms);
-      return icarus::obs::BenchEntry{name, stats.mean, stats.median, stats.stddev,
+      return icarus::bench::BenchEntry{name, stats.mean, stats.median, stats.stddev,
                                      static_cast<int>(ms.size())};
     };
-    std::vector<icarus::obs::BenchEntry> entries;
+    std::vector<icarus::bench::BenchEntry> entries;
     entries.push_back(entry("cold_incremental", cold_s));
     entries.push_back(entry("warm_incremental", warm_s));
-    icarus::Status st = icarus::obs::WriteBenchJson(json_path, "bench_incremental", entries);
+    icarus::Status st = icarus::bench::WriteBenchJson(json_path, "bench_incremental", entries);
     if (!st.ok()) {
       std::fprintf(stderr, "--json: %s\n", st.message().c_str());
       return 1;

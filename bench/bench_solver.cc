@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "src/obs/json.h"
+#include "bench/bench_baseline.h"
 #include "src/sym/expr.h"
 #include "src/sym/solver.h"
 #include "src/support/str_util.h"
@@ -214,12 +214,12 @@ int main(int argc, char** argv) {
       }
       return xs.empty() ? 0.0 : m / static_cast<double>(xs.size());
     };
-    std::vector<icarus::obs::BenchEntry> entries;
+    std::vector<icarus::bench::BenchEntry> entries;
     entries.push_back({"cdcl_per_query", mean_of(on_ms), on_median, stddev(on_ms),
                        static_cast<int>(on_ms.size())});
     entries.push_back({"decide_only_per_query", mean_of(off_ms), off_median, stddev(off_ms),
                        static_cast<int>(off_ms.size())});
-    icarus::Status st = icarus::obs::WriteBenchJson(json_path, "bench_solver", entries);
+    icarus::Status st = icarus::bench::WriteBenchJson(json_path, "bench_solver", entries);
     if (!st.ok()) {
       std::fprintf(stderr, "--json: %s\n", st.message().c_str());
       return 1;

@@ -16,6 +16,7 @@
 #include "src/boogie/boogie_dce.h"
 #include "src/boogie/boogie_lower.h"
 #include "src/boogie/boogie_printer.h"
+#include "src/cfa/cfa.h"
 #include "src/verifier/verifier.h"
 
 int main() {
@@ -28,21 +29,26 @@ int main() {
   icarus::verifier::Verifier verifier(platform.get());
 
   std::printf("== Bug 1685925: TypedArray.length OOB read ==\n\n");
-  icarus::verifier::VerifyOptions options;
-  options.runs = 1;
-  options.build_cfa = true;
-
-  auto buggy = verifier.Verify("bug1685925_buggy", options);
+  auto buggy = verifier.Verify("bug1685925_buggy");
   if (!buggy.ok()) {
     std::fprintf(stderr, "%s\n", buggy.status().message().c_str());
     return 1;
   }
   std::printf("%s\n", buggy.value().Render().c_str());
 
+  // The buggy meta-stub's control-flow automaton: printed here, and the
+  // Boogie encoding below is built over it.
+  auto stub = platform->MakeMetaStub("bug1685925_buggy");
+  icarus::cfa::CfaBuilder builder(&platform->module(), &platform->externs());
+  auto automaton = builder.Build(stub.value());
+  if (!automaton.ok()) {
+    std::fprintf(stderr, "%s\n", automaton.status().message().c_str());
+    return 1;
+  }
   std::printf("--- control-flow automaton (Figure 6), GraphViz DOT ---\n%s\n",
-              buggy.value().cfa_dot.c_str());
+              automaton.value().ToDot().c_str());
 
-  auto fixed = verifier.Verify("bug1685925_fixed", options);
+  auto fixed = verifier.Verify("bug1685925_fixed");
   if (!fixed.ok()) {
     std::fprintf(stderr, "%s\n", fixed.status().message().c_str());
     return 1;
@@ -51,9 +57,6 @@ int main() {
 
   // Emit the Boogie encoding of the buggy meta-stub, sliced to this
   // generator with the standalone DCE pass.
-  auto stub = platform->MakeMetaStub("bug1685925_buggy");
-  icarus::cfa::CfaBuilder builder(&platform->module(), &platform->externs());
-  auto automaton = builder.Build(stub.value());
   icarus::boogie::LowerOptions lower_options;
   lower_options.host_externs = platform->externs().HostBoundNames();
   auto program = icarus::boogie::LowerToBoogie(platform->module(), stub.value(),

@@ -1,7 +1,5 @@
 #include "src/cfa/cfa.h"
 
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/support/str_util.h"
 
 namespace icarus::cfa {
@@ -148,7 +146,6 @@ std::string Cfa::Summary() const {
 }
 
 StatusOr<Cfa> CfaBuilder::Build(const meta::MetaStub& stub) {
-  obs::ScopedSpan span("cfa.build", stub.generator != nullptr ? stub.generator->name : "");
   Cfa cfa;
   // Which target ops can end the stub (their interpreter callback reaches
   // MASM::returnFromStub)?
@@ -270,17 +267,6 @@ StatusOr<Cfa> CfaBuilder::Build(const meta::MetaStub& stub) {
     if (buffer_size == 0) {
       cfa.AddEdge(kEntry, kExit);
     }
-  }
-  if (obs::Enabled()) {
-    static obs::Counter* states = obs::Registry::Global().GetCounter(
-        "icarus_cfa_states_total", "Automaton states produced across CFA builds");
-    static obs::Counter* transitions = obs::Registry::Global().GetCounter(
-        "icarus_cfa_transitions_total", "Automaton transitions produced across CFA builds");
-    static obs::Counter* abstract_paths = obs::Registry::Global().GetCounter(
-        "icarus_cfa_abstract_paths_total", "Abstract paths explored while building CFAs");
-    states->Add(cfa.num_nodes());
-    transitions->Add(cfa.num_edges());
-    abstract_paths->Add(paths);
   }
   return cfa;
 }

@@ -164,8 +164,9 @@ Status ServerCore::Start() {
                                     " (remove or relocate the journal to start cold)"));
       }
       for (const verifier::JournalRecord& rec : records.value()) {
-        if (IsDecisive(rec.outcome)) {
-          // Last record wins, as in batch resume.
+        // As in batch resume: last record wins, and a row from another
+        // verifier epoch is left out, so a request verifies it again.
+        if (IsDecisive(rec.outcome) && rec.epoch == verifier::kVerifierEpoch) {
           warm_[rec.generator] = ResponseFromRecord(rec);
         }
       }
@@ -303,8 +304,8 @@ void ServerCore::MaybeLogSlow(const Request& request,
   }
   // One flat JSON line per slow request, reusing the journal's per-stage
   // cost attribution so "where did the time go" is answerable from the log
-  // alone: total = queue-excluded service time, stages = CFA build, the two
-  // meta-execution phases (solver time excluded), and solver wall time.
+  // alone: total = queue-excluded service time, stages = the two
+  // meta-execution phases (solver time excluded) and solver wall time.
   std::string line = "{\"slow_request\":true,\"gen\":";
   AppendJsonString(result.generator, &line);
   line += ",\"client\":";
@@ -312,9 +313,9 @@ void ServerCore::MaybeLogSlow(const Request& request,
   line += ",\"outcome\":";
   AppendJsonString(verifier::OutcomeName(result.outcome), &line);
   line += StrFormat(",\"seconds\":%.17g,\"slow_ms\":%.17g", result.seconds, options_.slow_ms);
-  line += StrFormat(",\"cfa_s\":%.17g,\"gen_s\":%.17g,\"interp_s\":%.17g,\"solve_s\":%.17g",
-                    result.report.cfa_seconds, result.report.meta.gen_seconds,
-                    result.report.meta.interp_seconds, result.report.meta.solve_seconds);
+  line += StrFormat(",\"gen_s\":%.17g,\"interp_s\":%.17g,\"solve_s\":%.17g",
+                    result.report.meta.gen_seconds, result.report.meta.interp_seconds,
+                    result.report.meta.solve_seconds);
   line += StrCat(",\"paths\":", std::to_string(result.report.meta.paths_explored),
                  ",\"queries\":", std::to_string(result.report.meta.solver_queries), "}\n");
   if (obs::Enabled()) {
@@ -497,31 +498,18 @@ Response ServerCore::ServeVerify(Ticket* ticket) {
   try {
     ICARUS_FAILPOINT(failpoint::kDaemonDispatch);
     verifier::VerifyOptions vopts;
-    vopts.build_cfa = false;
     vopts.solver_cache = cache_.get();
     vopts.solver_limits = options_.solver_limits;
     vopts.cancel = &ticket->cancel;
-    verifier::Verifier verifier(platform_);
-    StatusOr<verifier::VerifyReport> report = verifier.Verify(request.generator, vopts);
-    result.seconds = timer.ElapsedSeconds();
-    if (!report.ok()) {
-      result.outcome = verifier::Outcome::kError;
-      result.error = report.status().message();
-    } else {
-      result.report = report.take();
-      if (!result.report.meta.violations.empty()) {
-        result.outcome = verifier::Outcome::kRefuted;
-      } else if (result.report.inconclusive) {
-        result.outcome = verifier::Outcome::kInconclusive;
-      } else {
-        result.outcome = verifier::Outcome::kVerified;
-      }
-    }
+    result = verifier::VerifyOne(platform_, request.generator, vopts);
   } catch (const std::exception& e) {
     result.seconds = timer.ElapsedSeconds();
     result.outcome = verifier::Outcome::kInternalError;
     result.error = e.what();
   }
+  // VerifyOne's row carries no store identity; stamp it as above.
+  result.unit_fp = ticket->unit_fp;
+  result.budget_decisions = options_.solver_limits.max_decisions;
 
   resp.outcome = verifier::OutcomeName(result.outcome);
   resp.error = result.error;

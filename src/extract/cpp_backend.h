@@ -9,9 +9,11 @@
 //     DSL code uses, plus an auto-generated skeleton implementation the
 //     developer fills in to bridge to the real engine.
 //
-// The mini-JS VM in src/vm/ is exactly such a host: its IC machinery
-// implements the Host interface and drives the extracted generators, which
-// is how the Figure-13 experiment runs verified-then-extracted code.
+// Nothing links or runs the extracted code yet: extract_test compiles the
+// header with -fsyntax-only. The mini-JS VM in src/vm/ attaches its ICs by
+// running the verified generators through the concrete evaluator and runs a
+// hit on the hand-written StubEngine, so Figure 13 measures that path, not
+// extracted code.
 #ifndef ICARUS_EXTRACT_CPP_BACKEND_H_
 #define ICARUS_EXTRACT_CPP_BACKEND_H_
 

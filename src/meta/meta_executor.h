@@ -12,8 +12,8 @@
 //   the target interpreter callbacks over the per-path buffer. The op at
 //   each position is *known* on the path — this is exactly the benefit the
 //   CFA optimization buys the paper's Boogie encoding, realized natively
-//   here (the naive `k^n` enumeration is kept in naive_executor.* for the
-//   ablation benchmark).
+//   here (the naive `k^n` enumeration is test code, tests/naive_executor.*,
+//   kept for the ablation benchmark).
 //
 // Inputs of the two phases are distinct symbolic constants: the generation-
 // time sample input constrains what the generator *decided* to emit; the
@@ -68,7 +68,7 @@ struct MetaResult {
   int paths_attached = 0;  // Paths on which a stub was attached.
   int paths_limited = 0;   // Paths abandoned on a resource limit.
   int paths_forked = 0;    // Alternatives enqueued by symbolic branches.
-  int paths_merged = 0;    // Always 0 (every join forks); perfbench still reads it.
+  int paths_merged = 0;    // Always 0 (every join forks); kept only because perfbench reads it.
   int64_t solver_queries = 0;
   double seconds = 0.0;
   // Per-stage cost attribution. The phase walls are *exclusive* of solver
@@ -122,7 +122,7 @@ class MetaExecutor {
   MetaResult Run(const MetaStub& stub);
 
   // Runs the interpreter phase over an already-built buffer on the current
-  // context path (also used by the naive executor and differential tests).
+  // context path.
   // Returns false if the path ended with a violation/limit.
   static bool RunInterpreterPhase(exec::EvalContext& ctx, const MetaStub& stub);
 

@@ -195,15 +195,12 @@ std::string BatchReport::RenderStatsTable() const {
   return out;
 }
 
-namespace {
-
 GeneratorResult VerifyOne(const platform::Platform* platform, const std::string& name,
-                          const BatchOptions& options, sym::SolverCache* cache,
-                          const std::atomic<bool>* cancel) {
+                          const VerifyOptions& options) {
   GeneratorResult result;
   result.generator = name;
   WallTimer timer;
-  if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
+  if (options.cancel != nullptr && options.cancel->load(std::memory_order_relaxed)) {
     // Deadline expired before this task started: report it honestly rather
     // than paying for a verification that would be cancelled immediately.
     result.outcome = Outcome::kInconclusive;
@@ -215,14 +212,7 @@ GeneratorResult VerifyOne(const platform::Platform* platform, const std::string&
     result.seconds = timer.ElapsedSeconds();
     return result;
   }
-  VerifyOptions vopts;
-  vopts.build_cfa = false;  // No verdict reads the CFA artifact.
-  vopts.solver_cache = cache;
-  vopts.solver_limits = options.solver_limits;
-  vopts.cancel = cancel;
-  vopts.record = options.record;
-  Verifier verifier(platform);
-  StatusOr<VerifyReport> report = verifier.Verify(name, vopts);
+  StatusOr<VerifyReport> report = Verifier(platform).Verify(name, options);
   result.seconds = timer.ElapsedSeconds();
   if (!report.ok()) {
     result.outcome = Outcome::kError;
@@ -239,6 +229,8 @@ GeneratorResult VerifyOne(const platform::Platform* platform, const std::string&
   }
   return result;
 }
+
+namespace {
 
 // Containment boundary helper: the INTERNAL_ERROR row for a task that threw.
 GeneratorResult ContainedCrash(const std::string& name, const char* what) {
@@ -260,13 +252,13 @@ GeneratorResult ContainedCrash(const std::string& name, const char* what) {
 JournalRecord RecordFromResult(const GeneratorResult& r, const std::string& fingerprint) {
   JournalRecord rec;
   rec.platform = fingerprint;
+  rec.epoch = kVerifierEpoch;
   rec.generator = r.generator;
   rec.outcome = OutcomeName(r.outcome);
   rec.error = r.error;
   rec.paths = r.report.meta.paths_explored;
   rec.queries = r.report.meta.solver_queries;
   rec.seconds = r.seconds;
-  rec.cfa_s = r.report.cfa_seconds;
   rec.gen_s = r.report.meta.gen_seconds;
   rec.interp_s = r.report.meta.interp_seconds;
   rec.solve_s = r.report.meta.solve_seconds;
@@ -307,7 +299,6 @@ StatusOr<GeneratorResult> ResultFromRecord(const JournalRecord& rec) {
   r.report.generator = rec.generator;
   r.report.meta.paths_explored = static_cast<int>(rec.paths);
   r.report.meta.solver_queries = rec.queries;
-  r.report.cfa_seconds = rec.cfa_s;
   r.report.meta.gen_seconds = rec.gen_s;
   r.report.meta.interp_seconds = rec.interp_s;
   r.report.meta.solve_seconds = rec.solve_s;
@@ -366,6 +357,12 @@ StatusOr<BatchReport> BatchVerifier::VerifyAll(const std::vector<std::string>& g
       return records.status();
     }
     for (const JournalRecord& rec : records.value()) {
+      if (rec.epoch != kVerifierEpoch) {
+        // Earned under other verifier semantics (or written before rows
+        // carried an epoch): this build does not vouch for it, so the
+        // generator is verified again.
+        continue;
+      }
       StatusOr<GeneratorResult> r = ResultFromRecord(rec);
       if (!r.ok()) {
         return r.status();
@@ -450,6 +447,11 @@ StatusOr<BatchReport> BatchVerifier::VerifyAll(const std::vector<std::string>& g
     }
   }
   std::atomic<bool> cancel{false};
+  VerifyOptions vopts;
+  vopts.solver_cache = cache.get();
+  vopts.solver_limits = options.solver_limits;
+  vopts.cancel = &cancel;
+  vopts.record = options.record;
   WallTimer timer;
   {
     ThreadPool pool(report.jobs);
@@ -496,7 +498,7 @@ StatusOr<BatchReport> BatchVerifier::VerifyAll(const std::vector<std::string>& g
       }
       submitted.push_back(i);
       WallTimer queue_timer;  // Copied into the task: measures submit → start.
-      futures.push_back(pool.Submit([this, &generator_names, &options, &report, &cancel,
+      futures.push_back(pool.Submit([this, &generator_names, &options, &vopts, &report,
                                      &journal, &journal_mu, &journal_status, &journal_appends,
                                      &fingerprint, &unit_fps, &solver_store_path, store_writable,
                                      cache_ptr = cache.get(), queue_timer, i]() {
@@ -512,7 +514,7 @@ StatusOr<BatchReport> BatchVerifier::VerifyAll(const std::vector<std::string>& g
         // that generator's INTERNAL_ERROR row; the fleet keeps running.
         GeneratorResult result;
         try {
-          result = VerifyOne(platform_, generator_names[i], options, cache_ptr, &cancel);
+          result = VerifyOne(platform_, generator_names[i], vopts);
         } catch (const std::exception& e) {
           result = ContainedCrash(generator_names[i], e.what());
         }

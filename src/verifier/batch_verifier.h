@@ -43,6 +43,7 @@ struct BatchOptions {
   // When non-empty, read this journal first and skip every generator it
   // already holds a verdict for, restoring the journaled rows. Refused when
   // the journal's platform fingerprint differs from the loaded platform.
+  // Rows from another verifier epoch (kVerifierEpoch) are not restored.
   std::string resume_path;
   // Flight recorder: keep bounded per-path event logs, attached to any
   // violation found (consumed by `verify-all --explain`). The structured
@@ -135,10 +136,18 @@ struct BatchReport {
   std::string RenderStatsTable() const;
 };
 
-// Converts one batch row to its journal record (schema v3, including the
-// flight-recorder counterexample fields for refuted rows) and back. Public
-// because `icarus report` builds report rows from in-memory batch results
-// without round-tripping through a journal file.
+// Verifies one generator and maps the report to its row: the per-unit path
+// shared by the batch driver's tasks and the daemon's workers. If
+// `options.cancel` is already set on entry, the row is INCONCLUSIVE and
+// nothing runs. A pipeline error becomes an ERROR row; exceptions propagate
+// to the caller's containment boundary.
+GeneratorResult VerifyOne(const platform::Platform* platform, const std::string& name,
+                          const VerifyOptions& options);
+
+// Converts one batch row to its journal record (stamped with
+// kVerifierEpoch, including the flight-recorder counterexample fields for
+// refuted rows) and back. Public because `verify-all --report` renders its
+// in-memory results without round-tripping through a journal file.
 JournalRecord RecordFromResult(const GeneratorResult& r, const std::string& fingerprint);
 StatusOr<GeneratorResult> ResultFromRecord(const JournalRecord& rec);
 

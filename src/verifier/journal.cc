@@ -27,6 +27,8 @@ bool ParseJournalLine(std::string_view line, JournalRecord* rec) {
       [rec](const std::string& key, std::string s) {
         if (key == "platform") {
           rec->platform = std::move(s);
+        } else if (key == "epoch") {
+          rec->epoch = std::move(s);
         } else if (key == "generator") {
           rec->generator = std::move(s);
         } else if (key == "outcome") {
@@ -58,8 +60,6 @@ bool ParseJournalLine(std::string_view line, JournalRecord* rec) {
           narrow(v, &rec->queries);
         } else if (key == "seconds") {
           rec->seconds = v;
-        } else if (key == "cfa_s") {
-          rec->cfa_s = v;
         } else if (key == "gen_s") {
           rec->gen_s = v;
         } else if (key == "interp_s") {
@@ -90,6 +90,8 @@ bool ParseJournalLine(std::string_view line, JournalRecord* rec) {
 std::string JournalRecord::ToJsonLine() const {
   std::string out = StrFormat("{\"schema\":%d,\"platform\":", schema);
   AppendJsonString(platform, &out);
+  out += ",\"epoch\":";
+  AppendJsonString(epoch, &out);
   out += ",\"generator\":";
   AppendJsonString(generator, &out);
   out += ",\"outcome\":";
@@ -101,8 +103,8 @@ std::string JournalRecord::ToJsonLine() const {
   out += StrFormat(",\"paths\":%lld,\"queries\":%lld,\"seconds\":%.17g",
                    static_cast<long long>(paths), static_cast<long long>(queries), seconds);
   out += StrFormat(
-      ",\"cfa_s\":%.17g,\"gen_s\":%.17g,\"interp_s\":%.17g,\"solve_s\":%.17g,\"decisions\":%lld",
-      cfa_s, gen_s, interp_s, solve_s, static_cast<long long>(decisions));
+      ",\"gen_s\":%.17g,\"interp_s\":%.17g,\"solve_s\":%.17g,\"decisions\":%lld", gen_s,
+      interp_s, solve_s, static_cast<long long>(decisions));
   out += StrFormat(",\"propagations\":%lld,\"learned_clauses\":%lld,\"restarts\":%lld",
                    static_cast<long long>(propagations),
                    static_cast<long long>(learned_clauses),
@@ -212,31 +214,6 @@ StatusOr<std::vector<JournalRecord>> ReadJournal(const std::string& path,
     records.push_back(std::move(rec));
   }
   return records;
-}
-
-obs::ReportRow ReportRowFromRecord(const JournalRecord& rec) {
-  obs::ReportRow row;
-  row.generator = rec.generator;
-  row.outcome = rec.outcome;
-  row.error = rec.error;
-  row.paths = rec.paths;
-  row.paths_attached = rec.paths_attached;
-  row.paths_infeasible = rec.paths_infeasible;
-  row.queries = rec.queries;
-  row.decisions = rec.decisions;
-  row.seconds = rec.seconds;
-  row.cfa_s = rec.cfa_s;
-  row.gen_s = rec.gen_s;
-  row.interp_s = rec.interp_s;
-  row.solve_s = rec.solve_s;
-  row.cx_contract = rec.cx_contract;
-  row.cx_function = rec.cx_function;
-  row.cx_line = rec.cx_line;
-  row.cx_witnesses = rec.cx_witnesses;
-  row.cx_source_ops = rec.cx_source_ops;
-  row.cx_target_ops = rec.cx_target_ops;
-  row.cx_decisions = rec.cx_decisions;
-  return row;
 }
 
 }  // namespace icarus::verifier

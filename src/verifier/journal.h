@@ -6,7 +6,10 @@
 // tolerates). Every record carries the schema version and the platform
 // fingerprint (Platform::Fingerprint()); resuming against a journal written
 // by a different platform or schema is refused rather than silently mixing
-// verdicts from different universes.
+// verdicts from different universes. Every row also carries the verifier
+// epoch (kVerifierEpoch, verdict_store.h); a row from another epoch, or from
+// before rows carried one, is never restored: resume and the daemon's replay
+// verify that generator again.
 //
 // The record holds exactly what the batch report renders for a finished
 // generator (outcome, path/query counts, wall seconds), so a resumed run
@@ -21,7 +24,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/obs/report.h"
 #include "src/support/status.h"
 
 namespace icarus::verifier {
@@ -60,6 +62,12 @@ namespace icarus::verifier {
 //       budget was removed; `budget_decisions` is the whole solver budget).
 //       Readers skip both keys like any other unknown one, so older v7 rows
 //       still parse, resume, and match in the verdict store.
+//   Still 7 — rows stopped carrying `cfa_s` (no verification builds the
+//       CFA any more; readers skip the key) and started carrying `epoch`,
+//       the verifier epoch that produced the verdict. Additive: older
+//       readers skip it. This build restores a row only when its epoch is
+//       kVerifierEpoch, so every older row above still parses but is
+//       re-verified on resume, not trusted.
 inline constexpr int kJournalSchemaVersion = 7;
 inline constexpr int kJournalMinReadSchemaVersion = 1;
 
@@ -69,6 +77,7 @@ inline constexpr int kJournalMinReadSchemaVersion = 1;
 struct JournalRecord {
   int schema = kJournalSchemaVersion;
   std::string platform;   // Platform::Fingerprint() of the writing process.
+  std::string epoch;      // kVerifierEpoch of the writing process (empty in old rows).
   std::string generator;  // DSL generator name (row key for resume).
   std::string outcome;    // OutcomeName() token.
   std::string error;      // Diagnostic for ERROR / INTERNAL_ERROR rows.
@@ -76,7 +85,6 @@ struct JournalRecord {
   int64_t queries = 0;    // meta.solver_queries.
   double seconds = 0.0;   // Per-task wall clock.
   // Per-stage cost attribution (schema >= 2; 0 in resumed v1 rows).
-  double cfa_s = 0.0;      // CFA construction.
   double gen_s = 0.0;      // Meta-execution phase 1, minus solver time.
   double interp_s = 0.0;   // Meta-execution phase 2, minus solver time.
   double solve_s = 0.0;    // Wall time inside Solver::Solve.
@@ -143,11 +151,6 @@ bool ParseJournalLine(std::string_view line, JournalRecord* rec);
 // fails the read.
 StatusOr<std::vector<JournalRecord>> ReadJournal(const std::string& path,
                                                  const std::string& expect_platform);
-
-// Flattens one journal record into the HTML report's row type (field-for-
-// field; the cx_* wire strings transfer verbatim). The dependency points
-// verifier → obs, keeping the report emitter below the verifier layer.
-obs::ReportRow ReportRowFromRecord(const JournalRecord& rec);
 
 }  // namespace icarus::verifier
 

@@ -1,11 +1,11 @@
-#include "src/obs/report.h"
+#include "src/verifier/report.h"
 
 #include <algorithm>
 #include <cmath>
 
 #include "src/support/str_util.h"
 
-namespace icarus::obs {
+namespace icarus::verifier {
 
 std::string HtmlEscape(std::string_view text) {
   std::string out;
@@ -50,8 +50,8 @@ td.num { text-align: right; font-variant-numeric: tabular-nums; }
 .stack { display: flex; height: 10px; width: 160px; border-radius: 5px;
          overflow: hidden; background: #eee; }
 .stack div { height: 100%; }
-.s-cfa { background: #8e7cc3; } .s-gen { background: #6fa8dc; }
-.s-interp { background: #93c47d; } .s-solve { background: #e06666; }
+.s-gen { background: #6fa8dc; } .s-interp { background: #93c47d; }
+.s-solve { background: #e06666; }
 .legend span { font-size: 0.75em; margin-right: 1em; }
 .legend i { display: inline-block; width: 10px; height: 10px; border-radius: 2px;
             margin-right: 0.3em; }
@@ -126,8 +126,8 @@ void AppendHistogram(const std::vector<double>& values, int n_buckets, const cha
   *out += "</div>\n";
 }
 
-void AppendStageBar(const ReportRow& r, double max_stage_total, std::string* out) {
-  const double total = r.cfa_s + r.gen_s + r.interp_s + r.solve_s;
+void AppendStageBar(const JournalRecord& r, double max_stage_total, std::string* out) {
+  const double total = r.gen_s + r.interp_s + r.solve_s;
   if (total <= 0.0 || max_stage_total <= 0.0) {
     *out += "<div class=\"stack\"></div>";
     return;
@@ -136,7 +136,7 @@ void AppendStageBar(const ReportRow& r, double max_stage_total, std::string* out
   const double scale = 160.0 * (total / max_stage_total) / total;
   *out += "<div class=\"stack\">";
   const std::pair<const char*, double> stages[] = {
-      {"s-cfa", r.cfa_s}, {"s-gen", r.gen_s}, {"s-interp", r.interp_s}, {"s-solve", r.solve_s}};
+      {"s-gen", r.gen_s}, {"s-interp", r.interp_s}, {"s-solve", r.solve_s}};
   for (const auto& [cls, seconds] : stages) {
     int px = static_cast<int>(std::lround(seconds * scale));
     if (px > 0) {
@@ -146,7 +146,7 @@ void AppendStageBar(const ReportRow& r, double max_stage_total, std::string* out
   *out += "</div>";
 }
 
-void AppendCounterexample(const ReportRow& r, std::string* out) {
+void AppendCounterexample(const JournalRecord& r, std::string* out) {
   *out += "<details class=\"cx\"><summary>counterexample</summary><dl class=\"cxgrid\">\n";
   *out += StrFormat("<dt>violated contract</dt><dd>%s</dd>\n",
                     HtmlEscape(r.cx_contract).c_str());
@@ -191,7 +191,7 @@ std::string RenderHtmlReport(const ReportInput& input) {
   int64_t refuted = 0;
   int64_t inconclusive = 0;
   int64_t errors = 0;
-  for (const ReportRow& r : input.rows) {
+  for (const JournalRecord& r : input.rows) {
     if (r.outcome == "VERIFIED") {
       ++verified;
     } else if (r.outcome == "CACHED_SAFE") {
@@ -224,18 +224,17 @@ std::string RenderHtmlReport(const ReportInput& input) {
 
   // Verdict table.
   out += "<h2>Verdicts</h2>\n";
-  out += "<p class=\"legend\"><span><i class=\"s-cfa\"></i>cfa</span>"
-         "<span><i class=\"s-gen\"></i>generate</span>"
+  out += "<p class=\"legend\"><span><i class=\"s-gen\"></i>generate</span>"
          "<span><i class=\"s-interp\"></i>interpret</span>"
          "<span><i class=\"s-solve\"></i>solve</span></p>\n";
   out += "<table>\n<tr><th>Generator</th><th>Outcome</th><th>Paths</th>"
          "<th>Attached</th><th>Infeasible</th><th>Queries</th>"
          "<th>Time (s)</th><th>Stage costs</th></tr>\n";
   double max_stage_total = 0.0;
-  for (const ReportRow& r : input.rows) {
-    max_stage_total = std::max(max_stage_total, r.cfa_s + r.gen_s + r.interp_s + r.solve_s);
+  for (const JournalRecord& r : input.rows) {
+    max_stage_total = std::max(max_stage_total, r.gen_s + r.interp_s + r.solve_s);
   }
-  for (const ReportRow& r : input.rows) {
+  for (const JournalRecord& r : input.rows) {
     out += StrFormat("<tr><td>%s", HtmlEscape(r.generator).c_str());
     if (!r.cx_contract.empty()) {
       AppendCounterexample(r, &out);
@@ -260,7 +259,7 @@ std::string RenderHtmlReport(const ReportInput& input) {
   // Distribution panels.
   std::vector<double> path_counts;
   std::vector<double> solve_times;
-  for (const ReportRow& r : input.rows) {
+  for (const JournalRecord& r : input.rows) {
     if (r.outcome == "ERROR" || r.outcome == "INTERNAL_ERROR") {
       continue;
     }
@@ -271,45 +270,6 @@ std::string RenderHtmlReport(const ReportInput& input) {
   AppendHistogram(path_counts, 8, "paths", 0, &out);
   out += "<h2>Solver time per generator</h2>\n";
   AppendHistogram(solve_times, 8, "ms", 2, &out);
-
-  // CFA / pruning effectiveness.
-  int64_t total_paths = 0;
-  int64_t total_attached = 0;
-  int64_t total_infeasible = 0;
-  double sum_cfa = 0.0;
-  double sum_gen = 0.0;
-  double sum_interp = 0.0;
-  double sum_solve = 0.0;
-  for (const ReportRow& r : input.rows) {
-    total_paths += r.paths;
-    total_attached += r.paths_attached;
-    total_infeasible += r.paths_infeasible;
-    sum_cfa += r.cfa_s;
-    sum_gen += r.gen_s;
-    sum_interp += r.interp_s;
-    sum_solve += r.solve_s;
-  }
-  out += "<h2>CFA &amp; path pruning</h2>\n<table>\n";
-  out += "<tr><th>Measure</th><th>Value</th></tr>\n";
-  out += StrFormat("<tr><td>paths explored</td><td class=\"num\">%lld</td></tr>\n",
-                   static_cast<long long>(total_paths));
-  out += StrFormat("<tr><td>paths with a stub attached</td><td class=\"num\">%lld</td></tr>\n",
-                   static_cast<long long>(total_attached));
-  out += StrFormat(
-      "<tr><td>paths pruned as infeasible</td><td class=\"num\">%lld (%.1f%%)</td></tr>\n",
-      static_cast<long long>(total_infeasible),
-      total_paths > 0 ? 100.0 * static_cast<double>(total_infeasible) /
-                            static_cast<double>(total_paths)
-                      : 0.0);
-  const double stage_total = sum_cfa + sum_gen + sum_interp + sum_solve;
-  out += StrFormat(
-      "<tr><td>stage cost split (cfa / generate / interpret / solve)</td>"
-      "<td class=\"num\">%.3fs / %.3fs / %.3fs / %.3fs",
-      sum_cfa, sum_gen, sum_interp, sum_solve);
-  if (stage_total > 0.0) {
-    out += StrFormat(" &mdash; solve is %.1f%%", 100.0 * sum_solve / stage_total);
-  }
-  out += "</td></tr>\n</table>\n";
 
   if (!input.cache_summary.empty()) {
     out += StrFormat("<p class=\"meta\">%s</p>\n", HtmlEscape(input.cache_summary).c_str());
@@ -324,4 +284,4 @@ std::string RenderHtmlReport(const ReportInput& input) {
   return out;
 }
 
-}  // namespace icarus::obs
+}  // namespace icarus::verifier

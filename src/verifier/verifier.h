@@ -1,31 +1,25 @@
-// Top-level verification pipeline: generator name → CFA → meta-execution →
-// verdict with timing, the API the benchmarks, examples, and tests drive.
+// Verification of one generator: build its meta-stub, run one symbolic
+// meta-execution pass over it and return the verdict. This is everything
+// between a generator name and its verdict; the batch driver, the daemon,
+// the benchmarks, the examples and the tests all drive it. The paper's side
+// artifacts (the §2.4 control-flow automaton, the Fig. 12 LoC count, warm
+// re-run timings) are built by the tools that print them.
 #ifndef ICARUS_VERIFIER_VERIFIER_H_
 #define ICARUS_VERIFIER_VERIFIER_H_
 
 #include <atomic>
 #include <string>
 
-#include "src/cfa/cfa.h"
 #include "src/meta/meta_executor.h"
 #include "src/platform/platform.h"
 #include "src/support/status.h"
-#include "src/support/timing.h"
 #include "src/sym/solver.h"
 
 namespace icarus::verifier {
 
 // Knobs for one Verify() call.
 struct VerifyOptions {
-  // Repeat the meta-execution this many times and report SampleStats over the
-  // per-run wall clocks. Only the meta-execution is inside the timed loop —
-  // stub construction and CFA building happen once, outside it — so the
-  // statistics measure meta-execution alone. Note that with a solver cache
-  // attached, runs after the first mostly hit the cache; benchmark cold
-  // solving with `solver_cache == nullptr`.
-  int runs = 1;
-  // Also construct the explicit automaton artifact (nodes/edges/paths/DOT).
-  bool build_cfa = true;
+  bool build_cfa = false;  // Unread; kept only because perfbench assigns it.
   // Shared solver-result cache for every query this verification issues
   // (may be null). Must be concurrency-safe if the same cache is used by
   // concurrent Verify() calls.
@@ -47,17 +41,9 @@ struct VerifyReport {
   std::string generator;
   bool verified = false;      // All paths proven safe (never true if inconclusive).
   bool inconclusive = false;  // A resource budget/deadline prevented a verdict.
-  meta::MetaResult meta;      // Result of the last run.
-  SampleStats timing;         // Seconds per run (meta-execution only).
-  double cfa_seconds = 0.0;   // Wall time of the CFA build (0 when skipped).
-  int total_loc = 0;          // Figure 12-style LoC attribution.
-  // The automaton artifact (empty unless build_cfa).
-  int cfa_nodes = 0;
-  int cfa_edges = 0;
-  int64_t cfa_paths = 0;      // Instruction sequences through the automaton.
-  std::string cfa_dot;        // GraphViz rendering.
+  meta::MetaResult meta;      // The meta-execution pass.
 
-  // Human-readable report: verdict, stub shapes, counterexample if any.
+  // Human-readable report: verdict, path counts, counterexample if any.
   std::string Render() const;
 };
 

@@ -40,9 +40,7 @@ class BatchVerifierTest : public ::testing::Test {
   // Serial reference outcome via the single-generator driver, no cache.
   static Outcome SerialOutcome(const std::string& name) {
     Verifier verifier(platform_);
-    VerifyOptions opts;
-    opts.build_cfa = false;
-    StatusOr<VerifyReport> report = verifier.Verify(name, opts);
+    StatusOr<VerifyReport> report = verifier.Verify(name);
     if (!report.ok()) {
       return Outcome::kError;
     }

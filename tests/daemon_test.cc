@@ -356,11 +356,13 @@ TEST_F(ServerCoreTest, SlowRequestLogAttributesStageCosts) {
         [](const std::string&, double) {}))
         << line;
     EXPECT_EQ(logged, client);
-    // Stage attribution mirrors the journal's breakdown.
-    for (const char* key : {"\"seconds\":", "\"cfa_s\":", "\"gen_s\":", "\"interp_s\":",
-                            "\"solve_s\":", "\"paths\":", "\"queries\":"}) {
+    // Stage attribution mirrors the journal's breakdown, which has no CFA
+    // stage: no verification builds the automaton.
+    for (const char* key : {"\"seconds\":", "\"gen_s\":", "\"interp_s\":", "\"solve_s\":",
+                            "\"paths\":", "\"queries\":"}) {
       EXPECT_NE(line.find(key), std::string::npos) << key << " missing in " << line;
     }
+    EXPECT_EQ(line.find("cfa"), std::string::npos) << line;
   }
   EXPECT_EQ(lines, 1);
 }
@@ -657,6 +659,31 @@ TEST_F(ServerCoreTest, JournalReplayRestoresTheWarmView) {
   EXPECT_EQ(stats.warm_hits, 2);
   EXPECT_EQ(stats.served, 0);  // Nothing recomputed.
   EXPECT_TRUE(core.FinishDrain().ok());
+}
+
+TEST_F(ServerCoreTest, JournalReplaySkipsRowsFromAnotherVerifierEpoch) {
+  // A VERIFIED row for a buggy generator, earned under an older verifier
+  // epoch, must not enter the warm view: the request verifies it again and
+  // finds the counterexample.
+  std::string journal = TempPath("daemon_journal_foreign_epoch.jsonl");
+  {
+    std::ofstream out(journal, std::ios::trunc);
+    out << "{\"schema\":7,\"platform\":\"" << platform_->Fingerprint()
+        << "\",\"epoch\":\"icarus-cdcl-v2\",\"generator\":\"bug1685925_buggy\","
+           "\"outcome\":\"VERIFIED\",\"error\":\"\",\"paths\":12,\"queries\":31,"
+           "\"seconds\":0.5}\n";
+  }
+  DaemonOptions options;
+  options.journal_path = journal;
+  ServerCore core(platform_, options);
+  ASSERT_TRUE(core.Start().ok());
+  EXPECT_EQ(core.StatsSnapshot().replayed, 0);
+  Response resp = core.Execute(Verify("bug1685925_buggy"));
+  EXPECT_EQ(resp.status, kStatusOk) << resp.error;
+  EXPECT_EQ(resp.outcome, "COUNTEREXAMPLE");
+  EXPECT_FALSE(resp.cached);
+  EXPECT_TRUE(core.FinishDrain().ok());
+  std::remove(journal.c_str());
 }
 
 TEST_F(ServerCoreTest, CorruptJournalFailsStartupLoudly) {

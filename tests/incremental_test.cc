@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "src/ast/fingerprint.h"
-#include "src/obs/report.h"
 #include "src/platform/platform.h"
 #include "src/support/file_lock.h"
 #include "src/support/str_util.h"
@@ -24,6 +23,7 @@
 #include "src/sym/solver_cache.h"
 #include "src/verifier/batch_verifier.h"
 #include "src/verifier/journal.h"
+#include "src/verifier/report.h"
 #include "src/verifier/verdict_store.h"
 
 namespace icarus::verifier {
@@ -432,12 +432,12 @@ TEST(IncrementalE2E, WarmRunSkipsEverythingAndHelperEditInvalidatesDependentsOnl
 
   // The CACHED_SAFE rows render with their own badge and tile in the HTML
   // report (the verifier-side row carries the outcome token through).
-  obs::ReportInput input;
-  obs::ReportRow row;
+  ReportInput input;
+  JournalRecord row;
   row.generator = "incrTestAdd";
   row.outcome = "CACHED_SAFE";
   input.rows.push_back(row);
-  std::string html = obs::RenderHtmlReport(input);
+  std::string html = RenderHtmlReport(input);
   EXPECT_NE(html.find("badge cached"), std::string::npos);
   EXPECT_NE(html.find("cached safe"), std::string::npos);
 

@@ -1,8 +1,9 @@
 // Journal + resume tests: record round-tripping, torn-tail tolerance,
-// platform/schema mismatch refusal, and the headline crash-recovery
-// scenario — kill a verify-all mid-run (via an abort-action fail point) and
-// prove the resumed run reproduces exactly the verdicts of an uninterrupted
-// run.
+// platform/schema mismatch refusal, re-verification of rows from another
+// verifier epoch, and the headline crash-recovery scenario — kill a
+// verify-all mid-run (via an abort-action fail point) and prove the resumed
+// run reproduces exactly the verdicts of an uninterrupted run. The CLI cases
+// also pin what `icarus verify` prints and what a fresh journal row holds.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -17,6 +18,7 @@
 #include "src/support/str_util.h"
 #include "src/verifier/batch_verifier.h"
 #include "src/verifier/journal.h"
+#include "src/verifier/verdict_store.h"
 
 namespace icarus::verifier {
 namespace {
@@ -39,7 +41,6 @@ JournalRecord MakeRecord(const std::string& generator, const std::string& outcom
   rec.paths = 12;
   rec.queries = 345;
   rec.seconds = 0.0625;
-  rec.cfa_s = 0.001;
   rec.gen_s = 0.0155;
   rec.interp_s = 0.008;
   rec.solve_s = 0.031;
@@ -53,6 +54,7 @@ TEST(Journal, RecordRoundTripsThroughDisk) {
     StatusOr<std::unique_ptr<JournalWriter>> writer = JournalWriter::Open(path);
     ASSERT_TRUE(writer.ok()) << writer.status().message();
     JournalRecord rec = MakeRecord("tryAttachCompareInt32", "VERIFIED");
+    rec.epoch = kVerifierEpoch;
     // Hostile error text: quotes, backslashes, newlines, a control byte.
     rec.error = "parse \"error\"\n\tat C:\\path\x01!";
     ASSERT_TRUE(writer.value()->Append(rec).ok());
@@ -65,11 +67,11 @@ TEST(Journal, RecordRoundTripsThroughDisk) {
   EXPECT_EQ(r.schema, kJournalSchemaVersion);
   EXPECT_EQ(r.generator, "tryAttachCompareInt32");
   EXPECT_EQ(r.outcome, "VERIFIED");
+  EXPECT_EQ(r.epoch, kVerifierEpoch);
   EXPECT_EQ(r.error, "parse \"error\"\n\tat C:\\path\x01!");
   EXPECT_EQ(r.paths, 12);
   EXPECT_EQ(r.queries, 345);
   EXPECT_DOUBLE_EQ(r.seconds, 0.0625);
-  EXPECT_DOUBLE_EQ(r.cfa_s, 0.001);
   EXPECT_DOUBLE_EQ(r.gen_s, 0.0155);
   EXPECT_DOUBLE_EQ(r.interp_s, 0.008);
   EXPECT_DOUBLE_EQ(r.solve_s, 0.031);
@@ -93,7 +95,7 @@ TEST(Journal, SchemaOneRecordStillReads) {
   EXPECT_EQ(r.generator, "g");
   EXPECT_EQ(r.paths, 3);
   EXPECT_DOUBLE_EQ(r.seconds, 0.5);
-  EXPECT_DOUBLE_EQ(r.cfa_s, 0.0);
+  EXPECT_TRUE(r.epoch.empty());
   EXPECT_DOUBLE_EQ(r.gen_s, 0.0);
   EXPECT_DOUBLE_EQ(r.interp_s, 0.0);
   EXPECT_DOUBLE_EQ(r.solve_s, 0.0);
@@ -244,8 +246,10 @@ TEST_F(JournalBatchTest, ResumeSkipsJournaledGeneratorsAndRestoresRows) {
 TEST_F(JournalBatchTest, SchemaSixWorkerRowsStillParseAndResume) {
   // Schema 6 added a `worker` key that only the multi-process fleet wrote,
   // and schema 7 a `paths_merged` key that only the path-merging executor
-  // wrote. Both are gone and readers skip the keys like any unknown one, so
-  // a journal mixing such rows still reads and resumes.
+  // wrote; every row before this build carried `cfa_s`. All three are gone
+  // and readers skip the keys like any unknown one, so a journal mixing such
+  // rows still reads and resumes. The rows predate the `epoch` key, so
+  // resume verifies both generators again.
   std::string path = TempPath("schema6_worker.jsonl");
   const std::string fp = platform_->Fingerprint();
   WriteFile(path,
@@ -256,7 +260,7 @@ TEST_F(JournalBatchTest, SchemaSixWorkerRowsStillParseAndResume) {
                    "{\"schema\":7,\"platform\":\"", fp,
                    "\",\"generator\":\"bug1685925_buggy\",\"outcome\":\"COUNTEREXAMPLE\","
                    "\"error\":\"\",\"paths\":9,\"queries\":23,\"seconds\":0.5,\"attempts\":1,"
-                   "\"paths_merged\":2}\n"));
+                   "\"cfa_s\":0,\"paths_merged\":2}\n"));
   StatusOr<std::vector<JournalRecord>> read = ReadJournal(path, fp);
   ASSERT_TRUE(read.ok()) << read.status().message();
   ASSERT_EQ(read.value().size(), 2u);
@@ -269,6 +273,7 @@ TEST_F(JournalBatchTest, SchemaSixWorkerRowsStillParseAndResume) {
   // Rewriting a parsed row drops the key rather than carrying it forward.
   EXPECT_EQ(read.value()[0].ToJsonLine().find("worker"), std::string::npos);
   EXPECT_EQ(read.value()[1].ToJsonLine().find("paths_merged"), std::string::npos);
+  EXPECT_EQ(read.value()[1].ToJsonLine().find("cfa_s"), std::string::npos);
 
   BatchVerifier batch(platform_);
   BatchOptions opts;
@@ -277,17 +282,49 @@ TEST_F(JournalBatchTest, SchemaSixWorkerRowsStillParseAndResume) {
       batch.VerifyAll({"tryAttachCompareInt32", "bug1685925_buggy"}, opts);
   ASSERT_TRUE(report.ok()) << report.status().message();
   ASSERT_EQ(report.value().results.size(), 2u);
-  EXPECT_EQ(report.value().num_resumed, 2);
+  EXPECT_EQ(report.value().num_resumed, 0);
   const GeneratorResult& six = report.value().results[0];
   const GeneratorResult& seven = report.value().results[1];
-  EXPECT_TRUE(six.resumed);
+  EXPECT_FALSE(six.resumed);
   EXPECT_EQ(six.outcome, Outcome::kVerified);
-  EXPECT_EQ(six.report.meta.paths_explored, 5);
-  EXPECT_EQ(six.report.meta.solver_queries, 17);
-  EXPECT_TRUE(seven.resumed);
+  EXPECT_EQ(six.report.meta.paths_explored, 25);
+  EXPECT_FALSE(seven.resumed);
   EXPECT_EQ(seven.outcome, Outcome::kRefuted);
-  EXPECT_EQ(seven.report.meta.paths_explored, 9);
-  EXPECT_EQ(seven.report.meta.solver_queries, 23);
+  EXPECT_EQ(seven.report.meta.paths_explored, 12);
+  EXPECT_EQ(seven.report.meta.solver_queries, 31);
+  std::remove(path.c_str());
+}
+
+TEST_F(JournalBatchTest, ResumeReverifiesRowsFromAnotherVerifierEpoch) {
+  // A VERIFIED row for a buggy generator, earned under an older verifier
+  // epoch (e.g. a solver that answered UNSAT on satisfiable queries), must
+  // not be restored: resume verifies it again and finds the counterexample.
+  // A row stamped with this build's epoch is still restored.
+  std::string path = TempPath("foreign_epoch.jsonl");
+  const std::string fp = platform_->Fingerprint();
+  WriteFile(path,
+            StrCat("{\"schema\":7,\"platform\":\"", fp,
+                   "\",\"epoch\":\"icarus-cdcl-v2\",\"generator\":\"bug1685925_buggy\","
+                   "\"outcome\":\"VERIFIED\",\"error\":\"\",\"paths\":12,\"queries\":31,"
+                   "\"seconds\":0.5}\n",
+                   "{\"schema\":7,\"platform\":\"", fp, "\",\"epoch\":\"", kVerifierEpoch,
+                   "\",\"generator\":\"tryAttachCompareInt32\",\"outcome\":\"VERIFIED\","
+                   "\"error\":\"\",\"paths\":5,\"queries\":17,\"seconds\":0.25}\n"));
+  BatchVerifier batch(platform_);
+  BatchOptions opts;
+  opts.resume_path = path;
+  StatusOr<BatchReport> report =
+      batch.VerifyAll({"bug1685925_buggy", "tryAttachCompareInt32"}, opts);
+  ASSERT_TRUE(report.ok()) << report.status().message();
+  ASSERT_EQ(report.value().results.size(), 2u);
+  EXPECT_EQ(report.value().num_resumed, 1);
+  const GeneratorResult& foreign = report.value().results[0];
+  EXPECT_FALSE(foreign.resumed);
+  EXPECT_EQ(foreign.outcome, Outcome::kRefuted);
+  const GeneratorResult& current = report.value().results[1];
+  EXPECT_TRUE(current.resumed);
+  EXPECT_EQ(current.outcome, Outcome::kVerified);
+  EXPECT_EQ(current.report.meta.paths_explored, 5);
   std::remove(path.c_str());
 }
 
@@ -374,6 +411,43 @@ TEST(CrashRecovery, KilledRunResumesToIdenticalVerdicts) {
 
   std::remove(clean.c_str());
   std::remove(crashed.c_str());
+}
+
+TEST(CliOutput, VerifyPrintsVerdictPathsLocAndCfa) {
+  // `icarus verify` builds the CFA and the LoC count itself; the verifier
+  // does neither. The figures are the running example's (bug 1685925).
+  const std::string path = TempPath("cli_verify.txt");
+  const std::string cmd =
+      std::string(ICARUS_CLI_PATH) + " verify bug1685925_buggy > " + path + " 2>&1";
+  EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  std::ostringstream text;
+  text << std::ifstream(path).rdbuf();
+  const std::string out = text.str();
+  for (const char* line : {"COUNTEREXAMPLE",
+                           "paths: 12 explored, 8 attached, 3 infeasible; 31 solver queries",
+                           "icarus loc (call graph): 197",
+                           "cfa: 8 nodes, 14 edges, 7 feasible instruction sequences"}) {
+    EXPECT_NE(out.find(line), std::string::npos) << line << " missing in:\n" << out;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CliOutput, JournalRowsCarryTheEpochAndNoCfaStage) {
+  const std::string path = TempPath("cli_rows.jsonl");
+  std::remove(path.c_str());
+  const std::string cmd =
+      std::string(ICARUS_CLI_PATH) + " verify-all --jobs 2 --journal " + path + " >/dev/null 2>&1";
+  ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  std::ifstream in(path);
+  std::string line;
+  int rows = 0;
+  while (std::getline(in, line)) {
+    ++rows;
+    EXPECT_EQ(line.find("\"cfa_s\""), std::string::npos) << line;
+    EXPECT_NE(line.find(StrCat("\"epoch\":\"", kVerifierEpoch, "\"")), std::string::npos) << line;
+  }
+  EXPECT_EQ(rows, 38);
+  std::remove(path.c_str());
 }
 
 #endif  // ICARUS_CLI_PATH

@@ -1,12 +1,13 @@
 // Tests for the CFA builder, the naive-executor ablation machinery, and the
-// verifier facade.
+// verifier facade. `icarus verify`'s CFA and LoC lines are pinned in
+// journal_test's CLI cases.
 #include <gtest/gtest.h>
 
 #include "src/cfa/cfa.h"
-#include "src/meta/naive_executor.h"
 #include "src/platform/platform.h"
 #include "src/support/str_util.h"
 #include "src/verifier/verifier.h"
+#include "tests/naive_executor.h"
 
 namespace icarus {
 namespace {
@@ -135,21 +136,15 @@ TEST_F(CfaTest, NaiveExplosionVsCfaConstraint) {
 
 TEST_F(CfaTest, VerifierReportRendersEverything) {
   verifier::Verifier v(platform_);
-  verifier::VerifyOptions options;
-  options.runs = 3;
-  options.build_cfa = true;
-  auto report = v.Verify("bug1685925_buggy", options);
+  auto report = v.Verify("bug1685925_buggy");
   ASSERT_TRUE(report.ok()) << report.status().message();
   EXPECT_FALSE(report.value().verified);
-  EXPECT_GT(report.value().total_loc, 50);
-  EXPECT_GT(report.value().cfa_nodes, 0);
   std::string rendered = report.value().Render();
   EXPECT_TRUE(Contains(rendered, "COUNTEREXAMPLE"));
   EXPECT_TRUE(Contains(rendered, "numFixedSlots"));
   EXPECT_TRUE(Contains(rendered, "stub (target ops)"));
-  EXPECT_FALSE(report.value().cfa_dot.empty());
 
-  auto fixed = v.Verify("bug1685925_fixed", options);
+  auto fixed = v.Verify("bug1685925_fixed");
   ASSERT_TRUE(fixed.ok());
   EXPECT_TRUE(fixed.value().verified);
   EXPECT_TRUE(Contains(fixed.value().Render(), "VERIFIED"));

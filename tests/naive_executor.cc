@@ -1,4 +1,4 @@
-#include "src/meta/naive_executor.h"
+#include "tests/naive_executor.h"
 
 #include <cmath>
 

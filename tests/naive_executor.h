@@ -1,4 +1,6 @@
-// The naive meta-stub search of §2.4, kept for the ablation benchmark.
+// The naive meta-stub search of §2.4, kept as test code: meta_cfa_test
+// checks the k^n explosion against the CFA-constrained count, and
+// bench_cfa_ablation reproduces the paper's growth sweep with it.
 //
 // A naive encoding of the interpreter phase leaves the instruction buffer
 // fully symbolic: at each position the symbolic executor must consider every
@@ -9,8 +11,8 @@
 // cost per explored state, under a wall-clock budget. The CFA-constrained
 // mode replaces the k-way choice with the automaton's successor sets,
 // which collapses the search to the sparse set of feasible sequences.
-#ifndef ICARUS_META_NAIVE_EXECUTOR_H_
-#define ICARUS_META_NAIVE_EXECUTOR_H_
+#ifndef ICARUS_TESTS_NAIVE_EXECUTOR_H_
+#define ICARUS_TESTS_NAIVE_EXECUTOR_H_
 
 #include <cstdint>
 #include <string>
@@ -54,4 +56,4 @@ class NaiveExecutor {
 
 }  // namespace icarus::meta
 
-#endif  // ICARUS_META_NAIVE_EXECUTOR_H_
+#endif  // ICARUS_TESTS_NAIVE_EXECUTOR_H_

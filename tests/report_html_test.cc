@@ -1,18 +1,18 @@
 // HTML fleet-report tests: well-formed self-contained output, escaping of
-// hostile row content, counterexample drill-downs, and the journal-to-row
-// conversion used by `icarus report`.
+// hostile row content, and counterexample drill-downs, over the journal
+// records `icarus report` reads.
 #include <gtest/gtest.h>
 
 #include <string>
 
-#include "src/obs/report.h"
 #include "src/verifier/journal.h"
+#include "src/verifier/report.h"
 
-namespace icarus::obs {
+namespace icarus::verifier {
 namespace {
 
-ReportRow VerifiedRow(const std::string& name) {
-  ReportRow row;
+JournalRecord VerifiedRow(const std::string& name) {
+  JournalRecord row;
   row.generator = name;
   row.outcome = "VERIFIED";
   row.paths = 12;
@@ -21,15 +21,14 @@ ReportRow VerifiedRow(const std::string& name) {
   row.queries = 40;
   row.decisions = 900;
   row.seconds = 0.25;
-  row.cfa_s = 0.01;
   row.gen_s = 0.05;
   row.interp_s = 0.07;
   row.solve_s = 0.1;
   return row;
 }
 
-ReportRow RefutedRow() {
-  ReportRow row = VerifiedRow("bug1685925_buggy");
+JournalRecord RefutedRow() {
+  JournalRecord row = VerifiedRow("bug1685925_buggy");
   row.outcome = "COUNTEREXAMPLE";
   row.cx_contract = "assert idx < numFixedSlots(shape)";
   row.cx_function = "emitGuardShape";
@@ -69,6 +68,10 @@ TEST(HtmlReport, RendersRowsVerdictsAndCounterexampleDrilldown) {
   EXPECT_NE(html.find("idx &lt; numFixedSlots(shape)"), std::string::npos);
   EXPECT_NE(html.find("TTF"), std::string::npos);
   EXPECT_NE(html.find("50.0% hit rate"), std::string::npos);
+  // No verification builds the CFA, so the report draws no CFA stage or
+  // section.
+  EXPECT_EQ(html.find("cfa"), std::string::npos);
+  EXPECT_EQ(html.find("CFA"), std::string::npos);
 }
 
 TEST(HtmlReport, SelfContainedNoExternalReferences) {
@@ -85,7 +88,7 @@ TEST(HtmlReport, SelfContainedNoExternalReferences) {
 }
 
 TEST(HtmlReport, HostileRowContentIsEscapedEverywhere) {
-  ReportRow evil = RefutedRow();
+  JournalRecord evil = RefutedRow();
   evil.generator = "<script>alert(1)</script>";
   evil.error = "boom <img>";
   evil.outcome = "ERROR";
@@ -111,32 +114,5 @@ TEST(HtmlReport, TruncatedTraceIsCalledOut) {
   EXPECT_EQ(without.find("spans dropped"), std::string::npos);
 }
 
-TEST(HtmlReport, JournalRecordFlattensFieldForField) {
-  verifier::JournalRecord rec;
-  rec.generator = "g";
-  rec.outcome = "COUNTEREXAMPLE";
-  rec.paths = 5;
-  rec.paths_attached = 4;
-  rec.paths_infeasible = 1;
-  rec.queries = 9;
-  rec.decisions = 77;
-  rec.seconds = 1.5;
-  rec.solve_s = 0.75;
-  rec.cx_contract = "assert c";
-  rec.cx_decisions = "TF";
-  ReportRow row = verifier::ReportRowFromRecord(rec);
-  EXPECT_EQ(row.generator, "g");
-  EXPECT_EQ(row.outcome, "COUNTEREXAMPLE");
-  EXPECT_EQ(row.paths, 5);
-  EXPECT_EQ(row.paths_attached, 4);
-  EXPECT_EQ(row.paths_infeasible, 1);
-  EXPECT_EQ(row.queries, 9);
-  EXPECT_EQ(row.decisions, 77);
-  EXPECT_DOUBLE_EQ(row.seconds, 1.5);
-  EXPECT_DOUBLE_EQ(row.solve_s, 0.75);
-  EXPECT_EQ(row.cx_contract, "assert c");
-  EXPECT_EQ(row.cx_decisions, "TF");
-}
-
 }  // namespace
-}  // namespace icarus::obs
+}  // namespace icarus::verifier

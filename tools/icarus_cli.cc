@@ -42,6 +42,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -55,10 +56,10 @@
 #include "src/daemon/top.h"
 #include "src/boogie/boogie_lower.h"
 #include "src/boogie/boogie_printer.h"
+#include "src/cfa/cfa.h"
 #include "src/extract/cpp_backend.h"
 #include "src/meta/path_recorder.h"
 #include "src/obs/metrics.h"
-#include "src/obs/report.h"
 #include "src/obs/trace.h"
 #include "src/support/failpoint.h"
 #include "src/support/net.h"
@@ -66,6 +67,7 @@
 #include "src/support/str_util.h"
 #include "src/verifier/batch_verifier.h"
 #include "src/verifier/journal.h"
+#include "src/verifier/report.h"
 #include "src/verifier/verifier.h"
 
 namespace {
@@ -137,7 +139,7 @@ int VerifyAllHelp() {
       "                  symbolic input, and the per-path event log.\n"
       "  --report FILE   Write a self-contained HTML dashboard of the run:\n"
       "                  verdict table with counterexample drill-downs, stage\n"
-      "                  cost bars, path/solver histograms, CFA effectiveness.\n"
+      "                  cost bars, path/solver histograms.\n"
       "  --trace FILE    Record pipeline spans and write a Chrome trace_event\n"
       "                  JSON file (load in Perfetto or chrome://tracing).\n"
       "                  Enables the observability runtime for the run.\n"
@@ -203,31 +205,69 @@ int ListGenerators(const Platform& platform) {
   return 0;
 }
 
-int Verify(const Platform& platform, const std::string& name, bool expect_verified) {
-  icarus::verifier::Verifier verifier(&platform);
-  auto report = verifier.Verify(name);
+// A generator's meta-stub and its control-flow automaton (§2.4), the
+// paper's artifacts that `verify`, `explain`, `cfa` and `boogie` print or
+// lower. Neither feeds a verdict. Errors are printed; nullopt means exit 2.
+struct StubAndCfa {
+  icarus::meta::MetaStub stub;
+  icarus::cfa::Cfa automaton;
+};
+
+std::optional<StubAndCfa> BuildStubAndCfa(const Platform& platform, const std::string& name) {
+  auto stub = platform.MakeMetaStub(name);
+  if (!stub.ok()) {
+    std::fprintf(stderr, "%s\n", stub.status().message().c_str());
+    return std::nullopt;
+  }
+  icarus::cfa::CfaBuilder builder(&platform.module(), &platform.externs());
+  auto automaton = builder.Build(stub.value());
+  if (!automaton.ok()) {
+    std::fprintf(stderr, "%s\n", automaton.status().message().c_str());
+    return std::nullopt;
+  }
+  return StubAndCfa{stub.take(), automaton.take()};
+}
+
+// `icarus verify`/`explain`: verifies `name` and prints the report, then the
+// Fig. 12 call-graph LoC and the §2.4 automaton's size. Returns the report,
+// or nullopt (exit 2) after printing the error.
+std::optional<icarus::verifier::VerifyReport> VerifyAndPrint(
+    const Platform& platform, const std::string& name,
+    const icarus::verifier::VerifyOptions& options) {
+  std::optional<StubAndCfa> built = BuildStubAndCfa(platform, name);
+  if (!built) {
+    return std::nullopt;
+  }
+  auto report = icarus::verifier::Verifier(&platform).Verify(name, options);
   if (!report.ok()) {
     std::fprintf(stderr, "%s\n", report.status().message().c_str());
-    return 2;
+    return std::nullopt;
   }
-  std::printf("%s\n", report.value().Render().c_str());
-  return report.value().verified == expect_verified ? 0 : 1;
+  const icarus::cfa::Cfa& automaton = built->automaton;
+  std::printf("%s", report.value().Render().c_str());
+  std::printf("icarus loc (call graph): %d\n", platform.TotalLoc(name));
+  std::printf("cfa: %d nodes, %d edges, %lld feasible instruction sequences\n\n",
+              automaton.num_nodes(), automaton.num_edges(),
+              static_cast<long long>(automaton.CountPaths(64, 1000000000)));
+  return report.take();
+}
+
+int Verify(const Platform& platform, const std::string& name, bool expect_verified) {
+  auto report = VerifyAndPrint(platform, name, {});
+  return !report ? 2 : report->verified == expect_verified ? 0 : 1;
 }
 
 // `icarus explain <gen>`: one generator, flight recorder on, full
 // counterexample rendering, then a concrete replay that pins every symbolic
 // input to its witness value to confirm the counterexample is not spurious.
 int Explain(const Platform& platform, const std::string& name) {
-  icarus::verifier::Verifier verifier(&platform);
   icarus::verifier::VerifyOptions vopts;
   vopts.record = true;
-  auto report = verifier.Verify(name, vopts);
-  if (!report.ok()) {
-    std::fprintf(stderr, "%s\n", report.status().message().c_str());
+  auto report = VerifyAndPrint(platform, name, vopts);
+  if (!report) {
     return 2;
   }
-  const icarus::verifier::VerifyReport& rep = report.value();
-  std::printf("%s\n", rep.Render().c_str());
+  const icarus::verifier::VerifyReport& rep = *report;
   if (rep.meta.violations.empty()) {
     std::printf("no violation found: nothing to explain%s\n",
                 rep.inconclusive ? " (verdict inconclusive — raise budgets and retry)" : "");
@@ -253,8 +293,8 @@ int Explain(const Platform& platform, const std::string& name) {
 
 // Builds the HTML dashboard input common to `icarus report` (journal-sourced)
 // and `verify-all --report` (in-memory results).
-int WriteHtmlReport(icarus::obs::ReportInput input, const std::string& out_path) {
-  int rc = WriteTextFile(out_path, icarus::obs::RenderHtmlReport(input), "HTML report");
+int WriteHtmlReport(icarus::verifier::ReportInput input, const std::string& out_path) {
+  int rc = WriteTextFile(out_path, icarus::verifier::RenderHtmlReport(input), "HTML report");
   if (rc == 0) {
     std::printf("report written to %s (%zu generators)\n", out_path.c_str(), input.rows.size());
   }
@@ -296,14 +336,14 @@ int ReportCmd(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", records.status().message().c_str());
     return 2;
   }
-  icarus::obs::ReportInput input;
+  icarus::verifier::ReportInput input;
   if (!title.empty()) {
     input.title = title;
   }
   // Last verdict wins per generator (a resumed journal appends a fresh row),
   // but rows keep first-appearance order so the dashboard is stable.
   std::vector<std::string> order;
-  std::map<std::string, icarus::obs::ReportRow> latest;
+  std::map<std::string, icarus::verifier::JournalRecord> latest;
   for (const icarus::verifier::JournalRecord& rec : records.value()) {
     if (latest.find(rec.generator) == latest.end()) {
       order.push_back(rec.generator);
@@ -311,7 +351,7 @@ int ReportCmd(int argc, char** argv) {
     if (input.fingerprint.empty()) {
       input.fingerprint = rec.platform;
     }
-    latest[rec.generator] = icarus::verifier::ReportRowFromRecord(rec);
+    latest[rec.generator] = rec;
   }
   for (const std::string& name : order) {
     input.rows.push_back(std::move(latest[name]));
@@ -379,11 +419,10 @@ int VerifyAll(const Platform& platform, const icarus::verifier::BatchOptions& op
     std::printf("metrics written to %s\n", path.c_str());
   }
   if (!obs_flags.report_path.empty()) {
-    icarus::obs::ReportInput input;
+    icarus::verifier::ReportInput input;
     input.fingerprint = platform.Fingerprint();
     for (const icarus::verifier::GeneratorResult& r : report.results) {
-      input.rows.push_back(icarus::verifier::ReportRowFromRecord(
-          icarus::verifier::RecordFromResult(r, input.fingerprint)));
+      input.rows.push_back(icarus::verifier::RecordFromResult(r, input.fingerprint));
     }
     if (report.cache.lookups() > 0) {
       input.cache_summary = report.cache.ToString();
@@ -435,45 +474,31 @@ int VerifyAll(const Platform& platform, const icarus::verifier::BatchOptions& op
 }
 
 int DumpCfa(const Platform& platform, const std::string& name, const std::string& out_path) {
-  auto stub = platform.MakeMetaStub(name);
-  if (!stub.ok()) {
-    std::fprintf(stderr, "%s\n", stub.status().message().c_str());
+  std::optional<StubAndCfa> built = BuildStubAndCfa(platform, name);
+  if (!built) {
     return 2;
   }
-  icarus::cfa::CfaBuilder builder(&platform.module(), &platform.externs());
-  auto automaton = builder.Build(stub.value());
-  if (!automaton.ok()) {
-    std::fprintf(stderr, "%s\n", automaton.status().message().c_str());
-    return 2;
-  }
-  std::string dot = automaton.value().ToDot();
+  std::string dot = built->automaton.ToDot();
   if (out_path.empty()) {
     std::printf("%s", dot.c_str());
     return 0;
   }
   int rc = WriteTextFile(out_path, dot, "CFA DOT");
   if (rc == 0) {
-    std::printf("%s: %s\n", out_path.c_str(), automaton.value().Summary().c_str());
+    std::printf("%s: %s\n", out_path.c_str(), built->automaton.Summary().c_str());
   }
   return rc;
 }
 
 int EmitBoogie(const Platform& platform, const std::string& name) {
-  auto stub = platform.MakeMetaStub(name);
-  if (!stub.ok()) {
-    std::fprintf(stderr, "%s\n", stub.status().message().c_str());
-    return 2;
-  }
-  icarus::cfa::CfaBuilder builder(&platform.module(), &platform.externs());
-  auto automaton = builder.Build(stub.value());
-  if (!automaton.ok()) {
-    std::fprintf(stderr, "%s\n", automaton.status().message().c_str());
+  std::optional<StubAndCfa> built = BuildStubAndCfa(platform, name);
+  if (!built) {
     return 2;
   }
   icarus::boogie::LowerOptions options;
   options.host_externs = platform.externs().HostBoundNames();
-  auto program = icarus::boogie::LowerToBoogie(platform.module(), stub.value(),
-                                               automaton.value(), options);
+  auto program = icarus::boogie::LowerToBoogie(platform.module(), built->stub,
+                                               built->automaton, options);
   if (!program.ok()) {
     std::fprintf(stderr, "%s\n", program.status().message().c_str());
     return 2;
