@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   auto platform = loaded.take();
-  auto extraction = icarus::extract::ExtractCpp(platform->module());
+  auto extraction = icarus::extract::ExtractCpp(*platform);
   if (!extraction.ok()) {
     std::fprintf(stderr, "extraction failed: %s\n", extraction.status().message().c_str());
     return 1;
@@ -34,9 +34,10 @@ int main(int argc, char** argv) {
   std::printf("wrote %s (%zu bytes)\n", skeleton_path.c_str(),
               extraction.value().binding_skeleton.size());
 
-  // Show the extracted TypedArray-length generator as a taste.
+  // Show the extracted TypedArray-length generator as a taste: its
+  // definition is the last match (the first is its forward declaration).
   const std::string& header = extraction.value().header;
-  size_t pos = header.find("inline AttachDecision bug1685925_fixed");
+  size_t pos = header.rfind("template <class Host>\ninline AttachDecision bug1685925_fixed(");
   if (pos != std::string::npos) {
     size_t end = header.find("\n}\n", pos);
     std::printf("\n--- extracted C++ for the (fixed) TypedArray.length generator ---\n%s\n}\n",

@@ -1,8 +1,9 @@
-// Mini-JS VM demo: the verified generators attach real inline caches, and
-// the 1685925 exploit is demonstrated both ways —
+// Mini-JS VM demo: the verified generators, extracted to C++, attach real
+// inline caches, and the 1685925 exploit is demonstrated both ways —
 //   - with the BUGGY megamorphic stub, the `tricky` object passes the
-//     getter/setter guard and the stub reads out of bounds (a poison marker
-//     stands in for adjacent memory);
+//     getter/setter guard and reaches the length load; the extracted MASM
+//     semantics check getFixedSlot's bounds contract first, so the VM stops
+//     with a contract violation instead of reading out of bounds;
 //   - with the FIXED stub, the shape guard rejects `tricky` and the engine
 //     falls back to the safe slow path.
 
@@ -49,11 +50,14 @@ int main() {
 
   auto run = [&](const char* label, const CompiledStub& stub, JsValue input) {
     JsValue result;
-    StubOutcome outcome = engine.Run(&rt, stub, &input, 1, &result);
-    if (outcome == StubOutcome::kReturn) {
-      std::printf("%-42s -> returned %s\n", label, result.ToString().c_str());
-    } else {
-      std::printf("%-42s -> bailed to the slow path (guard failed)\n", label);
+    try {
+      if (engine.Run(&rt, stub, &input, 1, &result) == StubOutcome::kReturn) {
+        std::printf("%-42s -> returned %s\n", label, result.ToString().c_str());
+      } else {
+        std::printf("%-42s -> bailed to the slow path (guard failed)\n", label);
+      }
+    } catch (const icarus::InternalError& e) {
+      std::printf("%-42s -> stopped: %s\n", label, e.what());
     }
   };
 
@@ -65,10 +69,11 @@ int main() {
   run("fixed stub, tricky object", fixed, tricky_value);
 
   std::printf(
-      "\nThe buggy stub returned garbage read past the end of the tricky object\n"
-      "(0xBADBEEF = %d stands in for adjacent heap memory): the attacker now has\n"
-      "an out-of-bounds length. Icarus rejects this stub generator statically —\n"
-      "run examples/typedarray_bug for the verification side of the story.\n",
-      0xBADBEEF);
+      "\nThe buggy stub's guards let the tricky object through to a fixed-slot\n"
+      "load past its (empty) slots. The VM runs the extracted code with its\n"
+      "contracts live, so the read never happens; an engine running it with\n"
+      "contracts compiled out would hand the attacker an out-of-bounds length.\n"
+      "Icarus rejects this stub generator statically — run\n"
+      "examples/typedarray_bug for the verification side of the story.\n");
   return 0;
 }

@@ -195,7 +195,7 @@ StatusOr<Cfa> CfaBuilder::Build(const meta::MetaStub& stub) {
     std::vector<bool> trace = std::move(worklist.back());
     worklist.pop_back();
 
-    exec::EvalContext ctx(module_, &pool, externs_, exec::Mode::kSymbolic);
+    exec::EvalContext ctx(module_, &pool, externs_);
     ctx.StartPath(std::move(trace));
     ctx.set_abstract_mode(true);
     ctx.set_source_emit_hook(

@@ -78,8 +78,8 @@ Status EmitState::CheckAllBound() const {
 // ---------------------------------------------------------------------------
 
 EvalContext::EvalContext(const ast::Module* module, sym::ExprPool* pool,
-                         const ExternRegistry* externs, Mode mode)
-    : module_(module), pool_(pool), externs_(externs), mode_(mode) {}
+                         const ExternRegistry* externs)
+    : module_(module), pool_(pool), externs_(externs) {}
 
 void EvalContext::Assume(sym::ExprRef cond) {
   if (cond->IsTrue()) {
@@ -216,11 +216,6 @@ bool EvalContext::DecideBranch(sym::ExprRef cond, bool* ok) {
   *ok = true;
   if (cond->IsConst()) {
     return cond->IsTrue();
-  }
-  if (mode_ == Mode::kConcrete) {
-    FailPath("symbolic branch condition in concrete execution", "<harness>", 0);
-    *ok = false;
-    return false;
   }
   bool decision;
   if (trace_pos_ < trace_.size()) {
@@ -580,8 +575,6 @@ Value Evaluator::CallExtern(EvalContext& ctx, const ast::ExternFnDecl* ext,
     }
     return result.take();
   }
-  ICARUS_REQUIRE_MSG(ctx.mode() == Mode::kSymbolic,
-                     StrCat("extern ", ext->name, " has no host binding for concrete mode"));
   // Pure uninterpreted semantics with contracts. Build a frame over the
   // extern's parameter slots (plus `result`).
   ExecEnv contract_env;

@@ -1,5 +1,9 @@
-// The Icarus evaluator: executes DSL functions either symbolically (for
-// verification) or concretely (for differential testing and the mini-JS VM).
+// The Icarus evaluator: executes DSL functions symbolically, for
+// verification. Terms over constants fold as they are built, so a branch
+// on a constant condition simply takes its arm; only symbolic conditions
+// fork. Witness replay (meta/path_recorder.h) pins inputs with path-condition
+// equalities and runs symbolically too. The mini-JS VM runs the same DSL
+// code as extracted C++ instead (src/extract/, src/vm/ic.cc).
 //
 // Path exploration uses deterministic re-execution with a decision trace:
 // each run of a function follows a recorded list of branch decisions; when
@@ -163,8 +167,7 @@ using ExternHandler =
     std::function<StatusOr<Value>(EvalContext&, const std::vector<Value>&)>;
 
 // Host implementations for extern functions. Externs with no handler are
-// treated as pure uninterpreted functions governed by their contracts
-// (symbolic mode only).
+// treated as pure uninterpreted functions governed by their contracts.
 class ExternRegistry {
  public:
   void Register(const std::string& name, ExternHandler handler) {
@@ -194,8 +197,6 @@ class ExternRegistry {
 // Evaluation context (one path)
 // ---------------------------------------------------------------------------
 
-enum class Mode { kSymbolic, kConcrete };
-
 // Called when a generator/helper emits a *source-language* op, after the
 // instruction is recorded; used by the meta-executor to run the compiler
 // callback for the op (the streaming structure of Figure 3).
@@ -205,11 +206,10 @@ using SourceEmitHook =
 class EvalContext {
  public:
   EvalContext(const ast::Module* module, sym::ExprPool* pool,
-              const ExternRegistry* externs, Mode mode);
+              const ExternRegistry* externs);
 
   const ast::Module& module() const { return *module_; }
   sym::ExprPool& pool() { return *pool_; }
-  Mode mode() const { return mode_; }
   machine::MachineState& machine() { return machine_; }
   EmitState& emits() { return emits_; }
 
@@ -317,9 +317,6 @@ class EvalContext {
   double solver_seconds() const { return solver_seconds_; }
   int64_t solver_decisions() const { return solver_decisions_; }
 
-  // Opaque user pointer for host bindings (the VM installs its runtime here).
-  void* host_data = nullptr;
-
   // Set by the MASM::returnFromStub builtin; the interpreter-phase loop in
   // the meta-executor polls and clears it.
   bool stub_return_requested = false;
@@ -341,7 +338,6 @@ class EvalContext {
   const ast::Module* module_;
   sym::ExprPool* pool_;
   const ExternRegistry* externs_;
-  Mode mode_;
   machine::MachineState machine_;
   EmitState emits_;
   SourceEmitHook source_hook_;

@@ -149,8 +149,7 @@ void RegisterMachineBuiltins(ExternRegistry* registry, const ast::Module* module
   registry->Register(
       "MASM::ecxReg",
       [reg_type](EvalContext& ctx, const std::vector<Value>& args) -> StatusOr<Value> {
-        // The fixed x86 shift-count register in the machine model.
-        return Value::Of(reg_type, ctx.pool().IntConst(6));
+        return Value::Of(reg_type, ctx.pool().IntConst(machine::kEcxReg));
       });
   registry->Register(
       "CacheIRCompiler::outputReg",

@@ -3,10 +3,10 @@
 //
 // These are the *stateful* externs: they read and mutate the path's
 // machine::MachineState. Pure runtime-model externs (Value::typeTag,
-// Shape::numFixedSlots, ...) deliberately have no handler in symbolic mode —
-// the evaluator gives them uninterpreted-function semantics governed by
-// their requires/ensures contracts. The mini-JS VM registers concrete
-// handlers for those separately (vm/ic.cc).
+// Shape::numFixedSlots, ...) deliberately have no handler — the evaluator
+// gives them uninterpreted-function semantics governed by their
+// requires/ensures contracts. The mini-JS VM implements both kinds over its
+// Runtime for the extracted C++ (vm/ic.cc).
 #ifndef ICARUS_EXEC_EXTERNS_H_
 #define ICARUS_EXEC_EXTERNS_H_
 

@@ -1,13 +1,15 @@
 #include "src/extract/cpp_backend.h"
 
-#include <map>
-#include <set>
-
 #include "src/support/str_util.h"
 
 namespace icarus::extract {
 
 namespace {
+
+// The machine builtin that ends a stub run (exec/externs.cc). Extracted
+// interpreter callbacks return kStubReturn in its place, so the runner learns
+// of the return from the callback's result.
+constexpr char kReturnFromStub[] = "MASM::returnFromStub";
 
 std::string Mangle(const std::string& name) { return ReplaceAll(name, "::", "_"); }
 
@@ -26,13 +28,37 @@ std::string CppType(const ast::Type* type) {
     case ast::TypeKind::kDouble:
       return "double";
     case ast::TypeKind::kEnum:
-      return type->name();
     case ast::TypeKind::kOpaque:
-      return StrCat("Host::", type->name());
+      return type->name();
     case ast::TypeKind::kLabel:
       return "Label";
   }
   ICARUS_UNREACHABLE("cpp type");
+}
+
+std::string ParamType(const ast::Param& p) { return p.is_label ? "Label" : CppType(p.type); }
+
+// C++ expression converting the baked int64 operand `operand` to `p`'s type.
+std::string FromOperand(const ast::Param& p, const std::string& operand) {
+  if (p.is_label) {
+    return StrCat("Label{", operand, "}");
+  }
+  switch (p.type->kind()) {
+    case ast::TypeKind::kBool:
+      return StrCat("(", operand, " != 0)");
+    case ast::TypeKind::kInt32:
+    case ast::TypeKind::kInt64:
+      return operand;
+    case ast::TypeKind::kDouble:
+      return StrCat("DoubleFromBits(", operand, ")");
+    case ast::TypeKind::kEnum:
+    case ast::TypeKind::kOpaque:
+      return StrCat("static_cast<", CppType(p.type), ">(", operand, ")");
+    case ast::TypeKind::kVoid:
+    case ast::TypeKind::kLabel:
+      break;
+  }
+  ICARUS_UNREACHABLE("operand type");
 }
 
 const char* BinOpText(ast::BinOp op) {
@@ -61,7 +87,8 @@ const char* BinOpText(ast::BinOp op) {
 
 class Generator {
  public:
-  explicit Generator(const ast::Module& module) : module_(module) {}
+  explicit Generator(const platform::Platform& platform)
+      : platform_(platform), module_(platform.module()) {}
 
   CppExtraction Run() {
     CppExtraction out;
@@ -113,6 +140,46 @@ class Generator {
 
   // --- Statements ---
 
+  // The compiler whose source language is `lang`, or null for a target
+  // language.
+  const ast::CompilerDecl* CompilerFrom(const ast::LanguageDecl* lang) const {
+    for (const auto& comp : module_.compilers) {
+      if (comp->source_language == lang) {
+        return comp.get();
+      }
+    }
+    return nullptr;
+  }
+
+  void GenEmit(const ast::Stmt& stmt, const std::string& pad, std::string* out) {
+    std::vector<std::string> args;
+    args.reserve(stmt.args.size() + 1);
+    args.emplace_back();  // The host, or the target op.
+    for (const ast::ExprPtr& a : stmt.args) {
+      args.push_back(GenExpr(*a));
+    }
+    const ast::CompilerDecl* compiler = CompilerFrom(stmt.emit_lang);
+    if (compiler == nullptr) {
+      args[0] = StrCat(stmt.emit_lang->name, "Op::k", stmt.emit_op->name);
+      *out += StrCat(pad, "host.emit(", Join(args, ", "), ");\n");
+      return;
+    }
+    // A source op streams straight into its compiler callback (Figure 3).
+    const ast::FunctionDecl* cb = compiler->FindCallback(stmt.emit_op);
+    if (cb == nullptr) {
+      *out += StrCat(pad, "ICARUS_EXTRACTED_ASSERT(!\"no ", compiler->name, " callback for ",
+                     stmt.emit_lang->name, "::", stmt.emit_op->name, "\");\n");
+      return;
+    }
+    args[0] = "host";
+    *out += StrCat(pad, FnName(*cb), "(", Join(args, ", "), ");\n");
+  }
+
+  static bool CallsExtern(const ast::Expr& expr, const char* name) {
+    return expr.kind == ast::ExprKind::kCall && expr.callee_ext != nullptr &&
+           expr.callee_ext->name == name;
+  }
+
   void GenBlock(const std::vector<ast::StmtPtr>& block, int indent, bool in_interp,
                 std::string* out) {
     std::string pad(static_cast<size_t>(indent), ' ');
@@ -141,16 +208,9 @@ class Generator {
         case ast::StmtKind::kAssume:
           *out += StrCat(pad, "ICARUS_EXTRACTED_ASSUME(", GenExpr(*stmt->expr), ");\n");
           break;
-        case ast::StmtKind::kEmit: {
-          std::vector<std::string> args;
-          args.reserve(stmt->args.size());
-          for (const ast::ExprPtr& a : stmt->args) {
-            args.push_back(GenExpr(*a));
-          }
-          *out += StrCat(pad, "host.emit_", stmt->emit_lang->name, "_", stmt->emit_op->name,
-                         "(", Join(args, ", "), ");\n");
+        case ast::StmtKind::kEmit:
+          GenEmit(*stmt, pad, out);
           break;
-        }
         case ast::StmtKind::kLabelDecl:
           *out += StrCat(pad, "Label ", stmt->name, " = host.newLabel();\n");
           break;
@@ -161,19 +221,21 @@ class Generator {
           *out += StrCat(pad, "host.bindLabel(", stmt->name, ");\n");
           break;
         case ast::StmtKind::kGoto:
-          // Interpreter callbacks return the jump target's id; -1 means fall
-          // through to the next instruction.
           *out += StrCat(pad, "return ", stmt->name, ".id;\n");
           break;
         case ast::StmtKind::kReturn:
           if (stmt->expr != nullptr) {
             *out += StrCat(pad, "return ", GenExpr(*stmt->expr), ";\n");
           } else {
-            *out += StrCat(pad, "return", in_interp ? " -1" : "", ";\n");
+            *out += StrCat(pad, "return", in_interp ? " kFallThrough" : "", ";\n");
           }
           break;
         case ast::StmtKind::kExprStmt:
-          *out += StrCat(pad, GenExpr(*stmt->expr), ";\n");
+          if (in_interp && CallsExtern(*stmt->expr, kReturnFromStub)) {
+            *out += StrCat(pad, "return kStubReturn;\n");
+          } else {
+            *out += StrCat(pad, GenExpr(*stmt->expr), ";\n");
+          }
           break;
       }
     }
@@ -197,9 +259,10 @@ class Generator {
     std::string ret = is_interp ? "int64_t" : CppType(fn.return_type);
     std::vector<std::string> params = {"Host& host"};
     for (const ast::Param& p : fn.params) {
-      params.push_back(StrCat(p.is_label ? "Label" : CppType(p.type), " ", p.name));
+      params.push_back(StrCat(ParamType(p), " ", p.name));
     }
-    return StrCat("inline ", ret, " ", FnName(fn), "(", Join(params, ", "), ")");
+    return StrCat("template <class Host>\ninline ", ret, " ", FnName(fn), "(",
+                  Join(params, ", "), ")");
   }
 
   std::string GenFunction(const ast::FunctionDecl& fn) {
@@ -207,10 +270,20 @@ class Generator {
     std::string out = Signature(fn) + " {\n";
     GenBlock(fn.body, 2, is_interp, &out);
     if (is_interp) {
-      out += "  return -1;\n";
+      out += "  return kFallThrough;\n";
     }
     out += "}\n";
     return out;
+  }
+
+  // Arguments unpacking baked operands for a call of `params`.
+  static std::vector<std::string> OperandArgs(const std::vector<ast::Param>& params,
+                                              const char* array) {
+    std::vector<std::string> args = {"host"};
+    for (size_t i = 0; i < params.size(); ++i) {
+      args.push_back(FromOperand(params[i], StrCat(array, "[", i, "]")));
+    }
+    return args;
   }
 
   // --- Top-level pieces ---
@@ -234,69 +307,104 @@ class Generator {
     return out;
   }
 
-  std::string HostInterface() {
-    std::string out =
-        "// Binding layer (§3.4): the embedder implements every extern the DSL\n"
-        "// code calls, bridging to the real engine's types and runtime.\n"
-        "class Host {\n public:\n  virtual ~Host() = default;\n\n"
-        "  // Opaque engine handles.\n";
-    std::set<std::string> opaque;
+  std::string Handles() {
+    std::string out = "// Opaque engine handles.\n";
     for (const char* name : {"Value", "Object", "Shape", "String", "Symbol", "BigInt",
                              "GetterSetter", "PropertyKey", "ValueId", "ObjectId", "Int32Id",
                              "StringId", "SymbolId", "Reg", "ValueReg"}) {
       if (module_.types().Lookup(name) != nullptr) {
-        out += StrCat("  using ", name, " = uint64_t;\n");
-        opaque.insert(name);
+        out += StrCat("using ", name, " = uint64_t;\n");
       }
     }
-    out += "\n  // Externs.\n";
-    for (const auto& ext : module_.externs) {
-      std::vector<std::string> params;
-      for (const ast::Param& p : ext->params) {
-        params.push_back(StrCat(HostParamType(p.type), " ", p.name));
-      }
-      out += StrCat("  virtual ", HostParamType(ext->return_type), " ", Mangle(ext->name),
-                    "(", Join(params, ", "), ") = 0;\n");
-    }
-    out += "\n  // Label management and instruction emission.\n";
-    out += "  virtual struct Label newLabel() = 0;\n";
-    out += "  virtual struct Label failureLabel() = 0;\n";
-    out += "  virtual void bindLabel(struct Label label) = 0;\n";
+    return out;
+  }
+
+  // One op enum per target language: the first argument of host.emit and
+  // the index into the language's thunk table.
+  std::string OpEnums() {
+    std::string out;
     for (const auto& lang : module_.languages) {
-      for (const auto& op : lang->ops) {
-        std::vector<std::string> params;
-        for (const ast::Param& p : op->params) {
-          params.push_back(StrCat(p.is_label ? "struct Label" : HostParamType(p.type), " ",
-                                  p.name));
-        }
-        out += StrCat("  virtual void emit_", lang->name, "_", op->name, "(",
-                      Join(params, ", "), ") = 0;\n");
+      if (CompilerFrom(lang.get()) != nullptr) {
+        continue;
       }
+      std::vector<std::string> members;
+      members.reserve(lang->ops.size());
+      for (const auto& op : lang->ops) {
+        members.push_back("k" + op->name);
+      }
+      out += StrCat("enum class ", lang->name, "Op : int { ", Join(members, ", "), " };\n");
+    }
+    return out;
+  }
+
+  std::string Thunks() {
+    std::string out;
+    for (const auto& interp : module_.interpreters) {
+      const ast::LanguageDecl& lang = *interp->language;
+      out += StrCat("// --- ", lang.name, " thunks: one per op, called with the op's baked "
+                    "operands ---\n\n");
+      std::vector<std::string> table;
+      for (const auto& op : lang.ops) {
+        std::string thunk = StrCat("thunk_", lang.name, "_", op->name);
+        table.push_back(StrCat("    &", thunk, "<Host>,\n"));
+        out += StrCat("template <class Host>\ninline int64_t ", thunk,
+                      "(Host& host, const int64_t* operands) {\n");
+        const ast::FunctionDecl* cb = interp->FindCallback(op.get());
+        if (cb == nullptr) {
+          out += StrCat("  ICARUS_EXTRACTED_ASSERT(!\"no ", interp->name, " callback for ",
+                        lang.name, "::", op->name, "\");\n  return kFallThrough;\n}\n\n");
+          continue;
+        }
+        out += StrCat("  return ", FnName(*cb), "(",
+                      Join(OperandArgs(cb->params, "operands"), ", "), ");\n}\n\n");
+      }
+      out += StrCat("template <class Host>\nusing ", lang.name,
+                    "Thunk = int64_t (*)(Host& host, const int64_t* operands);\n\n");
+      out += StrCat("// Indexed by ", lang.name, "Op.\ntemplate <class Host>\ninline constexpr ",
+                    lang.name, "Thunk<Host> k", lang.name, "Thunks[] = {\n");
+      for (const std::string& entry : table) {
+        out += entry;
+      }
+      out += "};\n\n";
+    }
+    return out;
+  }
+
+  std::string GeneratorTable() {
+    std::string out =
+        "// --- Generators by name: each entry unpacks the generator's arguments ---\n\n"
+        "template <class Host>\n"
+        "struct GeneratorEntry {\n"
+        "  const char* name;\n"
+        "  int num_params;\n"
+        "  AttachDecision (*run)(Host& host, const int64_t* args);\n"
+        "};\n\n";
+    std::vector<std::string> table;
+    for (const ast::FunctionDecl* gen : module_.Generators()) {
+      std::string fn = StrCat("generator_", FnName(*gen));
+      table.push_back(
+          StrCat("    {\"", gen->name, "\", ", gen->params.size(), ", &", fn, "<Host>},\n"));
+      out += StrCat("template <class Host>\ninline AttachDecision ", fn,
+                    "(Host& host, const int64_t* args) {\n  return ", FnName(*gen), "(",
+                    Join(OperandArgs(gen->params, "args"), ", "), ");\n}\n\n");
+    }
+    out += "template <class Host>\ninline constexpr GeneratorEntry<Host> kGenerators[] = {\n";
+    for (const std::string& entry : table) {
+      out += entry;
     }
     out += "};\n";
     return out;
   }
 
-  // Host method parameter type: like CppType but opaque handles are plain
-  // (the aliases live inside Host).
-  std::string HostParamType(const ast::Type* type) {
-    if (type->kind() == ast::TypeKind::kOpaque) {
-      return type->name();
-    }
-    if (type->kind() == ast::TypeKind::kLabel) {
-      return "struct Label";
-    }
-    return CppType(type);
-  }
-
   std::string Header() {
-    std::string out =
+    std::string out = StrCat(
         "// GENERATED by the Icarus C++ extraction backend. Do not edit.\n"
         "//\n"
-        "// Contains: enums mirroring the DSL declarations, the Host binding\n"
-        "// interface, and the verified generator/compiler/interpreter code.\n"
+        "// Contains: enums mirroring the DSL declarations, the verified\n"
+        "// generator/compiler/interpreter code as templates over the binding-layer\n"
+        "// host, per-op interpreter thunks and the generator table.\n"
         "#ifndef ICARUS_EXTRACTED_H_\n#define ICARUS_EXTRACTED_H_\n\n"
-        "#include <cassert>\n#include <cstdint>\n\n"
+        "#include <cassert>\n#include <cstdint>\n#include <cstring>\n\n"
         "#ifndef ICARUS_EXTRACTED_ASSERT\n"
         "#define ICARUS_EXTRACTED_ASSERT(cond) assert(cond)\n"
         "#endif\n"
@@ -304,10 +412,22 @@ class Generator {
         "#define ICARUS_EXTRACTED_ASSUME(cond) ((void)0)\n"
         "#endif\n\n"
         "namespace icarus_extracted {\n\n"
-        "struct Label { int64_t id; };\n\n";
+        "// Platform::Fingerprint() of the platform this header was extracted from.\n"
+        "inline constexpr char kPlatformFingerprint[] = \"",
+        platform_.Fingerprint(),
+        "\";\n\n"
+        "struct Label { int64_t id; };\n\n"
+        "// Interpreter callbacks return where control goes next: kFallThrough, the\n"
+        "// id of the label they jump to, or kStubReturn once the stub returned.\n"
+        "inline constexpr int64_t kFallThrough = -1;\n"
+        "inline constexpr int64_t kStubReturn = -3;\n\n"
+        "inline double DoubleFromBits(int64_t bits) {\n"
+        "  double d;\n  std::memcpy(&d, &bits, sizeof(d));\n  return d;\n}\n\n");
     out += Enums();
     out += "\n";
-    out += HostInterface();
+    out += Handles();
+    out += "\n";
+    out += OpEnums();
     out += "\n// --- Forward declarations (the DSL is non-recursive) ---\n";
     std::vector<const ast::FunctionDecl*> fns;
     for (const auto& fn : module_.functions) {
@@ -331,50 +451,52 @@ class Generator {
       out += GenFunction(*fn);
       out += "\n";
     }
-    out += "}  // namespace icarus_extracted\n\n#endif  // ICARUS_EXTRACTED_H_\n";
+    out += Thunks();
+    out += GeneratorTable();
+    out += "\n}  // namespace icarus_extracted\n\n#endif  // ICARUS_EXTRACTED_H_\n";
     return out;
   }
 
   std::string BindingSkeleton() {
     std::string out =
-        "// GENERATED binding-layer skeleton: a Host whose methods are stubs.\n"
-        "// Replace each body with a bridge into the real engine.\n"
+        "// GENERATED binding-layer skeleton: a host whose members are stubs.\n"
+        "// Replace each body with a bridge into the real engine; the extracted\n"
+        "// templates instantiate with any class providing these members.\n"
         "namespace icarus_extracted {\n\n"
-        "class SkeletonHost : public Host {\n public:\n";
+        "class SkeletonHost final {\n public:\n";
     for (const auto& ext : module_.externs) {
+      if (ext->name == kReturnFromStub) {
+        continue;  // Extracted code returns kStubReturn instead.
+      }
       std::vector<std::string> params;
       for (const ast::Param& p : ext->params) {
-        params.push_back(StrCat(HostParamType(p.type), " ", p.name));
+        params.push_back(StrCat(ParamType(p), " ", p.name));
       }
-      std::string ret = HostParamType(ext->return_type);
-      out += StrCat("  ", ret, " ", Mangle(ext->name), "(", Join(params, ", "),
-                    ") override { ", ret == "void" ? "" : StrCat("return ", ret, "{}; "),
-                    "}\n");
+      std::string ret = CppType(ext->return_type);
+      out += StrCat("  ", ret, " ", Mangle(ext->name), "(", Join(params, ", "), ") { ",
+                    ret == "void" ? "" : StrCat("return ", ret, "{}; "), "}\n");
     }
-    out += "  Label newLabel() override { return Label{next_label_++}; }\n";
-    out += "  Label failureLabel() override { return Label{-2}; }\n";
-    out += "  void bindLabel(Label label) override { (void)label; }\n";
+    out += "  Label newLabel() { return Label{next_label_++}; }\n";
+    out += "  Label failureLabel() { return Label{-2}; }\n";
+    out += "  void bindLabel(Label label) { (void)label; }\n";
     for (const auto& lang : module_.languages) {
-      for (const auto& op : lang->ops) {
-        std::vector<std::string> params;
-        for (const ast::Param& p : op->params) {
-          params.push_back(StrCat(p.is_label ? "Label" : HostParamType(p.type), " ", p.name));
-        }
-        out += StrCat("  void emit_", lang->name, "_", op->name, "(", Join(params, ", "),
-                      ") override {}\n");
+      if (CompilerFrom(lang.get()) == nullptr) {
+        out += StrCat("  template <class... Operands>\n  void emit(", lang->name,
+                      "Op op, Operands... operands) {}\n");
       }
     }
     out += "\n private:\n  int64_t next_label_ = 0;\n};\n\n}  // namespace icarus_extracted\n";
     return out;
   }
 
+  const platform::Platform& platform_;
   const ast::Module& module_;
 };
 
 }  // namespace
 
-StatusOr<CppExtraction> ExtractCpp(const ast::Module& module) {
-  Generator generator(module);
+StatusOr<CppExtraction> ExtractCpp(const platform::Platform& platform) {
+  Generator generator(platform);
   return generator.Run();
 }
 

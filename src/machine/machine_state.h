@@ -32,6 +32,8 @@ namespace icarus::machine {
 inline constexpr int kNumRegs = 8;
 // Dedicated output register (SpiderMonkey's output ValueReg for IC results).
 inline constexpr int kOutputReg = 7;
+// The fixed x86 shift-count register (MASM::ecxReg).
+inline constexpr int kEcxReg = 6;
 
 // What a register currently holds.
 enum class RegContent {

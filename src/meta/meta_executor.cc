@@ -150,7 +150,7 @@ MetaResult MetaExecutor::Run(const MetaStub& stub) {
     std::vector<bool> trace = std::move(worklist.back());
     worklist.pop_back();
 
-    exec::EvalContext ctx(module_, &pool, externs_, exec::Mode::kSymbolic);
+    exec::EvalContext ctx(module_, &pool, externs_);
     ctx.set_solver_cache(solver_cache_);
     ctx.set_solver(&solver);
     ctx.set_recording(recording_);

@@ -1,379 +1,488 @@
+// The binding layer of §3.4: the extracted platform (the build writes
+// icarus_extracted.h from the embedded DSL) instantiated over two hosts
+// that bridge its externs to the VM's Runtime —
+//
+//   AttachHost: generators and compiler callbacks at attach, over the
+//     compile-time half of machine::MachineState;
+//   StubHost:   interpreter callbacks at run time, over a register file and
+//     value stack on StubEngine::Run's stack frame.
+//
+// Both are final, non-virtual classes, so every call the extracted
+// templates make into them inlines.
 #include "src/vm/ic.h"
 
+#include <bit>
 #include <cmath>
+#include <iterator>
 
-#include "src/exec/externs.h"
+#include "src/machine/machine_state.h"
 #include "src/support/str_util.h"
+#include "src/vm/stub_engine.h"
 
 namespace icarus::vm {
 
+// The one place a failed contract of the extracted code lands: out of line
+// and cold, so the checks cost the hit path a compare and a branch.
+[[noreturn, gnu::cold, gnu::noinline]] void ExtractedContractFailed(const char* function,
+                                                                    const char* contract) {
+  throw InternalError(StrCat("extracted contract violated in ", function, ": ", contract));
+}
+
+}  // namespace icarus::vm
+
+#define ICARUS_EXTRACTED_ASSERT(cond)                              \
+  do {                                                             \
+    if (!(cond)) [[unlikely]] {                                    \
+      ::icarus::vm::ExtractedContractFailed(__func__, #cond);      \
+    }                                                              \
+  } while (0)
+#include "icarus_extracted.h"
+
+namespace icarus::vm {
+
+namespace ix = icarus_extracted;
+
 namespace {
 
-using exec::EvalContext;
-using exec::GetConstInt;
-using exec::Value;
+// The VM's enums are the platform's, value for value.
+static_assert(static_cast<int>(JsType::kDouble) == static_cast<int>(ix::JSValueType::kDouble));
+static_assert(static_cast<int>(JsType::kInt32) == static_cast<int>(ix::JSValueType::kInt32));
+static_assert(static_cast<int>(JsType::kMagic) == static_cast<int>(ix::JSValueType::kMagic));
+static_assert(static_cast<int>(JsType::kObject) == static_cast<int>(ix::JSValueType::kObject));
+static_assert(static_cast<int>(JsClass::kPlainObject) ==
+              static_cast<int>(ix::ClassKind::kPlainObject));
+static_assert(static_cast<int>(JsClass::kOther) == static_cast<int>(ix::ClassKind::kOther));
+// Jump targets, the bail target and the two control results never collide.
+static_assert(ix::kFallThrough < 0 && ix::kStubReturn < 0 && kBailTarget < 0 &&
+              ix::kFallThrough != kBailTarget && ix::kStubReturn != kBailTarget &&
+              ix::kFallThrough != ix::kStubReturn);
+
+constexpr int kMaxStubSteps = 100000;
 
 // Poison value returned by raw accessors on out-of-bounds reads. In the real
 // engine such a read returns adjacent memory; here it is a deterministic
-// marker so the exploit demo (examples/vm_demo.cpp) can show corrupted data
-// flowing out of an unsafely-attached stub without actual UB.
-JsValue OobPoison() { return JsValue::Private(0xBADBEEF); }
-
-Runtime* Rt(EvalContext& ctx) {
-  ICARUS_CHECK_MSG(ctx.host_data != nullptr, "VM extern called without a Runtime");
-  return static_cast<Runtime*>(ctx.host_data);
-}
-
-JsValue BoxedArg(const Value& v) {
-  StatusOr<int64_t> bits = GetConstInt(v);
-  ICARUS_CHECK_MSG(bits.ok(), "VM extern needs concrete arguments");
-  return JsValue::FromRaw(static_cast<uint64_t>(bits.value()));
-}
-
-int64_t IntArg(const Value& v) {
-  StatusOr<int64_t> i = GetConstInt(v);
-  ICARUS_CHECK_MSG(i.ok(), "VM extern needs concrete arguments");
-  return i.value();
+// marker instead of actual UB.
+uint64_t ReadOrPoison(const std::vector<JsValue>& values, int64_t index) {
+  if (index < 0 || index >= static_cast<int64_t>(values.size())) {
+    return JsValue::Private(0xBADBEEF).raw();
+  }
+  return values[static_cast<size_t>(index)].raw();
 }
 
 }  // namespace
 
-void RegisterVmBindings(exec::ExternRegistry* registry, const ast::Module* module) {
-  const ast::Type* bool_t = module->types().Bool();
-  const ast::Type* int32_t_ = module->types().Int32();
-  const ast::Type* int64_t_ = module->types().Int64();
-  const ast::Type* value_t = module->types().Lookup("Value");
-  const ast::Type* object_t = module->types().Lookup("Object");
-  const ast::Type* shape_t = module->types().Lookup("Shape");
-  const ast::Type* string_t = module->types().Lookup("String");
-  const ast::Type* symbol_t = module->types().Lookup("Symbol");
-  const ast::Type* gs_t = module->types().Lookup("GetterSetter");
-  const ast::Type* double_t = module->types().Double();
-  const ast::Type* jsvt_t = module->types().Lookup("JSValueType");
-  const ast::Type* class_t = module->types().Lookup("ClassKind");
-
-  auto reg_int = [registry](const char* name, const ast::Type* type, auto fn) {
-    registry->Register(name,
-                       [type, fn](EvalContext& ctx,
-                                  const std::vector<Value>& args) -> StatusOr<Value> {
-                         return Value::Of(type, ctx.pool().IntConst(fn(ctx, args)));
-                       });
-  };
-  auto reg_bool = [registry, bool_t](const char* name, auto fn) {
-    registry->Register(name,
-                       [bool_t, fn](EvalContext& ctx,
-                                    const std::vector<Value>& args) -> StatusOr<Value> {
-                         return Value::Of(bool_t, ctx.pool().BoolConst(fn(ctx, args)));
-                       });
-  };
-  auto raw = [](EvalContext& ctx, const std::vector<Value>& args, size_t i) {
-    return BoxedArg(args[i]);
-  };
+// The pure runtime externs, shared by both phases. Object handles are heap
+// indices (the NaN-box payload) and Shape handles are the interned Shape*.
+class RuntimeHost {
+ public:
+  explicit RuntimeHost(Runtime* rt) : rt_(rt) {}
 
   // --- Boxing / unboxing ---
-  reg_int("Value::typeTag", jsvt_t, [raw](EvalContext& c, const std::vector<Value>& a) {
-    return static_cast<int64_t>(raw(c, a, 0).type());
-  });
-  reg_int("Value::toObjectRaw", object_t, [raw](EvalContext& c, const std::vector<Value>& a) {
-    return static_cast<int64_t>(raw(c, a, 0).AsObjectIndex());
-  });
-  reg_int("Value::fromObjectRaw", value_t, [](EvalContext& c, const std::vector<Value>& a) {
-    return static_cast<int64_t>(JsValue::Object(static_cast<uint32_t>(IntArg(a[0]))).raw());
-  });
-  reg_int("Value::toInt32Raw", int32_t_, [raw](EvalContext& c, const std::vector<Value>& a) {
-    return static_cast<int64_t>(raw(c, a, 0).AsInt32());
-  });
-  reg_int("Value::fromInt32Raw", value_t, [](EvalContext& c, const std::vector<Value>& a) {
-    return static_cast<int64_t>(JsValue::Int32(static_cast<int32_t>(IntArg(a[0]))).raw());
-  });
-  reg_bool("Value::toBooleanRaw", [raw](EvalContext& c, const std::vector<Value>& a) {
-    return raw(c, a, 0).AsBoolean();
-  });
-  reg_int("Value::fromBooleanRaw", value_t, [](EvalContext& c, const std::vector<Value>& a) {
-    return static_cast<int64_t>(JsValue::Boolean(IntArg(a[0]) != 0).raw());
-  });
-  reg_int("Value::toStringRaw", string_t, [raw](EvalContext& c, const std::vector<Value>& a) {
-    return static_cast<int64_t>(raw(c, a, 0).AsStringAtom());
-  });
-  reg_int("Value::fromStringRaw", value_t, [](EvalContext& c, const std::vector<Value>& a) {
-    return static_cast<int64_t>(JsValue::String(static_cast<uint32_t>(IntArg(a[0]))).raw());
-  });
-  reg_int("Value::toSymbolRaw", symbol_t, [raw](EvalContext& c, const std::vector<Value>& a) {
-    return static_cast<int64_t>(raw(c, a, 0).AsSymbolIndex());
-  });
-  reg_int("Value::fromSymbolRaw", value_t, [](EvalContext& c, const std::vector<Value>& a) {
-    return static_cast<int64_t>(JsValue::Symbol(static_cast<uint32_t>(IntArg(a[0]))).raw());
-  });
-  reg_int("Value::toDoubleRaw", double_t, [raw](EvalContext& c, const std::vector<Value>& a) {
-    return static_cast<int64_t>(raw(c, a, 0).raw());  // Double bits pass through.
-  });
-  reg_int("Value::fromDoubleRaw", value_t, [](EvalContext& c, const std::vector<Value>& a) {
-    return IntArg(a[0]);
-  });
-  reg_int("Value::undefinedValue", value_t, [](EvalContext& c, const std::vector<Value>& a) {
-    return static_cast<int64_t>(JsValue::Undefined().raw());
-  });
-  reg_int("Value::privateToIntPtr", int64_t_, [raw](EvalContext& c,
-                                                    const std::vector<Value>& a) {
-    return static_cast<int64_t>(raw(c, a, 0).AsPrivate());
-  });
+  ix::JSValueType Value_typeTag(ix::Value v) const {
+    return static_cast<ix::JSValueType>(JsValue::FromRaw(v).type());
+  }
+  ix::Object Value_toObjectRaw(ix::Value v) const { return JsValue::FromRaw(v).AsObjectIndex(); }
+  ix::Value Value_fromObjectRaw(ix::Object o) const {
+    return JsValue::Object(static_cast<uint32_t>(o)).raw();
+  }
+  int64_t Value_toInt32Raw(ix::Value v) const { return JsValue::FromRaw(v).AsInt32(); }
+  ix::Value Value_fromInt32Raw(int64_t i) const {
+    return JsValue::Int32(static_cast<int32_t>(i)).raw();
+  }
+  bool Value_toBooleanRaw(ix::Value v) const { return JsValue::FromRaw(v).AsBoolean(); }
+  ix::Value Value_fromBooleanRaw(bool b) const { return JsValue::Boolean(b).raw(); }
+  ix::String Value_toStringRaw(ix::Value v) const { return JsValue::FromRaw(v).AsStringAtom(); }
+  ix::Value Value_fromStringRaw(ix::String s) const {
+    return JsValue::String(static_cast<uint32_t>(s)).raw();
+  }
+  ix::Symbol Value_toSymbolRaw(ix::Value v) const { return JsValue::FromRaw(v).AsSymbolIndex(); }
+  ix::Value Value_fromSymbolRaw(ix::Symbol s) const {
+    return JsValue::Symbol(static_cast<uint32_t>(s)).raw();
+  }
+  double Value_toDoubleRaw(ix::Value v) const { return JsValue::FromRaw(v).AsDouble(); }
+  ix::Value Value_fromDoubleRaw(double d) const { return std::bit_cast<uint64_t>(d); }
+  ix::Value Value_undefinedValue() const { return JsValue::Undefined().raw(); }
+  int64_t Value_privateToIntPtr(ix::Value v) const {
+    return static_cast<int64_t>(JsValue::FromRaw(v).AsPrivate());
+  }
 
-  // --- Objects / shapes / slots ---
-  reg_int("Object::shapeOf", shape_t, [](EvalContext& c, const std::vector<Value>& a) {
-    return static_cast<int64_t>(
-        Rt(c)->Object(static_cast<uint32_t>(IntArg(a[0]))).shape->id);
-  });
-  reg_int("Shape::classOf", class_t, [](EvalContext& c, const std::vector<Value>& a) {
-    return static_cast<int64_t>(
-        Rt(c)->ShapeById(static_cast<uint32_t>(IntArg(a[0])))->clasp);
-  });
-  reg_int("Shape::numFixedSlots", int32_t_, [](EvalContext& c, const std::vector<Value>& a) {
-    return Rt(c)->ShapeById(static_cast<uint32_t>(IntArg(a[0])))->num_fixed_slots;
-  });
-  reg_int("Shape::numDynamicSlots", int32_t_, [](EvalContext& c,
-                                                 const std::vector<Value>& a) {
-    return Rt(c)->ShapeById(static_cast<uint32_t>(IntArg(a[0])))->num_dynamic_slots;
-  });
-  reg_int("NativeObject::getFixedSlotRaw", value_t,
-          [](EvalContext& c, const std::vector<Value>& a) {
-            const JsObject& obj = Rt(c)->Object(static_cast<uint32_t>(IntArg(a[0])));
-            int64_t slot = IntArg(a[1]);
-            if (slot < 0 || slot >= static_cast<int64_t>(obj.fixed_slots.size())) {
-              return static_cast<int64_t>(OobPoison().raw());
-            }
-            return static_cast<int64_t>(obj.fixed_slots[static_cast<size_t>(slot)].raw());
-          });
-  reg_int("NativeObject::getDynamicSlotRaw", value_t,
-          [](EvalContext& c, const std::vector<Value>& a) {
-            const JsObject& obj = Rt(c)->Object(static_cast<uint32_t>(IntArg(a[0])));
-            int64_t slot = IntArg(a[1]);
-            if (slot < 0 || slot >= static_cast<int64_t>(obj.dynamic_slots.size())) {
-              return static_cast<int64_t>(OobPoison().raw());
-            }
-            return static_cast<int64_t>(obj.dynamic_slots[static_cast<size_t>(slot)].raw());
-          });
-  reg_int("NativeObject::denseInitializedLengthRaw", int32_t_,
-          [](EvalContext& c, const std::vector<Value>& a) {
-            return static_cast<int64_t>(
-                Rt(c)->Object(static_cast<uint32_t>(IntArg(a[0]))).elements.size());
-          });
-  reg_int("NativeObject::getDenseElementRaw", value_t,
-          [](EvalContext& c, const std::vector<Value>& a) {
-            const JsObject& obj = Rt(c)->Object(static_cast<uint32_t>(IntArg(a[0])));
-            int64_t index = IntArg(a[1]);
-            if (index < 0 || index >= static_cast<int64_t>(obj.elements.size())) {
-              return static_cast<int64_t>(OobPoison().raw());
-            }
-            return static_cast<int64_t>(obj.elements[static_cast<size_t>(index)].raw());
-          });
-  reg_int("ArrayObject::lengthRaw", int64_t_, [](EvalContext& c,
-                                                 const std::vector<Value>& a) {
-    return Rt(c)->Object(static_cast<uint32_t>(IntArg(a[0]))).array_length;
-  });
-  reg_int("ArgumentsObject::numArgsRaw", int32_t_,
-          [](EvalContext& c, const std::vector<Value>& a) {
-            return static_cast<int64_t>(
-                Rt(c)->Object(static_cast<uint32_t>(IntArg(a[0]))).args.size());
-          });
-  reg_int("ArgumentsObject::getArgRaw", value_t,
-          [](EvalContext& c, const std::vector<Value>& a) {
-            const JsObject& obj = Rt(c)->Object(static_cast<uint32_t>(IntArg(a[0])));
-            int64_t index = IntArg(a[1]);
-            if (index < 0 || index >= static_cast<int64_t>(obj.args.size())) {
-              return static_cast<int64_t>(OobPoison().raw());
-            }
-            return static_cast<int64_t>(obj.args[static_cast<size_t>(index)].raw());
-          });
-  reg_int("NativeObject::lookupGetterSetter", gs_t,
-          [](EvalContext& c, const std::vector<Value>& a) {
-            const JsObject& obj = Rt(c)->Object(static_cast<uint32_t>(IntArg(a[0])));
-            auto it = obj.shape->getter_setters.find(static_cast<PropKey>(IntArg(a[1])));
-            return it == obj.shape->getter_setters.end() ? 0
-                                                         : static_cast<int64_t>(it->second);
-          });
-
-  // --- Strings / symbols / doubles / int helpers ---
-  reg_bool("String::equalsRaw", [](EvalContext& c, const std::vector<Value>& a) {
-    return IntArg(a[0]) == IntArg(a[1]);
-  });
-  reg_bool("Symbol::isPrivateNameRaw", [](EvalContext& c, const std::vector<Value>& a) {
-    return Rt(c)->SymbolIsPrivate(static_cast<uint32_t>(IntArg(a[0])));
-  });
-  reg_bool("Double::isInt32Exact", [](EvalContext& c, const std::vector<Value>& a) {
-    double d = JsValue::FromRaw(static_cast<uint64_t>(IntArg(a[0]))).AsDouble();
-    if (d != std::trunc(d) || d < -2147483648.0 || d > 2147483647.0) {
-      return false;
-    }
-    // Negative zero must not convert (JS -0 is not an int32 index).
-    return !(d == 0.0 && std::signbit(d));
-  });
-  reg_int("Double::toInt32Exact", int32_t_, [](EvalContext& c, const std::vector<Value>& a) {
-    return static_cast<int64_t>(
-        JsValue::FromRaw(static_cast<uint64_t>(IntArg(a[0]))).AsDouble());
-  });
-  reg_int("Double::truncateRaw", int64_t_, [](EvalContext& c, const std::vector<Value>& a) {
-    double d = JsValue::FromRaw(static_cast<uint64_t>(IntArg(a[0]))).AsDouble();
-    if (!std::isfinite(d)) {
-      return static_cast<int64_t>(0);
-    }
-    double t = std::trunc(d);
-    if (t > 9.2e18 || t < -9.2e18) {
-      return static_cast<int64_t>(0);  // JS ToInt32 of huge doubles via mod 2^32.
-    }
-    return static_cast<int64_t>(t);
-  });
-  reg_int("Int32::signedTruncate", int32_t_, [](EvalContext& c,
-                                                const std::vector<Value>& a) {
-    return static_cast<int64_t>(
-        static_cast<int32_t>(static_cast<uint32_t>(static_cast<uint64_t>(IntArg(a[0])))));
-  });
-
-  // --- Shape property layout ---
-  reg_bool("Shape::hasFixedSlotProperty", [](EvalContext& c, const std::vector<Value>& a) {
-    const Shape* shape = Rt(c)->ShapeById(static_cast<uint32_t>(IntArg(a[0])));
-    const PropertyInfo* info = shape->Find(static_cast<PropKey>(IntArg(a[1])));
+  // --- Objects, shapes, slots ---
+  ix::Shape Object_shapeOf(ix::Object o) const {
+    return reinterpret_cast<uintptr_t>(Obj(o).shape);
+  }
+  ix::ClassKind Shape_classOf(ix::Shape s) const {
+    return static_cast<ix::ClassKind>(ShapeOf(s)->clasp);
+  }
+  int64_t Shape_numFixedSlots(ix::Shape s) const { return ShapeOf(s)->num_fixed_slots; }
+  int64_t Shape_numDynamicSlots(ix::Shape s) const { return ShapeOf(s)->num_dynamic_slots; }
+  ix::Value NativeObject_getFixedSlotRaw(ix::Object o, int64_t slot) const {
+    return ReadOrPoison(Obj(o).fixed_slots, slot);
+  }
+  ix::Value NativeObject_getDynamicSlotRaw(ix::Object o, int64_t slot) const {
+    return ReadOrPoison(Obj(o).dynamic_slots, slot);
+  }
+  int64_t NativeObject_denseInitializedLengthRaw(ix::Object o) const {
+    return static_cast<int64_t>(Obj(o).elements.size());
+  }
+  ix::Value NativeObject_getDenseElementRaw(ix::Object o, int64_t index) const {
+    return ReadOrPoison(Obj(o).elements, index);
+  }
+  int64_t ArrayObject_lengthRaw(ix::Object o) const { return Obj(o).array_length; }
+  int64_t ArgumentsObject_numArgsRaw(ix::Object o) const {
+    return static_cast<int64_t>(Obj(o).args.size());
+  }
+  ix::Value ArgumentsObject_getArgRaw(ix::Object o, int64_t index) const {
+    return ReadOrPoison(Obj(o).args, index);
+  }
+  ix::GetterSetter NativeObject_lookupGetterSetter(ix::Object o, ix::PropertyKey key) const {
+    const std::map<PropKey, uint64_t>& table = Obj(o).shape->getter_setters;
+    auto it = table.find(static_cast<PropKey>(key));
+    return it == table.end() ? 0 : it->second;
+  }
+  bool Shape_hasFixedSlotProperty(ix::Shape s, ix::PropertyKey key) const {
+    const PropertyInfo* info = ShapeOf(s)->Find(static_cast<PropKey>(key));
     return info != nullptr && info->is_fixed;
-  });
-  reg_int("Shape::lookupFixedSlot", int32_t_, [](EvalContext& c,
-                                                 const std::vector<Value>& a) {
-    const Shape* shape = Rt(c)->ShapeById(static_cast<uint32_t>(IntArg(a[0])));
-    const PropertyInfo* info = shape->Find(static_cast<PropKey>(IntArg(a[1])));
-    ICARUS_CHECK(info != nullptr && info->is_fixed);
-    return static_cast<int64_t>(info->slot);
-  });
-  reg_bool("Shape::hasDynamicSlotProperty", [](EvalContext& c, const std::vector<Value>& a) {
-    const Shape* shape = Rt(c)->ShapeById(static_cast<uint32_t>(IntArg(a[0])));
-    const PropertyInfo* info = shape->Find(static_cast<PropKey>(IntArg(a[1])));
+  }
+  int64_t Shape_lookupFixedSlot(ix::Shape s, ix::PropertyKey key) const {
+    ICARUS_REQUIRE(Shape_hasFixedSlotProperty(s, key));
+    return ShapeOf(s)->Find(static_cast<PropKey>(key))->slot;
+  }
+  bool Shape_hasDynamicSlotProperty(ix::Shape s, ix::PropertyKey key) const {
+    const PropertyInfo* info = ShapeOf(s)->Find(static_cast<PropKey>(key));
     return info != nullptr && !info->is_fixed;
-  });
-  reg_int("Shape::lookupDynamicSlot", int32_t_, [](EvalContext& c,
-                                                   const std::vector<Value>& a) {
-    const Shape* shape = Rt(c)->ShapeById(static_cast<uint32_t>(IntArg(a[0])));
-    const PropertyInfo* info = shape->Find(static_cast<PropKey>(IntArg(a[1])));
-    ICARUS_CHECK(info != nullptr && !info->is_fixed);
-    return static_cast<int64_t>(info->slot);
-  });
+  }
+  int64_t Shape_lookupDynamicSlot(ix::Shape s, ix::PropertyKey key) const {
+    ICARUS_REQUIRE(Shape_hasDynamicSlotProperty(s, key));
+    return ShapeOf(s)->Find(static_cast<PropKey>(key))->slot;
+  }
+
+  // --- Strings, symbols, doubles, int32 ---
+  bool String_equalsRaw(ix::String a, ix::String b) const { return a == b; }  // Interned.
+  int64_t String_lengthRaw(ix::String s) const {
+    return static_cast<int64_t>(rt_->AtomText(static_cast<PropKey>(s)).size());
+  }
+  bool Symbol_isPrivateNameRaw(ix::Symbol s) const {
+    return rt_->SymbolIsPrivate(static_cast<uint32_t>(s));
+  }
+  bool Double_isInt32Exact(double d) const {
+    // Negative zero must not convert (JS -0 is not an int32 index).
+    return d == std::trunc(d) && d >= -2147483648.0 && d <= 2147483647.0 &&
+           !(d == 0.0 && std::signbit(d));
+  }
+  int64_t Double_toInt32Exact(double d) const { return static_cast<int64_t>(d); }
+  int64_t Double_truncateRaw(double d) const {
+    // Huge and non-finite doubles give 0 (JS ToInt32 works modulo 2^32).
+    return std::isfinite(d) && std::abs(d) < 9.2e18 ? static_cast<int64_t>(std::trunc(d)) : 0;
+  }
+  int64_t Int32_signedTruncate(int64_t v) const {
+    return static_cast<int32_t>(static_cast<uint32_t>(static_cast<uint64_t>(v)));
+  }
 
   // --- Runtime call targets ---
-  reg_int("VM::getSparseElementHelper", value_t,
-          [](EvalContext& c, const std::vector<Value>& a) {
-            JsObject& obj = Rt(c)->Object(static_cast<uint32_t>(IntArg(a[0])));
-            auto it = obj.sparse_elements.find(IntArg(a[1]));
-            return static_cast<int64_t>(
-                (it == obj.sparse_elements.end() ? JsValue::Undefined() : it->second).raw());
-          });
-  reg_int("VM::proxyGetByValue", value_t, [](EvalContext& c, const std::vector<Value>& a) {
-    return static_cast<int64_t>(JsValue::Undefined().raw());
-  });
-}
+  ix::Value VM_getSparseElementHelper(ix::Object o, int64_t index) const {
+    const std::map<int64_t, JsValue>& sparse = Obj(o).sparse_elements;
+    auto it = sparse.find(index);
+    return (it == sparse.end() ? JsValue::Undefined() : it->second).raw();
+  }
+  ix::Value VM_proxyGetByValue(ix::Object o, ix::Value key) const {
+    return JsValue::Undefined().raw();
+  }
 
-IcCompiler::IcCompiler(const platform::Platform* platform) : platform_(platform) {
-  exec::RegisterMachineBuiltins(&externs_, &platform->module());
-  RegisterVmBindings(&externs_, &platform->module());
-  compiler_ = platform->module().FindCompiler("CacheIRCompiler");
-  masm_ = platform->module().FindLanguage("MASM");
-  ICARUS_CHECK(compiler_ != nullptr && masm_ != nullptr);
-  const ast::EnumDecl* attach = platform->module().types().LookupEnum("AttachDecision");
-  attach_index_ = attach->IndexOf("Attach");
+ private:
+  const JsObject& Obj(ix::Object o) const { return rt_->Object(static_cast<uint32_t>(o)); }
+  static const Shape* ShapeOf(ix::Shape s) { return reinterpret_cast<const Shape*>(s); }
+
+  Runtime* rt_;
+};
+
+// Run time: the MASM register file and value stack of one stub execution.
+// Registers hold boxed values and raw payloads alike, as on hardware.
+class StubHost final : public RuntimeHost {
+ public:
+  using RuntimeHost::RuntimeHost;
+
+  uint64_t regs[machine::kNumRegs] = {};
+
+  ix::Value MASM_getValue(ix::ValueReg r) const { return regs[r]; }
+  void MASM_setValue(ix::ValueReg r, ix::Value v) { regs[r] = v; }
+  int64_t MASM_getInt32(ix::Reg r) const { return static_cast<int64_t>(regs[r]); }
+  void MASM_setInt32(ix::Reg r, int64_t v) {
+    // The machine model's Int32 store check (exec/externs.cc).
+    ICARUS_EXTRACTED_ASSERT(v >= INT32_MIN && v <= INT32_MAX);
+    regs[r] = static_cast<uint64_t>(v);
+  }
+  ix::Object MASM_getObject(ix::Reg r) const { return regs[r]; }
+  void MASM_setObject(ix::Reg r, ix::Object o) { regs[r] = o; }
+  ix::String MASM_getString(ix::Reg r) const { return regs[r]; }
+  void MASM_setString(ix::Reg r, ix::String s) { regs[r] = s; }
+  ix::Symbol MASM_getSymbol(ix::Reg r) const { return regs[r]; }
+  void MASM_setSymbol(ix::Reg r, ix::Symbol s) { regs[r] = s; }
+  int64_t MASM_getIntPtr(ix::Reg r) const { return static_cast<int64_t>(regs[r]); }
+  void MASM_setIntPtr(ix::Reg r, int64_t v) { regs[r] = static_cast<uint64_t>(v); }
+  bool MASM_getBool(ix::Reg r) const { return regs[r] != 0; }
+  void MASM_setBool(ix::Reg r, bool b) { regs[r] = b ? 1 : 0; }
+  double MASM_getDouble(ix::Reg r) const { return std::bit_cast<double>(regs[r]); }
+  void MASM_setDouble(ix::Reg r, double d) { regs[r] = std::bit_cast<uint64_t>(d); }
+
+  void MASM_pushReg(ix::Reg r) { Push(regs[r]); }
+  void MASM_popReg(ix::Reg r) { regs[r] = Pop(); }
+  void MASM_pushValueReg(ix::ValueReg r) { Push(regs[r]); }
+  void MASM_popValueReg(ix::ValueReg r) { regs[r] = Pop(); }
+  void MASM_dropStack(int64_t count) {
+    for (int64_t i = 0; i < count; ++i) {
+      Pop();
+    }
+  }
+  int64_t MASM_stackDepth() const { return depth_; }
+  // Runtime calls are C++ functions that never touch this register file, so
+  // live registers need no saving and nothing is clobbered.
+  void MASM_saveLiveRegs() {}
+  void MASM_restoreLiveRegs() {}
+  void MASM_clobberVolatileRegs() {}
+
+ private:
+  static constexpr int kStackSlots = 16;
+
+  void Push(uint64_t v) {
+    ICARUS_REQUIRE_MSG(depth_ < kStackSlots, "stub value-stack overflow");
+    stack_[depth_++] = v;
+  }
+  uint64_t Pop() {
+    ICARUS_REQUIRE_MSG(depth_ > 0, "stub value-stack underflow");
+    return stack_[--depth_];
+  }
+
+  // Left uninitialized: zeroing it costs every hit a `rep stos`, and Pop
+  // reads only slots below depth_, which Push wrote.
+  uint64_t stack_[kStackSlots];
+  int depth_ = 0;
+};
+
+namespace {
+
+// Attach time: the operand table and register allocator of
+// machine::MachineState, labels, and the MASM the compiler callbacks emit.
+class AttachHost final : public RuntimeHost {
+ public:
+  using RuntimeHost::RuntimeHost;
+
+  machine::MachineState& machine() { return machine_; }
+
+  ix::ValueReg CacheIRCompiler_useValueId(ix::ValueId id) { return Use(id); }
+  ix::Reg CacheIRCompiler_useObjectId(ix::ObjectId id) { return Use(id); }
+  ix::Reg CacheIRCompiler_useInt32Id(ix::Int32Id id) { return Use(id); }
+  ix::Reg CacheIRCompiler_useStringId(ix::StringId id) { return Use(id); }
+  ix::Reg CacheIRCompiler_useSymbolId(ix::SymbolId id) { return Use(id); }
+  ix::Reg CacheIRCompiler_allocScratchReg() { return Checked(machine_.AllocScratch()); }
+  void CacheIRCompiler_releaseReg(ix::Reg reg) {
+    Status st = machine_.ReleaseScratch(static_cast<int>(reg));
+    ICARUS_REQUIRE_MSG(st.ok(), st.message());
+  }
+  ix::ValueReg CacheIRCompiler_outputReg() const { return machine::kOutputReg; }
+  bool CacheIRCompiler_hasKnownType(ix::ValueId id) const {
+    return machine_.KnownType(static_cast<int>(id)) >= 0;
+  }
+  ix::JSValueType CacheIRCompiler_knownType(ix::ValueId id) const {
+    int t = machine_.KnownType(static_cast<int>(id));
+    ICARUS_REQUIRE_MSG(t >= 0, "knownType queried for an operand with no static type");
+    return static_cast<ix::JSValueType>(t);
+  }
+  void CacheIRCompiler_setKnownType(ix::ValueId id, ix::JSValueType t) {
+    machine_.SetKnownType(static_cast<int>(id), static_cast<int>(t));
+  }
+  ix::Int32Id CacheIR_newInt32Id() { return static_cast<ix::Int32Id>(machine_.NewOperandId()); }
+  ix::Reg CacheIRCompiler_defineOperandReg(ix::Int32Id id) {
+    return Checked(machine_.DefineOperand(static_cast<int>(id)));
+  }
+  // Operand ids and registers keep their payload across reinterpretation.
+  ix::ObjectId OperandId_toObjectId(ix::ValueId id) const { return id; }
+  ix::Int32Id OperandId_toInt32Id(ix::ValueId id) const { return id; }
+  ix::StringId OperandId_toStringId(ix::ValueId id) const { return id; }
+  ix::SymbolId OperandId_toSymbolId(ix::ValueId id) const { return id; }
+  ix::Reg ValueReg_scratchReg(ix::ValueReg reg) const { return reg; }
+  ix::Reg MASM_ecxReg() const { return machine::kEcxReg; }
+
+  ix::Label newLabel() { return NewLabel(kUnbound); }
+  ix::Label failureLabel() { return NewLabel(kBailTarget); }
+  void bindLabel(ix::Label label) {
+    int64_t& target = labels_.at(static_cast<size_t>(label.id));
+    ICARUS_REQUIRE_MSG(target == kUnbound, "label bound twice, or a failure label rebound");
+    target = static_cast<int64_t>(emitted_.size());
+  }
+
+  template <class... Operands>
+  void emit(ix::MASMOp op, Operands... operands) {
+    static_assert(sizeof...(Operands) <= CompiledInstr::kMaxArgs);
+    Emitted instr{op};
+    (instr.Add(operands), ...);
+    emitted_.push_back(instr);
+  }
+
+  // Decodes the emitted MASM into `stub->code`: thunks from the extracted
+  // table, labels resolved, register operands checked against the file.
+  Status Decode(const std::vector<uint8_t>& register_operands, CompiledStub* stub) const {
+    for (int64_t target : labels_) {
+      if (target == kUnbound) {
+        return Status::Error("label left unbound at end of stub generation");
+      }
+    }
+    stub->code.reserve(emitted_.size());
+    for (const Emitted& e : emitted_) {
+      const size_t op = static_cast<size_t>(e.op);
+      CompiledInstr out;
+      out.thunk = ix::kMASMThunks<StubHost>[op];
+      for (int i = 0; i < e.num_args; ++i) {
+        int64_t v = e.args[i];
+        if ((e.label_mask >> i) & 1) {
+          v = labels_[static_cast<size_t>(v)];
+        } else if (((register_operands[op] >> i) & 1) && (v < 0 || v >= machine::kNumRegs)) {
+          return Status::Error(StrCat("MASM op ", op, ": register operand ", v, " out of range"));
+        }
+        out.args[i] = v;
+      }
+      stub->code.push_back(out);
+    }
+    return Status::Ok();
+  }
+
+ private:
+  static constexpr int64_t kUnbound = -1;
+
+  struct Emitted {
+    ix::MASMOp op;
+    int num_args = 0;
+    int64_t args[CompiledInstr::kMaxArgs] = {};
+    uint8_t label_mask = 0;
+
+    void Add(ix::Label label) {
+      label_mask = static_cast<uint8_t>(label_mask | (1u << num_args));
+      args[num_args++] = label.id;
+    }
+    void Add(double d) { args[num_args++] = std::bit_cast<int64_t>(d); }
+    template <class T>
+    void Add(T v) {
+      args[num_args++] = static_cast<int64_t>(v);
+    }
+  };
+
+  ix::Reg Use(uint64_t id) { return Checked(machine_.UseOperand(static_cast<int>(id))); }
+  static uint64_t Checked(const StatusOr<int>& reg) {
+    ICARUS_REQUIRE_MSG(reg.ok(), reg.status().message());
+    return static_cast<uint64_t>(reg.value());
+  }
+  ix::Label NewLabel(int64_t target) {
+    labels_.push_back(target);
+    return ix::Label{static_cast<int64_t>(labels_.size()) - 1};
+  }
+
+  machine::MachineState machine_;
+  std::vector<int64_t> labels_;  // Label id → instruction index, kBailTarget or kUnbound.
+  std::vector<Emitted> emitted_;
+};
+
+}  // namespace
+
+IcCompiler::IcCompiler(const platform::Platform* platform)
+    : masm_(platform->module().FindLanguage("MASM")) {
+  const std::string fingerprint = platform->Fingerprint();
+  ICARUS_REQUIRE_MSG(fingerprint == ix::kPlatformFingerprint,
+                     StrCat("platform fingerprint ", fingerprint, " differs from ",
+                            ix::kPlatformFingerprint,
+                            ", the platform the VM's IC code was extracted from"));
+  for (const auto& op : masm_->ops) {
+    uint8_t mask = 0;
+    for (size_t i = 0; i < op->params.size(); ++i) {
+      const ast::Type* type = op->params[i].type;
+      if (!op->params[i].is_label && (type->name() == "Reg" || type->name() == "ValueReg")) {
+        mask = static_cast<uint8_t>(mask | (1u << i));
+      }
+    }
+    register_operands_.push_back(mask);
+  }
+  for (size_t i = 0; i < std::size(ix::kGenerators<AttachHost>); ++i) {
+    generators_.emplace(ix::kGenerators<AttachHost>[i].name, i);
+  }
 }
 
 StatusOr<std::optional<CompiledStub>> IcCompiler::TryAttach(
     Runtime* runtime, const std::string& generator_name,
     const std::vector<ConcreteArg>& args) {
   ++attach_calls_;
-  const ast::FunctionDecl* generator = platform_->module().FindFunction(generator_name);
-  if (generator == nullptr) {
+  auto it = generators_.find(generator_name);
+  if (it == generators_.end()) {
     return Status::Error(StrCat("no generator ", generator_name));
   }
-  if (args.size() != generator->params.size()) {
+  const ix::GeneratorEntry<AttachHost>& generator = ix::kGenerators<AttachHost>[it->second];
+  if (static_cast<int>(args.size()) != generator.num_params) {
     return Status::Error(StrCat("argument count mismatch for ", generator_name));
   }
 
-  sym::ExprPool pool;
-  exec::EvalContext ctx(&platform_->module(), &pool, &externs_, exec::Mode::kConcrete);
-  ctx.host_data = runtime;
-  ctx.StartPath({});
-  const ast::CompilerDecl* compiler = compiler_;
-  ctx.set_source_emit_hook(
-      [compiler](exec::EvalContext& hook_ctx, const exec::Instr& instr) -> Status {
-        const ast::FunctionDecl* cb = compiler->FindCallback(instr.op);
-        if (cb == nullptr) {
-          return Status::Error(StrCat("no compiler callback for ", instr.op->name));
-        }
-        exec::Evaluator::RunFunction(hook_ctx, cb, instr.args);
-        return Status::Ok();
-      });
-
+  AttachHost host(runtime);
   CompiledStub stub;
   stub.generator = generator_name;
-  std::vector<exec::Value> eval_args;
-  for (size_t i = 0; i < args.size(); ++i) {
-    const ast::Param& param = generator->params[i];
-    const ConcreteArg& arg = args[i];
+  std::vector<int64_t> raw_args;
+  raw_args.reserve(args.size());
+  for (const ConcreteArg& arg : args) {
     switch (arg.kind) {
+      case ConcreteArg::Kind::kBoxedValue:
+        raw_args.push_back(static_cast<int64_t>(arg.boxed.raw()));
+        break;
       case ConcreteArg::Kind::kOperand: {
-        int id = ctx.machine().NewOperandId();
-        StatusOr<int> reg = ctx.machine().DefineOperand(id);
+        int id = host.machine().NewOperandId();
+        StatusOr<int> reg = host.machine().DefineOperand(id);
         if (!reg.ok()) {
           return reg.status();
         }
-        Status st = ctx.machine().WriteReg(reg.value(), machine::RegContent::kValue,
-                                           pool.IntConst(static_cast<int64_t>(arg.boxed.raw())));
-        if (!st.ok()) {
-          return st;
-        }
         stub.operand_regs.push_back(reg.value());
-        eval_args.push_back(exec::Value::Of(param.type, pool.IntConst(id)));
+        raw_args.push_back(id);
         break;
       }
-      case ConcreteArg::Kind::kBoxedValue:
-        eval_args.push_back(
-            exec::Value::Of(param.type, pool.IntConst(static_cast<int64_t>(arg.boxed.raw()))));
-        break;
       case ConcreteArg::Kind::kRaw:
-        eval_args.push_back(exec::Value::Of(param.type, pool.IntConst(arg.raw)));
+        raw_args.push_back(arg.raw);
         break;
     }
   }
-
-  exec::Value decision = exec::Evaluator::RunFunction(ctx, generator, std::move(eval_args));
-  if (ctx.status() != exec::PathStatus::kCompleted) {
-    return Status::Error(StrCat("attach of ", generator_name,
-                                " failed: ", ctx.violation().message));
-  }
-  ICARUS_CHECK(decision.term != nullptr && decision.term->IsConst());
-  if (decision.term->value != attach_index_) {
+  if (generator.run(host, raw_args.data()) != ix::AttachDecision::kAttach) {
     return std::optional<CompiledStub>();
   }
-  Status bound = ctx.emits().CheckAllBound();
-  if (!bound.ok()) {
-    return bound;
-  }
-
-  // Freeze the MASM buffer.
-  const exec::EmitState& emits = ctx.emits();
-  for (const exec::Instr& instr : emits.target) {
-    CompiledInstr out;
-    out.op_index = instr.op->index;
-    if (instr.args.size() > static_cast<size_t>(CompiledInstr::kMaxArgs)) {
-      return Status::Error(StrCat("op ", instr.op->name, " has too many operands"));
-    }
-    for (const exec::Value& arg : instr.args) {
-      if (arg.IsLabel()) {
-        const exec::LabelInfo& label = emits.labels[static_cast<size_t>(arg.label_id)];
-        out.label_mask = static_cast<uint8_t>(out.label_mask | (1u << out.num_args));
-        out.args[out.num_args++] = label.is_failure ? kBailTarget : label.target;
-      } else {
-        StatusOr<int64_t> v = GetConstInt(arg);
-        if (!v.ok()) {
-          return v.status();
-        }
-        out.args[out.num_args++] = v.value();
-      }
-    }
-    stub.code.push_back(out);
-  }
+  ICARUS_RETURN_IF_ERROR(host.Decode(register_operands_, &stub));
   return std::optional<CompiledStub>(std::move(stub));
+}
+
+StubEngine::StubEngine(const ast::LanguageDecl* masm) {
+  ICARUS_REQUIRE_MSG(masm != nullptr && masm->ops.size() == std::size(ix::kMASMThunks<StubHost>),
+                     "MASM language does not match the extracted thunk table");
+}
+
+StubOutcome StubEngine::Run(Runtime* runtime, const CompiledStub& stub, const JsValue* operands,
+                            int num_operands, JsValue* result) const {
+  ICARUS_REQUIRE_MSG(num_operands == static_cast<int>(stub.operand_regs.size()),
+                     "operand count does not match the compiled stub");
+  StubHost host(runtime);
+  for (int i = 0; i < num_operands; ++i) {
+    host.regs[stub.operand_regs[static_cast<size_t>(i)]] = operands[i].raw();
+  }
+  const CompiledInstr* code = stub.code.data();
+  const int64_t n = static_cast<int64_t>(stub.code.size());
+  int64_t pc = 0;
+  for (int steps = 0; pc < n; ++steps) {
+    if (steps == kMaxStubSteps) {
+      return StubOutcome::kBail;  // Runaway stub: treat as bail.
+    }
+    const CompiledInstr& instr = code[pc];
+    const int64_t next = instr.thunk(host, instr.args);
+    if (next == ix::kFallThrough) {
+      ++pc;
+    } else if (next >= 0) {
+      pc = next;
+    } else if (next == ix::kStubReturn) {
+      *result = JsValue::FromRaw(host.regs[machine::kOutputReg]);
+      return StubOutcome::kReturn;
+    } else {
+      return StubOutcome::kBail;  // The failure label.
+    }
+  }
+  return StubOutcome::kBail;  // Fell off the end without a Return.
 }
 
 }  // namespace icarus::vm

@@ -1,17 +1,26 @@
-// Inline-cache machinery for the mini-JS VM.
+// Inline-cache machinery for the mini-JS VM: the binding layer of §3.4.
 //
-// Stub attachment runs the *same* Icarus generators that were verified —
-// concretely: the evaluator executes the generator + CacheIR→MASM compiler
-// in concrete mode against the VM heap (extern handlers registered here
-// bridge Value/Object/Shape terms to the NaN-boxed runtime), and the emitted
-// MASM buffer is frozen into a CompiledStub that the StubEngine executes
-// natively on later hits. This is the paper's §4.5 pipeline with the mini-JS
-// VM playing the part of Firefox.
+// The build extracts the verified platform to C++ (src/extract/) and ic.cc
+// binds that code to the VM's Runtime, so the VM runs the code Icarus
+// verified and nothing else:
+//
+//   - attach runs the extracted chain: a tryAttach* generator, the
+//     compile_CacheIR_* callbacks its emits stream into, and their MASM
+//     emits, over the compile-time half of machine::MachineState (the
+//     register allocator model the verifier checks);
+//   - the emitted MASM is decoded once into a CompiledStub: per instruction,
+//     a thunk that calls the extracted interp_MASM_<op> and the baked
+//     operands, with labels resolved to instruction indices;
+//   - StubEngine::Run (stub_engine.h) walks that array on every hit.
+//
+// The contracts of the extracted code stay live in both phases: a violated
+// one throws icarus::InternalError naming it.
 #ifndef ICARUS_VM_IC_H_
 #define ICARUS_VM_IC_H_
 
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/platform/platform.h"
@@ -19,15 +28,20 @@
 
 namespace icarus::vm {
 
-// One frozen MASM instruction: the op's index in the MASM language plus
-// fully concrete operands. Label operands hold the *resolved* instruction
-// index (kBailTarget for the shared failure path).
+class StubHost;  // One stub run's register file and value stack (ic.cc).
+
+// Runs one extracted interp_MASM_<op> on its baked operands and returns
+// where control goes next (see icarus_extracted::kFallThrough).
+using MasmThunk = int64_t (*)(StubHost& host, const int64_t* operands);
+
+// One decoded MASM instruction. Label operands hold the resolved
+// instruction index (kBailTarget for the shared failure path).
 struct CompiledInstr {
   static constexpr int kMaxArgs = 4;
-  int op_index = 0;
-  int num_args = 0;
+  MasmThunk thunk = nullptr;
   int64_t args[kMaxArgs] = {0, 0, 0, 0};
-  uint8_t label_mask = 0;  // Bit i set when args[i] is a resolved jump target.
+
+  bool operator==(const CompiledInstr&) const = default;
 };
 
 inline constexpr int64_t kBailTarget = -2;
@@ -37,11 +51,12 @@ struct CompiledStub {
   // Register that holds each input operand at entry (operand i → reg[i]).
   std::vector<int> operand_regs;
   std::string generator;  // For diagnostics.
-};
 
-// Registers concrete handlers for every pure runtime extern, bridging to a
-// Runtime reached through EvalContext::host_data.
-void RegisterVmBindings(exec::ExternRegistry* registry, const ast::Module* module);
+  // The same code on the same input registers, whichever generator made it.
+  bool SameCode(const CompiledStub& other) const {
+    return code == other.code && operand_regs == other.operand_regs;
+  }
+};
 
 // Concrete arguments for a generator invocation, aligned with its parameter
 // list: Value params take the boxed input; operand-id params allocate the
@@ -55,25 +70,26 @@ struct ConcreteArg {
 
 class IcCompiler {
  public:
+  // Throws InternalError when `platform` is not the platform the linked IC
+  // code was extracted from (their fingerprints differ).
   explicit IcCompiler(const platform::Platform* platform);
 
-  // Runs `generator_name` concretely. Returns the compiled stub on Attach,
-  // nullopt on NoAction, and an error on internal failures.
+  // Runs the extracted `generator_name` on `args`. Returns the decoded stub
+  // on Attach, nullopt on NoAction, and an error for an unknown generator,
+  // an argument-count mismatch or malformed emitted code. A contract the
+  // generator or compiler violates throws InternalError.
   StatusOr<std::optional<CompiledStub>> TryAttach(Runtime* runtime,
                                                   const std::string& generator_name,
                                                   const std::vector<ConcreteArg>& args);
 
-  const platform::Platform& platform() const { return *platform_; }
   const ast::LanguageDecl* masm() const { return masm_; }
 
   int64_t attach_calls() const { return attach_calls_; }
 
  private:
-  const platform::Platform* platform_;
-  exec::ExternRegistry externs_;  // Machine builtins + VM bindings.
-  const ast::CompilerDecl* compiler_;
   const ast::LanguageDecl* masm_;
-  int attach_index_ = 0;
+  std::unordered_map<std::string, size_t> generators_;  // Name → extracted table index.
+  std::vector<uint8_t> register_operands_;  // Per MASM op: bit i set when operand i is a register.
   int64_t attach_calls_ = 0;
 };
 

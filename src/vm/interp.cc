@@ -1,5 +1,6 @@
 #include "src/vm/interp.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/support/str_util.h"
@@ -474,15 +475,23 @@ void Interpreter::AttachIcarus(IcSite* site, const BytecodeInstr& instr,
       return;
   }
 
+  // A candidate whose stub the site already holds is skipped: that stub just
+  // bailed on these operands, and a second copy would bail on every trip
+  // too (a dense-element stub on an arguments object, say). The next
+  // candidate gets its turn.
   for (const auto& [generator, args] : candidates) {
     StatusOr<std::optional<CompiledStub>> attached =
         ic_compiler_->TryAttach(runtime_, generator, args);
     ICARUS_CHECK_MSG(attached.ok(), attached.status().message().c_str());
-    if (attached.value().has_value()) {
-      site->icarus_stubs.push_back(std::move(*attached.value()));
-      ++stats_.stubs_attached;
-      return;
+    std::optional<CompiledStub>& stub = attached.value();
+    if (!stub.has_value() ||
+        std::any_of(site->icarus_stubs.begin(), site->icarus_stubs.end(),
+                    [&](const CompiledStub& held) { return held.SameCode(*stub); })) {
+      continue;
     }
+    site->icarus_stubs.push_back(std::move(*stub));
+    ++stats_.stubs_attached;
+    return;
   }
   ++site->failed_attaches;
 }

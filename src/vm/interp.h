@@ -3,9 +3,10 @@
 //   kNone   — every operation takes the slow path (the oracle semantics);
 //   kNative — hand-written C++ IC stubs, the way a stock engine implements
 //             them (the "No ICARUS" arm of Figure 13);
-//   kIcarus — stubs attached by running the verified Icarus generators
-//             concretely and executed by the native StubEngine (the
-//             "ICARUS" arm of Figure 13).
+//   kIcarus — stubs attached and run by the verified Icarus code itself,
+//             extracted to C++ at build time (ic.h): the extracted generator
+//             and compiler emit MASM, and StubEngine runs it through the
+//             extracted MASM semantics (the "ICARUS" arm of Figure 13).
 //
 // All three strategies share the same slow path, so differential runs across
 // strategies are the conformance oracle (§4.5's jstests analogue).

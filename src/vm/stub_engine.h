@@ -1,14 +1,14 @@
-// Native executor for compiled IC stubs.
+// Executor for compiled IC stubs.
 //
-// Runs a frozen MASM buffer against the VM heap at full C++ speed — the role
-// the extracted C++ plays in the paper's Firefox integration. Each opcode's
-// behaviour mirrors the verified MASM interpreter semantics op for op
-// (tests/vm_test.cc cross-checks stub results against the slow path over
-// randomized heaps, the analogue of §4.5's jstests run).
+// A CompiledStub is the MASM buffer an attach emitted, decoded once into
+// (thunk, baked operands) pairs; each thunk calls the extracted
+// interp_MASM_<op>, the verified MASM semantics compiled in as C++. Run
+// walks that array over a register file and value stack that live in its
+// own stack frame, so one engine serves any number of concurrent runs. Its
+// definition sits with the binding layer in ic.cc. A contract the stub
+// violates throws icarus::InternalError naming it.
 #ifndef ICARUS_VM_STUB_ENGINE_H_
 #define ICARUS_VM_STUB_ENGINE_H_
-
-#include <vector>
 
 #include "src/ast/ast.h"
 #include "src/vm/ic.h"
@@ -23,18 +23,14 @@ enum class StubOutcome {
 
 class StubEngine {
  public:
-  // `masm` is the platform's MASM language; opcode dispatch is built from
-  // the op indices so compiled stubs stay valid across engine instances.
+  // `masm` is the platform's MASM language, the one stubs are decoded
+  // against; it must have exactly the ops the extracted thunk table has.
   explicit StubEngine(const ast::LanguageDecl* masm);
 
   // Executes `stub`. `operands[i]` is loaded into the stub's i-th input
   // register. On kReturn, *result holds the stub's output value.
   StubOutcome Run(Runtime* runtime, const CompiledStub& stub, const JsValue* operands,
                   int num_operands, JsValue* result) const;
-
- private:
-  enum class Opcode;
-  std::vector<Opcode> dispatch_;  // op_index → opcode.
 };
 
 }  // namespace icarus::vm

@@ -84,7 +84,7 @@ class EvaluatorTest : public ::testing::Test {
     while (!worklist.empty() && ++guard < 1000) {
       std::vector<bool> trace = std::move(worklist.back());
       worklist.pop_back();
-      EvalContext ctx(module_.get(), &pool, &externs_, Mode::kSymbolic);
+      EvalContext ctx(module_.get(), &pool, &externs_);
       ctx.StartPath(std::move(trace));
       std::vector<Value> args;
       for (const ast::Param& p : fn->params) {
@@ -149,19 +149,21 @@ TEST_F(EvaluatorTest, ClampIsPathComplete) {
   EXPECT_EQ(r.completed + r.infeasible, 2);
 }
 
-TEST_F(EvaluatorTest, ConcreteModeEvaluatesDirectly) {
+TEST_F(EvaluatorTest, ConstantInputsEvaluateWithoutForking) {
+  // Branches on constant conditions take their arm directly: no decision is
+  // recorded and no sibling path is queued.
   sym::ExprPool pool;
-  EvalContext ctx(module_.get(), &pool, &externs_, Mode::kConcrete);
-  ctx.StartPath({});
+  EvalContext ctx(module_.get(), &pool, &externs_);
   const ast::FunctionDecl* fn = module_->FindFunction("clampPositive");
-  Value result = Evaluator::RunFunction(
-      ctx, fn, {Value::Of(module_->types().Int32(), pool.IntConst(-7))});
-  ASSERT_EQ(ctx.status(), PathStatus::kCompleted);
-  EXPECT_EQ(result.term, pool.IntConst(0));
-  ctx.StartPath({});
-  result = Evaluator::RunFunction(
-      ctx, fn, {Value::Of(module_->types().Int32(), pool.IntConst(9))});
-  EXPECT_EQ(result.term, pool.IntConst(9));
+  for (int64_t input : {-7, 9}) {
+    ctx.StartPath({});
+    Value result = Evaluator::RunFunction(
+        ctx, fn, {Value::Of(module_->types().Int32(), pool.IntConst(input))});
+    ASSERT_EQ(ctx.status(), PathStatus::kCompleted);
+    EXPECT_EQ(result.term, pool.IntConst(input < 0 ? 0 : input));
+    EXPECT_TRUE(ctx.trace().empty());
+    EXPECT_TRUE(ctx.pending_alternatives().empty());
+  }
 }
 
 TEST_F(EvaluatorTest, EmitStateLabelDiscipline) {

@@ -1,6 +1,7 @@
 // Tests for the C++ extraction backend: structural checks over the generated
-// header/binding skeleton, plus an end-to-end "does the generated C++ compile"
-// test using the system compiler.
+// header/binding skeleton, plus a "does the generated C++ compile against the
+// skeleton host" test using the system compiler. The VM build compiles and
+// runs the same header (src/vm/ic.cc; vm_test).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -20,7 +21,7 @@ class ExtractTest : public ::testing::Test {
     auto loaded = platform::Platform::Load();
     ASSERT_TRUE(loaded.ok()) << loaded.status().message();
     platform_ = loaded.take().release();
-    auto extraction = ExtractCpp(platform_->module());
+    auto extraction = ExtractCpp(*platform_);
     ASSERT_TRUE(extraction.ok()) << extraction.status().message();
     extraction_ = new CppExtraction(extraction.take());
   }
@@ -41,27 +42,37 @@ CppExtraction* ExtractTest::extraction_ = nullptr;
 
 TEST_F(ExtractTest, HeaderHasAllLayers) {
   const std::string& header = extraction_->header;
-  // One C++ function per generator.
+  // One C++ function per generator, templated over the binding-layer host.
   for (const auto& info : platform::Fig12Generators()) {
-    EXPECT_TRUE(Contains(header, StrCat("AttachDecision ", info.function, "(Host& host")))
+    EXPECT_TRUE(Contains(header, StrCat("inline AttachDecision ", info.function, "(Host& host")))
         << info.function;
+    EXPECT_TRUE(Contains(header, StrCat("{\"", info.function, "\", "))) << info.function;
   }
   // Visitor functions per compiler and interpreter callback.
   EXPECT_TRUE(Contains(header, "compile_CacheIR_GuardToObject"));
   EXPECT_TRUE(Contains(header, "interp_MASM_BranchTestObject"));
   EXPECT_TRUE(Contains(header, "interp_MASM_LoadPrivateIntPtr"));
-  // The binding interface declares the externs.
-  EXPECT_TRUE(Contains(header, "virtual JSValueType Value_typeTag(Value value) = 0;"));
-  EXPECT_TRUE(Contains(header, "emit_MASM_BranchTestObject"));
-  // Safety contracts survive as assertions.
+  // Generators stream into the compiler; the compiler emits MASM ops.
+  EXPECT_TRUE(Contains(header, "compile_CacheIR_GuardToObject(host, valueId);"));
+  EXPECT_TRUE(Contains(header, "host.emit(MASMOp::kBranchTestObject, "));
+  // One thunk per MASM op, in a table indexed by MASMOp.
+  EXPECT_TRUE(Contains(header, "inline int64_t thunk_MASM_Return(Host& host"));
+  EXPECT_TRUE(Contains(header, "kMASMThunks[] = {"));
+  // The stub return reports through the callback's result.
+  EXPECT_TRUE(Contains(header, "return kStubReturn;"));
+  // Safety contracts survive as assertions, and the platform is recorded.
   EXPECT_TRUE(Contains(header, "ICARUS_EXTRACTED_ASSERT"));
+  EXPECT_TRUE(Contains(header, StrCat("kPlatformFingerprint[] = \"",
+                                      platform_->Fingerprint(), "\"")));
 }
 
-TEST_F(ExtractTest, SkeletonOverridesEverything) {
+TEST_F(ExtractTest, SkeletonBindsEveryExtern) {
   const std::string& skeleton = extraction_->binding_skeleton;
-  EXPECT_TRUE(Contains(skeleton, "class SkeletonHost : public Host"));
-  EXPECT_TRUE(Contains(skeleton, "Value_typeTag"));
-  EXPECT_TRUE(Contains(skeleton, "newLabel() override"));
+  EXPECT_TRUE(Contains(skeleton, "class SkeletonHost final"));
+  EXPECT_TRUE(Contains(skeleton, "JSValueType Value_typeTag(Value value)"));
+  EXPECT_TRUE(Contains(skeleton, "Label newLabel()"));
+  EXPECT_TRUE(Contains(skeleton, "void emit(MASMOp op, Operands... operands)"));
+  EXPECT_FALSE(Contains(skeleton, "virtual"));
 }
 
 TEST_F(ExtractTest, GeneratedCodeCompiles) {
@@ -76,11 +87,13 @@ TEST_F(ExtractTest, GeneratedCodeCompiles) {
   out << extraction_->header << "\n" << extraction_->binding_skeleton << "\n";
   out << R"(
 int main() {
-  icarus_extracted::SkeletonHost host;
-  icarus_extracted::Host::Value value = 0;
-  icarus_extracted::Host::ValueId value_id = 0;
-  auto decision = icarus_extracted::tryAttachToPropertyKeyInt32(host, value, value_id);
-  return decision == icarus_extracted::AttachDecision::kNoAction ? 0 : 0;
+  // Naming both tables instantiates every generator and MASM thunk.
+  using Host = icarus_extracted::SkeletonHost;
+  Host host;
+  int64_t args[8] = {};
+  auto decision = icarus_extracted::kGenerators<Host>[0].run(host, args);
+  return icarus_extracted::kMASMThunks<Host>[0](host, args) +
+         (decision == icarus_extracted::AttachDecision::kNoAction ? 0 : 1);
 }
 )";
   out.close();

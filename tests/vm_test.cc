@@ -1,7 +1,7 @@
-// Mini-JS VM tests: value encoding, runtime semantics, IC attachment through
-// the verified generators, stub-engine correctness, and the differential
-// conformance sweep (every IC strategy must agree with the slow path — the
-// analogue of §4.5's jstests/jit-tests run).
+// Mini-JS VM tests: value encoding, runtime semantics, IC attachment and
+// stub runs through the extracted verified code, live contracts, and the
+// differential conformance sweep (every IC strategy must agree with the slow
+// path — the analogue of §4.5's jstests/jit-tests run).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -31,8 +31,8 @@ TEST(JsValueTest, RoundTrips) {
 }
 
 TEST(JsValueTest, TypeTagsMatchPlatformEnum) {
-  // The prelude's JSValueType order must match JsType (the VM bindings
-  // convert by integer value).
+  // The prelude's JSValueType order must match JsType (the binding layer
+  // converts by integer value; ic.cc also static_asserts it).
   EXPECT_EQ(static_cast<int>(JsValue::Double(1.0).type()), 0);
   EXPECT_EQ(static_cast<int>(JsValue::Int32(1).type()), 1);
   EXPECT_EQ(static_cast<int>(JsValue::Boolean(true).type()), 2);
@@ -192,29 +192,87 @@ TEST_F(VmIcTest, TypedArrayLengthStubGuardsShape) {
   EXPECT_EQ(RunStub(engine, &rt, *stub.value(), {tricky}, &result), StubOutcome::kBail);
 }
 
-TEST_F(VmIcTest, BuggyTypedArrayStubReadsPoisonOnTricky) {
-  // The *buggy* megamorphic stub attaches with only a getter/setter guard and
-  // then reads past the fake object's (empty) fixed slots — this is the
-  // exploit of §2.2 reproduced in the VM (the raw read returns a poison
-  // marker instead of real adjacent memory).
+TEST_F(VmIcTest, BuggyTypedArrayStubViolatesFixedSlotContractOnTricky) {
+  // The *buggy* megamorphic stub attaches with only a getter/setter guard, so
+  // the `tricky` object passes it and reaches the length load — the exploit
+  // of §2.2. The extracted MASM semantics check getFixedSlot's bounds
+  // contract before the raw read, so the VM throws instead of reading past
+  // the fake object's (empty) fixed slots. The fixed stub's shape guard
+  // rejects `tricky` and bails.
   Runtime rt;
   uint32_t ta = rt.NewTypedArray(2048);
   JsValue value = JsValue::Object(ta);
-  auto stub = compiler_->TryAttach(
-      &rt, "bug1685925_buggy",
-      {{ConcreteArg::Kind::kBoxedValue, value, 0},
-       {ConcreteArg::Kind::kOperand, value, 0},
-       {ConcreteArg::Kind::kRaw, JsValue(), static_cast<int64_t>(rt.length_atom())},
-       {ConcreteArg::Kind::kRaw, JsValue(), 1 /* ICMode::Megamorphic */}});
-  ASSERT_TRUE(stub.ok()) << stub.status().message();
-  ASSERT_TRUE(stub.value().has_value());
+  auto attach = [&](const char* generator) {
+    auto stub = compiler_->TryAttach(
+        &rt, generator,
+        {{ConcreteArg::Kind::kBoxedValue, value, 0},
+         {ConcreteArg::Kind::kOperand, value, 0},
+         {ConcreteArg::Kind::kRaw, JsValue(), static_cast<int64_t>(rt.length_atom())},
+         {ConcreteArg::Kind::kRaw, JsValue(), 1 /* ICMode::Megamorphic */}});
+    EXPECT_TRUE(stub.ok()) << stub.status().message();
+    EXPECT_TRUE(stub.ok() && stub.value().has_value()) << generator;
+    return stub.ok() && stub.value().has_value() ? *stub.value() : CompiledStub();
+  };
+  CompiledStub buggy = attach("bug1685925_buggy");
+  CompiledStub fixed = attach("bug1685925_fixed");
 
   StubEngine engine(compiler_->masm());
   JsValue result;
+  EXPECT_EQ(RunStub(engine, &rt, buggy, {value}, &result), StubOutcome::kReturn);
+  EXPECT_EQ(result.AsInt32(), 2048);
+
   JsValue tricky = JsValue::Object(rt.NewFakeTypedArray());
-  // The guards PASS for tricky (it has the getter) and the load reads OOB.
-  EXPECT_EQ(RunStub(engine, &rt, *stub.value(), {tricky}, &result), StubOutcome::kReturn);
-  EXPECT_EQ(result.AsInt32(), 0xBADBEEF);  // Attacker-visible garbage "length".
+  try {
+    RunStub(engine, &rt, buggy, {tricky}, &result);
+    ADD_FAILURE() << "the buggy stub ran on tricky without a contract violation";
+  } catch (const InternalError& e) {
+    std::string message = e.what();
+    EXPECT_NE(message.find("NativeObject_getFixedSlot"), std::string::npos) << message;
+    EXPECT_NE(message.find("Shape_numFixedSlots"), std::string::npos) << message;
+  }
+  EXPECT_EQ(RunStub(engine, &rt, fixed, {tricky}, &result), StubOutcome::kBail);
+}
+
+TEST_F(VmIcTest, ArgumentsObjectSiteAttachesArgumentsStub) {
+  // tryAttachDenseElement accepts an arguments object (it is native) but its
+  // stub's initialized-length check fails on every trip: the elements live
+  // out of line. The site must not attach that stub again; the next
+  // candidate, tryAttachArgumentsObjectArg, serves the later trips.
+  Runtime rt;
+  uint32_t args = rt.NewArgumentsObject({JsValue::Int32(10), JsValue::Int32(20)});
+  ProgramBuilder b("args[1]");
+  b.Const(JsValue::Object(args)).Const(JsValue::Int32(1)).GetElem().Return();
+  BytecodeProgram program = b.Build();
+  Interpreter icarus(&rt, compiler_, IcStrategy::kIcarus);
+  constexpr int kTrips = 50;
+  for (int trip = 0; trip < kTrips; ++trip) {
+    EXPECT_EQ(icarus.Run(program).AsInt32(), 20) << "trip " << trip;
+  }
+  const InterpStats& stats = icarus.stats();
+  EXPECT_EQ(stats.stubs_attached, 2);  // The dense stub once, then the arguments stub.
+  EXPECT_EQ(stats.ic_misses, 2);
+  EXPECT_EQ(stats.ic_hits, kTrips - 2);
+  EXPECT_EQ(stats.ic_bails, kTrips - 1);  // Only the dense stub bails, once a trip.
+}
+
+TEST(IcCompilerTest, RefusesAPlatformTheCodeWasNotExtractedFrom) {
+  auto stock = platform::Platform::Load();
+  ASSERT_TRUE(stock.ok()) << stock.status().message();
+  auto extended = platform::Platform::LoadWithExtra({"fn extraChunkHelper() -> Int32 {\n"
+                                                     "  return 7;\n"
+                                                     "}\n"});
+  ASSERT_TRUE(extended.ok()) << extended.status().message();
+  std::string stock_fingerprint = stock.value()->Fingerprint();
+  std::string extended_fingerprint = extended.value()->Fingerprint();
+  ASSERT_NE(stock_fingerprint, extended_fingerprint);
+  try {
+    IcCompiler compiler(extended.value().get());
+    ADD_FAILURE() << "IcCompiler accepted a platform with an extra chunk";
+  } catch (const InternalError& e) {
+    std::string message = e.what();
+    EXPECT_NE(message.find(stock_fingerprint), std::string::npos) << message;
+    EXPECT_NE(message.find(extended_fingerprint), std::string::npos) << message;
+  }
 }
 
 // --- Differential conformance: all strategies agree on all workloads ---

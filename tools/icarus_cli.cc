@@ -509,7 +509,7 @@ int EmitBoogie(const Platform& platform, const std::string& name) {
 }
 
 int Extract(const Platform& platform) {
-  auto extraction = icarus::extract::ExtractCpp(platform.module());
+  auto extraction = icarus::extract::ExtractCpp(platform);
   if (!extraction.ok()) {
     std::fprintf(stderr, "%s\n", extraction.status().message().c_str());
     return 2;
