@@ -1,5 +1,8 @@
 #include "src/extract/cpp_backend.h"
 
+#include <algorithm>
+
+#include "src/machine/machine_state.h"
 #include "src/support/str_util.h"
 
 namespace icarus::extract {
@@ -37,6 +40,10 @@ std::string CppType(const ast::Type* type) {
 }
 
 std::string ParamType(const ast::Param& p) { return p.is_label ? "Label" : CppType(p.type); }
+
+bool IsRegisterParam(const ast::Param& p) {
+  return !p.is_label && (p.type->name() == "Reg" || p.type->name() == "ValueReg");
+}
 
 // C++ expression converting the baked int64 operand `operand` to `p`'s type.
 std::string FromOperand(const ast::Param& p, const std::string& operand) {
@@ -87,8 +94,8 @@ const char* BinOpText(ast::BinOp op) {
 
 class Generator {
  public:
-  explicit Generator(const platform::Platform& platform)
-      : platform_(platform), module_(platform.module()) {}
+  Generator(const platform::Platform& platform, const std::vector<StubRunner>& runners)
+      : platform_(platform), module_(platform.module()), runners_(runners) {}
 
   CppExtraction Run() {
     CppExtraction out;
@@ -320,7 +327,7 @@ class Generator {
   }
 
   // One op enum per target language: the first argument of host.emit and
-  // the index into the language's thunk table.
+  // how the runner table names ops.
   std::string OpEnums() {
     std::string out;
     for (const auto& lang : module_.languages) {
@@ -337,37 +344,183 @@ class Generator {
     return out;
   }
 
-  std::string Thunks() {
+  // Op names per target language, indexed by <Lang>Op.
+  std::string OpNames() {
     std::string out;
-    for (const auto& interp : module_.interpreters) {
-      const ast::LanguageDecl& lang = *interp->language;
-      out += StrCat("// --- ", lang.name, " thunks: one per op, called with the op's baked "
-                    "operands ---\n\n");
-      std::vector<std::string> table;
-      for (const auto& op : lang.ops) {
-        std::string thunk = StrCat("thunk_", lang.name, "_", op->name);
-        table.push_back(StrCat("    &", thunk, "<Host>,\n"));
-        out += StrCat("template <class Host>\ninline int64_t ", thunk,
-                      "(Host& host, const int64_t* operands) {\n");
-        const ast::FunctionDecl* cb = interp->FindCallback(op.get());
-        if (cb == nullptr) {
-          out += StrCat("  ICARUS_EXTRACTED_ASSERT(!\"no ", interp->name, " callback for ",
-                        lang.name, "::", op->name, "\");\n  return kFallThrough;\n}\n\n");
-          continue;
-        }
-        out += StrCat("  return ", FnName(*cb), "(",
-                      Join(OperandArgs(cb->params, "operands"), ", "), ");\n}\n\n");
+    for (const auto& lang : module_.languages) {
+      if (CompilerFrom(lang.get()) != nullptr) {
+        continue;
       }
-      out += StrCat("template <class Host>\nusing ", lang.name,
-                    "Thunk = int64_t (*)(Host& host, const int64_t* operands);\n\n");
-      out += StrCat("// Indexed by ", lang.name, "Op.\ntemplate <class Host>\ninline constexpr ",
-                    lang.name, "Thunk<Host> k", lang.name, "Thunks[] = {\n");
-      for (const std::string& entry : table) {
-        out += entry;
+      std::vector<std::string> names;
+      names.reserve(lang->ops.size());
+      for (const auto& op : lang->ops) {
+        names.push_back(StrCat("\"", op->name, "\""));
       }
-      out += "};\n\n";
+      out += StrCat("inline constexpr const char* k", lang->name, "OpNames[] = {",
+                    Join(names, ", "), "};\n");
     }
     return out;
+  }
+
+  // The C++ expression passing operand `k` of a runner as parameter `p`:
+  // the literal when the key fixes it, a read from the stub otherwise.
+  static std::string RunnerArg(const ast::Param& p, const std::optional<int64_t>& fixed,
+                               size_t k) {
+    return FromOperand(p, fixed.has_value() ? StrCat("INT64_C(", *fixed, ")")
+                                            : StrCat("operands[", k, "]"));
+  }
+
+  static std::string StubRunnerFunction(const ast::InterpreterDecl& interp, size_t index,
+                                        const StubRunnerKey& key) {
+    const int n = static_cast<int>(key.ops.size());
+    // A label operand jumps to an instruction of the list, or bails: the
+    // failure label and a label bound past the last instruction both do.
+    auto jumps_within = [n](const ast::Param& p, const std::optional<int64_t>& operand) {
+      return p.is_label && *operand >= 0 && *operand < n;
+    };
+    std::vector<bool> targeted(static_cast<size_t>(n), false);
+    size_t k = 0;
+    for (const ast::OpDecl* op : key.ops) {
+      for (const ast::Param& p : op->params) {
+        if (jumps_within(p, key.operands[k])) {
+          targeted[static_cast<size_t>(*key.operands[k])] = true;
+        }
+        ++k;
+      }
+    }
+    std::string out = StrCat("// ", Join(Names(key), " ; "), "\ntemplate <class Host>\n",
+                             "[[gnu::flatten]] inline bool stub_runner_", index,
+                             "(Host& host, [[maybe_unused]] const int64_t* operands) {\n");
+    k = 0;
+    for (int i = 0; i < n; ++i) {
+      const ast::OpDecl& op = *key.ops[static_cast<size_t>(i)];
+      if (targeted[static_cast<size_t>(i)]) {
+        out += StrCat("instr_", i, ":\n");
+      }
+      const ast::FunctionDecl* cb = interp.FindCallback(&op);
+      if (cb == nullptr) {
+        out += StrCat("  ICARUS_EXTRACTED_ASSERT(!\"no interpreter callback for ",
+                      op.language->name, "::", op.name, "\");\n  return false;\n");
+        k += op.params.size();
+        continue;
+      }
+      std::vector<std::string> args = {"host"};
+      std::vector<int64_t> jumps;
+      for (const ast::Param& p : cb->params) {
+        args.push_back(RunnerArg(p, key.operands[k], k));
+        if (jumps_within(p, key.operands[k]) &&
+            std::find(jumps.begin(), jumps.end(), *key.operands[k]) == jumps.end()) {
+          jumps.push_back(*key.operands[k]);
+        }
+        ++k;
+      }
+      out += StrCat("  switch (", FnName(*cb), "(", Join(args, ", "), ")) {\n",
+                    "    case kFallThrough: break;\n    case kStubReturn: return true;\n");
+      for (int64_t target : jumps) {
+        out += StrCat("    case INT64_C(", target, "): goto instr_", target, ";\n");
+      }
+      out += "    default: return false;\n  }\n";
+    }
+    out += "  return false;\n}\n\n";
+    return out;
+  }
+
+  // `type name[] = {items};`, or nothing when `items` is empty (C++ has no
+  // zero-length arrays); *ref is what a table entry points at.
+  static std::string ConstexprArray(const std::string& type, const std::string& name,
+                                    const std::vector<std::string>& items, std::string* ref) {
+    if (items.empty()) {
+      *ref = "nullptr";
+      return "";
+    }
+    *ref = name;
+    return StrCat("inline constexpr ", type, " ", name, "[] = {", Join(items, ", "), "};\n");
+  }
+
+  // One runner per distinct instruction list an attached SME path emitted,
+  // and kStubRunners, the table of their keys. The platform's meta-stubs run
+  // its one interpreter (Platform::MakeMetaStub).
+  std::string StubRunners() {
+    if (module_.interpreters.size() != 1) {
+      return "";
+    }
+    const ast::InterpreterDecl& interp = *module_.interpreters.front();
+    const std::string op_type = StrCat(interp.language->name, "Op");
+    std::string out = StrCat(
+        "// --- Stub runners ---\n"
+        "//\n"
+        "// One per distinct ", interp.language->name,
+        " instruction list that an attached path of the verifier's\n"
+        "// symbolic meta-execution emitted, over every generator. A runner runs its\n"
+        "// list straight through with every interpreter callback inlined. Operands\n"
+        "// that were constants on the path (registers, labels, conditions, tags) are\n"
+        "// literals; the rest are read from `operands`, the stub's operands flattened\n"
+        "// in instruction order. Labels only jump forward. A runner returns true when\n"
+        "// the stub returned (its result is in the output register) and false when\n"
+        "// it bailed.\n\n"
+        "// An operand a runner fixes: its index among the stub's flattened operands\n"
+        "// and its value. A label's value is the index of the instruction it is\n"
+        "// bound to, or kFailureTarget for the failure label.\n"
+        "struct FixedOperand {\n  int index;\n  int64_t value;\n};\n\n"
+        "inline constexpr int64_t kFailureTarget = ",
+        exec::kLabelFailure,
+        ";\n\n"
+        "template <class Host>\n"
+        "struct StubRunnerEntry {\n"
+        "  const char* generators;  // Whose paths emitted the list, space-separated.\n"
+        "  const ",
+        op_type,
+        "* ops;\n"
+        "  int num_ops;\n"
+        "  const int* input_regs;  // Register of each generator input at entry.\n"
+        "  int num_inputs;\n"
+        "  const FixedOperand* fixed;\n"
+        "  int num_fixed;\n"
+        "  bool (*run)(Host& host, const int64_t* operands);\n"
+        "};\n\n");
+    std::vector<std::string> table;
+    for (size_t i = 0; i < runners_.size(); ++i) {
+      const StubRunnerKey& key = runners_[i].key;
+      out += StubRunnerFunction(interp, i, key);
+      std::vector<std::string> ops;
+      for (const ast::OpDecl* op : key.ops) {
+        ops.push_back(StrCat(op_type, "::k", op->name));
+      }
+      std::vector<std::string> inputs;
+      for (int reg : key.input_regs) {
+        inputs.push_back(StrCat(reg));
+      }
+      std::vector<std::string> fixed;
+      for (size_t k = 0; k < key.operands.size(); ++k) {
+        if (key.operands[k].has_value()) {
+          fixed.push_back(StrCat("{", k, ", INT64_C(", *key.operands[k], ")}"));
+        }
+      }
+      const std::string prefix = StrCat("kStubRunner", i);
+      std::string ops_ref, inputs_ref, fixed_ref;
+      out += ConstexprArray(op_type, prefix + "Ops", ops, &ops_ref);
+      out += ConstexprArray("int", prefix + "Inputs", inputs, &inputs_ref);
+      out += ConstexprArray("FixedOperand", prefix + "Fixed", fixed, &fixed_ref);
+      out += "\n";
+      table.push_back(StrCat("    {\"", Join(runners_[i].generators, " "), "\", ", ops_ref, ", ",
+                             ops.size(), ", ", inputs_ref, ", ", inputs.size(), ", ", fixed_ref,
+                             ", ", fixed.size(), ", &stub_runner_", i, "<Host>},\n"));
+    }
+    if (!table.empty()) {
+      out += StrCat("template <class Host>\n",
+                    "inline constexpr StubRunnerEntry<Host> kStubRunners[] = {\n",
+                    Join(table, ""), "};\n\n");
+    }
+    return out;
+  }
+
+  static std::vector<std::string> Names(const StubRunnerKey& key) {
+    std::vector<std::string> names;
+    names.reserve(key.ops.size());
+    for (const ast::OpDecl* op : key.ops) {
+      names.push_back(op->name);
+    }
+    return names;
   }
 
   std::string GeneratorTable() {
@@ -402,7 +555,8 @@ class Generator {
         "//\n"
         "// Contains: enums mirroring the DSL declarations, the verified\n"
         "// generator/compiler/interpreter code as templates over the binding-layer\n"
-        "// host, per-op interpreter thunks and the generator table.\n"
+        "// host, one stub runner per instruction list an attached SME path emitted,\n"
+        "// and the runner and generator tables.\n"
         "#ifndef ICARUS_EXTRACTED_H_\n#define ICARUS_EXTRACTED_H_\n\n"
         "#include <cassert>\n#include <cstdint>\n#include <cstring>\n\n"
         "#ifndef ICARUS_EXTRACTED_ASSERT\n"
@@ -451,7 +605,9 @@ class Generator {
       out += GenFunction(*fn);
       out += "\n";
     }
-    out += Thunks();
+    out += OpNames();
+    out += "\n";
+    out += StubRunners();
     out += GeneratorTable();
     out += "\n}  // namespace icarus_extracted\n\n#endif  // ICARUS_EXTRACTED_H_\n";
     return out;
@@ -491,12 +647,141 @@ class Generator {
 
   const platform::Platform& platform_;
   const ast::Module& module_;
+  const std::vector<StubRunner>& runners_;
 };
 
 }  // namespace
 
+StatusOr<StubRunnerKey> RunnerKeyForPath(const std::string& generator,
+                                         const exec::EmitState& emits,
+                                         const std::vector<int>& input_regs) {
+  StubRunnerKey key;
+  key.input_regs = input_regs;
+  const int n = static_cast<int>(emits.target.size());
+  for (int i = 0; i < n; ++i) {
+    const exec::Instr& instr = emits.target[static_cast<size_t>(i)];
+    const std::vector<ast::Param>& params = instr.op->params;
+    if (instr.args.size() != params.size()) {
+      return Status::Error(StrCat(generator, ": MASM instruction ", i, " (", instr.op->name,
+                                  ") has ", instr.args.size(), " operands, not ",
+                                  params.size()));
+    }
+    key.ops.push_back(instr.op);
+    for (size_t j = 0; j < params.size(); ++j) {
+      const exec::Value& arg = instr.args[j];
+      auto where = [&] {
+        return StrCat(generator, ": operand ", params[j].name, " of MASM instruction ", i, " (",
+                      instr.op->name, ")");
+      };
+      if (params[j].is_label) {
+        const int target =
+            arg.IsLabel() && static_cast<size_t>(arg.label_id) < emits.labels.size()
+                ? emits.labels[static_cast<size_t>(arg.label_id)].target
+                : exec::kLabelUnbound;
+        if (target == exec::kLabelUnbound) {
+          return Status::Error(StrCat(where(), " is a label that is not a constant"));
+        }
+        if (target >= 0 && target <= i) {
+          return Status::Error(StrCat(where(), " targets instruction ", target,
+                                      ", not a later one: stub runners only jump forward"));
+        }
+        key.operands.push_back(target);
+        continue;
+      }
+      const bool constant = arg.term != nullptr && arg.term->IsConst();
+      if (IsRegisterParam(params[j])) {
+        if (!constant) {
+          return Status::Error(StrCat(where(), " is a register that is not a constant"));
+        }
+        if (arg.term->value < 0 || arg.term->value >= machine::kNumRegs) {
+          return Status::Error(StrCat(where(), " is register ", arg.term->value,
+                                      ", outside the register file"));
+        }
+      }
+      key.operands.push_back(constant ? std::optional<int64_t>(arg.term->value) : std::nullopt);
+    }
+  }
+  return key;
+}
+
+StatusOr<std::vector<StubRunnerKey>> RunnerKeysForGenerator(const platform::Platform& platform,
+                                                            const std::string& generator,
+                                                            meta::MetaExecutor& executor) {
+  StatusOr<meta::MetaStub> made = platform.MakeMetaStub(generator);
+  if (!made.ok()) {
+    return made.status();
+  }
+  meta::MetaStub stub = made.take();
+  // The registers each path allocated for the generator's operand inputs,
+  // read back from its machine state once the inputs are built.
+  std::vector<int> input_regs;
+  stub.inputs = [inputs = stub.inputs, fn = stub.generator, &input_regs](
+                    exec::EvalContext& ctx, std::vector<exec::Value>* args) -> Status {
+    ICARUS_RETURN_IF_ERROR(inputs(ctx, args));
+    input_regs.clear();
+    for (size_t i = 0; i < fn->params.size() && i < args->size(); ++i) {
+      if (platform::IsOperandIdType(fn->params[i].type)) {
+        StatusOr<int> reg = ctx.machine().UseOperand(static_cast<int>((*args)[i].term->value));
+        if (!reg.ok()) {
+          return reg.status();
+        }
+        input_regs.push_back(reg.value());
+      }
+    }
+    return Status::Ok();
+  };
+  std::vector<StubRunnerKey> keys;
+  Status failed = Status::Ok();
+  executor.set_attached_path_hook([&](exec::EvalContext& ctx) {
+    if (!failed.ok()) {
+      return;
+    }
+    StatusOr<StubRunnerKey> key = RunnerKeyForPath(generator, ctx.emits(), input_regs);
+    if (key.ok()) {
+      keys.push_back(key.take());
+    } else {
+      failed = key.status();
+    }
+  });
+  const meta::MetaResult result = executor.Run(stub);
+  executor.set_attached_path_hook(nullptr);
+  if (result.inconclusive) {
+    return Status::Error(StrCat(generator, ": symbolic meta-execution is inconclusive (",
+                                Join(result.limit_notes, "; "),
+                                "), so its stubs cannot be compiled"));
+  }
+  ICARUS_RETURN_IF_ERROR(failed);
+  return keys;
+}
+
+StatusOr<std::vector<StubRunner>> EnumerateStubRunners(const platform::Platform& platform) {
+  std::vector<StubRunner> runners;
+  for (const ast::FunctionDecl* gen : platform.module().Generators()) {
+    meta::MetaExecutor executor(&platform.module(), &platform.externs());
+    StatusOr<std::vector<StubRunnerKey>> keys =
+        RunnerKeysForGenerator(platform, gen->name, executor);
+    if (!keys.ok()) {
+      return keys.status();
+    }
+    for (StubRunnerKey& key : keys.value()) {
+      auto it = std::find_if(runners.begin(), runners.end(),
+                             [&](const StubRunner& r) { return r.key == key; });
+      if (it == runners.end()) {
+        runners.push_back({std::move(key), {gen->name}});
+      } else if (it->generators.back() != gen->name) {
+        it->generators.push_back(gen->name);
+      }
+    }
+  }
+  return runners;
+}
+
 StatusOr<CppExtraction> ExtractCpp(const platform::Platform& platform) {
-  Generator generator(platform);
+  StatusOr<std::vector<StubRunner>> runners = EnumerateStubRunners(platform);
+  if (!runners.ok()) {
+    return runners.status();
+  }
+  Generator generator(platform, runners.value());
   return generator.Run();
 }
 

@@ -199,6 +199,9 @@ MetaResult MetaExecutor::Run(const MetaStub& stub) {
         if (!bound.ok()) {
           ctx.FailPath(bound.message(), stub.generator->name, 0);
         } else {
+          if (attached_path_hook_) {
+            attached_path_hook_(ctx);
+          }
           obs::ScopedSpan interp_span("meta.interpret", stub.generator->name);
           RunInterpreterPhase(ctx, stub);
         }

@@ -116,6 +116,13 @@ class MetaExecutor {
   // (decisions, op sequences, witnesses, symbolic inputs) is captured on
   // violations regardless of this flag — only the event log costs extra.
   void set_recording(bool on) { recording_ = on; }
+  // Called on each path that attached a stub, once every label of its
+  // target buffer is bound and before the interpreter phase runs it (so
+  // paths that go on to violate a contract are seen too). It must leave
+  // the context as it found it; the C++ extraction backend reads the buffer
+  // from here to compile one stub runner per instruction list.
+  using AttachedPathHook = std::function<void(exec::EvalContext&)>;
+  void set_attached_path_hook(AttachedPathHook hook) { attached_path_hook_ = std::move(hook); }
 
   // Explores all paths of the meta-stub. `verified` is true iff every path
   // completed with no violations and no resource limits.
@@ -134,6 +141,7 @@ class MetaExecutor {
   sym::Solver::Limits solver_limits_;
   const std::atomic<bool>* cancel_ = nullptr;
   bool recording_ = false;
+  AttachedPathHook attached_path_hook_;
   // Warm state shared by every Run() on this executor (one executor per
   // generator). The pool hash-conses terms and every path resets the fresh
   // suffix sequence (ExprPool::ResetFresh), so repeated runs mint the same

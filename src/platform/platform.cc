@@ -9,8 +9,6 @@
 
 namespace icarus::platform {
 
-namespace {
-
 bool IsOperandIdType(const ast::Type* t) {
   if (t->kind() != ast::TypeKind::kOpaque) {
     return false;
@@ -19,8 +17,6 @@ bool IsOperandIdType(const ast::Type* t) {
   return n == "ValueId" || n == "ObjectId" || n == "Int32Id" || n == "StringId" ||
          n == "SymbolId";
 }
-
-}  // namespace
 
 StatusOr<std::unique_ptr<Platform>> Platform::Load() {
   return LoadWithExtra({});

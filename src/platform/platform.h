@@ -55,6 +55,11 @@ const std::vector<GeneratorInfo>& Fig12Generators();
 // extension story of §5); verified by the same pipeline.
 const std::vector<GeneratorInfo>& ExtensionGenerators();
 
+// True for the CacheIR operand-id types (ValueId, ObjectId, Int32Id,
+// StringId, SymbolId): a generator parameter of one of them is a stub input
+// held in a register.
+bool IsOperandIdType(const ast::Type* type);
+
 class Platform {
  public:
   // Loads the standard platform (everything above, bugs included).

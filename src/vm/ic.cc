@@ -4,16 +4,19 @@
 //
 //   AttachHost: generators and compiler callbacks at attach, over the
 //     compile-time half of machine::MachineState;
-//   StubHost:   interpreter callbacks at run time, over a register file and
-//     value stack on StubEngine::Run's stack frame.
+//   StubHost:   the stub runners' interpreter callbacks at run time, over a
+//     register file and value stack in the runner's own frame.
 //
 // Both are final, non-virtual classes, so every call the extracted
 // templates make into them inlines.
 #include "src/vm/ic.h"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <iterator>
+#include <utility>
 
 #include "src/machine/machine_state.h"
 #include "src/support/str_util.h"
@@ -52,12 +55,12 @@ static_assert(static_cast<int>(JsType::kObject) == static_cast<int>(ix::JSValueT
 static_assert(static_cast<int>(JsClass::kPlainObject) ==
               static_cast<int>(ix::ClassKind::kPlainObject));
 static_assert(static_cast<int>(JsClass::kOther) == static_cast<int>(ix::ClassKind::kOther));
+// Attach encodes the failure label the way the runner keys do.
+static_assert(kBailTarget == ix::kFailureTarget);
 // Jump targets, the bail target and the two control results never collide.
 static_assert(ix::kFallThrough < 0 && ix::kStubReturn < 0 && kBailTarget < 0 &&
               ix::kFallThrough != kBailTarget && ix::kStubReturn != kBailTarget &&
               ix::kFallThrough != ix::kStubReturn);
-
-constexpr int kMaxStubSteps = 100000;
 
 // Poison value returned by raw accessors on out-of-bounds reads. In the real
 // engine such a read returns adjacent memory; here it is a deterministic
@@ -67,6 +70,19 @@ uint64_t ReadOrPoison(const std::vector<JsValue>& values, int64_t index) {
     return JsValue::Private(0xBADBEEF).raw();
   }
   return values[static_cast<size_t>(index)].raw();
+}
+
+// IcCompiler's runner lookup key: the op count, the ops, then the input
+// registers, one char each (MASM has fewer than 128 ops and 8 registers).
+std::string RunnerKey(const std::vector<int>& ops, const int* regs, size_t num_regs) {
+  std::string key(1, static_cast<char>(ops.size()));
+  for (int op : ops) {
+    key.push_back(static_cast<char>(op));
+  }
+  for (size_t i = 0; i < num_regs; ++i) {
+    key.push_back(static_cast<char>(regs[i]));
+  }
+  return key;
 }
 
 }  // namespace
@@ -260,6 +276,33 @@ class StubHost final : public RuntimeHost {
 
 namespace {
 
+// The entry point of runner I. Its input registers are part of its key, so
+// they load as literals, and the runner inlines here with the host, whose
+// register file the compiler can then keep in machine registers.
+template <size_t I>
+[[gnu::flatten]] bool RunStub(Runtime* runtime, const JsValue* inputs, const int64_t* operands,
+                              JsValue* result) {
+  constexpr ix::StubRunnerEntry<StubHost> kEntry = ix::kStubRunners<StubHost>[I];
+  StubHost host(runtime);
+  for (int k = 0; k < kEntry.num_inputs; ++k) {
+    host.regs[kEntry.input_regs[k]] = inputs[k].raw();
+  }
+  if (!kEntry.run(host, operands)) {
+    return false;
+  }
+  *result = JsValue::FromRaw(host.regs[machine::kOutputReg]);
+  return true;
+}
+
+template <size_t... I>
+constexpr std::array<StubRunner, sizeof...(I)> StubEntryPoints(std::index_sequence<I...>) {
+  return {&RunStub<I>...};
+}
+
+// Indexed like the extracted kStubRunners.
+constexpr auto kStubEntryPoints =
+    StubEntryPoints(std::make_index_sequence<std::size(ix::kStubRunners<StubHost>)>());
+
 // Attach time: the operand table and register allocator of
 // machine::MachineState, labels, and the MASM the compiler callbacks emit.
 class AttachHost final : public RuntimeHost {
@@ -312,35 +355,34 @@ class AttachHost final : public RuntimeHost {
 
   template <class... Operands>
   void emit(ix::MASMOp op, Operands... operands) {
-    static_assert(sizeof...(Operands) <= CompiledInstr::kMaxArgs);
+    static_assert(sizeof...(Operands) <= MasmInstr::kMaxArgs);
     Emitted instr{op};
     (instr.Add(operands), ...);
     emitted_.push_back(instr);
   }
 
-  // Decodes the emitted MASM into `stub->code`: thunks from the extracted
-  // table, labels resolved, register operands checked against the file.
-  Status Decode(const std::vector<uint8_t>& register_operands, CompiledStub* stub) const {
+  // Decodes the emitted MASM with labels resolved. Register operands need
+  // no check here: a runner fixes every one, and extraction refuses a
+  // register outside the file.
+  Status Decode(std::vector<MasmInstr>* code) const {
     for (int64_t target : labels_) {
       if (target == kUnbound) {
         return Status::Error("label left unbound at end of stub generation");
       }
     }
-    stub->code.reserve(emitted_.size());
+    code->reserve(emitted_.size());
     for (const Emitted& e : emitted_) {
-      const size_t op = static_cast<size_t>(e.op);
-      CompiledInstr out;
-      out.thunk = ix::kMASMThunks<StubHost>[op];
+      MasmInstr out;
+      out.op = static_cast<int>(e.op);
+      out.num_args = e.num_args;
       for (int i = 0; i < e.num_args; ++i) {
         int64_t v = e.args[i];
         if ((e.label_mask >> i) & 1) {
           v = labels_[static_cast<size_t>(v)];
-        } else if (((register_operands[op] >> i) & 1) && (v < 0 || v >= machine::kNumRegs)) {
-          return Status::Error(StrCat("MASM op ", op, ": register operand ", v, " out of range"));
         }
         out.args[i] = v;
       }
-      stub->code.push_back(out);
+      code->push_back(out);
     }
     return Status::Ok();
   }
@@ -351,7 +393,7 @@ class AttachHost final : public RuntimeHost {
   struct Emitted {
     ix::MASMOp op;
     int num_args = 0;
-    int64_t args[CompiledInstr::kMaxArgs] = {};
+    int64_t args[MasmInstr::kMaxArgs] = {};
     uint8_t label_mask = 0;
 
     void Add(ix::Label label) {
@@ -389,19 +431,75 @@ IcCompiler::IcCompiler(const platform::Platform* platform)
                      StrCat("platform fingerprint ", fingerprint, " differs from ",
                             ix::kPlatformFingerprint,
                             ", the platform the VM's IC code was extracted from"));
-  for (const auto& op : masm_->ops) {
-    uint8_t mask = 0;
-    for (size_t i = 0; i < op->params.size(); ++i) {
-      const ast::Type* type = op->params[i].type;
-      if (!op->params[i].is_label && (type->name() == "Reg" || type->name() == "ValueReg")) {
-        mask = static_cast<uint8_t>(mask | (1u << i));
-      }
-    }
-    register_operands_.push_back(mask);
-  }
   for (size_t i = 0; i < std::size(ix::kGenerators<AttachHost>); ++i) {
     generators_.emplace(ix::kGenerators<AttachHost>[i].name, i);
   }
+  const auto& table = ix::kStubRunners<StubHost>;
+  for (size_t i = 0; i < std::size(table); ++i) {
+    const ix::StubRunnerEntry<StubHost>& entry = table[i];
+    std::vector<int> ops;
+    for (int k = 0; k < entry.num_ops; ++k) {
+      ops.push_back(static_cast<int>(entry.ops[k]));
+    }
+    runners_[RunnerKey(ops, entry.input_regs, static_cast<size_t>(entry.num_inputs))].push_back(i);
+  }
+  for (auto& [key, candidates] : runners_) {
+    std::stable_sort(candidates.begin(), candidates.end(), [&](size_t a, size_t b) {
+      return table[a].num_fixed > table[b].num_fixed;
+    });
+  }
+}
+
+CompiledStub IcCompiler::Compile(const std::string& generator,
+                                 const std::vector<MasmInstr>& code,
+                                 std::vector<int> operand_regs) const {
+  std::vector<int> ops;
+  ops.reserve(code.size());
+  size_t num_operands = 0;
+  for (const MasmInstr& instr : code) {
+    ICARUS_REQUIRE_MSG(instr.op >= 0 && static_cast<size_t>(instr.op) < masm_->ops.size() &&
+                           static_cast<size_t>(instr.num_args) ==
+                               masm_->ops[static_cast<size_t>(instr.op)]->params.size(),
+                       "malformed MASM instruction");
+    ops.push_back(instr.op);
+    num_operands += static_cast<size_t>(instr.num_args);
+  }
+  CompiledStub stub;
+  stub.operands.reserve(num_operands);
+  for (const MasmInstr& instr : code) {
+    stub.operands.insert(stub.operands.end(), instr.args, instr.args + instr.num_args);
+  }
+  auto it = runners_.find(RunnerKey(ops, operand_regs.data(), operand_regs.size()));
+  if (it != runners_.end()) {
+    for (size_t index : it->second) {
+      const ix::StubRunnerEntry<StubHost>& entry = ix::kStubRunners<StubHost>[index];
+      if (std::all_of(entry.fixed, entry.fixed + entry.num_fixed, [&](const ix::FixedOperand& f) {
+            return stub.operands[static_cast<size_t>(f.index)] == f.value;
+          })) {
+        stub.runner = kStubEntryPoints[index];
+        stub.operand_regs = std::move(operand_regs);
+        stub.generator = generator;
+        return stub;
+      }
+    }
+  }
+  std::vector<std::string> listing;
+  for (const MasmInstr& instr : code) {
+    std::vector<std::string> args;
+    for (int i = 0; i < instr.num_args; ++i) {
+      args.push_back(StrCat(instr.args[i]));
+    }
+    listing.push_back(
+        StrCat(masm_->ops[static_cast<size_t>(instr.op)]->name, "(", Join(args, ", "), ")"));
+  }
+  std::vector<std::string> regs;
+  for (int reg : operand_regs) {
+    regs.push_back(StrCat(reg));
+  }
+  throw InternalError(StrCat("refusing ", generator, "'s stub [", Join(listing, " ; "),
+                             "] on input registers [", Join(regs, ", "),
+                             "]: no attached path of the verifier's symbolic meta-execution "
+                             "emitted this instruction list"));
 }
 
 StatusOr<std::optional<CompiledStub>> IcCompiler::TryAttach(
@@ -418,8 +516,7 @@ StatusOr<std::optional<CompiledStub>> IcCompiler::TryAttach(
   }
 
   AttachHost host(runtime);
-  CompiledStub stub;
-  stub.generator = generator_name;
+  std::vector<int> operand_regs;
   std::vector<int64_t> raw_args;
   raw_args.reserve(args.size());
   for (const ConcreteArg& arg : args) {
@@ -433,7 +530,7 @@ StatusOr<std::optional<CompiledStub>> IcCompiler::TryAttach(
         if (!reg.ok()) {
           return reg.status();
         }
-        stub.operand_regs.push_back(reg.value());
+        operand_regs.push_back(reg.value());
         raw_args.push_back(id);
         break;
       }
@@ -445,44 +542,25 @@ StatusOr<std::optional<CompiledStub>> IcCompiler::TryAttach(
   if (generator.run(host, raw_args.data()) != ix::AttachDecision::kAttach) {
     return std::optional<CompiledStub>();
   }
-  ICARUS_RETURN_IF_ERROR(host.Decode(register_operands_, &stub));
-  return std::optional<CompiledStub>(std::move(stub));
+  std::vector<MasmInstr> code;
+  ICARUS_RETURN_IF_ERROR(host.Decode(&code));
+  return std::optional<CompiledStub>(Compile(generator_name, code, std::move(operand_regs)));
 }
 
 StubEngine::StubEngine(const ast::LanguageDecl* masm) {
-  ICARUS_REQUIRE_MSG(masm != nullptr && masm->ops.size() == std::size(ix::kMASMThunks<StubHost>),
-                     "MASM language does not match the extracted thunk table");
+  bool same = masm != nullptr && masm->ops.size() == std::size(ix::kMASMOpNames);
+  for (size_t i = 0; same && i < masm->ops.size(); ++i) {
+    same = masm->ops[i]->name == ix::kMASMOpNames[i];
+  }
+  ICARUS_REQUIRE_MSG(same, "MASM language does not match the extracted header");
 }
 
 StubOutcome StubEngine::Run(Runtime* runtime, const CompiledStub& stub, const JsValue* operands,
                             int num_operands, JsValue* result) const {
   ICARUS_REQUIRE_MSG(num_operands == static_cast<int>(stub.operand_regs.size()),
                      "operand count does not match the compiled stub");
-  StubHost host(runtime);
-  for (int i = 0; i < num_operands; ++i) {
-    host.regs[stub.operand_regs[static_cast<size_t>(i)]] = operands[i].raw();
-  }
-  const CompiledInstr* code = stub.code.data();
-  const int64_t n = static_cast<int64_t>(stub.code.size());
-  int64_t pc = 0;
-  for (int steps = 0; pc < n; ++steps) {
-    if (steps == kMaxStubSteps) {
-      return StubOutcome::kBail;  // Runaway stub: treat as bail.
-    }
-    const CompiledInstr& instr = code[pc];
-    const int64_t next = instr.thunk(host, instr.args);
-    if (next == ix::kFallThrough) {
-      ++pc;
-    } else if (next >= 0) {
-      pc = next;
-    } else if (next == ix::kStubReturn) {
-      *result = JsValue::FromRaw(host.regs[machine::kOutputReg]);
-      return StubOutcome::kReturn;
-    } else {
-      return StubOutcome::kBail;  // The failure label.
-    }
-  }
-  return StubOutcome::kBail;  // Fell off the end without a Return.
+  return stub.runner(runtime, operands, stub.operands.data(), result) ? StubOutcome::kReturn
+                                                                      : StubOutcome::kBail;
 }
 
 }  // namespace icarus::vm

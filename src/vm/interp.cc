@@ -220,7 +220,9 @@ bool Interpreter::TryIcarusStubs(IcSite* site, const JsValue* operands, int num_
 
 bool Interpreter::TryNativeStubs(IcSite* site, const JsValue* operands, int num_operands,
                                  JsValue* out) {
-  for (const NativeStub& stub : site->native_stubs) {
+  // A guard that fails `continue`s, and the loop's increment counts the bail.
+  for (size_t i = 0; i < site->native_stubs.size(); ++i, ++stats_.ic_bails) {
+    const NativeStub& stub = site->native_stubs[i];
     switch (stub.kind) {
       case NativeStub::Kind::kGetPropFixedSlot:
       case NativeStub::Kind::kGetPropDynamicSlot: {
@@ -478,7 +480,8 @@ void Interpreter::AttachIcarus(IcSite* site, const BytecodeInstr& instr,
   // A candidate whose stub the site already holds is skipped: that stub just
   // bailed on these operands, and a second copy would bail on every trip
   // too (a dense-element stub on an arguments object, say). The next
-  // candidate gets its turn.
+  // candidate gets its turn. The new stub goes first, as in SpiderMonkey:
+  // the stubs before it just failed on these operands.
   for (const auto& [generator, args] : candidates) {
     StatusOr<std::optional<CompiledStub>> attached =
         ic_compiler_->TryAttach(runtime_, generator, args);
@@ -489,7 +492,7 @@ void Interpreter::AttachIcarus(IcSite* site, const BytecodeInstr& instr,
                     [&](const CompiledStub& held) { return held.SameCode(*stub); })) {
       continue;
     }
-    site->icarus_stubs.push_back(std::move(*stub));
+    site->icarus_stubs.insert(site->icarus_stubs.begin(), std::move(*stub));
     ++stats_.stubs_attached;
     return;
   }
@@ -498,8 +501,9 @@ void Interpreter::AttachIcarus(IcSite* site, const BytecodeInstr& instr,
 
 void Interpreter::AttachNative(IcSite* site, const BytecodeInstr& instr,
                                const JsValue* operands) {
+  // Newest first, like AttachIcarus.
   auto push = [&](NativeStub stub) {
-    site->native_stubs.push_back(stub);
+    site->native_stubs.insert(site->native_stubs.begin(), stub);
     ++stats_.stubs_attached;
   };
   switch (instr.op) {

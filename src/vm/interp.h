@@ -5,8 +5,12 @@
 //             them (the "No ICARUS" arm of Figure 13);
 //   kIcarus — stubs attached and run by the verified Icarus code itself,
 //             extracted to C++ at build time (ic.h): the extracted generator
-//             and compiler emit MASM, and StubEngine runs it through the
-//             extracted MASM semantics (the "ICARUS" arm of Figure 13).
+//             and compiler emit MASM, and a hit is one call into the
+//             straight-line runner the build compiled for that MASM from
+//             the extracted MASM semantics (the "ICARUS" arm of Figure 13).
+//
+// Both IC arms put a newly attached stub in front of a site's older ones,
+// as SpiderMonkey does: the older stubs just failed on these operands.
 //
 // All three strategies share the same slow path, so differential runs across
 // strategies are the conformance oracle (§4.5's jstests analogue).

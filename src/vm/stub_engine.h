@@ -1,10 +1,12 @@
 // Executor for compiled IC stubs.
 //
-// A CompiledStub is the MASM buffer an attach emitted, decoded once into
-// (thunk, baked operands) pairs; each thunk calls the extracted
-// interp_MASM_<op>, the verified MASM semantics compiled in as C++. Run
-// walks that array over a register file and value stack that live in its
-// own stack frame, so one engine serves any number of concurrent runs. Its
+// A CompiledStub is the MASM buffer an attach emitted, bound to its stub
+// runner: the straight-line C++ function the build compiled for that
+// instruction list from an attached path of the verifier's symbolic
+// meta-execution, with every extracted interp_MASM_<op> inlined and the
+// operands that were constants on the path as literals. Run makes one call
+// into it per hit; the runner keeps the register file and value stack in
+// its own frame, so one engine serves any number of concurrent runs. Its
 // definition sits with the binding layer in ic.cc. A contract the stub
 // violates throws icarus::InternalError naming it.
 #ifndef ICARUS_VM_STUB_ENGINE_H_
@@ -24,7 +26,7 @@ enum class StubOutcome {
 class StubEngine {
  public:
   // `masm` is the platform's MASM language, the one stubs are decoded
-  // against; it must have exactly the ops the extracted thunk table has.
+  // against; it must have exactly the ops of the extracted header.
   explicit StubEngine(const ast::LanguageDecl* masm);
 
   // Executes `stub`. `operands[i]` is loaded into the stub's i-th input

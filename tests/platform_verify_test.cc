@@ -1,6 +1,8 @@
 // End-to-end verification tests over the SpiderMonkey platform: all 21
 // Figure-12 generators verify, every Figure-14 buggy variant yields a
-// counterexample and every fixed variant verifies.
+// counterexample and every fixed variant verifies. The attached-path hook
+// the C++ extraction backend compiles stub runners from sees every attached
+// path and changes no verdict.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -118,6 +120,38 @@ INSTANTIATE_TEST_SUITE_P(AllBugs, Fig14Test, ::testing::Range(0, 6),
                            return std::string("Bug") +
                                   Bugs()[static_cast<size_t>(info.param)].id;
                          });
+
+TEST_F(PlatformVerifyTest, AttachedPathHookSeesEveryAttachedPathAndChangesNothing) {
+  int total_calls = 0;
+  int total_attached = 0;
+  for (const ast::FunctionDecl* gen : platform_->module().Generators()) {
+    meta::MetaResult plain = Verify(gen->name);
+
+    StatusOr<meta::MetaStub> stub = platform_->MakeMetaStub(gen->name);
+    ASSERT_TRUE(stub.ok()) << stub.status().message();
+    meta::MetaExecutor executor(&platform_->module(), &platform_->externs());
+    int calls = 0;
+    executor.set_attached_path_hook([&](exec::EvalContext& ctx) {
+      ++calls;
+      EXPECT_TRUE(ctx.emits().CheckAllBound().ok()) << gen->name;
+      EXPECT_FALSE(ctx.emits().target.empty()) << gen->name;
+    });
+    meta::MetaResult hooked = executor.Run(stub.value());
+
+    EXPECT_EQ(calls, hooked.paths_attached) << gen->name;
+    EXPECT_EQ(hooked.paths_explored, plain.paths_explored) << gen->name;
+    EXPECT_EQ(hooked.paths_attached, plain.paths_attached) << gen->name;
+    EXPECT_EQ(hooked.solver_queries, plain.solver_queries) << gen->name;
+    EXPECT_EQ(hooked.verified, plain.verified) << gen->name;
+    EXPECT_EQ(hooked.inconclusive, plain.inconclusive) << gen->name;
+    EXPECT_EQ(hooked.violations.size(), plain.violations.size()) << gen->name;
+    total_calls += calls;
+    total_attached += plain.paths_attached;
+  }
+  EXPECT_EQ(platform_->module().Generators().size(), 38u);
+  EXPECT_EQ(total_calls, total_attached);
+  EXPECT_EQ(total_calls, 389);
+}
 
 }  // namespace
 }  // namespace icarus::platform

@@ -1,11 +1,13 @@
 // Mini-JS VM tests: value encoding, runtime semantics, IC attachment and
-// stub runs through the extracted verified code, live contracts, and the
-// differential conformance sweep (every IC strategy must agree with the slow
-// path — the analogue of §4.5's jstests/jit-tests run).
+// stub runs through the extracted verified code, live contracts, the refusal
+// of a stub no verified path emitted, and the differential conformance sweep
+// (every IC strategy must agree with the slow path — the analogue of §4.5's
+// jstests/jit-tests run).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "src/machine/machine_state.h"
 #include "src/support/rng.h"
 #include "src/vm/interp.h"
 #include "src/vm/workloads.h"
@@ -237,7 +239,8 @@ TEST_F(VmIcTest, ArgumentsObjectSiteAttachesArgumentsStub) {
   // tryAttachDenseElement accepts an arguments object (it is native) but its
   // stub's initialized-length check fails on every trip: the elements live
   // out of line. The site must not attach that stub again; the next
-  // candidate, tryAttachArgumentsObjectArg, serves the later trips.
+  // candidate, tryAttachArgumentsObjectArg, serves the later trips, and it
+  // goes in front of the dense stub, so that one never runs again.
   Runtime rt;
   uint32_t args = rt.NewArgumentsObject({JsValue::Int32(10), JsValue::Int32(20)});
   ProgramBuilder b("args[1]");
@@ -252,7 +255,25 @@ TEST_F(VmIcTest, ArgumentsObjectSiteAttachesArgumentsStub) {
   EXPECT_EQ(stats.stubs_attached, 2);  // The dense stub once, then the arguments stub.
   EXPECT_EQ(stats.ic_misses, 2);
   EXPECT_EQ(stats.ic_hits, kTrips - 2);
-  EXPECT_EQ(stats.ic_bails, kTrips - 1);  // Only the dense stub bails, once a trip.
+  EXPECT_EQ(stats.ic_bails, 1);  // The dense stub, on the second trip only.
+}
+
+TEST_F(VmIcTest, RefusesAnInstructionListNoPathEmitted) {
+  // Every attached path of every generator is at least three instructions
+  // long, so no runner was compiled for this list: the VM must not run it.
+  auto op = [&](const std::string& name) {
+    return compiler_->masm()->FindOp(name)->index;
+  };
+  MasmInstr store{op("StoreUndefinedResult"), 1, {machine::kOutputReg}};
+  MasmInstr ret{op("Return"), 0, {}};
+  try {
+    compiler_->Compile("tryAttachInt32Add", {store, ret}, {0, 1});
+    ADD_FAILURE() << "an instruction list no verified path emitted was accepted";
+  } catch (const InternalError& e) {
+    std::string message = e.what();
+    EXPECT_NE(message.find("tryAttachInt32Add"), std::string::npos) << message;
+    EXPECT_NE(message.find("StoreUndefinedResult(7) ; Return()"), std::string::npos) << message;
+  }
 }
 
 TEST(IcCompilerTest, RefusesAPlatformTheCodeWasNotExtractedFrom) {
@@ -276,6 +297,10 @@ TEST(IcCompilerTest, RefusesAPlatformTheCodeWasNotExtractedFrom) {
 }
 
 // --- Differential conformance: all strategies agree on all workloads ---
+//
+// TryAttach throws on a stub whose instruction list has no runner, so these
+// runs (the five Fig. 13 workloads and the randomized sweep) also check that
+// every stub they attach was emitted by an explored SME path.
 
 class VmConformanceTest : public VmIcTest, public ::testing::WithParamInterface<int> {};
 
