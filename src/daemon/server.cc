@@ -8,7 +8,6 @@
 
 #include <sys/stat.h>
 
-#include "src/ast/fingerprint.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -17,9 +16,8 @@
 #include "src/support/net.h"
 #include "src/support/str_util.h"
 #include "src/support/timing.h"
-#include "src/sym/cache_store.h"
 #include "src/verifier/batch_verifier.h"
-#include "src/verifier/verifier.h"
+#include "src/verifier/session.h"
 
 namespace icarus::daemon {
 
@@ -30,21 +28,17 @@ bool FileExists(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0;
 }
 
-bool IsDecisive(const std::string& outcome) {
-  return outcome == verifier::OutcomeName(verifier::Outcome::kVerified) ||
-         outcome == verifier::OutcomeName(verifier::Outcome::kRefuted) ||
-         outcome == verifier::OutcomeName(verifier::Outcome::kCachedSafe);
-}
-
-Response ResponseFromRecord(const verifier::JournalRecord& rec) {
+// The response that serves one verdict row.
+Response ResponseFromResult(const verifier::GeneratorResult& result) {
   Response resp;
   resp.status = kStatusOk;
-  resp.generator = rec.generator;
-  resp.outcome = rec.outcome;
-  resp.error = rec.error;
-  resp.cached = true;
-  resp.paths = rec.paths;
-  resp.queries = rec.queries;
+  resp.generator = result.generator;
+  resp.outcome = verifier::OutcomeName(result.outcome);
+  resp.error = result.error;
+  resp.cached = result.outcome == verifier::Outcome::kCachedSafe;
+  resp.seconds = result.seconds;
+  resp.paths = result.report.meta.paths_explored;
+  resp.queries = result.report.meta.solver_queries;
   return resp;
 }
 
@@ -65,7 +59,6 @@ obs::Histogram* OpHistogram(const std::string& op) {
 // the ticket outlives every reference to it.
 struct ServerCore::Ticket {
   Request request;
-  std::string unit_fp;
   std::atomic<bool> cancel{false};
   std::promise<Response> promise;
 };
@@ -109,79 +102,33 @@ Status ServerCore::Start() {
   if (started_) {
     return Status::Error("ServerCore::Start called twice");
   }
-
-  // Persistent stores, guarded by the advisory cache lock. A second writer
-  // (another daemon, a concurrent `verify-all --incremental`) degrades this
-  // instance to a read-only view: it still warms from the stores but never
-  // writes them back, so the lock holder's saves are not clobbered.
-  if (options_.incremental) {
-    Status dir = verifier::EnsureCacheDir(options_.cache_dir);
-    if (!dir.ok()) {
-      notes_.push_back(StrCat(dir.message(), "; running without persistence"));
-    } else {
-      persistence_enabled_ = true;
-      FileLock::Result lock = FileLock::TryExclusive(options_.cache_dir + "/lock");
-      if (lock.state == FileLock::State::kAcquired) {
-        cache_lock_ = std::move(lock.lock);
-      } else {
-        read_only_cache_ = true;
-        notes_.push_back(StrCat(lock.message, "; cache degraded to read-only"));
-        if (obs::Enabled()) {
-          static obs::Counter* degraded = obs::Registry::Global().GetCounter(
-              "icarus_cache_readonly_degraded_total",
-              "Runs degraded to a read-only cache view by advisory-lock contention");
-          degraded->Add(1);
-        }
-      }
-      solver_store_path_ = verifier::SolverCacheStorePath(options_.cache_dir);
-      verifier::VerdictStore::LoadResult loaded =
-          store_.Load(verifier::VerdictStorePath(options_.cache_dir), verifier::kVerifierEpoch);
-      if (!loaded.note.empty()) {
-        notes_.push_back(loaded.note);
-      }
-    }
+  // The session's view of this service: its budget and persistence, with
+  // the journal both replayed (when it exists; a missing one is a cold
+  // start) and appended to.
+  verifier::BatchOptions session_options;
+  session_options.solver_limits = options_.solver_limits;
+  session_options.journal_path = options_.journal_path;
+  if (!options_.journal_path.empty() && FileExists(options_.journal_path)) {
+    session_options.resume_path = options_.journal_path;
   }
-  cache_ = std::make_unique<sym::SolverCache>();
-  if (persistence_enabled_ && !solver_store_path_.empty()) {
-    sym::CacheLoadResult loaded =
-        sym::LoadSolverCache(solver_store_path_, verifier::kVerifierEpoch, cache_.get());
-    if (!loaded.note.empty()) {
-      notes_.push_back(loaded.note);
-    }
+  session_options.incremental = options_.incremental;
+  session_options.cache_dir = options_.cache_dir;
+  session_options.cache_max_mb = options_.cache_max_mb;
+  std::vector<verifier::GeneratorResult> replayed;
+  StatusOr<std::unique_ptr<verifier::Session>> session =
+      verifier::Session::Open(platform_, session_options, &replayed);
+  if (!session.ok()) {
+    return session.status();
   }
-
-  // Journal: replay yesterday's verdicts into the warm view, then open for
-  // appending. Replay errors fail startup — serving from a journal we cannot
-  // trust would hand out wrong warm verdicts.
-  if (!options_.journal_path.empty()) {
-    fingerprint_ = platform_->Fingerprint();
-    if (FileExists(options_.journal_path)) {
-      StatusOr<std::vector<verifier::JournalRecord>> records =
-          verifier::ReadJournal(options_.journal_path, fingerprint_);
-      if (!records.ok()) {
-        return Status::Error(StrCat("cannot replay journal '", options_.journal_path,
-                                    "': ", records.status().message(),
-                                    " (remove or relocate the journal to start cold)"));
-      }
-      for (const verifier::JournalRecord& rec : records.value()) {
-        // As in batch resume: last record wins, and a row from another
-        // verifier epoch is left out, so a request verifies it again.
-        if (IsDecisive(rec.outcome) && rec.epoch == verifier::kVerifierEpoch) {
-          warm_[rec.generator] = ResponseFromRecord(rec);
-        }
-      }
-      counters_.replayed = static_cast<int64_t>(warm_.size());
-      if (!warm_.empty()) {
-        notes_.push_back(StrFormat("replayed %d warm verdicts from the journal",
-                                   static_cast<int>(warm_.size())));
-      }
+  session_ = session.take();
+  {
+    // The last decisive row per generator wins, so a later INCONCLUSIVE row
+    // does not hide an earlier verdict.
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const verifier::GeneratorResult& row : replayed) {
+      KeepWarm(row);
     }
-    StatusOr<std::unique_ptr<verifier::JournalWriter>> writer =
-        verifier::JournalWriter::Open(options_.journal_path);
-    if (!writer.ok()) {
-      return writer.status();
-    }
-    journal_ = writer.take();
+    counters_.replayed = static_cast<int64_t>(warm_.size());
   }
 
   workers_.reserve(options_.jobs);
@@ -192,25 +139,34 @@ Status ServerCore::Start() {
   return Status::Ok();
 }
 
-std::string ServerCore::UnitFingerprint(const std::string& generator) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = unit_fp_cache_.find(generator);
-    if (it != unit_fp_cache_.end()) {
-      return it->second;
+std::vector<std::string> ServerCore::notes() const {
+  std::vector<std::string> out;
+  if (session_ != nullptr) {
+    out = session_->notes();
+    // Verdicts stay correct and serving goes on; the durability gap shows.
+    Status journaled = session_->journal_status();
+    if (!journaled.ok()) {
+      out.push_back(journaled.message());
     }
   }
-  // An unfingerprintable name stays empty: never matched against the store,
-  // never stored (the verification itself reports the unknown-generator
-  // error).
-  std::string fp;
-  StatusOr<ast::Fingerprint> computed = ast::UnitFingerprint(platform_->module(), generator);
-  if (computed.ok()) {
-    fp = computed.value().ToHex();
-  }
   std::lock_guard<std::mutex> lock(mu_);
-  unit_fp_cache_[generator] = fp;
-  return fp;
+  if (counters_.replayed > 0) {
+    out.push_back(StrFormat("replayed %d warm verdicts from the journal",
+                            static_cast<int>(counters_.replayed)));
+  }
+  return out;
+}
+
+void ServerCore::KeepWarm(const verifier::GeneratorResult& result) {
+  if (result.outcome != verifier::Outcome::kVerified &&
+      result.outcome != verifier::Outcome::kRefuted &&
+      result.outcome != verifier::Outcome::kCachedSafe) {
+    return;
+  }
+  Response warm = ResponseFromResult(result);
+  warm.cached = true;
+  warm.seconds = 0;
+  warm_[result.generator] = std::move(warm);
 }
 
 void ServerCore::UpdateGauges() {
@@ -224,22 +180,6 @@ void ServerCore::UpdateGauges() {
   std::lock_guard<std::mutex> lock(mu_);
   depth->Set(static_cast<int64_t>(queue_.size()));
   in_flight->Set(static_cast<int64_t>(active_.size()));
-}
-
-void ServerCore::AppendJournal(const verifier::JournalRecord& record) {
-  if (journal_ == nullptr) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(journal_mu_);
-  Status st = journal_->Append(record);
-  if (!st.ok()) {
-    // The service keeps serving — verdicts remain correct — but the
-    // durability gap is visible in the notes and stats.
-    std::lock_guard<std::mutex> note_lock(mu_);
-    if (notes_.empty() || notes_.back() != st.message()) {
-      notes_.push_back(st.message());
-    }
-  }
 }
 
 Response ServerCore::Execute(const Request& request) {
@@ -365,9 +305,6 @@ Response ServerCore::ExecuteVerify(const Request& request) {
 
   Ticket ticket;
   ticket.request = request;
-  if (options_.incremental && persistence_enabled_) {
-    ticket.unit_fp = UnitFingerprint(request.generator);
-  }
   std::future<Response> future = ticket.promise.get_future();
   try {
     ICARUS_FAILPOINT(failpoint::kDaemonEnqueue);
@@ -441,8 +378,8 @@ void ServerCore::WorkerLoop() {
     try {
       resp = ServeVerify(ticket);
     } catch (const std::exception& e) {
-      // ServeVerify contains verification crashes itself; this net catches a
-      // fault in the serving bookkeeping around it. The promise must be
+      // The session contains verification crashes; this net catches a fault
+      // in the serving bookkeeping around it. The promise must be
       // fulfilled either way — the Execute() caller is blocked on it.
       resp = Response{};
       resp.status = kStatusError;
@@ -460,104 +397,37 @@ void ServerCore::WorkerLoop() {
 Response ServerCore::ServeVerify(Ticket* ticket) {
   const Request& request = ticket->request;
   obs::ScopedSpan verify_span("daemon.verify", request.generator);
-  Response resp;
-  resp.status = kStatusOk;
-  resp.generator = request.generator;
+  // The session answers CACHED_SAFE for an unchanged unit whose PASS is
+  // stored under this budget, as `verify-all --incremental` does. Otherwise
+  // it verifies inside its containment boundary, where the daemon-dispatch
+  // fail point fires: a crash becomes this request's INTERNAL_ERROR and
+  // nothing else's. Either way the row is journaled.
+  verifier::GeneratorResult result =
+      session_->Verify(request.generator, &ticket->cancel, failpoint::kDaemonDispatch);
+  Response resp = ResponseFromResult(result);
+  const bool cached_safe = result.outcome == verifier::Outcome::kCachedSafe;
+  const bool crashed = result.outcome == verifier::Outcome::kInternalError;
 
-  verifier::GeneratorResult result;
-  result.generator = request.generator;
-  result.unit_fp = ticket->unit_fp;
-  result.budget_decisions = options_.solver_limits.max_decisions;
-
-  // Persistent-store hit: an unchanged unit previously VERIFIED under this
-  // exact budget — same contract as `verify-all --incremental`.
-  if (!ticket->unit_fp.empty() &&
-      store_.FindPass(request.generator, ticket->unit_fp, options_.solver_limits) != nullptr) {
-    result.outcome = verifier::Outcome::kCachedSafe;
-    resp.outcome = verifier::OutcomeName(result.outcome);
-    resp.cached = true;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++counters_.cached_safe;
-      ++counters_.served;
-      warm_[request.generator] = [&] {
-        Response cached = resp;
-        cached.cached = true;
-        return cached;
-      }();
-    }
-    AppendJournal(verifier::RecordFromResult(result, fingerprint_));
-    return resp;
-  }
-
-  WallTimer timer;
-  // Containment boundary: a crash inside one request's verification (a
-  // genuine bug or the daemon-dispatch fail point) becomes that request's
-  // INTERNAL_ERROR response; the worker, the queue, and every other request
-  // are untouched.
-  try {
-    ICARUS_FAILPOINT(failpoint::kDaemonDispatch);
-    verifier::VerifyOptions vopts;
-    vopts.solver_cache = cache_.get();
-    vopts.solver_limits = options_.solver_limits;
-    vopts.cancel = &ticket->cancel;
-    result = verifier::VerifyOne(platform_, request.generator, vopts);
-  } catch (const std::exception& e) {
-    result.seconds = timer.ElapsedSeconds();
-    result.outcome = verifier::Outcome::kInternalError;
-    result.error = e.what();
-  }
-  // VerifyOne's row carries no store identity; stamp it as above.
-  result.unit_fp = ticket->unit_fp;
-  result.budget_decisions = options_.solver_limits.max_decisions;
-
-  resp.outcome = verifier::OutcomeName(result.outcome);
-  resp.error = result.error;
-  resp.seconds = result.seconds;
-  resp.paths = result.report.meta.paths_explored;
-  resp.queries = result.report.meta.solver_queries;
-
-  if (obs::Enabled()) {
-    static obs::Histogram* seconds = obs::Registry::Global().GetHistogram(
-        "icarus_daemon_request_seconds", "Verify-request service time (queue wait excluded)");
-    seconds->Observe(result.seconds);
-  }
-  MaybeLogSlow(request, result);
-
-  if (result.outcome == verifier::Outcome::kInternalError) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++counters_.internal_errors;
-    }
+  if (!cached_safe) {
     if (obs::Enabled()) {
-      static obs::Counter* contained = obs::Registry::Global().GetCounter(
-          "icarus_daemon_contained_faults_total",
-          "Request crashes contained to an INTERNAL_ERROR response");
-      contained->Add(1);
+      static obs::Histogram* seconds = obs::Registry::Global().GetHistogram(
+          "icarus_daemon_request_seconds", "Verify-request service time (queue wait excluded)");
+      seconds->Observe(result.seconds);
     }
+    MaybeLogSlow(request, result);
+  }
+  if (crashed && obs::Enabled()) {
+    static obs::Counter* contained = obs::Registry::Global().GetCounter(
+        "icarus_daemon_contained_faults_total",
+        "Request crashes contained to an INTERNAL_ERROR response");
+    contained->Add(1);
   }
 
-  bool decisive = result.outcome == verifier::Outcome::kVerified ||
-                  result.outcome == verifier::Outcome::kRefuted;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.served;
-    if (decisive) {
-      Response cached = resp;
-      cached.cached = true;
-      cached.seconds = 0;
-      warm_[request.generator] = std::move(cached);
-    }
-  }
-  if (result.outcome == verifier::Outcome::kVerified && persistence_enabled_ &&
-      !read_only_cache_ && !ticket->unit_fp.empty()) {
-    verifier::JournalRecord pass = verifier::RecordFromResult(result, verifier::kVerifierEpoch);
-    std::lock_guard<std::mutex> lock(mu_);
-    store_.Put(pass);  // In-memory: later requests hit CACHED_SAFE.
-  }
-  // Journal every verdict (fsync'd): the next daemon instance replays the
-  // decisive ones into its warm view.
-  AppendJournal(verifier::RecordFromResult(result, fingerprint_));
+  std::lock_guard<std::mutex> lock(mu_);
+  ++counters_.served;
+  counters_.cached_safe += cached_safe ? 1 : 0;
+  counters_.internal_errors += crashed ? 1 : 0;
+  KeepWarm(result);
   return resp;
 }
 
@@ -608,29 +478,12 @@ Status ServerCore::FinishDrain() {
   // store save machinery); it surfaces as a drain error, never a crash.
   try {
     ICARUS_FAILPOINT(failpoint::kDaemonDrain);
-    if (persistence_enabled_ && !read_only_cache_) {
-      Status saved = store_.Save(verifier::VerdictStorePath(options_.cache_dir));
-      if (!saved.ok()) {
-        status = saved;
-      }
-      if (cache_ != nullptr && !solver_store_path_.empty()) {
-        Status cache_saved =
-            sym::SaveSolverCache(*cache_, solver_store_path_, verifier::kVerifierEpoch,
-                                 options_.cache_max_mb * 1024 * 1024);
-        if (!cache_saved.ok() && status.ok()) {
-          status = cache_saved;
-        }
-      }
+    if (session_ != nullptr) {
+      status = session_->Close();
     }
   } catch (const std::exception& e) {
     status = Status::Error(StrCat("drain fault: ", e.what()));
   }
-  // The journal is fsync'd per record; closing it here releases the handle.
-  {
-    std::lock_guard<std::mutex> lock(journal_mu_);
-    journal_.reset();
-  }
-  cache_lock_.reset();
   return status;
 }
 
@@ -641,9 +494,11 @@ DaemonStats ServerCore::StatsSnapshot() const {
     stats = counters_;
     stats.queue_depth = static_cast<int>(queue_.size());
     stats.in_flight = static_cast<int>(active_.size());
-    stats.store_entries = static_cast<int64_t>(store_.size());
   }
-  stats.read_only_cache = read_only_cache_;
+  if (session_ != nullptr) {
+    stats.read_only_cache = session_->read_only();
+    stats.store_entries = static_cast<int64_t>(session_->store_entries());
+  }
   return stats;
 }
 

@@ -2,15 +2,16 @@
 // service.
 //
 // One ServerCore owns the warm state a long-lived service exists to keep:
-// the loaded Platform, the shared solver-result cache, the persistent
-// verdict store, a warm verdict view (generator → last decisive verdict,
-// restored from the journal on startup), and the worker pool that executes
-// verify requests. Transports (the Unix-socket loop in
-// tools/icarusd_main.cc, in-process tests) parse requests off the wire and
-// call the synchronous, thread-safe `Execute()` — one call per request,
-// blocking until that request's response is ready. Each connection thread
-// therefore paces its own client (responses per connection stay in request
-// order) while independent connections proceed concurrently.
+// the loaded Platform, a verifier::Session (solver-result cache, verdict
+// store, journal and per-unit path, as `verify-all` uses them), a warm
+// verdict view (generator → last decisive verdict, restored from the journal
+// on startup), and the worker pool that executes verify requests. Transports
+// (the Unix-socket loop in tools/icarusd_main.cc, in-process tests) parse
+// requests off the wire and call the synchronous, thread-safe `Execute()` —
+// one call per request, blocking until that request's response is ready.
+// Each connection thread therefore paces its own client (responses per
+// connection stay in request order) while independent connections proceed
+// concurrently.
 //
 // Request lifecycle inside Execute():
 //
@@ -22,14 +23,14 @@
 //                             ticket's cancel flag → INCONCLUSIVE
 //
 // Failure domains: a request that throws (a genuine bug or an injected
-// fault at daemon-dispatch) burns only itself — the worker catches at the
-// boundary and answers INTERNAL_ERROR for that request; the next request
-// for the same target runs normally. Drain (BeginDrain/FinishDrain)
+// fault at daemon-dispatch) burns only itself — the session catches at the
+// boundary and the worker answers INTERNAL_ERROR for that request; the next
+// request for the same target runs normally. Drain (BeginDrain/FinishDrain)
 // stops admission, fails queued tickets fast with SHUTTING_DOWN, cancels
-// in-flight work, then saves the persistent stores. The journal is fsync'd
-// per record at append time, so a crash loses at most the record being
-// written and a restarted daemon replays the journal back into an identical
-// warm view.
+// in-flight work, then closes the session, saving the persistent stores.
+// The journal is fsync'd per record at append time, so a crash loses at most
+// the record being written and a restarted daemon replays the journal back
+// into an identical warm view.
 #ifndef ICARUS_DAEMON_SERVER_H_
 #define ICARUS_DAEMON_SERVER_H_
 
@@ -47,15 +48,12 @@
 
 #include "src/daemon/protocol.h"
 #include "src/platform/platform.h"
-#include "src/support/file_lock.h"
 #include "src/support/status.h"
 #include "src/sym/solver.h"
-#include "src/sym/solver_cache.h"
-#include "src/verifier/journal.h"
-#include "src/verifier/verdict_store.h"
 
 namespace icarus::verifier {
 struct GeneratorResult;
+class Session;
 }  // namespace icarus::verifier
 
 namespace icarus::daemon {
@@ -118,10 +116,11 @@ class ServerCore {
   ServerCore(const ServerCore&) = delete;
   ServerCore& operator=(const ServerCore&) = delete;
 
-  // Loads the persistent stores (taking the advisory cache lock), replays
-  // the journal into the warm view, opens the journal for appending, and
-  // spawns the worker pool. Errors (unreadable journal, mismatched platform
-  // fingerprint) fail startup; store problems degrade with a note.
+  // Opens the verification session (persistent stores under the advisory
+  // cache lock, the journal for appending), replays the journal's decisive
+  // rows into the warm view, and spawns the worker pool. A missing journal
+  // means a cold start; an unreadable one, or one written for another
+  // platform, fails startup. Store problems degrade with a note.
   Status Start();
 
   // Serves one request, blocking until its response is ready. Thread-safe;
@@ -134,9 +133,10 @@ class ServerCore {
   // transport thread.
   void BeginDrain();
 
-  // Joins the workers and durably saves the persistent stores. Call after
-  // BeginDrain once the transport has stopped feeding Execute. Returns the
-  // first drain error (store save failure, injected daemon-drain fault).
+  // Joins the workers and closes the session, which durably saves the
+  // persistent stores. Call after BeginDrain once the transport has stopped
+  // feeding Execute. Returns the drain error (store save failures, injected
+  // daemon-drain fault).
   Status FinishDrain();
 
   bool draining() const { return draining_.load(std::memory_order_acquire); }
@@ -146,15 +146,15 @@ class ServerCore {
   }
 
   DaemonStats StatsSnapshot() const;
-  // Startup diagnostics (store-load notes, read-only degradation, replay
-  // summary); the transport logs them.
-  const std::vector<std::string>& notes() const { return notes_; }
+  // Diagnostics: store-load notes, read-only degradation, the first journal
+  // append failure, and the replay summary; the transport logs them.
+  std::vector<std::string> notes() const;
 
  private:
   struct Ticket;
 
-  // Runs one verify ticket to a response (worker thread; containment
-  // boundary lives here).
+  // Runs one verify ticket to a response through the session (worker
+  // thread).
   Response ServeVerify(Ticket* ticket);
   Response ExecuteVerify(const Request& request);
   // The `metrics` op: this process's registry as an exposition document.
@@ -163,15 +163,18 @@ class ServerCore {
   // options_.slow_ms, with per-stage cost attribution from the report.
   void MaybeLogSlow(const Request& request, const verifier::GeneratorResult& result);
   void WorkerLoop();
-  void AppendJournal(const verifier::JournalRecord& record);
-  std::string UnitFingerprint(const std::string& generator);
+  // Puts a decisive row (VERIFIED, COUNTEREXAMPLE, CACHED_SAFE) into the
+  // warm view; other rows are verified again on the next request. Requires
+  // mu_.
+  void KeepWarm(const verifier::GeneratorResult& result);
   void UpdateGauges();
 
   const platform::Platform* platform_;
   DaemonOptions options_;
 
-  // Serving state. `mu_` guards the queue, the active set, the warm view,
-  // and the counters; verification itself runs outside the lock.
+  // Serving state. `mu_` guards the queue, the active set, the worker stop
+  // flag, the warm view and the counters; verification itself runs outside
+  // the lock, and the session locks its own state.
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<Ticket*> queue_;
@@ -186,24 +189,11 @@ class ServerCore {
   // Service counters (guarded by mu_); StatsSnapshot fills in the gauges.
   DaemonStats counters_;
 
-  // Warm verification state.
-  std::unique_ptr<sym::SolverCache> cache_;
-  verifier::VerdictStore store_;
-  std::unique_ptr<FileLock> cache_lock_;
-  bool persistence_enabled_ = false;
-  bool read_only_cache_ = false;
-  std::string solver_store_path_;
-  std::map<std::string, std::string> unit_fp_cache_;  // Guarded by mu_.
-
-  // Journal (appends serialized by journal_mu_).
-  std::string fingerprint_;
-  std::mutex journal_mu_;
-  std::unique_ptr<verifier::JournalWriter> journal_;
+  // Opened by Start, closed by FinishDrain; kept for stats and notes.
+  std::unique_ptr<verifier::Session> session_;
 
   // Slow-request log appends (open/append/close per line; slow path only).
   std::mutex slow_mu_;
-
-  std::vector<std::string> notes_;
 };
 
 // Serves one accepted connection: a request line in, a response line out, in

@@ -92,19 +92,12 @@ sym::SolveResult EvalContext::SolveQuery(const std::vector<sym::ExprRef>& conjun
                                          bool want_model) {
   ++solver_queries_;
   WallTimer solve_timer;
-  sym::SolveResult r;
-  if (solver_ != nullptr) {
-    // Persistent solver: attribute cost by delta — its counters accumulate
-    // across every query of the run.
-    const int64_t decisions_before = solver_->stats().decisions;
-    r = solver_->Solve(conjuncts, want_model);
-    solver_decisions_ += solver_->stats().decisions - decisions_before;
-  } else {
-    sym::Solver solver;
-    solver.set_cache(solver_cache_);
-    r = solver.Solve(conjuncts, want_model);
-    solver_decisions_ += solver.stats().decisions;
-  }
+  ICARUS_REQUIRE_MSG(solver_ != nullptr, "symbolic query with no solver attached");
+  // The solver is persistent: attribute cost by delta — its counters
+  // accumulate across every query of the run.
+  const int64_t decisions_before = solver_->stats().decisions;
+  sym::SolveResult r = solver_->Solve(conjuncts, want_model);
+  solver_decisions_ += solver_->stats().decisions - decisions_before;
   solver_seconds_ += solve_timer.ElapsedSeconds();
   return r;
 }

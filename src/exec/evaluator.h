@@ -266,15 +266,12 @@ class EvalContext {
   bool CountStep();
 
   // --- Solver configuration (applies to every query this context issues) ---
-  // Attaches a shared, concurrency-safe solver-result cache (may be null).
-  void set_solver_cache(sym::SolverCache* cache) { solver_cache_ = cache; }
-  sym::SolverCache* solver_cache() const { return solver_cache_; }
-  // Attaches a persistent Solver owned by the caller (the meta-executor keeps
-  // one per generator run, so clauses learned on one path prune its
-  // siblings). Null (the default) makes every query build a fresh throwaway
-  // solver with the default limits. The solver must outlive the context and
-  // keeps the limits it was built with; this context's per-query cost
-  // counters are accumulated as deltas against its stats.
+  // Attaches the persistent Solver, owned by the caller, that answers every
+  // query (the meta-executor keeps one per generator run, so clauses learned
+  // on one path prune its siblings). A context that issues a query must have
+  // one; abstract mode issues none. The solver must outlive the context and
+  // keeps the limits and result cache it was given; this context's
+  // per-query cost counters are accumulated as deltas against its stats.
   void set_solver(sym::Solver* solver) { solver_ = solver; }
   sym::Solver* solver() const { return solver_; }
 
@@ -353,7 +350,6 @@ class EvalContext {
   int64_t solver_unknowns_ = 0;
   double solver_seconds_ = 0.0;
   int64_t solver_decisions_ = 0;
-  sym::SolverCache* solver_cache_ = nullptr;
   sym::Solver* solver_ = nullptr;  // Shared persistent solver (not owned).
   bool abstract_mode_ = false;
   bool recording_ = false;

@@ -151,7 +151,6 @@ MetaResult MetaExecutor::Run(const MetaStub& stub) {
     worklist.pop_back();
 
     exec::EvalContext ctx(module_, &pool, externs_);
-    ctx.set_solver_cache(solver_cache_);
     ctx.set_solver(&solver);
     ctx.set_recording(recording_);
     ctx.set_max_events(static_cast<size_t>(limits_.max_path_events));

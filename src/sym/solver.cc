@@ -678,6 +678,9 @@ bool CheckTheory(const std::vector<std::pair<ExprRef, bool>>& literals, Model* m
   if (!theory.Check(literals)) {
     return false;
   }
+  if (model == nullptr) {
+    return true;
+  }
   model->atoms = literals;
   theory.BuildModel(model);
   // Boolean variables are atoms, not theory terms; record their truth values
@@ -1360,22 +1363,8 @@ class Solver::Cdcl {
       }
       literals.emplace_back(vd.term, vd.value == LB::kTrue);
     }
-    {
-      TheoryChecker theory;
-      if (theory.Check(literals)) {
-        if (want_model) {
-          model->atoms = literals;
-          theory.BuildModel(model);
-          // Boolean variables are atoms, not theory terms; record their
-          // truth values as witnesses alongside the class values.
-          for (const auto& [atom, truth] : literals) {
-            if (atom->kind == Kind::kVar && atom->sort == Sort::kBool) {
-              model->witnesses.push_back(Witness{atom->name, Sort::kBool, truth ? 1 : 0});
-            }
-          }
-        }
-        return TheoryOutcome::kConsistent;
-      }
+    if (CheckTheory(literals, want_model ? model : nullptr)) {
+      return TheoryOutcome::kConsistent;
     }
     ++stats_->theory_conflicts;
     std::vector<std::pair<ExprRef, bool>> core = literals;

@@ -119,8 +119,10 @@ struct SolveResult {
 bool IsAtomKind(ExprRef e);
 
 // Theory check of one full assignment: `literals` are (atom, truth) pairs.
-// Returns false on a theory conflict. On success fills `*model` with the
-// assignment, the class values and the variable witnesses.
+// Returns false on a theory conflict. On success fills `*model`, unless it
+// is null, with the assignment, the class values and the variable
+// witnesses. The CDCL core's full-assignment check and the decide-only
+// oracle both build their models here.
 bool CheckTheory(const std::vector<std::pair<ExprRef, bool>>& literals, Model* model);
 
 // Decides satisfiability of conjunctions of hash-consed boolean terms.

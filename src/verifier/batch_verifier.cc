@@ -5,19 +5,16 @@
 #include <exception>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 
-#include "src/ast/fingerprint.h"
 #include "src/meta/path_recorder.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/support/file_lock.h"
 #include "src/support/str_util.h"
 #include "src/support/thread_pool.h"
 #include "src/support/timing.h"
-#include "src/sym/cache_store.h"
 #include "src/verifier/journal.h"
+#include "src/verifier/session.h"
 #include "src/verifier/verdict_store.h"
 
 namespace icarus::verifier {
@@ -49,6 +46,13 @@ bool OutcomeFromName(const std::string& name, Outcome* out) {
     }
   }
   return false;
+}
+
+bool IsExpectedOutcome(const std::string& generator, Outcome outcome) {
+  if (generator.find("_buggy") != std::string::npos) {
+    return outcome == Outcome::kRefuted;
+  }
+  return outcome == Outcome::kVerified || outcome == Outcome::kCachedSafe;
 }
 
 int BatchReport::NumWithOutcome(Outcome outcome) const {
@@ -195,6 +199,13 @@ std::string BatchReport::RenderStatsTable() const {
   return out;
 }
 
+Outcome OutcomeOf(const VerifyReport& report) {
+  if (!report.meta.violations.empty()) {
+    return Outcome::kRefuted;
+  }
+  return report.inconclusive ? Outcome::kInconclusive : Outcome::kVerified;
+}
+
 GeneratorResult VerifyOne(const platform::Platform* platform, const std::string& name,
                           const VerifyOptions& options) {
   GeneratorResult result;
@@ -220,34 +231,9 @@ GeneratorResult VerifyOne(const platform::Platform* platform, const std::string&
     return result;
   }
   result.report = report.take();
-  if (!result.report.meta.violations.empty()) {
-    result.outcome = Outcome::kRefuted;
-  } else if (result.report.inconclusive) {
-    result.outcome = Outcome::kInconclusive;
-  } else {
-    result.outcome = Outcome::kVerified;
-  }
+  result.outcome = OutcomeOf(result.report);
   return result;
 }
-
-namespace {
-
-// Containment boundary helper: the INTERNAL_ERROR row for a task that threw.
-GeneratorResult ContainedCrash(const std::string& name, const char* what) {
-  if (obs::Enabled()) {
-    static obs::Counter* contained = obs::Registry::Global().GetCounter(
-        "icarus_batch_contained_faults_total",
-        "Task crashes contained to an INTERNAL_ERROR row");
-    contained->Add(1);
-  }
-  GeneratorResult result;
-  result.generator = name;
-  result.outcome = Outcome::kInternalError;
-  result.error = what;
-  return result;
-}
-
-}  // namespace
 
 JournalRecord RecordFromResult(const GeneratorResult& r, const std::string& fingerprint) {
   JournalRecord rec;
@@ -343,122 +329,27 @@ StatusOr<BatchReport> BatchVerifier::VerifyAll(const std::vector<std::string>& g
   report.jobs = options.jobs > 0 ? options.jobs : ThreadPool::DefaultConcurrency();
   report.results.resize(generator_names.size());
 
-  // Journal plumbing. The fingerprint binds both the records we write and the
-  // records we accept to this exact platform.
-  std::string fingerprint;
-  if (!options.journal_path.empty() || !options.resume_path.empty()) {
-    fingerprint = platform_->Fingerprint();
+  std::vector<GeneratorResult> replayed;
+  StatusOr<std::unique_ptr<Session>> opened = Session::Open(platform_, options, &replayed);
+  if (!opened.ok()) {
+    return opened.status();
   }
+  std::unique_ptr<Session> session = opened.take();
+  // --resume restores the last row of this epoch for each generator,
+  // whatever its outcome: a journal may hold several rows for one generator
+  // if an earlier resume re-verified it.
   std::unordered_map<std::string, GeneratorResult> restored;
-  if (!options.resume_path.empty()) {
-    StatusOr<std::vector<JournalRecord>> records =
-        ReadJournal(options.resume_path, fingerprint);
-    if (!records.ok()) {
-      return records.status();
-    }
-    for (const JournalRecord& rec : records.value()) {
-      if (rec.epoch != kVerifierEpoch) {
-        // Earned under other verifier semantics (or written before rows
-        // carried an epoch): this build does not vouch for it, so the
-        // generator is verified again.
-        continue;
-      }
-      StatusOr<GeneratorResult> r = ResultFromRecord(rec);
-      if (!r.ok()) {
-        return r.status();
-      }
-      // Last record wins: a journal may hold several records for one
-      // generator if an earlier resume re-verified it.
-      restored[rec.generator] = r.take();
-    }
-  }
-  std::unique_ptr<JournalWriter> journal;
-  if (!options.journal_path.empty()) {
-    StatusOr<std::unique_ptr<JournalWriter>> writer = JournalWriter::Open(options.journal_path);
-    if (!writer.ok()) {
-      return writer.status();
-    }
-    journal = writer.take();
-  }
-  std::mutex journal_mu;
-  Status journal_status = Status::Ok();
-
-  // Incremental mode: open the persistent stores and fingerprint every
-  // requested unit up front (a cheap serial AST walk). Store problems are
-  // notes, not errors — the run simply starts cold.
-  VerdictStore store;
-  std::vector<std::string> unit_fps(generator_names.size());
-  std::string solver_store_path;
-  bool persistence_enabled = false;
-  bool store_writable = false;
-  std::unique_ptr<FileLock> cache_lock;  // Held until the final store save.
-  if (options.incremental) {
-    Status dir = EnsureCacheDir(options.cache_dir);
-    if (!dir.ok()) {
-      report.notes.push_back(StrCat(dir.message(), "; running without persistence"));
-    } else {
-      persistence_enabled = true;
-      // Advisory lock on the cache directory: two concurrent writers would
-      // race the temp+rename saves and clobber each other's entries. The
-      // second arrival degrades to a read-only view — it still warms from
-      // the stores but never writes them back.
-      FileLock::Result lock = FileLock::TryExclusive(options.cache_dir + "/lock");
-      if (lock.state == FileLock::State::kAcquired) {
-        store_writable = true;
-        cache_lock = std::move(lock.lock);
-      } else {
-        report.read_only_cache = true;
-        report.notes.push_back(
-            StrCat(lock.message, "; cache degraded to read-only (stores not written back)"));
-        if (obs::Enabled()) {
-          static obs::Counter* degraded = obs::Registry::Global().GetCounter(
-              "icarus_cache_readonly_degraded_total",
-              "Runs degraded to a read-only cache view by advisory-lock contention");
-          degraded->Add(1);
-        }
-      }
-      solver_store_path = SolverCacheStorePath(options.cache_dir);
-      VerdictStore::LoadResult loaded =
-          store.Load(VerdictStorePath(options.cache_dir), kVerifierEpoch);
-      if (!loaded.note.empty()) {
-        report.notes.push_back(loaded.note);
-      }
-    }
-    for (size_t i = 0; i < generator_names.size(); ++i) {
-      StatusOr<ast::Fingerprint> fp =
-          ast::UnitFingerprint(platform_->module(), generator_names[i]);
-      if (fp.ok()) {
-        // An unfingerprintable name stays empty: never skipped, never stored;
-        // the task itself reports the (unknown-generator) error.
-        unit_fps[i] = fp.value().ToHex();
-      }
-    }
+  for (GeneratorResult& row : replayed) {
+    restored[row.generator] = std::move(row);
   }
 
-  std::unique_ptr<sym::SolverCache> cache;
-  if (options.use_cache) {
-    cache = std::make_unique<sym::SolverCache>();
-    if (persistence_enabled) {
-      sym::CacheLoadResult loaded =
-          sym::LoadSolverCache(solver_store_path, kVerifierEpoch, cache.get());
-      if (!loaded.note.empty()) {
-        report.notes.push_back(loaded.note);
-      }
-    }
-  }
   std::atomic<bool> cancel{false};
-  VerifyOptions vopts;
-  vopts.solver_cache = cache.get();
-  vopts.solver_limits = options.solver_limits;
-  vopts.cancel = &cancel;
-  vopts.record = options.record;
   WallTimer timer;
   {
     ThreadPool pool(report.jobs);
     std::vector<std::future<void>> futures;
     std::vector<size_t> submitted;  // results index per future.
     futures.reserve(generator_names.size());
-    int journal_appends = 0;  // Guarded by journal_mu; drives checkpoints.
     for (size_t i = 0; i < generator_names.size(); ++i) {
       auto it = restored.find(generator_names[i]);
       if (it != restored.end()) {
@@ -466,42 +357,9 @@ StatusOr<BatchReport> BatchVerifier::VerifyAll(const std::vector<std::string>& g
         ++report.num_resumed;
         continue;
       }
-      if (options.incremental) {
-        const JournalRecord* pass =
-            store.FindPass(generator_names[i], unit_fps[i], options.solver_limits);
-        if (pass != nullptr) {
-          // Unchanged unit, same budget, previously VERIFIED: skip the
-          // dispatch outright. The row carries no work counters — nothing
-          // ran — only the identity that justified the skip.
-          GeneratorResult skip;
-          skip.generator = generator_names[i];
-          skip.outcome = Outcome::kCachedSafe;
-          skip.unit_fp = unit_fps[i];
-          skip.budget_decisions = options.solver_limits.max_decisions;
-          skip.report.generator = generator_names[i];
-          if (obs::Enabled()) {
-            static obs::Counter* skips = obs::Registry::Global().GetCounter(
-                "icarus_incremental_skips_total",
-                "Generators skipped as CACHED_SAFE by the persistent verdict store");
-            skips->Add(1);
-          }
-          if (journal != nullptr) {
-            std::lock_guard<std::mutex> lock(journal_mu);
-            Status st = journal->Append(RecordFromResult(skip, fingerprint));
-            if (!st.ok() && journal_status.ok()) {
-              journal_status = st;
-            }
-          }
-          report.results[i] = std::move(skip);
-          continue;
-        }
-      }
       submitted.push_back(i);
       WallTimer queue_timer;  // Copied into the task: measures submit → start.
-      futures.push_back(pool.Submit([this, &generator_names, &options, &vopts, &report,
-                                     &journal, &journal_mu, &journal_status, &journal_appends,
-                                     &fingerprint, &unit_fps, &solver_store_path, store_writable,
-                                     cache_ptr = cache.get(), queue_timer, i]() {
+      futures.push_back(pool.Submit([&generator_names, &report, &session, &cancel, queue_timer, i]() {
         if (obs::Enabled()) {
           static obs::Histogram* queue_wait = obs::Registry::Global().GetHistogram(
               "icarus_batch_queue_wait_seconds",
@@ -509,35 +367,7 @@ StatusOr<BatchReport> BatchVerifier::VerifyAll(const std::vector<std::string>& g
           queue_wait->Observe(queue_timer.ElapsedSeconds());
         }
         obs::ScopedSpan task_span("batch.task", generator_names[i]);
-        // Containment boundary: a crash in one generator's pipeline (an
-        // ICARUS_REQUIRE/ICARUS_BUG violation or an injected fault) becomes
-        // that generator's INTERNAL_ERROR row; the fleet keeps running.
-        GeneratorResult result;
-        try {
-          result = VerifyOne(platform_, generator_names[i], vopts);
-        } catch (const std::exception& e) {
-          result = ContainedCrash(generator_names[i], e.what());
-        }
-        if (options.incremental) {
-          result.unit_fp = unit_fps[i];
-          result.budget_decisions = options.solver_limits.max_decisions;
-        }
-        if (journal != nullptr) {
-          std::lock_guard<std::mutex> lock(journal_mu);
-          Status st = journal->Append(RecordFromResult(result, fingerprint));
-          if (!st.ok() && journal_status.ok()) {
-            journal_status = st;
-          }
-          // Journal checkpoint: periodically flush the solver cache so a run
-          // killed mid-fleet still warms the next one. Best-effort — a failed
-          // checkpoint never fails the run (the final save reports instead).
-          if (store_writable && !solver_store_path.empty() && cache_ptr != nullptr &&
-              ++journal_appends % 8 == 0) {
-            (void)sym::SaveSolverCache(*cache_ptr, solver_store_path, kVerifierEpoch,
-                                       options.cache_max_mb * 1024 * 1024);
-          }
-        }
-        report.results[i] = std::move(result);
+        report.results[i] = session->Verify(generator_names[i], &cancel);
       }));
     }
     if (options.deadline_seconds > 0.0 || options.interrupt != nullptr) {
@@ -577,44 +407,43 @@ StatusOr<BatchReport> BatchVerifier::VerifyAll(const std::vector<std::string>& g
       try {
         futures[k].get();
       } catch (const std::exception& e) {
-        // The task body is already contained, so an exception here means the
+        // The session contains the task body, so an exception here means the
         // fault fired before the body ran (e.g. the pool-task fail point).
-        // Contain it the same way; note it is not journaled — a resumed run
+        // Contain it the same way; it is not journaled, so a resumed run
         // re-verifies this generator, which is the correct recovery.
-        report.results[submitted[k]] = ContainedCrash(generator_names[submitted[k]], e.what());
+        GeneratorResult& row = report.results[submitted[k]];
+        row = GeneratorResult();
+        row.generator = generator_names[submitted[k]];
+        row.outcome = Outcome::kInternalError;
+        row.error = e.what();
       }
     }
   }
   report.wall_seconds = timer.ElapsedSeconds();
-  if (!journal_status.ok()) {
+  int contained_crashes = 0;
+  for (const GeneratorResult& r : report.results) {
+    contained_crashes += r.outcome == Outcome::kInternalError && !r.resumed ? 1 : 0;
+  }
+  if (contained_crashes > 0 && obs::Enabled()) {
+    static obs::Counter* contained = obs::Registry::Global().GetCounter(
+        "icarus_batch_contained_faults_total", "Task crashes contained to an INTERNAL_ERROR row");
+    contained->Add(contained_crashes);
+  }
+  Status journaled = session->journal_status();
+  if (!journaled.ok()) {
     // The run finished but its durability contract is broken; fail loudly
     // rather than hand back a journal missing verdicts.
-    return journal_status;
+    return journaled;
   }
-  if (cache != nullptr) {
-    report.cache = cache->Snapshot();
+  if (session->solver_cache() != nullptr) {
+    report.cache = session->solver_cache()->Snapshot();
   }
-  if (options.incremental && persistence_enabled && store_writable) {
-    // Write back: fresh PASSes enter the verdict store (keyed by generator;
-    // the record carries the unit fingerprint and budget that earned them),
-    // then both stores land on disk atomically. Failures are notes — the
-    // verdicts themselves are correct and already reported.
-    for (const GeneratorResult& r : report.results) {
-      if (r.outcome == Outcome::kVerified) {
-        store.Put(RecordFromResult(r, kVerifierEpoch));
-      }
-    }
-    Status saved = store.Save(VerdictStorePath(options.cache_dir));
-    if (!saved.ok()) {
-      report.notes.push_back(saved.message());
-    }
-    if (cache != nullptr) {
-      Status cache_saved = sym::SaveSolverCache(*cache, solver_store_path, kVerifierEpoch,
-                                                options.cache_max_mb * 1024 * 1024);
-      if (!cache_saved.ok()) {
-        report.notes.push_back(cache_saved.message());
-      }
-    }
+  report.read_only_cache = session->read_only();
+  report.notes = session->notes();
+  // Save failures are notes: the verdicts are correct and already reported.
+  Status saved = session->Close();
+  if (!saved.ok()) {
+    report.notes.push_back(saved.message());
   }
   return report;
 }

@@ -88,6 +88,10 @@ const char* OutcomeName(Outcome outcome);
 // Inverse of OutcomeName; returns false for an unknown token.
 bool OutcomeFromName(const std::string& name, Outcome* out);
 
+// The rule the CLI's exit codes rest on: `_buggy` units are refuted; every
+// other unit is VERIFIED or CACHED_SAFE.
+bool IsExpectedOutcome(const std::string& generator, Outcome outcome);
+
 // One row of the batch report.
 struct GeneratorResult {
   std::string generator;
@@ -136,8 +140,11 @@ struct BatchReport {
   std::string RenderStatsTable() const;
 };
 
+// kRefuted, kInconclusive or kVerified, for a report that Verify returned.
+Outcome OutcomeOf(const VerifyReport& report);
+
 // Verifies one generator and maps the report to its row: the per-unit path
-// shared by the batch driver's tasks and the daemon's workers. If
+// Session::Verify runs for the batch driver and the daemon. If
 // `options.cancel` is already set on entry, the row is INCONCLUSIVE and
 // nothing runs. A pipeline error becomes an ERROR row; exceptions propagate
 // to the caller's containment boundary.
@@ -154,9 +161,9 @@ StatusOr<GeneratorResult> ResultFromRecord(const JournalRecord& rec);
 // Drives Verifier over many generators concurrently. Thread-compatible: use
 // one BatchVerifier per batch run.
 //
-// Fault containment: each generator task runs inside a containment boundary —
-// a pipeline Status error becomes an ERROR row and a thrown exception
-// (ICARUS_REQUIRE/ICARUS_BUG violations, injected faults) becomes an
+// Each task runs one Session::Verify (session.h), whose containment boundary
+// turns a pipeline Status error into an ERROR row and a thrown exception
+// (ICARUS_REQUIRE/ICARUS_BUG violations, injected faults) into an
 // INTERNAL_ERROR row. One crashing generator never takes down the fleet; the
 // remaining tasks run to completion. See docs/ARCHITECTURE.md §"Failure
 // domains".

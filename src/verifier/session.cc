@@ -1,0 +1,223 @@
+#include "src/verifier/session.h"
+
+#include <exception>
+
+#include "src/ast/fingerprint.h"
+#include "src/obs/metrics.h"
+#include "src/support/failpoint.h"
+#include "src/support/file_lock.h"
+#include "src/support/str_util.h"
+#include "src/support/timing.h"
+#include "src/sym/cache_store.h"
+
+namespace icarus::verifier {
+
+Session::Session(const platform::Platform* platform, const BatchOptions& options)
+    : platform_(platform),
+      incremental_(options.incremental),
+      cache_dir_(options.cache_dir),
+      cache_max_bytes_(options.cache_max_mb * 1024 * 1024) {
+  verify_options_.solver_limits = options.solver_limits;
+  verify_options_.record = options.record;
+}
+
+Session::~Session() = default;
+
+StatusOr<std::unique_ptr<Session>> Session::Open(const platform::Platform* platform,
+                                                 const BatchOptions& options,
+                                                 std::vector<GeneratorResult>* replayed) {
+  std::unique_ptr<Session> session(new Session(platform, options));
+  Session& s = *session;
+
+  // The platform fingerprint binds both the rows we write and the rows we
+  // accept to this exact platform.
+  if (!options.journal_path.empty() || !options.resume_path.empty()) {
+    s.fingerprint_ = platform->Fingerprint();
+  }
+  auto replay_error = [&options](const Status& why) {
+    return Status::Error(StrCat("cannot replay journal '", options.resume_path, "': ",
+                                why.message(), " (remove or relocate the journal to start cold)"));
+  };
+  if (!options.resume_path.empty()) {
+    StatusOr<std::vector<JournalRecord>> records =
+        ReadJournal(options.resume_path, s.fingerprint_);
+    if (!records.ok()) {
+      return replay_error(records.status());
+    }
+    for (const JournalRecord& rec : records.value()) {
+      if (rec.epoch != kVerifierEpoch) {
+        // Earned under other verifier semantics (or written before rows
+        // carried an epoch): this build does not vouch for it, so the
+        // generator is verified again.
+        continue;
+      }
+      StatusOr<GeneratorResult> row = ResultFromRecord(rec);
+      if (!row.ok()) {
+        return replay_error(row.status());
+      }
+      replayed->push_back(row.take());
+    }
+  }
+
+  // Two writers would race the temp+rename saves and drop each other's
+  // entries, so only the holder of the advisory lock writes the stores back.
+  bool persistent = false;
+  if (options.incremental) {
+    Status dir = EnsureCacheDir(options.cache_dir);
+    if (!dir.ok()) {
+      s.notes_.push_back(StrCat(dir.message(), "; running without persistence"));
+    } else {
+      persistent = true;
+      FileLock::Result lock = FileLock::TryExclusive(options.cache_dir + "/lock");
+      if (lock.state == FileLock::State::kAcquired) {
+        s.lock_ = std::move(lock.lock);
+      } else {
+        s.read_only_ = true;
+        s.notes_.push_back(
+            StrCat(lock.message, "; cache degraded to read-only (stores not written back)"));
+        if (obs::Enabled()) {
+          static obs::Counter* degraded = obs::Registry::Global().GetCounter(
+              "icarus_cache_readonly_degraded_total",
+              "Runs degraded to a read-only cache view by advisory-lock contention");
+          degraded->Add(1);
+        }
+      }
+      VerdictStore::LoadResult loaded =
+          s.store_.Load(VerdictStorePath(options.cache_dir), kVerifierEpoch);
+      if (!loaded.note.empty()) {
+        s.notes_.push_back(loaded.note);
+      }
+    }
+  }
+  if (options.use_cache) {
+    s.cache_ = std::make_unique<sym::SolverCache>();
+    if (persistent) {
+      sym::CacheLoadResult loaded = sym::LoadSolverCache(SolverCacheStorePath(options.cache_dir),
+                                                         kVerifierEpoch, s.cache_.get());
+      if (!loaded.note.empty()) {
+        s.notes_.push_back(loaded.note);
+      }
+    }
+  }
+  s.verify_options_.solver_cache = s.cache_.get();
+
+  // A replayed PASS carries the fingerprint and budget that earned it on
+  // this platform and epoch, so it is as good as a fresh one.
+  for (const GeneratorResult& row : *replayed) {
+    if (row.outcome == Outcome::kVerified && s.lock_ != nullptr) {
+      s.store_.Put(RecordFromResult(row, kVerifierEpoch));
+    }
+  }
+  if (!options.journal_path.empty()) {
+    StatusOr<std::unique_ptr<JournalWriter>> writer = JournalWriter::Open(options.journal_path);
+    if (!writer.ok()) {
+      return writer.status();
+    }
+    s.journal_ = writer.take();
+  }
+  return session;
+}
+
+GeneratorResult Session::Verify(const std::string& generator, const std::atomic<bool>* cancel,
+                                const char* fail_site) {
+  // A name the platform does not declare has no fingerprint, so it never
+  // matches and is never stored; VerifyOne reports the unknown generator.
+  std::string unit_fp;
+  if (incremental_) {
+    StatusOr<ast::Fingerprint> fp = ast::UnitFingerprint(platform_->module(), generator);
+    unit_fp = fp.ok() ? fp.value().ToHex() : "";
+  }
+  bool stored_pass = false;
+  if (!unit_fp.empty()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    stored_pass = store_.FindPass(generator, unit_fp, verify_options_.solver_limits) != nullptr;
+  }
+
+  GeneratorResult result;
+  if (stored_pass) {
+    // Nothing runs: the row carries no work counters, only the identity
+    // that justified the skip.
+    result.generator = generator;
+    result.outcome = Outcome::kCachedSafe;
+    result.report.generator = generator;
+    if (obs::Enabled()) {
+      static obs::Counter* skips = obs::Registry::Global().GetCounter(
+          "icarus_incremental_skips_total",
+          "Generators skipped as CACHED_SAFE by the persistent verdict store");
+      skips->Add(1);
+    }
+  } else {
+    // Containment boundary: a crash in this unit's pipeline (an
+    // ICARUS_REQUIRE/ICARUS_BUG violation or an injected fault) becomes its
+    // INTERNAL_ERROR row; every other unit keeps running.
+    WallTimer timer;
+    try {
+      if (fail_site != nullptr) {
+        ICARUS_FAILPOINT(fail_site);
+      }
+      VerifyOptions options = verify_options_;
+      options.cancel = cancel;
+      result = VerifyOne(platform_, generator, options);
+    } catch (const std::exception& e) {
+      result.generator = generator;
+      result.outcome = Outcome::kInternalError;
+      result.error = e.what();
+      result.seconds = timer.ElapsedSeconds();
+    }
+  }
+  result.unit_fp = unit_fp;
+  result.budget_decisions = verify_options_.solver_limits.max_decisions;
+
+  std::lock_guard<std::mutex> lock(mu_);
+  if (result.outcome == Outcome::kVerified && lock_ != nullptr) {
+    store_.Put(RecordFromResult(result, kVerifierEpoch));  // Ignores an empty unit_fp.
+  }
+  if (journal_ != nullptr) {
+    Status st = journal_->Append(RecordFromResult(result, fingerprint_));
+    if (!st.ok() && journal_status_.ok()) {
+      journal_status_ = st;
+    }
+    // Checkpoint, so a run killed mid-fleet still warms the next one. A
+    // CACHED_SAFE row taught the cache nothing; a failed save is retried at
+    // the next checkpoint and at Close.
+    if (result.outcome != Outcome::kCachedSafe && lock_ != nullptr && cache_ != nullptr &&
+        ++journaled_runs_ % 8 == 0) {
+      (void)sym::SaveSolverCache(*cache_, SolverCacheStorePath(cache_dir_), kVerifierEpoch,
+                                 cache_max_bytes_);
+    }
+  }
+  return result;
+}
+
+Status Session::Close() {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<std::string> failed;
+  if (lock_ != nullptr) {
+    Status saved = store_.Save(VerdictStorePath(cache_dir_));
+    if (!saved.ok()) {
+      failed.push_back(saved.message());
+    }
+    if (cache_ != nullptr) {
+      saved = sym::SaveSolverCache(*cache_, SolverCacheStorePath(cache_dir_), kVerifierEpoch,
+                                   cache_max_bytes_);
+      if (!saved.ok()) {
+        failed.push_back(saved.message());
+      }
+    }
+  }
+  journal_.reset();
+  lock_.reset();
+  return failed.empty() ? Status::Ok() : Status::Error(Join(failed, "; "));
+}
+
+size_t Session::store_entries() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return store_.size();
+}
+
+Status Session::journal_status() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return journal_status_;
+}
+
+}  // namespace icarus::verifier

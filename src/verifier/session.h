@@ -1,0 +1,89 @@
+// One verification session: a run's persistent state and its per-unit path,
+// shared by `verify-all` (BatchVerifier) and `icarusd` (ServerCore), so the
+// rules for when a stored verdict may stand in for a fresh one live in one
+// place. See docs/ARCHITECTURE.md §"The verification session".
+#ifndef ICARUS_VERIFIER_SESSION_H_
+#define ICARUS_VERIFIER_SESSION_H_
+
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <mutex>
+#include <string>
+#include <vector>
+
+#include "src/platform/platform.h"
+#include "src/support/status.h"
+#include "src/sym/solver_cache.h"
+#include "src/verifier/batch_verifier.h"
+#include "src/verifier/journal.h"
+#include "src/verifier/verdict_store.h"
+
+namespace icarus {
+class FileLock;
+}  // namespace icarus
+
+namespace icarus::verifier {
+
+// Verify is thread-safe; one lock guards the verdict store and the journal.
+class Session {
+ public:
+  // Reads the persistence and budget fields of `options` (use_cache,
+  // solver_limits, record, journal_path, resume_path, incremental, cache_dir,
+  // cache_max_mb); the rest belong to the driver. In incremental mode it
+  // creates cache_dir and takes its advisory lock — if another process holds
+  // it, the stores are read but never written back — then loads the verdict
+  // store and the solver cache. The rows of this verifier epoch in
+  // resume_path are appended to `*replayed` in file order; the VERIFIED ones
+  // also re-enter a writable store. Errors: an unreadable, corrupt or foreign
+  // replay journal, and a journal_path that cannot be opened for appending.
+  // Store problems are notes.
+  static StatusOr<std::unique_ptr<Session>> Open(const platform::Platform* platform,
+                                                 const BatchOptions& options,
+                                                 std::vector<GeneratorResult>* replayed);
+  ~Session();
+
+  // Returns the unit's row: CACHED_SAFE when incremental and a stored PASS
+  // matches its fingerprint and budget, else VerifyOne's row, with a crash
+  // (or `fail_site`, fired when non-null) contained to INTERNAL_ERROR. The
+  // row is stamped with fingerprint and budget, Put into a writable store if
+  // VERIFIED, and journaled; every 8 journaled rows that ran, a writable
+  // session checkpoints the solver cache. `cancel` may be null.
+  GeneratorResult Verify(const std::string& generator, const std::atomic<bool>* cancel,
+                         const char* fail_site = nullptr);
+
+  // Once no Verify is running: saves both stores if writable, closes the
+  // journal and releases the lock. Returns the save failures; idempotent.
+  Status Close();
+
+  sym::SolverCache* solver_cache() const { return cache_.get(); }  // Null without use_cache.
+  bool read_only() const { return read_only_; }  // Another process held the lock.
+  size_t store_entries() const;
+  const std::vector<std::string>& notes() const { return notes_; }  // From Open.
+  Status journal_status() const;  // The first journal append failure.
+
+ private:
+  Session(const platform::Platform* platform, const BatchOptions& options);
+
+  const platform::Platform* platform_;
+  const bool incremental_;
+  const std::string cache_dir_;
+  const int64_t cache_max_bytes_;
+  VerifyOptions verify_options_;  // All but `cancel`, which is per call.
+  std::string fingerprint_;       // Platform::Fingerprint() of journal rows.
+  std::unique_ptr<sym::SolverCache> cache_;
+  std::unique_ptr<FileLock> lock_;  // Held iff the stores are written back.
+  bool read_only_ = false;
+  std::vector<std::string> notes_;
+
+  mutable std::mutex mu_;  // Guards the members below.
+  VerdictStore store_;
+  std::unique_ptr<JournalWriter> journal_;
+  int journaled_runs_ = 0;  // Journaled rows that ran; drives the checkpoint.
+  Status journal_status_;
+};
+
+}  // namespace icarus::verifier
+
+#endif  // ICARUS_VERIFIER_SESSION_H_

@@ -4,13 +4,15 @@
 // the middle of a request storm drains to exit code 0 with the journal
 // fsync'd, and a restarted daemon replays that journal into an identical
 // warm verdict view. Also exercises the `icarus client` and `icarus top`
-// subcommands as real subprocesses.
+// subcommands as real subprocesses, and the incremental store that the
+// daemon and `icarus verify-all --incremental` share.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -328,6 +330,50 @@ std::string Slurp(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
+}
+
+// The daemon and `verify-all --incremental` keep one store format under
+// --cache-dir: each warms from the stores the other wrote.
+TEST(DaemonE2E, DaemonAndVerifyAllShareTheIncrementalStore) {
+  const std::string cli = ICARUS_CLI_PATH;
+  const std::string socket = TempPath("e2e_store.sock");
+  const std::string out = TempPath("e2e_store.out");
+  const std::string from_daemon = TempPath("e2e_store_daemon");
+  const std::string from_batch = TempPath("e2e_store_batch");
+  std::filesystem::remove_all(from_daemon);
+  std::filesystem::remove_all(from_batch);
+  Request stats;
+  stats.op = kOpStats;
+
+  // The daemon verifies the whole platform and saves the store at drain...
+  pid_t pid = SpawnDaemon(
+      {"--socket", socket, "--jobs", "4", "--incremental", "--cache-dir", from_daemon});
+  ASSERT_GT(pid, 0);
+  ASSERT_TRUE(AwaitReady(socket)) << "daemon never became ready";
+  std::string cmd = cli + " client --socket " + socket + " verify-all >/dev/null";
+  EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  cmd = cli + " client --socket " + socket + " shutdown >/dev/null";
+  EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  ASSERT_EQ(WaitForExit(pid), 0);
+  // ...and verify-all answers every PASS from it.
+  cmd = cli + " verify-all --incremental --cache-dir " + from_daemon + " > " + out + " 2>&1";
+  EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd << "\n" << Slurp(out);
+  EXPECT_NE(Slurp(out).find("32 cached safe"), std::string::npos) << Slurp(out);
+
+  // The other way round: verify-all writes, a fresh daemon warms from it.
+  cmd = cli + " verify-all --incremental --cache-dir " + from_batch + " >/dev/null 2>&1";
+  ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  pid = SpawnDaemon(
+      {"--socket", socket, "--jobs", "4", "--incremental", "--cache-dir", from_batch});
+  ASSERT_GT(pid, 0);
+  ASSERT_TRUE(AwaitReady(socket)) << "daemon never became ready";
+  cmd = cli + " client --socket " + socket + " verify-all > " + out;
+  EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd << "\n" << Slurp(out);
+  Response counters = RoundTrip(socket, stats);
+  EXPECT_NE(counters.stats_json.find("\"cached_safe\":32"), std::string::npos)
+      << counters.stats_json;
+  ASSERT_EQ(::kill(pid, SIGTERM), 0);
+  EXPECT_EQ(WaitForExit(pid), 0);
 }
 
 // `icarus top` against one live daemon and one socket nobody listens on: the

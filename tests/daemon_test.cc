@@ -2,8 +2,9 @@
 // diagnostics, and the ServerCore request lifecycle end to end — real
 // verdicts, the warm view, bounded-queue shedding, per-request deadlines
 // degrading to INCONCLUSIVE, contained dispatch faults, graceful drain,
-// journal replay into a warm restart, and read-only degradation when another
-// process holds the cache lock. Everything here is in-process;
+// journal replay into a warm restart, read-only degradation when another
+// process holds the cache lock, and a concurrent incremental daemon whose
+// stored PASSes a restart answers CACHED_SAFE. Everything here is in-process;
 // daemon_e2e_test.cc covers the real icarusd binary over a Unix socket.
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include "src/obs/metrics.h"
 #include "src/platform/platform.h"
 #include "src/support/failpoint.h"
+#include "src/support/file_lock.h"
 #include "src/support/flat_json.h"
 #include "src/support/status.h"
 #include "src/verifier/batch_verifier.h"
@@ -734,6 +736,73 @@ TEST_F(ServerCoreTest, SecondWriterDegradesToReadOnlyCache) {
   // ...but the read-only instance never writes the stores back.
   struct stat st;
   EXPECT_NE(::stat(verifier::VerdictStorePath(dir).c_str(), &st), 0);
+}
+
+TEST_F(ServerCoreTest, ConcurrentIncrementalDaemonPersistsEveryPass) {
+  // Four workers and eight clients put every unit through the store
+  // concurrently: lookups and inserts race unless the store is locked.
+  std::string dir = TempPath("daemon_concurrent_store");
+  (void)mkdir(dir.c_str(), 0755);
+  std::remove(verifier::VerdictStorePath(dir).c_str());
+  std::remove(verifier::SolverCacheStorePath(dir).c_str());
+  std::vector<std::string> units;
+  for (const ast::FunctionDecl* fn : platform_->module().Generators()) {
+    units.push_back(fn->name);
+  }
+  ASSERT_EQ(units.size(), 38u);
+  auto buggy = [](const std::string& name) { return name.find("_buggy") != std::string::npos; };
+
+  DaemonOptions options;
+  options.jobs = 4;
+  options.incremental = true;
+  options.cache_dir = dir;
+  auto serve_all = [&](ServerCore& core) {
+    std::vector<Response> responses(units.size());
+    std::vector<std::thread> clients;
+    for (size_t t = 0; t < 8; ++t) {
+      clients.emplace_back([&, t] {
+        for (size_t i = t; i < units.size(); i += 8) {
+          responses[i] = core.Execute(Verify(units[i]));
+        }
+      });
+    }
+    for (std::thread& client : clients) {
+      client.join();
+    }
+    return responses;
+  };
+
+  {
+    ServerCore core(platform_, options);
+    ASSERT_TRUE(core.Start().ok());
+    std::vector<Response> responses = serve_all(core);
+    for (size_t i = 0; i < units.size(); ++i) {
+      EXPECT_EQ(responses[i].status, kStatusOk) << units[i] << ": " << responses[i].error;
+      EXPECT_EQ(responses[i].outcome, buggy(units[i]) ? "COUNTEREXAMPLE" : "VERIFIED")
+          << units[i];
+    }
+    ASSERT_TRUE(core.FinishDrain().ok());
+  }
+  verifier::VerdictStore written;
+  verifier::VerdictStore::LoadResult load =
+      written.Load(verifier::VerdictStorePath(dir), verifier::kVerifierEpoch);
+  EXPECT_TRUE(load.note.empty()) << load.note;
+  EXPECT_EQ(written.size(), 32u);
+
+  // A restarted core on the same directory, with no journal to replay,
+  // answers every PASS from the store and still refutes the study bugs.
+  ServerCore restarted(platform_, options);
+  ASSERT_TRUE(restarted.Start().ok());
+  std::vector<Response> responses = serve_all(restarted);
+  for (size_t i = 0; i < units.size(); ++i) {
+    EXPECT_EQ(responses[i].status, kStatusOk) << units[i] << ": " << responses[i].error;
+    EXPECT_EQ(responses[i].outcome, buggy(units[i]) ? "COUNTEREXAMPLE" : "CACHED_SAFE")
+        << units[i];
+  }
+  DaemonStats stats = restarted.StatsSnapshot();
+  EXPECT_EQ(stats.cached_safe, 32);
+  EXPECT_EQ(stats.replayed, 0);
+  EXPECT_TRUE(restarted.FinishDrain().ok());
 }
 
 TEST_F(ServerCoreTest, StatsJsonCarriesTheFullSnapshot) {

@@ -8,6 +8,7 @@
 #include "src/exec/evaluator.h"
 #include "src/meta/meta_executor.h"
 #include "src/support/str_util.h"
+#include "src/sym/solver.h"
 
 namespace icarus::exec {
 namespace {
@@ -67,7 +68,9 @@ class EvaluatorTest : public ::testing::Test {
     ASSERT_TRUE(st.ok()) << st.message();
   }
 
-  // Explores all paths of `fn` on fresh symbolic inputs; returns outcomes.
+  // Explores all paths of `fn` on fresh symbolic inputs, with one solver
+  // answering every path's queries as the meta-executor's does; returns
+  // outcomes.
   struct Exploration {
     int completed = 0;
     int infeasible = 0;
@@ -79,12 +82,14 @@ class EvaluatorTest : public ::testing::Test {
     EXPECT_NE(fn, nullptr) << fn_name;
     Exploration result;
     sym::ExprPool pool;
+    sym::Solver solver;
     std::vector<std::vector<bool>> worklist = {{}};
     int guard = 0;
     while (!worklist.empty() && ++guard < 1000) {
       std::vector<bool> trace = std::move(worklist.back());
       worklist.pop_back();
       EvalContext ctx(module_.get(), &pool, &externs_);
+      ctx.set_solver(&solver);
       ctx.StartPath(std::move(trace));
       std::vector<Value> args;
       for (const ast::Param& p : fn->params) {
@@ -153,7 +158,9 @@ TEST_F(EvaluatorTest, ConstantInputsEvaluateWithoutForking) {
   // Branches on constant conditions take their arm directly: no decision is
   // recorded and no sibling path is queued.
   sym::ExprPool pool;
+  sym::Solver solver;
   EvalContext ctx(module_.get(), &pool, &externs_);
+  ctx.set_solver(&solver);
   const ast::FunctionDecl* fn = module_->FindFunction("clampPositive");
   for (int64_t input : {-7, 9}) {
     ctx.StartPath({});

@@ -2,11 +2,16 @@
 // platform/schema mismatch refusal, re-verification of rows from another
 // verifier epoch, and the headline crash-recovery scenario — kill a
 // verify-all mid-run (via an abort-action fail point) and prove the resumed
-// run reproduces exactly the verdicts of an uninterrupted run. The CLI cases
-// also pin what `icarus verify` prints and what a fresh journal row holds.
+// run reproduces exactly the verdicts of an uninterrupted run; a killed
+// incremental run leaves a checkpointed solver cache the next run preloads.
+// The CLI cases also pin what `icarus verify` prints and what a fresh
+// journal row holds.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -411,6 +416,45 @@ TEST(CrashRecovery, KilledRunResumesToIdenticalVerdicts) {
 
   std::remove(clean.c_str());
   std::remove(crashed.c_str());
+}
+
+TEST(CrashRecovery, KilledIncrementalRunLeavesAWarmSolverCache) {
+  const std::string cli = ICARUS_CLI_PATH;
+  const std::string dir = TempPath("crash_incremental_cache");
+  const std::string journal = TempPath("crash_incremental.jsonl");
+  std::filesystem::remove_all(dir);
+  std::remove(journal.c_str());
+
+  // With one job the fleet's cache inserts come in a fixed order, and the
+  // 600th lands after 9 journaled verdicts: past the first solver-cache
+  // checkpoint (every 8 journaled verdicts), long before the end-of-run save.
+  std::string cmd = cli + " verify-all --jobs 1 --incremental --cache-dir " + dir +
+                    " --journal " + journal +
+                    " --fail at=cache-insert:600,action=abort >/dev/null 2>&1";
+  EXPECT_NE(std::system(cmd.c_str()), 0) << "crash run unexpectedly survived";
+  StatusOr<std::vector<JournalRecord>> rows = ReadJournal(journal, "");
+  ASSERT_TRUE(rows.ok()) << rows.status().message();
+  EXPECT_GE(rows.value().size(), 8u) << "the abort fired before the first checkpoint";
+  EXPECT_LT(rows.value().size(), 38u) << "the abort fired after the last verdict";
+  struct stat st;
+  ASSERT_EQ(::stat(SolverCacheStorePath(dir).c_str(), &st), 0) << "no checkpoint was saved";
+  EXPECT_GT(st.st_size, 0);
+
+  // The next run preloads what the checkpoint saved and still earns every
+  // expected verdict.
+  StatusOr<std::unique_ptr<platform::Platform>> platform = platform::Platform::Load();
+  ASSERT_TRUE(platform.ok()) << platform.status().message();
+  BatchOptions options;
+  options.jobs = 1;
+  options.incremental = true;
+  options.cache_dir = dir;
+  StatusOr<BatchReport> report = BatchVerifier(platform.value().get()).VerifyEverything(options);
+  ASSERT_TRUE(report.ok()) << report.status().message();
+  EXPECT_GT(report.value().cache.preloads, 0);
+  EXPECT_EQ(report.value().NumWithOutcome(Outcome::kVerified), 32);
+  EXPECT_EQ(report.value().NumWithOutcome(Outcome::kRefuted), 6);
+  std::filesystem::remove_all(dir);
+  std::remove(journal.c_str());
 }
 
 TEST(CliOutput, VerifyPrintsVerdictPathsLocAndCfa) {

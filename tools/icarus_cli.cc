@@ -252,9 +252,13 @@ std::optional<icarus::verifier::VerifyReport> VerifyAndPrint(
   return report.take();
 }
 
-int Verify(const Platform& platform, const std::string& name, bool expect_verified) {
+// `icarus verify <gen>`: exit 0 when the unit reaches its expected outcome.
+int Verify(const Platform& platform, const std::string& name) {
   auto report = VerifyAndPrint(platform, name, {});
-  return !report ? 2 : report->verified == expect_verified ? 0 : 1;
+  if (!report) {
+    return 2;
+  }
+  return icarus::verifier::IsExpectedOutcome(name, icarus::verifier::OutcomeOf(*report)) ? 0 : 1;
 }
 
 // `icarus explain <gen>`: one generator, flight recorder on, full
@@ -439,21 +443,16 @@ int VerifyAll(const Platform& platform, const icarus::verifier::BatchOptions& op
     }
   }
 
-  // Deliberately-buggy study generators are expected to be refuted; anything
-  // else must verify. Inconclusive results (deadline/budget) are reported but
-  // also count as unexpected for the exit code. CACHED_SAFE stands for a
-  // stored VERIFIED and satisfies the expectation the same way.
+  // Inconclusive results (deadline/budget) are reported but count as
+  // unexpected for the exit code, like ERROR and INTERNAL_ERROR rows.
   int failures = 0;
   for (const icarus::verifier::GeneratorResult& r : report.results) {
-    Outcome expected = r.generator.find("_buggy") == std::string::npos ? Outcome::kVerified
-                                                                       : Outcome::kRefuted;
-    if (expected == Outcome::kVerified && r.outcome == Outcome::kCachedSafe) {
-      continue;
-    }
-    if (r.outcome != expected) {
+    if (!icarus::verifier::IsExpectedOutcome(r.generator, r.outcome)) {
       std::printf("UNEXPECTED: %s is %s (expected %s)\n", r.generator.c_str(),
                   icarus::verifier::OutcomeName(r.outcome),
-                  icarus::verifier::OutcomeName(expected));
+                  icarus::verifier::IsExpectedOutcome(r.generator, Outcome::kRefuted)
+                      ? icarus::verifier::OutcomeName(Outcome::kRefuted)
+                      : "VERIFIED or CACHED_SAFE");
       ++failures;
     }
   }
@@ -677,8 +676,6 @@ int ClientCmd(int argc, char** argv) {
       icarus::net::CloseFd(fd);
       return ClientUsage();
     }
-    using icarus::verifier::Outcome;
-    using icarus::verifier::OutcomeName;
     int failures = 0;
     for (const std::string& gen : generators) {
       Request req;
@@ -690,13 +687,10 @@ int ClientCmd(int argc, char** argv) {
         icarus::net::CloseFd(fd);
         return 2;
       }
-      bool expect_refuted = gen.find("_buggy") != std::string::npos;
-      bool expected =
-          resp.status == icarus::daemon::kStatusOk &&
-          (expect_refuted
-               ? resp.outcome == OutcomeName(Outcome::kRefuted)
-               : resp.outcome == OutcomeName(Outcome::kVerified) ||
-                     resp.outcome == OutcomeName(Outcome::kCachedSafe));
+      icarus::verifier::Outcome outcome;
+      bool expected = resp.status == icarus::daemon::kStatusOk &&
+                      icarus::verifier::OutcomeFromName(resp.outcome, &outcome) &&
+                      icarus::verifier::IsExpectedOutcome(gen, outcome);
       if (resp.status == icarus::daemon::kStatusOk) {
         // ERROR/INTERNAL_ERROR outcomes are served (status OK) but carry
         // their diagnostic in `error` — show it, or the row is just a label.
@@ -910,7 +904,7 @@ int Run(int argc, char** argv) {
   }
   std::string name = argv[2];
   if (cmd == "verify") {
-    return Verify(*platform, name, name.find("_buggy") == std::string::npos);
+    return Verify(*platform, name);
   }
   if (cmd == "explain") {
     return Explain(*platform, name);
