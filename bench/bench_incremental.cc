@@ -4,7 +4,8 @@
 // Shape to check: the cold run verifies everything for real and populates
 // the stores; the warm run must skip every generator as CACHED_SAFE without
 // a single solver dispatch — its cost is fingerprinting plus two file reads —
-// and come in at least 5x faster than the cold run. The fleet is the
+// must leave both store files in place (it changed neither, so it writes
+// neither back), and come in at least 5x faster than the cold run. The fleet is the
 // Figure-12 set plus extensions (all verifiable); the buggy study pairs are
 // excluded because refutations are deliberately never stored (re-running
 // them keeps counterexample reporting live), so they would re-verify on
@@ -12,6 +13,8 @@
 //
 // One sample is a cold run on freshly emptied stores followed by a warm run;
 // the bench takes kSamples of them, gates every sample, and reports medians.
+
+#include <sys/stat.h>
 
 #include <cstdio>
 #include <cstring>
@@ -28,6 +31,13 @@
 namespace {
 
 constexpr int kSamples = 5;
+
+// The inode of `path`, 0 when it does not exist. Stores are saved by
+// temp+rename, so a save always gives the file a new inode.
+ino_t InodeOf(const std::string& path) {
+  struct stat st;
+  return ::stat(path.c_str(), &st) == 0 ? st.st_ino : 0;
+}
 
 }  // namespace
 
@@ -80,11 +90,12 @@ int main(int argc, char** argv) {
 
   // Gates, checked on every sample. The cold fleet must fully verify
   // (otherwise the warm numbers are about a different workload), the warm
-  // run must be 100% CACHED_SAFE with zero solver dispatches, and the skip
-  // must be worth at least 5x on the medians.
+  // run must be 100% CACHED_SAFE with zero solver dispatches and replace
+  // neither store, and the skip must be worth at least 5x on the medians.
   bool cold_ok = true;
   bool warm_all_cached = true;
   bool warm_no_solving = true;
+  bool warm_no_saves = true;
   std::vector<double> cold_s;
   std::vector<double> warm_s;
   for (int sample = 0; sample < kSamples; ++sample) {
@@ -92,8 +103,14 @@ int main(int argc, char** argv) {
     std::remove(icarus::verifier::VerdictStorePath(cache_dir).c_str());
     std::remove(icarus::verifier::SolverCacheStorePath(cache_dir).c_str());
 
+    const std::string verdicts = icarus::verifier::VerdictStorePath(cache_dir);
+    const std::string solver_cache = icarus::verifier::SolverCacheStorePath(cache_dir);
     BatchReport cold = batch.VerifyAll(fleet, options).take();
+    ino_t verdicts_inode = InodeOf(verdicts);
+    ino_t cache_inode = InodeOf(solver_cache);
     BatchReport warm = batch.VerifyAll(fleet, options).take();
+    warm_no_saves = warm_no_saves && verdicts_inode != 0 && cache_inode != 0 &&
+                    InodeOf(verdicts) == verdicts_inode && InodeOf(solver_cache) == cache_inode;
     cold_s.push_back(cold.wall_seconds);
     warm_s.push_back(warm.wall_seconds);
     cold_ok = cold_ok && cold.NumWithOutcome(Outcome::kVerified) == static_cast<int>(fleet.size());
@@ -117,6 +134,7 @@ int main(int argc, char** argv) {
   std::printf("\ncold run fully verified: %s\n", cold_ok ? "yes" : "NO");
   std::printf("warm run 100%% CACHED_SAFE: %s\n", warm_all_cached ? "yes" : "NO");
   std::printf("warm run dispatched zero solver queries: %s\n", warm_no_solving ? "yes" : "NO");
+  std::printf("warm run replaced neither store: %s\n", warm_no_saves ? "yes" : "NO");
   std::printf(">=5x cold/warm speedup: %s\n", speedup_ok ? "yes" : "NO");
 
   if (!json_path.empty()) {
@@ -142,5 +160,5 @@ int main(int argc, char** argv) {
     }
     std::printf("json written to %s\n", json_path.c_str());
   }
-  return cold_ok && warm_all_cached && warm_no_solving && speedup_ok ? 0 : 1;
+  return cold_ok && warm_all_cached && warm_no_solving && warm_no_saves && speedup_ok ? 0 : 1;
 }

@@ -12,21 +12,13 @@ const LanguageDecl* Module::FindLanguage(const std::string& name) const {
 }
 
 const FunctionDecl* Module::FindFunction(const std::string& name) const {
-  for (const auto& f : functions) {
-    if (f->name == name) {
-      return f.get();
-    }
-  }
-  return nullptr;
+  auto it = functions_by_name.find(name);
+  return it == functions_by_name.end() ? nullptr : it->second;
 }
 
 const ExternFnDecl* Module::FindExtern(const std::string& name) const {
-  for (const auto& e : externs) {
-    if (e->name == name) {
-      return e.get();
-    }
-  }
-  return nullptr;
+  auto it = externs_by_name.find(name);
+  return it == externs_by_name.end() ? nullptr : it->second;
 }
 
 const CompilerDecl* Module::FindCompiler(const std::string& name) const {

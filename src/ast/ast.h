@@ -38,7 +38,10 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "src/ast/type.h"
@@ -258,6 +261,8 @@ struct InterpreterDecl {
 // Module
 // ---------------------------------------------------------------------------
 
+struct FingerprintMemo;  // fingerprint.cc
+
 class Module {
  public:
   Module() = default;
@@ -273,6 +278,12 @@ class Module {
   std::vector<std::unique_ptr<CompilerDecl>> compilers;
   std::vector<std::unique_ptr<InterpreterDecl>> interpreters;
 
+  // Resolved: the name tables of `functions` and `externs`, keyed by views
+  // of the declarations' own names. Resolve fills them and rejects a
+  // duplicate name, so FindFunction and FindExtern answer only after it.
+  std::unordered_map<std::string_view, const FunctionDecl*> functions_by_name;
+  std::unordered_map<std::string_view, const ExternFnDecl*> externs_by_name;
+
   const LanguageDecl* FindLanguage(const std::string& name) const;
   const FunctionDecl* FindFunction(const std::string& name) const;
   const ExternFnDecl* FindExtern(const std::string& name) const;
@@ -282,8 +293,19 @@ class Module {
   // Every generator (FnKind::kGenerator) in declaration order.
   std::vector<const FunctionDecl*> Generators() const;
 
+  // True once UnitFingerprint has memoised this module's declarations
+  // (fingerprint.h). A frozen module takes no more parsing or resolving:
+  // Parser::ParseInto and Resolve fail an ICARUS_CHECK on it.
+  bool frozen() const { return fingerprint_memo_ != nullptr; }
+
  private:
+  friend struct FingerprintMemo;
+
   TypeTable types_;
+  // Built by the first UnitFingerprint call, once across threads. A
+  // shared_ptr, so this header needs only the memo's declaration.
+  mutable std::once_flag fingerprint_once_;
+  mutable std::shared_ptr<const FingerprintMemo> fingerprint_memo_;
 };
 
 }  // namespace icarus::ast

@@ -1,24 +1,37 @@
 #include "src/ast/fingerprint.h"
 
 #include <algorithm>
-#include <set>
+#include <memory>
+#include <mutex>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "src/ast/printer.h"
+#include "src/obs/trace.h"
 #include "src/support/str_util.h"
 
 namespace icarus::ast {
 
 namespace {
 
-uint64_t Fnv1a(std::string_view s) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
+// FNV-1a over a byte stream. Hashing pieces in sequence gives the hash of
+// their concatenation, so an item is hashed in place, never built as a
+// string.
+class Fnv1a {
+ public:
+  Fnv1a& operator<<(std::string_view s) {
+    for (char c : s) {
+      h_ ^= static_cast<unsigned char>(c);
+      h_ *= 0x100000001b3ULL;
+    }
+    return *this;
   }
-  return h;
-}
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 0xcbf29ce484222325ULL;
+};
 
 uint64_t Mix(uint64_t h, uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
@@ -27,162 +40,199 @@ uint64_t Mix(uint64_t h, uint64_t v) {
   return h;
 }
 
-// Accumulates the closure: every item is serialized to a tagged string and
-// hashed; the per-item hashes are combined order-insensitively at the end so
-// traversal order (worklist scheduling, declaration order) cannot leak into
-// the fingerprint.
-class ClosureHasher {
+}  // namespace
+
+// One item per declaration a unit can reach (function or op callback,
+// extern, emitted op, enum): its hash, and the items it pulls into any unit
+// that reaches it. Built once per module; read-only afterwards.
+struct FingerprintMemo {
+  struct Item {
+    uint64_t hash = 0;
+    std::vector<uint32_t> pulls;
+  };
+  std::vector<Item> items;
+  std::unordered_map<const void*, uint32_t> slot;  // Declaration → index into items.
+
+  static const FingerprintMemo& Of(const Module& module);
+};
+
+namespace {
+
+// Hashes every declaration of a resolved module once. An item's text is
+// what the unit fingerprint has always hashed for it:
+//   fn \x1f name \x1f source_text
+//   ext \x1f name \x1f ( p:T, ... ) -> R [\x1f requires|ensures expr]...
+//   op \x1f language \x1f signature
+//   enum \x1f name \x1f members joined by ','
+class MemoBuilder {
  public:
-  explicit ClosureHasher(const Module& module) : module_(module) {}
+  explicit MemoBuilder(const Module& module) : module_(module) {}
 
-  void AddFunction(const FunctionDecl* fn) {
-    if (fn == nullptr || !seen_fns_.insert(fn).second) {
-      return;
+  std::shared_ptr<const FingerprintMemo> Build() {
+    for (const auto& fn : module_.functions) {
+      AddFunction(*fn);
     }
-    worklist_.push_back(fn);
-  }
-
-  void Run() {
-    while (!worklist_.empty()) {
-      const FunctionDecl* fn = worklist_.back();
-      worklist_.pop_back();
-      AddItem(StrCat("fn\x1f", fn->name, "\x1f", fn->source_text));
-      AddParams(fn->params);
-      WalkBlock(fn->body);
-    }
-  }
-
-  Fingerprint Finish() {
-    // Sort + dedupe, then fold through two independently seeded lanes — the
-    // same combination scheme the solver-cache query fingerprint uses.
-    std::sort(items_.begin(), items_.end());
-    items_.erase(std::unique(items_.begin(), items_.end()), items_.end());
-    Fingerprint fp;
-    fp.lo = 0x6a09e667f3bcc908ULL;
-    fp.hi = 0xbb67ae8584caa73bULL;
-    for (uint64_t h : items_) {
-      fp.lo = Mix(fp.lo, h);
-      fp.hi = Mix(fp.hi, h ^ 0xa5a5a5a5a5a5a5a5ULL);
-    }
-    fp.lo = Mix(fp.lo, items_.size());
-    fp.hi = Mix(fp.hi, items_.size() + 1);
-    return fp;
-  }
-
- private:
-  void AddItem(const std::string& item) { items_.push_back(Fnv1a(item)); }
-
-  void AddEnum(const EnumDecl* decl) {
-    if (decl == nullptr || !seen_enums_.insert(decl).second) {
-      return;
-    }
-    // Member *order* matters: enum literals resolve to indices.
-    AddItem(StrCat("enum\x1f", decl->name, "\x1f", Join(decl->members, ",")));
-  }
-
-  void AddType(const Type* type) {
-    if (type == nullptr) {
-      return;
-    }
-    if (type->kind() == TypeKind::kEnum) {
-      AddEnum(type->enum_decl());
-    }
-  }
-
-  void AddParams(const std::vector<Param>& params) {
-    for (const Param& p : params) {
-      AddType(p.type);
-    }
-  }
-
-  void AddExtern(const ExternFnDecl* ext) {
-    if (ext == nullptr || !seen_exts_.insert(ext).second) {
-      return;
-    }
-    // Externs carry no source_text; serialize the resolved declaration:
-    // signature plus every contract clause. Contract expressions are what
-    // the evaluator asserts, so their text is semantic content.
-    std::string item = StrCat("ext\x1f", ext->name, "\x1f(");
-    for (const Param& p : ext->params) {
-      item += StrCat(p.name, ":", p.type_name, ",");
-    }
-    item += StrCat(")->", ext->return_type_name);
-    for (const ContractClause& clause : ext->contracts) {
-      item += StrCat("\x1f", clause.is_requires ? "requires " : "ensures ",
-                     PrintExpr(*clause.expr));
-    }
-    AddItem(item);
-    AddParams(ext->params);
-    // Contracts can themselves call externs (e.g. `slot <
-    // Shape::numFixedSlots(...)`) whose contracts feed the same queries.
-    for (const ContractClause& clause : ext->contracts) {
-      WalkExpr(clause.expr.get());
-    }
-  }
-
-  void AddEmittedOp(const OpDecl* op) {
-    if (op == nullptr || !seen_ops_.insert(op).second) {
-      return;
-    }
-    AddItem(StrCat("op\x1f", op->language != nullptr ? op->language->name : "", "\x1f",
-                   PrintOpSignature(*op)));
-    AddParams(op->params);
-    // Emitting an op pulls in its compiler lowering and, transitively, the
-    // interpreter semantics of whatever that lowering emits (the interpreter
-    // callbacks of ops emitted *by the callback* are enqueued when its body
-    // is walked).
     for (const auto& compiler : module_.compilers) {
-      if (compiler->source_language == op->language) {
-        AddFunction(compiler->FindCallback(op));
+      for (const auto& cb : compiler->op_callbacks) {
+        AddFunction(*cb);
       }
     }
     for (const auto& interp : module_.interpreters) {
-      if (interp->language == op->language) {
-        AddFunction(interp->FindCallback(op));
+      for (const auto& cb : interp->op_callbacks) {
+        AddFunction(*cb);
+      }
+    }
+    for (const auto& ext : module_.externs) {
+      AddExtern(*ext);
+    }
+    for (const auto& lang : module_.languages) {
+      for (const auto& op : lang->ops) {
+        AddOp(*op);
+      }
+    }
+    return std::move(memo_);
+  }
+
+ private:
+  // The item index of `decl`, allocated on first mention; its hash and
+  // pulls are filled when the declaration itself is added.
+  uint32_t Slot(const void* decl) {
+    auto [it, inserted] =
+        memo_->slot.try_emplace(decl, static_cast<uint32_t>(memo_->items.size()));
+    if (inserted) {
+      memo_->items.emplace_back();
+    }
+    return it->second;
+  }
+
+  void Set(const void* decl, uint64_t hash, std::vector<uint32_t> pulls) {
+    FingerprintMemo::Item& item = memo_->items[Slot(decl)];
+    item.hash = hash;
+    item.pulls = std::move(pulls);
+  }
+
+  void AddFunction(const FunctionDecl& fn) {
+    std::vector<uint32_t> pulls;
+    PullParams(fn.params, &pulls);
+    PullBlock(fn.body, &pulls);
+    Set(&fn, (Fnv1a() << "fn\x1f" << fn.name << "\x1f" << fn.source_text).value(),
+        std::move(pulls));
+  }
+
+  void AddExtern(const ExternFnDecl& ext) {
+    // Externs carry no source_text; hash the resolved declaration:
+    // signature plus every contract clause. Contract expressions are what
+    // the evaluator asserts, so their text is semantic content.
+    Fnv1a h;
+    h << "ext\x1f" << ext.name << "\x1f(";
+    for (const Param& p : ext.params) {
+      h << p.name << ":" << p.type_name << ",";
+    }
+    h << ")->" << ext.return_type_name;
+    std::vector<uint32_t> pulls;
+    PullParams(ext.params, &pulls);
+    for (const ContractClause& clause : ext.contracts) {
+      h << "\x1f" << (clause.is_requires ? "requires " : "ensures ") << PrintExpr(*clause.expr);
+      // Contracts can themselves call externs (e.g. `slot <
+      // Shape::numFixedSlots(...)`) whose contracts feed the same queries.
+      PullExpr(clause.expr.get(), &pulls);
+    }
+    Set(&ext, h.value(), std::move(pulls));
+  }
+
+  void AddOp(const OpDecl& op) {
+    std::vector<uint32_t> pulls;
+    PullParams(op.params, &pulls);
+    // Emitting an op pulls in its compiler lowering and its interpreter
+    // semantics; whatever those emit is pulled by their own items.
+    for (const auto& compiler : module_.compilers) {
+      if (compiler->source_language == op.language) {
+        Pull(compiler->FindCallback(&op), &pulls);
+      }
+    }
+    for (const auto& interp : module_.interpreters) {
+      if (interp->language == op.language) {
+        Pull(interp->FindCallback(&op), &pulls);
+      }
+    }
+    Set(&op,
+        (Fnv1a() << "op\x1f" << (op.language != nullptr ? op.language->name : "") << "\x1f"
+                 << PrintOpSignature(op))
+            .value(),
+        std::move(pulls));
+  }
+
+  void Pull(const void* decl, std::vector<uint32_t>* pulls) {
+    if (decl != nullptr) {
+      pulls->push_back(Slot(decl));
+    }
+  }
+
+  // An enum pulls nothing, so it is hashed when first mentioned. Member
+  // *order* matters: enum literals resolve to indices.
+  void PullEnum(const EnumDecl* decl, std::vector<uint32_t>* pulls) {
+    if (decl == nullptr) {
+      return;
+    }
+    if (memo_->slot.count(decl) == 0) {
+      Fnv1a h;
+      h << "enum\x1f" << decl->name << "\x1f" << Join(decl->members, ",");
+      Set(decl, h.value(), {});
+    }
+    pulls->push_back(Slot(decl));
+  }
+
+  void PullParams(const std::vector<Param>& params, std::vector<uint32_t>* pulls) {
+    for (const Param& p : params) {
+      if (p.type != nullptr && p.type->kind() == TypeKind::kEnum) {
+        PullEnum(p.type->enum_decl(), pulls);
       }
     }
   }
 
-  void WalkExpr(const Expr* e) {
+  void PullExpr(const Expr* e, std::vector<uint32_t>* pulls) {
     if (e == nullptr) {
       return;
     }
     if (e->kind == ExprKind::kEnumLit) {
-      AddEnum(e->enum_decl);
+      PullEnum(e->enum_decl, pulls);
     }
     if (e->kind == ExprKind::kCall) {
-      AddFunction(e->callee_fn);
-      AddExtern(e->callee_ext);
+      Pull(e->callee_fn, pulls);
+      Pull(e->callee_ext, pulls);
     }
     for (const ExprPtr& a : e->args) {
-      WalkExpr(a.get());
+      PullExpr(a.get(), pulls);
     }
   }
 
-  void WalkBlock(const std::vector<StmtPtr>& block) {
+  void PullBlock(const std::vector<StmtPtr>& block, std::vector<uint32_t>* pulls) {
     for (const StmtPtr& stmt : block) {
-      WalkExpr(stmt->expr.get());
+      PullExpr(stmt->expr.get(), pulls);
       for (const ExprPtr& a : stmt->args) {
-        WalkExpr(a.get());
+        PullExpr(a.get(), pulls);
       }
       if (stmt->kind == StmtKind::kEmit) {
-        AddEmittedOp(stmt->emit_op);
+        Pull(stmt->emit_op, pulls);
       }
-      WalkBlock(stmt->then_block);
-      WalkBlock(stmt->else_block);
+      PullBlock(stmt->then_block, pulls);
+      PullBlock(stmt->else_block, pulls);
     }
   }
 
   const Module& module_;
-  std::vector<const FunctionDecl*> worklist_;
-  std::set<const FunctionDecl*> seen_fns_;
-  std::set<const ExternFnDecl*> seen_exts_;
-  std::set<const OpDecl*> seen_ops_;
-  std::set<const EnumDecl*> seen_enums_;
-  std::vector<uint64_t> items_;
+  std::shared_ptr<FingerprintMemo> memo_ = std::make_shared<FingerprintMemo>();
 };
 
 }  // namespace
+
+const FingerprintMemo& FingerprintMemo::Of(const Module& module) {
+  std::call_once(module.fingerprint_once_, [&module] {
+    obs::ScopedSpan span("frontend.fingerprint");
+    module.fingerprint_memo_ = MemoBuilder(module).Build();
+  });
+  return *module.fingerprint_memo_;
+}
 
 std::string Fingerprint::ToHex() const {
   return StrFormat("%016llx%016llx", static_cast<unsigned long long>(lo),
@@ -194,10 +244,40 @@ StatusOr<Fingerprint> UnitFingerprint(const Module& module, const std::string& g
   if (generator == nullptr || generator->fn_kind != FnKind::kGenerator) {
     return Status::Error(StrCat("no generator named '", generator_name, "' to fingerprint"));
   }
-  ClosureHasher hasher(module);
-  hasher.AddFunction(generator);
-  hasher.Run();
-  return hasher.Finish();
+  const FingerprintMemo& memo = FingerprintMemo::Of(module);
+
+  // The unit is every item reachable from the generator's.
+  std::vector<bool> reached(memo.items.size());
+  std::vector<uint32_t> stack = {memo.slot.at(generator)};
+  reached[stack.back()] = true;
+  std::vector<uint64_t> hashes;
+  while (!stack.empty()) {
+    const FingerprintMemo::Item& item = memo.items[stack.back()];
+    stack.pop_back();
+    hashes.push_back(item.hash);
+    for (uint32_t pulled : item.pulls) {
+      if (!reached[pulled]) {
+        reached[pulled] = true;
+        stack.push_back(pulled);
+      }
+    }
+  }
+
+  // Sort + dedupe, so traversal and declaration order cannot leak in, then
+  // fold through two independently seeded lanes — the same combination
+  // scheme the solver-cache query fingerprint uses.
+  std::sort(hashes.begin(), hashes.end());
+  hashes.erase(std::unique(hashes.begin(), hashes.end()), hashes.end());
+  Fingerprint fp;
+  fp.lo = 0x6a09e667f3bcc908ULL;
+  fp.hi = 0xbb67ae8584caa73bULL;
+  for (uint64_t h : hashes) {
+    fp.lo = Mix(fp.lo, h);
+    fp.hi = Mix(fp.hi, h ^ 0xa5a5a5a5a5a5a5a5ULL);
+  }
+  fp.lo = Mix(fp.lo, hashes.size());
+  fp.hi = Mix(fp.hi, hashes.size() + 1);
+  return fp;
 }
 
 }  // namespace icarus::ast

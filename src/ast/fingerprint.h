@@ -21,6 +21,15 @@
 // (generator, unit fingerprint, solver budget) to a previously earned PASS,
 // and a matching fingerprint means the stored verdict is still about the
 // same semantics. See docs/ARCHITECTURE.md §"Incremental verification".
+//
+// Each declaration is hashed once per loaded module, not once per unit: the
+// first UnitFingerprint call on a module (from any thread; the others wait)
+// builds a memo holding every declaration's item hash and the declarations
+// it pulls in. A unit's fingerprint is then a walk over that graph from the
+// generator and a fold of the item hashes it reaches. The first call thus
+// pays for the whole module (the `frontend.fingerprint` trace span) and
+// every later one only for its walk. The memo freezes the module: parsing
+// into it or resolving it again fails an ICARUS_CHECK.
 #ifndef ICARUS_AST_FINGERPRINT_H_
 #define ICARUS_AST_FINGERPRINT_H_
 
@@ -45,11 +54,12 @@ struct Fingerprint {
 };
 
 // Computes the fingerprint of `generator_name`'s verification unit over the
-// resolved `module`. Errors only when the name does not resolve to a
-// generator; a resolvable generator always fingerprints (missing op
-// callbacks simply contribute nothing, matching how verification treats
-// them). The combination over closure items is order-insensitive, so the
-// result is independent of declaration and traversal order.
+// resolved `module`, building the module's memo on first use. Thread-safe.
+// Errors only when the name does not resolve to a generator; a resolvable
+// generator always fingerprints (missing op callbacks simply contribute
+// nothing, matching how verification treats them). The combination over
+// closure items is order-insensitive, so the result is independent of
+// declaration and traversal order.
 StatusOr<Fingerprint> UnitFingerprint(const Module& module, const std::string& generator_name);
 
 }  // namespace icarus::ast

@@ -43,11 +43,12 @@ const std::map<std::string_view, Tok>& Keywords() {
   return kKeywords;
 }
 
+// ASCII only, as the "C" locale's isalpha/isalnum.
 bool IsIdentStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) != 0 || c == '_';
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
 }
 bool IsIdentCont(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+  return IsIdentStart(c) || (c >= '0' && c <= '9');
 }
 
 }  // namespace
@@ -114,6 +115,7 @@ bool Lexer::SkipTrivia(int* err_line, int* err_col) {
 Token Lexer::Make(Tok kind) {
   Token t;
   t.kind = kind;
+  t.text = src_.substr(tok_offset_, pos_ - tok_offset_);
   t.line = tok_line_;
   t.col = tok_col_;
   t.offset = tok_offset_;
@@ -124,7 +126,7 @@ Token Lexer::Error(int line, int col, std::string message) {
   Token t = Make(Tok::kError);
   t.line = line;
   t.col = col;
-  t.text = std::move(message);
+  t.message = std::move(message);
   return t;
 }
 
@@ -145,19 +147,15 @@ Token Lexer::Next() {
     return Make(Tok::kEof);
   }
   if (IsIdentStart(c)) {
-    std::string ident;
-    while (IsIdentCont(Peek())) {
-      ident.push_back(Advance());
+    // An identifier never spans a newline, so only the column moves.
+    size_t end = pos_ + 1;
+    while (end < src_.size() && IsIdentCont(src_[end])) {
+      ++end;
     }
-    auto it = Keywords().find(ident);
-    if (it != Keywords().end()) {
-      Token t = Make(it->second);
-      t.text = ident;
-      return t;
-    }
-    Token t = Make(Tok::kIdent);
-    t.text = std::move(ident);
-    return t;
+    col_ += static_cast<int>(end - pos_);
+    pos_ = end;
+    auto it = Keywords().find(src_.substr(tok_offset_, pos_ - tok_offset_));
+    return Make(it != Keywords().end() ? it->second : Tok::kIdent);
   }
   if (std::isdigit(static_cast<unsigned char>(c)) != 0) {
     // Accumulate with an explicit overflow guard: a runaway literal is a
@@ -198,7 +196,6 @@ Token Lexer::Next() {
   }
   if (c == '"') {
     Advance();
-    std::string text;
     while (true) {
       char d = Peek();
       if (d == '\0' || d == '\n') {
@@ -218,14 +215,10 @@ Token Lexer::Next() {
                        StrFormat("unterminated string literal starting at line %d, col %d",
                                  tok_line_, tok_col_));
         }
-        text.push_back(Advance());
-        continue;
+        Advance();
       }
-      text.push_back(d);
     }
-    Token t = Make(Tok::kStrLit);
-    t.text = std::move(text);
-    return t;
+    return Make(Tok::kStrLit);
   }
   Advance();
   switch (c) {
@@ -269,7 +262,10 @@ Token Lexer::Next() {
 
 std::vector<Token> Lexer::LexAll() {
   obs::ScopedSpan span("frontend.lex");
+  // The platform's DSL averages about five bytes per token; reserving for
+  // four spares the vector its regrowth copies (and their peak memory).
   std::vector<Token> out;
+  out.reserve(src_.size() / 4 + 1);
   while (true) {
     Token t = Next();
     bool done = (t.kind == Tok::kEof || t.kind == Tok::kError);

@@ -17,8 +17,8 @@ class Lexer {
  public:
   explicit Lexer(std::string_view source);
 
-  // Lexes the entire input. On error, the final token is kError with a
-  // message in `text`.
+  // Lexes the entire input. On error, the final token is kError with its
+  // diagnostic in `message`. Token texts are views into `source`.
   std::vector<Token> LexAll();
 
  private:

@@ -5,11 +5,44 @@
 #include "src/ast/lexer.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/support/check.h"
 #include "src/support/str_util.h"
 
 namespace icarus::ast {
 
 namespace {
+
+// A binary operator and its precedence: higher binds tighter, 0 means the
+// token is not a binary operator. All 18 associate left; unary `!` and `-`
+// bind tighter than any of them.
+struct BinaryOperator {
+  BinOp op = BinOp::kAdd;
+  int prec = 0;
+};
+
+BinaryOperator BinaryOperatorOf(Tok tok) {
+  switch (tok) {
+    case Tok::kOrOr: return {BinOp::kLOr, 1};
+    case Tok::kAndAnd: return {BinOp::kLAnd, 2};
+    case Tok::kPipe: return {BinOp::kBitOr, 3};
+    case Tok::kCaret: return {BinOp::kBitXor, 4};
+    case Tok::kAmp: return {BinOp::kBitAnd, 5};
+    case Tok::kEqEq: return {BinOp::kEq, 6};
+    case Tok::kNe: return {BinOp::kNe, 6};
+    case Tok::kLt: return {BinOp::kLt, 7};
+    case Tok::kLe: return {BinOp::kLe, 7};
+    case Tok::kGt: return {BinOp::kGt, 7};
+    case Tok::kGe: return {BinOp::kGe, 7};
+    case Tok::kShl: return {BinOp::kShl, 8};
+    case Tok::kShr: return {BinOp::kShr, 8};
+    case Tok::kPlus: return {BinOp::kAdd, 9};
+    case Tok::kMinus: return {BinOp::kSub, 9};
+    case Tok::kStar: return {BinOp::kMul, 10};
+    case Tok::kSlash: return {BinOp::kDiv, 10};
+    case Tok::kPercent: return {BinOp::kMod, 10};
+    default: return {};
+  }
+}
 
 class ParserImpl {
  public:
@@ -21,7 +54,7 @@ class ParserImpl {
 
   Status Run() {
     if (tokens_.back().kind == Tok::kError) {
-      return Status::Error(tokens_.back().text);
+      return Status::Error(tokens_.back().message);
     }
     while (!At(Tok::kEof)) {
       ICARUS_RETURN_IF_ERROR(TopLevel());
@@ -38,7 +71,7 @@ class ParserImpl {
     return i < tokens_.size() ? tokens_[i] : tokens_.back();
   }
   bool At(Tok k) const { return Cur().kind == k; }
-  Token Take() { return tokens_[idx_++]; }
+  const Token& Take() { return tokens_[idx_++]; }
   bool Eat(Tok k) {
     if (At(k)) {
       ++idx_;
@@ -48,19 +81,20 @@ class ParserImpl {
   }
 
   Status Err(const std::string& msg) {
-    return Status::Error(
-        StrFormat("parse error at line %d, col %d: %s (found '%s')", Cur().line, Cur().col,
-                  msg.c_str(), Cur().kind == Tok::kIdent ? Cur().text.c_str()
-                                                         : TokName(Cur().kind)));
+    std::string found = Cur().kind == Tok::kIdent ? std::string(Cur().text) : TokName(Cur().kind);
+    return Status::Error(StrFormat("parse error at line %d, col %d: %s (found '%s')", Cur().line,
+                                   Cur().col, msg.c_str(), found.c_str()));
   }
 
-  Status Expect(Tok k, Token* out = nullptr) {
+  // Consumes a `k` token; `text` (optional) receives its spelling, a view
+  // into the source.
+  Status Expect(Tok k, std::string_view* text = nullptr) {
     if (!At(k)) {
       return Err(StrCat("expected '", TokName(k), "'"));
     }
-    Token t = Take();
-    if (out != nullptr) {
-      *out = std::move(t);
+    const Token& t = Take();
+    if (text != nullptr) {
+      *text = t.text;
     }
     return Status::Ok();
   }
@@ -91,22 +125,22 @@ class ParserImpl {
 
   Status EnumDeclTop() {
     Take();  // enum
-    Token name;
+    std::string_view name;
     ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &name));
     ICARUS_RETURN_IF_ERROR(Expect(Tok::kLBrace));
     EnumDecl decl;
-    decl.name = name.text;
+    decl.name = name;
     while (!At(Tok::kRBrace)) {
-      Token member;
+      std::string_view member;
       ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &member));
-      decl.members.push_back(member.text);
+      decl.members.emplace_back(member);
       if (!Eat(Tok::kComma)) {
         break;
       }
     }
     ICARUS_RETURN_IF_ERROR(Expect(Tok::kRBrace));
     if (module_->types().DeclareEnum(std::move(decl)) == nullptr) {
-      return Status::Error(StrCat("duplicate type name '", name.text, "'"));
+      return Status::Error(StrCat("duplicate type name '", name, "'"));
     }
     return Status::Ok();
   }
@@ -114,11 +148,11 @@ class ParserImpl {
   Status ExternDeclTop() {
     Take();  // extern
     if (Eat(Tok::kKwType)) {
-      Token name;
+      std::string_view name;
       ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &name));
       ICARUS_RETURN_IF_ERROR(Expect(Tok::kSemi));
-      if (module_->types().DeclareOpaque(name.text) == nullptr) {
-        return Status::Error(StrCat("duplicate type name '", name.text, "'"));
+      if (module_->types().DeclareOpaque(std::string(name)) == nullptr) {
+        return Status::Error(StrCat("duplicate type name '", name, "'"));
       }
       return Status::Ok();
     }
@@ -128,9 +162,9 @@ class ParserImpl {
     ICARUS_RETURN_IF_ERROR(QualIdent(&decl->name));
     ICARUS_RETURN_IF_ERROR(ParamList(&decl->params));
     if (Eat(Tok::kArrow)) {
-      Token ret;
+      std::string_view ret;
       ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &ret));
-      decl->return_type_name = ret.text;
+      decl->return_type_name = ret;
     }
     while (At(Tok::kKwRequires) || At(Tok::kKwEnsures)) {
       ContractClause clause;
@@ -145,17 +179,17 @@ class ParserImpl {
 
   Status LanguageDeclTop() {
     Take();  // language
-    Token name;
+    std::string_view name;
     ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &name));
     ICARUS_RETURN_IF_ERROR(Expect(Tok::kLBrace));
     auto lang = std::make_unique<LanguageDecl>();
-    lang->name = name.text;
+    lang->name = name;
     while (!At(Tok::kRBrace)) {
       ICARUS_RETURN_IF_ERROR(Expect(Tok::kKwOp));
       auto op = std::make_unique<OpDecl>();
-      Token op_name;
+      std::string_view op_name;
       ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &op_name));
-      op->name = op_name.text;
+      op->name = op_name;
       ICARUS_RETURN_IF_ERROR(ParamList(&op->params));
       ICARUS_RETURN_IF_ERROR(Expect(Tok::kSemi));
       op->language = lang.get();
@@ -174,17 +208,17 @@ class ParserImpl {
   Status CompilerDeclTop() {
     Take();  // compiler
     auto decl = std::make_unique<CompilerDecl>();
-    Token name;
+    std::string_view name;
     ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &name));
-    decl->name = name.text;
+    decl->name = name;
     ICARUS_RETURN_IF_ERROR(Expect(Tok::kColon));
-    Token src;
+    std::string_view src;
     ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &src));
-    decl->source_language_name = src.text;
+    decl->source_language_name = src;
     ICARUS_RETURN_IF_ERROR(Expect(Tok::kArrow));
-    Token tgt;
+    std::string_view tgt;
     ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &tgt));
-    decl->target_language_name = tgt.text;
+    decl->target_language_name = tgt;
     ICARUS_RETURN_IF_ERROR(Expect(Tok::kLBrace));
     while (!At(Tok::kRBrace)) {
       std::unique_ptr<FunctionDecl> cb;
@@ -199,13 +233,13 @@ class ParserImpl {
   Status InterpreterDeclTop() {
     Take();  // interpreter
     auto decl = std::make_unique<InterpreterDecl>();
-    Token name;
+    std::string_view name;
     ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &name));
-    decl->name = name.text;
+    decl->name = name;
     ICARUS_RETURN_IF_ERROR(Expect(Tok::kColon));
-    Token lang;
+    std::string_view lang;
     ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &lang));
-    decl->language_name = lang.text;
+    decl->language_name = lang;
     ICARUS_RETURN_IF_ERROR(Expect(Tok::kLBrace));
     while (!At(Tok::kRBrace)) {
       std::unique_ptr<FunctionDecl> cb;
@@ -224,9 +258,9 @@ class ParserImpl {
     auto fn = std::make_unique<FunctionDecl>();
     fn->fn_kind = kind;
     fn->loc = Loc();
-    Token name;
+    std::string_view name;
     ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &name));
-    fn->name = name.text;
+    fn->name = name;
     ICARUS_RETURN_IF_ERROR(ParamList(&fn->params));
     size_t end_offset = 0;
     ICARUS_RETURN_IF_ERROR(Block(&fn->body, &end_offset));
@@ -245,14 +279,14 @@ class ParserImpl {
     ICARUS_RETURN_IF_ERROR(QualIdent(&fn->name));
     ICARUS_RETURN_IF_ERROR(ParamList(&fn->params));
     if (Eat(Tok::kArrow)) {
-      Token ret;
+      std::string_view ret;
       ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &ret));
-      fn->return_type_name = ret.text;
+      fn->return_type_name = ret;
     }
     if (Eat(Tok::kKwEmits)) {
-      Token lang;
+      std::string_view lang;
       ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &lang));
-      fn->emits_language_name = lang.text;
+      fn->emits_language_name = lang;
     }
     if (is_generator && fn->return_type_name.empty()) {
       fn->return_type_name = "AttachDecision";
@@ -267,15 +301,15 @@ class ParserImpl {
   // --- Shared pieces -------------------------------------------------------
 
   Status QualIdent(std::string* out) {
-    Token first;
+    std::string_view first;
     ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &first));
-    *out = first.text;
+    *out = first;
     while (At(Tok::kColonColon)) {
       Take();
-      Token next;
+      std::string_view next;
       ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &next));
       out->append("::");
-      out->append(next.text);
+      out->append(next);
     }
     return Status::Ok();
   }
@@ -286,23 +320,22 @@ class ParserImpl {
       Param p;
       if (Eat(Tok::kKwLabel)) {
         p.is_label = true;
-        Token name;
+        std::string_view name;
         ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &name));
-        p.name = name.text;
+        p.name = name;
         // Optional `: Lang` annotation, accepted and ignored (the target
         // language of a label is implied by its context).
         if (Eat(Tok::kColon)) {
-          Token lang;
-          ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &lang));
+          ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent));
         }
       } else {
-        Token name;
+        std::string_view name;
         ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &name));
-        p.name = name.text;
+        p.name = name;
         ICARUS_RETURN_IF_ERROR(Expect(Tok::kColon));
-        Token type;
+        std::string_view type;
         ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &type));
-        p.type_name = type.text;
+        p.type_name = type;
       }
       out->push_back(std::move(p));
       if (!Eat(Tok::kComma)) {
@@ -346,13 +379,13 @@ class ParserImpl {
       case Tok::kKwLet: {
         Take();
         stmt->kind = StmtKind::kLet;
-        Token name;
+        std::string_view name;
         ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &name));
-        stmt->name = name.text;
+        stmt->name = name;
         if (Eat(Tok::kColon)) {
-          Token type;
+          std::string_view type;
           ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &type));
-          stmt->type_name = type.text;
+          stmt->type_name = type;
         }
         ICARUS_RETURN_IF_ERROR(Expect(Tok::kAssign));
         ICARUS_RETURN_IF_ERROR(ParseExpr(&stmt->expr));
@@ -402,12 +435,11 @@ class ParserImpl {
       case Tok::kKwLabel: {
         Take();
         stmt->kind = StmtKind::kLabelDecl;
-        Token name;
+        std::string_view name;
         ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &name));
-        stmt->name = name.text;
+        stmt->name = name;
         if (Eat(Tok::kColon)) {
-          Token lang;
-          ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &lang));
+          ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent));
         }
         ICARUS_RETURN_IF_ERROR(Expect(Tok::kSemi));
         break;
@@ -419,9 +451,9 @@ class ParserImpl {
         stmt->kind = k == Tok::kKwBind    ? StmtKind::kBind
                      : k == Tok::kKwGoto  ? StmtKind::kGoto
                                           : StmtKind::kFailureLabel;
-        Token name;
+        std::string_view name;
         ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &name));
-        stmt->name = name.text;
+        stmt->name = name;
         ICARUS_RETURN_IF_ERROR(Expect(Tok::kSemi));
         break;
       }
@@ -465,80 +497,33 @@ class ParserImpl {
       --depth_;
       return Err("expression nesting too deep");
     }
-    Status st = OrExpr(out);
+    Status st = BinaryExpr(1, out);
     --depth_;
     return st;
   }
 
-  using SubParser = Status (ParserImpl::*)(ExprPtr*);
-
-  Status BinaryLevel(ExprPtr* out, SubParser next,
-                     std::initializer_list<std::pair<Tok, BinOp>> ops) {
-    ICARUS_RETURN_IF_ERROR((this->*next)(out));
+  // Precedence climbing: a unary operand, then every binary operator that
+  // binds at least as tightly as `min_prec`. An operator's right operand
+  // takes only tighter operators, so equal precedences associate left.
+  Status BinaryExpr(int min_prec, ExprPtr* out) {
+    ICARUS_RETURN_IF_ERROR(UnaryExpr(out));
     while (true) {
-      bool matched = false;
-      for (const auto& [tok, op] : ops) {
-        if (At(tok)) {
-          SrcLoc loc = Loc();
-          Take();
-          ExprPtr rhs;
-          ICARUS_RETURN_IF_ERROR((this->*next)(&rhs));
-          auto bin = std::make_unique<Expr>();
-          bin->kind = ExprKind::kBinary;
-          bin->loc = loc;
-          bin->bin_op = op;
-          bin->args.push_back(std::move(*out));
-          bin->args.push_back(std::move(rhs));
-          *out = std::move(bin);
-          matched = true;
-          break;
-        }
-      }
-      if (!matched) {
+      BinaryOperator bin = BinaryOperatorOf(Cur().kind);
+      if (bin.prec == 0 || bin.prec < min_prec) {
         return Status::Ok();
       }
+      SrcLoc loc = Loc();
+      Take();
+      ExprPtr rhs;
+      ICARUS_RETURN_IF_ERROR(BinaryExpr(bin.prec + 1, &rhs));
+      auto expr = std::make_unique<Expr>();
+      expr->kind = ExprKind::kBinary;
+      expr->loc = loc;
+      expr->bin_op = bin.op;
+      expr->args.push_back(std::move(*out));
+      expr->args.push_back(std::move(rhs));
+      *out = std::move(expr);
     }
-  }
-
-  Status OrExpr(ExprPtr* out) {
-    return BinaryLevel(out, &ParserImpl::AndExpr, {{Tok::kOrOr, BinOp::kLOr}});
-  }
-  Status AndExpr(ExprPtr* out) {
-    return BinaryLevel(out, &ParserImpl::BitOrExpr, {{Tok::kAndAnd, BinOp::kLAnd}});
-  }
-  Status BitOrExpr(ExprPtr* out) {
-    return BinaryLevel(out, &ParserImpl::BitXorExpr, {{Tok::kPipe, BinOp::kBitOr}});
-  }
-  Status BitXorExpr(ExprPtr* out) {
-    return BinaryLevel(out, &ParserImpl::BitAndExpr, {{Tok::kCaret, BinOp::kBitXor}});
-  }
-  Status BitAndExpr(ExprPtr* out) {
-    return BinaryLevel(out, &ParserImpl::EqExpr, {{Tok::kAmp, BinOp::kBitAnd}});
-  }
-  Status EqExpr(ExprPtr* out) {
-    return BinaryLevel(out, &ParserImpl::RelExpr,
-                       {{Tok::kEqEq, BinOp::kEq}, {Tok::kNe, BinOp::kNe}});
-  }
-  Status RelExpr(ExprPtr* out) {
-    return BinaryLevel(out, &ParserImpl::ShiftExpr,
-                       {{Tok::kLt, BinOp::kLt},
-                        {Tok::kLe, BinOp::kLe},
-                        {Tok::kGt, BinOp::kGt},
-                        {Tok::kGe, BinOp::kGe}});
-  }
-  Status ShiftExpr(ExprPtr* out) {
-    return BinaryLevel(out, &ParserImpl::AddExpr,
-                       {{Tok::kShl, BinOp::kShl}, {Tok::kShr, BinOp::kShr}});
-  }
-  Status AddExpr(ExprPtr* out) {
-    return BinaryLevel(out, &ParserImpl::MulExpr,
-                       {{Tok::kPlus, BinOp::kAdd}, {Tok::kMinus, BinOp::kSub}});
-  }
-  Status MulExpr(ExprPtr* out) {
-    return BinaryLevel(out, &ParserImpl::UnaryExpr,
-                       {{Tok::kStar, BinOp::kMul},
-                        {Tok::kSlash, BinOp::kDiv},
-                        {Tok::kPercent, BinOp::kMod}});
   }
 
   Status UnaryExpr(ExprPtr* out) {
@@ -622,6 +607,7 @@ class ParserImpl {
 }  // namespace
 
 Status Parser::ParseInto(Module* module, std::string_view source) {
+  ICARUS_CHECK(!module->frozen());
   obs::ScopedSpan span("frontend.parse");
   ParserImpl impl(module, source);
   Status status = impl.Run();

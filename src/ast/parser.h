@@ -16,7 +16,9 @@ namespace icarus::ast {
 class Parser {
  public:
   // Parses `source` (a sequence of top-level declarations) appending into
-  // `module`. Returns an error with line/column on malformed input.
+  // `module`, which must not be frozen (ast.h). Returns an error with
+  // line/column on malformed input. The AST owns copies of every name it
+  // keeps, so `source` need only outlive the call.
   static Status ParseInto(Module* module, std::string_view source);
 };
 

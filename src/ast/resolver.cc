@@ -2,10 +2,13 @@
 
 #include <map>
 #include <set>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/support/check.h"
 #include "src/support/str_util.h"
 
 namespace icarus::ast {
@@ -17,6 +20,7 @@ class ResolverImpl {
   explicit ResolverImpl(Module* module) : module_(module) {}
 
   Status Run() {
+    ICARUS_RETURN_IF_ERROR(IndexNames());
     ICARUS_RETURN_IF_ERROR(ResolveSignatures());
     ICARUS_RETURN_IF_ERROR(ResolveBodies());
     ICARUS_RETURN_IF_ERROR(CheckNonRecursive());
@@ -44,6 +48,26 @@ class ResolverImpl {
         if (p.type->kind() == TypeKind::kVoid || p.type->kind() == TypeKind::kLabel) {
           return Err(loc, StrCat("invalid parameter type '", p.type_name, "'"));
         }
+      }
+    }
+    return Status::Ok();
+  }
+
+  // --- Phase 0: name tables -------------------------------------------------
+
+  // Fills the module's function and extern tables, which every later call
+  // lookup reads; a second declaration of a name is an error, not a shadow.
+  Status IndexNames() {
+    module_->functions_by_name.clear();
+    module_->externs_by_name.clear();
+    for (const auto& fn : module_->functions) {
+      if (!module_->functions_by_name.emplace(fn->name, fn.get()).second) {
+        return Err(fn->loc, StrCat("duplicate function '", fn->name, "'"));
+      }
+    }
+    for (const auto& ext : module_->externs) {
+      if (!module_->externs_by_name.emplace(ext->name, ext.get()).second) {
+        return Err(ext->loc, StrCat("duplicate extern '", ext->name, "'"));
       }
     }
     return Status::Ok();
@@ -86,6 +110,7 @@ class ResolverImpl {
       if (comp->source_language == nullptr || comp->target_language == nullptr) {
         return Status::Error(StrCat("compiler ", comp->name, ": unknown language"));
       }
+      comp->by_op.clear();
       for (auto& cb : comp->op_callbacks) {
         const OpDecl* op = comp->source_language->FindOp(cb->name);
         if (op == nullptr) {
@@ -98,7 +123,10 @@ class ResolverImpl {
         cb->return_type = module_->types().Void();
         ICARUS_RETURN_IF_ERROR(ResolveParamTypes(&cb->params, cb->loc));
         ICARUS_RETURN_IF_ERROR(CheckCallbackSignature(cb.get(), op));
-        comp->by_op[op] = cb.get();
+        if (!comp->by_op.emplace(op, cb.get()).second) {
+          return Err(cb->loc, StrCat("compiler ", comp->name, ": duplicate callback for op '",
+                                     op->name, "'"));
+        }
       }
     }
     // Interpreters.
@@ -107,6 +135,7 @@ class ResolverImpl {
       if (interp->language == nullptr) {
         return Status::Error(StrCat("interpreter ", interp->name, ": unknown language"));
       }
+      interp->by_op.clear();
       for (auto& cb : interp->op_callbacks) {
         const OpDecl* op = interp->language->FindOp(cb->name);
         if (op == nullptr) {
@@ -118,7 +147,10 @@ class ResolverImpl {
         cb->return_type = module_->types().Void();
         ICARUS_RETURN_IF_ERROR(ResolveParamTypes(&cb->params, cb->loc));
         ICARUS_RETURN_IF_ERROR(CheckCallbackSignature(cb.get(), op));
-        interp->by_op[op] = cb.get();
+        if (!interp->by_op.emplace(op, cb.get()).second) {
+          return Err(cb->loc, StrCat("interpreter ", interp->name,
+                                     ": duplicate callback for op '", op->name, "'"));
+        }
       }
     }
     return Status::Ok();
@@ -188,17 +220,35 @@ class ResolverImpl {
     bool label_is_param = false;
   };
 
+  // The visible names, innermost last, keyed by views of the AST's own
+  // names; each open block owns the entries from its start mark on.
   struct FnScope {
     FunctionDecl* fn = nullptr;
-    std::vector<std::map<std::string, LocalVar>> scopes;
+    std::vector<std::pair<std::string_view, LocalVar>> vars;
+    std::vector<size_t> block_starts;
     int next_slot = 0;
-    std::map<std::string, int> bind_counts;  // Local label name → textual binds.
+    std::map<std::string_view, int> bind_counts;  // Local label name → textual binds.
 
-    LocalVar* Find(const std::string& name) {
-      for (auto it = scopes.rbegin(); it != scopes.rend(); ++it) {
-        auto found = it->find(name);
-        if (found != it->end()) {
-          return &found->second;
+    void Enter() { block_starts.push_back(vars.size()); }
+    void Leave() {
+      vars.resize(block_starts.back());
+      block_starts.pop_back();
+    }
+    // A later declaration of a name hides an earlier one.
+    void Declare(std::string_view name, const LocalVar& var) { vars.emplace_back(name, var); }
+    bool DeclaredInBlock(std::string_view name) const {
+      for (size_t i = block_starts.back(); i < vars.size(); ++i) {
+        if (vars[i].first == name) {
+          return true;
+        }
+      }
+      return false;
+    }
+    // Valid until the next Declare.
+    LocalVar* Find(std::string_view name) {
+      for (auto it = vars.rbegin(); it != vars.rend(); ++it) {
+        if (it->first == name) {
+          return &it->second;
         }
       }
       return nullptr;
@@ -207,16 +257,16 @@ class ResolverImpl {
 
   Status ResolveExternContracts(ExternFnDecl* ext) {
     FnScope scope;
-    scope.scopes.emplace_back();
+    scope.Enter();
     for (Param& p : ext->params) {
       p.slot = scope.next_slot++;
-      scope.scopes.back()[p.name] = LocalVar{p.type, p.slot, false, false};
+      scope.Declare(p.name, LocalVar{p.type, p.slot, false, false});
     }
     // `result` names the return value inside ensures clauses.
     int result_slot = -1;
     if (ext->return_type->kind() != TypeKind::kVoid) {
       result_slot = scope.next_slot++;
-      scope.scopes.back()["result"] = LocalVar{ext->return_type, result_slot, false, false};
+      scope.Declare("result", LocalVar{ext->return_type, result_slot, false, false});
     }
     ext_contract_fn_ = nullptr;
     for (ContractClause& clause : ext->contracts) {
@@ -233,13 +283,13 @@ class ResolverImpl {
   Status ResolveFunctionBody(FunctionDecl* fn) {
     FnScope scope;
     scope.fn = fn;
-    scope.scopes.emplace_back();
+    scope.Enter();
     for (Param& p : fn->params) {
-      if (scope.scopes.back().count(p.name) != 0) {
+      if (scope.DeclaredInBlock(p.name)) {
         return Err(fn->loc, StrCat("duplicate parameter '", p.name, "'"));
       }
       p.slot = scope.next_slot++;
-      scope.scopes.back()[p.name] = LocalVar{p.type, p.slot, p.is_label, p.is_label};
+      scope.Declare(p.name, LocalVar{p.type, p.slot, p.is_label, p.is_label});
     }
     ICARUS_RETURN_IF_ERROR(ResolveBlock(fn->body, &scope));
     // Exactly-one-textual-bind for locally declared labels (the evaluator
@@ -255,11 +305,11 @@ class ResolverImpl {
   }
 
   Status ResolveBlock(const std::vector<StmtPtr>& block, FnScope* scope) {
-    scope->scopes.emplace_back();
+    scope->Enter();
     for (const StmtPtr& stmt : block) {
       ICARUS_RETURN_IF_ERROR(ResolveStmt(stmt.get(), scope));
     }
-    scope->scopes.pop_back();
+    scope->Leave();
     return Status::Ok();
   }
 
@@ -294,12 +344,12 @@ class ResolverImpl {
             return Err(stmt->loc, StrCat("initializer type mismatch for '", stmt->name, "'"));
           }
         }
-        if (scope->scopes.back().count(stmt->name) != 0) {
+        if (scope->DeclaredInBlock(stmt->name)) {
           return Err(stmt->loc, StrCat("duplicate variable '", stmt->name, "'"));
         }
         stmt->var_slot = scope->next_slot++;
         stmt->decl_type = declared;
-        scope->scopes.back()[stmt->name] = LocalVar{declared, stmt->var_slot, false, false};
+        scope->Declare(stmt->name, LocalVar{declared, stmt->var_slot, false, false});
         return Status::Ok();
       }
       case StmtKind::kAssign: {
@@ -341,13 +391,13 @@ class ResolverImpl {
         return ResolveEmit(stmt, scope);
       case StmtKind::kLabelDecl:
       case StmtKind::kFailureLabel: {
-        if (scope->scopes.back().count(stmt->name) != 0) {
+        if (scope->DeclaredInBlock(stmt->name)) {
           return Err(stmt->loc, StrCat("duplicate name '", stmt->name, "'"));
         }
         stmt->var_slot = scope->next_slot++;
         bool is_failure = stmt->kind == StmtKind::kFailureLabel;
-        scope->scopes.back()[stmt->name] =
-            LocalVar{module_->types().Label(), stmt->var_slot, true, /*label_is_param=*/false};
+        scope->Declare(stmt->name, LocalVar{module_->types().Label(), stmt->var_slot, true,
+                                            /*label_is_param=*/false});
         if (!is_failure) {
           scope->bind_counts.emplace(stmt->name, 0);
         }
@@ -428,8 +478,7 @@ class ResolverImpl {
     if (op != nullptr) {
       stmt->emit_op = op;
       stmt->emit_lang = lang;
-      return CheckArgs(stmt->loc, op->params, stmt->args, scope,
-                       StrCat("op ", op->name));
+      return CheckArgs(stmt->loc, op->params, stmt->args, scope, "op ", op->name);
     }
     // `emit Helper(...)` sugar: the callee is an emitting helper function in
     // the same language (paper Fig. 11, EmitCallGetterResultGuards).
@@ -452,11 +501,12 @@ class ResolverImpl {
                                  "' in language ", lang->name));
   }
 
+  // `what` and `name` label the diagnostics; they are joined only on error.
   Status CheckArgs(SrcLoc loc, const std::vector<Param>& params,
-                   const std::vector<ExprPtr>& args, FnScope* scope,
-                   const std::string& what) {
+                   const std::vector<ExprPtr>& args, FnScope* scope, const char* what,
+                   const std::string& name) {
     if (params.size() != args.size()) {
-      return Err(loc, StrCat(what, ": expected ", params.size(), " arguments, got ",
+      return Err(loc, StrCat(what, name, ": expected ", params.size(), " arguments, got ",
                              args.size()));
     }
     for (size_t i = 0; i < params.size(); ++i) {
@@ -464,14 +514,14 @@ class ResolverImpl {
       ICARUS_RETURN_IF_ERROR(ResolveExpr(args[i].get(), scope, &t));
       if (params[i].is_label) {
         if (t->kind() != TypeKind::kLabel) {
-          return Err(loc, StrCat(what, ": argument ", i + 1, " must be a label"));
+          return Err(loc, StrCat(what, name, ": argument ", i + 1, " must be a label"));
         }
       } else {
         if (t->kind() == TypeKind::kLabel) {
-          return Err(loc, StrCat(what, ": labels may only flow into label parameters"));
+          return Err(loc, StrCat(what, name, ": labels may only flow into label parameters"));
         }
         if (!Compatible(params[i].type, t)) {
-          return Err(loc, StrCat(what, ": argument ", i + 1, " type mismatch (expected ",
+          return Err(loc, StrCat(what, name, ": argument ", i + 1, " type mismatch (expected ",
                                  params[i].type->ToString(), ", got ", t->ToString(), ")"));
         }
       }
@@ -521,8 +571,8 @@ class ResolverImpl {
           return Err(expr->loc, StrCat("unknown function '", expr->name, "'"));
         }
         const std::vector<Param>& params = fn != nullptr ? fn->params : ext->params;
-        ICARUS_RETURN_IF_ERROR(CheckArgs(expr->loc, params, expr->args, scope,
-                                         StrCat("call to ", expr->name)));
+        ICARUS_RETURN_IF_ERROR(
+            CheckArgs(expr->loc, params, expr->args, scope, "call to ", expr->name));
         if (fn != nullptr) {
           // Emitting helpers may only be called from a matching emit context.
           if (fn->emits_language != nullptr &&
@@ -697,6 +747,7 @@ class ResolverImpl {
 }  // namespace
 
 Status Resolve(Module* module) {
+  ICARUS_CHECK(!module->frozen());
   obs::ScopedSpan span("frontend.resolve");
   ResolverImpl impl(module);
   Status status = impl.Run();

@@ -12,7 +12,24 @@
 //     callbacks, locally-declared labels have exactly one textual `bind`,
 //     and label arguments may only flow into `label` parameters;
 //   - reject recursion (the CFA construction requires a non-recursive call
-//     graph, §5 of the paper).
+//     graph, §5 of the paper);
+//   - reject a second function, extern, or op callback (within one compiler
+//     or interpreter) of the same name.
+//
+// Post-conditions of a successful Resolve, which the evaluator, the
+// meta-executor and the fingerprint rely on without re-checking
+// (frontend_test Resolver.PlatformMeetsThePostconditions checks them on the
+// platform):
+//   - every Expr, in bodies and in extern contracts, has a `type`;
+//   - every kCall has exactly one of `callee_fn` and `callee_ext`;
+//   - every parameter, kVar, kLet, kAssign, label and bind/goto slot is in
+//     [0, num_slots) of its function (or extern, for contracts);
+//   - every kEmit has `emit_lang` and `emit_op`; an `emit Helper(...)` has
+//     been rewritten into a kExprStmt call;
+//   - every op callback has `op` set and is its compiler's or interpreter's
+//     `by_op` entry for that op;
+//   - Module::functions_by_name and externs_by_name index every function
+//     and extern.
 #ifndef ICARUS_AST_RESOLVER_H_
 #define ICARUS_AST_RESOLVER_H_
 
@@ -21,7 +38,8 @@
 
 namespace icarus::ast {
 
-// Resolves the whole module in place. Any error aborts resolution.
+// Resolves the whole module in place. Any error aborts resolution. The
+// module must not be frozen (ast.h).
 Status Resolve(Module* module);
 
 }  // namespace icarus::ast

@@ -2,8 +2,10 @@
 #ifndef ICARUS_AST_TOKEN_H_
 #define ICARUS_AST_TOKEN_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace icarus::ast {
 
@@ -31,7 +33,10 @@ enum class Tok {
 
 struct Token {
   Tok kind = Tok::kEof;
-  std::string text;    // Identifier spelling / error message.
+  // The token's spelling: a view into the source being lexed, so it lives
+  // only as long as that source. Whatever outlives the parse is copied out.
+  std::string_view text;
+  std::string message;  // kError only: the diagnostic.
   int64_t int_val = 0;
   int line = 1;
   int col = 1;

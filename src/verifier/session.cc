@@ -86,6 +86,7 @@ StatusOr<std::unique_ptr<Session>> Session::Open(const platform::Platform* platf
           s.store_.Load(VerdictStorePath(options.cache_dir), kVerifierEpoch);
       if (!loaded.note.empty()) {
         s.notes_.push_back(loaded.note);
+        s.store_changed_ = true;  // Replace the damaged or foreign file.
       }
     }
   }
@@ -96,6 +97,7 @@ StatusOr<std::unique_ptr<Session>> Session::Open(const platform::Platform* platf
                                                          kVerifierEpoch, s.cache_.get());
       if (!loaded.note.empty()) {
         s.notes_.push_back(loaded.note);
+        s.cache_load_noted_ = true;
       }
     }
   }
@@ -105,7 +107,7 @@ StatusOr<std::unique_ptr<Session>> Session::Open(const platform::Platform* platf
   // this platform and epoch, so it is as good as a fresh one.
   for (const GeneratorResult& row : *replayed) {
     if (row.outcome == Outcome::kVerified && s.lock_ != nullptr) {
-      s.store_.Put(RecordFromResult(row, kVerifierEpoch));
+      s.store_changed_ |= s.store_.Put(RecordFromResult(row, kVerifierEpoch));
     }
   }
   if (!options.journal_path.empty()) {
@@ -170,7 +172,8 @@ GeneratorResult Session::Verify(const std::string& generator, const std::atomic<
 
   std::lock_guard<std::mutex> lock(mu_);
   if (result.outcome == Outcome::kVerified && lock_ != nullptr) {
-    store_.Put(RecordFromResult(result, kVerifierEpoch));  // Ignores an empty unit_fp.
+    // Ignores an empty unit_fp.
+    store_changed_ |= store_.Put(RecordFromResult(result, kVerifierEpoch));
   }
   if (journal_ != nullptr) {
     Status st = journal_->Append(RecordFromResult(result, fingerprint_));
@@ -192,16 +195,23 @@ GeneratorResult Session::Verify(const std::string& generator, const std::atomic<
 Status Session::Close() {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> failed;
+  // A store is written back only when this session changed it, so a run of
+  // cache hits leaves both files (and their inodes) as they were.
   if (lock_ != nullptr) {
-    Status saved = store_.Save(VerdictStorePath(cache_dir_));
-    if (!saved.ok()) {
-      failed.push_back(saved.message());
-    }
-    if (cache_ != nullptr) {
-      saved = sym::SaveSolverCache(*cache_, SolverCacheStorePath(cache_dir_), kVerifierEpoch,
-                                   cache_max_bytes_);
+    if (store_changed_) {
+      Status saved = store_.Save(VerdictStorePath(cache_dir_));
       if (!saved.ok()) {
         failed.push_back(saved.message());
+      }
+    }
+    if (cache_ != nullptr) {
+      sym::SolverCacheStats stats = cache_->Snapshot();
+      if (cache_load_noted_ || stats.insertions + stats.upgrades > 0) {
+        Status saved = sym::SaveSolverCache(*cache_, SolverCacheStorePath(cache_dir_),
+                                            kVerifierEpoch, cache_max_bytes_);
+        if (!saved.ok()) {
+          failed.push_back(saved.message());
+        }
       }
     }
   }

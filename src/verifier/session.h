@@ -53,7 +53,10 @@ class Session {
   GeneratorResult Verify(const std::string& generator, const std::atomic<bool>* cancel,
                          const char* fail_site = nullptr);
 
-  // Once no Verify is running: saves both stores if writable, closes the
+  // Once no Verify is running: if writable, saves the verdict store when a
+  // Put changed an outcome, fingerprint or budget, and the solver cache when
+  // it gained an entry or a model since Open; either also when it loaded
+  // with a note, so a damaged or foreign file is replaced. Then closes the
   // journal and releases the lock. Returns the save failures; idempotent.
   Status Close();
 
@@ -75,10 +78,12 @@ class Session {
   std::unique_ptr<sym::SolverCache> cache_;
   std::unique_ptr<FileLock> lock_;  // Held iff the stores are written back.
   bool read_only_ = false;
+  bool cache_load_noted_ = false;  // The solver cache file was discarded.
   std::vector<std::string> notes_;
 
   mutable std::mutex mu_;  // Guards the members below.
   VerdictStore store_;
+  bool store_changed_ = false;  // Close must save the verdict store.
   std::unique_ptr<JournalWriter> journal_;
   int journaled_runs_ = 0;  // Journaled rows that ran; drives the checkpoint.
   Status journal_status_;

@@ -94,11 +94,15 @@ const JournalRecord* VerdictStore::FindPass(const std::string& generator,
   return rec.budget_decisions == limits.max_decisions ? &rec : nullptr;
 }
 
-void VerdictStore::Put(const JournalRecord& rec) {
+bool VerdictStore::Put(const JournalRecord& rec) {
   if (rec.outcome != "VERIFIED" || rec.unit_fp.empty()) {
-    return;
+    return false;
   }
-  by_generator_[rec.generator] = rec;
+  JournalRecord& stored = by_generator_[rec.generator];  // A new one has no outcome.
+  bool changed = stored.outcome != rec.outcome || stored.unit_fp != rec.unit_fp ||
+                 stored.budget_decisions != rec.budget_decisions;
+  stored = rec;
+  return changed;
 }
 
 Status VerdictStore::Save(const std::string& path) const {

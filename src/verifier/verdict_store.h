@@ -81,8 +81,10 @@ class VerdictStore {
                                 const sym::Solver::Limits& limits) const;
 
   // Records a PASS (callers only Put VERIFIED rows; rows with other outcomes
-  // or an empty unit_fp are ignored). Last Put per generator wins.
-  void Put(const JournalRecord& rec);
+  // or an empty unit_fp are ignored). Last Put per generator wins. Returns
+  // true when the Put changed what FindPass matches: the generator's stored
+  // outcome, fingerprint or budget.
+  bool Put(const JournalRecord& rec);
 
   // Rewrites the store at `path` (crash-safe temp+rename). Errors only on
   // I/O failure.

@@ -2,10 +2,13 @@
 #include <gtest/gtest.h>
 
 #include "src/ast/ast.h"
+#include "src/ast/fingerprint.h"
 #include "src/ast/lexer.h"
 #include "src/ast/parser.h"
 #include "src/ast/printer.h"
 #include "src/ast/resolver.h"
+#include "src/platform/platform.h"
+#include "src/support/str_util.h"
 
 namespace icarus::ast {
 namespace {
@@ -220,6 +223,226 @@ TEST(Resolver, TypeChecksOperators) {
   ASSERT_TRUE(
       Parser::ParseInto(&module, "fn f(x: Int32, b: Bool) -> Bool { return x && b; }").ok());
   EXPECT_FALSE(Resolve(&module).ok());
+}
+
+TEST(Resolver, RejectsDuplicateFunction) {
+  Module module;
+  ASSERT_TRUE(Parser::ParseInto(&module,
+                                "fn helper(x: Int32) -> Int32 { return x; }\n"
+                                "fn helper(x: Int32) -> Int32 { return x + 1; }\n"
+                                "fn user(x: Int32) -> Int32 { return helper(x); }")
+                  .ok());
+  Status st = Resolve(&module);
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("duplicate function 'helper'"), std::string::npos) << st.message();
+}
+
+TEST(Resolver, RejectsDuplicateExtern) {
+  Module module;
+  ASSERT_TRUE(Parser::ParseInto(&module,
+                                "extern type E;\n"
+                                "extern fn E::f(e: E) -> Int32;\n"
+                                "extern fn E::f(e: E) -> Bool;")
+                  .ok());
+  Status st = Resolve(&module);
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("duplicate extern 'E::f'"), std::string::npos) << st.message();
+}
+
+TEST(Resolver, RejectsDuplicateOpCallback) {
+  constexpr char kLanguages[] = "language S { op DoIt(); }\nlanguage T { op Nop(); }\n";
+  Module compiled;
+  ASSERT_TRUE(Parser::ParseInto(&compiled, StrCat(kLanguages, R"(
+compiler C : S -> T {
+  op DoIt() { emit Nop(); }
+  op DoIt() { }
+}
+)")).ok());
+  Status st = Resolve(&compiled);
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("compiler C: duplicate callback for op 'DoIt'"), std::string::npos)
+      << st.message();
+
+  Module interpreted;
+  ASSERT_TRUE(Parser::ParseInto(&interpreted, StrCat(kLanguages, R"(
+interpreter I : T {
+  op Nop() { }
+  op Nop() { }
+}
+)")).ok());
+  st = Resolve(&interpreted);
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("interpreter I: duplicate callback for op 'Nop'"),
+            std::string::npos)
+      << st.message();
+}
+
+// Checks resolver.h's post-conditions on one function's (or extern's)
+// parameters and code.
+class PostconditionWalk {
+ public:
+  PostconditionWalk(std::string where, int num_slots)
+      : where_(std::move(where)), num_slots_(num_slots) {}
+
+  int exprs() const { return exprs_; }
+
+  void Params(const std::vector<Param>& params) {
+    for (const Param& p : params) {
+      Slot(p.slot, p.name);
+    }
+  }
+
+  void Walk(const Expr& e) {
+    ++exprs_;
+    EXPECT_NE(e.type, nullptr) << where_ << ": " << PrintExpr(e);
+    if (e.kind == ExprKind::kCall) {
+      EXPECT_NE(e.callee_fn == nullptr, e.callee_ext == nullptr) << where_ << ": " << e.name;
+    }
+    if (e.kind == ExprKind::kVar) {
+      Slot(e.var_slot, e.name);
+    }
+    for (const ExprPtr& a : e.args) {
+      Walk(*a);
+    }
+  }
+
+  void Walk(const std::vector<StmtPtr>& block) {
+    for (const StmtPtr& stmt : block) {
+      switch (stmt->kind) {
+        case StmtKind::kLet:
+        case StmtKind::kAssign:
+        case StmtKind::kLabelDecl:
+        case StmtKind::kFailureLabel:
+        case StmtKind::kBind:
+        case StmtKind::kGoto:
+          Slot(stmt->var_slot, stmt->name);
+          break;
+        case StmtKind::kEmit:
+          EXPECT_NE(stmt->emit_lang, nullptr) << where_ << ": emit " << stmt->emit_callee;
+          EXPECT_NE(stmt->emit_op, nullptr) << where_ << ": emit " << stmt->emit_callee;
+          break;
+        case StmtKind::kExprStmt:
+          if (stmt->emit_lang != nullptr) {
+            // A rewritten `emit Helper(...)`: a call to an emitting helper.
+            ASSERT_EQ(stmt->expr->kind, ExprKind::kCall) << where_;
+            ASSERT_NE(stmt->expr->callee_fn, nullptr) << where_ << ": " << stmt->expr->name;
+            EXPECT_EQ(stmt->expr->callee_fn->emits_language, stmt->emit_lang) << where_;
+          }
+          break;
+        default:
+          break;
+      }
+      if (stmt->expr != nullptr) {
+        Walk(*stmt->expr);
+      }
+      for (const ExprPtr& a : stmt->args) {
+        Walk(*a);
+      }
+      Walk(stmt->then_block);
+      Walk(stmt->else_block);
+    }
+  }
+
+ private:
+  void Slot(int slot, const std::string& name) {
+    EXPECT_GE(slot, 0) << where_ << ": " << name;
+    EXPECT_LT(slot, num_slots_) << where_ << ": " << name;
+  }
+
+  std::string where_;
+  int num_slots_;
+  int exprs_ = 0;
+};
+
+TEST(Resolver, PlatformMeetsThePostconditions) {
+  auto loaded = platform::Platform::Load();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  const Module& module = loaded.value()->module();
+  int exprs = 0;
+  auto walk_function = [&exprs](const FunctionDecl& fn) {
+    PostconditionWalk walk(fn.name, fn.num_slots);
+    walk.Params(fn.params);
+    walk.Walk(fn.body);
+    exprs += walk.exprs();
+  };
+  for (const auto& fn : module.functions) {
+    EXPECT_EQ(module.FindFunction(fn->name), fn.get()) << fn->name;
+    walk_function(*fn);
+  }
+  for (const auto& ext : module.externs) {
+    EXPECT_EQ(module.FindExtern(ext->name), ext.get()) << ext->name;
+    PostconditionWalk walk(ext->name, ext->num_slots);
+    walk.Params(ext->params);
+    for (const ContractClause& clause : ext->contracts) {
+      walk.Walk(*clause.expr);
+    }
+    exprs += walk.exprs();
+  }
+  for (const auto& comp : module.compilers) {
+    for (const auto& cb : comp->op_callbacks) {
+      ASSERT_NE(cb->op, nullptr) << cb->name;
+      EXPECT_EQ(comp->FindCallback(cb->op), cb.get()) << comp->name << "::" << cb->name;
+      walk_function(*cb);
+    }
+  }
+  for (const auto& interp : module.interpreters) {
+    for (const auto& cb : interp->op_callbacks) {
+      ASSERT_NE(cb->op, nullptr) << cb->name;
+      EXPECT_EQ(interp->FindCallback(cb->op), cb.get()) << interp->name << "::" << cb->name;
+      walk_function(*cb);
+    }
+  }
+  EXPECT_GT(exprs, 1000) << "the walk missed most of the platform";
+}
+
+// The grammar's binary operators and their precedence (higher binds
+// tighter), written out independently of the parser.
+struct BinaryOpPrec {
+  const char* text;
+  int prec;
+};
+constexpr BinaryOpPrec kBinaryOps[] = {
+    {"||", 1}, {"&&", 2}, {"|", 3},  {"^", 4},  {"&", 5},  {"==", 6},
+    {"!=", 6}, {"<", 7},  {"<=", 7}, {">", 7},  {">=", 7}, {"<<", 8},
+    {">>", 8}, {"+", 9},  {"-", 9},  {"*", 10}, {"/", 10}, {"%", 10},
+};
+
+// Parses `return <expr>;` and prints the expression back; the printer
+// parenthesizes every binary expression, so the text shows the tree.
+std::string ParseAndPrint(const std::string& expr) {
+  Module module;
+  Status st = Parser::ParseInto(&module, StrCat("fn f() { return ", expr, "; }"));
+  EXPECT_TRUE(st.ok()) << expr << ": " << st.message();
+  if (!st.ok()) {
+    return "";
+  }
+  return PrintExpr(*module.functions[0]->body[0]->expr);
+}
+
+TEST(Parser, BinaryOperatorsFollowPrecedenceAndAssociateLeft) {
+  for (const BinaryOpPrec& first : kBinaryOps) {
+    for (const BinaryOpPrec& second : kBinaryOps) {
+      std::string src = StrCat("a ", first.text, " b ", second.text, " c");
+      std::string left = StrCat("((a ", first.text, " b) ", second.text, " c)");
+      std::string right = StrCat("(a ", first.text, " (b ", second.text, " c))");
+      EXPECT_EQ(ParseAndPrint(src), second.prec > first.prec ? right : left) << src;
+    }
+  }
+  // Unary operators bind tighter than any binary one.
+  EXPECT_EQ(ParseAndPrint("-a * b"), "(-a * b)");
+  EXPECT_EQ(ParseAndPrint("!a && b"), "(!a && b)");
+}
+
+TEST(FrontendDeathTest, FingerprintingFreezesTheModule) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  Module module;
+  ASSERT_TRUE(Parser::ParseInto(&module, kMiniPlatform).ok());
+  ASSERT_TRUE(Resolve(&module).ok());
+  EXPECT_FALSE(module.frozen());
+  ASSERT_TRUE(UnitFingerprint(module, "genDoIt").ok());
+  EXPECT_TRUE(module.frozen());
+  EXPECT_DEATH((void)Parser::ParseInto(&module, ""), "frozen");
+  EXPECT_DEATH((void)Resolve(&module), "frozen");
 }
 
 TEST(Printer, RoundTripsThroughParser) {

@@ -7,12 +7,15 @@
 // closure reaches it.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <sys/stat.h>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/ast/fingerprint.h"
@@ -52,6 +55,13 @@ std::string ReadFileOrDie(const std::string& path) {
   std::ostringstream text;
   text << in.rdbuf();
   return text.str();
+}
+
+// The inode of `path`, 0 when it does not exist. Stores are saved by
+// temp+rename, so every save gives the file a new inode.
+ino_t InodeOf(const std::string& path) {
+  struct stat st;
+  return ::stat(path.c_str(), &st) == 0 ? st.st_ino : 0;
 }
 
 void WriteFile(const std::string& path, const std::string& content) {
@@ -372,6 +382,94 @@ TEST(UnitFingerprintTest, HelperEditChangesOnlyDependentUnits) {
   EXPECT_FALSE(ast::UnitFingerprint(p1->module(), "noSuchGenerator").ok());
 }
 
+// The unit fingerprints of the 38 platform units. Stores in existing
+// `.icarus-cache/` directories are keyed by these values, so a change to how
+// fingerprints are computed must reproduce every one or bump the epoch.
+const std::vector<std::pair<std::string, std::string>>& PinnedPlatformFingerprints() {
+  static const std::vector<std::pair<std::string, std::string>> kPinned = {
+    {"tryAttachCompareNullUndefined", "dfa1da5b36e19f397ff1f4044bb81a11"},
+    {"tryAttachCompareInt32", "e4f688501eab4bc75764f64473fb901a"},
+    {"tryAttachCompareStrictDifferentTypes", "e7ab17d40e8689701ad29616b0dd5b8f"},
+    {"tryAttachDenseElement", "4a53390bc21bf37cb7e85751ef29e117"},
+    {"tryAttachGetElemNativeFixedSlot", "079ecf6daad15f32446362a2173b08ee"},
+    {"tryAttachArgumentsObjectArg", "b60c80e1c6daf80ec94b8f0ef24a97c2"},
+    {"tryAttachNativeGetPropDynamicSlot", "aa41283f68f2c7e84aadc3ddb3aedc91"},
+    {"tryAttachNativeGetPropFixedSlot", "ef450157e682a9c37eb04be79fb6abbb"},
+    {"tryAttachObjectLength", "3e10eedde4ba01b3af39a30357886c57"},
+    {"tryAttachInt32Add", "c343fe219d2dc6f623be5b1351cd3319"},
+    {"tryAttachInt32Bitwise", "abbe9612e16ac21c2a0a820e67820f44"},
+    {"tryAttachInt32Div", "5774c2bfa58306f9487f7bbc11868a45"},
+    {"tryAttachInt32Mod", "38588d7d1d6e54e3fe86c4c35f9b24c4"},
+    {"tryAttachInt32Mul", "f387d2cdff9bb7f4d47a38ab0ea6d77f"},
+    {"tryAttachInt32Sub", "b1c5db0acfa82a431bba7c14d605707a"},
+    {"tryAttachInt32Negation", "6c9cb0432863052c69ef489342e90b40"},
+    {"tryAttachInt32Not", "fdbe1741a25236ccb1ff335853d2ad7b"},
+    {"tryAttachToPropertyKeyInt32", "0b84b7b82816d3fc5175c2f167f23a4b"},
+    {"tryAttachToPropertyKeyNumber", "4a4aebf3cf41d945e6be5642343da1da"},
+    {"tryAttachToPropertyKeyString", "59db0aafe117d116dd2e0f507c43b39e"},
+    {"tryAttachToPropertyKeySymbol", "43529f329fd46aaa5c583923aaa9f2b1"},
+    {"tryAttachStringLength", "6b745134e77668f93636835552c17326"},
+    {"tryAttachCompareString", "9714570b1e9b226794b57ca6276dbd45"},
+    {"tryAttachCompareObject", "6d0e7a9c65ac6075cd642075db73a00b"},
+    {"tryAttachCompareSymbol", "8de0800920c813d0c9727015087fd53a"},
+    {"tryAttachInt32MinMax", "0dfbb96133c127e179684531a65b73b3"},
+    {"bug1451976_buggy", "c660cefba36f7fc3a969428dc1396ab2"},
+    {"bug1451976_fixed", "e544710aeee3ce95f7ebd6864bbb8508"},
+    {"bug1471361_buggy", "2763f0cc82706de64d9f6a2025e36a47"},
+    {"bug1471361_fixed", "b22055d3ec35e7d0881b050cdd251639"},
+    {"bug1502143_buggy", "3ec7832bfe602f37c145efa5fc3ff688"},
+    {"bug1502143_fixed", "e568f5af2f5e4a00fab5109ce320072a"},
+    {"bug1651732_buggy", "e34d8e3159cc4934a48498a340b9973b"},
+    {"bug1651732_fixed", "41a4eaf721548917a8e8266769ee81c2"},
+    {"bug1654947_buggy", "9ea618302ad3286591f4aa63db9009f2"},
+    {"bug1654947_fixed", "4f26fbf7878917e9416099bec936e60b"},
+    {"bug1685925_buggy", "4b20a52683f140aa26a70de6967020bb"},
+    {"bug1685925_fixed", "5ec6a26c28ad89452cbebddf165a8d20"},
+  };
+  return kPinned;
+}
+
+TEST(UnitFingerprintTest, PlatformUnitsKeepTheirPinnedFingerprints) {
+  auto loaded = platform::Platform::Load();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  ASSERT_EQ(PinnedPlatformFingerprints().size(), 38u);
+  for (const auto& [generator, hex] : PinnedPlatformFingerprints()) {
+    StatusOr<ast::Fingerprint> fp = ast::UnitFingerprint(loaded.value()->module(), generator);
+    ASSERT_TRUE(fp.ok()) << fp.status().message();
+    EXPECT_EQ(fp.value().ToHex(), hex) << generator;
+  }
+}
+
+TEST(UnitFingerprintTest, ConcurrentFirstUseAgreesWithSerial) {
+  // Batch workers fingerprint their units concurrently, so the first calls
+  // on a freshly loaded module race to build its memo.
+  auto loaded = platform::Platform::Load();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  const ast::Module& module = loaded.value()->module();
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::string>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&module, &seen, t] {
+      for (const auto& [generator, hex] : PinnedPlatformFingerprints()) {
+        (void)hex;
+        StatusOr<ast::Fingerprint> fp = ast::UnitFingerprint(module, generator);
+        seen[t].push_back(fp.ok() ? fp.value().ToHex() : fp.status().message());
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(seen[t].size(), PinnedPlatformFingerprints().size());
+    for (size_t i = 0; i < seen[t].size(); ++i) {
+      EXPECT_EQ(seen[t][i], PinnedPlatformFingerprints()[i].second)
+          << "thread " << t << ", " << PinnedPlatformFingerprints()[i].first;
+    }
+  }
+}
+
 TEST(IncrementalE2E, WarmRunSkipsEverythingAndHelperEditInvalidatesDependentsOnly) {
   std::string dir = FreshCacheDir("e2e");
   std::unique_ptr<platform::Platform> p1 = LoadTestPlatform(kHelperV1);
@@ -497,6 +595,75 @@ TEST(IncrementalE2E, CorruptStoresStillProduceCorrectVerdicts) {
   for (const GeneratorResult& r : warm_or.value().results) {
     EXPECT_EQ(r.outcome, Outcome::kCachedSafe) << r.generator;
   }
+}
+
+TEST(IncrementalE2E, CloseRewritesOnlyTheStoresThatChanged) {
+  std::string dir = FreshCacheDir("save_changed");
+  const std::string verdicts = VerdictStorePath(dir);
+  const std::string solver_cache = SolverCacheStorePath(dir);
+  std::unique_ptr<platform::Platform> p1 = LoadTestPlatform(kHelperV1);
+  std::unique_ptr<platform::Platform> p2 = LoadTestPlatform(kHelperV2);
+  ASSERT_NE(p1, nullptr);
+  ASSERT_NE(p2, nullptr);
+  const std::vector<std::string> fleet = {"incrTestAdd", "incrTestSub"};
+  BatchOptions options;
+  options.jobs = 2;
+  options.incremental = true;
+  options.cache_dir = dir;
+
+  // Cold runs under both helper texts: the solver cache now holds every
+  // query either text asks, and the verdict store holds the V2 pass.
+  for (const platform::Platform* p : {p1.get(), p2.get()}) {
+    StatusOr<BatchReport> cold = BatchVerifier(p).VerifyAll(fleet, options);
+    ASSERT_TRUE(cold.ok()) << cold.status().message();
+  }
+  ino_t verdicts_inode = InodeOf(verdicts);
+  ino_t cache_inode = InodeOf(solver_cache);
+  ASSERT_NE(verdicts_inode, 0u);
+  ASSERT_NE(cache_inode, 0u);
+
+  // (a) A warm run over the unchanged fleet writes neither store.
+  StatusOr<BatchReport> warm = BatchVerifier(p2.get()).VerifyAll(fleet, options);
+  ASSERT_TRUE(warm.ok()) << warm.status().message();
+  for (const GeneratorResult& r : warm.value().results) {
+    EXPECT_EQ(r.outcome, Outcome::kCachedSafe) << r.generator;
+  }
+  EXPECT_EQ(InodeOf(verdicts), verdicts_inode) << "an unchanged verdict store was rewritten";
+  EXPECT_EQ(InodeOf(solver_cache), cache_inode) << "an unchanged solver cache was rewritten";
+
+  // (b) Editing the helper back re-verifies incrTestAdd on cache hits alone:
+  // its new pass replaces the verdict store, the solver cache stays put.
+  StatusOr<BatchReport> edited = BatchVerifier(p1.get()).VerifyAll(fleet, options);
+  ASSERT_TRUE(edited.ok()) << edited.status().message();
+  EXPECT_EQ(edited.value().results[0].outcome, Outcome::kVerified);
+  EXPECT_EQ(edited.value().results[1].outcome, Outcome::kCachedSafe);
+  ASSERT_GT(edited.value().cache.lookups(), 0);
+  ASSERT_EQ(edited.value().cache.misses, 0) << "the edit was meant to re-verify on hits only";
+  EXPECT_NE(InodeOf(verdicts), verdicts_inode) << "the new pass was not saved";
+  EXPECT_EQ(InodeOf(solver_cache), cache_inode) << "a cache of hits only was rewritten";
+}
+
+TEST(IncrementalE2E, MalformedVerdictStoreIsReplacedEvenWithoutAPut) {
+  std::string dir = FreshCacheDir("replace_malformed");
+  const std::string verdicts = VerdictStorePath(dir);
+  std::unique_ptr<platform::Platform> p = LoadTestPlatform(kHelperV1);
+  ASSERT_NE(p, nullptr);
+  WriteFile(verdicts, "{\"schema\":");
+  ino_t malformed_inode = InodeOf(verdicts);
+
+  // A refuted unit is never Put, so only the load note says to save.
+  BatchOptions options;
+  options.incremental = true;
+  options.cache_dir = dir;
+  StatusOr<BatchReport> report =
+      BatchVerifier(p.get()).VerifyAll({"bug1451976_buggy"}, options);
+  ASSERT_TRUE(report.ok()) << report.status().message();
+  EXPECT_EQ(report.value().results[0].outcome, Outcome::kRefuted);
+  EXPECT_FALSE(report.value().notes.empty()) << "the malformed store was not reported";
+
+  EXPECT_NE(InodeOf(verdicts), malformed_inode) << "the malformed store was left in place";
+  VerdictStore reloaded;
+  EXPECT_EQ(reloaded.Load(verdicts, kVerifierEpoch).note, "");
 }
 
 // --- Advisory cache lock: one writer, read-only stragglers ----------------
