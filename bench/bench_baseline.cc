@@ -11,6 +11,7 @@
 
 #include "src/obs/json.h"
 #include "src/support/str_util.h"
+#include "src/support/timing.h"
 
 namespace icarus::bench {
 
@@ -48,6 +49,10 @@ class BenchJsonParser {
       if (key == "bench") {
         if (!ParseString(&run->bench)) {
           return Err("expected string for \"bench\"");
+        }
+      } else if (key == "calibration_ms") {
+        if (!ParseNumber(&run->calibration_ms)) {
+          return Err("expected number for \"calibration_ms\"");
         }
       } else if (key == "entries") {
         Status st = ParseEntries(run);
@@ -257,13 +262,58 @@ double EntryMs(const BenchEntry& e) {
   return e.median_ms > 0.0 ? e.median_ms : e.mean_ms;
 }
 
+// The calibration kernel: a dependent walk over a 16 KiB table, integer
+// work that stays in cache, like the verifier's own inner loops. Fixed size,
+// so its time moves only with the host.
+uint64_t CalibrationKernel() {
+  static const std::vector<uint32_t> table = [] {
+    std::vector<uint32_t> t(4096);
+    uint32_t x = 2463534242u;
+    for (uint32_t& v : t) {
+      x ^= x << 13;
+      x ^= x >> 17;
+      x ^= x << 5;
+      v = x;
+    }
+    return t;
+  }();
+  uint64_t x = 0x9E3779B97F4A7C15ULL;
+  uint32_t idx = 0;
+  for (int i = 0; i < (1 << 18); ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    idx = (idx + table[(x ^ idx) & 4095u]) & 4095u;
+    x += idx;
+  }
+  return x;
+}
+
 }  // namespace
 
+void Calibration::Sample() {
+  WallTimer timer;
+  volatile uint64_t sink = CalibrationKernel();
+  (void)sink;
+  ms_.push_back(timer.ElapsedSeconds() * 1e3);
+}
+
+double Calibration::median_ms() const {
+  return ms_.empty() ? 0.0 : ComputeStats(ms_).median;
+}
+
 Status WriteBenchJson(const std::string& path, std::string_view bench_name,
-                      const std::vector<BenchEntry>& entries) {
+                      const std::vector<BenchEntry>& entries, const Calibration& calibration) {
+  if (calibration.samples() < kMinCalibrationSamples) {
+    return Status::Error(StrCat("bench JSON '", path, "' needs at least ",
+                                kMinCalibrationSamples, " calibration timings, got ",
+                                calibration.samples()));
+  }
   obs::JsonWriter w;
   w.BeginObject();
   w.Key("bench").String(bench_name);
+  w.Key("calibration_ms").Double(calibration.median_ms());
+  w.Key("calibration_runs").Int(calibration.samples());
   w.Key("entries").BeginArray();
   for (const BenchEntry& e : entries) {
     w.BeginObject();
@@ -318,6 +368,10 @@ BenchComparison CompareBenchRuns(const BenchRun& baseline, const BenchRun& curre
                                  double threshold_pct, double noise_floor_ms) {
   BenchComparison cmp;
   cmp.threshold_pct = threshold_pct;
+  if (baseline.calibration_ms > 0.0 && current.calibration_ms > 0.0) {
+    cmp.calibrated = true;
+    cmp.scale = baseline.calibration_ms / current.calibration_ms;
+  }
   std::map<std::string, const BenchEntry*> base_by_name;
   for (const BenchEntry& e : baseline.entries) {
     base_by_name[e.name] = &e;
@@ -335,9 +389,9 @@ BenchComparison CompareBenchRuns(const BenchRun& baseline, const BenchRun& curre
     d.baseline_ms = EntryMs(*it->second);
     d.current_ms = EntryMs(e);
     if (d.baseline_ms > 0.0) {
-      d.delta_pct = (d.current_ms - d.baseline_ms) / d.baseline_ms * 100.0;
-      d.regressed = d.delta_pct > threshold_pct &&
-                    d.current_ms - d.baseline_ms > noise_floor_ms;
+      const double current_ms = d.current_ms * cmp.scale;
+      d.delta_pct = (current_ms - d.baseline_ms) / d.baseline_ms * 100.0;
+      d.regressed = d.delta_pct > threshold_pct && current_ms - d.baseline_ms > noise_floor_ms;
     }
     cmp.regressed = cmp.regressed || d.regressed;
     cmp.deltas.push_back(std::move(d));
@@ -365,6 +419,13 @@ std::string BenchComparison::Render() const {
     out += StrFormat("%-44s %12s %12s   (removed from current run)\n", name.c_str(), "-", "-");
   }
   out += std::string(82, '-') + "\n";
+  if (calibrated) {
+    out += StrFormat("host calibration: current times compared at x%.3f (baseline run's host "
+                     "speed)\n",
+                     scale);
+  } else {
+    out += "host calibration: missing from a run; times compared as measured\n";
+  }
   int n_regressed = 0;
   for (const BenchDelta& d : deltas) {
     n_regressed += d.regressed ? 1 : 0;

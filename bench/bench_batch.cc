@@ -109,7 +109,9 @@ int main(int argc, char** argv) {
   serial.use_cache = false;
   BatchReport base;
   std::vector<double> base_ms;
+  icarus::bench::Calibration calibration;  // One timing per sample.
   for (int sample = 0; sample < kSamples; ++sample) {
+    calibration.Sample();
     base = batch.VerifyEverything(serial).take();
     base_ms.push_back(base.wall_seconds * 1e3);
   }
@@ -140,6 +142,7 @@ int main(int argc, char** argv) {
     BatchReport report;
     std::vector<double> ms;
     for (int sample = 0; sample < kSamples; ++sample) {
+      calibration.Sample();
       report = batch.VerifyEverything(options).take();
       ms.push_back(report.wall_seconds * 1e3);
       for (size_t i = 0; i < report.results.size(); ++i) {
@@ -179,7 +182,7 @@ int main(int argc, char** argv) {
     speedup_ok = true;
   }
   if (!json_path.empty()) {
-    icarus::Status st = icarus::bench::WriteBenchJson(json_path, "bench_batch", entries);
+    icarus::Status st = icarus::bench::WriteBenchJson(json_path, "bench_batch", entries, calibration);
     if (!st.ok()) {
       std::fprintf(stderr, "--json: %s\n", st.message().c_str());
       return 1;

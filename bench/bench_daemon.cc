@@ -85,7 +85,9 @@ int main(int argc, char** argv) {
   // fresh verifier and a fresh (empty) solver cache per request.
   std::vector<double> cold_ms;
   std::vector<std::string> cold_outcomes;
+  icarus::bench::Calibration calibration;  // One timing per cold request.
   for (const std::string& name : fleet) {
+    calibration.Sample();
     icarus::sym::SolverCache cache;
     icarus::verifier::VerifyOptions vopts;
     vopts.solver_cache = &cache;
@@ -172,7 +174,7 @@ int main(int argc, char** argv) {
                        static_cast<int>(warm_ms.size())});
     entries.push_back({"daemon_warm_p99", clamped(warm.p99), clamped(warm.p99), 0.0,
                        static_cast<int>(warm_ms.size())});
-    icarus::Status st = icarus::bench::WriteBenchJson(json_path, "bench_daemon", entries);
+    icarus::Status st = icarus::bench::WriteBenchJson(json_path, "bench_daemon", entries, calibration);
     if (!st.ok()) {
       std::fprintf(stderr, "--json: %s\n", st.message().c_str());
       return 1;

@@ -46,6 +46,7 @@ int main(int argc, char** argv) {
   constexpr int kRuns = 10;
   bool all_verified = true;
   std::vector<icarus::bench::BenchEntry> entries;
+  icarus::bench::Calibration calibration;  // One timing per generator.
   for (const auto& info : icarus::platform::Fig12Generators()) {
     auto stub = platform->MakeMetaStub(info.function);
     if (!stub.ok()) {
@@ -61,6 +62,7 @@ int main(int argc, char** argv) {
       result = executor.Run(stub.value());
       samples.push_back(result.seconds);
     }
+    calibration.Sample();
     icarus::SampleStats timing = icarus::ComputeStats(std::move(samples));
     all_verified = all_verified && result.verified;
     std::printf("%-22s %-22s %9d %10.4f %10.4f %10.4f %8s\n", info.operation, info.name,
@@ -72,7 +74,7 @@ int main(int argc, char** argv) {
   std::printf("\nAll 21 generators verified: %s\n", all_verified ? "yes" : "NO");
   std::printf("(paper: all 21 verify, in under a minute each, typically under 4s)\n");
   if (!json_path.empty()) {
-    icarus::Status st = icarus::bench::WriteBenchJson(json_path, "bench_fig12", entries);
+    icarus::Status st = icarus::bench::WriteBenchJson(json_path, "bench_fig12", entries, calibration);
     if (!st.ok()) {
       std::fprintf(stderr, "--json: %s\n", st.message().c_str());
       return 1;

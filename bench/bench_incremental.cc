@@ -98,7 +98,9 @@ int main(int argc, char** argv) {
   bool warm_no_saves = true;
   std::vector<double> cold_s;
   std::vector<double> warm_s;
+  icarus::bench::Calibration calibration;  // One timing per sample.
   for (int sample = 0; sample < kSamples; ++sample) {
+    calibration.Sample();
     // Start genuinely cold: drop any store a previous run left behind.
     std::remove(icarus::verifier::VerdictStorePath(cache_dir).c_str());
     std::remove(icarus::verifier::SolverCacheStorePath(cache_dir).c_str());
@@ -153,7 +155,7 @@ int main(int argc, char** argv) {
     std::vector<icarus::bench::BenchEntry> entries;
     entries.push_back(entry("cold_incremental", cold_s));
     entries.push_back(entry("warm_incremental", warm_s));
-    icarus::Status st = icarus::bench::WriteBenchJson(json_path, "bench_incremental", entries);
+    icarus::Status st = icarus::bench::WriteBenchJson(json_path, "bench_incremental", entries, calibration);
     if (!st.ok()) {
       std::fprintf(stderr, "--json: %s\n", st.message().c_str());
       return 1;

@@ -101,14 +101,15 @@ double MedianMs(std::vector<double> xs) {
 // Replays the stream `kRepeats` times through one engine. Each pass is
 // timed as a whole and divided by the query count: single queries run in low
 // microseconds where clock jitter would swamp the signal, so the per-query
-// latency samples are per-pass averages (one sample per pass). Aborts on a
-// wrong verdict.
+// latency samples are per-pass averages (one sample per pass). A host
+// calibration timing precedes each pass. Aborts on a wrong verdict.
 std::vector<double> RunStream(const std::function<Verdict(const std::vector<ExprRef>&)>& solve,
                               const std::vector<PathQuery>& stream, const char* engine,
-                              bool* ok) {
+                              icarus::bench::Calibration* calibration, bool* ok) {
   std::vector<double> ms;
   ms.reserve(kRepeats);
   for (int r = 0; r < kRepeats; ++r) {
+    calibration->Sample();
     auto t0 = std::chrono::steady_clock::now();
     for (const PathQuery& q : stream) {
       Verdict got = solve(q.conjuncts);
@@ -161,12 +162,13 @@ int main(int argc, char** argv) {
               stream.size(), kRepeats);
 
   bool ok = true;
+  icarus::bench::Calibration calibration;
   SolverStats decide_only;
   std::vector<double> off_ms = RunStream(
       [&decide_only](const std::vector<ExprRef>& conjuncts) {
         return icarus::sym::DecideOnlySolve(conjuncts, &decide_only).verdict;
       },
-      stream, "decide-only", &ok);
+      stream, "decide-only", &calibration, &ok);
   PrintEngine("decide-only", off_ms, decide_only);
 
   Solver cdcl;  // One persistent instance across every pass.
@@ -174,7 +176,7 @@ int main(int argc, char** argv) {
       [&cdcl](const std::vector<ExprRef>& conjuncts) {
         return cdcl.Solve(conjuncts, /*want_model=*/false).verdict;
       },
-      stream, "cdcl", &ok);
+      stream, "cdcl", &calibration, &ok);
   PrintEngine("cdcl", on_ms, cdcl.stats());
 
   double off_median = MedianMs(off_ms);
@@ -219,7 +221,7 @@ int main(int argc, char** argv) {
                        static_cast<int>(on_ms.size())});
     entries.push_back({"decide_only_per_query", mean_of(off_ms), off_median, stddev(off_ms),
                        static_cast<int>(off_ms.size())});
-    icarus::Status st = icarus::bench::WriteBenchJson(json_path, "bench_solver", entries);
+    icarus::Status st = icarus::bench::WriteBenchJson(json_path, "bench_solver", entries, calibration);
     if (!st.ok()) {
       std::fprintf(stderr, "--json: %s\n", st.message().c_str());
       return 1;

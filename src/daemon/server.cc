@@ -212,7 +212,9 @@ Response ServerCore::Execute(const Request& request) {
       return out;
     }
     if (request.op == kOpShutdown) {
-      shutdown_requested_.store(true, std::memory_order_release);
+      // The transport raises the flag once this reply is written
+      // (RequestShutdown): a drain that starts earlier would shut the
+      // requester's connection down under its reply.
       out.status = kStatusOk;
       return out;
     }
@@ -534,11 +536,10 @@ void ServeConnection(ServerCore* core, int fd) {
     if (parsed) {
       resp = core->Execute(request);
     }
+    bool written = true;
     try {
       ICARUS_FAILPOINT(failpoint::kDaemonRespond);
-      if (!net::WriteLine(fd, resp.ToJsonLine()).ok()) {
-        break;  // Peer went away; nothing left to serve here.
-      }
+      written = net::WriteLine(fd, resp.ToJsonLine()).ok();
     } catch (const std::exception& e) {
       // A respond fault burns the in-flight response. Best effort: tell the
       // client something went wrong so it does not hang on a silent line.
@@ -546,9 +547,13 @@ void ServeConnection(ServerCore* core, int fd) {
       burnt.id = resp.id;
       burnt.status = kStatusError;
       burnt.error = e.what();
-      if (!net::WriteLine(fd, burnt.ToJsonLine()).ok()) {
-        break;
-      }
+      written = net::WriteLine(fd, burnt.ToJsonLine()).ok();
+    }
+    if (parsed && request.op == kOpShutdown) {
+      core->RequestShutdown();  // Only now: the reply is on the wire.
+    }
+    if (!written) {
+      break;  // Peer went away; nothing left to serve here.
     }
   }
   net::CloseFd(fd);

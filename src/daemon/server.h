@@ -140,7 +140,10 @@ class ServerCore {
   Status FinishDrain();
 
   bool draining() const { return draining_.load(std::memory_order_acquire); }
-  // Set when a `shutdown` op was served; the transport loop polls this.
+  // Raised by the transport once it has written the reply to a `shutdown`
+  // op (Execute answers the op but leaves the flag alone); the transport
+  // loop polls it and drains every connection when it is set.
+  void RequestShutdown() { shutdown_requested_.store(true, std::memory_order_release); }
   bool shutdown_requested() const {
     return shutdown_requested_.load(std::memory_order_acquire);
   }
@@ -198,7 +201,8 @@ class ServerCore {
 
 // Serves one accepted connection: a request line in, a response line out, in
 // order, until the peer closes or the daemon drains. Every fault here is
-// contained to this connection. Closes `fd` on exit.
+// contained to this connection. A `shutdown` request raises the core's
+// shutdown flag only after its reply is written. Closes `fd` on exit.
 void ServeConnection(ServerCore* core, int fd);
 
 }  // namespace icarus::daemon

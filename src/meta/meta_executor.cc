@@ -282,6 +282,9 @@ MetaResult MetaExecutor::Run(const MetaStub& stub) {
   result.solver_learned_clauses =
       solver.stats().learned_clauses - stats_before.learned_clauses;
   result.solver_restarts = solver.stats().restarts - stats_before.restarts;
+  result.solver_theory_conflicts =
+      solver.stats().theory_conflicts - stats_before.theory_conflicts;
+  result.solver_lemma_literals = solver.stats().lemma_literals - stats_before.lemma_literals;
   if (obs::Enabled()) {
     static obs::Counter* explored = obs::Registry::Global().GetCounter(
         "icarus_meta_paths_explored_total", "Meta-execution paths explored");

@@ -85,6 +85,8 @@ struct MetaResult {
   int64_t solver_propagations = 0;     // Literals assigned by unit propagation.
   int64_t solver_learned_clauses = 0;  // 1-UIP clauses + theory lemmas learned.
   int64_t solver_restarts = 0;         // Luby restarts.
+  int64_t solver_theory_conflicts = 0;  // Theory conflicts, one lemma each.
+  int64_t solver_lemma_literals = 0;    // Literals over all theory lemmas.
   std::string Summary() const;
 };
 

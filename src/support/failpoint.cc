@@ -1,10 +1,12 @@
 #include "src/support/failpoint.h"
 
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <map>
 #include <mutex>
 #include <random>
+#include <thread>
 
 #include "src/support/check.h"
 #include "src/support/str_util.h"
@@ -14,7 +16,10 @@ namespace icarus::failpoint {
 namespace {
 
 enum class Mode { kAtNth, kAfterNth, kProbability };
-enum class Action { kThrow, kAbort };
+enum class Action { kThrow, kAbort, kStall };
+
+// How long a site armed with `action=stall` holds the thread that hit it.
+constexpr std::chrono::milliseconds kStall{500};
 
 struct SiteConfig {
   Mode mode = Mode::kAtNth;
@@ -150,6 +155,8 @@ Status Arm(std::string_view spec) {
       config.action = Action::kAbort;
     } else if (extra == "action=throw") {
       config.action = Action::kThrow;
+    } else if (extra == "action=stall") {
+      config.action = Action::kStall;
     } else {
       return Status::Error(StrCat("unknown fail-point option '", extra, "'"));
     }
@@ -208,7 +215,9 @@ void Hit(const char* site) {
   }
   // Fire outside the lock: abort handlers / exception unwinding must not run
   // with the registry mutex held (a catch block may consult HitCount()).
-  if (fire) {
+  if (fire && action == Action::kStall) {
+    std::this_thread::sleep_for(kStall);
+  } else if (fire) {
     Fire(site, action);
   }
 }

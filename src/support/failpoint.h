@@ -9,7 +9,9 @@
 // catches it and reports the one affected generator as INTERNAL_ERROR while
 // the rest of the fleet keeps running. A site armed with `action=abort`
 // calls std::abort() instead, simulating a hard crash (SIGKILL-style) for
-// journal/crash-recovery tests.
+// journal/crash-recovery tests; one armed with `action=stall` holds the
+// thread for half a second and lets it go on, which opens a race window on
+// demand.
 //
 // Spec grammar (one spec per --fail flag / Arm() call):
 //   at=SITE:N          fire on exactly the Nth hit of SITE (1-based)
@@ -17,6 +19,7 @@
 //   p=SITE:P           fire with probability P in [0,1] (seeded RNG)
 //   ...,seed=S         RNG seed for p= specs (default 0)
 //   ...,action=abort   std::abort() instead of throwing (crash simulation)
+//   ...,action=stall   sleep 500 ms, then carry on (widens a race window)
 // e.g. "at=solver-decision:3", "p=cache-insert:0.5,seed=7,action=abort".
 #ifndef ICARUS_SUPPORT_FAILPOINT_H_
 #define ICARUS_SUPPORT_FAILPOINT_H_
@@ -69,7 +72,7 @@ int64_t HitCount(std::string_view site);
 bool AnyArmed();
 
 // Slow path behind ICARUS_FAILPOINT: counts the hit and fires (throws
-// InternalError or aborts) if `site`'s armed config says so.
+// InternalError, aborts or stalls) if `site`'s armed config says so.
 void Hit(const char* site);
 
 }  // namespace icarus::failpoint

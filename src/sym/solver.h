@@ -14,12 +14,16 @@
 //      query — which is what lets one Solver instance stay warm across all
 //      paths of a generator and answer sibling-path queries from learned
 //      clauses;
-//   3. a theory check at each full (relevancy-bounded) assignment:
-//      congruence closure for equality + uninterpreted functions, difference
-//      bounds, and interval propagation. Theory conflicts come back as
-//      *theory lemmas* — valid clauses over the conflicting atoms — that are
-//      learned like any other clause and prune sibling paths;
-//   4. model extraction for counterexample reporting.
+//   3. a theory check at each full (relevancy-bounded) assignment, by one
+//      engine over dense per-solver term tables (theory.h): congruence
+//      closure with a proof forest for equality + uninterpreted functions,
+//      difference bounds with negative-cycle detection, and interval
+//      propagation whose bounds remember where they came from. A conflict
+//      comes back with its explanation, the atoms that caused it; the
+//      negated explanation is the *theory lemma*, a valid clause learned
+//      like any other that prunes sibling paths;
+//   4. model extraction for counterexample reporting, from the engine's
+//      classes, difference graph and intervals.
 //
 // Sound for UNSAT answers within the supported fragment; SAT answers come
 // with a model over the atoms and integer-class values. Unsupported
@@ -29,8 +33,9 @@
 //
 // The pre-CDCL decide-only search (atom-level DPLL, no learning) lives in
 // tests/decide_only_oracle.h, as the differential fuzz oracle and the
-// ablation baseline of bench_solver; it reaches the theory layer through
-// IsAtomKind and CheckTheory below.
+// ablation baseline of bench_solver. It decides through the old from-scratch
+// theory checker (tests/reference_theory.h), so the fuzz compares two
+// engines.
 #ifndef ICARUS_SYM_SOLVER_H_
 #define ICARUS_SYM_SOLVER_H_
 
@@ -102,6 +107,7 @@ struct SolverStats {
   int64_t restarts = 0;          // Search restarts (Luby policy).
   int64_t theory_checks = 0;     // Full-assignment theory checks.
   int64_t theory_conflicts = 0;  // Theory checks that produced a lemma.
+  int64_t lemma_literals = 0;    // Literals over all theory lemmas.
   int64_t queries = 0;
   int64_t cache_hits = 0;        // Queries answered by a cached entry.
   int64_t cache_misses = 0;      // Cache consulted but empty for the key.
@@ -117,13 +123,6 @@ struct SolveResult {
 // True for the boolean terms the solver treats as atoms: (in)equalities,
 // integer comparisons, boolean variables and uninterpreted predicates.
 bool IsAtomKind(ExprRef e);
-
-// Theory check of one full assignment: `literals` are (atom, truth) pairs.
-// Returns false on a theory conflict. On success fills `*model`, unless it
-// is null, with the assignment, the class values and the variable
-// witnesses. The CDCL core's full-assignment check and the decide-only
-// oracle both build their models here.
-bool CheckTheory(const std::vector<std::pair<ExprRef, bool>>& literals, Model* model);
 
 // Decides satisfiability of conjunctions of hash-consed boolean terms.
 //

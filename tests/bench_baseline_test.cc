@@ -22,22 +22,77 @@ BenchEntry Entry(const std::string& name, double median_ms, double mean_ms = 0.0
   return e;
 }
 
-BenchRun MakeRun(std::vector<BenchEntry> entries) {
+BenchRun MakeRun(std::vector<BenchEntry> entries, double calibration_ms = 0.0) {
   BenchRun run;
   run.bench = "bench_fig12";
   run.entries = std::move(entries);
+  run.calibration_ms = calibration_ms;
   return run;
+}
+
+// A calibration with the minimum number of real kernel timings.
+Calibration Calibrated() {
+  Calibration cal;
+  for (int i = 0; i < kMinCalibrationSamples; ++i) {
+    cal.Sample();
+  }
+  return cal;
 }
 
 TEST(BenchBaseline, ParsesWriterOutput) {
   std::string path = ::testing::TempDir() + "/bench_parse.json";
-  ASSERT_TRUE(WriteBenchJson(path, "bench_fig12", {Entry("a", 1.5), Entry("b", 2.0)}).ok());
+  Calibration cal = Calibrated();
+  ASSERT_TRUE(WriteBenchJson(path, "bench_fig12", {Entry("a", 1.5), Entry("b", 2.0)}, cal).ok());
   auto run = ReadBenchJsonFile(path);
   ASSERT_TRUE(run.ok()) << run.status().message();
   EXPECT_EQ(run.value().bench, "bench_fig12");
   ASSERT_EQ(run.value().entries.size(), 2u);
   EXPECT_DOUBLE_EQ(run.value().entries[0].median_ms, 1.5);
+  EXPECT_GT(run.value().calibration_ms, 0.0);
+  EXPECT_DOUBLE_EQ(run.value().calibration_ms, cal.median_ms());
   std::remove(path.c_str());
+}
+
+TEST(BenchBaseline, WriterWantsEnoughCalibrationTimings) {
+  std::string path = ::testing::TempDir() + "/bench_uncalibrated.json";
+  Calibration cal;
+  for (int i = 0; i + 1 < kMinCalibrationSamples; ++i) {
+    cal.Sample();
+  }
+  EXPECT_FALSE(WriteBenchJson(path, "bench_fig12", {Entry("a", 1.5)}, cal).ok());
+  std::remove(path.c_str());
+}
+
+// A host that runs everything at half speed slows the calibration kernel
+// as much as the bench: compared as ratios, nothing regressed.
+TEST(BenchBaseline, EntriesAndCalibrationTwiceAsSlowPass) {
+  BenchRun base = MakeRun({Entry("a", 10.0), Entry("b", 5.0)}, 0.8);
+  BenchRun slow_host = MakeRun({Entry("a", 20.0), Entry("b", 10.0)}, 1.6);
+  BenchComparison cmp = CompareBenchRuns(base, slow_host, 75.0);
+  EXPECT_TRUE(cmp.calibrated);
+  EXPECT_DOUBLE_EQ(cmp.scale, 0.5);
+  EXPECT_FALSE(cmp.regressed) << cmp.Render();
+  ASSERT_EQ(cmp.deltas.size(), 2u);
+  EXPECT_NEAR(cmp.deltas[0].delta_pct, 0.0, 1e-9);
+}
+
+// The same slowdown with the host as fast as before is the code's doing.
+TEST(BenchBaseline, EntriesTwiceAsSlowAtTheSameCalibrationFail) {
+  BenchRun base = MakeRun({Entry("a", 10.0), Entry("b", 5.0)}, 0.8);
+  BenchRun slow_code = MakeRun({Entry("a", 20.0), Entry("b", 10.0)}, 0.8);
+  BenchComparison cmp = CompareBenchRuns(base, slow_code, 75.0);
+  EXPECT_TRUE(cmp.calibrated);
+  EXPECT_TRUE(cmp.regressed) << cmp.Render();
+  EXPECT_NEAR(cmp.deltas[0].delta_pct, 100.0, 1e-9);
+}
+
+// Without a calibration on both sides the comparison is on raw times.
+TEST(BenchBaseline, OneSidedCalibrationComparesRawTimes) {
+  BenchRun base = MakeRun({Entry("a", 10.0)});
+  BenchRun current = MakeRun({Entry("a", 20.0)}, 1.6);
+  BenchComparison cmp = CompareBenchRuns(base, current, 75.0);
+  EXPECT_FALSE(cmp.calibrated);
+  EXPECT_TRUE(cmp.regressed);
 }
 
 TEST(BenchBaseline, MalformedJsonIsAnErrorWithOffset) {
@@ -151,7 +206,7 @@ TEST(BenchJson, WriterReaderRoundTrip) {
   entries.push_back(b);
 
   std::string path = ::testing::TempDir() + "/bench_roundtrip.json";
-  ASSERT_TRUE(WriteBenchJson(path, "bench_fig12", entries).ok());
+  ASSERT_TRUE(WriteBenchJson(path, "bench_fig12", entries, Calibrated()).ok());
   std::ifstream in(path, std::ios::binary);
   ASSERT_TRUE(in.good());
   std::ostringstream buf;

@@ -200,6 +200,28 @@ TEST(DaemonE2E, ServesVerdictsOverTheSocketAndShutsDownOnRequest) {
   EXPECT_EQ(WaitForExit(pid), 0);
 }
 
+// The reply to `shutdown` must reach the client. icarusd's accept loop
+// checks the shutdown flag every 100 ms and then shuts every connection
+// down, the requester's included; the stall holds each connection thread for
+// 500 ms between executing a request and writing its reply, so a flag raised
+// before the write loses the reply every time.
+TEST(DaemonE2E, ShutdownReplyIsWrittenBeforeTheDrainStarts) {
+  std::string socket = TempPath("e2e_shutdown_reply.sock");
+  pid_t pid = SpawnDaemon(
+      {"--socket", socket, "--jobs", "1", "--fail", "after=daemon-respond:0,action=stall"});
+  ASSERT_GT(pid, 0);
+  ASSERT_TRUE(AwaitReady(socket)) << "daemon never became ready";
+  Response bye = RoundTrip(socket, [] {
+    Request req;
+    req.op = kOpShutdown;
+    req.id = "bye";
+    return req;
+  }());
+  EXPECT_EQ(bye.status, kStatusOk) << bye.error;
+  EXPECT_EQ(bye.id, "bye");
+  EXPECT_EQ(WaitForExit(pid), 0);
+}
+
 // The acceptance scenario: SIGTERM lands in the middle of a request storm.
 // The daemon must stop accepting, resolve every in-flight and queued request
 // (verdict, INCONCLUSIVE, SHUTTING_DOWN, or a deliberate disconnect), fsync

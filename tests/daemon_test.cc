@@ -12,6 +12,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <thread>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "src/support/failpoint.h"
 #include "src/support/file_lock.h"
 #include "src/support/flat_json.h"
+#include "src/support/net.h"
 #include "src/support/status.h"
 #include "src/verifier/batch_verifier.h"
 #include "src/verifier/verdict_store.h"
@@ -204,10 +206,39 @@ TEST_F(ServerCoreTest, ControlOpsAnswerInline) {
   EXPECT_NE(counters.stats_json.find("\"requests\":2"), std::string::npos)
       << counters.stats_json;
 
+  // Execute answers `shutdown` but leaves the flag to the transport, which
+  // raises it once the reply is written (ServeConnection; see
+  // ShutdownFlagRisesAfterTheReply).
   Request shutdown;
   shutdown.op = kOpShutdown;
   EXPECT_FALSE(core.shutdown_requested());
   EXPECT_EQ(core.Execute(shutdown).status, kStatusOk);
+  EXPECT_FALSE(core.shutdown_requested());
+  core.RequestShutdown();
+  EXPECT_TRUE(core.shutdown_requested());
+  EXPECT_TRUE(core.FinishDrain().ok());
+}
+
+TEST_F(ServerCoreTest, ShutdownFlagRisesAfterTheReply) {
+  ServerCore core(platform_, DaemonOptions{});
+  ASSERT_TRUE(core.Start().ok());
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::thread conn([&core, fd = fds[1]] { ServeConnection(&core, fd); });
+  Request shutdown;
+  shutdown.op = kOpShutdown;
+  shutdown.id = "s1";
+  ASSERT_TRUE(net::WriteLine(fds[0], shutdown.ToJsonLine()).ok());
+  net::LineReader reader(fds[0]);
+  std::string line;
+  std::string err;
+  ASSERT_EQ(reader.ReadLine(&line, &err), net::LineReader::Result::kLine) << err;
+  Response resp;
+  ASSERT_TRUE(ParseResponse(line, &resp).ok());
+  EXPECT_EQ(resp.status, kStatusOk);
+  EXPECT_EQ(resp.id, "s1");
+  net::CloseFd(fds[0]);  // The connection thread sees EOF and returns.
+  conn.join();
   EXPECT_TRUE(core.shutdown_requested());
   EXPECT_TRUE(core.FinishDrain().ok());
 }

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/support/check.h"
+#include "tests/reference_theory.h"
 
 namespace icarus::sym {
 

@@ -2,9 +2,10 @@
 // evaluation of the boolean skeleton, no clause learning, nothing carried
 // between calls) kept as test code. solver_test's differential fuzz checks
 // the CDCL core's verdicts against it, and bench_solver times the CDCL core
-// against it. It shares the production theory layer (sym::CheckTheory), so a
-// disagreement isolates the boolean search: propagation, conflict analysis,
-// learned clauses and warm state.
+// against it. It decides through the reference theory checker
+// (tests/reference_theory.h), not the production engine, so a disagreement
+// is in the boolean search (propagation, conflict analysis, learned clauses,
+// warm state) or in the theory engine; theory_test tells the two apart.
 #ifndef ICARUS_TESTS_DECIDE_ONLY_ORACLE_H_
 #define ICARUS_TESTS_DECIDE_ONLY_ORACLE_H_
 
