@@ -40,8 +40,8 @@ int main() {
          {ConcreteArg::Kind::kRaw, JsValue(), static_cast<int64_t>(rt.length_atom())},
          {ConcreteArg::Kind::kRaw, JsValue(), mode}});
     ICARUS_CHECK(stub.ok() && stub.value().has_value());
-    std::printf("attached %s: %zu MASM operands, run by the stub runner compiled for its code\n",
-                generator, stub.value()->operands.size());
+    std::printf("attached %s: %d input, run by the stub runner compiled for its code\n",
+                generator, stub.value()->num_inputs);
     return *stub.value();
   };
 

@@ -206,8 +206,11 @@ void RegisterMachineBuiltins(ExternRegistry* registry, const ast::Module* module
         if (!t.ok()) {
           return t.status();
         }
-        ctx.machine().SetKnownType(static_cast<int>(id.value()),
-                                   static_cast<int>(t.value()));
+        Status st = ctx.machine().SetKnownType(static_cast<int>(id.value()),
+                                               static_cast<int>(t.value()));
+        if (!st.ok()) {
+          return st;
+        }
         return ok_void();
       });
 

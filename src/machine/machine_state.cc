@@ -20,8 +20,40 @@ const char* RegContentName(RegContent c) {
   return "?";
 }
 
+void MachineState::Reset() {
+  for (RegState& reg : regs_) {
+    reg = RegState();
+  }
+  operands_.clear();
+  stack_.clear();
+  saved_regs_.clear();
+  entry_stack_depth_ = 0;
+  next_operand_id_ = 0;
+}
+
+MachineState::OperandSlot* MachineState::Slot(int operand_id) {
+  if (operand_id < 0 || operand_id >= kMaxOperandIds) {
+    return nullptr;
+  }
+  if (static_cast<size_t>(operand_id) >= operands_.size()) {
+    operands_.resize(static_cast<size_t>(operand_id) + 1);
+  }
+  return &operands_[static_cast<size_t>(operand_id)];
+}
+
+const MachineState::OperandSlot* MachineState::FindSlot(int operand_id) const {
+  if (operand_id < 0 || static_cast<size_t>(operand_id) >= operands_.size()) {
+    return nullptr;
+  }
+  return &operands_[static_cast<size_t>(operand_id)];
+}
+
 StatusOr<int> MachineState::DefineOperand(int operand_id) {
-  if (operand_to_reg_.count(operand_id) != 0) {
+  OperandSlot* slot = Slot(operand_id);
+  if (slot == nullptr) {
+    return Status::Error(StrCat("operand ", operand_id, " out of range"));
+  }
+  if (slot->reg >= 0) {
     return Status::Error(StrCat("operand ", operand_id, " defined twice"));
   }
   for (int r = 0; r < kNumRegs; ++r) {
@@ -31,18 +63,18 @@ StatusOr<int> MachineState::DefineOperand(int operand_id) {
     regs_[r].alloc = AllocState::kOperand;
     regs_[r].operand_id = operand_id;
     regs_[r].ever_allocated = true;
-    operand_to_reg_[operand_id] = r;
+    slot->reg = r;
     return r;
   }
   return Status::Error("register file exhausted while defining operand");
 }
 
-StatusOr<int> MachineState::UseOperand(int operand_id) {
-  auto it = operand_to_reg_.find(operand_id);
-  if (it == operand_to_reg_.end()) {
+StatusOr<int> MachineState::UseOperand(int operand_id) const {
+  const OperandSlot* slot = FindSlot(operand_id);
+  if (slot == nullptr || slot->reg < 0) {
     return Status::Error(StrCat("use of undefined operand ", operand_id));
   }
-  return it->second;
+  return slot->reg;
 }
 
 StatusOr<int> MachineState::AllocScratch() {
@@ -87,13 +119,18 @@ Status MachineState::CheckWritable(int reg, const std::string& who) const {
   return Status::Ok();
 }
 
-void MachineState::SetKnownType(int operand_id, int js_type) {
-  known_types_[operand_id] = js_type;
+Status MachineState::SetKnownType(int operand_id, int js_type) {
+  OperandSlot* slot = Slot(operand_id);
+  if (slot == nullptr) {
+    return Status::Error(StrCat("static type for operand ", operand_id, " out of range"));
+  }
+  slot->known_type = js_type;
+  return Status::Ok();
 }
 
 int MachineState::KnownType(int operand_id) const {
-  auto it = known_types_.find(operand_id);
-  return it == known_types_.end() ? -1 : it->second;
+  const OperandSlot* slot = FindSlot(operand_id);
+  return slot == nullptr ? -1 : slot->known_type;
 }
 
 Status MachineState::WriteReg(int reg, RegContent content, sym::ExprRef term) {

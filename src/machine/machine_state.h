@@ -18,7 +18,6 @@
 #ifndef ICARUS_MACHINE_MACHINE_STATE_H_
 #define ICARUS_MACHINE_MACHINE_STATE_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -63,9 +62,18 @@ enum class AllocState {
   kScratch,  // Allocated as a scratch register.
 };
 
+// Operand ids are small dense integers (NewOperandId hands them out from
+// 0); the operand table holds ids below this bound.
+inline constexpr int kMaxOperandIds = 1024;
+
 class MachineState {
  public:
   MachineState() = default;
+
+  // Back to the state of a fresh MachineState (operand ids restart at 0, no
+  // operand bound, no type known, empty stack), keeping the tables'
+  // storage for the next use.
+  void Reset();
 
   // ------------------------------------------------------------------
   // Compile-time: operand table and register allocation.
@@ -75,12 +83,13 @@ class MachineState {
   int NewOperandId() { return next_operand_id_++; }
 
   // Binds `operand_id` to a fresh register; returns the register id. Used
-  // when defining stub inputs and when ops define result operands.
+  // when defining stub inputs and when ops define result operands. Errors
+  // on an id defined before and on one outside [0, kMaxOperandIds).
   StatusOr<int> DefineOperand(int operand_id);
 
   // The register bound to `operand_id` (allocating semantics of
   // useValueId/useObjectId/...): errors if the operand is unknown.
-  StatusOr<int> UseOperand(int operand_id);
+  StatusOr<int> UseOperand(int operand_id) const;
 
   // Allocates a scratch register; errors when the file is exhausted.
   StatusOr<int> AllocScratch();
@@ -101,7 +110,8 @@ class MachineState {
   Status CheckWritable(int reg, const std::string& who) const;
 
   // Compile-time static type knowledge per operand (CacheIRCompiler::knownType).
-  void SetKnownType(int operand_id, int js_type);
+  // SetKnownType errors on an id outside [0, kMaxOperandIds).
+  Status SetKnownType(int operand_id, int js_type);
   int KnownType(int operand_id) const;  // -1 when unknown.
 
   // ------------------------------------------------------------------
@@ -148,9 +158,22 @@ class MachineState {
     bool ever_allocated = false;
   };
 
+  // One operand-table row: the register bound to the operand and its static
+  // type, -1 for none.
+  struct OperandSlot {
+    int reg = -1;
+    int known_type = -1;
+  };
+
+  // The row of `operand_id`, growing the table to hold it; null when the id
+  // is out of range.
+  OperandSlot* Slot(int operand_id);
+  // The row of `operand_id`, or null when the table does not hold it.
+  const OperandSlot* FindSlot(int operand_id) const;
+
   RegState regs_[kNumRegs];
-  std::map<int, int> operand_to_reg_;
-  std::map<int, int> known_types_;
+  // Indexed by operand id, as long as the highest id defined or typed so far.
+  std::vector<OperandSlot> operands_;
   std::vector<RegVal> stack_;
   std::vector<std::vector<RegVal>> saved_regs_;
   int entry_stack_depth_ = 0;

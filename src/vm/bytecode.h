@@ -42,6 +42,9 @@ struct BytecodeInstr {
   Op op;
   int32_t a = 0;            // Local index / atom / jump target / kind.
   uint64_t const_bits = 0;  // kLoadConst payload.
+
+  // Field by field: the struct has padding.
+  friend bool operator==(const BytecodeInstr&, const BytecodeInstr&) = default;
 };
 
 struct BytecodeProgram {

@@ -3,7 +3,8 @@
 // that bridge its externs to the VM's Runtime —
 //
 //   AttachHost: generators and compiler callbacks at attach, over the
-//     compile-time half of machine::MachineState;
+//     compile-time half of machine::MachineState; one per IcCompiler,
+//     reset per attach;
 //   StubHost:   the stub runners' interpreter callbacks at run time, over a
 //     register file and value stack in the runner's own frame.
 //
@@ -72,17 +73,30 @@ uint64_t ReadOrPoison(const std::vector<JsValue>& values, int64_t index) {
   return values[static_cast<size_t>(index)].raw();
 }
 
-// IcCompiler's runner lookup key: the op count, the ops, then the input
-// registers, one char each (MASM has fewer than 128 ops and 8 registers).
-std::string RunnerKey(const std::vector<int>& ops, const int* regs, size_t num_regs) {
-  std::string key(1, static_cast<char>(ops.size()));
-  for (int op : ops) {
-    key.push_back(static_cast<char>(op));
+// The hashes that key the runner and stub lookups: a word at a time,
+// finished by splitmix64's mixer so that the stub table's buckets spread.
+constexpr uint64_t kHashSeed = 0x9e3779b97f4a7c15ULL;
+
+uint64_t HashStep(uint64_t h, uint64_t word) {
+  return (h ^ word) * 0x100000001b3ULL + kHashSeed;
+}
+
+uint64_t HashFinish(uint64_t h) {
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  h ^= h >> 27;
+  h *= 0x94d049bb133111ebULL;
+  return h ^ (h >> 31);
+}
+
+// The runner key hashes the op count, the ops, the input register count
+// and the registers; the stub key goes on with every operand.
+uint64_t HashRegs(uint64_t h, std::span<const int> regs) {
+  h = HashStep(h, regs.size());
+  for (int reg : regs) {
+    h = HashStep(h, static_cast<uint64_t>(reg));
   }
-  for (size_t i = 0; i < num_regs; ++i) {
-    key.push_back(static_cast<char>(regs[i]));
-  }
-  return key;
+  return h;
 }
 
 }  // namespace
@@ -204,6 +218,9 @@ class RuntimeHost {
     return JsValue::Undefined().raw();
   }
 
+ protected:
+  void set_runtime(Runtime* rt) { rt_ = rt; }
+
  private:
   const JsObject& Obj(ix::Object o) const { return rt_->Object(static_cast<uint32_t>(o)); }
   static const Shape* ShapeOf(ix::Shape s) { return reinterpret_cast<const Shape*>(s); }
@@ -303,11 +320,22 @@ constexpr std::array<StubRunner, sizeof...(I)> StubEntryPoints(std::index_sequen
 constexpr auto kStubEntryPoints =
     StubEntryPoints(std::make_index_sequence<std::size(ix::kStubRunners<StubHost>)>());
 
+}  // namespace
+
 // Attach time: the operand table and register allocator of
 // machine::MachineState, labels, and the MASM the compiler callbacks emit.
+// Its IcCompiler keeps one and resets it per attach, so after the first
+// attaches its buffers have the room an attach needs.
 class AttachHost final : public RuntimeHost {
  public:
-  using RuntimeHost::RuntimeHost;
+  AttachHost() : RuntimeHost(nullptr) {}
+
+  void Reset(Runtime* runtime) {
+    set_runtime(runtime);
+    machine_.Reset();
+    labels_.clear();
+    emitted_.clear();
+  }
 
   machine::MachineState& machine() { return machine_; }
 
@@ -331,7 +359,8 @@ class AttachHost final : public RuntimeHost {
     return static_cast<ix::JSValueType>(t);
   }
   void CacheIRCompiler_setKnownType(ix::ValueId id, ix::JSValueType t) {
-    machine_.SetKnownType(static_cast<int>(id), static_cast<int>(t));
+    Status st = machine_.SetKnownType(static_cast<int>(id), static_cast<int>(t));
+    ICARUS_REQUIRE_MSG(st.ok(), st.message());
   }
   ix::Int32Id CacheIR_newInt32Id() { return static_cast<ix::Int32Id>(machine_.NewOperandId()); }
   ix::Reg CacheIRCompiler_defineOperandReg(ix::Int32Id id) {
@@ -361,16 +390,16 @@ class AttachHost final : public RuntimeHost {
     emitted_.push_back(instr);
   }
 
-  // Decodes the emitted MASM with labels resolved. Register operands need
-  // no check here: a runner fixes every one, and extraction refuses a
-  // register outside the file.
+  // Decodes the emitted MASM into *code with labels resolved. Register
+  // operands need no check here: a runner fixes every one, and extraction
+  // refuses a register outside the file.
   Status Decode(std::vector<MasmInstr>* code) const {
     for (int64_t target : labels_) {
       if (target == kUnbound) {
         return Status::Error("label left unbound at end of stub generation");
       }
     }
-    code->reserve(emitted_.size());
+    code->clear();
     for (const Emitted& e : emitted_) {
       MasmInstr out;
       out.op = static_cast<int>(e.op);
@@ -422,67 +451,123 @@ class AttachHost final : public RuntimeHost {
   std::vector<Emitted> emitted_;
 };
 
+namespace {
+
+constexpr int MaxGeneratorParams() {
+  int most = 0;
+  for (const ix::GeneratorEntry<AttachHost>& generator : ix::kGenerators<AttachHost>) {
+    most = std::max(most, generator.num_params);
+  }
+  return most;
+}
+
+// The most arguments an attach passes.
+constexpr int kMaxGeneratorParams = MaxGeneratorParams();
+
 }  // namespace
 
 IcCompiler::IcCompiler(const platform::Platform* platform)
-    : masm_(platform->module().FindLanguage("MASM")) {
+    : masm_(platform->module().FindLanguage("MASM")), host_(std::make_unique<AttachHost>()) {
   const std::string fingerprint = platform->Fingerprint();
   ICARUS_REQUIRE_MSG(fingerprint == ix::kPlatformFingerprint,
                      StrCat("platform fingerprint ", fingerprint, " differs from ",
                             ix::kPlatformFingerprint,
                             ", the platform the VM's IC code was extracted from"));
   for (size_t i = 0; i < std::size(ix::kGenerators<AttachHost>); ++i) {
-    generators_.emplace(ix::kGenerators<AttachHost>[i].name, i);
+    generators_.emplace_back(ix::kGenerators<AttachHost>[i].name, static_cast<int>(i));
   }
+  std::sort(generators_.begin(), generators_.end());
   const auto& table = ix::kStubRunners<StubHost>;
   for (size_t i = 0; i < std::size(table); ++i) {
     const ix::StubRunnerEntry<StubHost>& entry = table[i];
-    std::vector<int> ops;
+    uint64_t h = HashStep(kHashSeed, static_cast<uint64_t>(entry.num_ops));
     for (int k = 0; k < entry.num_ops; ++k) {
-      ops.push_back(static_cast<int>(entry.ops[k]));
+      h = HashStep(h, static_cast<uint64_t>(entry.ops[k]));
     }
-    runners_[RunnerKey(ops, entry.input_regs, static_cast<size_t>(entry.num_inputs))].push_back(i);
+    h = HashRegs(h, std::span(entry.input_regs, static_cast<size_t>(entry.num_inputs)));
+    runners_.emplace_back(HashFinish(h), i);
   }
-  for (auto& [key, candidates] : runners_) {
-    std::stable_sort(candidates.begin(), candidates.end(), [&](size_t a, size_t b) {
-      return table[a].num_fixed > table[b].num_fixed;
-    });
-  }
+  std::sort(runners_.begin(), runners_.end(), [&](const auto& a, const auto& b) {
+    if (a.first != b.first) {
+      return a.first < b.first;
+    }
+    if (table[a.second].num_fixed != table[b.second].num_fixed) {
+      return table[a.second].num_fixed > table[b.second].num_fixed;
+    }
+    return a.second < b.second;
+  });
 }
 
-CompiledStub IcCompiler::Compile(const std::string& generator,
-                                 const std::vector<MasmInstr>& code,
-                                 std::vector<int> operand_regs) const {
-  std::vector<int> ops;
-  ops.reserve(code.size());
-  size_t num_operands = 0;
+IcCompiler::~IcCompiler() = default;
+
+int IcCompiler::FindGenerator(std::string_view name) const {
+  auto it = std::lower_bound(generators_.begin(), generators_.end(), name,
+                             [](const auto& entry, std::string_view n) { return entry.first < n; });
+  return it != generators_.end() && it->first == name ? it->second : -1;
+}
+
+CompiledStub IcCompiler::StubFor(const StubEntry& entry) const {
+  return CompiledStub{kStubEntryPoints[entry.runner], entry.operands.data(),
+                      ix::kStubRunners<StubHost>[entry.runner].num_inputs, this};
+}
+
+CompiledStub IcCompiler::Bind(int generator, std::span<const MasmInstr> code,
+                              std::span<const int> input_regs) {
+  uint64_t h = HashStep(kHashSeed, code.size());
+  operands_.clear();
   for (const MasmInstr& instr : code) {
     ICARUS_REQUIRE_MSG(instr.op >= 0 && static_cast<size_t>(instr.op) < masm_->ops.size() &&
                            static_cast<size_t>(instr.num_args) ==
                                masm_->ops[static_cast<size_t>(instr.op)]->params.size(),
                        "malformed MASM instruction");
-    ops.push_back(instr.op);
-    num_operands += static_cast<size_t>(instr.num_args);
+    h = HashStep(h, static_cast<uint64_t>(instr.op));
+    operands_.insert(operands_.end(), instr.args, instr.args + instr.num_args);
   }
-  CompiledStub stub;
-  stub.operands.reserve(num_operands);
-  for (const MasmInstr& instr : code) {
-    stub.operands.insert(stub.operands.end(), instr.args, instr.args + instr.num_args);
+  h = HashRegs(h, input_regs);
+  const uint64_t runner_hash = HashFinish(h);
+  for (int64_t operand : operands_) {
+    h = HashStep(h, static_cast<uint64_t>(operand));
   }
-  auto it = runners_.find(RunnerKey(ops, operand_regs.data(), operand_regs.size()));
-  if (it != runners_.end()) {
-    for (size_t index : it->second) {
-      const ix::StubRunnerEntry<StubHost>& entry = ix::kStubRunners<StubHost>[index];
-      if (std::all_of(entry.fixed, entry.fixed + entry.num_fixed, [&](const ix::FixedOperand& f) {
-            return stub.operands[static_cast<size_t>(f.index)] == f.value;
-          })) {
-        stub.runner = kStubEntryPoints[index];
-        stub.operand_regs = std::move(operand_regs);
-        stub.generator = generator;
-        return stub;
-      }
+  const uint64_t stub_hash = HashFinish(h);
+
+  // The runner key (ops and input registers) of runner `index` is this
+  // code's.
+  auto same_runner_key = [&](size_t index) {
+    const ix::StubRunnerEntry<StubHost>& entry = ix::kStubRunners<StubHost>[index];
+    return static_cast<size_t>(entry.num_ops) == code.size() &&
+           static_cast<size_t>(entry.num_inputs) == input_regs.size() &&
+           std::equal(code.begin(), code.end(), entry.ops,
+                      [](const MasmInstr& instr, ix::MASMOp op) {
+                        return instr.op == static_cast<int>(op);
+                      }) &&
+           std::equal(input_regs.begin(), input_regs.end(), entry.input_regs);
+  };
+
+  // Code the table holds: its entry, nothing bound.
+  auto [first, last] = stub_index_.equal_range(stub_hash);
+  for (auto it = first; it != last; ++it) {
+    const StubEntry& entry = stubs_[it->second];
+    if (entry.operands == operands_ && same_runner_key(entry.runner)) {
+      return StubFor(entry);
     }
   }
+
+  // New code: the first runner whose whole key it matches.
+  auto runner = std::lower_bound(
+      runners_.begin(), runners_.end(), runner_hash,
+      [](const std::pair<uint64_t, size_t>& r, uint64_t hash) { return r.first < hash; });
+  for (; runner != runners_.end() && runner->first == runner_hash; ++runner) {
+    const ix::StubRunnerEntry<StubHost>& entry = ix::kStubRunners<StubHost>[runner->second];
+    if (same_runner_key(runner->second) &&
+        std::all_of(entry.fixed, entry.fixed + entry.num_fixed, [&](const ix::FixedOperand& f) {
+          return operands_[static_cast<size_t>(f.index)] == f.value;
+        })) {
+      stubs_.push_back(StubEntry{runner->second, operands_});
+      stub_index_.emplace(stub_hash, stubs_.size() - 1);
+      return StubFor(stubs_.back());
+    }
+  }
+
   std::vector<std::string> listing;
   for (const MasmInstr& instr : code) {
     std::vector<std::string> args;
@@ -493,36 +578,54 @@ CompiledStub IcCompiler::Compile(const std::string& generator,
         StrCat(masm_->ops[static_cast<size_t>(instr.op)]->name, "(", Join(args, ", "), ")"));
   }
   std::vector<std::string> regs;
-  for (int reg : operand_regs) {
+  for (int reg : input_regs) {
     regs.push_back(StrCat(reg));
   }
-  throw InternalError(StrCat("refusing ", generator, "'s stub [", Join(listing, " ; "),
-                             "] on input registers [", Join(regs, ", "),
+  throw InternalError(StrCat("refusing ", ix::kGenerators<AttachHost>[generator].name,
+                             "'s stub [", Join(listing, " ; "), "] on input registers [",
+                             Join(regs, ", "),
                              "]: no attached path of the verifier's symbolic meta-execution "
                              "emitted this instruction list"));
 }
 
-StatusOr<std::optional<CompiledStub>> IcCompiler::TryAttach(
-    Runtime* runtime, const std::string& generator_name,
-    const std::vector<ConcreteArg>& args) {
-  ++attach_calls_;
-  auto it = generators_.find(generator_name);
-  if (it == generators_.end()) {
+CompiledStub IcCompiler::Compile(const std::string& generator, const std::vector<MasmInstr>& code,
+                                 const std::vector<int>& operand_regs) {
+  int index = FindGenerator(generator);
+  ICARUS_REQUIRE_MSG(index >= 0, StrCat("no generator ", generator));
+  return Bind(index, code, operand_regs);
+}
+
+StatusOr<std::optional<CompiledStub>> IcCompiler::TryAttach(Runtime* runtime,
+                                                            const std::string& generator_name,
+                                                            const std::vector<ConcreteArg>& args) {
+  int index = FindGenerator(generator_name);
+  if (index < 0) {
     return Status::Error(StrCat("no generator ", generator_name));
   }
-  const ix::GeneratorEntry<AttachHost>& generator = ix::kGenerators<AttachHost>[it->second];
-  if (static_cast<int>(args.size()) != generator.num_params) {
-    return Status::Error(StrCat("argument count mismatch for ", generator_name));
+  return TryAttach(runtime, index, args);
+}
+
+StatusOr<std::optional<CompiledStub>> IcCompiler::TryAttach(Runtime* runtime, int generator,
+                                                            std::span<const ConcreteArg> args) {
+  ++attach_calls_;
+  if (generator < 0 || static_cast<size_t>(generator) >= std::size(ix::kGenerators<AttachHost>)) {
+    return Status::Error(StrCat("no generator at index ", generator));
+  }
+  const ix::GeneratorEntry<AttachHost>& entry = ix::kGenerators<AttachHost>[generator];
+  if (static_cast<int>(args.size()) != entry.num_params) {
+    return Status::Error(StrCat("argument count mismatch for ", entry.name));
   }
 
-  AttachHost host(runtime);
-  std::vector<int> operand_regs;
-  std::vector<int64_t> raw_args;
-  raw_args.reserve(args.size());
-  for (const ConcreteArg& arg : args) {
+  AttachHost& host = *host_;
+  host.Reset(runtime);
+  int input_regs[kMaxGeneratorParams];
+  int num_inputs = 0;
+  int64_t raw_args[kMaxGeneratorParams];
+  for (size_t i = 0; i < args.size(); ++i) {
+    const ConcreteArg& arg = args[i];
     switch (arg.kind) {
       case ConcreteArg::Kind::kBoxedValue:
-        raw_args.push_back(static_cast<int64_t>(arg.boxed.raw()));
+        raw_args[i] = static_cast<int64_t>(arg.boxed.raw());
         break;
       case ConcreteArg::Kind::kOperand: {
         int id = host.machine().NewOperandId();
@@ -530,21 +633,21 @@ StatusOr<std::optional<CompiledStub>> IcCompiler::TryAttach(
         if (!reg.ok()) {
           return reg.status();
         }
-        operand_regs.push_back(reg.value());
-        raw_args.push_back(id);
+        input_regs[num_inputs++] = reg.value();
+        raw_args[i] = id;
         break;
       }
       case ConcreteArg::Kind::kRaw:
-        raw_args.push_back(arg.raw);
+        raw_args[i] = arg.raw;
         break;
     }
   }
-  if (generator.run(host, raw_args.data()) != ix::AttachDecision::kAttach) {
+  if (entry.run(host, raw_args) != ix::AttachDecision::kAttach) {
     return std::optional<CompiledStub>();
   }
-  std::vector<MasmInstr> code;
-  ICARUS_RETURN_IF_ERROR(host.Decode(&code));
-  return std::optional<CompiledStub>(Compile(generator_name, code, std::move(operand_regs)));
+  ICARUS_RETURN_IF_ERROR(host.Decode(&code_));
+  return std::optional<CompiledStub>(
+      Bind(generator, code_, std::span(input_regs, static_cast<size_t>(num_inputs))));
 }
 
 StubEngine::StubEngine(const ast::LanguageDecl* masm) {
@@ -557,10 +660,10 @@ StubEngine::StubEngine(const ast::LanguageDecl* masm) {
 
 StubOutcome StubEngine::Run(Runtime* runtime, const CompiledStub& stub, const JsValue* operands,
                             int num_operands, JsValue* result) const {
-  ICARUS_REQUIRE_MSG(num_operands == static_cast<int>(stub.operand_regs.size()),
+  ICARUS_REQUIRE_MSG(num_operands == stub.num_inputs,
                      "operand count does not match the compiled stub");
-  return stub.runner(runtime, operands, stub.operands.data(), result) ? StubOutcome::kReturn
-                                                                      : StubOutcome::kBail;
+  return stub.runner(runtime, operands, stub.operands, result) ? StubOutcome::kReturn
+                                                              : StubOutcome::kBail;
 }
 
 }  // namespace icarus::vm

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <span>
 
 #include "src/support/str_util.h"
 
@@ -71,10 +73,38 @@ JsValue NumberResult(double d) {
 
 Interpreter::Interpreter(Runtime* runtime, IcCompiler* ic_compiler, IcStrategy strategy)
     : runtime_(runtime), ic_compiler_(ic_compiler), strategy_(strategy) {
-  if (strategy_ == IcStrategy::kIcarus) {
-    ICARUS_CHECK_MSG(ic_compiler_ != nullptr, "kIcarus needs an IcCompiler");
-    engine_ = std::make_unique<StubEngine>(ic_compiler_->masm());
+  if (strategy_ != IcStrategy::kIcarus) {
+    return;
   }
+  ICARUS_CHECK_MSG(ic_compiler_ != nullptr, "kIcarus needs an IcCompiler");
+  engine_ = std::make_unique<StubEngine>(ic_compiler_->masm());
+  auto candidate = [&](const char* generator, int num_args) {
+    int index = ic_compiler_->FindGenerator(generator);
+    ICARUS_CHECK_MSG(index >= 0, generator);
+    return Candidate{index, num_args};
+  };
+  Candidates& c = candidates_;
+  c.get_prop = {candidate("tryAttachNativeGetPropFixedSlot", 3),
+                candidate("tryAttachNativeGetPropDynamicSlot", 3)};
+  // The TypedArray length generator is the fixed 1685925 code.
+  c.get_length = {candidate("tryAttachObjectLength", 2), candidate("bug1685925_fixed", 4)};
+  c.get_length.insert(c.get_length.end(), c.get_prop.begin(), c.get_prop.end());
+  c.get_elem = {candidate("tryAttachDenseElement", 4),
+                candidate("tryAttachArgumentsObjectArg", 4)};
+  c.binary[static_cast<int>(BinKind::kAdd)] = {candidate("tryAttachInt32Add", 4)};
+  c.binary[static_cast<int>(BinKind::kSub)] = {candidate("tryAttachInt32Sub", 4)};
+  c.binary[static_cast<int>(BinKind::kMul)] = {candidate("tryAttachInt32Mul", 4)};
+  c.binary[static_cast<int>(BinKind::kDiv)] = {candidate("tryAttachInt32Div", 4)};
+  c.binary[static_cast<int>(BinKind::kMod)] = {candidate("tryAttachInt32Mod", 4)};
+  // Bitwise: one generator, its Int32BitOpKind the fifth argument.
+  for (BinKind kind : {BinKind::kBitAnd, BinKind::kBitOr, BinKind::kBitXor}) {
+    c.binary[static_cast<int>(kind)] = {candidate("tryAttachInt32Bitwise", 5)};
+  }
+  c.compare = {candidate("tryAttachCompareInt32", 5),
+               candidate("tryAttachCompareNullUndefined", 5),
+               candidate("tryAttachCompareStrictDifferentTypes", 5)};
+  c.neg = {candidate("tryAttachInt32Negation", 2)};
+  c.bit_not = {candidate("tryAttachInt32Not", 2)};
 }
 
 // ---------------------------------------------------------------------------
@@ -205,7 +235,7 @@ JsValue Interpreter::SlowBitNot(JsValue v) { return JsValue::Int32(~ToInt32(v));
 bool Interpreter::TryIcarusStubs(IcSite* site, const JsValue* operands, int num_operands,
                                  JsValue* out) {
   for (const CompiledStub& stub : site->icarus_stubs) {
-    if (static_cast<int>(stub.operand_regs.size()) != num_operands) {
+    if (stub.num_inputs != num_operands) {
       continue;
     }
     StubOutcome outcome = engine_->Run(runtime_, stub, operands, num_operands, out);
@@ -397,81 +427,44 @@ bool Interpreter::TryNativeStubs(IcSite* site, const JsValue* operands, int num_
 void Interpreter::AttachIcarus(IcSite* site, const BytecodeInstr& instr,
                                const JsValue* operands) {
   using K = ConcreteArg::Kind;
-  auto boxed = [](JsValue v) { return ConcreteArg{K::kBoxedValue, v, 0}; };
-  auto operand = [](JsValue v) { return ConcreteArg{K::kOperand, v, 0}; };
-  auto raw = [](int64_t r) { return ConcreteArg{K::kRaw, JsValue(), r}; };
-
-  std::vector<std::pair<std::string, std::vector<ConcreteArg>>> candidates;
+  // Every candidate of an op takes a prefix of the same arguments: each
+  // operand boxed and as a stub input, then the op's raw payloads.
+  ConcreteArg args[5] = {{K::kBoxedValue, operands[0], 0}, {K::kOperand, operands[0], 0}};
+  auto second_operand = [&] {
+    args[2] = {K::kBoxedValue, operands[1], 0};
+    args[3] = {K::kOperand, operands[1], 0};
+  };
+  const std::vector<Candidate>* candidates = nullptr;
   switch (instr.op) {
-    case Op::kGetProp: {
-      int64_t atom = instr.a;
-      if (static_cast<PropKey>(atom) == runtime_->length_atom()) {
-        candidates.emplace_back("tryAttachObjectLength",
-                                std::vector<ConcreteArg>{boxed(operands[0]),
-                                                         operand(operands[0])});
-        // The TypedArray length generator (the fixed 1685925 code).
-        candidates.emplace_back(
-            "bug1685925_fixed",
-            std::vector<ConcreteArg>{boxed(operands[0]), operand(operands[0]), raw(atom),
-                                     raw(0) /* ICMode::Specialized */});
-      }
-      candidates.emplace_back("tryAttachNativeGetPropFixedSlot",
-                              std::vector<ConcreteArg>{boxed(operands[0]),
-                                                       operand(operands[0]), raw(atom)});
-      candidates.emplace_back("tryAttachNativeGetPropDynamicSlot",
-                              std::vector<ConcreteArg>{boxed(operands[0]),
-                                                       operand(operands[0]), raw(atom)});
+    case Op::kGetProp:
+      args[2] = {K::kRaw, JsValue(), instr.a};
+      args[3] = {K::kRaw, JsValue(), 0};  // ICMode::Specialized.
+      candidates = static_cast<PropKey>(instr.a) == runtime_->length_atom()
+                       ? &candidates_.get_length
+                       : &candidates_.get_prop;
       break;
-    }
-    case Op::kGetElem: {
-      candidates.emplace_back(
-          "tryAttachDenseElement",
-          std::vector<ConcreteArg>{boxed(operands[0]), operand(operands[0]),
-                                   boxed(operands[1]), operand(operands[1])});
-      candidates.emplace_back(
-          "tryAttachArgumentsObjectArg",
-          std::vector<ConcreteArg>{boxed(operands[0]), operand(operands[0]),
-                                   boxed(operands[1]), operand(operands[1])});
+    case Op::kGetElem:
+      second_operand();
+      candidates = &candidates_.get_elem;
       break;
-    }
-    case Op::kBinary: {
-      static const std::map<BinKind, std::string> kArith = {
-          {BinKind::kAdd, "tryAttachInt32Add"}, {BinKind::kSub, "tryAttachInt32Sub"},
-          {BinKind::kMul, "tryAttachInt32Mul"}, {BinKind::kDiv, "tryAttachInt32Div"},
-          {BinKind::kMod, "tryAttachInt32Mod"},
-      };
-      BinKind kind = static_cast<BinKind>(instr.a);
-      auto it = kArith.find(kind);
-      std::vector<ConcreteArg> args = {boxed(operands[0]), operand(operands[0]),
-                                       boxed(operands[1]), operand(operands[1])};
-      if (it != kArith.end()) {
-        candidates.emplace_back(it->second, args);
-      } else {
-        // Bitwise: one generator parameterized by Int32BitOpKind.
-        int64_t bit_kind = kind == BinKind::kBitAnd ? 0 : kind == BinKind::kBitOr ? 1 : 2;
-        args.push_back(raw(bit_kind));
-        candidates.emplace_back("tryAttachInt32Bitwise", std::move(args));
-      }
+    case Op::kBinary:
+      ICARUS_CHECK(instr.a >= 0 && instr.a < static_cast<int>(std::size(candidates_.binary)));
+      second_operand();
+      // The Int32BitOpKind of a bitwise kind; the arithmetic generators
+      // take four arguments and never read it.
+      args[4] = {K::kRaw, JsValue(), instr.a - static_cast<int>(BinKind::kBitAnd)};
+      candidates = &candidates_.binary[instr.a];
       break;
-    }
-    case Op::kCompare: {
-      std::vector<ConcreteArg> args = {boxed(operands[0]), operand(operands[0]),
-                                       boxed(operands[1]), operand(operands[1]),
-                                       raw(instr.a)};
-      candidates.emplace_back("tryAttachCompareInt32", args);
-      candidates.emplace_back("tryAttachCompareNullUndefined", args);
-      candidates.emplace_back("tryAttachCompareStrictDifferentTypes", args);
+    case Op::kCompare:
+      second_operand();
+      args[4] = {K::kRaw, JsValue(), instr.a};
+      candidates = &candidates_.compare;
       break;
-    }
     case Op::kNeg:
-      candidates.emplace_back("tryAttachInt32Negation",
-                              std::vector<ConcreteArg>{boxed(operands[0]),
-                                                       operand(operands[0])});
+      candidates = &candidates_.neg;
       break;
     case Op::kBitNot:
-      candidates.emplace_back("tryAttachInt32Not",
-                              std::vector<ConcreteArg>{boxed(operands[0]),
-                                                       operand(operands[0])});
+      candidates = &candidates_.bit_not;
       break;
     default:
       return;
@@ -482,17 +475,18 @@ void Interpreter::AttachIcarus(IcSite* site, const BytecodeInstr& instr,
   // too (a dense-element stub on an arguments object, say). The next
   // candidate gets its turn. The new stub goes first, as in SpiderMonkey:
   // the stubs before it just failed on these operands.
-  for (const auto& [generator, args] : candidates) {
-    StatusOr<std::optional<CompiledStub>> attached =
-        ic_compiler_->TryAttach(runtime_, generator, args);
+  for (const Candidate& candidate : *candidates) {
+    StatusOr<std::optional<CompiledStub>> attached = ic_compiler_->TryAttach(
+        runtime_, candidate.generator,
+        std::span<const ConcreteArg>(args, static_cast<size_t>(candidate.num_args)));
     ICARUS_CHECK_MSG(attached.ok(), attached.status().message().c_str());
-    std::optional<CompiledStub>& stub = attached.value();
+    const std::optional<CompiledStub>& stub = attached.value();
     if (!stub.has_value() ||
         std::any_of(site->icarus_stubs.begin(), site->icarus_stubs.end(),
                     [&](const CompiledStub& held) { return held.SameCode(*stub); })) {
       continue;
     }
-    site->icarus_stubs.insert(site->icarus_stubs.begin(), std::move(*stub));
+    site->icarus_stubs.insert(site->icarus_stubs.begin(), *stub);
     ++stats_.stubs_attached;
     return;
   }
@@ -632,9 +626,12 @@ JsValue Interpreter::Run(const BytecodeProgram& program) {
   stack.reserve(32);
   IcSite* program_sites = nullptr;
   if (strategy_ != IcStrategy::kNone) {
-    std::vector<IcSite>& sites = sites_[&program];
-    sites.resize(program.code.size());
-    program_sites = sites.data();
+    ProgramSites& entry = sites_[&program];
+    if (entry.code != program.code) {
+      entry.code = program.code;
+      entry.sites.assign(program.code.size(), IcSite());
+    }
+    program_sites = entry.sites.data();
   }
   int pc = 0;
   const int n = static_cast<int>(program.code.size());

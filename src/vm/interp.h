@@ -12,6 +12,14 @@
 // Both IC arms put a newly attached stub in front of a site's older ones,
 // as SpiderMonkey does: the older stubs just failed on these operands.
 //
+// The kIcarus arm resolves each IC op's candidate generators to indices into
+// the extracted generator table once, at construction, and attaches through
+// IcCompiler's one attach path (ic.h) with arguments built on the stack.
+//
+// A program's IC sites are tied to the code they were built for: Run
+// rebuilds them when the program at an address no longer has that code (a
+// program freed and another allocated in its place).
+//
 // All three strategies share the same slow path, so differential runs across
 // strategies are the conformance oracle (§4.5's jstests analogue).
 #ifndef ICARUS_VM_INTERP_H_
@@ -63,8 +71,9 @@ class Interpreter {
   // `ic_compiler` may be null when strategy != kIcarus.
   Interpreter(Runtime* runtime, IcCompiler* ic_compiler, IcStrategy strategy);
 
-  // Runs the program; IC sites persist across calls (stubs attached on one
-  // run keep serving later runs, like a warmed-up engine).
+  // Runs the program; IC sites persist across calls on the same program
+  // (stubs attached on one run keep serving later runs, like a warmed-up
+  // engine).
   JsValue Run(const BytecodeProgram& program);
 
   const InterpStats& stats() const { return stats_; }
@@ -85,6 +94,30 @@ class Interpreter {
     int failed_attaches = 0;
   };
 
+  // One program's sites, dense per pc, and a copy of the code they serve.
+  struct ProgramSites {
+    std::vector<BytecodeInstr> code;
+    std::vector<IcSite> sites;
+  };
+
+  // One attach candidate: an extracted generator (IcCompiler::FindGenerator)
+  // and how many of its op's attach arguments it takes.
+  struct Candidate {
+    int generator = -1;
+    int num_args = 0;
+  };
+
+  // Each IC op's candidates, in the order AttachIcarus tries them.
+  struct Candidates {
+    std::vector<Candidate> get_length;  // kGetProp of `length`.
+    std::vector<Candidate> get_prop;    // kGetProp of any other atom.
+    std::vector<Candidate> get_elem;
+    std::vector<Candidate> binary[8];  // By BinKind.
+    std::vector<Candidate> compare;
+    std::vector<Candidate> neg;
+    std::vector<Candidate> bit_not;
+  };
+
   JsValue ExecIcOp(IcSite* site, const BytecodeInstr& instr, const JsValue* operands,
                    int num_operands);
   bool TryIcarusStubs(IcSite* site, const JsValue* operands, int num_operands, JsValue* out);
@@ -96,8 +129,8 @@ class Interpreter {
   IcCompiler* ic_compiler_;
   IcStrategy strategy_;
   std::unique_ptr<StubEngine> engine_;
-  // program → per-pc sites (dense; sized to the program's code on first use).
-  std::map<const void*, std::vector<IcSite>> sites_;
+  Candidates candidates_;  // kIcarus only.
+  std::map<const BytecodeProgram*, ProgramSites> sites_;
   InterpStats stats_;
 };
 

@@ -1,14 +1,15 @@
 // Executor for compiled IC stubs.
 //
-// A CompiledStub is the MASM buffer an attach emitted, bound to its stub
-// runner: the straight-line C++ function the build compiled for that
-// instruction list from an attached path of the verifier's symbolic
-// meta-execution, with every extracted interp_MASM_<op> inlined and the
-// operands that were constants on the path as literals. Run makes one call
-// into it per hit; the runner keeps the register file and value stack in
-// its own frame, so one engine serves any number of concurrent runs. Its
-// definition sits with the binding layer in ic.cc. A contract the stub
-// violates throws icarus::InternalError naming it.
+// A CompiledStub is a handle on an IcCompiler's stub-table entry: the MASM
+// an attach emitted, bound to its stub runner, the straight-line C++
+// function the build compiled for that instruction list from an attached
+// path of the verifier's symbolic meta-execution, with every extracted
+// interp_MASM_<op> inlined and the operands that were constants on the path
+// as literals. Run makes one call into it per hit; the runner keeps the
+// register file and value stack in its own frame, so one engine serves any
+// number of concurrent runs. Its definition sits with the binding layer in
+// ic.cc. A contract the stub violates throws icarus::InternalError naming
+// it.
 #ifndef ICARUS_VM_STUB_ENGINE_H_
 #define ICARUS_VM_STUB_ENGINE_H_
 

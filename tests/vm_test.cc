@@ -1,14 +1,18 @@
 // Mini-JS VM tests: value encoding, runtime semantics, IC attachment and
-// stub runs through the extracted verified code, live contracts, the refusal
-// of a stub no verified path emitted, and the differential conformance sweep
+// stub runs through the extracted verified code, the stub table, live
+// contracts, the refusal of a stub no verified path emitted, IC sites tied
+// to their program's code, and the differential conformance sweep
 // (every IC strategy must agree with the slow path — the analogue of §4.5's
 // jstests/jit-tests run).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 
+#include "src/extract/cpp_backend.h"
 #include "src/machine/machine_state.h"
 #include "src/support/rng.h"
+#include "src/support/str_util.h"
 #include "src/vm/interp.h"
 #include "src/vm/workloads.h"
 
@@ -273,6 +277,134 @@ TEST_F(VmIcTest, RefusesAnInstructionListNoPathEmitted) {
     std::string message = e.what();
     EXPECT_NE(message.find("tryAttachInt32Add"), std::string::npos) << message;
     EXPECT_NE(message.find("StoreUndefinedResult(7) ; Return()"), std::string::npos) << message;
+  }
+}
+
+TEST_F(VmIcTest, StubsWithTheSameCodeShareOneTableEntry) {
+  // The fixed-slot stub guards the receiver's shape, a MASM operand: two
+  // receivers of one shape give the same code on the same registers, so both
+  // attaches return one table entry; a receiver of another shape gives
+  // other code and another entry.
+  Runtime rt;
+  PropKey x = rt.Intern("x");
+  PropKey y = rt.Intern("y");
+  const Shape* shape = rt.MakeShape(JsClass::kPlainObject, 1, {{x, {true, 0}}});
+  const Shape* other = rt.MakeShape(JsClass::kPlainObject, 2, {{y, {true, 0}}, {x, {true, 1}}});
+  uint32_t a = rt.NewPlainObject(shape);
+  uint32_t b = rt.NewPlainObject(shape);
+  uint32_t c = rt.NewPlainObject(other);
+  rt.Object(a).fixed_slots[0] = JsValue::Int32(1);
+  rt.Object(b).fixed_slots[0] = JsValue::Int32(2);
+  rt.Object(c).fixed_slots[1] = JsValue::Int32(3);
+  auto attach = [&](IcCompiler* compiler, uint32_t object) {
+    JsValue receiver = JsValue::Object(object);
+    auto stub = compiler->TryAttach(&rt, "tryAttachNativeGetPropFixedSlot",
+                                    {{ConcreteArg::Kind::kBoxedValue, receiver, 0},
+                                     {ConcreteArg::Kind::kOperand, receiver, 0},
+                                     {ConcreteArg::Kind::kRaw, JsValue(), x}});
+    EXPECT_TRUE(stub.ok() && stub.value().has_value()) << object;
+    return stub.ok() && stub.value().has_value() ? *stub.value() : CompiledStub();
+  };
+  CompiledStub on_a = attach(compiler_, a);
+  CompiledStub on_b = attach(compiler_, b);
+  CompiledStub on_c = attach(compiler_, c);
+  ASSERT_NE(on_a.runner, nullptr);
+  EXPECT_TRUE(on_a.SameCode(on_b));
+  EXPECT_EQ(on_a.operands, on_b.operands);  // One table entry.
+  EXPECT_FALSE(on_a.SameCode(on_c));
+  EXPECT_NE(on_a.operands, on_c.operands);
+  // Another IcCompiler's table holds another entry for the same code.
+  IcCompiler second(platform_);
+  CompiledStub elsewhere = attach(&second, a);
+  EXPECT_FALSE(on_a.SameCode(elsewhere));
+
+  StubEngine engine(compiler_->masm());
+  JsValue result;
+  EXPECT_EQ(RunStub(engine, &rt, on_a, {JsValue::Object(b)}, &result), StubOutcome::kReturn);
+  EXPECT_EQ(result.AsInt32(), 2);
+  EXPECT_EQ(RunStub(engine, &rt, on_c, {JsValue::Object(c)}, &result), StubOutcome::kReturn);
+  EXPECT_EQ(result.AsInt32(), 3);
+  EXPECT_EQ(RunStub(engine, &rt, on_a, {JsValue::Object(c)}, &result), StubOutcome::kBail);
+
+  // Int32 addition reads its values at run time: any two int32s give the
+  // same code.
+  auto add = [&](JsValue lhs, JsValue rhs) {
+    auto stub = compiler_->TryAttach(&rt, "tryAttachInt32Add",
+                                     {{ConcreteArg::Kind::kBoxedValue, lhs, 0},
+                                      {ConcreteArg::Kind::kOperand, lhs, 0},
+                                      {ConcreteArg::Kind::kBoxedValue, rhs, 0},
+                                      {ConcreteArg::Kind::kOperand, rhs, 0}});
+    EXPECT_TRUE(stub.ok() && stub.value().has_value());
+    return stub.ok() && stub.value().has_value() ? *stub.value() : CompiledStub();
+  };
+  EXPECT_TRUE(add(JsValue::Int32(1), JsValue::Int32(2))
+                  .SameCode(add(JsValue::Int32(-7), JsValue::Int32(40))));
+}
+
+TEST_F(VmIcTest, RefusesARunnersOpListOnInputRegistersNoPathUsed) {
+  // Build a runner's own instruction list from the extraction's runner keys
+  // (its fixed operands as fixed, the rest 0). On the runner's input
+  // registers it binds; on registers no runner of that op list has, the
+  // same list is refused: the lookup compares the whole key.
+  auto runners = extract::EnumerateStubRunners(*platform_);
+  ASSERT_TRUE(runners.ok()) << runners.status().message();
+  const extract::StubRunner* chosen = nullptr;
+  for (const extract::StubRunner& runner : runners.value()) {
+    if (runner.key.input_regs.size() == 2) {
+      chosen = &runner;
+      break;
+    }
+  }
+  ASSERT_NE(chosen, nullptr);
+  const extract::StubRunnerKey& key = chosen->key;
+  std::vector<MasmInstr> code;
+  size_t operand = 0;
+  for (const ast::OpDecl* op : key.ops) {
+    MasmInstr instr;
+    instr.op = op->index;
+    instr.num_args = static_cast<int>(op->params.size());
+    for (int i = 0; i < instr.num_args; ++i) {
+      instr.args[i] = key.operands[operand++].value_or(0);
+    }
+    code.push_back(instr);
+  }
+  const std::string& generator = chosen->generators.front();
+  EXPECT_NE(compiler_->Compile(generator, code, key.input_regs).runner, nullptr);
+
+  std::vector<int> swapped = {key.input_regs[1], key.input_regs[0]};
+  for (const extract::StubRunner& runner : runners.value()) {
+    ASSERT_FALSE(runner.key.ops == key.ops && runner.key.input_regs == swapped)
+        << "a runner has this op list on the swapped registers; pick other registers";
+  }
+  try {
+    compiler_->Compile(generator, code, swapped);
+    ADD_FAILURE() << "a runner's op list bound on input registers no verified path used";
+  } catch (const InternalError& e) {
+    std::string message = e.what();
+    EXPECT_NE(message.find(StrCat("on input registers [", swapped[0], ", ", swapped[1], "]")),
+              std::string::npos)
+        << message;
+  }
+}
+
+TEST_F(VmIcTest, SitesFollowTheCodeNotTheProgramAddress) {
+  // One optional slot holds `20 + 22` and then `20 - 22`: the second program
+  // lives where the first did, and must not inherit its IC sites.
+  Runtime rt;
+  for (IcStrategy strategy : {IcStrategy::kNative, IcStrategy::kIcarus}) {
+    Interpreter reference(&rt, nullptr, IcStrategy::kNone);
+    Interpreter interp(&rt, strategy == IcStrategy::kIcarus ? compiler_ : nullptr, strategy);
+    std::optional<BytecodeProgram> slot;
+    for (BinKind kind : {BinKind::kAdd, BinKind::kSub}) {
+      ProgramBuilder b("20 op 22");
+      b.Const(JsValue::Int32(20)).Const(JsValue::Int32(22)).Binary(kind).Return();
+      slot.emplace(b.Build());
+      for (int trip = 0; trip < 3; ++trip) {
+        EXPECT_EQ(interp.Run(*slot).raw(), reference.Run(*slot).raw())
+            << "strategy " << static_cast<int>(strategy) << ", BinKind "
+            << static_cast<int>(kind) << ", trip " << trip;
+      }
+    }
   }
 }
 
