@@ -90,14 +90,9 @@ void EvalContext::Assume(sym::ExprRef cond) {
 
 sym::SolveResult EvalContext::SolveQuery(const std::vector<sym::ExprRef>& conjuncts,
                                          bool want_model) {
-  ++solver_queries_;
-  WallTimer solve_timer;
   ICARUS_REQUIRE_MSG(solver_ != nullptr, "symbolic query with no solver attached");
-  // The solver is persistent: attribute cost by delta — its counters
-  // accumulate across every query of the run.
-  const int64_t decisions_before = solver_->stats().decisions;
+  WallTimer solve_timer;
   sym::SolveResult r = solver_->Solve(conjuncts, want_model);
-  solver_decisions_ += solver_->stats().decisions - decisions_before;
   solver_seconds_ += solve_timer.ElapsedSeconds();
   return r;
 }
@@ -123,15 +118,9 @@ bool EvalContext::PathFeasible() {
     return true;
   }
   // Feasibility only needs the verdict; skipping the model keeps cache
-  // entries for these queries cheap to produce.
-  sym::SolveResult r = SolveQuery(path_condition_, /*want_model=*/false);
-  if (r.verdict == sym::Verdict::kUnknown) {
-    // Conservative: keep exploring (cannot prove infeasibility), but record
-    // that this path's verdict rests on an undecided query.
-    ++solver_unknowns_;
-    return true;
-  }
-  return r.verdict == sym::Verdict::kSat;
+  // entries for these queries cheap to produce. An undecided query (kUnknown)
+  // keeps the path: only kUnsat proves it infeasible.
+  return SolveQuery(path_condition_, /*want_model=*/false).verdict != sym::Verdict::kUnsat;
 }
 
 bool EvalContext::CheckAssert(sym::ExprRef cond, const std::string& what,
@@ -166,7 +155,6 @@ bool EvalContext::CheckAssert(sym::ExprRef cond, const std::string& what,
     return true;
   }
   if (r.verdict == sym::Verdict::kUnknown) {
-    ++solver_unknowns_;
     status_ = PathStatus::kLimit;
     violation_.message = StrCat("solver limit while checking: ", what);
     violation_.function = fn;
@@ -271,15 +259,6 @@ Value EvalContext::FreshValue(const std::string& prefix, const ast::Type* type) 
     Assume(pool_->Le(term, pool_->IntConst(kInt32Max)));
   }
   return Value::Of(type, term);
-}
-
-std::string EvalContext::RenderPathCondition() const {
-  std::vector<std::string> parts;
-  parts.reserve(path_condition_.size());
-  for (sym::ExprRef c : path_condition_) {
-    parts.push_back(sym::ExprPool::ToString(c));
-  }
-  return Join(parts, " &&\n");
 }
 
 // ---------------------------------------------------------------------------

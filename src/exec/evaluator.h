@@ -47,7 +47,6 @@ struct Value {
   int label_id = -1;
 
   bool IsLabel() const { return label_id >= 0; }
-  bool IsVoid() const { return type != nullptr && type->kind() == ast::TypeKind::kVoid; }
 
   static Value Label(const ast::Type* label_type, int id) {
     Value v;
@@ -270,8 +269,8 @@ class EvalContext {
   // query (the meta-executor keeps one per generator run, so clauses learned
   // on one path prune its siblings). A context that issues a query must have
   // one; abstract mode issues none. The solver must outlive the context and
-  // keeps the limits and result cache it was given; this context's
-  // per-query cost counters are accumulated as deltas against its stats.
+  // keeps the limits and result cache it was given; its SolverStats count
+  // the queries and their work.
   void set_solver(sym::Solver* solver) { solver_ = solver; }
   sym::Solver* solver() const { return solver_; }
 
@@ -299,20 +298,9 @@ class EvalContext {
     return symbolic_inputs_;
   }
 
-  // Pretty renderer for violation reports.
-  std::string RenderPathCondition() const;
-
-  // Statistics for benches and batch reports.
-  int64_t solver_queries() const { return solver_queries_; }
-  int64_t paths_decided() const { return static_cast<int64_t>(trace_.size()); }
-  // Queries on this path that degraded to kUnknown (budget exhausted). A
-  // nonzero count means the path's verdict is inconclusive, not proven.
-  int64_t solver_unknowns() const { return solver_unknowns_; }
-  // Wall-clock seconds and DPLL decisions spent inside solver queries issued
-  // by this context. Accumulated unconditionally (two cheap reads per query)
-  // so per-verdict cost attribution works without the metrics registry.
+  // Wall-clock seconds spent inside solver queries issued by this context,
+  // which the meta-executor subtracts from its phase walls.
   double solver_seconds() const { return solver_seconds_; }
-  int64_t solver_decisions() const { return solver_decisions_; }
 
   // Set by the MASM::returnFromStub builtin; the interpreter-phase loop in
   // the meta-executor polls and clears it.
@@ -322,14 +310,12 @@ class EvalContext {
   // both arms regardless of feasibility and assertions are not checked —
   // only the emit/label structure is observed.
   void set_abstract_mode(bool on) { abstract_mode_ = on; }
-  bool abstract_mode() const { return abstract_mode_; }
 
  private:
   friend class Evaluator;
 
-  // Issues one satisfiability query through the shared solver when one is
-  // attached, or a fresh local solver otherwise, maintaining the per-context
-  // cost counters either way.
+  // Issues one satisfiability query through the attached solver (throws
+  // InternalError when none is attached) and times it.
   sym::SolveResult SolveQuery(const std::vector<sym::ExprRef>& conjuncts, bool want_model);
 
   const ast::Module* module_;
@@ -346,10 +332,7 @@ class EvalContext {
   PathStatus status_ = PathStatus::kCompleted;
   Violation violation_;
   int64_t steps_ = 0;
-  int64_t solver_queries_ = 0;
-  int64_t solver_unknowns_ = 0;
   double solver_seconds_ = 0.0;
-  int64_t solver_decisions_ = 0;
   sym::Solver* solver_ = nullptr;  // Shared persistent solver (not owned).
   bool abstract_mode_ = false;
   bool recording_ = false;

@@ -210,7 +210,6 @@ MetaResult MetaExecutor::Run(const MetaStub& stub) {
     result.gen_seconds += std::max(0.0, gen_wall - gen_solve);
     result.interp_seconds += std::max(0.0, phase_timer.ElapsedSeconds() - (path_solve - gen_solve));
     result.solve_seconds += path_solve;
-    result.solver_decisions += ctx.solver_decisions();
 
     // Collect the outcome.
     switch (ctx.status()) {
@@ -268,8 +267,6 @@ MetaResult MetaExecutor::Run(const MetaStub& stub) {
         break;
       }
     }
-    result.solver_queries += ctx.solver_queries();
-
     result.paths_forked += static_cast<int>(ctx.pending_alternatives().size());
     for (const std::vector<bool>& alt : ctx.pending_alternatives()) {
       worklist.push_back(alt);
@@ -278,6 +275,8 @@ MetaResult MetaExecutor::Run(const MetaStub& stub) {
 
   result.verified = result.violations.empty() && !result.inconclusive;
   result.seconds = timer.ElapsedSeconds();
+  result.solver_queries = solver.stats().queries - stats_before.queries;
+  result.solver_decisions = solver.stats().decisions - stats_before.decisions;
   result.solver_propagations = solver.stats().propagations - stats_before.propagations;
   result.solver_learned_clauses =
       solver.stats().learned_clauses - stats_before.learned_clauses;

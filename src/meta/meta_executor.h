@@ -69,7 +69,7 @@ struct MetaResult {
   int paths_limited = 0;   // Paths abandoned on a resource limit.
   int paths_forked = 0;    // Alternatives enqueued by symbolic branches.
   int paths_merged = 0;    // Always 0 (every join forks); kept only because perfbench reads it.
-  int64_t solver_queries = 0;
+  int64_t solver_queries = 0;  // Solve() calls, cache hits included (a solver delta).
   double seconds = 0.0;
   // Per-stage cost attribution. The phase walls are *exclusive* of solver
   // time (which is reported separately in solve_seconds), so the three stage
@@ -79,9 +79,8 @@ struct MetaResult {
   double gen_seconds = 0.0;      // Phase 1 (generate), minus solver time.
   double interp_seconds = 0.0;   // Phase 2 (interpret), minus solver time.
   double solve_seconds = 0.0;    // Wall time inside Solver::Solve.
-  int64_t solver_decisions = 0;  // Branching decisions across all queries.
-  // CDCL counters from the run's persistent solver (zero under the
-  // decide-only ablation engine).
+  // Counters of the run's persistent solver, as deltas over this Run().
+  int64_t solver_decisions = 0;        // Branching decisions across all queries.
   int64_t solver_propagations = 0;     // Literals assigned by unit propagation.
   int64_t solver_learned_clauses = 0;  // 1-UIP clauses + theory lemmas learned.
   int64_t solver_restarts = 0;         // Luby restarts.

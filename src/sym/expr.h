@@ -132,7 +132,6 @@ class ExprPool {
   ExprRef Not(ExprRef a);
   ExprRef And(ExprRef a, ExprRef b);
   ExprRef Or(ExprRef a, ExprRef b);
-  ExprRef Implies(ExprRef a, ExprRef b) { return Or(Not(a), b); }
 
   size_t size() const { return nodes_.size(); }
 

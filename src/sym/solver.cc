@@ -96,9 +96,9 @@ bool Model::LookupWitness(std::string_view name, int64_t* out) const {
 // that is learned permanently.
 //
 // Relevancy bounding: decisions are restricted to variables in the Tseitin
-// closure of the current query (assumptions + active temporary clauses), so
-// a warm solver carrying thousands of variables from earlier queries does
-// not enumerate assignments for atoms the current query never mentions.
+// closure of the current query's assumptions, so a warm solver carrying
+// thousands of variables from earlier queries does not enumerate assignments
+// for atoms the current query never mentions.
 // This is sound in both directions: UNSAT answers are derived by resolution
 // from clauses that are consequences of the query + valid definitions, and a
 // SAT answer's partial assignment extends to a full model because every
@@ -117,34 +117,10 @@ class Solver::Cdcl {
     AddClauseLits({MkLit(true_var_, false)});
   }
 
-  // Fresh guard variable for one assumption scope's temporary clauses.
-  int NewSelectorVar() { return NewVar(nullptr, /*is_atom=*/false); }
-
-  // Permanently falsifies a selector, deactivating every clause guarded by
-  // it — including learned clauses derived from them, which all contain ¬sel.
-  void DisableSelector(int v) { AddClauseLits({MkLit(v, true)}); }
-
-  // Stores a scope-local clause as {¬sel ∨ lits}: active only while `sel`
-  // is assumed, dead forever once DisableSelector(sel) runs.
-  void AddGuardedClause(int selector, const std::vector<ExprRef>& terms) {
-    std::vector<Lit> lits;
-    lits.reserve(terms.size() + 1);
-    lits.push_back(MkLit(selector, true));
-    for (ExprRef t : terms) {
-      lits.push_back(EncodeTerm(t));
-    }
-    AddClauseLits(std::move(lits));
-  }
-
-  // Solves the conjunction of `assumptions` under the active guarded clauses
-  // (whose selectors are assumed true). On kUnsat, `out_core` receives the
-  // subset of assumption terms involved in the final conflict.
-  SolveResult Solve(const std::vector<ExprRef>& assumptions,
-                    const std::vector<int>& selectors,
-                    const std::vector<ExprRef>& clause_roots, const Limits& limits,
-                    bool want_model, std::vector<ExprRef>* out_core) {
+  // Solves the conjunction of `assumptions`, each placed as a decision.
+  SolveResult Solve(const std::vector<ExprRef>& assumptions, const Limits& limits,
+                    bool want_model) {
     SolveResult res;
-    out_core->clear();
     if (!ok_) {
       res.verdict = Verdict::kUnsat;
       return res;
@@ -152,27 +128,14 @@ class Solver::Cdcl {
     CancelUntil(0);
     // Encode at level 0: new Tseitin definitions become permanent clauses.
     assump_lits_.clear();
-    assump_terms_.clear();
-    assump_index_of_var_.clear();
-    for (int sel : selectors) {
-      assump_lits_.push_back(MkLit(sel, false));
-      assump_terms_.push_back(nullptr);
-    }
     for (ExprRef t : assumptions) {
       assump_lits_.push_back(EncodeTerm(t));
-      assump_terms_.push_back(t);
-    }
-    for (size_t i = 0; i < assump_lits_.size(); ++i) {
-      assump_index_of_var_.emplace(VarOf(assump_lits_[i]), static_cast<int>(i));
     }
     // Relevancy: decisions (and hence theory-check size) are confined to the
-    // closure of this query's assumptions and active temporary clauses.
+    // closure of this query's assumptions.
     ++relevancy_stamp_;
     relevant_list_.clear();
     for (ExprRef t : assumptions) {
-      MarkRelevant(t);
-    }
-    for (ExprRef t : clause_roots) {
       MarkRelevant(t);
     }
 
@@ -200,12 +163,12 @@ class Solver::Cdcl {
         if (DecisionLevel() < static_cast<int>(assump_lits_.size())) {
           // Place the next assumption on its own decision level. Assumptions
           // are decisions, never clauses: nothing learned can depend on them.
-          int idx = DecisionLevel();
-          Lit p = assump_lits_[static_cast<size_t>(idx)];
+          // One already false is refuted by the clause database and the
+          // assumptions placed before it: the query is unsat.
+          Lit p = assump_lits_[static_cast<size_t>(DecisionLevel())];
           if (LitValue(p) == LB::kTrue) {
             NewDecisionLevel();  // Dummy level keeps index == level in sync.
           } else if (LitValue(p) == LB::kFalse) {
-            AnalyzeFinal(p, idx, out_core);
             verdict = Verdict::kUnsat;
             break;
           } else {
@@ -245,7 +208,6 @@ class Solver::Cdcl {
         // Conflict with no decisions or assumptions on the trail: the clause
         // database itself is inconsistent — everything is unsat from now on.
         ok_ = false;
-        out_core->clear();
         verdict = Verdict::kUnsat;
         break;
       }
@@ -435,9 +397,9 @@ class Solver::Cdcl {
     }
   }
 
-  // Adds a permanent clause. Must run at decision level 0 (encoding time,
-  // scope teardown, or right after a backjump to the root), because level-0
-  // truth values are used to simplify the clause.
+  // Adds a permanent clause. Must run at decision level 0 (encoding time or
+  // right after a backjump to the root), because level-0 truth values are
+  // used to simplify the clause.
   void AddClauseLits(std::vector<Lit> lits) {
     if (!ok_) {
       return;
@@ -637,53 +599,6 @@ class Solver::Cdcl {
     }
   }
 
-  // Assumption-level unsat core: called when assumption `p` (index `p_index`
-  // in assump_terms_) is already false at placement time. Walks the trail
-  // top-down expanding reasons; assumptions hit along the way (and `p`'s own
-  // term) form the core. Selector pseudo-assumptions carry a null term and
-  // are skipped — a conflict caused purely by a temporary clause yields an
-  // empty core, as documented in the header.
-  void AnalyzeFinal(Lit p, int p_index, std::vector<ExprRef>* out_core) {
-    out_core->clear();
-    ExprRef own = assump_terms_[static_cast<size_t>(p_index)];
-    if (own != nullptr) {
-      out_core->push_back(own);
-    }
-    seen_[static_cast<size_t>(VarOf(p))] = 1;
-    int lo = trail_lim_.empty() ? static_cast<int>(trail_.size()) : trail_lim_[0];
-    for (int i = static_cast<int>(trail_.size()) - 1; i >= lo; --i) {
-      int v = VarOf(trail_[static_cast<size_t>(i)]);
-      if (seen_[static_cast<size_t>(v)] == 0) {
-        continue;
-      }
-      seen_[static_cast<size_t>(v)] = 0;
-      int reason = vars_[static_cast<size_t>(v)].reason;
-      if (reason == kCRefUndef) {
-        // A decision below the search levels is an assumption.
-        auto it = assump_index_of_var_.find(v);
-        if (it != assump_index_of_var_.end()) {
-          ExprRef t = assump_terms_[static_cast<size_t>(it->second)];
-          if (t != nullptr &&
-              std::find(out_core->begin(), out_core->end(), t) == out_core->end()) {
-            out_core->push_back(t);
-          }
-        }
-      } else {
-        // Skip index 0, v's own implied literal: the walk has already passed
-        // v, so re-marking it would leave a stale seen_ mark that corrupts
-        // the next Analyze. (Analyze and MiniSat's analyzeFinal also start
-        // at 1.)
-        const std::vector<Lit>& c = clauses_[static_cast<size_t>(reason)];
-        for (size_t j = 1; j < c.size(); ++j) {
-          if (vars_[static_cast<size_t>(VarOf(c[j]))].level > 0) {
-            seen_[static_cast<size_t>(VarOf(c[j]))] = 1;
-          }
-        }
-      }
-    }
-    seen_[static_cast<size_t>(VarOf(p))] = 0;
-  }
-
   // Theory check at a full assignment of the relevant closure. Hands the
   // engine every assigned theory atom on the trail (a superset of the
   // relevant atoms — all assigned literals are consequences of the current
@@ -710,7 +625,7 @@ class Solver::Cdcl {
     ++stats_->theory_conflicts;
     // The lemma: at least one explanation literal must flip. Valid in every model
     // (it mentions no aux variables), so it is learned permanently and keeps
-    // pruning across queries and scopes.
+    // pruning across queries.
     std::vector<Lit> lemma;
     lemma.reserve(explanation_.size());
     int max_level = 0;
@@ -785,16 +700,14 @@ class Solver::Cdcl {
   std::vector<Lit> trail_;
   std::vector<int> trail_lim_;
   size_t qhead_ = 0;
-  std::vector<uint8_t> seen_;  // Scratch for Analyze/AnalyzeFinal, per var.
+  std::vector<uint8_t> seen_;  // Scratch for Analyze, per var.
   double var_inc_ = 1.0;
   int64_t relevancy_stamp_ = 0;
   std::vector<int> relevant_list_;
   std::unordered_map<ExprRef, Lit> enc_cache_;
   std::unordered_map<ExprRef, int> var_of_;  // Atom term → variable.
   std::unordered_map<ExprRef, std::vector<int>> closure_cache_;
-  std::vector<Lit> assump_lits_;       // This query's assumption literals.
-  std::vector<ExprRef> assump_terms_;  // Parallel; null = scope selector.
-  std::unordered_map<int, int> assump_index_of_var_;
+  std::vector<Lit> assump_lits_;  // This query's assumption literals.
   TheoryEngine theory_;
   std::vector<TheoryLit> theory_lits_;  // Scratch for TheoryCheckFull.
   std::vector<int> theory_vars_;        // Parallel to theory_lits_.
@@ -802,79 +715,20 @@ class Solver::Cdcl {
 };
 
 // ---------------------------------------------------------------------------
-// Solver: the incremental interface over the CDCL engine.
+// Solver: the query interface over the CDCL engine.
 // ---------------------------------------------------------------------------
 
 Solver::Solver() : Solver(Limits{}) {}
 Solver::Solver(Limits limits) : limits_(limits) {}
 Solver::~Solver() = default;
 
-void Solver::Push() { scopes_.emplace_back(); }
-
-void Solver::Pop() {
-  ICARUS_REQUIRE_MSG(!scopes_.empty(), "Pop without a matching Push");
-  if (scopes_.back().selector_var >= 0 && cdcl_ != nullptr) {
-    cdcl_->DisableSelector(scopes_.back().selector_var);
-  }
-  scopes_.pop_back();
-}
-
-int Solver::depth() const { return static_cast<int>(scopes_.size()); }
-
-void Solver::Assume(ExprRef conjunct) {
-  ICARUS_REQUIRE_MSG(!scopes_.empty(), "Assume outside an assumption scope");
-  ICARUS_REQUIRE_MSG(conjunct->sort == Sort::kBool, "non-boolean conjunct in solver query");
-  scopes_.back().assumed.push_back(conjunct);
-}
-
-void Solver::AddTempClause(const std::vector<ExprRef>& lits) {
-  ICARUS_REQUIRE_MSG(!scopes_.empty(), "AddTempClause outside an assumption scope");
-  ICARUS_REQUIRE_MSG(!lits.empty(), "empty temporary clause");
-  for (ExprRef l : lits) {
-    ICARUS_REQUIRE_MSG(l->sort == Sort::kBool, "non-boolean literal in temporary clause");
-  }
-  Scope& scope = scopes_.back();
-  scope.temp_clauses.push_back(lits);
-  if (cdcl_ == nullptr) {
-    cdcl_ = std::make_unique<Cdcl>(&stats_);
-  }
-  if (scope.selector_var < 0) {
-    scope.selector_var = cdcl_->NewSelectorVar();
-  }
-  cdcl_->AddGuardedClause(scope.selector_var, lits);
-}
-
-std::vector<ExprRef> Solver::FlattenAssumptions() const {
-  std::vector<ExprRef> out;
-  for (const Scope& s : scopes_) {
-    out.insert(out.end(), s.assumed.begin(), s.assumed.end());
-  }
-  return out;
-}
-
-bool Solver::HasTempClauses() const {
-  for (const Scope& s : scopes_) {
-    if (!s.temp_clauses.empty()) {
-      return true;
-    }
-  }
-  return false;
-}
-
 SolveResult Solver::Solve(const std::vector<ExprRef>& conjuncts, bool want_model) {
-  Push();
   for (ExprRef c : conjuncts) {
-    Assume(c);
+    ICARUS_REQUIRE_MSG(c->sort == Sort::kBool, "non-boolean conjunct in solver query");
   }
-  SolveResult result = SolveAssuming(want_model);
-  Pop();
-  return result;
-}
-
-SolveResult Solver::SolveAssuming(bool want_model) {
   ++stats_.queries;
   if (!obs::Enabled()) {
-    return SolveImpl(want_model);
+    return SolveImpl(conjuncts, want_model);
   }
   // Observability wrapper: per-outcome latency histograms plus counters for
   // search effort and cache traffic. Deltas are measured against this
@@ -913,7 +767,7 @@ SolveResult Solver::SolveAssuming(bool want_model) {
       "icarus_solver_latency_unknown_seconds", "Per-query wall clock, UNKNOWN outcomes");
   const SolverStats before = stats_;
   WallTimer timer;
-  SolveResult result = SolveImpl(want_model);
+  SolveResult result = SolveImpl(conjuncts, want_model);
   double seconds = timer.ElapsedSeconds();
   queries->Add(1);
   decisions->Add(stats_.decisions - before.decisions);
@@ -941,14 +795,10 @@ SolveResult Solver::SolveAssuming(bool want_model) {
   return result;
 }
 
-SolveResult Solver::SolveImpl(bool want_model) {
-  // The cache key is the flattened assumption set; active temporary clauses
-  // are not part of the key, so queries made while any scope holds a temp
-  // clause bypass the cache entirely (in both directions).
-  if (cache_ == nullptr || HasTempClauses()) {
-    return SolveCore(want_model);
+SolveResult Solver::SolveImpl(const std::vector<ExprRef>& conjuncts, bool want_model) {
+  if (cache_ == nullptr) {
+    return SolveCore(conjuncts, want_model);
   }
-  std::vector<ExprRef> conjuncts = FlattenAssumptions();
   QueryKey key = FingerprintQuery(conjuncts);
   // A kSat entry stored without a model cannot serve a model-needing caller;
   // Lookup reports it as a miss and the re-solve below upgrades the entry.
@@ -960,16 +810,11 @@ SolveResult Solver::SolveImpl(bool want_model) {
       cached.model.rendered = std::move(entry->model_text);
       cached.model.witnesses = std::move(entry->witnesses);
     }
-    if (entry->verdict == Verdict::kUnsat) {
-      // Cached entries carry no core; the full assumption set is the sound
-      // over-approximation of the final conflict.
-      final_conflict_ = conjuncts;
-    }
     ++stats_.cache_hits;
     return cached;
   }
   ++stats_.cache_misses;
-  SolveResult result = SolveCore(want_model);
+  SolveResult result = SolveCore(conjuncts, want_model);
   SolverCache::Entry fresh;
   fresh.verdict = result.verdict;
   if (result.verdict == Verdict::kSat && want_model) {
@@ -989,29 +834,16 @@ SolveResult Solver::SolveImpl(bool want_model) {
   return result;
 }
 
-SolveResult Solver::SolveCore(bool want_model) {
+SolveResult Solver::SolveCore(const std::vector<ExprRef>& conjuncts, bool want_model) {
   // One failpoint hit per searched (cache-missed) query, in addition to the
   // per-decision hits inside the engine, so fault-injection tests observe
   // query-grained activity even when learned clauses answer with few or no
   // decisions. Cache hits do not fire.
   ICARUS_FAILPOINT(failpoint::kSolverDecision);
-  std::vector<ExprRef> conjuncts = FlattenAssumptions();
-  final_conflict_.clear();
   if (cdcl_ == nullptr) {
     cdcl_ = std::make_unique<Cdcl>(&stats_);
   }
-  std::vector<int> selectors;
-  std::vector<ExprRef> clause_roots;
-  for (const Scope& s : scopes_) {
-    if (s.selector_var >= 0) {
-      selectors.push_back(s.selector_var);
-    }
-    for (const auto& clause : s.temp_clauses) {
-      clause_roots.insert(clause_roots.end(), clause.begin(), clause.end());
-    }
-  }
-  return cdcl_->Solve(conjuncts, selectors, clause_roots, limits_, want_model,
-                      &final_conflict_);
+  return cdcl_->Solve(conjuncts, limits_, want_model);
 }
 
 }  // namespace icarus::sym

@@ -129,32 +129,24 @@ bool IsAtomKind(ExprRef e);
 // A Solver is cheap to construct and single-threaded; concurrent pipelines
 // each build their own and may share one concurrency-safe SolverCache. A
 // Solver may outlive many queries: internal state (the Tseitin encoding and
-// every learned clause) persists across Solve()/SolveAssuming() calls and is
-// valid as long as the ExprPool the query terms came from is alive, so keep
-// one instance per pool (the meta-executor keeps one per generator run).
+// every learned clause) persists across Solve() calls and is valid as long as
+// the ExprPool the query terms came from is alive, so keep one instance per
+// pool (the meta-executor keeps one per generator run).
 //
-// Assumption-scope protocol (the incremental interface; see docs/SOLVER.md):
-//   solver.Push();                    // open a scope
-//   solver.Assume(t1); ...            // conjuncts, asserted as assumptions
-//   solver.AddTempClause({a, b});     // optional: scope-local disjunction
-//   SolveResult r = solver.SolveAssuming(want_model);
-//   if (r.verdict == Verdict::kUnsat) use(solver.final_conflict());
-//   solver.Pop();                     // retract the scope's assumptions
-// Scopes nest; Solve() is the one-shot wrapper (Push + Assume* + Pop) that
-// every production call site uses. Assumptions are decisions, never clauses:
-// Pop() retracts them completely, and nothing learned while a scope was open
-// depends on it (temp clauses are guarded by a per-scope selector literal
-// that is permanently falsified on Pop, which deactivates every learned
-// clause derived from them).
+// Solve() is the one query entry (see docs/SOLVER.md). Its conjuncts are
+// assumptions, and assumptions are decisions, never clauses: each query's
+// conjuncts are placed as decisions below the search and retracted when it
+// returns, so the clause database holds only consequences of the empty
+// context and nothing learned during one query depends on its conjuncts.
 class Solver {
  public:
   // Per-query resource budget. A query that makes more than `max_decisions`
   // branching decisions degrades to Verdict::kUnknown instead of running
   // unboundedly — callers treat that as "inconclusive", never as a verdict.
   // The budget is charged per query (counted from the start of each
-  // SolveAssuming), not per solver lifetime, and counts decisions rather than
-  // wall time, so every answer is a deterministic function of the query and
-  // the budget.
+  // Solve), not per solver lifetime, and counts decisions rather than wall
+  // time, so every answer is a deterministic function of the query and the
+  // budget.
   struct Limits {
     int64_t max_decisions = 2'000'000;
   };
@@ -165,43 +157,16 @@ class Solver {
   Solver(const Solver&) = delete;
   Solver& operator=(const Solver&) = delete;
 
-  // Attaches a shared result cache consulted (and filled) by Solve() /
-  // SolveAssuming(). Pass nullptr to detach. The cache must outlive the
-  // solver. Only decisive answers are cached: cached verdicts and decisive
-  // answers produced from learned clauses are interchangeable — both are
-  // budget-independent truths (see docs/SOLVER.md §"Cache interaction").
+  // Attaches a shared result cache consulted (and filled) by Solve(). Pass
+  // nullptr to detach. The cache must outlive the solver. Only decisive
+  // answers are cached: cached verdicts and decisive answers produced from
+  // learned clauses are interchangeable — both are budget-independent truths
+  // (see docs/SOLVER.md §"Cache interaction").
   void set_cache(SolverCache* cache) { cache_ = cache; }
 
-  // --- Incremental assumption-scope interface ---
-
-  // Opens a new assumption scope.
-  void Push();
-  // Closes the innermost scope: retracts its assumptions and deactivates its
-  // temporary clauses. Requires depth() > 0.
-  void Pop();
-  // Number of open scopes.
-  int depth() const;
-  // Asserts `conjunct` (a boolean term) as an assumption in the innermost
-  // scope. Requires depth() > 0.
-  void Assume(ExprRef conjunct);
-  // Adds the disjunction of `lits` (boolean terms; negate via pool Not())
-  // to the innermost scope. The clause constrains every SolveAssuming()
-  // until that scope is popped. Requires depth() > 0 and a nonempty clause.
-  void AddTempClause(const std::vector<ExprRef>& lits);
-  // Decides satisfiability of the conjunction of all assumptions in all open
-  // scopes, under all active temporary clauses. `want_model` as in Solve().
-  SolveResult SolveAssuming(bool want_model = true);
-  // After SolveAssuming() returned kUnsat: the subset of assumed conjuncts
-  // that already implies the conflict (the assumption-level unsat core; not
-  // guaranteed minimal). Empty when the clause database alone is
-  // inconsistent or when a temporary clause participated in the conflict
-  // without any assumption. Invalidated by the next query.
-  const std::vector<ExprRef>& final_conflict() const { return final_conflict_; }
-
-  // One-shot query: decides satisfiability of the conjunction of `conjuncts`
-  // in a private scope (Push + Assume each + SolveAssuming + Pop).
-  // `want_model` says whether the caller will consume the model on kSat:
-  // feasibility checks pass false (only the verdict matters) so cached
+  // Decides satisfiability of the conjunction of `conjuncts` (boolean
+  // terms). `want_model` says whether the caller will consume the model on
+  // kSat: feasibility checks pass false (only the verdict matters) so cached
   // entries skip the model-rendering cost; assertion checks pass true. A
   // cached entry stored without a model still answers want_model=false hits;
   // a want_model=true lookup of such an entry re-solves and upgrades the
@@ -212,27 +177,16 @@ class Solver {
   const SolverStats& stats() const { return stats_; }
 
  private:
-  class Cdcl;     // The clause-learning engine (solver.cc).
-  struct Scope {  // One open assumption scope.
-    std::vector<ExprRef> assumed;
-    // This scope's temporary clauses (relevancy roots for the search).
-    std::vector<std::vector<ExprRef>> temp_clauses;
-    int selector_var = -1;  // CDCL selector guarding this scope's temp clauses.
-  };
+  class Cdcl;  // The clause-learning engine (solver.cc).
 
-  // SolveAssuming minus the observability wrapper (cache consult + search).
-  SolveResult SolveImpl(bool want_model);
-  // Cache-independent search over the current assumption stack.
-  SolveResult SolveCore(bool want_model);
-  // All assumed terms across open scopes, in assertion order.
-  std::vector<ExprRef> FlattenAssumptions() const;
-  bool HasTempClauses() const;
+  // Solve minus the observability wrapper (cache consult + search).
+  SolveResult SolveImpl(const std::vector<ExprRef>& conjuncts, bool want_model);
+  // Cache-independent search.
+  SolveResult SolveCore(const std::vector<ExprRef>& conjuncts, bool want_model);
 
   Limits limits_;
   SolverStats stats_;
   SolverCache* cache_ = nullptr;
-  std::vector<Scope> scopes_;
-  std::vector<ExprRef> final_conflict_;
   std::unique_ptr<Cdcl> cdcl_;  // Lazily created on first query.
 };
 

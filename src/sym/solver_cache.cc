@@ -155,17 +155,4 @@ SolverCacheStats SolverCache::Snapshot() const {
   return stats;
 }
 
-void SolverCache::Clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.clear();
-  }
-  hits_.store(0);
-  misses_.store(0);
-  insertions_.store(0);
-  upgrades_.store(0);
-  preloads_.store(0);
-  tick_.store(1);
-}
-
 }  // namespace icarus::sym

@@ -112,9 +112,6 @@ class SolverCache {
   // Point-in-time copy of the counters.
   SolverCacheStats Snapshot() const;
 
-  // Drops all entries and resets statistics (single-threaded use only).
-  void Clear();
-
  private:
   struct KeyHash {
     size_t operator()(const QueryKey& k) const { return static_cast<size_t>(k.lo ^ (k.hi * 0x9e3779b97f4a7c15ULL)); }

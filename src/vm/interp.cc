@@ -620,6 +620,16 @@ JsValue Interpreter::ExecIcOp(IcSite* site, const BytecodeInstr& instr,
   return result;
 }
 
+void Interpreter::ResetIcs() {
+  for (auto& [program, entry] : sites_) {
+    for (IcSite& site : entry.sites) {
+      site.icarus_stubs.clear();
+      site.native_stubs.clear();
+      site.failed_attaches = 0;
+    }
+  }
+}
+
 JsValue Interpreter::Run(const BytecodeProgram& program) {
   std::vector<JsValue> locals(static_cast<size_t>(program.num_locals));
   std::vector<JsValue> stack;

@@ -77,7 +77,9 @@ class Interpreter {
   JsValue Run(const BytecodeProgram& program);
 
   const InterpStats& stats() const { return stats_; }
-  void ResetIcs() { sites_.clear(); }
+  // Empties every IC site (stubs and failed-attach count) in place: the
+  // sites and their stub vectors keep their storage for the next run.
+  void ResetIcs();
 
   // Slow-path semantics, exposed for differential tests.
   JsValue SlowGetProp(JsValue receiver, PropKey atom);

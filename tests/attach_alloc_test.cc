@@ -3,7 +3,8 @@
 // candidate of a site once, and then requires every repeated attach, one
 // that returns an interned stub as well as one that returns NoAction, to
 // make no heap allocation. Arguments and names are built before the counted
-// region.
+// region. It also requires a run after Interpreter::ResetIcs to allocate no
+// more than a warm run: the reset keeps the sites' storage.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -14,7 +15,9 @@
 
 #include "src/platform/platform.h"
 #include "src/vm/ic.h"
+#include "src/vm/interp.h"
 #include "src/vm/object.h"
+#include "src/vm/workloads.h"
 
 namespace {
 long g_allocations = 0;  // The tests are single-threaded.
@@ -122,6 +125,29 @@ TEST_F(AttachAllocTest, CompareAndArithmetic) {
                                        {"tryAttachInt32Add", ints, true},
                                        {"tryAttachInt32Add", doubles, false},
                                        {"tryAttachInt32Negation", Unary(JsValue::Int32(5)), true}});
+}
+
+TEST_F(AttachAllocTest, RunAfterResetIcsAllocatesLikeAWarmRun) {
+  // A warm run allocates only its locals and operand stack. After one reset
+  // run has grown every site's stub vector and interned every stub, a run
+  // after ResetIcs misses, attaches and refills the sites without allocating
+  // more than that.
+  for (Workload& w : BuildWorkloads(16)) {
+    Interpreter interp(w.runtime.get(), compiler_.get(), IcStrategy::kIcarus);
+    interp.Run(w.program);
+    interp.ResetIcs();
+    interp.Run(w.program);
+    long before = g_allocations;
+    interp.Run(w.program);
+    long warm = g_allocations - before;
+    const int64_t attached = interp.stats().stubs_attached;
+    before = g_allocations;
+    interp.ResetIcs();
+    interp.Run(w.program);
+    long reset = g_allocations - before;
+    EXPECT_GT(interp.stats().stubs_attached, attached) << w.name << " attached nothing";
+    EXPECT_EQ(reset, warm) << w.name;
+  }
 }
 
 }  // namespace

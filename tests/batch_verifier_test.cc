@@ -1,11 +1,14 @@
 // BatchVerifier determinism and deadline tests: the parallel driver must
 // produce the same verdicts as the serial Verifier on every platform
 // generator (including the 6 buggy/fixed study pairs), preserve input order,
-// and degrade gracefully to INCONCLUSIVE when budgets or the fleet deadline
+// reproduce the verdict pin (each unit's outcome, paths and queries), and
+// degrade gracefully to INCONCLUSIVE when budgets or the fleet deadline
 // bite.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -58,6 +61,77 @@ class BatchVerifierTest : public ::testing::Test {
 
 platform::Platform* BatchVerifierTest::platform_ = nullptr;
 
+// The verdict pin: every unit's outcome, explored paths and solver queries
+// as `icarus verify-all --serial` prints them, in platform order. Paths and
+// queries are deterministic (exploration forks by re-execution, and a cache
+// hit still counts as a query), so any change that moves one of them, in the
+// solver, the executor or the platform DSL, shows here first.
+struct PinnedUnit {
+  const char* generator;
+  Outcome outcome;
+  int paths;
+  int64_t queries;
+};
+
+constexpr PinnedUnit kVerdictPin[] = {
+    {"tryAttachCompareNullUndefined", Outcome::kVerified, 27, 52},
+    {"tryAttachCompareInt32", Outcome::kVerified, 25, 72},
+    {"tryAttachCompareStrictDifferentTypes", Outcome::kVerified, 181, 369},
+    {"tryAttachDenseElement", Outcome::kVerified, 10, 25},
+    {"tryAttachGetElemNativeFixedSlot", Outcome::kVerified, 9, 23},
+    {"tryAttachArgumentsObjectArg", Outcome::kVerified, 12, 30},
+    {"tryAttachNativeGetPropDynamicSlot", Outcome::kVerified, 6, 16},
+    {"tryAttachNativeGetPropFixedSlot", Outcome::kVerified, 6, 15},
+    {"tryAttachObjectLength", Outcome::kVerified, 6, 16},
+    {"tryAttachInt32Add", Outcome::kVerified, 6, 17},
+    {"tryAttachInt32Sub", Outcome::kVerified, 6, 17},
+    {"tryAttachInt32Mul", Outcome::kVerified, 9, 26},
+    {"tryAttachInt32Div", Outcome::kVerified, 8, 23},
+    {"tryAttachInt32Mod", Outcome::kVerified, 7, 21},
+    {"tryAttachInt32Bitwise", Outcome::kVerified, 10, 42},
+    {"tryAttachInt32Negation", Outcome::kVerified, 6, 16},
+    {"tryAttachInt32Not", Outcome::kVerified, 3, 10},
+    {"tryAttachStringLength", Outcome::kVerified, 3, 8},
+    {"tryAttachCompareString", Outcome::kVerified, 10, 22},
+    {"tryAttachCompareObject", Outcome::kVerified, 10, 22},
+    {"tryAttachCompareSymbol", Outcome::kVerified, 10, 22},
+    {"tryAttachInt32MinMax", Outcome::kVerified, 9, 36},
+    {"tryAttachToPropertyKeyInt32", Outcome::kVerified, 3, 8},
+    {"tryAttachToPropertyKeyNumber", Outcome::kVerified, 5, 17},
+    {"tryAttachToPropertyKeyString", Outcome::kVerified, 3, 5},
+    {"tryAttachToPropertyKeySymbol", Outcome::kVerified, 3, 5},
+    {"bug1451976_buggy", Outcome::kRefuted, 2, 3},
+    {"bug1451976_fixed", Outcome::kVerified, 4, 14},
+    {"bug1471361_buggy", Outcome::kRefuted, 4, 14},
+    {"bug1471361_fixed", Outcome::kVerified, 4, 14},
+    {"bug1502143_buggy", Outcome::kRefuted, 7, 17},
+    {"bug1502143_fixed", Outcome::kVerified, 8, 20},
+    {"bug1651732_buggy", Outcome::kRefuted, 6, 14},
+    {"bug1651732_fixed", Outcome::kVerified, 9, 21},
+    {"bug1654947_buggy", Outcome::kRefuted, 4, 12},
+    {"bug1654947_fixed", Outcome::kVerified, 4, 15},
+    {"bug1685925_buggy", Outcome::kRefuted, 12, 31},
+    {"bug1685925_fixed", Outcome::kVerified, 9, 23},
+};
+
+void ExpectMatchesVerdictPin(const BatchReport& report) {
+  ASSERT_EQ(report.results.size(), std::size(kVerdictPin));
+  int paths = 0;
+  int64_t queries = 0;
+  for (size_t i = 0; i < report.results.size(); ++i) {
+    const GeneratorResult& r = report.results[i];
+    const PinnedUnit& pin = kVerdictPin[i];
+    ASSERT_EQ(r.generator, pin.generator);
+    EXPECT_EQ(r.outcome, pin.outcome) << pin.generator;
+    EXPECT_EQ(r.report.meta.paths_explored, pin.paths) << pin.generator;
+    EXPECT_EQ(r.report.meta.solver_queries, pin.queries) << pin.generator;
+    paths += r.report.meta.paths_explored;
+    queries += r.report.meta.solver_queries;
+  }
+  EXPECT_EQ(paths, 466);
+  EXPECT_EQ(queries, 1133);
+}
+
 TEST_F(BatchVerifierTest, ParallelVerdictsMatchSerialOnAllGenerators) {
   // The acceptance bar of the batch driver: `--jobs 4` must be a pure
   // performance knob, never a semantic one.
@@ -83,6 +157,8 @@ TEST_F(BatchVerifierTest, ParallelVerdictsMatchSerialOnAllGenerators) {
   // Re-solved prefix queries across paths guarantee cache traffic.
   EXPECT_GT(report.cache.lookups(), 0);
   EXPECT_GT(report.cache.hits, 0);
+  // With the shared cache, paths and queries are still the serial pin's.
+  ExpectMatchesVerdictPin(report);
 }
 
 TEST_F(BatchVerifierTest, BuggyPairsRefutedFixedPairsVerified) {
@@ -132,6 +208,16 @@ TEST_F(BatchVerifierTest, SingleJobNoCacheMatchesParallelCached) {
     EXPECT_EQ(serial_report.results[i].outcome, parallel_report.results[i].outcome)
         << names[i];
   }
+}
+
+TEST_F(BatchVerifierTest, SerialRunMatchesTheVerdictPin) {
+  BatchVerifier batch(platform_);
+  BatchOptions serial;  // `verify-all --serial`.
+  serial.jobs = 1;
+  serial.use_cache = false;
+  StatusOr<BatchReport> report = batch.VerifyEverything(serial);
+  ASSERT_TRUE(report.ok()) << report.status().message();
+  ExpectMatchesVerdictPin(report.value());
 }
 
 TEST_F(BatchVerifierTest, ExpiredDeadlineReportsInconclusiveNotWrong) {

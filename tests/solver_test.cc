@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -168,62 +167,20 @@ TEST_F(SolverTest, DeepNesting) {
 }
 
 // ---------------------------------------------------------------------------
-// CDCL-specific coverage: the incremental scope protocol, clause learning,
-// backjumping, and unsat cores (docs/SOLVER.md documents the contract).
+// CDCL-specific coverage: warm-solver soundness across queries, clause
+// learning and backjumping (docs/SOLVER.md documents the contract).
 // ---------------------------------------------------------------------------
-
-TEST_F(SolverTest, PushPopRestoresScopeState) {
-  // The protocol every call site follows: Push/Assume/SolveAssuming/Pop must
-  // retract assumptions completely — a conjunct assumed in a popped scope
-  // cannot influence later queries.
-  ExprRef p = pool_.Var("p", Sort::kBool);
-  ExprRef q = pool_.Var("q", Sort::kBool);
-  Solver solver;
-  solver.Push();
-  solver.Assume(p);
-  EXPECT_EQ(solver.SolveAssuming().verdict, Verdict::kSat);
-  solver.Push();
-  solver.Assume(pool_.Not(p));
-  EXPECT_EQ(solver.depth(), 2);
-  EXPECT_EQ(solver.SolveAssuming().verdict, Verdict::kUnsat);
-  solver.Pop();
-  // Inner contradiction gone; outer scope must solve exactly as before.
-  EXPECT_EQ(solver.SolveAssuming().verdict, Verdict::kSat);
-  solver.Push();
-  solver.Assume(q);
-  EXPECT_EQ(solver.SolveAssuming().verdict, Verdict::kSat);
-  solver.Pop();
-  solver.Pop();
-  EXPECT_EQ(solver.depth(), 0);
-  // Fully popped: the empty conjunction is satisfiable even after an UNSAT
-  // query was answered (assumptions are decisions, never clauses).
-  EXPECT_EQ(solver.Solve({pool_.Not(p)}).verdict, Verdict::kSat);
-}
-
-TEST_F(SolverTest, TempClausesDieWithTheirScope) {
-  ExprRef p = pool_.Var("p", Sort::kBool);
-  ExprRef q = pool_.Var("q", Sort::kBool);
-  Solver solver;
-  solver.Push();
-  solver.AddTempClause({p, q});          // p ∨ q while this scope is open.
-  solver.Push();
-  solver.Assume(pool_.Not(p));
-  solver.Assume(pool_.Not(q));
-  EXPECT_EQ(solver.SolveAssuming().verdict, Verdict::kUnsat);
-  solver.Pop();
-  solver.Pop();
-  // The disjunction is retracted with its scope: ¬p ∧ ¬q is SAT again, even
-  // though conflict clauses may have been learned from the guarded clause.
-  EXPECT_EQ(solver.Solve({pool_.Not(p), pool_.Not(q)}).verdict, Verdict::kSat);
-}
 
 TEST_F(SolverTest, LearnedClausesPersistAcrossQueriesSoundly) {
   // A persistent solver answers repeated and *sibling* queries after learning
   // from earlier ones; every verdict must match a fresh solver's. This is the
   // warm-solver configuration the meta-executor runs (one instance per
-  // generator, all paths).
+  // generator, all paths). The last two rows pin that an UNSAT answer leaves
+  // nothing behind (assumptions are decisions, never clauses): after
+  // {p, ¬p}, the satisfiable {¬p} must still come back SAT.
   ExprRef x = pool_.Var("x", Sort::kInt);
   ExprRef y = pool_.Var("y", Sort::kInt);
+  ExprRef p = pool_.Var("p", Sort::kBool);
   ExprRef f_x = pool_.App("f", {x}, Sort::kInt);
   ExprRef f_y = pool_.App("f", {y}, Sort::kInt);
   std::vector<std::vector<ExprRef>> queries = {
@@ -232,6 +189,8 @@ TEST_F(SolverTest, LearnedClausesPersistAcrossQueriesSoundly) {
       {pool_.Eq(x, y), pool_.Ne(f_x, f_y)},                          // UNSAT
       {pool_.Lt(x, y), pool_.Lt(y, x)},                              // repeat
       {pool_.Eq(x, y), pool_.Eq(f_x, f_y)},                          // SAT
+      {p, pool_.Not(p)},                                             // UNSAT
+      {pool_.Not(p)},                                                // SAT
   };
   Solver warm;
   for (const auto& q : queries) {
@@ -296,44 +255,12 @@ TEST_F(SolverTest, ModelSatisfiesEveryConjunct) {
   EXPECT_LE(yv, 12);
 }
 
-TEST_F(SolverTest, FinalConflictIsAnUnsatCore) {
-  // final_conflict() must name a subset of the assumed conjuncts that is
-  // itself UNSAT — and for this query, strictly smaller than the full set
-  // (minimality smoke: the irrelevant conjuncts are dropped).
-  ExprRef x = pool_.Var("x", Sort::kInt);
-  ExprRef a = pool_.Var("a", Sort::kInt);
-  ExprRef b = pool_.Var("b", Sort::kInt);
-  ExprRef clash1 = pool_.Eq(x, pool_.IntConst(1));
-  ExprRef clash2 = pool_.Eq(x, pool_.IntConst(2));
-  std::vector<ExprRef> padding = {pool_.Lt(a, b), pool_.Le(pool_.IntConst(0), a),
-                                  pool_.Le(b, pool_.IntConst(100))};
-  Solver solver;
-  solver.Push();
-  for (ExprRef c : padding) {
-    solver.Assume(c);
-  }
-  solver.Assume(clash1);
-  solver.Assume(clash2);
-  ASSERT_EQ(solver.SolveAssuming().verdict, Verdict::kUnsat);
-  std::vector<ExprRef> core = solver.final_conflict();
-  solver.Pop();
-  ASSERT_FALSE(core.empty());
-  EXPECT_LT(core.size(), padding.size() + 2) << "core did not shrink";
-  // Every core member must be one of the assumed conjuncts...
-  for (ExprRef c : core) {
-    bool assumed = std::find(padding.begin(), padding.end(), c) != padding.end() ||
-                   c == clash1 || c == clash2;
-    EXPECT_TRUE(assumed);
-  }
-  // ...and the core alone must already be UNSAT.
-  EXPECT_EQ(Solver().Solve(core).verdict, Verdict::kUnsat);
-}
-
 TEST_F(SolverTest, WarmSolverStaysSoundAfterAssumptionConflict) {
-  // Query A ends in AnalyzeFinal (its last assumption is already false when
-  // placed). A seen_ mark left behind there would make B's conflict analysis
-  // learn a clause the database does not imply, and B — satisfiable — would
-  // come back UNSAT on the warm solver.
+  // Query A ends at an assumption that is already false when it is placed.
+  // That exit must leave the warm solver as it found it: a stale mark there
+  // (a seen_ mark once was) would make B's conflict analysis learn a clause
+  // the database does not imply, and B — satisfiable — would come back UNSAT
+  // on the warm solver.
   ExprRef p2 = pool_.Var("p2", Sort::kBool);
   ExprRef i0 = pool_.Var("i0", Sort::kInt);
   ExprRef i1 = pool_.Var("i1", Sort::kInt);
