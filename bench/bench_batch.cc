@@ -4,9 +4,9 @@
 //
 // Shape to check: verdicts are identical in every configuration (the batch
 // driver is a scheduler, not a different verifier); wall-clock falls with
-// jobs; the shared solver-result cache has a nonzero hit rate (per-path
-// re-execution re-derives prefix queries, and generators sharing CacheIR
-// prefixes share sub-queries) and contributes speedup on top of parallelism.
+// jobs; the shared solver-result cache has a nonzero hit rate (generators
+// sharing CacheIR prefixes and helpers share sub-queries) and contributes
+// speedup on top of parallelism.
 //
 // Every configuration runs kSamples times and is reported by its median. The
 // >=2x-at-4-jobs criterion applies only when the host actually grants the

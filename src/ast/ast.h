@@ -46,6 +46,10 @@
 
 #include "src/ast/type.h"
 
+namespace icarus::exec {
+struct Code;  // src/exec/code.h
+}  // namespace icarus::exec
+
 namespace icarus::ast {
 
 struct SrcLoc {
@@ -206,6 +210,12 @@ struct FunctionDecl {
 
   // Source text of this function as written (for LoC reporting à la Fig. 12).
   std::string source_text;
+
+  // The flat form the evaluator runs (exec::Lowered), built at the first
+  // execution of this function. Threads that share the module race for it
+  // through the once flag.
+  mutable std::once_flag lower_once;
+  mutable std::shared_ptr<const exec::Code> lowered;
 };
 
 struct ContractClause {
@@ -223,6 +233,11 @@ struct ExternFnDecl {
   // Resolved:
   const Type* return_type = nullptr;
   int num_slots = 0;  // params (+1 for `result` in ensures clauses).
+
+  // The contract as flat code (exec::LoweredContract), built like
+  // FunctionDecl::lowered at the first call without a host handler.
+  mutable std::once_flag lower_once;
+  mutable std::shared_ptr<const exec::Code> lowered;
 };
 
 struct CompilerDecl {
@@ -234,11 +249,13 @@ struct CompilerDecl {
   // Resolved:
   const LanguageDecl* source_language = nullptr;
   const LanguageDecl* target_language = nullptr;
-  std::map<const OpDecl*, FunctionDecl*> by_op;
+  // The callback of each source-language op, indexed by OpDecl::index.
+  std::vector<const FunctionDecl*> by_op;
 
   const FunctionDecl* FindCallback(const OpDecl* op) const {
-    auto it = by_op.find(op);
-    return it == by_op.end() ? nullptr : it->second;
+    return op->language == source_language && static_cast<size_t>(op->index) < by_op.size()
+               ? by_op[static_cast<size_t>(op->index)]
+               : nullptr;
   }
 };
 
@@ -249,11 +266,13 @@ struct InterpreterDecl {
 
   // Resolved:
   const LanguageDecl* language = nullptr;
-  std::map<const OpDecl*, FunctionDecl*> by_op;
+  // The callback of each op of `language`, indexed by OpDecl::index.
+  std::vector<const FunctionDecl*> by_op;
 
   const FunctionDecl* FindCallback(const OpDecl* op) const {
-    auto it = by_op.find(op);
-    return it == by_op.end() ? nullptr : it->second;
+    return op->language == language && static_cast<size_t>(op->index) < by_op.size()
+               ? by_op[static_cast<size_t>(op->index)]
+               : nullptr;
   }
 };
 

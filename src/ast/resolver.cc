@@ -110,7 +110,7 @@ class ResolverImpl {
       if (comp->source_language == nullptr || comp->target_language == nullptr) {
         return Status::Error(StrCat("compiler ", comp->name, ": unknown language"));
       }
-      comp->by_op.clear();
+      comp->by_op.assign(comp->source_language->ops.size(), nullptr);
       for (auto& cb : comp->op_callbacks) {
         const OpDecl* op = comp->source_language->FindOp(cb->name);
         if (op == nullptr) {
@@ -123,10 +123,12 @@ class ResolverImpl {
         cb->return_type = module_->types().Void();
         ICARUS_RETURN_IF_ERROR(ResolveParamTypes(&cb->params, cb->loc));
         ICARUS_RETURN_IF_ERROR(CheckCallbackSignature(cb.get(), op));
-        if (!comp->by_op.emplace(op, cb.get()).second) {
+        const FunctionDecl*& slot = comp->by_op[static_cast<size_t>(op->index)];
+        if (slot != nullptr) {
           return Err(cb->loc, StrCat("compiler ", comp->name, ": duplicate callback for op '",
                                      op->name, "'"));
         }
+        slot = cb.get();
       }
     }
     // Interpreters.
@@ -135,7 +137,7 @@ class ResolverImpl {
       if (interp->language == nullptr) {
         return Status::Error(StrCat("interpreter ", interp->name, ": unknown language"));
       }
-      interp->by_op.clear();
+      interp->by_op.assign(interp->language->ops.size(), nullptr);
       for (auto& cb : interp->op_callbacks) {
         const OpDecl* op = interp->language->FindOp(cb->name);
         if (op == nullptr) {
@@ -147,10 +149,12 @@ class ResolverImpl {
         cb->return_type = module_->types().Void();
         ICARUS_RETURN_IF_ERROR(ResolveParamTypes(&cb->params, cb->loc));
         ICARUS_RETURN_IF_ERROR(CheckCallbackSignature(cb.get(), op));
-        if (!interp->by_op.emplace(op, cb.get()).second) {
+        const FunctionDecl*& slot = interp->by_op[static_cast<size_t>(op->index)];
+        if (slot != nullptr) {
           return Err(cb->loc, StrCat("interpreter ", interp->name,
                                      ": duplicate callback for op '", op->name, "'"));
         }
+        slot = cb.get();
       }
     }
     return Status::Ok();

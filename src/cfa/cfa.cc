@@ -183,46 +183,23 @@ StatusOr<Cfa> CfaBuilder::Build(const meta::MetaStub& stub) {
   };
 
   sym::ExprPool pool;
-  std::vector<std::vector<bool>> worklist;
-  worklist.push_back({});
+  exec::EvalContext ctx(module_, &pool, externs_);
+  ctx.set_abstract_mode(true);
+  exec::Explorer explorer(&ctx);
+  explorer.set_compiler(stub.compiler);
+  std::vector<exec::Value> args;
+  ICARUS_RETURN_IF_ERROR(stub.inputs(ctx, &args));
+  explorer.Call(stub.generator, args);
   int paths = 0;
   constexpr int kMaxAbstractPaths = 100000;
 
-  while (!worklist.empty()) {
+  do {
     if (++paths > kMaxAbstractPaths) {
       return Status::Error("abstract path budget exhausted while building the CFA");
     }
-    std::vector<bool> trace = std::move(worklist.back());
-    worklist.pop_back();
-
-    exec::EvalContext ctx(module_, &pool, externs_);
-    ctx.StartPath(std::move(trace));
-    ctx.set_abstract_mode(true);
-    ctx.set_source_emit_hook(
-        [&stub](exec::EvalContext& hook_ctx, const exec::Instr& instr) -> Status {
-          const ast::FunctionDecl* cb = stub.compiler->FindCallback(instr.op);
-          if (cb == nullptr) {
-            return Status::Error(
-                StrCat("no compiler callback for source op ", instr.op->name));
-          }
-          exec::Evaluator::RunFunction(hook_ctx, cb, instr.args);
-          return Status::Ok();
-        });
-
-    std::vector<exec::Value> args;
-    Status input_status = stub.inputs(ctx, &args);
-    if (!input_status.ok()) {
-      return input_status;
-    }
     exec::Value decision;
-    if (ctx.status() == exec::PathStatus::kCompleted) {
-      decision = exec::Evaluator::RunFunction(ctx, stub.generator, std::move(args));
-    }
-    for (const std::vector<bool>& alt : ctx.pending_alternatives()) {
-      worklist.push_back(alt);
-    }
-    if (ctx.status() != exec::PathStatus::kCompleted || decision.term == nullptr ||
-        decision.term->kind != sym::Kind::kConstInt ||
+    if (explorer.Run(&decision) != exec::Explorer::Stop::kReturned ||
+        decision.term == nullptr || decision.term->kind != sym::Kind::kConstInt ||
         decision.term->value != stub.attach_index) {
       continue;  // No stub attached on this abstract path.
     }
@@ -267,7 +244,7 @@ StatusOr<Cfa> CfaBuilder::Build(const meta::MetaStub& stub) {
     if (buffer_size == 0) {
       cfa.AddEdge(kEntry, kExit);
     }
-  }
+  } while (explorer.Backtrack());
   return cfa;
 }
 

@@ -1,6 +1,9 @@
 #include "src/exec/evaluator.h"
 
+#include <algorithm>
+
 #include "src/ast/printer.h"
+#include "src/exec/code.h"
 #include "src/support/failpoint.h"
 #include "src/support/str_util.h"
 #include "src/support/timing.h"
@@ -10,20 +13,35 @@ namespace icarus::exec {
 namespace {
 
 constexpr int64_t kStepLimit = 2'000'000;
+// Target instructions one interpreter phase may run (backward jumps are
+// legal, so a stub can loop).
+constexpr int kMaxInterpSteps = 4096;
 constexpr int64_t kInt32Min = -2147483648LL;
 constexpr int64_t kInt32Max = 2147483647LL;
 
-struct ExecEnv {
-  const ast::FunctionDecl* fn = nullptr;
-  std::vector<Value> slots;
-  Value ret;
-  int goto_label = -1;
-};
-
-enum class Flow { kNormal, kReturn, kGoto, kAbort };
-
-Flow ExecBlock(EvalContext& ctx, ExecEnv& env, const std::vector<ast::StmtPtr>& block);
-Value EvalExpr(EvalContext& ctx, ExecEnv& env, const ast::Expr& expr);
+sym::ExprRef Binary(sym::ExprPool& pool, ast::BinOp op, sym::ExprRef a, sym::ExprRef b) {
+  switch (op) {
+    case ast::BinOp::kAdd: return pool.Add(a, b);
+    case ast::BinOp::kSub: return pool.Sub(a, b);
+    case ast::BinOp::kMul: return pool.Mul(a, b);
+    case ast::BinOp::kDiv: return pool.Div(a, b);
+    case ast::BinOp::kMod: return pool.Mod(a, b);
+    case ast::BinOp::kBitAnd: return pool.BitAnd(a, b);
+    case ast::BinOp::kBitOr: return pool.BitOr(a, b);
+    case ast::BinOp::kBitXor: return pool.BitXor(a, b);
+    case ast::BinOp::kShl: return pool.Shl(a, b);
+    case ast::BinOp::kShr: return pool.Shr(a, b);
+    case ast::BinOp::kEq: return pool.Eq(a, b);
+    case ast::BinOp::kNe: return pool.Ne(a, b);
+    case ast::BinOp::kLt: return pool.Lt(a, b);
+    case ast::BinOp::kLe: return pool.Le(a, b);
+    case ast::BinOp::kGt: return pool.Gt(a, b);
+    case ast::BinOp::kGe: return pool.Ge(a, b);
+    case ast::BinOp::kLAnd: return pool.And(a, b);
+    case ast::BinOp::kLOr: return pool.Or(a, b);
+  }
+  ICARUS_BUG("binary op");
+}
 
 }  // namespace
 
@@ -74,6 +92,27 @@ Status EmitState::CheckAllBound() const {
 }
 
 // ---------------------------------------------------------------------------
+// ExternRegistry
+// ---------------------------------------------------------------------------
+
+void ExternRegistry::Register(const ast::Module& module, const std::string& name,
+                              ExternHandler handler) {
+  const ast::ExternFnDecl* ext = module.FindExtern(name);
+  ICARUS_REQUIRE_MSG(ext != nullptr, StrCat("host handler for undeclared extern ", name));
+  handlers_[ext] = std::move(handler);
+}
+
+std::vector<std::string> ExternRegistry::HostBoundNames() const {
+  std::vector<std::string> names;
+  names.reserve(handlers_.size());
+  for (const auto& [ext, handler] : handlers_) {
+    names.push_back(ext->name);
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+// ---------------------------------------------------------------------------
 // EvalContext
 // ---------------------------------------------------------------------------
 
@@ -106,66 +145,44 @@ bool EvalContext::PathFeasible() {
   if (abstract_mode_) {
     return true;
   }
-  // Forced-prefix replay: while re-executing the shared prefix of a forked
-  // trace (deterministic re-execution — same conditions, same path
-  // condition), every feasibility question was already answered by the
-  // execution that enqueued this trace, and it answered "continue" (it only
-  // proceeds past a branch when PathFeasible returned true). Skipping the
-  // repeat query is what makes exploration cost O(tree edges) solver work
-  // instead of O(paths * depth). The flip decision itself (trace_pos_ ==
-  // trace_.size()) and everything after it are new territory and are checked.
-  if (trace_pos_ < trace_.size()) {
-    return true;
-  }
   // Feasibility only needs the verdict; skipping the model keeps cache
   // entries for these queries cheap to produce. An undecided query (kUnknown)
   // keeps the path: only kUnsat proves it infeasible.
   return SolveQuery(path_condition_, /*want_model=*/false).verdict != sym::Verdict::kUnsat;
 }
 
-bool EvalContext::CheckAssert(sym::ExprRef cond, const std::string& what,
-                              const std::string& fn, int line) {
+bool EvalContext::CheckAssert(sym::ExprRef cond, CheckLabel what, std::string_view fn,
+                              int line) {
   if (status_ != PathStatus::kCompleted) {
     return false;
   }
   if (cond->IsTrue() || abstract_mode_) {
     return true;
   }
-  // Forced-prefix replay (see PathFeasible): an assert inside the forced
-  // prefix passed on the execution that enqueued this trace — it aborts the
-  // path on any other verdict, and this trace replays the identical prefix.
-  // Re-assume the proven lemma (the parent did, and later queries on this
-  // path must see the same path condition) and skip the repeat query.
-  if (trace_pos_ < trace_.size()) {
-    Assume(cond);
-    if (recording_) {
-      LogEvent(StrCat("assert ok (prefix replay): ", what, "  [", fn, ":", line, "]"));
-    }
-    return true;
-  }
-  std::vector<sym::ExprRef> query = path_condition_;
-  query.push_back(pool_->Not(cond));
-  sym::SolveResult r = SolveQuery(query, /*want_model=*/true);
+  // The query is the path condition plus the negated assertion.
+  path_condition_.push_back(pool_->Not(cond));
+  sym::SolveResult r = SolveQuery(path_condition_, /*want_model=*/true);
+  path_condition_.pop_back();
   if (r.verdict == sym::Verdict::kUnsat) {
     // The assertion holds on every model of this path; keep it as a lemma.
     Assume(cond);
     if (recording_) {
-      LogEvent(StrCat("assert ok: ", what, "  [", fn, ":", line, "]"));
+      LogEvent(StrCat("assert ok: ", what(), "  [", fn, ":", line, "]"));
     }
     return true;
   }
   if (r.verdict == sym::Verdict::kUnknown) {
     status_ = PathStatus::kLimit;
-    violation_.message = StrCat("solver limit while checking: ", what);
+    violation_.message = StrCat("solver limit while checking: ", what());
     violation_.function = fn;
     violation_.line = line;
     if (recording_) {
-      LogEvent(StrCat("assert UNDECIDED (solver budget): ", what, "  [", fn, ":", line, "]"));
+      LogEvent(StrCat("assert UNDECIDED (solver budget): ", what(), "  [", fn, ":", line, "]"));
     }
     return false;
   }
   status_ = PathStatus::kViolation;
-  violation_.message = what;
+  violation_.message = what();
   violation_.function = fn;
   violation_.line = line;
   violation_.model = r.model.ToString();
@@ -175,12 +192,12 @@ bool EvalContext::CheckAssert(sym::ExprRef cond, const std::string& what,
   // it is safe.
   violation_.witnesses = std::move(r.model.witnesses);
   if (recording_) {
-    LogEvent(StrCat("assert VIOLATED: ", what, "  [", fn, ":", line, "]"));
+    LogEvent(StrCat("assert VIOLATED: ", violation_.message, "  [", fn, ":", line, "]"));
   }
   return false;
 }
 
-void EvalContext::FailPath(const std::string& message, const std::string& fn, int line) {
+void EvalContext::FailPath(const std::string& message, std::string_view fn, int line) {
   if (status_ != PathStatus::kCompleted) {
     return;
   }
@@ -193,26 +210,11 @@ void EvalContext::FailPath(const std::string& message, const std::string& fn, in
   }
 }
 
-bool EvalContext::DecideBranch(sym::ExprRef cond, bool* ok) {
-  *ok = true;
-  if (cond->IsConst()) {
-    return cond->IsTrue();
-  }
-  bool decision;
-  if (trace_pos_ < trace_.size()) {
-    decision = trace_[trace_pos_];
-  } else {
-    decision = true;
-    trace_.push_back(true);
-    // Register the sibling path: same prefix, opposite final decision.
-    std::vector<bool> alt(trace_.begin(), trace_.begin() + static_cast<long>(trace_pos_));
-    alt.push_back(false);
-    pending_alternatives_.push_back(std::move(alt));
-  }
-  ++trace_pos_;
-  Assume(decision ? cond : pool_->Not(cond));
+void EvalContext::TakeBranch(sym::ExprRef cond, bool arm) {
+  decisions_.push_back(arm);
+  Assume(arm ? cond : pool_->Not(cond));
   if (recording_) {
-    LogEvent(StrCat("branch #", trace_pos_ - 1, " ", decision ? "TRUE " : "FALSE", ": ",
+    LogEvent(StrCat("branch #", decisions_.size() - 1, " ", arm ? "TRUE " : "FALSE", ": ",
                     sym::ExprPool::ToString(cond)));
   }
   if (!PathFeasible()) {
@@ -220,9 +222,7 @@ bool EvalContext::DecideBranch(sym::ExprRef cond, bool* ok) {
     if (recording_) {
       LogEvent("path condition became infeasible; path abandoned");
     }
-    *ok = false;
   }
-  return decision;
 }
 
 void EvalContext::LogEvent(std::string event) {
@@ -262,366 +262,399 @@ Value EvalContext::FreshValue(const std::string& prefix, const ast::Type* type) 
 }
 
 // ---------------------------------------------------------------------------
-// Expression evaluation
+// Explorer: frames
 // ---------------------------------------------------------------------------
 
-namespace {
-
-Value EvalBinary(EvalContext& ctx, const ast::Expr& expr, const Value& lhs, const Value& rhs) {
-  sym::ExprPool& pool = ctx.pool();
-  sym::ExprRef a = lhs.term;
-  sym::ExprRef b = rhs.term;
-  switch (expr.bin_op) {
-    case ast::BinOp::kAdd: return Value::Of(expr.type, pool.Add(a, b));
-    case ast::BinOp::kSub: return Value::Of(expr.type, pool.Sub(a, b));
-    case ast::BinOp::kMul: return Value::Of(expr.type, pool.Mul(a, b));
-    case ast::BinOp::kDiv: return Value::Of(expr.type, pool.Div(a, b));
-    case ast::BinOp::kMod: return Value::Of(expr.type, pool.Mod(a, b));
-    case ast::BinOp::kBitAnd: return Value::Of(expr.type, pool.BitAnd(a, b));
-    case ast::BinOp::kBitOr: return Value::Of(expr.type, pool.BitOr(a, b));
-    case ast::BinOp::kBitXor: return Value::Of(expr.type, pool.BitXor(a, b));
-    case ast::BinOp::kShl: return Value::Of(expr.type, pool.Shl(a, b));
-    case ast::BinOp::kShr: return Value::Of(expr.type, pool.Shr(a, b));
-    case ast::BinOp::kEq: return Value::Of(expr.type, pool.Eq(a, b));
-    case ast::BinOp::kNe: return Value::Of(expr.type, pool.Ne(a, b));
-    case ast::BinOp::kLt: return Value::Of(expr.type, pool.Lt(a, b));
-    case ast::BinOp::kLe: return Value::Of(expr.type, pool.Le(a, b));
-    case ast::BinOp::kGt: return Value::Of(expr.type, pool.Gt(a, b));
-    case ast::BinOp::kGe: return Value::Of(expr.type, pool.Ge(a, b));
-    case ast::BinOp::kLAnd: return Value::Of(expr.type, pool.And(a, b));
-    case ast::BinOp::kLOr: return Value::Of(expr.type, pool.Or(a, b));
-  }
-  ICARUS_BUG("binary op");
+void Explorer::Call(const ast::FunctionDecl* fn, const std::vector<Value>& args) {
+  ICARUS_REQUIRE_MSG(frames_.empty(), "Explorer::Call on a path that is still running");
+  Enter(Lowered(*fn), args);
 }
 
-Value EvalExpr(EvalContext& ctx, ExecEnv& env, const ast::Expr& expr) {
-  if (ctx.status() != PathStatus::kCompleted) {
-    return Value{};
-  }
-  if (!ctx.CountStep()) {
-    return Value{};
-  }
-  switch (expr.kind) {
-    case ast::ExprKind::kIntLit:
-      return Value::Of(expr.type, ctx.pool().IntConst(expr.int_val));
-    case ast::ExprKind::kBoolLit:
-      return Value::Of(expr.type, ctx.pool().BoolConst(expr.bool_val));
-    case ast::ExprKind::kEnumLit:
-      return Value::Of(expr.type, ctx.pool().IntConst(expr.enum_index));
-    case ast::ExprKind::kVar:
-      return env.slots[static_cast<size_t>(expr.var_slot)];
-    case ast::ExprKind::kUnary: {
-      Value v = EvalExpr(ctx, env, *expr.args[0]);
-      if (ctx.status() != PathStatus::kCompleted) {
-        return Value{};
-      }
-      if (expr.un_op == ast::UnOp::kNot) {
-        return Value::Of(expr.type, ctx.pool().Not(v.term));
-      }
-      return Value::Of(expr.type, ctx.pool().Neg(v.term));
-    }
-    case ast::ExprKind::kBinary: {
-      // Note: no short-circuiting — both operands are evaluated eagerly and
-      // combined as terms. Platform code keeps logical operands effect-free.
-      Value lhs = EvalExpr(ctx, env, *expr.args[0]);
-      if (ctx.status() != PathStatus::kCompleted) {
-        return Value{};
-      }
-      Value rhs = EvalExpr(ctx, env, *expr.args[1]);
-      if (ctx.status() != PathStatus::kCompleted) {
-        return Value{};
-      }
-      return EvalBinary(ctx, expr, lhs, rhs);
-    }
-    case ast::ExprKind::kCall: {
-      std::vector<Value> args;
-      args.reserve(expr.args.size());
-      for (const ast::ExprPtr& a : expr.args) {
-        args.push_back(EvalExpr(ctx, env, *a));
-        if (ctx.status() != PathStatus::kCompleted) {
-          return Value{};
-        }
-      }
-      if (expr.callee_fn != nullptr) {
-        return Evaluator::RunFunction(ctx, expr.callee_fn, std::move(args));
-      }
-      ICARUS_REQUIRE_MSG(expr.callee_ext != nullptr, "call resolved to neither a function nor an extern");
-      return Evaluator::CallExtern(ctx, expr.callee_ext, std::move(args));
-    }
-  }
-  ICARUS_BUG("expr kind");
+void Explorer::Interpret(const ast::InterpreterDecl* interpreter) {
+  ICARUS_REQUIRE_MSG(frames_.empty(), "Explorer::Interpret on a path that is still running");
+  Frame& frame = frames_.emplace_back();
+  frame.interpreter = interpreter;
+  frame.base = static_cast<int>(slots_.size());
 }
 
-// ---------------------------------------------------------------------------
-// Statement execution
-// ---------------------------------------------------------------------------
-
-Flow ExecStmt(EvalContext& ctx, ExecEnv& env, const ast::Stmt& stmt) {
-  if (ctx.status() != PathStatus::kCompleted || !ctx.CountStep()) {
-    return Flow::kAbort;
-  }
-  const std::string& fn_name = env.fn->name;
-  switch (stmt.kind) {
-    case ast::StmtKind::kLet:
-    case ast::StmtKind::kAssign: {
-      Value v = EvalExpr(ctx, env, *stmt.expr);
-      if (ctx.status() != PathStatus::kCompleted) {
-        return Flow::kAbort;
-      }
-      env.slots[static_cast<size_t>(stmt.var_slot)] = v;
-      return Flow::kNormal;
-    }
-    case ast::StmtKind::kIf: {
-      Value cond = EvalExpr(ctx, env, *stmt.expr);
-      if (ctx.status() != PathStatus::kCompleted) {
-        return Flow::kAbort;
-      }
-      bool ok = true;
-      bool taken = ctx.DecideBranch(cond.term, &ok);
-      if (!ok) {
-        return Flow::kAbort;
-      }
-      return ExecBlock(ctx, env, taken ? stmt.then_block : stmt.else_block);
-    }
-    case ast::StmtKind::kAssert: {
-      Value cond = EvalExpr(ctx, env, *stmt.expr);
-      if (ctx.status() != PathStatus::kCompleted) {
-        return Flow::kAbort;
-      }
-      if (!ctx.CheckAssert(cond.term, ast::PrintExpr(*stmt.expr), fn_name, stmt.loc.line)) {
-        return Flow::kAbort;
-      }
-      return Flow::kNormal;
-    }
-    case ast::StmtKind::kAssume: {
-      Value cond = EvalExpr(ctx, env, *stmt.expr);
-      if (ctx.status() != PathStatus::kCompleted) {
-        return Flow::kAbort;
-      }
-      ctx.Assume(cond.term);
-      if (cond.term->IsFalse() || (!cond.term->IsConst() && !ctx.PathFeasible())) {
-        ctx.set_status(PathStatus::kInfeasible);
-        return Flow::kAbort;
-      }
-      return Flow::kNormal;
-    }
-    case ast::StmtKind::kEmit: {
-      std::vector<Value> args;
-      args.reserve(stmt.args.size());
-      for (const ast::ExprPtr& a : stmt.args) {
-        args.push_back(EvalExpr(ctx, env, *a));
-        if (ctx.status() != PathStatus::kCompleted) {
-          return Flow::kAbort;
-        }
-      }
-      Instr instr;
-      instr.op = stmt.emit_op;
-      instr.args = std::move(args);
-      instr.emit_site = &stmt;
-      // Compiler callbacks append to the target buffer; generators/helpers
-      // record the source-level instruction and invoke the hook (which runs
-      // the compiler callback — the streaming meta-stub of Figure 3).
-      if (env.fn->fn_kind == ast::FnKind::kCompilerOp) {
-        if (!ctx.emits().source_trace.empty()) {
-          instr.source_op = ctx.emits().source_trace.back().op;
-          instr.source_index = static_cast<int>(ctx.emits().source_trace.size()) - 1;
-        }
-        if (ctx.recording()) {
-          ctx.LogEvent(StrCat("emit target[", ctx.emits().target.size(), "]: ",
-                              instr.op->name, "  (compiling ",
-                              instr.source_op != nullptr ? instr.source_op->name : "<none>",
-                              ")"));
-        }
-        ctx.emits().target.push_back(std::move(instr));
-      } else {
-        if (ctx.recording()) {
-          ctx.LogEvent(StrCat("emit source[", ctx.emits().source_trace.size(), "]: ",
-                              instr.op->name));
-        }
-        ctx.emits().source_trace.push_back(instr);
-        if (ctx.source_hook() != nullptr) {
-          Status st = ctx.source_hook()(ctx, ctx.emits().source_trace.back());
-          if (!st.ok()) {
-            ctx.FailPath(st.message(), fn_name, stmt.loc.line);
-            return Flow::kAbort;
-          }
-          if (ctx.status() != PathStatus::kCompleted) {
-            return Flow::kAbort;
-          }
-        }
-      }
-      return Flow::kNormal;
-    }
-    case ast::StmtKind::kLabelDecl: {
-      int id = ctx.emits().NewLabel(/*is_failure=*/false, &stmt);
-      env.slots[static_cast<size_t>(stmt.var_slot)] =
-          Value::Label(ctx.module().types().Label(), id);
-      return Flow::kNormal;
-    }
-    case ast::StmtKind::kFailureLabel: {
-      int id = ctx.emits().NewLabel(/*is_failure=*/true, &stmt);
-      env.slots[static_cast<size_t>(stmt.var_slot)] =
-          Value::Label(ctx.module().types().Label(), id);
-      return Flow::kNormal;
-    }
-    case ast::StmtKind::kBind: {
-      const Value& label = env.slots[static_cast<size_t>(stmt.var_slot)];
-      ICARUS_REQUIRE_MSG(label.IsLabel(), "bind/goto target is not a label value");
-      Status st = ctx.emits().Bind(label.label_id);
-      if (!st.ok()) {
-        ctx.FailPath(st.message(), fn_name, stmt.loc.line);
-        return Flow::kAbort;
-      }
-      return Flow::kNormal;
-    }
-    case ast::StmtKind::kGoto: {
-      const Value& label = env.slots[static_cast<size_t>(stmt.var_slot)];
-      ICARUS_REQUIRE_MSG(label.IsLabel(), "bind/goto target is not a label value");
-      env.goto_label = label.label_id;
-      return Flow::kGoto;
-    }
-    case ast::StmtKind::kReturn: {
-      if (stmt.expr != nullptr) {
-        env.ret = EvalExpr(ctx, env, *stmt.expr);
-        if (ctx.status() != PathStatus::kCompleted) {
-          return Flow::kAbort;
-        }
-      }
-      return Flow::kReturn;
-    }
-    case ast::StmtKind::kExprStmt: {
-      EvalExpr(ctx, env, *stmt.expr);
-      return ctx.status() == PathStatus::kCompleted ? Flow::kNormal : Flow::kAbort;
-    }
-  }
-  ICARUS_BUG("stmt kind");
+bool Explorer::interpreting() const {
+  return !frames_.empty() && frames_.front().code == nullptr;
 }
 
-Flow ExecBlock(EvalContext& ctx, ExecEnv& env, const std::vector<ast::StmtPtr>& block) {
-  for (const ast::StmtPtr& stmt : block) {
-    Flow flow = ExecStmt(ctx, env, *stmt);
-    if (flow != Flow::kNormal) {
-      return flow;
-    }
-  }
-  return Flow::kNormal;
+int Explorer::PushFrame(const Code& code, int ret) {
+  const int base = static_cast<int>(slots_.size());
+  slots_.resize(slots_.size() + static_cast<size_t>(code.num_slots));
+  Frame& frame = frames_.emplace_back();
+  frame.code = &code;
+  frame.base = base;
+  frame.ret = ret;
+  return base;
 }
 
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Evaluator entry points
-// ---------------------------------------------------------------------------
-
-Value Evaluator::RunFunction(EvalContext& ctx, const ast::FunctionDecl* fn,
-                             std::vector<Value> args) {
-  ICARUS_REQUIRE_MSG(args.size() == fn->params.size(),
-                     StrCat("argument count mismatch calling ", fn->name));
-  ExecEnv env;
-  env.fn = fn;
-  env.slots.resize(static_cast<size_t>(fn->num_slots));
+void Explorer::Enter(const Code& code, const std::vector<Value>& args) {
+  ICARUS_REQUIRE_MSG(args.size() == code.param_slots.size(),
+                     StrCat("argument count mismatch calling ", code.name));
+  const int base = PushFrame(code, /*ret=*/-1);
   for (size_t i = 0; i < args.size(); ++i) {
-    env.slots[static_cast<size_t>(fn->params[i].slot)] = std::move(args[i]);
+    slots_[static_cast<size_t>(base + code.param_slots[i])] = args[i];
   }
-  Flow flow = ExecBlock(ctx, env, fn->body);
-  ICARUS_REQUIRE_MSG(flow != Flow::kGoto, "goto escaped a non-interpreter function");
-  if (env.ret.type == nullptr) {
-    env.ret = Value::Void(ctx.module().types().Void());
-  }
-  return env.ret;
 }
 
-Value Evaluator::CallExtern(EvalContext& ctx, const ast::ExternFnDecl* ext,
-                            std::vector<Value> args) {
-  if (ctx.status() != PathStatus::kCompleted) {
-    return Value{};
+void Explorer::EnterCall(const Code& callee, const Code& caller, const Insn& call, int base) {
+  const int callee_base = PushFrame(callee, base + call.dst);
+  for (int i = 0; i < call.num_args; ++i) {
+    slots_[static_cast<size_t>(callee_base + callee.param_slots[static_cast<size_t>(i)])] =
+        slots_[static_cast<size_t>(base + caller.arg_slots[static_cast<size_t>(call.args + i)])];
   }
+}
+
+void Explorer::Gather(const Code& code, const Insn& in, int base, std::vector<Value>* out) const {
+  out->clear();
+  for (int i = 0; i < in.num_args; ++i) {
+    out->push_back(
+        slots_[static_cast<size_t>(base + code.arg_slots[static_cast<size_t>(in.args + i)])]);
+  }
+}
+
+bool Explorer::PopFrame(const Value& value) {
+  const Frame frame = frames_.back();
+  frames_.pop_back();
+  if (frame.ret >= 0) {
+    slots_[static_cast<size_t>(frame.ret)] = value;
+  }
+  slots_.resize(static_cast<size_t>(frame.base));
+  return frames_.empty();
+}
+
+// ---------------------------------------------------------------------------
+// Explorer: the run loop
+// ---------------------------------------------------------------------------
+
+Explorer::Stop Explorer::Run(Value* result) {
+  EvalContext& ctx = *ctx_;
+  sym::ExprPool& pool = *ctx.pool_;
+  while (ctx.status_ == PathStatus::kCompleted) {
+    ICARUS_REQUIRE_MSG(!frames_.empty(), "Explorer::Run with no frame to run");
+    if (frames_.back().code == nullptr) {
+      if (StepInterpreter() && frames_.empty()) {
+        return Stop::kInterpreted;
+      }
+      continue;
+    }
+    if (!ctx.CountStep()) {
+      break;
+    }
+    Frame& frame = frames_.back();
+    const Code& code = *frame.code;
+    const Insn& in = code.insns[static_cast<size_t>(frame.pc++)];
+    const int base = frame.base;
+    // The frame's slots; valid until the next push.
+    Value* s = slots_.data() + base;
+    switch (in.op) {
+      case Op::kInt:
+        s[in.dst] = Value::Of(in.type, pool.IntConst(in.imm));
+        break;
+      case Op::kBool:
+        s[in.dst] = Value::Of(in.type, in.imm != 0 ? pool.True() : pool.False());
+        break;
+      case Op::kMove:
+        s[in.dst] = s[in.a];
+        break;
+      case Op::kNot:
+        s[in.dst] = Value::Of(in.type, pool.Not(s[in.a].term));
+        break;
+      case Op::kNeg:
+        s[in.dst] = Value::Of(in.type, pool.Neg(s[in.a].term));
+        break;
+      case Op::kBinary:
+        s[in.dst] = Value::Of(in.type, Binary(pool, in.bin_op, s[in.a].term, s[in.b].term));
+        break;
+      case Op::kCall:
+        EnterCall(Lowered(*in.fn), code, in, base);
+        break;
+      case Op::kCallExtern:
+        CallExtern(code, in, base);
+        break;
+      case Op::kBranch: {
+        const sym::ExprRef cond = s[in.a].term;
+        if (cond->IsConst()) {
+          if (!cond->IsTrue()) {
+            frame.pc = in.target;
+          }
+          break;
+        }
+        PushChoice(cond, in.target);
+        ctx.TakeBranch(cond, /*arm=*/true);
+        break;
+      }
+      case Op::kJump:
+        frame.pc = in.target;
+        break;
+      case Op::kAssert:
+        ctx.CheckAssert(
+            s[in.a].term, [&in] { return ast::PrintExpr(*in.stmt->expr); }, code.name,
+            in.stmt->loc.line);
+        break;
+      case Op::kAssume: {
+        const sym::ExprRef cond = s[in.a].term;
+        ctx.Assume(cond);
+        if (cond->IsFalse() || (!cond->IsConst() && !ctx.PathFeasible())) {
+          ctx.status_ = PathStatus::kInfeasible;
+        }
+        break;
+      }
+      case Op::kEmit:
+        Emit(code, in, base);
+        break;
+      case Op::kLabel: {
+        const bool failure = in.stmt->kind == ast::StmtKind::kFailureLabel;
+        s[in.dst] = Value::Label(ctx.module_->types().Label(),
+                                 ctx.emits_.NewLabel(failure, in.stmt));
+        break;
+      }
+      case Op::kBind: {
+        ICARUS_REQUIRE_MSG(s[in.a].IsLabel(), "bind/goto target is not a label value");
+        Status st = ctx.emits_.Bind(s[in.a].label_id);
+        if (!st.ok()) {
+          ctx.FailPath(st.message(), code.name, in.stmt->loc.line);
+        }
+        break;
+      }
+      case Op::kGoto: {
+        ICARUS_REQUIRE_MSG(s[in.a].IsLabel(), "bind/goto target is not a label value");
+        ICARUS_REQUIRE_MSG(frames_.size() >= 2 && frames_[frames_.size() - 2].code == nullptr,
+                           "goto escaped an interpreter callback");
+        frames_[frames_.size() - 2].goto_label = s[in.a].label_id;
+        PopFrame(Value());
+        break;
+      }
+      case Op::kReturn: {
+        const Value value = in.a >= 0 ? s[in.a] : Value::Void(ctx.module_->types().Void());
+        if (PopFrame(value)) {
+          *result = value;
+          return Stop::kReturned;
+        }
+        break;
+      }
+      case Op::kRequire: {
+        const ast::Expr& clause = *code.ext->contracts[static_cast<size_t>(in.imm)].expr;
+        ctx.CheckAssert(
+            s[in.a].term,
+            [&] { return StrCat("requires of ", code.name, ": ", ast::PrintExpr(clause)); },
+            code.name, clause.loc.line);
+        break;
+      }
+      case Op::kApply: {
+        // Deterministic function: the result is the UF application over the
+        // argument terms, giving congruence across repeated calls.
+        const ast::ExternFnDecl& ext = *code.ext;
+        std::vector<sym::ExprRef> terms;
+        terms.reserve(code.param_slots.size());
+        for (int slot : code.param_slots) {
+          terms.push_back(s[slot].term);
+        }
+        const sym::ExprRef term = pool.App(ext.name, std::move(terms), SortOf(ext.return_type));
+        s[in.dst] = Value::Of(ext.return_type, term);
+        if (ext.return_type->kind() == ast::TypeKind::kEnum) {
+          int n = static_cast<int>(ext.return_type->enum_decl()->members.size());
+          ctx.Assume(pool.Le(pool.IntConst(0), term));
+          ctx.Assume(pool.Lt(term, pool.IntConst(n)));
+        }
+        break;
+      }
+      case Op::kEnsure:
+        ctx.Assume(s[in.a].term);
+        break;
+    }
+  }
+  return Stop::kEnded;
+}
+
+void Explorer::CallExtern(const Code& code, const Insn& in, int base) {
   ICARUS_FAILPOINT(failpoint::kExternCall);
-  // Host-bound externs (register allocator, machine state, VM runtime).
-  const ExternHandler* handler = ctx.externs_->Find(ext->name);
-  if (handler != nullptr) {
-    StatusOr<Value> result = (*handler)(ctx, args);
+  const ast::ExternFnDecl* ext = in.ext;
+  // Host-bound externs (register allocator, machine state).
+  if (const ExternHandler* handler = ctx_->externs_->Find(ext)) {
+    Gather(code, in, base, &call_args_);
+    StatusOr<Value> result = (*handler)(*ctx_, call_args_);
     if (!result.ok()) {
-      ctx.FailPath(result.status().message(), ext->name, ext->loc.line);
-      return Value{};
+      ctx_->FailPath(result.status().message(), ext->name, ext->loc.line);
+      return;
     }
-    return result.take();
+    slots_[static_cast<size_t>(base + in.dst)] = result.take();
+    return;
   }
-  // Pure uninterpreted semantics with contracts. Build a frame over the
-  // extern's parameter slots (plus `result`).
-  ExecEnv contract_env;
-  // Name holder for diagnostics. thread_local: contexts on different worker
-  // threads evaluate extern contracts concurrently.
-  thread_local ast::FunctionDecl dummy_fn;
-  dummy_fn.name = ext->name;
-  contract_env.fn = &dummy_fn;
-  contract_env.slots.resize(static_cast<size_t>(ext->num_slots));
-  for (size_t i = 0; i < args.size(); ++i) {
-    contract_env.slots[static_cast<size_t>(ext->params[i].slot)] = args[i];
-  }
-  // Check preconditions.
-  for (const ast::ContractClause& clause : ext->contracts) {
-    if (!clause.is_requires) {
-      continue;
-    }
-    Value cond = EvalExpr(ctx, contract_env, *clause.expr);
-    if (ctx.status() != PathStatus::kCompleted) {
-      return Value{};
-    }
-    if (!ctx.CheckAssert(cond.term,
-                         StrCat("requires of ", ext->name, ": ",
-                                ast::PrintExpr(*clause.expr)),
-                         ext->name, clause.expr->loc.line)) {
-      return Value{};
-    }
-  }
-  Value result = Value::Void(ctx.module().types().Void());
-  if (ext->return_type->kind() != ast::TypeKind::kVoid) {
-    // Deterministic function: the result is the UF application over the
-    // argument terms, giving congruence across repeated calls.
-    std::vector<sym::ExprRef> terms;
-    terms.reserve(args.size());
-    for (const Value& a : args) {
-      terms.push_back(a.term);
-    }
-    sym::ExprRef term = ctx.pool().App(ext->name, std::move(terms), SortOf(ext->return_type));
-    result = Value::Of(ext->return_type, term);
-    if (ext->return_type->kind() == ast::TypeKind::kEnum) {
-      int n = static_cast<int>(ext->return_type->enum_decl()->members.size());
-      ctx.Assume(ctx.pool().Le(ctx.pool().IntConst(0), term));
-      ctx.Assume(ctx.pool().Lt(term, ctx.pool().IntConst(n)));
-    }
-    // Bind `result` for ensures clauses (slot after the params).
-    contract_env.slots[static_cast<size_t>(ext->params.size())] = result;
-  }
-  for (const ast::ContractClause& clause : ext->contracts) {
-    if (clause.is_requires) {
-      continue;
-    }
-    Value cond = EvalExpr(ctx, contract_env, *clause.expr);
-    if (ctx.status() != PathStatus::kCompleted) {
-      return Value{};
-    }
-    ctx.Assume(cond.term);
-  }
-  return result;
+  // Pure uninterpreted semantics: a frame runs the contract.
+  EnterCall(LoweredContract(*ext), code, in, base);
 }
 
-void Evaluator::RunInterpreterOp(EvalContext& ctx, const ast::FunctionDecl* cb,
-                                 const Instr& instr, int* out_goto_label) {
-  *out_goto_label = -1;
-  ExecEnv env;
-  env.fn = cb;
-  env.slots.resize(static_cast<size_t>(cb->num_slots));
-  ICARUS_REQUIRE_MSG(instr.args.size() == cb->params.size(),
-                     StrCat("operand count mismatch for interpreter op ", cb->name));
-  for (size_t i = 0; i < instr.args.size(); ++i) {
-    env.slots[static_cast<size_t>(cb->params[i].slot)] = instr.args[i];
+void Explorer::Emit(const Code& code, const Insn& in, int base) {
+  EvalContext& ctx = *ctx_;
+  EmitState& emits = ctx.emits_;
+  Instr instr;
+  instr.op = in.stmt->emit_op;
+  Gather(code, in, base, &instr.args);
+  instr.emit_site = in.stmt;
+  // Compiler callbacks append to the target buffer; generators/helpers
+  // record the source-level instruction and run its compiler callback (the
+  // streaming meta-stub of Figure 3).
+  if (code.fn->fn_kind == ast::FnKind::kCompilerOp) {
+    if (!emits.source_trace.empty()) {
+      instr.source_op = emits.source_trace.back().op;
+      instr.source_index = static_cast<int>(emits.source_trace.size()) - 1;
+    }
+    if (ctx.recording_) {
+      ctx.LogEvent(StrCat("emit target[", emits.target.size(), "]: ", instr.op->name,
+                          "  (compiling ",
+                          instr.source_op != nullptr ? instr.source_op->name : "<none>", ")"));
+    }
+    emits.target.push_back(std::move(instr));
+    return;
   }
-  Flow flow = ExecBlock(ctx, env, cb->body);
-  if (flow == Flow::kGoto) {
-    *out_goto_label = env.goto_label;
+  if (ctx.recording_) {
+    ctx.LogEvent(StrCat("emit source[", emits.source_trace.size(), "]: ", instr.op->name));
   }
+  emits.source_trace.push_back(std::move(instr));
+  if (compiler_ == nullptr) {
+    return;
+  }
+  const Instr& emitted = emits.source_trace.back();
+  const ast::FunctionDecl* cb = compiler_->FindCallback(emitted.op);
+  if (cb == nullptr) {
+    ctx.FailPath(StrCat("no compiler callback for source op ", emitted.op->name), code.name,
+                 in.stmt->loc.line);
+    return;
+  }
+  Enter(Lowered(*cb), emitted.args);
+}
+
+// ---------------------------------------------------------------------------
+// Explorer: the interpreter phase
+// ---------------------------------------------------------------------------
+
+bool Explorer::StepInterpreter() {
+  EvalContext& ctx = *ctx_;
+  const std::vector<Instr>& target = ctx.emits_.target;
+  Frame& frame = frames_.back();
+  if (frame.in_callback) {
+    frame.in_callback = false;
+    if (ctx.stub_return_requested) {
+      ctx.stub_return_requested = false;
+      return FinishInterpreter(/*returned=*/true, /*bailed_out=*/false);
+    }
+    if (frame.goto_label >= 0) {
+      const LabelInfo& label = ctx.emits_.labels[static_cast<size_t>(frame.goto_label)];
+      if (label.is_failure) {
+        return FinishInterpreter(/*returned=*/false, /*bailed_out=*/true);
+      }
+      if (label.target == kLabelUnbound) {
+        ctx.FailPath("jump to an unbound label", "<interpreter>", 0);
+        return false;
+      }
+      frame.pc = label.target;
+    } else {
+      ++frame.pc;
+    }
+  }
+  if (frame.pc >= static_cast<int>(target.size())) {
+    return FinishInterpreter(/*returned=*/false, /*bailed_out=*/false);
+  }
+  if (++frame.steps > kMaxInterpSteps) {
+    ctx.FailPath("interpreter step limit exceeded (runaway stub control flow)", "<interpreter>",
+                 0);
+    return false;
+  }
+  const Instr& instr = target[static_cast<size_t>(frame.pc)];
+  const ast::FunctionDecl* cb = frame.interpreter->FindCallback(instr.op);
+  if (cb == nullptr) {
+    ctx.FailPath(StrCat("no interpreter semantics for target op ", instr.op->name),
+                 "<interpreter>", 0);
+    return false;
+  }
+  frame.in_callback = true;
+  frame.goto_label = -1;
+  Enter(Lowered(*cb), instr.args);
+  return false;
+}
+
+bool Explorer::FinishInterpreter(bool returned, bool bailed_out) {
+  EvalContext& ctx = *ctx_;
+  // Exit invariants (§4.2): the native stack must be balanced and saved
+  // registers restored on *every* exit, including bail-outs.
+  Status stack = ctx.machine_.CheckStackBalanced(bailed_out ? "bail-out" : "stub exit");
+  if (!stack.ok()) {
+    ctx.FailPath(stack.message(), "<interpreter>", 0);
+    return false;
+  }
+  // On a successful IC return the output register must hold a boxed Value.
+  if (returned) {
+    StatusOr<machine::RegVal> out = ctx.machine_.ReadReg(
+        machine::MachineState::OutputReg(), machine::RegContent::kValue, "stub exit");
+    if (!out.ok()) {
+      ctx.FailPath(out.status().message(), "<interpreter>", 0);
+      return false;
+    }
+  }
+  frames_.pop_back();
+  return true;
+}
+
+// ---------------------------------------------------------------------------
+// Explorer: choice points
+// ---------------------------------------------------------------------------
+
+void Explorer::PushChoice(sym::ExprRef cond, int else_pc) {
+  const EvalContext& ctx = *ctx_;
+  if (num_choices_ == choices_.size()) {
+    choices_.emplace_back();
+  }
+  ChoicePoint& choice = choices_[num_choices_++];
+  ++forks_;
+  choice.cond = cond;
+  choice.path_condition = ctx.path_condition_.size();
+  choice.symbolic_inputs = ctx.symbolic_inputs_.size();
+  choice.events = ctx.events_.size();
+  choice.source_trace = ctx.emits_.source_trace.size();
+  choice.target = ctx.emits_.target.size();
+  choice.decisions = ctx.decisions_.size();
+  choice.events_dropped = ctx.events_dropped_;
+  choice.steps = ctx.steps_;
+  choice.fresh = ctx.pool_->fresh_mark();
+  choice.stub_return_requested = ctx.stub_return_requested;
+  // Assignment keeps the storage of the choice point that used this entry
+  // before.
+  choice.frames = frames_;
+  choice.frames.back().pc = else_pc;
+  choice.slots = slots_;
+  choice.machine = ctx.machine_;
+  choice.labels = ctx.emits_.labels;
+}
+
+bool Explorer::Backtrack() {
+  if (num_choices_ == 0) {
+    return false;
+  }
+  EvalContext& ctx = *ctx_;
+  ChoicePoint& choice = choices_[--num_choices_];
+  ctx.path_condition_.resize(choice.path_condition);
+  ctx.symbolic_inputs_.resize(choice.symbolic_inputs);
+  ctx.events_.resize(choice.events);
+  ctx.emits_.source_trace.resize(choice.source_trace);
+  ctx.emits_.target.resize(choice.target);
+  ctx.decisions_.resize(choice.decisions);
+  ctx.events_dropped_ = choice.events_dropped;
+  ctx.steps_ = choice.steps;
+  ctx.pool_->RewindFresh(choice.fresh);
+  ctx.stub_return_requested = choice.stub_return_requested;
+  ctx.status_ = PathStatus::kCompleted;
+  ctx.violation_ = Violation();
+  // Swapping leaves the abandoned path's storage in the spent entry.
+  frames_.swap(choice.frames);
+  slots_.swap(choice.slots);
+  std::swap(ctx.machine_, choice.machine);
+  ctx.emits_.labels.swap(choice.labels);
+  ctx.TakeBranch(choice.cond, /*arm=*/false);
+  return true;
 }
 
 }  // namespace icarus::exec

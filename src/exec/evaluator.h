@@ -5,28 +5,36 @@
 // equalities and runs symbolically too. The mini-JS VM runs the same DSL
 // code as extracted C++ instead (src/extract/, src/vm/ic.cc).
 //
-// Path exploration uses deterministic re-execution with a decision trace:
-// each run of a function follows a recorded list of branch decisions; when
-// execution reaches a branch beyond the end of the trace, it takes the
-// `true` arm, appends that decision, and registers the `false` alternative
-// with the owner's worklist. The meta-executor re-runs from scratch per
-// pending trace. Programs are small and loop-free, so re-execution is cheap
-// and forking needs no state snapshotting.
+// Path exploration backtracks. The Explorer runs each function's flat form
+// (exec/code.h) on explicit frames in one loop. At a symbolic branch it
+// pushes a choice point that holds the path's state, takes the `true` arm,
+// and when the path ends it restores the newest choice point and takes that
+// branch's `false` arm. Every path is therefore explored once, depth first,
+// true arm first: the order in which each query is asked, its conjuncts and
+// the fresh variables it names are fixed by the program. The state that only
+// grows (path condition, emit buffers, symbolic inputs, event log, decisions)
+// is restored by truncation; frames, machine state and label bindings,
+// which change in place, are copied.
 //
 // Responsibilities split:
-//   - Evaluator/EvalContext (this file): statement & expression semantics,
-//     path condition management, assert/assume, extern contract application,
-//     emit bookkeeping, label discipline.
+//   - EvalContext (this file): the path state, and the semantics of path
+//     conditions, assert/assume, fresh inputs and the event log.
+//   - Explorer (this file): the run loop over frames, extern calls and their
+//     contracts, emit bookkeeping, label discipline, the interpreter phase
+//     over a target buffer, and the choice points.
 //   - machine::MachineState: register/stack model mutated by host builtins.
-//   - meta::MetaExecutor: drives generator phase + interpreter phase and the
-//     path worklist (the "meta-stub" of the paper).
+//   - meta::MetaExecutor: drives the generator phase and the interpreter
+//     phase of a meta-stub (the "meta-stub" of the paper) and collects each
+//     path's outcome.
 #ifndef ICARUS_EXEC_EVALUATOR_H_
 #define ICARUS_EXEC_EVALUATOR_H_
 
+#include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/ast/ast.h"
@@ -165,42 +173,48 @@ class EvalContext;
 using ExternHandler =
     std::function<StatusOr<Value>(EvalContext&, const std::vector<Value>&)>;
 
-// Host implementations for extern functions. Externs with no handler are
-// treated as pure uninterpreted functions governed by their contracts.
+// Host implementations for extern functions, keyed by declaration. Externs
+// with no handler are treated as pure uninterpreted functions governed by
+// their contracts.
 class ExternRegistry {
  public:
-  void Register(const std::string& name, ExternHandler handler) {
-    handlers_[name] = std::move(handler);
-  }
-  const ExternHandler* Find(const std::string& name) const {
-    auto it = handlers_.find(name);
+  // Binds `handler` to the extern `name` that `module` declares.
+  void Register(const ast::Module& module, const std::string& name, ExternHandler handler);
+  // The handler bound to `ext`, or null for a contract-only extern.
+  const ExternHandler* Find(const ast::ExternFnDecl* ext) const {
+    auto it = handlers_.find(ext);
     return it == handlers_.end() ? nullptr : &it->second;
   }
 
-  // Names of all host-bound externs (used by the Boogie backend to decide
-  // which externs lower to machine-state procedures).
-  std::vector<std::string> HostBoundNames() const {
-    std::vector<std::string> names;
-    names.reserve(handlers_.size());
-    for (const auto& [name, handler] : handlers_) {
-      names.push_back(name);
-    }
-    return names;
-  }
+  // Names of all host-bound externs, sorted (used by the Boogie backend to
+  // decide which externs lower to machine-state procedures).
+  std::vector<std::string> HostBoundNames() const;
 
  private:
-  std::map<std::string, ExternHandler> handlers_;
+  std::unordered_map<const ast::ExternFnDecl*, ExternHandler> handlers_;
 };
 
 // ---------------------------------------------------------------------------
-// Evaluation context (one path)
+// Evaluation context (the state of one path)
 // ---------------------------------------------------------------------------
 
-// Called when a generator/helper emits a *source-language* op, after the
-// instruction is recorded; used by the meta-executor to run the compiler
-// callback for the op (the streaming structure of Figure 3).
-using SourceEmitHook =
-    std::function<Status(EvalContext&, const Instr&)>;
+// The text of a checked condition, for a violation, a solver-limit note or
+// a recorded event. It is rendered only when one of those needs it, so a
+// check that passes unrecorded builds no string. It refers to the callable
+// it was made from, which must outlive it (pass a lambda in the call).
+class CheckLabel {
+ public:
+  template <typename Render>
+  CheckLabel(const Render& render)  // NOLINT: implicit, for lambdas at call sites.
+      : render_(&render),
+        call_([](const void* r) -> std::string { return (*static_cast<const Render*>(r))(); }) {}
+
+  std::string operator()() const { return call_(render_); }
+
+ private:
+  const void* render_;
+  std::string (*call_)(const void*);
+};
 
 class EvalContext {
  public:
@@ -211,35 +225,10 @@ class EvalContext {
   sym::ExprPool& pool() { return *pool_; }
   machine::MachineState& machine() { return machine_; }
   EmitState& emits() { return emits_; }
+  const EmitState& emits() const { return emits_; }
 
-  void set_source_emit_hook(SourceEmitHook hook) { source_hook_ = std::move(hook); }
-  const SourceEmitHook& source_hook() const { return source_hook_; }
-
-  // --- Decision trace (owned by the path explorer) ---
-  void StartPath(std::vector<bool> trace) {
-    // Re-executing a path from the root must mint the same variable nodes at
-    // the same positions (see ExprPool::ResetFresh). Aliasing same-position
-    // variables across paths is sound: the solver's clause database only ever
-    // holds consequences of the empty context (Tseitin definitions and theory
-    // lemmas are valid for every interpretation of the named atoms), so a
-    // clause learned on one path is a tautology over the sibling's atoms too.
-    pool_->ResetFresh();
-    trace_ = std::move(trace);
-    trace_pos_ = 0;
-    pending_alternatives_.clear();
-    path_condition_.clear();
-    status_ = PathStatus::kCompleted;
-    violation_ = Violation{};
-    steps_ = 0;
-    symbolic_inputs_.clear();
-    events_.clear();
-    events_dropped_ = 0;
-  }
-  const std::vector<bool>& trace() const { return trace_; }
-  // Traces for the sibling branches discovered while running this path.
-  const std::vector<std::vector<bool>>& pending_alternatives() const {
-    return pending_alternatives_;
-  }
+  // Branch decisions taken on this path so far, in order.
+  const std::vector<bool>& decisions() const { return decisions_; }
 
   // --- Path condition & checks ---
   void Assume(sym::ExprRef cond);
@@ -247,22 +236,13 @@ class EvalContext {
   bool PathFeasible();
   // Verifies `cond` holds on all models of the path condition. On failure
   // records a Violation and flips the path status. Returns false on failure.
-  bool CheckAssert(sym::ExprRef cond, const std::string& what, const std::string& fn,
-                   int line);
+  bool CheckAssert(sym::ExprRef cond, CheckLabel what, std::string_view fn, int line);
   // Records a concrete (non-symbolic) discipline failure.
-  void FailPath(const std::string& message, const std::string& fn, int line);
-  // Chooses a branch for `cond`: concrete conditions simply evaluate;
-  // symbolic conditions consult/extend the decision trace and update the
-  // path condition. Sets *ok=false if the path should be abandoned.
-  bool DecideBranch(sym::ExprRef cond, bool* ok);
+  void FailPath(const std::string& message, std::string_view fn, int line);
 
   PathStatus status() const { return status_; }
-  void set_status(PathStatus s) { status_ = s; }
   const Violation& violation() const { return violation_; }
   const std::vector<sym::ExprRef>& path_condition() const { return path_condition_; }
-
-  // Step budget guard; returns false (and sets kLimit) when exhausted.
-  bool CountStep();
 
   // --- Solver configuration (applies to every query this context issues) ---
   // Attaches the persistent Solver, owned by the caller, that answers every
@@ -302,8 +282,8 @@ class EvalContext {
   // which the meta-executor subtracts from its phase walls.
   double solver_seconds() const { return solver_seconds_; }
 
-  // Set by the MASM::returnFromStub builtin; the interpreter-phase loop in
-  // the meta-executor polls and clears it.
+  // Set by the MASM::returnFromStub builtin; the interpreter phase polls and
+  // clears it after each callback.
   bool stub_return_requested = false;
 
   // Abstract (all-branches) mode, used by the CFA builder: branches explore
@@ -312,22 +292,24 @@ class EvalContext {
   void set_abstract_mode(bool on) { abstract_mode_ = on; }
 
  private:
-  friend class Evaluator;
+  friend class Explorer;
 
   // Issues one satisfiability query through the attached solver (throws
   // InternalError when none is attached) and times it.
   sym::SolveResult SolveQuery(const std::vector<sym::ExprRef>& conjuncts, bool want_model);
+  // Takes one arm of a symbolic branch: records the decision, assumes the
+  // arm's condition and ends the path if that made it infeasible.
+  void TakeBranch(sym::ExprRef cond, bool arm);
+  // Step budget guard; returns false (and sets kLimit) when exhausted.
+  bool CountStep();
 
   const ast::Module* module_;
   sym::ExprPool* pool_;
   const ExternRegistry* externs_;
   machine::MachineState machine_;
   EmitState emits_;
-  SourceEmitHook source_hook_;
 
-  std::vector<bool> trace_;
-  size_t trace_pos_ = 0;
-  std::vector<std::vector<bool>> pending_alternatives_;
+  std::vector<bool> decisions_;
   std::vector<sym::ExprRef> path_condition_;
   PathStatus status_ = PathStatus::kCompleted;
   Violation violation_;
@@ -343,28 +325,126 @@ class EvalContext {
 };
 
 // ---------------------------------------------------------------------------
-// Evaluator
+// Explorer
 // ---------------------------------------------------------------------------
 
-class Evaluator {
+struct Code;
+struct Insn;
+
+// Runs DSL code on explicit frames, one loop over the lowered instructions,
+// and explores every path of it by backtracking (see the top of this file).
+// A caller starts the first path with Call, runs it with Run, and after
+// each path ends calls Backtrack until it returns false:
+//
+//   explorer.Call(fn, args);
+//   do {
+//     explorer.Run(&result);  // ctx.status() says how the path ended
+//   } while (explorer.Backtrack());
+//
+// Host code may run between Run calls (the meta-executor checks the attach
+// decision there and starts the interpreter phase); what it changes in the
+// context is path state like any other.
+class Explorer {
  public:
-  // Runs `fn` with `args` on the context's current path. Returns the
-  // function result (void Value for procedures); any violation/infeasibility
-  // is recorded on the context. If the context status is no longer
-  // kCompleted, the caller should stop and inspect it.
-  static Value RunFunction(EvalContext& ctx, const ast::FunctionDecl* fn,
-                           std::vector<Value> args);
+  explicit Explorer(EvalContext* ctx) : ctx_(ctx) {}
+  Explorer(const Explorer&) = delete;
+  Explorer& operator=(const Explorer&) = delete;
 
-  // Invokes an extern: host handler if registered, otherwise pure
-  // uninterpreted semantics with requires/ensures contracts.
-  static Value CallExtern(EvalContext& ctx, const ast::ExternFnDecl* ext,
-                          std::vector<Value> args);
+  // Source-language emits also run `compiler`'s callback for the op, on the
+  // same path (the streaming structure of Figure 3). Without a compiler they
+  // are only recorded.
+  void set_compiler(const ast::CompilerDecl* compiler) { compiler_ = compiler; }
 
-  // Runs an interpreter callback for one emitted instruction. A `goto`
-  // executed inside the callback is returned through *out_goto_label
-  // (-1 when control falls through).
-  static void RunInterpreterOp(EvalContext& ctx, const ast::FunctionDecl* cb,
-                               const Instr& instr, int* out_goto_label);
+  // Starts `fn(args)` on the current path, which must have no frames.
+  void Call(const ast::FunctionDecl* fn, const std::vector<Value>& args);
+  // Starts the interpreter phase on the current path, which must have no
+  // frames: `interpreter`'s callbacks run the target buffer from its first
+  // instruction, following gotos, until it falls off the end, returns from
+  // the stub or bails out; then the exit invariants are checked.
+  void Interpret(const ast::InterpreterDecl* interpreter);
+  // True while the current path is in the interpreter phase.
+  bool interpreting() const;
+
+  enum class Stop {
+    kEnded,        // The path ended: ctx.status() is no longer kCompleted.
+    kReturned,     // Call's function returned *result.
+    kInterpreted,  // The interpreter phase finished.
+  };
+  // Runs the current path until its frames are done or it ends.
+  Stop Run(Value* result);
+
+  // Symbolic branches whose `false` arm has not run yet: the paths left.
+  size_t pending() const { return num_choices_; }
+  // Choice points pushed so far (one per symbolic branch reached).
+  int forks() const { return forks_; }
+  // Restores the newest choice point and takes its `false` arm, which may
+  // end the path at once as infeasible. False when no choice point is left.
+  bool Backtrack();
+
+ private:
+  // One activation. `code` is null for the interpreter phase, whose `pc`
+  // runs over the target buffer instead of `code`.
+  struct Frame {
+    const Code* code = nullptr;
+    int pc = 0;
+    int base = 0;   // First slot of this frame in `slots_`.
+    int ret = -1;   // The caller's slot (absolute) that receives the result.
+    // Interpreter phase:
+    const ast::InterpreterDecl* interpreter = nullptr;
+    int steps = 0;
+    bool in_callback = false;  // A callback for target[pc] is running.
+    int goto_label = -1;       // Set by that callback's `goto`.
+  };
+
+  // A symbolic branch whose `false` arm is still to run, with the state of
+  // the path just before the branch.
+  struct ChoicePoint {
+    sym::ExprRef cond = nullptr;
+    size_t path_condition = 0;
+    size_t symbolic_inputs = 0;
+    size_t events = 0;
+    size_t source_trace = 0;
+    size_t target = 0;
+    size_t decisions = 0;
+    int64_t events_dropped = 0;
+    int64_t steps = 0;
+    uint64_t fresh = 0;
+    bool stub_return_requested = false;
+    std::vector<Frame> frames;  // The branching frame resumes at its else arm.
+    std::vector<Value> slots;
+    machine::MachineState machine;
+    std::vector<LabelInfo> labels;
+  };
+
+  // Pushes a frame running `code` and returns its slot base.
+  int PushFrame(const Code& code, int ret);
+  // Pushes a frame running `code` on `args`; its result is dropped.
+  void Enter(const Code& code, const std::vector<Value>& args);
+  // Pushes `callee`'s frame for the call `call` of the `caller` frame at
+  // `base`: on the call's argument slots, returning into its dst.
+  void EnterCall(const Code& callee, const Code& caller, const Insn& call, int base);
+  // The values of `in`'s argument slots in the frame at `base`.
+  void Gather(const Code& code, const Insn& in, int base, std::vector<Value>* out) const;
+  // Pops the top frame and hands `value` to its caller; returns true when
+  // that was the last frame.
+  bool PopFrame(const Value& value);
+  void CallExtern(const Code& code, const Insn& in, int base);
+  void Emit(const Code& code, const Insn& in, int base);
+  void PushChoice(sym::ExprRef cond, int else_pc);
+  // One step of the interpreter phase (the top frame); returns true when it
+  // finished the phase.
+  bool StepInterpreter();
+  bool FinishInterpreter(bool returned, bool bailed_out);
+
+  EvalContext* ctx_;
+  const ast::CompilerDecl* compiler_ = nullptr;
+  std::vector<Frame> frames_;
+  std::vector<Value> slots_;
+  // Entries past num_choices_ are spent choice points kept for their storage.
+  std::vector<ChoicePoint> choices_;
+  size_t num_choices_ = 0;
+  int forks_ = 0;
+  std::vector<Value> call_args_;  // Arguments of the host handler being called.
 };
 
 }  // namespace icarus::exec

@@ -86,7 +86,7 @@ void RegisterMachineBuiltins(ExternRegistry* registry, const ast::Module* module
     return Value::Of(reg_type, ctx.pool().IntConst(reg.value()));
   };
   // All the typed use*Id accessors share the allocator model.
-  registry->Register("CacheIRCompiler::useValueId",
+  registry->Register(*module, "CacheIRCompiler::useValueId",
                      [use_operand, value_reg_type](EvalContext& ctx,
                                                    const std::vector<Value>& args)
                          -> StatusOr<Value> {
@@ -98,21 +98,20 @@ void RegisterMachineBuiltins(ExternRegistry* registry, const ast::Module* module
                      });
   for (const char* name :
        {"CacheIRCompiler::useObjectId", "CacheIRCompiler::useInt32Id",
-        "CacheIRCompiler::useStringId", "CacheIRCompiler::useSymbolId",
-        "CacheIRCompiler::useNumberId"}) {
-    registry->Register(name, use_operand);
+        "CacheIRCompiler::useStringId", "CacheIRCompiler::useSymbolId"}) {
+    registry->Register(*module, name, use_operand);
   }
 
   // Writer-side creation of fresh operand ids, and compiler-side binding of
   // a result operand to a register.
   registry->Register(
-      "CacheIR::newInt32Id",
+      *module, "CacheIR::newInt32Id",
       [module](EvalContext& ctx, const std::vector<Value>& args) -> StatusOr<Value> {
         return Value::Of(TypeOf(module, "Int32Id"),
                          ctx.pool().IntConst(ctx.machine().NewOperandId()));
       });
   registry->Register(
-      "CacheIRCompiler::defineOperandReg",
+      *module, "CacheIRCompiler::defineOperandReg",
       [reg_type](EvalContext& ctx, const std::vector<Value>& args) -> StatusOr<Value> {
         StatusOr<int64_t> id = GetConstInt(args[0]);
         if (!id.ok()) {
@@ -125,7 +124,7 @@ void RegisterMachineBuiltins(ExternRegistry* registry, const ast::Module* module
         return Value::Of(reg_type, ctx.pool().IntConst(reg.value()));
       });
   registry->Register(
-      "CacheIRCompiler::allocScratchReg",
+      *module, "CacheIRCompiler::allocScratchReg",
       [reg_type](EvalContext& ctx, const std::vector<Value>& args) -> StatusOr<Value> {
         StatusOr<int> reg = ctx.machine().AllocScratch();
         if (!reg.ok()) {
@@ -134,7 +133,7 @@ void RegisterMachineBuiltins(ExternRegistry* registry, const ast::Module* module
         return Value::Of(reg_type, ctx.pool().IntConst(reg.value()));
       });
   registry->Register(
-      "CacheIRCompiler::releaseReg",
+      *module, "CacheIRCompiler::releaseReg",
       [ok_void](EvalContext& ctx, const std::vector<Value>& args) -> StatusOr<Value> {
         StatusOr<int64_t> reg = GetConstInt(args[0]);
         if (!reg.ok()) {
@@ -147,12 +146,12 @@ void RegisterMachineBuiltins(ExternRegistry* registry, const ast::Module* module
         return ok_void();
       });
   registry->Register(
-      "MASM::ecxReg",
+      *module, "MASM::ecxReg",
       [reg_type](EvalContext& ctx, const std::vector<Value>& args) -> StatusOr<Value> {
         return Value::Of(reg_type, ctx.pool().IntConst(machine::kEcxReg));
       });
   registry->Register(
-      "CacheIRCompiler::outputReg",
+      *module, "CacheIRCompiler::outputReg",
       [value_reg_type](EvalContext& ctx, const std::vector<Value>& args) -> StatusOr<Value> {
         return Value::Of(value_reg_type, ctx.pool().IntConst(machine::MachineState::OutputReg()));
       });
@@ -164,16 +163,15 @@ void RegisterMachineBuiltins(ExternRegistry* registry, const ast::Module* module
       return Value::Of(to, args[0].term);
     };
   };
-  registry->Register("OperandId::toObjectId", reinterpret_id(TypeOf(module, "ObjectId")));
-  registry->Register("OperandId::toInt32Id", reinterpret_id(TypeOf(module, "Int32Id")));
-  registry->Register("OperandId::toStringId", reinterpret_id(TypeOf(module, "StringId")));
-  registry->Register("OperandId::toSymbolId", reinterpret_id(TypeOf(module, "SymbolId")));
-  registry->Register("OperandId::toValueId", reinterpret_id(TypeOf(module, "ValueId")));
-  registry->Register("ValueReg::scratchReg", reinterpret_id(reg_type));
+  registry->Register(*module, "OperandId::toObjectId", reinterpret_id(TypeOf(module, "ObjectId")));
+  registry->Register(*module, "OperandId::toInt32Id", reinterpret_id(TypeOf(module, "Int32Id")));
+  registry->Register(*module, "OperandId::toStringId", reinterpret_id(TypeOf(module, "StringId")));
+  registry->Register(*module, "OperandId::toSymbolId", reinterpret_id(TypeOf(module, "SymbolId")));
+  registry->Register(*module, "ValueReg::scratchReg", reinterpret_id(reg_type));
 
   // Compile-time static type knowledge.
   registry->Register(
-      "CacheIRCompiler::hasKnownType",
+      *module, "CacheIRCompiler::hasKnownType",
       [](EvalContext& ctx, const std::vector<Value>& args) -> StatusOr<Value> {
         StatusOr<int64_t> id = GetConstInt(args[0]);
         if (!id.ok()) {
@@ -183,7 +181,7 @@ void RegisterMachineBuiltins(ExternRegistry* registry, const ast::Module* module
         return Value::Of(ctx.module().types().Bool(), ctx.pool().BoolConst(known));
       });
   registry->Register(
-      "CacheIRCompiler::knownType",
+      *module, "CacheIRCompiler::knownType",
       [module](EvalContext& ctx, const std::vector<Value>& args) -> StatusOr<Value> {
         StatusOr<int64_t> id = GetConstInt(args[0]);
         if (!id.ok()) {
@@ -196,7 +194,7 @@ void RegisterMachineBuiltins(ExternRegistry* registry, const ast::Module* module
         return Value::Of(TypeOf(module, "JSValueType"), ctx.pool().IntConst(t));
       });
   registry->Register(
-      "CacheIRCompiler::setKnownType",
+      *module, "CacheIRCompiler::setKnownType",
       [ok_void](EvalContext& ctx, const std::vector<Value>& args) -> StatusOr<Value> {
         StatusOr<int64_t> id = GetConstInt(args[0]);
         StatusOr<int64_t> t = GetConstInt(args[1]);
@@ -233,13 +231,13 @@ void RegisterMachineBuiltins(ExternRegistry* registry, const ast::Module* module
       {"MASM::getDouble", "MASM::setDouble", RegContent::kDouble, double_type},
   };
   for (const RegAccessor& acc : accessors) {
-    registry->Register(acc.get_name,
+    registry->Register(*module, acc.get_name,
                        [acc](EvalContext& ctx,
                              const std::vector<Value>& args) -> StatusOr<Value> {
                          return ReadRegAs(ctx, args[0], acc.content, acc.type, acc.get_name);
                        });
     registry->Register(
-        acc.set_name,
+      *module,        acc.set_name,
         [acc, ok_void](EvalContext& ctx, const std::vector<Value>& args) -> StatusOr<Value> {
           // Int32 stores must be in range: this is the invariant that makes
           // missing overflow guards visible (the Int32 binary-op bugs).
@@ -248,8 +246,9 @@ void RegisterMachineBuiltins(ExternRegistry* registry, const ast::Module* module
             sym::ExprRef in_range =
                 pool.And(pool.Le(pool.IntConst(kInt32Min), args[1].term),
                          pool.Le(args[1].term, pool.IntConst(kInt32Max)));
-            if (!ctx.CheckAssert(in_range, StrCat(acc.set_name, ": value fits in int32"),
-                                 acc.set_name, 0)) {
+            if (!ctx.CheckAssert(
+                    in_range, [&acc] { return StrCat(acc.set_name, ": value fits in int32"); },
+                    acc.set_name, 0)) {
               return Value::Void(ctx.module().types().Void());
             }
           }
@@ -285,12 +284,12 @@ void RegisterMachineBuiltins(ExternRegistry* registry, const ast::Module* module
     }
     return ok_void();
   };
-  registry->Register("MASM::pushReg", push_reg);
-  registry->Register("MASM::popReg", pop_reg);
-  registry->Register("MASM::pushValueReg", push_reg);
-  registry->Register("MASM::popValueReg", pop_reg);
+  registry->Register(*module, "MASM::pushReg", push_reg);
+  registry->Register(*module, "MASM::popReg", pop_reg);
+  registry->Register(*module, "MASM::pushValueReg", push_reg);
+  registry->Register(*module, "MASM::popValueReg", pop_reg);
   registry->Register(
-      "MASM::dropStack",
+      *module, "MASM::dropStack",
       [ok_void](EvalContext& ctx, const std::vector<Value>& args) -> StatusOr<Value> {
         StatusOr<int64_t> n = GetConstInt(args[0]);
         if (!n.ok()) {
@@ -305,13 +304,13 @@ void RegisterMachineBuiltins(ExternRegistry* registry, const ast::Module* module
         return ok_void();
       });
   registry->Register(
-      "MASM::saveLiveRegs",
+      *module, "MASM::saveLiveRegs",
       [ok_void](EvalContext& ctx, const std::vector<Value>& args) -> StatusOr<Value> {
         ctx.machine().SaveLiveRegs();
         return ok_void();
       });
   registry->Register(
-      "MASM::restoreLiveRegs",
+      *module, "MASM::restoreLiveRegs",
       [ok_void](EvalContext& ctx, const std::vector<Value>& args) -> StatusOr<Value> {
         Status st = ctx.machine().RestoreLiveRegs();
         if (!st.ok()) {
@@ -320,19 +319,19 @@ void RegisterMachineBuiltins(ExternRegistry* registry, const ast::Module* module
         return ok_void();
       });
   registry->Register(
-      "MASM::clobberVolatileRegs",
+      *module, "MASM::clobberVolatileRegs",
       [ok_void](EvalContext& ctx, const std::vector<Value>& args) -> StatusOr<Value> {
         ctx.machine().ClobberVolatileRegs();
         return ok_void();
       });
   registry->Register(
-      "MASM::returnFromStub",
+      *module, "MASM::returnFromStub",
       [ok_void](EvalContext& ctx, const std::vector<Value>& args) -> StatusOr<Value> {
         ctx.stub_return_requested = true;
         return ok_void();
       });
   registry->Register(
-      "MASM::stackDepth",
+      *module, "MASM::stackDepth",
       [int32](EvalContext& ctx, const std::vector<Value>& args) -> StatusOr<Value> {
         return Value::Of(int32, ctx.pool().IntConst(ctx.machine().stack_depth()));
       });

@@ -15,8 +15,9 @@
 
 namespace icarus::exec {
 
-// Registers the machine/compiler builtins into `registry`. `module` must
-// outlive the registry (handlers look up result types from it).
+// Registers the machine/compiler builtins of `module` into `registry`.
+// `module` must outlive the registry (handlers look up result types from
+// it, and the registry is keyed by its extern declarations).
 void RegisterMachineBuiltins(ExternRegistry* registry, const ast::Module* module);
 
 // Extracts the concrete integer a compile-time value must carry (register

@@ -10,12 +10,6 @@
 
 namespace icarus::meta {
 
-namespace {
-
-constexpr int kMaxInterpSteps = 4096;
-
-}  // namespace
-
 std::string MetaResult::Summary() const {
   const char* verdict = verified ? "VERIFIED" : (violations.empty() ? "INCONCLUSIVE" : "VIOLATION");
   std::string out = StrFormat(
@@ -42,72 +36,42 @@ MetaExecutor::MetaExecutor(const ast::Module* module, const exec::ExternRegistry
 
 MetaExecutor::~MetaExecutor() = default;
 
-bool MetaExecutor::RunInterpreterPhase(exec::EvalContext& ctx, const MetaStub& stub) {
-  using exec::PathStatus;
-  exec::EmitState& emits = ctx.emits();
-  int pc = 0;
-  int steps = 0;
-  bool bailed_out = false;
-  bool returned = false;
-  while (pc < static_cast<int>(emits.target.size())) {
-    if (++steps > kMaxInterpSteps) {
-      ctx.FailPath("interpreter step limit exceeded (runaway stub control flow)",
-                   "<interpreter>", 0);
-      return false;
-    }
-    const exec::Instr& instr = emits.target[static_cast<size_t>(pc)];
-    const ast::FunctionDecl* cb = stub.interpreter->FindCallback(instr.op);
-    if (cb == nullptr) {
-      ctx.FailPath(StrCat("no interpreter semantics for target op ", instr.op->name),
-                   "<interpreter>", 0);
-      return false;
-    }
-    int goto_label = -1;
-    exec::Evaluator::RunInterpreterOp(ctx, cb, instr, &goto_label);
-    if (ctx.status() != PathStatus::kCompleted) {
-      return false;
-    }
-    if (ctx.stub_return_requested) {
-      ctx.stub_return_requested = false;
-      returned = true;
-      break;
-    }
-    if (goto_label >= 0) {
-      const exec::LabelInfo& label = emits.labels[static_cast<size_t>(goto_label)];
-      if (label.is_failure) {
-        bailed_out = true;
-        break;
-      }
-      if (label.target == exec::kLabelUnbound) {
-        ctx.FailPath("jump to an unbound label", "<interpreter>", 0);
-        return false;
-      }
-      pc = label.target;
-      continue;
-    }
-    ++pc;
+namespace {
+
+// Appends the violation a path ended with, with its flight-recorder data.
+void CollectViolation(const exec::EvalContext& ctx, MetaResult* result) {
+  exec::Violation v = ctx.violation();
+  // Flight recorder: the structured counterexample. Branch decisions
+  // identify the path, the op sequences are the stub the path built, and
+  // the symbolic-input names anchor the witnesses already captured by
+  // CheckAssert to the values the replay harness must pin.
+  v.decisions = ctx.decisions();
+  for (const exec::Instr& i : ctx.emits().source_trace) {
+    v.source_ops.push_back(i.op->name);
   }
-  // Exit invariants (§4.2): the native stack must be balanced and saved
-  // registers restored on *every* exit, including bail-outs.
-  Status stack = ctx.machine().CheckStackBalanced(bailed_out ? "bail-out" : "stub exit");
-  if (!stack.ok()) {
-    ctx.FailPath(stack.message(), "<interpreter>", 0);
-    return false;
+  for (const exec::Instr& i : ctx.emits().target) {
+    v.target_ops.push_back(i.op->name);
   }
-  // On a successful IC return the output register must hold a boxed Value.
-  if (returned) {
-    StatusOr<machine::RegVal> out = ctx.machine().ReadReg(
-        machine::MachineState::OutputReg(), machine::RegContent::kValue, "stub exit");
-    if (!out.ok()) {
-      ctx.FailPath(out.status().message(), "<interpreter>", 0);
-      return false;
-    }
+  for (const auto& [name, term] : ctx.symbolic_inputs()) {
+    v.symbolic_inputs.push_back(name);
   }
-  return true;
+  v.events = ctx.events();
+  v.events_dropped = ctx.events_dropped();
+  // Attach the emitted-stub shape for the (legacy) textual report.
+  if (!v.source_ops.empty()) {
+    v.notes.push_back(StrCat("stub (source ops): ", Join(v.source_ops, " ; ")));
+  }
+  if (!v.target_ops.empty()) {
+    v.notes.push_back(StrCat("stub (target ops): ", Join(v.target_ops, " ; ")));
+  }
+  result->violations.push_back(std::move(v));
 }
+
+}  // namespace
 
 MetaResult MetaExecutor::Run(const MetaStub& stub) {
   using exec::PathStatus;
+  using Stop = exec::Explorer::Stop;
   MetaResult result;
   WallTimer timer;
   // One persistent solver across every path — and every Run() — of this
@@ -115,7 +79,7 @@ MetaResult MetaExecutor::Run(const MetaStub& stub) {
   // carry over to its siblings (paths of a generator share most of their
   // path condition), which is where the CDCL core's cross-query speedup
   // comes from. Repeated runs of the same generator re-mint identical terms
-  // (deterministic exploration + per-path fresh-counter reset), so the warm
+  // (the same exploration order from a reset fresh counter), so the warm
   // state answers their queries almost entirely from learned clauses and the
   // run-local result cache.
   if (pool_ == nullptr) {
@@ -130,86 +94,107 @@ MetaResult MetaExecutor::Run(const MetaStub& stub) {
   // share as deltas.
   const sym::SolverStats stats_before = solver.stats();
 
-  std::vector<std::vector<bool>> worklist;
-  worklist.push_back({});
+  pool.ResetFresh();
+  exec::EvalContext ctx(module_, &pool, externs_);
+  ctx.set_solver(&solver);
+  ctx.set_recording(recording_);
+  ctx.set_max_events(static_cast<size_t>(limits_.max_path_events));
+  exec::Explorer explorer(&ctx);
+  explorer.set_compiler(stub.compiler);
 
-  while (!worklist.empty()) {
+  // Counts a path that may start, or notes why the run stops instead.
+  auto begin_path = [&](size_t unexplored) {
     if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) {
       result.cancelled = true;
       result.inconclusive = true;
       result.limit_notes.push_back(
-          StrCat("cancelled (deadline) with ", worklist.size(), " paths unexplored"));
-      break;
+          StrCat("cancelled (deadline) with ", unexplored, " paths unexplored"));
+      return false;
     }
     if (result.paths_explored >= limits_.max_paths) {
       result.inconclusive = true;
       result.limit_notes.push_back(StrCat("path budget (", limits_.max_paths,
                                           ") exhausted in ", stub.generator->name));
-      break;
+      return false;
     }
-    std::vector<bool> trace = std::move(worklist.back());
-    worklist.pop_back();
-
-    exec::EvalContext ctx(module_, &pool, externs_);
-    ctx.set_solver(&solver);
-    ctx.set_recording(recording_);
-    ctx.set_max_events(static_cast<size_t>(limits_.max_path_events));
-    ctx.StartPath(std::move(trace));
-    ctx.set_source_emit_hook(
-        [&stub](exec::EvalContext& hook_ctx, const exec::Instr& instr) -> Status {
-          const ast::FunctionDecl* cb = stub.compiler->FindCallback(instr.op);
-          if (cb == nullptr) {
-            return Status::Error(
-                StrCat("no compiler callback for source op ", instr.op->name));
-          }
-          exec::Evaluator::RunFunction(hook_ctx, cb, instr.args);
-          return Status::Ok();
-        });
-
     ++result.paths_explored;
+    return true;
+  };
+  // The choice-point depth at which the current path attached, or -1: paths
+  // resumed from a deeper choice point fork inside its interpreter phase, so
+  // they attached too. `attached_view` is the context as it was there, for
+  // the hook.
+  int attach_depth = -1;
+  size_t attached_buffer_len = 0;
+  std::unique_ptr<exec::EvalContext> attached_view;
+  auto count_attached_path = [&] {
+    ++result.paths_attached;
+    if (obs::Enabled()) {
+      static obs::Histogram* buffer_len = obs::Registry::Global().GetHistogram(
+          "icarus_meta_buffer_len", "Target-buffer length per attached path");
+      buffer_len->Observe(static_cast<double>(attached_buffer_len));
+    }
+  };
 
-    // Phase 1: generate.
+  bool more = begin_path(1);
+  if (more) {
+    // The root of every path: the inputs, then the generator call.
     WallTimer phase_timer;
+    obs::ScopedSpan gen_span("meta.generate", stub.generator->name);
     std::vector<exec::Value> args;
     Status input_status = stub.inputs(ctx, &args);
     ICARUS_REQUIRE_MSG(input_status.ok(), input_status.message());
-    exec::Value decision;
-    if (ctx.status() == PathStatus::kCompleted) {
-      obs::ScopedSpan gen_span("meta.generate", stub.generator->name);
-      decision = exec::Evaluator::RunFunction(ctx, stub.generator, std::move(args));
-    }
-    const double gen_wall = phase_timer.ElapsedSeconds();
-    const double gen_solve = ctx.solver_seconds();
-
-    // Phase 2: interpret (only when a stub was attached).
-    phase_timer.Reset();
-    if (ctx.status() == PathStatus::kCompleted) {
+    explorer.Call(stub.generator, args);
+    result.gen_seconds += phase_timer.ElapsedSeconds();
+  }
+  // Every path after the first starts by backtracking into the phase of the
+  // newest choice point.
+  bool resume = false;
+  bool resume_interpreting = false;
+  while (more) {
+    // Run the path: the generator phase up to its attach decision, then the
+    // interpreter phase.
+    for (;;) {
+      WallTimer phase_timer;
+      const double solve_before = ctx.solver_seconds();
+      const bool interpreting = resume ? resume_interpreting : explorer.interpreting();
+      exec::Value decision;
+      Stop stop;
+      {
+        obs::ScopedSpan span(interpreting ? "meta.interpret" : "meta.generate",
+                             stub.generator->name);
+        if (resume) {
+          explorer.Backtrack();
+          resume = false;
+        }
+        stop = explorer.Run(&decision);
+      }
+      const double solve = ctx.solver_seconds() - solve_before;
+      (interpreting ? result.interp_seconds : result.gen_seconds) +=
+          std::max(0.0, phase_timer.ElapsedSeconds() - solve);
+      if (stop != Stop::kReturned) {
+        break;
+      }
       ICARUS_REQUIRE_MSG(decision.term != nullptr, "generator returned no attach decision");
       ICARUS_REQUIRE_MSG(decision.term->kind == sym::Kind::kConstInt,
                          "AttachDecision must be path-concrete");
-      if (decision.term->value == stub.attach_index) {
-        ++result.paths_attached;
-        if (obs::Enabled()) {
-          static obs::Histogram* buffer_len = obs::Registry::Global().GetHistogram(
-              "icarus_meta_buffer_len", "Target-buffer length per attached path");
-          buffer_len->Observe(static_cast<double>(ctx.emits().target.size()));
-        }
-        Status bound = ctx.emits().CheckAllBound();
-        if (!bound.ok()) {
-          ctx.FailPath(bound.message(), stub.generator->name, 0);
-        } else {
-          if (attached_path_hook_) {
-            attached_path_hook_(ctx);
-          }
-          obs::ScopedSpan interp_span("meta.interpret", stub.generator->name);
-          RunInterpreterPhase(ctx, stub);
-        }
+      if (decision.term->value != stub.attach_index) {
+        break;
       }
+      attach_depth = static_cast<int>(explorer.pending());
+      attached_buffer_len = ctx.emits().target.size();
+      count_attached_path();
+      Status bound = ctx.emits().CheckAllBound();
+      if (!bound.ok()) {
+        ctx.FailPath(bound.message(), stub.generator->name, 0);
+        break;
+      }
+      if (attached_path_hook_) {
+        attached_view = std::make_unique<exec::EvalContext>(ctx);
+        attached_path_hook_(ctx);
+      }
+      explorer.Interpret(stub.interpreter);
     }
-    const double path_solve = ctx.solver_seconds();
-    result.gen_seconds += std::max(0.0, gen_wall - gen_solve);
-    result.interp_seconds += std::max(0.0, phase_timer.ElapsedSeconds() - (path_solve - gen_solve));
-    result.solve_seconds += path_solve;
 
     // Collect the outcome.
     switch (ctx.status()) {
@@ -226,52 +211,33 @@ MetaResult MetaExecutor::Run(const MetaStub& stub) {
         result.limit_notes.push_back(StrCat(ctx.violation().message, " in ",
                                             ctx.violation().function));
         break;
-      case PathStatus::kViolation: {
+      case PathStatus::kViolation:
         if (static_cast<int>(result.violations.size()) < limits_.max_violations) {
-          exec::Violation v = ctx.violation();
-          // Flight recorder: the structured counterexample. Branch decisions
-          // identify the path (replayable — path exploration is
-          // deterministic re-execution), the op sequences are the stub the
-          // path built, and the symbolic-input names anchor the witnesses
-          // already captured by CheckAssert to the values the replay harness
-          // must pin.
-          v.decisions = ctx.trace();
-          for (const exec::Instr& i : ctx.emits().source_trace) {
-            v.source_ops.push_back(i.op->name);
-          }
-          for (const exec::Instr& i : ctx.emits().target) {
-            v.target_ops.push_back(i.op->name);
-          }
-          for (const auto& [name, term] : ctx.symbolic_inputs()) {
-            v.symbolic_inputs.push_back(name);
-          }
-          v.events = ctx.events();
-          v.events_dropped = ctx.events_dropped();
-          // Attach the emitted-stub shape for the (legacy) textual report.
-          std::vector<std::string> ops;
-          for (const exec::Instr& i : ctx.emits().source_trace) {
-            ops.push_back(i.op->name);
-          }
-          if (!ops.empty()) {
-            v.notes.push_back(StrCat("stub (source ops): ", Join(ops, " ; ")));
-          }
-          ops.clear();
-          for (const exec::Instr& i : ctx.emits().target) {
-            ops.push_back(i.op->name);
-          }
-          if (!ops.empty()) {
-            v.notes.push_back(StrCat("stub (target ops): ", Join(ops, " ; ")));
-          }
-          result.violations.push_back(std::move(v));
+          CollectViolation(ctx, &result);
         }
         break;
-      }
     }
-    result.paths_forked += static_cast<int>(ctx.pending_alternatives().size());
-    for (const std::vector<bool>& alt : ctx.pending_alternatives()) {
-      worklist.push_back(alt);
+
+    // The next path resumes at the newest choice point.
+    more = explorer.pending() > 0 && begin_path(explorer.pending());
+    if (!more) {
+      break;
+    }
+    resume = true;
+    resume_interpreting =
+        attach_depth >= 0 && static_cast<int>(explorer.pending()) > attach_depth;
+    if (resume_interpreting) {
+      count_attached_path();
+      if (attached_path_hook_) {
+        attached_path_hook_(*attached_view);
+      }
+    } else {
+      attach_depth = -1;
+      attached_view.reset();
     }
   }
+  result.paths_forked = explorer.forks();
+  result.solve_seconds = ctx.solver_seconds();
 
   result.verified = result.violations.empty() && !result.inconclusive;
   result.seconds = timer.ElapsedSeconds();
@@ -288,7 +254,7 @@ MetaResult MetaExecutor::Run(const MetaStub& stub) {
     static obs::Counter* explored = obs::Registry::Global().GetCounter(
         "icarus_meta_paths_explored_total", "Meta-execution paths explored");
     static obs::Counter* forked = obs::Registry::Global().GetCounter(
-        "icarus_meta_paths_forked_total", "Alternative paths enqueued by symbolic branches");
+        "icarus_meta_paths_forked_total", "Choice points pushed by symbolic branches");
     static obs::Counter* infeasible = obs::Registry::Global().GetCounter(
         "icarus_meta_paths_infeasible_total", "Paths pruned as infeasible");
     static obs::Counter* attached = obs::Registry::Global().GetCounter(

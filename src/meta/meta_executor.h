@@ -67,15 +67,16 @@ struct MetaResult {
   int paths_infeasible = 0;
   int paths_attached = 0;  // Paths on which a stub was attached.
   int paths_limited = 0;   // Paths abandoned on a resource limit.
-  int paths_forked = 0;    // Alternatives enqueued by symbolic branches.
+  int paths_forked = 0;    // Symbolic branches reached (one choice point each).
   int paths_merged = 0;    // Always 0 (every join forks); kept only because perfbench reads it.
   int64_t solver_queries = 0;  // Solve() calls, cache hits included (a solver delta).
   double seconds = 0.0;
   // Per-stage cost attribution. The phase walls are *exclusive* of solver
   // time (which is reported separately in solve_seconds), so the three stage
   // numbers partition the work even though solver queries are issued from
-  // inside both phases. They need not sum to `seconds`: worklist bookkeeping
-  // and outcome collection are deliberately unattributed.
+  // inside both phases. A backtrack counts toward the phase it resumes. They
+  // need not sum to `seconds`: attach checks and outcome collection are
+  // deliberately unattributed.
   double gen_seconds = 0.0;      // Phase 1 (generate), minus solver time.
   double interp_seconds = 0.0;   // Phase 2 (interpret), minus solver time.
   double solve_seconds = 0.0;    // Wall time inside Solver::Solve.
@@ -119,20 +120,18 @@ class MetaExecutor {
   void set_recording(bool on) { recording_ = on; }
   // Called on each path that attached a stub, once every label of its
   // target buffer is bound and before the interpreter phase runs it (so
-  // paths that go on to violate a contract are seen too). It must leave
-  // the context as it found it; the C++ extraction backend reads the buffer
-  // from here to compile one stub runner per instruction list.
+  // paths that go on to violate a contract are seen too). Paths that fork
+  // inside the interpreter phase share their generator phase; each of them
+  // is seen once, in the state the context had when the shared generator
+  // phase attached. It must leave the context as it found it; the C++
+  // extraction backend reads the buffer from here to compile one stub
+  // runner per instruction list.
   using AttachedPathHook = std::function<void(exec::EvalContext&)>;
   void set_attached_path_hook(AttachedPathHook hook) { attached_path_hook_ = std::move(hook); }
 
   // Explores all paths of the meta-stub. `verified` is true iff every path
   // completed with no violations and no resource limits.
   MetaResult Run(const MetaStub& stub);
-
-  // Runs the interpreter phase over an already-built buffer on the current
-  // context path.
-  // Returns false if the path ended with a violation/limit.
-  static bool RunInterpreterPhase(exec::EvalContext& ctx, const MetaStub& stub);
 
  private:
   const ast::Module* module_;
@@ -144,7 +143,7 @@ class MetaExecutor {
   bool recording_ = false;
   AttachedPathHook attached_path_hook_;
   // Warm state shared by every Run() on this executor (one executor per
-  // generator). The pool hash-conses terms and every path resets the fresh
+  // generator). The pool hash-conses terms and every run restarts the fresh
   // suffix sequence (ExprPool::ResetFresh), so repeated runs mint the same
   // nodes and the solver's Tseitin encoding, learned clauses, and the
   // run-local result cache all stay valid and keep paying off — this is the

@@ -16,7 +16,10 @@
 // `prefix#N` with a per-pool counter, so the numeric suffix differs between
 // the recording run and the replay run. Base names repeat only if a helper
 // creates several inputs from one prefix, in which case witnesses are
-// consumed in creation order, which deterministic re-execution preserves.
+// consumed in creation order, which the fixed exploration order (depth
+// first, true arm first) preserves. Replay takes no decision list: the
+// pinned inputs leave the failing path feasible, and MetaExecutor::Run
+// explores the rest as usual.
 #ifndef ICARUS_META_PATH_RECORDER_H_
 #define ICARUS_META_PATH_RECORDER_H_
 

@@ -69,8 +69,8 @@ class Platform {
       const std::vector<std::string>& extra_sources);
 
   const ast::Module& module() const { return *module_; }
+  // Bound once by Load; nothing registers handlers after it.
   const exec::ExternRegistry& externs() const { return externs_; }
-  exec::ExternRegistry& mutable_externs() { return externs_; }
 
   // Builds the meta-stub for `generator_name` with the standard input
   // convention: parameters are read from the generator signature — Value /

@@ -99,13 +99,18 @@ class ExprPool {
   ExprRef Var(const std::string& name, Sort sort);
   // Fresh variable with a unique suffix.
   ExprRef Fresh(const std::string& prefix, Sort sort);
-  // Restarts the Fresh() suffix sequence. Path exploration calls this at the
-  // start of every path so that deterministic re-execution mints *identical*
-  // variable nodes at identical replay positions — which is what lets a
-  // persistent solver's learned clauses, Tseitin encodings, and cached
-  // verdicts carry across sibling paths instead of seeing each path's inputs
-  // as brand-new atoms.
+  // The Fresh() suffix sequence is part of a path's state. Exploration
+  // restarts it at the start of every run and rewinds it to a choice
+  // point's mark when it backtracks there, so a variable minted at a given
+  // position of a path has the same name on every run and on every sibling
+  // path. That is what lets a persistent solver's learned clauses, Tseitin
+  // encodings and cached verdicts carry across sibling paths and repeated
+  // runs instead of seeing each path's inputs as brand-new atoms. The
+  // aliasing is sound because the solver's clause database holds only
+  // consequences of the empty context (docs/SOLVER.md).
   void ResetFresh() { fresh_counter_ = 0; }
+  uint64_t fresh_mark() const { return fresh_counter_; }
+  void RewindFresh(uint64_t mark) { fresh_counter_ = mark; }
 
   // Uninterpreted function application.
   ExprRef App(const std::string& fn, std::vector<ExprRef> args, Sort result_sort);

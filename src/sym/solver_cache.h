@@ -7,9 +7,8 @@
 // structurally identical conjunctions — even ones built in different
 // ExprPools by different worker threads — map to the same key, and structural
 // identity implies identical satisfiability, so a hit is sound (up to 128-bit
-// hash collision). This is what lets generators that share CacheIR prefixes,
-// and the per-path re-execution inside one generator, reuse each other's
-// solver work.
+// hash collision). This is what lets generators that share CacheIR prefixes
+// and helpers reuse each other's solver work.
 //
 // Entries are pool-independent: verdict plus the pre-rendered model text for
 // kSat (counterexample reports only ever consume the rendered form). Only

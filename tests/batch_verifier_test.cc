@@ -63,8 +63,8 @@ platform::Platform* BatchVerifierTest::platform_ = nullptr;
 
 // The verdict pin: every unit's outcome, explored paths and solver queries
 // as `icarus verify-all --serial` prints them, in platform order. Paths and
-// queries are deterministic (exploration forks by re-execution, and a cache
-// hit still counts as a query), so any change that moves one of them, in the
+// queries are deterministic (exploration backtracks in a fixed order, and a
+// cache hit still counts as a query), so any change that moves one of them, in the
 // solver, the executor or the platform DSL, shows here first.
 struct PinnedUnit {
   const char* generator;

@@ -82,6 +82,67 @@ TEST_F(CfaTest, EveryFig12GeneratorHasFiniteCfa) {
   }
 }
 
+// Every unit's automaton, pinned: nodes, edges and instruction sequences of
+// length <= 64 (what `icarus verify` prints). Node ids follow the order in
+// which abstract paths are folded, so these hold only while exploration
+// visits the same paths in the same order (depth first, true arm first).
+TEST_F(CfaTest, EveryUnitKeepsItsPinnedAutomaton) {
+  struct Pin {
+    const char* generator;
+    int nodes;
+    int edges;
+    int64_t sequences;
+  };
+  const Pin kPins[] = {
+      {"tryAttachCompareNullUndefined", 11, 22, 23},
+      {"tryAttachCompareInt32", 9, 14, 5},
+      {"tryAttachCompareStrictDifferentTypes", 18, 98, 136},
+      {"tryAttachDenseElement", 7, 12, 5},
+      {"tryAttachGetElemNativeFixedSlot", 8, 13, 5},
+      {"tryAttachArgumentsObjectArg", 7, 12, 5},
+      {"tryAttachNativeGetPropDynamicSlot", 5, 8, 3},
+      {"tryAttachNativeGetPropFixedSlot", 5, 8, 3},
+      {"tryAttachObjectLength", 6, 10, 4},
+      {"tryAttachInt32Add", 7, 11, 4},
+      {"tryAttachInt32Sub", 7, 11, 4},
+      {"tryAttachInt32Mul", 7, 11, 4},
+      {"tryAttachInt32Div", 10, 17, 7},
+      {"tryAttachInt32Mod", 9, 15, 6},
+      {"tryAttachInt32Bitwise", 14, 19, 5},
+      {"tryAttachInt32Negation", 8, 13, 5},
+      {"tryAttachInt32Not", 6, 8, 2},
+      {"tryAttachStringLength", 5, 7, 2},
+      {"tryAttachCompareString", 10, 17, 8},
+      {"tryAttachCompareObject", 10, 17, 8},
+      {"tryAttachCompareSymbol", 10, 17, 8},
+      {"tryAttachInt32MinMax", 11, 18, 8},
+      {"tryAttachToPropertyKeyInt32", 4, 6, 2},
+      {"tryAttachToPropertyKeyNumber", 7, 12, 5},
+      {"tryAttachToPropertyKeyString", 4, 6, 2},
+      {"tryAttachToPropertyKeySymbol", 4, 6, 2},
+      {"bug1451976_buggy", 3, 4, 1},
+      {"bug1451976_fixed", 7, 11, 4},
+      {"bug1471361_buggy", 8, 12, 4},
+      {"bug1471361_fixed", 9, 13, 4},
+      {"bug1502143_buggy", 7, 11, 4},
+      {"bug1502143_fixed", 8, 13, 5},
+      {"bug1651732_buggy", 5, 8, 3},
+      {"bug1651732_fixed", 6, 10, 4},
+      {"bug1654947_buggy", 9, 12, 3},
+      {"bug1654947_fixed", 9, 12, 3},
+      {"bug1685925_buggy", 8, 14, 7},
+      {"bug1685925_fixed", 7, 11, 4},
+  };
+  ASSERT_EQ(std::size(kPins), platform_->module().Generators().size());
+  for (const Pin& pin : kPins) {
+    auto automaton = Build(pin.generator);
+    ASSERT_TRUE(automaton.ok()) << pin.generator << ": " << automaton.status().message();
+    EXPECT_EQ(automaton.value().num_nodes(), pin.nodes) << pin.generator;
+    EXPECT_EQ(automaton.value().num_edges(), pin.edges) << pin.generator;
+    EXPECT_EQ(automaton.value().CountPaths(64, 1000000000), pin.sequences) << pin.generator;
+  }
+}
+
 TEST_F(CfaTest, CountPathsSaturatesAtLargeCapsWithoutOverflow) {
   // Two nodes with edges to each other and to exit: the number of paths
   // doubles per length step, overflowing int64 well before len 100. A
