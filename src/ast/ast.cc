@@ -49,4 +49,22 @@ std::vector<const FunctionDecl*> Module::Generators() const {
   return out;
 }
 
+std::vector<const FunctionDecl*> Module::AllFunctions() const {
+  std::vector<const FunctionDecl*> out;
+  for (const auto& f : functions) {
+    out.push_back(f.get());
+  }
+  for (const auto& c : compilers) {
+    for (const auto& cb : c->op_callbacks) {
+      out.push_back(cb.get());
+    }
+  }
+  for (const auto& i : interpreters) {
+    for (const auto& cb : i->op_callbacks) {
+      out.push_back(cb.get());
+    }
+  }
+  return out;
+}
+
 }  // namespace icarus::ast

@@ -166,11 +166,29 @@ struct Param {
   int slot = -1;
 };
 
+// What one declaration references, recorded by the resolver as it binds
+// them: each callee, op and enum once, in order of first mention. The
+// recursion check, the unit fingerprint's memo, Platform::TotalLoc and the
+// CFA builder read these lists; none of them walks the AST.
+struct References {
+  // A callee of the body or the contract clauses, and where the first call
+  // to it is written.
+  struct Call {
+    const FunctionDecl* fn = nullptr;  // Exactly one of fn and ext is set.
+    const ExternFnDecl* ext = nullptr;
+    SrcLoc loc;
+  };
+  std::vector<Call> calls;
+  std::vector<const OpDecl*> emits;    // The ops of the body's `emit`s.
+  std::vector<const EnumDecl*> enums;  // Enum parameter types and enum literals.
+};
+
 struct OpDecl {
   std::string name;
   std::vector<Param> params;
   const LanguageDecl* language = nullptr;
   int index = -1;  // Position within the language.
+  References refs;  // Resolved; an op has no body, so only its parameter enums.
 };
 
 struct LanguageDecl {
@@ -207,6 +225,7 @@ struct FunctionDecl {
   const struct CompilerDecl* compiler = nullptr;
   const struct InterpreterDecl* interpreter = nullptr;
   int num_slots = 0;                 // Frame size (params + locals + labels).
+  References refs;
 
   // Source text of this function as written (for LoC reporting à la Fig. 12).
   std::string source_text;
@@ -233,6 +252,7 @@ struct ExternFnDecl {
   // Resolved:
   const Type* return_type = nullptr;
   int num_slots = 0;  // params (+1 for `result` in ensures clauses).
+  References refs;    // Of the contract clauses.
 
   // The contract as flat code (exec::LoweredContract), built like
   // FunctionDecl::lowered at the first call without a host handler.
@@ -311,6 +331,9 @@ class Module {
 
   // Every generator (FnKind::kGenerator) in declaration order.
   std::vector<const FunctionDecl*> Generators() const;
+  // Every function: `functions`, then each compiler's and each
+  // interpreter's op callbacks, in declaration order.
+  std::vector<const FunctionDecl*> AllFunctions() const;
 
   // True once UnitFingerprint has memoised this module's declarations
   // (fingerprint.h). A frozen module takes no more parsing or resolving:

@@ -1,6 +1,7 @@
 #include "src/ast/fingerprint.h"
 
 #include <algorithm>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <string_view>
@@ -40,6 +41,59 @@ uint64_t Mix(uint64_t h, uint64_t v) {
   return h;
 }
 
+// The one definition of which text of a declaration counts:
+//   fn \x1f name \x1f source_text
+//   ext \x1f name \x1f ( p:T, ... ) -> R [\x1f requires|ensures expr]...
+//   op \x1f language \x1f signature
+//   enum \x1f name \x1f members joined by ','
+// Expressions and signatures are the printer's text (printer.h), built in
+// one scratch buffer that every hash of a hasher reuses.
+class ItemHasher {
+ public:
+  uint64_t operator()(const FunctionDecl& fn) {
+    return (Fnv1a() << "fn\x1f" << fn.name << "\x1f" << fn.source_text).value();
+  }
+
+  uint64_t operator()(const ExternFnDecl& ext) {
+    // Externs carry no source_text; hash the resolved declaration:
+    // signature plus every contract clause. Contract expressions are what
+    // the evaluator asserts, so their text is semantic content.
+    Fnv1a h;
+    h << "ext\x1f" << ext.name << "\x1f(";
+    for (const Param& p : ext.params) {
+      h << p.name << ":" << p.type_name << ",";
+    }
+    h << ")->" << ext.return_type_name;
+    for (const ContractClause& clause : ext.contracts) {
+      text_.clear();
+      AppendExpr(*clause.expr, &text_);
+      h << "\x1f" << (clause.is_requires ? "requires " : "ensures ") << text_;
+    }
+    return h.value();
+  }
+
+  uint64_t operator()(const OpDecl& op) {
+    text_.clear();
+    AppendOpSignature(op, &text_);
+    return (Fnv1a() << "op\x1f" << (op.language != nullptr ? op.language->name : "") << "\x1f"
+                    << text_)
+        .value();
+  }
+
+  // Member *order* counts: enum literals resolve to indices.
+  uint64_t operator()(const EnumDecl& decl) {
+    Fnv1a h;
+    h << "enum\x1f" << decl.name << "\x1f";
+    for (size_t i = 0; i < decl.members.size(); ++i) {
+      h << (i > 0 ? "," : "") << decl.members[i];
+    }
+    return h.value();
+  }
+
+ private:
+  std::string text_;
+};
+
 }  // namespace
 
 // One item per declaration a unit can reach (function or op callback,
@@ -58,32 +112,22 @@ struct FingerprintMemo {
 
 namespace {
 
-// Hashes every declaration of a resolved module once. An item's text is
-// what the unit fingerprint has always hashed for it:
-//   fn \x1f name \x1f source_text
-//   ext \x1f name \x1f ( p:T, ... ) -> R [\x1f requires|ensures expr]...
-//   op \x1f language \x1f signature
-//   enum \x1f name \x1f members joined by ','
+// Hashes every declaration of a resolved module once. An item pulls what
+// the resolver recorded the declaration references (ast.h References); an
+// op also pulls its compiler lowering and its interpreter semantics.
 class MemoBuilder {
  public:
   explicit MemoBuilder(const Module& module) : module_(module) {}
 
   std::shared_ptr<const FingerprintMemo> Build() {
-    for (const auto& fn : module_.functions) {
-      AddFunction(*fn);
+    for (const auto& decl : module_.types().enums()) {
+      Set(decl.get(), hash_(*decl), {});
     }
-    for (const auto& compiler : module_.compilers) {
-      for (const auto& cb : compiler->op_callbacks) {
-        AddFunction(*cb);
-      }
-    }
-    for (const auto& interp : module_.interpreters) {
-      for (const auto& cb : interp->op_callbacks) {
-        AddFunction(*cb);
-      }
+    for (const FunctionDecl* fn : module_.AllFunctions()) {
+      Set(fn, hash_(*fn), Pulls(fn->refs));
     }
     for (const auto& ext : module_.externs) {
-      AddExtern(*ext);
+      Set(ext.get(), hash_(*ext), Pulls(ext->refs));
     }
     for (const auto& lang : module_.languages) {
       for (const auto& op : lang->ops) {
@@ -111,38 +155,8 @@ class MemoBuilder {
     item.pulls = std::move(pulls);
   }
 
-  void AddFunction(const FunctionDecl& fn) {
-    std::vector<uint32_t> pulls;
-    PullParams(fn.params, &pulls);
-    PullBlock(fn.body, &pulls);
-    Set(&fn, (Fnv1a() << "fn\x1f" << fn.name << "\x1f" << fn.source_text).value(),
-        std::move(pulls));
-  }
-
-  void AddExtern(const ExternFnDecl& ext) {
-    // Externs carry no source_text; hash the resolved declaration:
-    // signature plus every contract clause. Contract expressions are what
-    // the evaluator asserts, so their text is semantic content.
-    Fnv1a h;
-    h << "ext\x1f" << ext.name << "\x1f(";
-    for (const Param& p : ext.params) {
-      h << p.name << ":" << p.type_name << ",";
-    }
-    h << ")->" << ext.return_type_name;
-    std::vector<uint32_t> pulls;
-    PullParams(ext.params, &pulls);
-    for (const ContractClause& clause : ext.contracts) {
-      h << "\x1f" << (clause.is_requires ? "requires " : "ensures ") << PrintExpr(*clause.expr);
-      // Contracts can themselves call externs (e.g. `slot <
-      // Shape::numFixedSlots(...)`) whose contracts feed the same queries.
-      PullExpr(clause.expr.get(), &pulls);
-    }
-    Set(&ext, h.value(), std::move(pulls));
-  }
-
   void AddOp(const OpDecl& op) {
-    std::vector<uint32_t> pulls;
-    PullParams(op.params, &pulls);
+    std::vector<uint32_t> pulls = Pulls(op.refs);
     // Emitting an op pulls in its compiler lowering and its interpreter
     // semantics; whatever those emit is pulled by their own items.
     for (const auto& compiler : module_.compilers) {
@@ -155,11 +169,7 @@ class MemoBuilder {
         Pull(interp->FindCallback(&op), &pulls);
       }
     }
-    Set(&op,
-        (Fnv1a() << "op\x1f" << (op.language != nullptr ? op.language->name : "") << "\x1f"
-                 << PrintOpSignature(op))
-            .value(),
-        std::move(pulls));
+    Set(&op, hash_(op), std::move(pulls));
   }
 
   void Pull(const void* decl, std::vector<uint32_t>* pulls) {
@@ -168,59 +178,24 @@ class MemoBuilder {
     }
   }
 
-  // An enum pulls nothing, so it is hashed when first mentioned. Member
-  // *order* matters: enum literals resolve to indices.
-  void PullEnum(const EnumDecl* decl, std::vector<uint32_t>* pulls) {
-    if (decl == nullptr) {
-      return;
+  std::vector<uint32_t> Pulls(const References& refs) {
+    std::vector<uint32_t> pulls;
+    pulls.reserve(refs.calls.size() + refs.emits.size() + refs.enums.size());
+    for (const References::Call& call : refs.calls) {
+      Pull(call.fn, &pulls);
+      Pull(call.ext, &pulls);
     }
-    if (memo_->slot.count(decl) == 0) {
-      Fnv1a h;
-      h << "enum\x1f" << decl->name << "\x1f" << Join(decl->members, ",");
-      Set(decl, h.value(), {});
+    for (const OpDecl* op : refs.emits) {
+      Pull(op, &pulls);
     }
-    pulls->push_back(Slot(decl));
-  }
-
-  void PullParams(const std::vector<Param>& params, std::vector<uint32_t>* pulls) {
-    for (const Param& p : params) {
-      if (p.type != nullptr && p.type->kind() == TypeKind::kEnum) {
-        PullEnum(p.type->enum_decl(), pulls);
-      }
+    for (const EnumDecl* decl : refs.enums) {
+      Pull(decl, &pulls);
     }
-  }
-
-  void PullExpr(const Expr* e, std::vector<uint32_t>* pulls) {
-    if (e == nullptr) {
-      return;
-    }
-    if (e->kind == ExprKind::kEnumLit) {
-      PullEnum(e->enum_decl, pulls);
-    }
-    if (e->kind == ExprKind::kCall) {
-      Pull(e->callee_fn, pulls);
-      Pull(e->callee_ext, pulls);
-    }
-    for (const ExprPtr& a : e->args) {
-      PullExpr(a.get(), pulls);
-    }
-  }
-
-  void PullBlock(const std::vector<StmtPtr>& block, std::vector<uint32_t>* pulls) {
-    for (const StmtPtr& stmt : block) {
-      PullExpr(stmt->expr.get(), pulls);
-      for (const ExprPtr& a : stmt->args) {
-        PullExpr(a.get(), pulls);
-      }
-      if (stmt->kind == StmtKind::kEmit) {
-        Pull(stmt->emit_op, pulls);
-      }
-      PullBlock(stmt->then_block, pulls);
-      PullBlock(stmt->else_block, pulls);
-    }
+    return pulls;
   }
 
   const Module& module_;
+  ItemHasher hash_;
   std::shared_ptr<FingerprintMemo> memo_ = std::make_shared<FingerprintMemo>();
 };
 
@@ -278,6 +253,44 @@ StatusOr<Fingerprint> UnitFingerprint(const Module& module, const std::string& g
   fp.lo = Mix(fp.lo, hashes.size());
   fp.hi = Mix(fp.hi, hashes.size() + 1);
   return fp;
+}
+
+uint64_t ModuleHash(const Module& module) {
+  // Declaration order counts (op order gives op indices), so the fold is
+  // sequential. The headers of languages, compilers and interpreters are
+  // the only text no item covers.
+  auto header = [](std::initializer_list<std::string_view> parts) {
+    Fnv1a h;
+    for (std::string_view part : parts) {
+      h << part << "\x1f";
+    }
+    return h.value();
+  };
+  ItemHasher hash;
+  uint64_t h = 0x3c6ef372fe94f82bULL;
+  for (const auto& decl : module.types().enums()) {
+    h = Mix(h, hash(*decl));
+  }
+  for (const auto& lang : module.languages) {
+    h = Mix(h, header({"language", lang->name}));
+    for (const auto& op : lang->ops) {
+      h = Mix(h, hash(*op));
+    }
+  }
+  for (const auto& compiler : module.compilers) {
+    h = Mix(h, header({"compiler", compiler->name, compiler->source_language_name,
+                       compiler->target_language_name}));
+  }
+  for (const auto& interp : module.interpreters) {
+    h = Mix(h, header({"interpreter", interp->name, interp->language_name}));
+  }
+  for (const auto& ext : module.externs) {
+    h = Mix(h, hash(*ext));
+  }
+  for (const FunctionDecl* fn : module.AllFunctions()) {
+    h = Mix(h, hash(*fn));
+  }
+  return h;
 }
 
 }  // namespace icarus::ast

@@ -25,11 +25,12 @@
 // Each declaration is hashed once per loaded module, not once per unit: the
 // first UnitFingerprint call on a module (from any thread; the others wait)
 // builds a memo holding every declaration's item hash and the declarations
-// it pulls in. A unit's fingerprint is then a walk over that graph from the
-// generator and a fold of the item hashes it reaches. The first call thus
-// pays for the whole module (the `frontend.fingerprint` trace span) and
-// every later one only for its walk. The memo freezes the module: parsing
-// into it or resolving it again fails an ICARUS_CHECK.
+// it pulls in (its ast.h References; an op, its callbacks). A unit's
+// fingerprint is then a walk over that graph from the generator and a fold
+// of the item hashes it reaches. The first call thus pays for the whole
+// module (the `frontend.fingerprint` trace span) and every later one only
+// for its walk. The memo freezes the module: parsing into it or resolving
+// it again fails an ICARUS_CHECK.
 #ifndef ICARUS_AST_FINGERPRINT_H_
 #define ICARUS_AST_FINGERPRINT_H_
 
@@ -61,6 +62,12 @@ struct Fingerprint {
 // closure items is order-insensitive, so the result is independent of
 // declaration and traversal order.
 StatusOr<Fingerprint> UnitFingerprint(const Module& module, const std::string& generator_name);
+
+// The platform fingerprint (Platform::Fingerprint): every declaration's item
+// hash, in declaration order, plus the language, compiler and interpreter
+// headers, so any edit that can move a unit fingerprint moves it. It builds
+// no memo.
+uint64_t ModuleHash(const Module& module);
 
 }  // namespace icarus::ast
 

@@ -31,17 +31,14 @@ const char* BinOpText(BinOp op) {
   return "?";
 }
 
-std::string PrintParams(const std::vector<Param>& params) {
-  std::vector<std::string> parts;
-  parts.reserve(params.size());
-  for (const Param& p : params) {
-    if (p.is_label) {
-      parts.push_back(StrCat("label ", p.name));
-    } else {
-      parts.push_back(StrCat(p.name, ": ", p.type_name));
+void AppendParams(const std::vector<Param>& params, std::string* out) {
+  for (size_t i = 0; i < params.size(); ++i) {
+    const Param& p = params[i];
+    out->append(i > 0 ? ", " : "").append(p.is_label ? "label " : "").append(p.name);
+    if (!p.is_label) {
+      out->append(": ").append(p.type_name);
     }
   }
-  return Join(parts, ", ");
 }
 
 std::string PrintBlock(const std::vector<StmtPtr>& block, int indent) {
@@ -56,30 +53,41 @@ std::string PrintBlock(const std::vector<StmtPtr>& block, int indent) {
 
 }  // namespace
 
-std::string PrintExpr(const Expr& expr) {
+void AppendExpr(const Expr& expr, std::string* out) {
   switch (expr.kind) {
     case ExprKind::kIntLit:
-      return StrCat(expr.int_val);
+      out->append(std::to_string(expr.int_val));
+      return;
     case ExprKind::kBoolLit:
-      return expr.bool_val ? "true" : "false";
+      out->append(expr.bool_val ? "true" : "false");
+      return;
     case ExprKind::kEnumLit:
     case ExprKind::kVar:
-      return expr.name;
-    case ExprKind::kCall: {
-      std::vector<std::string> args;
-      args.reserve(expr.args.size());
-      for (const ExprPtr& a : expr.args) {
-        args.push_back(PrintExpr(*a));
+      out->append(expr.name);
+      return;
+    case ExprKind::kCall:
+      out->append(expr.name).append("(");
+      for (size_t i = 0; i < expr.args.size(); ++i) {
+        AppendExpr(*expr.args[i], &out->append(i > 0 ? ", " : ""));
       }
-      return StrCat(expr.name, "(", Join(args, ", "), ")");
-    }
+      out->append(")");
+      return;
     case ExprKind::kUnary:
-      return StrCat(expr.un_op == UnOp::kNot ? "!" : "-", PrintExpr(*expr.args[0]));
+      AppendExpr(*expr.args[0], &out->append(expr.un_op == UnOp::kNot ? "!" : "-"));
+      return;
     case ExprKind::kBinary:
-      return StrCat("(", PrintExpr(*expr.args[0]), " ", BinOpText(expr.bin_op), " ",
-                    PrintExpr(*expr.args[1]), ")");
+      AppendExpr(*expr.args[0], &out->append("("));
+      AppendExpr(*expr.args[1], &out->append(" ").append(BinOpText(expr.bin_op)).append(" "));
+      out->append(")");
+      return;
   }
   ICARUS_UNREACHABLE("expr kind");
+}
+
+std::string PrintExpr(const Expr& expr) {
+  std::string out;
+  AppendExpr(expr, &out);
+  return out;
 }
 
 std::string PrintStmt(const Stmt& stmt, int indent) {
@@ -143,7 +151,8 @@ std::string PrintFunction(const FunctionDecl& fn) {
       head = StrCat("op ", fn.name);
       break;
   }
-  head += StrCat("(", PrintParams(fn.params), ")");
+  AppendParams(fn.params, &head.append("("));
+  head += ")";
   if (!fn.return_type_name.empty() && fn.fn_kind != FnKind::kGenerator) {
     head += StrCat(" -> ", fn.return_type_name);
   }
@@ -153,14 +162,16 @@ std::string PrintFunction(const FunctionDecl& fn) {
   return StrCat(head, " ", PrintBlock(fn.body, 0), "\n");
 }
 
-std::string PrintOpSignature(const OpDecl& op) {
-  return StrCat("op ", op.name, "(", PrintParams(op.params), ");");
+void AppendOpSignature(const OpDecl& op, std::string* out) {
+  AppendParams(op.params, &out->append("op ").append(op.name).append("("));
+  out->append(");");
 }
 
 std::string PrintLanguage(const LanguageDecl& lang) {
   std::string out = StrCat("language ", lang.name, " {\n");
   for (const auto& op : lang.ops) {
-    out += StrCat("  ", PrintOpSignature(*op), "\n");
+    AppendOpSignature(*op, &out.append("  "));
+    out += "\n";
   }
   out += "}\n";
   return out;

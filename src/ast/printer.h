@@ -12,9 +12,12 @@
 namespace icarus::ast {
 
 std::string PrintExpr(const Expr& expr);
+// Appends PrintExpr's text to `out`, so a caller can reuse one buffer.
+void AppendExpr(const Expr& expr, std::string* out);
 std::string PrintStmt(const Stmt& stmt, int indent = 0);
 std::string PrintFunction(const FunctionDecl& fn);
-std::string PrintOpSignature(const OpDecl& op);
+// Appends `op Name(p: T, label l, ...);` to `out`.
+void AppendOpSignature(const OpDecl& op, std::string* out);
 std::string PrintLanguage(const LanguageDecl& lang);
 std::string PrintModule(const Module& module);
 

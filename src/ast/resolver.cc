@@ -1,8 +1,10 @@
 #include "src/ast/resolver.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
-#include <set>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -29,7 +31,24 @@ class ResolverImpl {
 
  private:
   Status Err(SrcLoc loc, const std::string& msg) {
-    return Status::Error(StrFormat("resolve error at line %d: %s", loc.line, msg.c_str()));
+    return Status::Error(
+        StrFormat("resolve error at line %d, col %d: %s", loc.line, loc.col, msg.c_str()));
+  }
+
+  // Adds `item` to a References list unless it is there already.
+  template <typename T>
+  static void Reference(std::vector<T>* list, T item) {
+    if (std::find(list->begin(), list->end(), item) == list->end()) {
+      list->push_back(item);
+    }
+  }
+
+  static void ReferenceParamEnums(const std::vector<Param>& params, References* refs) {
+    for (const Param& p : params) {
+      if (p.type->kind() == TypeKind::kEnum) {
+        Reference(&refs->enums, p.type->enum_decl());
+      }
+    }
   }
 
   const Type* LookupType(const std::string& name) {
@@ -80,6 +99,8 @@ class ResolverImpl {
     for (auto& lang : module_->languages) {
       for (auto& op : lang->ops) {
         ICARUS_RETURN_IF_ERROR(ResolveParamTypes(&op->params, SrcLoc{}));
+        op->refs = References();
+        ReferenceParamEnums(op->params, &op->refs);
       }
     }
     // Externs.
@@ -227,7 +248,7 @@ class ResolverImpl {
   // The visible names, innermost last, keyed by views of the AST's own
   // names; each open block owns the entries from its start mark on.
   struct FnScope {
-    FunctionDecl* fn = nullptr;
+    FunctionDecl* fn = nullptr;  // Null in extern contract clauses.
     std::vector<std::pair<std::string_view, LocalVar>> vars;
     std::vector<size_t> block_starts;
     int next_slot = 0;
@@ -259,7 +280,19 @@ class ResolverImpl {
     }
   };
 
+  // Starts recording the references of the declaration being resolved in
+  // `pending_`, whose lists are reused; the declaration copies them when it
+  // is resolved, at their exact size, since lists grown in place would cost
+  // several allocations each.
+  void BeginReferences(const std::vector<Param>& params) {
+    pending_.calls.clear();
+    pending_.emits.clear();
+    pending_.enums.clear();
+    ReferenceParamEnums(params, &pending_);
+  }
+
   Status ResolveExternContracts(ExternFnDecl* ext) {
+    BeginReferences(ext->params);
     FnScope scope;
     scope.Enter();
     for (Param& p : ext->params) {
@@ -272,7 +305,6 @@ class ResolverImpl {
       result_slot = scope.next_slot++;
       scope.Declare("result", LocalVar{ext->return_type, result_slot, false, false});
     }
-    ext_contract_fn_ = nullptr;
     for (ContractClause& clause : ext->contracts) {
       const Type* t = nullptr;
       ICARUS_RETURN_IF_ERROR(ResolveExpr(clause.expr.get(), &scope, &t));
@@ -281,10 +313,12 @@ class ResolverImpl {
       }
     }
     ext->num_slots = scope.next_slot;
+    ext->refs = pending_;
     return Status::Ok();
   }
 
   Status ResolveFunctionBody(FunctionDecl* fn) {
+    BeginReferences(fn->params);
     FnScope scope;
     scope.fn = fn;
     scope.Enter();
@@ -305,6 +339,7 @@ class ResolverImpl {
       }
     }
     fn->num_slots = scope.next_slot;
+    fn->refs = pending_;
     return Status::Ok();
   }
 
@@ -482,6 +517,7 @@ class ResolverImpl {
     if (op != nullptr) {
       stmt->emit_op = op;
       stmt->emit_lang = lang;
+      Reference(&pending_.emits, op);
       return CheckArgs(stmt->loc, op->params, stmt->args, scope, "op ", op->name);
     }
     // `emit Helper(...)` sugar: the callee is an emitting helper function in
@@ -556,6 +592,7 @@ class ResolverImpl {
         expr->enum_decl = decl;
         expr->enum_index = idx;
         expr->type = module_->types().Lookup(enum_name);
+        Reference(&pending_.enums, decl);
         break;
       }
       case ExprKind::kVar: {
@@ -578,9 +615,10 @@ class ResolverImpl {
         ICARUS_RETURN_IF_ERROR(
             CheckArgs(expr->loc, params, expr->args, scope, "call to ", expr->name));
         if (fn != nullptr) {
-          // Emitting helpers may only be called from a matching emit context.
+          // Emitting helpers may only be called from a matching emit
+          // context, which a contract clause never is.
           if (fn->emits_language != nullptr &&
-              fn->emits_language != scope->fn->emits_language) {
+              (scope->fn == nullptr || fn->emits_language != scope->fn->emits_language)) {
             return Err(expr->loc, StrCat("cannot call ", fn->name, " (emits ",
                                          fn->emits_language->name, ") from this context"));
           }
@@ -592,6 +630,12 @@ class ResolverImpl {
         } else {
           expr->callee_ext = ext;
           expr->type = ext->return_type;
+        }
+        if (std::none_of(pending_.calls.begin(), pending_.calls.end(),
+                         [fn, ext](const References::Call& call) {
+                           return call.fn == fn && call.ext == ext;
+                         })) {
+          pending_.calls.push_back({fn, ext, expr->loc});
         }
         break;
       }
@@ -675,69 +719,42 @@ class ResolverImpl {
 
   // --- Phase 3: recursion check ---------------------------------------------
 
+  // A DFS over the recorded calls. An extern's contract clauses run at each
+  // call to it, so they count as its body: a contract that calls back into
+  // its caller is recursion too. The error names the call closing the cycle.
   Status CheckNonRecursive() {
-    // DFS over the call graph (DSL functions only; externs are leaves).
-    std::map<const FunctionDecl*, int> state;  // 0 = new, 1 = visiting, 2 = done.
-    std::vector<const FunctionDecl*> all;
-    for (const auto& fn : module_->functions) {
-      all.push_back(fn.get());
-    }
-    for (const auto& comp : module_->compilers) {
-      for (const auto& cb : comp->op_callbacks) {
-        all.push_back(cb.get());
-      }
-    }
-    for (const auto& interp : module_->interpreters) {
-      for (const auto& cb : interp->op_callbacks) {
-        all.push_back(cb.get());
-      }
-    }
+    enum Visit : uint8_t { kNew, kOnPath, kDone };
+    // Only declarations that call something are looked up: one that calls
+    // nothing closes no cycle.
+    std::unordered_map<const References*, Visit> state;
     Status result = Status::Ok();
-    auto visit = [&](auto&& self, const FunctionDecl* fn) -> bool {
-      int& s = state[fn];
-      if (s == 2) {
+    auto visit = [&](auto&& self, const References& refs) -> bool {
+      if (refs.calls.empty() || state[&refs] == kDone) {
         return true;
       }
-      if (s == 1) {
-        result = Status::Error(StrCat("recursive call involving ", fn->name,
-                                      " (Icarus programs must be non-recursive)"));
-        return false;
+      state[&refs] = kOnPath;
+      for (const References::Call& call : refs.calls) {
+        const References& callee = call.fn != nullptr ? call.fn->refs : call.ext->refs;
+        if (!callee.calls.empty() && state[&callee] == kOnPath) {
+          result = Err(call.loc, StrCat("recursive call involving ",
+                                        call.fn != nullptr ? call.fn->name : call.ext->name,
+                                        " (Icarus programs must be non-recursive)"));
+          return false;
+        }
+        if (!self(self, callee)) {
+          return false;
+        }
       }
-      s = 1;
-      bool ok = true;
-      auto walk_expr = [&](auto&& walk, const Expr* e) -> void {
-        if (!ok || e == nullptr) {
-          return;
-        }
-        if (e->kind == ExprKind::kCall && e->callee_fn != nullptr) {
-          if (!self(self, e->callee_fn)) {
-            ok = false;
-            return;
-          }
-        }
-        for (const ExprPtr& a : e->args) {
-          walk(walk, a.get());
-        }
-      };
-      auto walk_block = [&](auto&& walk, const std::vector<StmtPtr>& block) -> void {
-        for (const StmtPtr& stmt : block) {
-          if (!ok) {
-            return;
-          }
-          walk_expr(walk_expr, stmt->expr.get());
-          for (const ExprPtr& a : stmt->args) {
-            walk_expr(walk_expr, a.get());
-          }
-          walk(walk, stmt->then_block);
-          walk(walk, stmt->else_block);
-        }
-      };
-      walk_block(walk_block, fn->body);
-      s = 2;
-      return ok;
+      state[&refs] = kDone;
+      return true;
     };
-    for (const FunctionDecl* fn : all) {
-      if (!visit(visit, fn)) {
+    for (const FunctionDecl* fn : module_->AllFunctions()) {
+      if (!visit(visit, fn->refs)) {
+        return result;
+      }
+    }
+    for (const auto& ext : module_->externs) {
+      if (!visit(visit, ext->refs)) {
         return result;
       }
     }
@@ -745,7 +762,7 @@ class ResolverImpl {
   }
 
   Module* module_;
-  const ExternFnDecl* ext_contract_fn_ = nullptr;
+  References pending_;  // Of the declaration being resolved.
 };
 
 }  // namespace

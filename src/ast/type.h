@@ -86,6 +86,9 @@ class TypeTable {
   // The enum declaration owning `name`, or null.
   const EnumDecl* LookupEnum(const std::string& name) const;
 
+  // Every enum, in declaration order.
+  const std::vector<std::unique_ptr<EnumDecl>>& enums() const { return enums_; }
+
  private:
   const Type* MakePrimitive(TypeKind kind, const std::string& name);
 

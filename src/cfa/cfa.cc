@@ -1,5 +1,7 @@
 #include "src/cfa/cfa.h"
 
+#include <algorithm>
+
 #include "src/support/str_util.h"
 
 namespace icarus::cfa {
@@ -147,39 +149,16 @@ std::string Cfa::Summary() const {
 
 StatusOr<Cfa> CfaBuilder::Build(const meta::MetaStub& stub) {
   Cfa cfa;
-  // Which target ops can end the stub (their interpreter callback reaches
-  // MASM::returnFromStub)?
+  // A target op can end the stub when its interpreter callback itself calls
+  // MASM::returnFromStub.
+  const ast::ExternFnDecl* return_from_stub = module_->FindExtern("MASM::returnFromStub");
   auto op_can_return = [&](const ast::OpDecl* op) {
     const ast::FunctionDecl* cb = stub.interpreter->FindCallback(op);
-    if (cb == nullptr) {
-      return false;
-    }
-    bool found = false;
-    auto walk_expr = [&](auto&& self, const ast::Expr* e) -> void {
-      if (e == nullptr || found) {
-        return;
-      }
-      if (e->kind == ast::ExprKind::kCall && e->callee_ext != nullptr &&
-          e->callee_ext->name == "MASM::returnFromStub") {
-        found = true;
-        return;
-      }
-      for (const ast::ExprPtr& a : e->args) {
-        self(self, a.get());
-      }
-    };
-    auto walk_block = [&](auto&& self, const std::vector<ast::StmtPtr>& block) -> void {
-      for (const ast::StmtPtr& stmt : block) {
-        walk_expr(walk_expr, stmt->expr.get());
-        for (const ast::ExprPtr& a : stmt->args) {
-          walk_expr(walk_expr, a.get());
-        }
-        self(self, stmt->then_block);
-        self(self, stmt->else_block);
-      }
-    };
-    walk_block(walk_block, cb->body);
-    return found;
+    return cb != nullptr && return_from_stub != nullptr &&
+           std::any_of(cb->refs.calls.begin(), cb->refs.calls.end(),
+                       [&](const ast::References::Call& call) {
+                         return call.ext == return_from_stub;
+                       });
   };
 
   sym::ExprPool pool;

@@ -133,15 +133,8 @@ std::string RenderTopFrame(const std::vector<TopRow>& rows, double interval_s) {
 
 Status RunTop(const TopOptions& options, std::FILE* out) {
   const std::vector<std::string>& sockets = options.sockets;
-  std::vector<std::string> names = options.names;
   if (sockets.empty()) {
     return Status::Error("nothing to poll (give --socket)");
-  }
-  names.resize(sockets.size());
-  for (size_t i = 0; i < sockets.size(); ++i) {
-    if (names[i].empty()) {
-      names[i] = BaseName(sockets[i]);
-    }
   }
 
   double interval_s = options.interval_ms > 0 ? options.interval_ms / 1e3 : 1.0;
@@ -157,7 +150,7 @@ Status RunTop(const TopOptions& options, std::FILE* out) {
     rows.reserve(sockets.size());
     for (size_t i = 0; i < sockets.size(); ++i) {
       TopRow row;
-      row.name = names[i];
+      row.name = BaseName(sockets[i]);
       row.sample = SampleWorker(sockets[i]);
       if (have_prev && row.sample.reachable && prev[i].reachable) {
         double delta = row.sample.served - prev[i].served;

@@ -23,10 +23,8 @@
 namespace icarus::daemon {
 
 struct TopOptions {
-  // Daemons to poll, with parallel display labels (labels may be empty —
-  // derived from the socket filename).
+  // Daemons to poll; each row is labelled with its socket's file name.
   std::vector<std::string> sockets;
-  std::vector<std::string> names;
   double interval_ms = 1000;
   // Frames to render; 0 = until the process is interrupted.
   int iterations = 0;

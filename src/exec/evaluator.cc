@@ -13,6 +13,7 @@ namespace icarus::exec {
 namespace {
 
 constexpr int64_t kStepLimit = 2'000'000;
+constexpr size_t kMaxEvents = 256;  // Event-log cap per path (recording only).
 // Target instructions one interpreter phase may run (backward jumps are
 // legal, so a stub can loop).
 constexpr int kMaxInterpSteps = 4096;
@@ -229,7 +230,7 @@ void EvalContext::LogEvent(std::string event) {
   if (!recording_) {
     return;
   }
-  if (events_.size() >= max_events_) {
+  if (events_.size() >= kMaxEvents) {
     ++events_dropped_;
     return;
   }

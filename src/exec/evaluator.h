@@ -265,8 +265,8 @@ class EvalContext {
   // explain/record pipelines turn it on.
   void set_recording(bool on) { recording_ = on; }
   bool recording() const { return recording_; }
-  void set_max_events(size_t n) { max_events_ = n; }
-  // Appends one event line (recording only; over-cap events are counted).
+  // Appends one event line (recording only; the log keeps the first 256 of
+  // a path and counts the rest as dropped).
   void LogEvent(std::string event);
   const std::vector<std::string>& events() const { return events_; }
   int64_t events_dropped() const { return events_dropped_; }
@@ -318,7 +318,6 @@ class EvalContext {
   sym::Solver* solver_ = nullptr;  // Shared persistent solver (not owned).
   bool abstract_mode_ = false;
   bool recording_ = false;
-  size_t max_events_ = 256;
   std::vector<std::string> events_;
   int64_t events_dropped_ = 0;
   std::vector<std::pair<std::string, sym::ExprRef>> symbolic_inputs_;

@@ -583,20 +583,7 @@ class Generator {
     out += "\n";
     out += OpEnums();
     out += "\n// --- Forward declarations (the DSL is non-recursive) ---\n";
-    std::vector<const ast::FunctionDecl*> fns;
-    for (const auto& fn : module_.functions) {
-      fns.push_back(fn.get());
-    }
-    for (const auto& comp : module_.compilers) {
-      for (const auto& cb : comp->op_callbacks) {
-        fns.push_back(cb.get());
-      }
-    }
-    for (const auto& interp : module_.interpreters) {
-      for (const auto& cb : interp->op_callbacks) {
-        fns.push_back(cb.get());
-      }
-    }
+    const std::vector<const ast::FunctionDecl*> fns = module_.AllFunctions();
     for (const ast::FunctionDecl* fn : fns) {
       out += Signature(*fn) + ";\n";
     }

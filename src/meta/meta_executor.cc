@@ -38,6 +38,9 @@ MetaExecutor::~MetaExecutor() = default;
 
 namespace {
 
+constexpr int kMaxPaths = 100000;      // A run that reaches it is inconclusive.
+constexpr size_t kMaxViolations = 16;  // Stop collecting after this many.
+
 // Appends the violation a path ended with, with its flight-recorder data.
 void CollectViolation(const exec::EvalContext& ctx, MetaResult* result) {
   exec::Violation v = ctx.violation();
@@ -98,7 +101,6 @@ MetaResult MetaExecutor::Run(const MetaStub& stub) {
   exec::EvalContext ctx(module_, &pool, externs_);
   ctx.set_solver(&solver);
   ctx.set_recording(recording_);
-  ctx.set_max_events(static_cast<size_t>(limits_.max_path_events));
   exec::Explorer explorer(&ctx);
   explorer.set_compiler(stub.compiler);
 
@@ -111,9 +113,9 @@ MetaResult MetaExecutor::Run(const MetaStub& stub) {
           StrCat("cancelled (deadline) with ", unexplored, " paths unexplored"));
       return false;
     }
-    if (result.paths_explored >= limits_.max_paths) {
+    if (result.paths_explored >= kMaxPaths) {
       result.inconclusive = true;
-      result.limit_notes.push_back(StrCat("path budget (", limits_.max_paths,
+      result.limit_notes.push_back(StrCat("path budget (", kMaxPaths,
                                           ") exhausted in ", stub.generator->name));
       return false;
     }
@@ -212,7 +214,7 @@ MetaResult MetaExecutor::Run(const MetaStub& stub) {
                                             ctx.violation().function));
         break;
       case PathStatus::kViolation:
-        if (static_cast<int>(result.violations.size()) < limits_.max_violations) {
+        if (result.violations.size() < kMaxViolations) {
           CollectViolation(ctx, &result);
         }
         break;

@@ -92,16 +92,8 @@ struct MetaResult {
 
 class MetaExecutor {
  public:
-  struct Limits {
-    int max_paths = 100000;
-    int max_violations = 16;  // Stop collecting after this many.
-    int max_path_events = 256;  // Event-log cap per path (recording only).
-  };
-
   MetaExecutor(const ast::Module* module, const exec::ExternRegistry* externs);
   ~MetaExecutor();  // Out of line: members of forward-declared types.
-
-  void set_limits(const Limits& limits) { limits_ = limits; }
 
   // Shared solver-result cache applied to every path's context (may be null;
   // must be concurrency-safe when the executor runs on a pool worker).
@@ -136,7 +128,6 @@ class MetaExecutor {
  private:
   const ast::Module* module_;
   const exec::ExternRegistry* externs_;
-  Limits limits_;
   sym::SolverCache* solver_cache_ = nullptr;
   sym::Solver::Limits solver_limits_;
   const std::atomic<bool>* cancel_ = nullptr;

@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "src/ast/fingerprint.h"
 #include "src/ast/parser.h"
 #include "src/ast/resolver.h"
 #include "src/exec/externs.h"
@@ -116,46 +117,7 @@ StatusOr<meta::MetaStub> Platform::MakeMetaStub(const std::string& generator_nam
 }
 
 std::string Platform::Fingerprint() const {
-  // FNV-1a over a canonical serialization of the loaded declarations. Only
-  // resolved AST state feeds the hash (not raw source chunk order), so the
-  // fingerprint is stable across load paths that produce the same module.
-  uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::string_view s) {
-    for (char c : s) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 0x100000001b3ULL;
-    }
-    h ^= 0xff;  // Separator: "ab"+"c" and "a"+"bc" must differ.
-    h *= 0x100000001b3ULL;
-  };
-  for (const auto& lang : module_->languages) {
-    mix(lang->name);
-    for (const auto& op : lang->ops) {
-      mix(op->name);
-    }
-  }
-  for (const auto& fn : module_->functions) {
-    mix(fn->name);
-    mix(fn->source_text);
-  }
-  for (const auto& compiler : module_->compilers) {
-    mix(compiler->name);
-    for (const auto& cb : compiler->op_callbacks) {
-      mix(cb->name);
-      mix(cb->source_text);
-    }
-  }
-  for (const auto& interp : module_->interpreters) {
-    mix(interp->name);
-    for (const auto& cb : interp->op_callbacks) {
-      mix(cb->name);
-      mix(cb->source_text);
-    }
-  }
-  for (const auto& ext : module_->externs) {
-    mix(ext->name);
-  }
-  return StrFormat("%016llx", static_cast<unsigned long long>(h));
+  return StrFormat("%016llx", static_cast<unsigned long long>(ast::ModuleHash(*module_)));
 }
 
 int Platform::TotalLoc(const std::string& generator_name) const {
@@ -166,57 +128,31 @@ int Platform::TotalLoc(const std::string& generator_name) const {
   const ast::CompilerDecl* compiler = module_->FindCompiler("CacheIRCompiler");
   const ast::InterpreterDecl* interpreter = module_->FindInterpreter("MASMInterp");
 
-  std::set<const ast::FunctionDecl*> visited;
+  // Everything reached from the generator through calls and through the
+  // compiler and interpreter callbacks of emitted ops; externs are leaves.
+  std::set<const ast::FunctionDecl*> visited = {generator};
   std::vector<const ast::FunctionDecl*> worklist = {generator};
-
-  auto enqueue = [&](const ast::FunctionDecl* fn) {
-    if (fn != nullptr && visited.count(fn) == 0) {
+  auto reach = [&](const ast::FunctionDecl* fn) {
+    if (fn != nullptr && visited.insert(fn).second) {
       worklist.push_back(fn);
     }
   };
-
+  int loc = 0;
   while (!worklist.empty()) {
     const ast::FunctionDecl* fn = worklist.back();
     worklist.pop_back();
-    if (!visited.insert(fn).second) {
-      continue;
-    }
-    // Walk the body for calls and emits.
-    auto walk_expr = [&](auto&& self, const ast::Expr* e) -> void {
-      if (e == nullptr) {
-        return;
-      }
-      if (e->kind == ast::ExprKind::kCall && e->callee_fn != nullptr) {
-        enqueue(e->callee_fn);
-      }
-      for (const ast::ExprPtr& a : e->args) {
-        self(self, a.get());
-      }
-    };
-    auto walk_block = [&](auto&& self, const std::vector<ast::StmtPtr>& block) -> void {
-      for (const ast::StmtPtr& stmt : block) {
-        walk_expr(walk_expr, stmt->expr.get());
-        for (const ast::ExprPtr& a : stmt->args) {
-          walk_expr(walk_expr, a.get());
-        }
-        if (stmt->kind == ast::StmtKind::kEmit && stmt->emit_op != nullptr) {
-          if (compiler != nullptr && stmt->emit_op->language == compiler->source_language) {
-            enqueue(compiler->FindCallback(stmt->emit_op));
-          }
-          if (interpreter != nullptr && stmt->emit_op->language == interpreter->language) {
-            enqueue(interpreter->FindCallback(stmt->emit_op));
-          }
-        }
-        self(self, stmt->then_block);
-        self(self, stmt->else_block);
-      }
-    };
-    walk_block(walk_block, fn->body);
-  }
-
-  int loc = 0;
-  for (const ast::FunctionDecl* fn : visited) {
     loc += CountNonBlankLines(fn->source_text);
+    for (const ast::References::Call& call : fn->refs.calls) {
+      reach(call.fn);
+    }
+    for (const ast::OpDecl* op : fn->refs.emits) {
+      if (compiler != nullptr) {
+        reach(compiler->FindCallback(op));
+      }
+      if (interpreter != nullptr) {
+        reach(interpreter->FindCallback(op));
+      }
+    }
   }
   return loc;
 }

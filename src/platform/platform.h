@@ -84,11 +84,11 @@ class Platform {
   // interpreter callbacks, helpers), the way Figure 12 counts.
   int TotalLoc(const std::string& generator_name) const;
 
-  // Stable fingerprint of the loaded platform: hashes every function's name
-  // and source text (top-level functions plus compiler/interpreter callbacks)
-  // and the language op inventories. Two processes that load the same
-  // platform sources agree; any source edit changes it. The resume journal
-  // uses this to refuse mixing verdicts across different platforms.
+  // Stable fingerprint of the loaded platform (ast::ModuleHash, in hex): it
+  // covers each declaration as unit fingerprints do, extern contracts, op
+  // signatures and enums included. Processes that load the same sources
+  // agree. Journals and the extracted header use it to refuse mixing
+  // verdicts or stubs across different platforms.
   std::string Fingerprint() const;
 
   // Inventory counters (§4.1 reproduction).

@@ -4,7 +4,8 @@
 // and fsync'd as each generator finishes, so a run killed mid-flight loses at
 // most the verdict being written (a torn final line, which the reader
 // tolerates). Every record carries the schema version and the platform
-// fingerprint (Platform::Fingerprint()); resuming against a journal written
+// fingerprint (Platform::Fingerprint(), moved by any declaration's edit,
+// contracts and signatures included); resuming against a journal written
 // by a different platform or schema is refused rather than silently mixing
 // verdicts from different universes. Every row also carries the verifier
 // epoch (kVerifierEpoch, verdict_store.h); a row from another epoch, or from

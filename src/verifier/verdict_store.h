@@ -21,9 +21,9 @@
 // On disk the store is a JSONL file of journal records (journal.h wire
 // format, schema v4) whose `platform` field holds the *verifier epoch* — a
 // constant naming the C++-side semantics (solver, meta-executor, extern host
-// bindings) rather than Platform::Fingerprint(), which changes on any DSL
-// edit and would defeat per-unit invalidation. Bump the epoch when a C++
-// change invalidates old verdicts wholesale.
+// bindings) rather than Platform::Fingerprint(), which any declaration's
+// edit moves and would defeat per-unit invalidation. Bump the epoch when a
+// C++ change invalidates old verdicts wholesale.
 //
 // Corruption policy matches the solver-cache store (sym/cache_store.h): any
 // anomaly — malformed line, epoch mismatch, unknown outcome — degrades to an

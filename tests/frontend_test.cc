@@ -1,6 +1,8 @@
 // Lexer / parser / resolver / printer tests for the Icarus DSL frontend.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "src/ast/ast.h"
 #include "src/ast/fingerprint.h"
 #include "src/ast/lexer.h"
@@ -160,14 +162,27 @@ TEST(Parser, RejectsSyntaxError) {
 }
 
 TEST(Resolver, RejectsRecursion) {
-  Module module;
-  ASSERT_TRUE(Parser::ParseInto(&module,
-                                "fn a(x: Int32) -> Int32 { return b(x); }\n"
-                                "fn b(x: Int32) -> Int32 { return a(x); }")
-                  .ok());
-  Status st = Resolve(&module);
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("recursive"), std::string::npos);
+  struct Case {
+    const char* source;
+    const char* diagnostic;  // Names the call that closes the cycle.
+  };
+  const Case cases[] = {
+      {"fn a(x: Int32) -> Int32 { return b(x); }\n"
+       "fn b(x: Int32) -> Int32 { return a(x); }",
+       "resolve error at line 2, col 34: recursive call involving a "},
+      // Through a contract: calling the extern runs its clauses, which call
+      // back into the function that called it.
+      {"extern fn Loop::size(x: Int32) -> Int32 requires ok(x);\n"
+       "fn ok(x: Int32) -> Bool { return Loop::size(x) >= 0; }",
+       "resolve error at line 1, col 50: recursive call involving ok "},
+  };
+  for (const Case& c : cases) {
+    Module module;
+    ASSERT_TRUE(Parser::ParseInto(&module, c.source).ok()) << c.source;
+    Status st = Resolve(&module);
+    EXPECT_FALSE(st.ok()) << c.source;
+    EXPECT_NE(st.message().find(c.diagnostic), std::string::npos) << st.message();
+  }
 }
 
 TEST(Resolver, RejectsLabelStoredInVariable) {
@@ -278,7 +293,7 @@ interpreter I : T {
 }
 
 // Checks resolver.h's post-conditions on one function's (or extern's)
-// parameters and code.
+// parameters and code, and collects what they reference on the way.
 class PostconditionWalk {
  public:
   PostconditionWalk(std::string where, int num_slots)
@@ -289,7 +304,27 @@ class PostconditionWalk {
   void Params(const std::vector<Param>& params) {
     for (const Param& p : params) {
       Slot(p.slot, p.name);
+      if (p.type->kind() == TypeKind::kEnum) {
+        enums_.insert(p.type->enum_decl());
+      }
     }
+  }
+
+  // The declaration's recorded references are exactly what the walk met,
+  // each once.
+  void ExpectRecorded(const References& refs) const {
+    std::set<const void*> callees;
+    for (const References::Call& call : refs.calls) {
+      EXPECT_NE(call.fn == nullptr, call.ext == nullptr) << where_;
+      callees.insert(call.fn != nullptr ? static_cast<const void*>(call.fn) : call.ext);
+    }
+    EXPECT_EQ(callees, callees_) << where_;
+    EXPECT_EQ(callees.size(), refs.calls.size()) << where_ << ": a callee listed twice";
+    EXPECT_EQ(std::set<const OpDecl*>(refs.emits.begin(), refs.emits.end()), emits_) << where_;
+    EXPECT_EQ(emits_.size(), refs.emits.size()) << where_ << ": an op listed twice";
+    EXPECT_EQ(std::set<const EnumDecl*>(refs.enums.begin(), refs.enums.end()), enums_)
+        << where_;
+    EXPECT_EQ(enums_.size(), refs.enums.size()) << where_ << ": an enum listed twice";
   }
 
   void Walk(const Expr& e) {
@@ -297,6 +332,11 @@ class PostconditionWalk {
     EXPECT_NE(e.type, nullptr) << where_ << ": " << PrintExpr(e);
     if (e.kind == ExprKind::kCall) {
       EXPECT_NE(e.callee_fn == nullptr, e.callee_ext == nullptr) << where_ << ": " << e.name;
+      callees_.insert(e.callee_fn != nullptr ? static_cast<const void*>(e.callee_fn)
+                                             : e.callee_ext);
+    }
+    if (e.kind == ExprKind::kEnumLit) {
+      enums_.insert(e.enum_decl);
     }
     if (e.kind == ExprKind::kVar) {
       Slot(e.var_slot, e.name);
@@ -320,6 +360,7 @@ class PostconditionWalk {
         case StmtKind::kEmit:
           EXPECT_NE(stmt->emit_lang, nullptr) << where_ << ": emit " << stmt->emit_callee;
           EXPECT_NE(stmt->emit_op, nullptr) << where_ << ": emit " << stmt->emit_callee;
+          emits_.insert(stmt->emit_op);
           break;
         case StmtKind::kExprStmt:
           if (stmt->emit_lang != nullptr) {
@@ -352,6 +393,9 @@ class PostconditionWalk {
   std::string where_;
   int num_slots_;
   int exprs_ = 0;
+  std::set<const void*> callees_;
+  std::set<const OpDecl*> emits_;
+  std::set<const EnumDecl*> enums_;
 };
 
 TEST(Resolver, PlatformMeetsThePostconditions) {
@@ -363,6 +407,7 @@ TEST(Resolver, PlatformMeetsThePostconditions) {
     PostconditionWalk walk(fn.name, fn.num_slots);
     walk.Params(fn.params);
     walk.Walk(fn.body);
+    walk.ExpectRecorded(fn.refs);
     exprs += walk.exprs();
   };
   for (const auto& fn : module.functions) {
@@ -376,7 +421,22 @@ TEST(Resolver, PlatformMeetsThePostconditions) {
     for (const ContractClause& clause : ext->contracts) {
       walk.Walk(*clause.expr);
     }
+    walk.ExpectRecorded(ext->refs);
     exprs += walk.exprs();
+  }
+  for (const auto& lang : module.languages) {
+    for (const auto& op : lang->ops) {
+      std::set<const EnumDecl*> enums;
+      for (const Param& p : op->params) {
+        if (p.type->kind() == TypeKind::kEnum) {
+          enums.insert(p.type->enum_decl());
+        }
+      }
+      EXPECT_TRUE(op->refs.calls.empty() && op->refs.emits.empty()) << op->name;
+      EXPECT_EQ(std::set<const EnumDecl*>(op->refs.enums.begin(), op->refs.enums.end()), enums)
+          << lang->name << "::" << op->name;
+      EXPECT_EQ(op->refs.enums.size(), enums.size()) << op->name;
+    }
   }
   for (const auto& comp : module.compilers) {
     for (const auto& cb : comp->op_callbacks) {

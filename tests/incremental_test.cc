@@ -470,6 +470,92 @@ TEST(UnitFingerprintTest, ConcurrentFirstUseAgreesWithSerial) {
   }
 }
 
+// --- Platform fingerprint ---------------------------------------------------
+
+std::string PlatformFingerprintWith(const std::string& extra) {
+  auto loaded = platform::Platform::LoadWithExtra({extra});
+  EXPECT_TRUE(loaded.ok()) << loaded.status().message();
+  return loaded.ok() ? loaded.value()->Fingerprint() : std::string();
+}
+
+TEST(PlatformFingerprintTest, ContractSignatureAndEnumEditsMoveIt) {
+  constexpr char kBase[] = R"ICARUS(
+enum ProbeKind { Small, Large }
+language Probe { op Widen(x: Int32, kind: ProbeKind); }
+extern fn Probe::fits(n: Int32) -> Bool requires n >= 0;
+)ICARUS";
+  const std::string base = PlatformFingerprintWith(kBase);
+  ASSERT_EQ(base.size(), 16u);
+  EXPECT_EQ(PlatformFingerprintWith(kBase), base) << "identical sources must agree";
+
+  auto edited = [&kBase](const char* from, const char* to) {
+    std::string text = kBase;
+    size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return text.replace(at, std::string(from).size(), to);
+  };
+  EXPECT_NE(PlatformFingerprintWith(edited("n >= 0", "n >= 1")), base) << "contract edit";
+  EXPECT_NE(PlatformFingerprintWith(edited("x: Int32, kind", "x: Int64, kind")), base)
+      << "op parameter type edit";
+  EXPECT_NE(PlatformFingerprintWith(edited("Small, Large", "Large, Small")), base)
+      << "enum member swap";
+}
+
+// A generator whose verdict rests on one extern contract: with the
+// trivially true contract it verifies, with `n >= 0` a negative input
+// refutes it.
+constexpr char kContractProbe[] = R"ICARUS(
+extern fn Probe::check(n: Int32) -> Bool requires n >= BOUND;
+
+generator probeContract(n: Int32, valId: ValueId) emits CacheIR {
+  if !Probe::check(n) {
+    return AttachDecision::NoAction;
+  }
+  emit CacheIR::GuardToInt32(valId);
+  emit CacheIR::LoadInt32Result(OperandId::toInt32Id(valId));
+  emit CacheIR::ReturnFromIC();
+  return AttachDecision::Attach;
+}
+)ICARUS";
+
+std::unique_ptr<platform::Platform> LoadContractProbe(const char* bound) {
+  std::string text = kContractProbe;
+  text.replace(text.find("BOUND"), 5, bound);
+  auto loaded = platform::Platform::LoadWithExtra({text});
+  EXPECT_TRUE(loaded.ok()) << loaded.status().message();
+  return loaded.ok() ? loaded.take() : nullptr;
+}
+
+TEST(IncrementalE2E, ResumeRefusesAJournalWrittenUnderAnotherContract) {
+  std::unique_ptr<platform::Platform> loose = LoadContractProbe("-2147483648");
+  std::unique_ptr<platform::Platform> strict = LoadContractProbe("0");
+  ASSERT_NE(loose, nullptr);
+  ASSERT_NE(strict, nullptr);
+  const std::vector<std::string> unit = {"probeContract"};
+  std::string journal = TempPath("icarus_incr_contract_journal.jsonl");
+  std::remove(journal.c_str());
+
+  BatchOptions write;
+  write.journal_path = journal;
+  StatusOr<BatchReport> earned = BatchVerifier(loose.get()).VerifyAll(unit, write);
+  ASSERT_TRUE(earned.ok()) << earned.status().message();
+  EXPECT_EQ(earned.value().results[0].outcome, Outcome::kVerified);
+
+  StatusOr<BatchReport> cold = BatchVerifier(strict.get()).VerifyAll(unit, BatchOptions());
+  ASSERT_TRUE(cold.ok()) << cold.status().message();
+  EXPECT_EQ(cold.value().results[0].outcome, Outcome::kRefuted);
+
+  // Restoring the journaled VERIFIED row would contradict the cold run.
+  BatchOptions resume;
+  resume.resume_path = journal;
+  StatusOr<BatchReport> resumed = BatchVerifier(strict.get()).VerifyAll(unit, resume);
+  ASSERT_FALSE(resumed.ok()) << "resumed as "
+                             << OutcomeName(resumed.value().results[0].outcome);
+  EXPECT_NE(resumed.status().message().find("cannot replay journal"), std::string::npos)
+      << resumed.status().message();
+  std::remove(journal.c_str());
+}
+
 TEST(IncrementalE2E, WarmRunSkipsEverythingAndHelperEditInvalidatesDependentsOnly) {
   std::string dir = FreshCacheDir("e2e");
   std::unique_ptr<platform::Platform> p1 = LoadTestPlatform(kHelperV1);

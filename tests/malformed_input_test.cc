@@ -58,7 +58,11 @@ INSTANTIATE_TEST_SUITE_P(
         CorpusCase{"truncated.icarus", "parse error"},
         CorpusCase{"unterminated_comment.icarus", "unterminated block comment"},
         CorpusCase{"overflow_literal.icarus", "overflows int64"},
-        CorpusCase{"deep_nesting.icarus", "nesting too deep"}),
+        CorpusCase{"deep_nesting.icarus", "nesting too deep"},
+        CorpusCase{"recursive_contract.icarus",
+                   "line 3, col 50: recursive call involving ok "},
+        CorpusCase{"emitting_helper_in_contract.icarus",
+                   "line 7, col 50: cannot call probeHelper (emits CacheIR)"}),
     [](const ::testing::TestParamInfo<CorpusCase>& info) {
       std::string name = info.param.file;
       return name.substr(0, name.find('.'));

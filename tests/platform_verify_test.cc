@@ -5,7 +5,9 @@
 // path and changes no verdict.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
+#include <utility>
 
 #include "src/meta/meta_executor.h"
 #include "src/platform/platform.h"
@@ -73,7 +75,6 @@ TEST_P(Fig12Test, GeneratorVerifies) {
   EXPECT_TRUE(result.verified) << info.function << "\n" << result.Summary();
   EXPECT_GT(result.paths_explored, 0);
   EXPECT_GT(result.paths_attached, 0) << info.function;
-  EXPECT_GT(platform_->TotalLoc(info.function), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllGenerators, Fig12Test, ::testing::Range(0, 21),
@@ -120,6 +121,60 @@ INSTANTIATE_TEST_SUITE_P(AllBugs, Fig14Test, ::testing::Range(0, 6),
                            return std::string("Bug") +
                                   Bugs()[static_cast<size_t>(info.param)].id;
                          });
+
+// Each unit's Figure-12 LoC: its generator plus every helper it calls and
+// every compiler and interpreter callback of an op it emits, transitively,
+// never through externs.
+TEST_F(PlatformVerifyTest, TotalLocIsPinnedForEveryUnit) {
+  const std::pair<const char*, int> kPinned[] = {
+      {"tryAttachCompareNullUndefined", 92},
+      {"tryAttachCompareInt32", 120},
+      {"tryAttachCompareStrictDifferentTypes", 168},
+      {"tryAttachDenseElement", 182},
+      {"tryAttachGetElemNativeFixedSlot", 182},
+      {"tryAttachArgumentsObjectArg", 186},
+      {"tryAttachNativeGetPropDynamicSlot", 139},
+      {"tryAttachNativeGetPropFixedSlot", 138},
+      {"tryAttachObjectLength", 151},
+      {"tryAttachInt32Add", 91},
+      {"tryAttachInt32Sub", 91},
+      {"tryAttachInt32Mul", 100},
+      {"tryAttachInt32Div", 126},
+      {"tryAttachInt32Mod", 123},
+      {"tryAttachInt32Bitwise", 121},
+      {"tryAttachInt32Negation", 116},
+      {"tryAttachInt32Not", 79},
+      {"tryAttachStringLength", 116},
+      {"tryAttachCompareString", 129},
+      {"tryAttachCompareObject", 129},
+      {"tryAttachCompareSymbol", 129},
+      {"tryAttachInt32MinMax", 124},
+      {"tryAttachToPropertyKeyInt32", 68},
+      {"tryAttachToPropertyKeyNumber", 103},
+      {"tryAttachToPropertyKeyString", 109},
+      {"tryAttachToPropertyKeySymbol", 109},
+      {"bug1451976_buggy", 59},
+      {"bug1451976_fixed", 101},
+      {"bug1471361_buggy", 105},
+      {"bug1471361_fixed", 108},
+      {"bug1502143_buggy", 183},
+      {"bug1502143_fixed", 198},
+      {"bug1651732_buggy", 132},
+      {"bug1651732_fixed", 149},
+      {"bug1654947_buggy", 87},
+      {"bug1654947_fixed", 88},
+      {"bug1685925_buggy", 197},
+      {"bug1685925_fixed", 175},
+  };
+  ASSERT_EQ(std::size(kPinned), platform_->module().Generators().size());
+  int sum = 0;
+  for (const auto& [generator, loc] : kPinned) {
+    EXPECT_EQ(platform_->TotalLoc(generator), loc) << generator;
+    sum += loc;
+  }
+  EXPECT_EQ(sum, 4803);
+  EXPECT_EQ(platform_->TotalLoc("noSuchGenerator"), 0);
+}
 
 TEST_F(PlatformVerifyTest, AttachedPathHookSeesEveryAttachedPathAndChangesNothing) {
   int total_calls = 0;
