@@ -186,6 +186,7 @@ struct References {
 struct OpDecl {
   std::string name;
   std::vector<Param> params;
+  SrcLoc loc;
   const LanguageDecl* language = nullptr;
   int index = -1;  // Position within the language.
   References refs;  // Resolved; an op has no body, so only its parameter enums.
@@ -265,6 +266,7 @@ struct CompilerDecl {
   std::string source_language_name;
   std::string target_language_name;
   std::vector<std::unique_ptr<FunctionDecl>> op_callbacks;
+  SrcLoc loc;
 
   // Resolved:
   const LanguageDecl* source_language = nullptr;
@@ -283,6 +285,7 @@ struct InterpreterDecl {
   std::string name;
   std::string language_name;
   std::vector<std::unique_ptr<FunctionDecl>> op_callbacks;
+  SrcLoc loc;
 
   // Resolved:
   const LanguageDecl* language = nullptr;
@@ -338,7 +341,7 @@ class Module {
   // True once UnitFingerprint has memoised this module's declarations
   // (fingerprint.h). A frozen module takes no more parsing or resolving:
   // Parser::ParseInto and Resolve fail an ICARUS_CHECK on it.
-  bool frozen() const { return fingerprint_memo_ != nullptr; }
+  bool frozen() const { return memo_ != nullptr; }
 
  private:
   friend struct FingerprintMemo;
@@ -346,8 +349,8 @@ class Module {
   TypeTable types_;
   // Built by the first UnitFingerprint call, once across threads. A
   // shared_ptr, so this header needs only the memo's declaration.
-  mutable std::once_flag fingerprint_once_;
-  mutable std::shared_ptr<const FingerprintMemo> fingerprint_memo_;
+  mutable std::once_flag memo_once_;
+  mutable std::shared_ptr<const FingerprintMemo> memo_;
 };
 
 }  // namespace icarus::ast

@@ -202,11 +202,11 @@ class MemoBuilder {
 }  // namespace
 
 const FingerprintMemo& FingerprintMemo::Of(const Module& module) {
-  std::call_once(module.fingerprint_once_, [&module] {
+  std::call_once(module.memo_once_, [&module] {
     obs::ScopedSpan span("frontend.fingerprint");
-    module.fingerprint_memo_ = MemoBuilder(module).Build();
+    module.memo_ = MemoBuilder(module).Build();
   });
-  return *module.fingerprint_memo_;
+  return *module.memo_;
 }
 
 std::string Fingerprint::ToHex() const {

@@ -187,6 +187,7 @@ class ParserImpl {
     while (!At(Tok::kRBrace)) {
       ICARUS_RETURN_IF_ERROR(Expect(Tok::kKwOp));
       auto op = std::make_unique<OpDecl>();
+      op->loc = Loc();
       std::string_view op_name;
       ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &op_name));
       op->name = op_name;
@@ -208,6 +209,7 @@ class ParserImpl {
   Status CompilerDeclTop() {
     Take();  // compiler
     auto decl = std::make_unique<CompilerDecl>();
+    decl->loc = Loc();
     std::string_view name;
     ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &name));
     decl->name = name;
@@ -233,6 +235,7 @@ class ParserImpl {
   Status InterpreterDeclTop() {
     Take();  // interpreter
     auto decl = std::make_unique<InterpreterDecl>();
+    decl->loc = Loc();
     std::string_view name;
     ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &name));
     decl->name = name;

@@ -98,7 +98,7 @@ class ResolverImpl {
     // Language ops.
     for (auto& lang : module_->languages) {
       for (auto& op : lang->ops) {
-        ICARUS_RETURN_IF_ERROR(ResolveParamTypes(&op->params, SrcLoc{}));
+        ICARUS_RETURN_IF_ERROR(ResolveParamTypes(&op->params, op->loc));
         op->refs = References();
         ReferenceParamEnums(op->params, &op->refs);
       }
@@ -129,7 +129,7 @@ class ResolverImpl {
       comp->source_language = module_->FindLanguage(comp->source_language_name);
       comp->target_language = module_->FindLanguage(comp->target_language_name);
       if (comp->source_language == nullptr || comp->target_language == nullptr) {
-        return Status::Error(StrCat("compiler ", comp->name, ": unknown language"));
+        return Err(comp->loc, StrCat("compiler ", comp->name, ": unknown language"));
       }
       comp->by_op.assign(comp->source_language->ops.size(), nullptr);
       for (auto& cb : comp->op_callbacks) {
@@ -156,7 +156,7 @@ class ResolverImpl {
     for (auto& interp : module_->interpreters) {
       interp->language = module_->FindLanguage(interp->language_name);
       if (interp->language == nullptr) {
-        return Status::Error(StrCat("interpreter ", interp->name, ": unknown language"));
+        return Err(interp->loc, StrCat("interpreter ", interp->name, ": unknown language"));
       }
       interp->by_op.assign(interp->language->ops.size(), nullptr);
       for (auto& cb : interp->op_callbacks) {

@@ -6,8 +6,6 @@
 #include <fstream>
 #include <future>
 
-#include <sys/stat.h>
-
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -22,11 +20,6 @@
 namespace icarus::daemon {
 
 namespace {
-
-bool FileExists(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0;
-}
 
 // The response that serves one verdict row.
 Response ResponseFromResult(const verifier::GeneratorResult& result) {
@@ -77,7 +70,6 @@ std::string DaemonStats::ToJson() const {
   w.Key("deadline_cancelled").Int(deadline_cancelled);
   w.Key("queue_depth").Int(queue_depth);
   w.Key("in_flight").Int(in_flight);
-  w.Key("replayed").Int(replayed);
   w.Key("read_only_cache").Bool(read_only_cache);
   w.Key("store_entries").Int(store_entries);
   w.EndObject();
@@ -102,34 +94,19 @@ Status ServerCore::Start() {
   if (started_) {
     return Status::Error("ServerCore::Start called twice");
   }
-  // The session's view of this service: its budget and persistence, with
-  // the journal both replayed (when it exists; a missing one is a cold
-  // start) and appended to.
+  // The session's view of this service: its budget and persistence.
   verifier::BatchOptions session_options;
   session_options.solver_limits = options_.solver_limits;
   session_options.journal_path = options_.journal_path;
-  if (!options_.journal_path.empty() && FileExists(options_.journal_path)) {
-    session_options.resume_path = options_.journal_path;
-  }
   session_options.incremental = options_.incremental;
   session_options.cache_dir = options_.cache_dir;
   session_options.cache_max_mb = options_.cache_max_mb;
-  std::vector<verifier::GeneratorResult> replayed;
   StatusOr<std::unique_ptr<verifier::Session>> session =
-      verifier::Session::Open(platform_, session_options, &replayed);
+      verifier::Session::Open(platform_, session_options);
   if (!session.ok()) {
     return session.status();
   }
   session_ = session.take();
-  {
-    // The last decisive row per generator wins, so a later INCONCLUSIVE row
-    // does not hide an earlier verdict.
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const verifier::GeneratorResult& row : replayed) {
-      KeepWarm(row);
-    }
-    counters_.replayed = static_cast<int64_t>(warm_.size());
-  }
 
   workers_.reserve(options_.jobs);
   for (int i = 0; i < options_.jobs; ++i) {
@@ -148,11 +125,6 @@ std::vector<std::string> ServerCore::notes() const {
     if (!journaled.ok()) {
       out.push_back(journaled.message());
     }
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (counters_.replayed > 0) {
-    out.push_back(StrFormat("replayed %d warm verdicts from the journal",
-                            static_cast<int>(counters_.replayed)));
   }
   return out;
 }
@@ -288,8 +260,8 @@ Response ServerCore::ExecuteVerify(const Request& request) {
     return resp;
   }
 
-  // Warm view: a decisive verdict this service (or the journal it replayed)
-  // already earned. Free — no queueing.
+  // Warm view: a decisive verdict this service already served. Free — no
+  // queueing.
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = warm_.find(request.generator);
@@ -400,10 +372,10 @@ Response ServerCore::ServeVerify(Ticket* ticket) {
   const Request& request = ticket->request;
   obs::ScopedSpan verify_span("daemon.verify", request.generator);
   // The session answers CACHED_SAFE for an unchanged unit whose PASS is
-  // stored under this budget, as `verify-all --incremental` does. Otherwise
-  // it verifies inside its containment boundary, where the daemon-dispatch
-  // fail point fires: a crash becomes this request's INTERNAL_ERROR and
-  // nothing else's. Either way the row is journaled.
+  // stored (or journaled) under this budget, as `verify-all` does.
+  // Otherwise it verifies inside its containment boundary, where the
+  // daemon-dispatch fail point fires: a crash becomes this request's
+  // INTERNAL_ERROR and nothing else's, and the row is journaled.
   verifier::GeneratorResult result =
       session_->Verify(request.generator, &ticket->cancel, failpoint::kDaemonDispatch);
   Response resp = ResponseFromResult(result);

@@ -4,8 +4,8 @@
 // One ServerCore owns the warm state a long-lived service exists to keep:
 // the loaded Platform, a verifier::Session (solver-result cache, verdict
 // store, journal and per-unit path, as `verify-all` uses them), a warm
-// verdict view (generator → last decisive verdict, restored from the journal
-// on startup), and the worker pool that executes verify requests. Transports
+// verdict view (generator → last decisive verdict this process served), and
+// the worker pool that executes verify requests. Transports
 // (the Unix-socket loop in tools/icarusd_main.cc, in-process tests) parse
 // requests off the wire and call the synchronous, thread-safe `Execute()` —
 // one call per request, blocking until that request's response is ready.
@@ -29,8 +29,9 @@
 // stops admission, fails queued tickets fast with SHUTTING_DOWN, cancels
 // in-flight work, then closes the session, saving the persistent stores.
 // The journal is fsync'd per record at append time, so a crash loses at most
-// the record being written and a restarted daemon replays the journal back
-// into an identical warm view.
+// the record being written. A daemon restarted on the journal restores its
+// PASSes by the verdict store's rule (CACHED_SAFE while the unit
+// fingerprint, budget and epoch match) and verifies everything else again.
 #ifndef ICARUS_DAEMON_SERVER_H_
 #define ICARUS_DAEMON_SERVER_H_
 
@@ -70,8 +71,8 @@ struct DaemonOptions {
   // not per-request — two clients asking under different budgets would
   // defeat the warm view).
   sym::Solver::Limits solver_limits;
-  // When non-empty, every verdict is appended (fsync'd) here and replayed
-  // into the warm view on startup.
+  // When non-empty, every verdict that runs is appended (fsync'd) here, and
+  // the PASSes it already holds answer CACHED_SAFE, as store hits do.
   std::string journal_path;
   // Persistent stores under cache_dir (verdict store + solver cache), as in
   // `verify-all --incremental`. The daemon takes the advisory cache lock; if
@@ -100,7 +101,6 @@ struct DaemonStats {
   int64_t deadline_cancelled = 0;  // Requests degraded to INCONCLUSIVE.
   int queue_depth = 0;
   int in_flight = 0;
-  int64_t replayed = 0;           // Warm-view entries restored at startup.
   bool read_only_cache = false;
   int64_t store_entries = 0;   // Persistent verdict-store size.
 
@@ -117,10 +117,9 @@ class ServerCore {
   ServerCore& operator=(const ServerCore&) = delete;
 
   // Opens the verification session (persistent stores under the advisory
-  // cache lock, the journal for appending), replays the journal's decisive
-  // rows into the warm view, and spawns the worker pool. A missing journal
-  // means a cold start; an unreadable one, or one written for another
-  // platform, fails startup. Store problems degrade with a note.
+  // cache lock, the journal read and opened for appending) and spawns the
+  // worker pool. A missing journal means a cold start; a corrupt one fails
+  // startup. Store problems degrade with a note.
   Status Start();
 
   // Serves one request, blocking until its response is ready. Thread-safe;
@@ -149,8 +148,8 @@ class ServerCore {
   }
 
   DaemonStats StatsSnapshot() const;
-  // Diagnostics: store-load notes, read-only degradation, the first journal
-  // append failure, and the replay summary; the transport logs them.
+  // Diagnostics: store-load notes, read-only degradation and the first
+  // journal append failure; the transport logs them.
   std::vector<std::string> notes() const;
 
  private:

@@ -5,7 +5,6 @@
 #include <exception>
 #include <future>
 #include <memory>
-#include <unordered_map>
 
 #include "src/meta/path_recorder.h"
 #include "src/obs/metrics.h"
@@ -85,11 +84,8 @@ std::string BatchReport::RenderTable() const {
       NumWithOutcome(Outcome::kRefuted), NumWithOutcome(Outcome::kInconclusive),
       NumWithOutcome(Outcome::kError), NumWithOutcome(Outcome::kInternalError));
   if (NumWithOutcome(Outcome::kCachedSafe) > 0) {
-    out += StrFormat("%d cached safe (unchanged units skipped via the incremental store)\n",
+    out += StrFormat("%d cached safe (unchanged units restored from a stored PASS)\n",
                      NumWithOutcome(Outcome::kCachedSafe));
-  }
-  if (num_resumed > 0) {
-    out += StrFormat("%d verdicts restored from journal\n", num_resumed);
   }
   out += StrFormat("wall: %.3fs on %d jobs%s%s\n", wall_seconds, jobs,
                    deadline_hit ? "  (deadline hit; stragglers inconclusive)" : "",
@@ -110,14 +106,8 @@ std::string BatchReport::RenderExplain() const {
       continue;
     }
     for (const exec::Violation& v : r.report.meta.violations) {
-      out += StrCat("--- ", r.generator, r.resumed ? " (from journal)" : "", " ---\n");
+      out += StrCat("--- ", r.generator, " ---\n");
       out += meta::RenderCounterexample(v);
-      // Resumed rows keep pre-rendered context in notes (no live witnesses).
-      if (r.resumed) {
-        for (const std::string& note : v.notes) {
-          out += StrCat("  ", note, "\n");
-        }
-      }
       out += "\n";
     }
   }
@@ -235,9 +225,8 @@ GeneratorResult VerifyOne(const platform::Platform* platform, const std::string&
   return result;
 }
 
-JournalRecord RecordFromResult(const GeneratorResult& r, const std::string& fingerprint) {
+JournalRecord RecordFromResult(const GeneratorResult& r) {
   JournalRecord rec;
-  rec.platform = fingerprint;
   rec.epoch = kVerifierEpoch;
   rec.generator = r.generator;
   rec.outcome = OutcomeName(r.outcome);
@@ -272,92 +261,25 @@ JournalRecord RecordFromResult(const GeneratorResult& r, const std::string& fing
   return rec;
 }
 
-StatusOr<GeneratorResult> ResultFromRecord(const JournalRecord& rec) {
-  GeneratorResult r;
-  r.generator = rec.generator;
-  if (!OutcomeFromName(rec.outcome, &r.outcome)) {
-    return Status::Error(StrCat("journal record for '", rec.generator,
-                                "' has unknown outcome '", rec.outcome, "'"));
-  }
-  r.error = rec.error;
-  r.seconds = rec.seconds;
-  r.resumed = true;
-  r.report.generator = rec.generator;
-  r.report.meta.paths_explored = static_cast<int>(rec.paths);
-  r.report.meta.solver_queries = rec.queries;
-  r.report.meta.gen_seconds = rec.gen_s;
-  r.report.meta.interp_seconds = rec.interp_s;
-  r.report.meta.solve_seconds = rec.solve_s;
-  r.report.meta.solver_decisions = rec.decisions;
-  r.report.meta.solver_propagations = rec.propagations;
-  r.report.meta.solver_learned_clauses = rec.learned_clauses;
-  r.report.meta.solver_restarts = rec.restarts;
-  r.report.meta.paths_attached = static_cast<int>(rec.paths_attached);
-  r.report.meta.paths_infeasible = static_cast<int>(rec.paths_infeasible);
-  r.unit_fp = rec.unit_fp;
-  r.budget_decisions = rec.budget_decisions;
-  // Reconstruct the journaled counterexample so a resumed REFUTED row still
-  // renders and reports. The witness summary and decision string come back
-  // pre-rendered (the journal stores the wire form, not Witness structs);
-  // they land in notes and decisions respectively.
-  if (!rec.cx_contract.empty()) {
-    exec::Violation v;
-    v.message = rec.cx_contract;
-    v.function = rec.cx_function;
-    v.line = rec.cx_line;
-    if (!rec.cx_witnesses.empty()) {
-      v.notes.push_back(StrCat("witnesses: ", rec.cx_witnesses));
-    }
-    if (!rec.cx_source_ops.empty()) {
-      v.notes.push_back(StrCat("stub (source ops): ", rec.cx_source_ops));
-    }
-    if (!rec.cx_target_ops.empty()) {
-      v.notes.push_back(StrCat("stub (target ops): ", rec.cx_target_ops));
-    }
-    v.decisions.reserve(rec.cx_decisions.size());
-    for (char c : rec.cx_decisions) {
-      v.decisions.push_back(c == 'T');
-    }
-    r.report.meta.violations.push_back(std::move(v));
-  }
-  return r;
-}
-
 StatusOr<BatchReport> BatchVerifier::VerifyAll(const std::vector<std::string>& generator_names,
                                                const BatchOptions& options) {
   BatchReport report;
   report.jobs = options.jobs > 0 ? options.jobs : ThreadPool::DefaultConcurrency();
   report.results.resize(generator_names.size());
 
-  std::vector<GeneratorResult> replayed;
-  StatusOr<std::unique_ptr<Session>> opened = Session::Open(platform_, options, &replayed);
+  StatusOr<std::unique_ptr<Session>> opened = Session::Open(platform_, options);
   if (!opened.ok()) {
     return opened.status();
   }
   std::unique_ptr<Session> session = opened.take();
-  // --resume restores the last row of this epoch for each generator,
-  // whatever its outcome: a journal may hold several rows for one generator
-  // if an earlier resume re-verified it.
-  std::unordered_map<std::string, GeneratorResult> restored;
-  for (GeneratorResult& row : replayed) {
-    restored[row.generator] = std::move(row);
-  }
 
   std::atomic<bool> cancel{false};
   WallTimer timer;
   {
     ThreadPool pool(report.jobs);
     std::vector<std::future<void>> futures;
-    std::vector<size_t> submitted;  // results index per future.
     futures.reserve(generator_names.size());
     for (size_t i = 0; i < generator_names.size(); ++i) {
-      auto it = restored.find(generator_names[i]);
-      if (it != restored.end()) {
-        report.results[i] = it->second;
-        ++report.num_resumed;
-        continue;
-      }
-      submitted.push_back(i);
       WallTimer queue_timer;  // Copied into the task: measures submit → start.
       futures.push_back(pool.Submit([&generator_names, &report, &session, &cancel, queue_timer, i]() {
         if (obs::Enabled()) {
@@ -403,17 +325,17 @@ StatusOr<BatchReport> BatchVerifier::VerifyAll(const std::vector<std::string>& g
         }
       }
     }
-    for (size_t k = 0; k < futures.size(); ++k) {
+    for (size_t i = 0; i < futures.size(); ++i) {
       try {
-        futures[k].get();
+        futures[i].get();
       } catch (const std::exception& e) {
         // The session contains the task body, so an exception here means the
         // fault fired before the body ran (e.g. the pool-task fail point).
-        // Contain it the same way; it is not journaled, so a resumed run
-        // re-verifies this generator, which is the correct recovery.
-        GeneratorResult& row = report.results[submitted[k]];
+        // Contain it the same way; it is not journaled, so the next run on
+        // the journal verifies this generator again, the correct recovery.
+        GeneratorResult& row = report.results[i];
         row = GeneratorResult();
-        row.generator = generator_names[submitted[k]];
+        row.generator = generator_names[i];
         row.outcome = Outcome::kInternalError;
         row.error = e.what();
       }
@@ -422,7 +344,7 @@ StatusOr<BatchReport> BatchVerifier::VerifyAll(const std::vector<std::string>& g
   report.wall_seconds = timer.ElapsedSeconds();
   int contained_crashes = 0;
   for (const GeneratorResult& r : report.results) {
-    contained_crashes += r.outcome == Outcome::kInternalError && !r.resumed ? 1 : 0;
+    contained_crashes += r.outcome == Outcome::kInternalError ? 1 : 0;
   }
   if (contained_crashes > 0 && obs::Enabled()) {
     static obs::Counter* contained = obs::Registry::Global().GetCounter(

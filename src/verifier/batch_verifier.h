@@ -36,15 +36,13 @@ struct BatchOptions {
   // Per-query solver decision budget applied inside every task. A query
   // over budget degrades its generator to INCONCLUSIVE.
   sym::Solver::Limits solver_limits;
-  // When non-empty, append each verdict to this JSONL journal as it lands
-  // (fsync'd per record; see journal.h). A run killed mid-flight loses at
-  // most the record being written.
+  // When non-empty, this JSONL journal (journal.h) is read when the run
+  // starts, its rows restoring by the verdict store's rule (a PASS whose
+  // unit fingerprint, budget and epoch still match comes back CACHED_SAFE),
+  // and each verdict that runs is appended as it lands (fsync'd per record).
+  // A run killed mid-flight loses at most the record being written, and the
+  // same command on the same journal finishes it.
   std::string journal_path;
-  // When non-empty, read this journal first and skip every generator it
-  // already holds a verdict for, restoring the journaled rows. Refused when
-  // the journal's platform fingerprint differs from the loaded platform.
-  // Rows from another verifier epoch (kVerifierEpoch) are not restored.
-  std::string resume_path;
   // Flight recorder: keep bounded per-path event logs, attached to any
   // violation found (consumed by `verify-all --explain`). The structured
   // counterexample is captured either way.
@@ -52,10 +50,10 @@ struct BatchOptions {
   // Incremental mode: consult and maintain the persistent stores under
   // `cache_dir` (verdict store + solver-result cache; see
   // verdict_store.h / sym/cache_store.h). A generator whose verification-
-  // unit fingerprint and solver budget match a stored PASS is skipped and
-  // reported CACHED_SAFE; everything else verifies normally and fresh PASSes
-  // are written back. Store load problems degrade to a cold run with a note
-  // in BatchReport::notes, never an error.
+  // unit fingerprint, solver budget and epoch match a stored PASS is skipped
+  // and reported CACHED_SAFE; everything else verifies normally and fresh
+  // PASSes are written back. Store load problems degrade to a cold run with
+  // a note in BatchReport::notes, never an error.
   bool incremental = false;
   std::string cache_dir = ".icarus-cache";
   // Size bound (MiB) for the persisted solver cache; LRU-evicted at save
@@ -65,8 +63,8 @@ struct BatchOptions {
   // becomes true, the fleet is cancelled exactly like a deadline expiry —
   // running tasks stop at their next path boundary, unfinished generators
   // report INCONCLUSIVE, and every verdict that landed is already fsync'd in
-  // the journal, so the run can be resumed with --resume. The pointee must
-  // outlive VerifyAll; it may be flipped from a signal handler.
+  // the journal, so a run on the same journal finishes the fleet. The
+  // pointee must outlive VerifyAll; it may be flipped from a signal handler.
   const std::atomic<bool>* interrupt = nullptr;
 };
 
@@ -99,10 +97,9 @@ struct GeneratorResult {
   std::string error;    // Set when outcome is kError / kInternalError.
   VerifyReport report;  // Valid unless outcome is kError / kInternalError.
   double seconds = 0.0; // Wall-clock for this task (queue wait excluded).
-  bool resumed = false; // Row restored from a journal, not recomputed.
-  // Incremental verification: the unit's content fingerprint (hex; empty in
-  // non-incremental runs) and the decision budget the run was configured with.
-  // Journaled (schema v4) and matched by the verdict store.
+  // The unit's content fingerprint (hex; empty in a run with neither a
+  // journal nor a store) and the decision budget the run was configured
+  // with. Journaled (schema v4) and matched by the verdict store.
   std::string unit_fp;
   int64_t budget_decisions = 0;
 };
@@ -114,7 +111,6 @@ struct BatchReport {
   double wall_seconds = 0.0;  // End-to-end batch wall clock.
   bool deadline_hit = false;
   bool interrupted = false;  // BatchOptions::interrupt fired mid-run.
-  int num_resumed = 0;  // Rows restored from the resume journal.
   sym::SolverCacheStats cache;  // Zero-valued when the cache was disabled.
   // Another process held the advisory cache lock: this run warmed from the
   // persistent stores but could not write them back. Surfaced in --stats and
@@ -129,14 +125,11 @@ struct BatchReport {
   // Multi-line summary table: one row per generator plus aggregate footer.
   std::string RenderTable() const;
   // Flight-recorder rendering: one explain block (see
-  // meta::RenderCounterexample) per violation of every refuted row. Resumed
-  // rows render from their journaled counterexample fields.
+  // meta::RenderCounterexample) per violation of every refuted row.
   std::string RenderExplain() const;
   // Cost-attribution table: per-generator stage breakdown (generate,
   // interpret, solver), decision/query counts, and the dominant
-  // stage, plus aggregate and tail-percentile footers. Stage columns are 0
-  // for rows resumed from a schema-1 journal (written before the breakdown
-  // existed).
+  // stage, plus aggregate and tail-percentile footers.
   std::string RenderStatsTable() const;
 };
 
@@ -153,10 +146,9 @@ GeneratorResult VerifyOne(const platform::Platform* platform, const std::string&
 
 // Converts one batch row to its journal record (stamped with
 // kVerifierEpoch, including the flight-recorder counterexample fields for
-// refuted rows) and back. Public because `verify-all --report` renders its
-// in-memory results without round-tripping through a journal file.
-JournalRecord RecordFromResult(const GeneratorResult& r, const std::string& fingerprint);
-StatusOr<GeneratorResult> ResultFromRecord(const JournalRecord& rec);
+// refuted rows). Public because `verify-all --report` renders its in-memory
+// results as records.
+JournalRecord RecordFromResult(const GeneratorResult& r);
 
 // Drives Verifier over many generators concurrently. Thread-compatible: use
 // one BatchVerifier per batch run.
@@ -174,9 +166,8 @@ class BatchVerifier {
 
   // Verifies every generator in `generator_names` (order of the report rows
   // matches the input order regardless of scheduling). Errors only on
-  // journal problems (unreadable/corrupt/mismatched resume journal,
-  // unwritable journal path) — per-generator failures are report rows, never
-  // errors.
+  // journal problems (a corrupt journal, an unwritable journal path, a
+  // failed append) — per-generator failures are report rows, never errors.
   StatusOr<BatchReport> VerifyAll(const std::vector<std::string>& generator_names,
                                   const BatchOptions& options = BatchOptions());
 

@@ -1,8 +1,11 @@
 #include "src/verifier/journal.h"
 
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <system_error>
 
 #include "src/support/flat_json.h"
 #include "src/support/str_util.h"
@@ -25,9 +28,7 @@ bool ParseJournalLine(std::string_view line, JournalRecord* rec) {
   };
   bool ok = FlatLineParser(line).Parse(
       [rec](const std::string& key, std::string s) {
-        if (key == "platform") {
-          rec->platform = std::move(s);
-        } else if (key == "epoch") {
+        if (key == "epoch") {
           rec->epoch = std::move(s);
         } else if (key == "generator") {
           rec->generator = std::move(s);
@@ -88,9 +89,7 @@ bool ParseJournalLine(std::string_view line, JournalRecord* rec) {
 }
 
 std::string JournalRecord::ToJsonLine() const {
-  std::string out = StrFormat("{\"schema\":%d,\"platform\":", schema);
-  AppendJsonString(platform, &out);
-  out += ",\"epoch\":";
+  std::string out = StrFormat("{\"schema\":%d,\"epoch\":", schema);
   AppendJsonString(epoch, &out);
   out += ",\"generator\":";
   AppendJsonString(generator, &out);
@@ -98,8 +97,7 @@ std::string JournalRecord::ToJsonLine() const {
   AppendJsonString(outcome, &out);
   out += ",\"error\":";
   AppendJsonString(error, &out);
-  // %.17g round-trips a double exactly through strtod, so a resumed run
-  // re-renders the same "%.4f" table cell the interrupted run printed.
+  // %.17g round-trips a double exactly through strtod.
   out += StrFormat(",\"paths\":%lld,\"queries\":%lld,\"seconds\":%.17g",
                    static_cast<long long>(paths), static_cast<long long>(queries), seconds);
   out += StrFormat(
@@ -112,8 +110,8 @@ std::string JournalRecord::ToJsonLine() const {
   out += StrFormat(",\"paths_attached\":%lld,\"paths_infeasible\":%lld",
                    static_cast<long long>(paths_attached),
                    static_cast<long long>(paths_infeasible));
-  // Incremental-verification block (schema >= 4): only on rows that carry a
-  // unit fingerprint, so journals from non-incremental runs stay compact.
+  // Restore key (schema >= 4): only on rows that carry a unit fingerprint,
+  // which a row of an undeclared generator does not.
   if (!unit_fp.empty()) {
     out += ",\"unit_fp\":";
     AppendJsonString(unit_fp, &out);
@@ -140,7 +138,35 @@ std::string JournalRecord::ToJsonLine() const {
   return out;
 }
 
+namespace {
+
+// Cuts a final line that has no newline: a crash tore that append, and the
+// next record would otherwise merge into it.
+Status CutTornTail(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) {
+    return Status::Ok();  // Absent: Open creates it.
+  }
+  const std::streamoff size = in.tellg();
+  std::streamoff keep = size;
+  char c = '\0';
+  while (keep > 0 && in.seekg(keep - 1) && in.get(c) && c != '\n') {
+    --keep;
+  }
+  std::error_code ec;
+  if (in && keep < size) {
+    std::filesystem::resize_file(path, static_cast<std::uintmax_t>(keep), ec);
+  }
+  if (!in || ec) {
+    return Status::Error(StrCat("cannot cut the torn final line of journal '", path, "'"));
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
 StatusOr<std::unique_ptr<JournalWriter>> JournalWriter::Open(const std::string& path) {
+  ICARUS_RETURN_IF_ERROR(CutTornTail(path));
   std::FILE* file = std::fopen(path.c_str(), "ab");
   if (file == nullptr) {
     return Status::Error(
@@ -174,12 +200,7 @@ Status JournalWriter::Append(const JournalRecord& record) {
   return Status::Ok();
 }
 
-StatusOr<std::vector<JournalRecord>> ReadJournal(const std::string& path,
-                                                 const std::string& expect_platform) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::Error(StrCat("cannot read journal '", path, "'"));
-  }
+StatusOr<std::vector<JournalRecord>> ReadRecords(std::istream& in, bool drop_torn_tail) {
   std::vector<JournalRecord> records;
   std::string line;
   std::string pending_error;
@@ -196,22 +217,31 @@ StatusOr<std::vector<JournalRecord>> ReadJournal(const std::string& path,
     }
     JournalRecord rec;
     if (!ParseJournalLine(line, &rec)) {
-      pending_error = StrCat("journal '", path, "' line ", line_no, " is malformed");
+      pending_error = StrCat("line ", line_no, " is malformed");
+      if (!drop_torn_tail) {
+        return Status::Error(pending_error);
+      }
       continue;
     }
     if (rec.schema < kJournalMinReadSchemaVersion || rec.schema > kJournalSchemaVersion) {
-      return Status::Error(StrFormat("journal '%s' line %d has schema version %d; this build "
-                                     "reads versions %d through %d",
-                                     path.c_str(), line_no, rec.schema,
-                                     kJournalMinReadSchemaVersion, kJournalSchemaVersion));
-    }
-    if (!expect_platform.empty() && rec.platform != expect_platform) {
-      return Status::Error(StrFormat(
-          "journal '%s' line %d was written by platform %s but this process loaded %s; "
-          "refusing to mix verdicts across platforms",
-          path.c_str(), line_no, rec.platform.c_str(), expect_platform.c_str()));
+      return Status::Error(StrFormat("line %d has schema version %d; this build reads versions "
+                                     "%d through %d",
+                                     line_no, rec.schema, kJournalMinReadSchemaVersion,
+                                     kJournalSchemaVersion));
     }
     records.push_back(std::move(rec));
+  }
+  return records;
+}
+
+StatusOr<std::vector<JournalRecord>> ReadJournal(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    return Status::Error(StrCat("cannot read journal '", path, "'"));
+  }
+  StatusOr<std::vector<JournalRecord>> records = ReadRecords(in, /*drop_torn_tail=*/true);
+  if (!records.ok()) {
+    return Status::Error(StrCat("journal '", path, "' ", records.status().message()));
   }
   return records;
 }

@@ -1,25 +1,24 @@
-// Verdict journal for resumable batch runs.
+// Verdict journal: the record format of every stored verdict.
 //
 // Format: JSON Lines — one self-contained JSON object per verdict, appended
 // and fsync'd as each generator finishes, so a run killed mid-flight loses at
-// most the verdict being written (a torn final line, which the reader
-// tolerates). Every record carries the schema version and the platform
-// fingerprint (Platform::Fingerprint(), moved by any declaration's edit,
-// contracts and signatures included); resuming against a journal written
-// by a different platform or schema is refused rather than silently mixing
-// verdicts from different universes. Every row also carries the verifier
-// epoch (kVerifierEpoch, verdict_store.h); a row from another epoch, or from
-// before rows carried one, is never restored: resume and the daemon's replay
-// verify that generator again.
+// most the verdict being written (a torn final line, which the reader drops
+// and the next writer cuts). Every record carries the schema version, the
+// verifier epoch (kVerifierEpoch, verdict_store.h), and on rows of a
+// declared generator the unit fingerprint and decision budget the verdict
+// was earned under. The persistent verdict store (verdict_store.h) is a file
+// of the same records.
 //
-// The record holds exactly what the batch report renders for a finished
-// generator (outcome, path/query counts, wall seconds), so a resumed run
-// reproduces the interrupted run's rows byte-for-byte without re-verifying.
+// A journal is an input of the session that writes it: a run on an existing
+// journal restores a row only by the verdict store's rule (a VERIFIED or
+// CACHED_SAFE row whose epoch, unit fingerprint and budget equal the current
+// ones comes back CACHED_SAFE) and verifies every other unit again.
 #ifndef ICARUS_VERIFIER_JOURNAL_H_
 #define ICARUS_VERIFIER_JOURNAL_H_
 
 #include <cstdint>
 #include <cstdio>
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -68,7 +67,11 @@ namespace icarus::verifier {
 //       the verifier epoch that produced the verdict. Additive: older
 //       readers skip it. This build restores a row only when its epoch is
 //       kVerifierEpoch, so every older row above still parses but is
-//       re-verified on resume, not trusted.
+//       verified again, not trusted.
+//   Still 7 — rows stopped carrying `platform` (Platform::Fingerprint() of
+//       the writer; no reader binds a journal to a whole platform any more,
+//       a row restores by its own unit fingerprint). Readers skip the key,
+//       so older v7 rows still parse and restore by the same rule.
 inline constexpr int kJournalSchemaVersion = 7;
 inline constexpr int kJournalMinReadSchemaVersion = 1;
 
@@ -77,15 +80,14 @@ inline constexpr int kJournalMinReadSchemaVersion = 1;
 // stays readable and diffable with standard tools.
 struct JournalRecord {
   int schema = kJournalSchemaVersion;
-  std::string platform;   // Platform::Fingerprint() of the writing process.
   std::string epoch;      // kVerifierEpoch of the writing process (empty in old rows).
-  std::string generator;  // DSL generator name (row key for resume).
+  std::string generator;  // DSL generator name.
   std::string outcome;    // OutcomeName() token.
   std::string error;      // Diagnostic for ERROR / INTERNAL_ERROR rows.
   int64_t paths = 0;      // meta.paths_explored.
   int64_t queries = 0;    // meta.solver_queries.
   double seconds = 0.0;   // Per-task wall clock.
-  // Per-stage cost attribution (schema >= 2; 0 in resumed v1 rows).
+  // Per-stage cost attribution (schema >= 2; 0 in v1 rows).
   double gen_s = 0.0;      // Meta-execution phase 1, minus solver time.
   double interp_s = 0.0;   // Meta-execution phase 2, minus solver time.
   double solve_s = 0.0;    // Wall time inside Solver::Solve.
@@ -121,7 +123,9 @@ struct JournalRecord {
 // if the process dies immediately after.
 class JournalWriter {
  public:
-  // Opens `path` for appending (creating it if absent).
+  // Opens `path` for appending, creating it if absent. A final line with no
+  // newline (torn by a crash mid-append) is cut first, so the next record
+  // starts a line of its own.
   static StatusOr<std::unique_ptr<JournalWriter>> Open(const std::string& path);
   ~JournalWriter();
 
@@ -137,21 +141,19 @@ class JournalWriter {
 };
 
 // Parses one JSONL journal line into `rec`. Returns false on malformed
-// input. Exposed for the persistent verdict store (verdict_store.h), which
-// reuses the journal's record format and parser but applies a tolerant
-// corruption policy instead of ReadJournal's strict one.
+// input.
 bool ParseJournalLine(std::string_view line, JournalRecord* rec);
 
-// Reads every complete record from a journal at `path`.
-//
-// A torn final line (the crash case: the process died mid-append) is dropped
-// silently; a malformed line anywhere *before* the last is corruption and an
-// error. When `expect_platform` is non-empty, a record whose platform
-// fingerprint differs fails the read — resuming would mix verdicts across
-// different platform sources. A record with an unknown schema version also
-// fails the read.
-StatusOr<std::vector<JournalRecord>> ReadJournal(const std::string& path,
-                                                 const std::string& expect_platform);
+// The line loop behind ReadJournal and VerdictStore::Load: parses every line
+// of `in` into a record, in order, skipping blank lines. A malformed line, or
+// a record of a schema this build does not read, fails the read, except that
+// with `drop_torn_tail` a malformed final line (a crash mid-append) is
+// dropped. Errors name the line; callers name the file.
+StatusOr<std::vector<JournalRecord>> ReadRecords(std::istream& in, bool drop_torn_tail);
+
+// Reads every complete record from the journal at `path`: ReadRecords with
+// the torn final line dropped. A missing file is an error.
+StatusOr<std::vector<JournalRecord>> ReadJournal(const std::string& path);
 
 }  // namespace icarus::verifier
 

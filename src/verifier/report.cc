@@ -180,10 +180,6 @@ std::string RenderHtmlReport(const ReportInput& input) {
   out += StrFormat("<title>%s</title>\n<style>%s</style>\n</head>\n<body>\n",
                    HtmlEscape(title).c_str(), kCss);
   out += StrFormat("<h1>%s</h1>\n", HtmlEscape(title).c_str());
-  if (!input.fingerprint.empty()) {
-    out += StrFormat("<p class=\"meta\">platform: %s</p>\n",
-                     HtmlEscape(input.fingerprint).c_str());
-  }
 
   // Outcome tiles.
   int64_t verified = 0;

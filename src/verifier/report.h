@@ -20,8 +20,7 @@ namespace icarus::verifier {
 
 // Everything the dashboard renders.
 struct ReportInput {
-  std::string title;        // Page heading; defaults applied when empty.
-  std::string fingerprint;  // Platform fingerprint of the run (may be empty).
+  std::string title;  // Page heading; defaults applied when empty.
   std::vector<JournalRecord> rows;  // One per generator, in display order.
   // Raw metrics-registry JSON text (ExportJson()); embedded verbatim in a
   // collapsible section when non-empty.

@@ -14,7 +14,7 @@ namespace icarus::verifier {
 
 Session::Session(const platform::Platform* platform, const BatchOptions& options)
     : platform_(platform),
-      incremental_(options.incremental),
+      keyed_(options.incremental || !options.journal_path.empty()),
       cache_dir_(options.cache_dir),
       cache_max_bytes_(options.cache_max_mb * 1024 * 1024) {
   verify_options_.solver_limits = options.solver_limits;
@@ -24,40 +24,9 @@ Session::Session(const platform::Platform* platform, const BatchOptions& options
 Session::~Session() = default;
 
 StatusOr<std::unique_ptr<Session>> Session::Open(const platform::Platform* platform,
-                                                 const BatchOptions& options,
-                                                 std::vector<GeneratorResult>* replayed) {
+                                                 const BatchOptions& options) {
   std::unique_ptr<Session> session(new Session(platform, options));
   Session& s = *session;
-
-  // The platform fingerprint binds both the rows we write and the rows we
-  // accept to this exact platform.
-  if (!options.journal_path.empty() || !options.resume_path.empty()) {
-    s.fingerprint_ = platform->Fingerprint();
-  }
-  auto replay_error = [&options](const Status& why) {
-    return Status::Error(StrCat("cannot replay journal '", options.resume_path, "': ",
-                                why.message(), " (remove or relocate the journal to start cold)"));
-  };
-  if (!options.resume_path.empty()) {
-    StatusOr<std::vector<JournalRecord>> records =
-        ReadJournal(options.resume_path, s.fingerprint_);
-    if (!records.ok()) {
-      return replay_error(records.status());
-    }
-    for (const JournalRecord& rec : records.value()) {
-      if (rec.epoch != kVerifierEpoch) {
-        // Earned under other verifier semantics (or written before rows
-        // carried an epoch): this build does not vouch for it, so the
-        // generator is verified again.
-        continue;
-      }
-      StatusOr<GeneratorResult> row = ResultFromRecord(rec);
-      if (!row.ok()) {
-        return replay_error(row.status());
-      }
-      replayed->push_back(row.take());
-    }
-  }
 
   // Two writers would race the temp+rename saves and drop each other's
   // entries, so only the holder of the advisory lock writes the stores back.
@@ -103,17 +72,22 @@ StatusOr<std::unique_ptr<Session>> Session::Open(const platform::Platform* platf
   }
   s.verify_options_.solver_cache = s.cache_.get();
 
-  // A replayed PASS carries the fingerprint and budget that earned it on
-  // this platform and epoch, so it is as good as a fresh one.
-  for (const GeneratorResult& row : *replayed) {
-    if (row.outcome == Outcome::kVerified && s.lock_ != nullptr) {
-      s.store_changed_ |= s.store_.Put(RecordFromResult(row, kVerifierEpoch));
-    }
-  }
   if (!options.journal_path.empty()) {
+    // The journal is the store's second input: its rows restore by the same
+    // rule, and a writable store keeps the PASSes it gained. The writer opens
+    // first, creating the file and cutting a torn final line.
     StatusOr<std::unique_ptr<JournalWriter>> writer = JournalWriter::Open(options.journal_path);
     if (!writer.ok()) {
       return writer.status();
+    }
+    StatusOr<std::vector<JournalRecord>> rows = ReadJournal(options.journal_path);
+    if (!rows.ok()) {
+      return Status::Error(StrCat("cannot replay journal '", options.journal_path, "': ",
+                                  rows.status().message(),
+                                  " (remove or relocate the journal to start cold)"));
+    }
+    for (const JournalRecord& rec : rows.value()) {
+      s.store_changed_ |= s.store_.Put(rec);
     }
     s.journal_ = writer.take();
   }
@@ -125,7 +99,7 @@ GeneratorResult Session::Verify(const std::string& generator, const std::atomic<
   // A name the platform does not declare has no fingerprint, so it never
   // matches and is never stored; VerifyOne reports the unknown generator.
   std::string unit_fp;
-  if (incremental_) {
+  if (keyed_) {
     StatusOr<ast::Fingerprint> fp = ast::UnitFingerprint(platform_->module(), generator);
     unit_fp = fp.ok() ? fp.value().ToHex() : "";
   }
@@ -169,22 +143,23 @@ GeneratorResult Session::Verify(const std::string& generator, const std::atomic<
   }
   result.unit_fp = unit_fp;
   result.budget_decisions = verify_options_.solver_limits.max_decisions;
+  if (stored_pass) {
+    return result;  // The PASS behind it is stored already: nothing to write.
+  }
 
   std::lock_guard<std::mutex> lock(mu_);
-  if (result.outcome == Outcome::kVerified && lock_ != nullptr) {
+  if (result.outcome == Outcome::kVerified) {
     // Ignores an empty unit_fp.
-    store_changed_ |= store_.Put(RecordFromResult(result, kVerifierEpoch));
+    store_changed_ |= store_.Put(RecordFromResult(result));
   }
   if (journal_ != nullptr) {
-    Status st = journal_->Append(RecordFromResult(result, fingerprint_));
+    Status st = journal_->Append(RecordFromResult(result));
     if (!st.ok() && journal_status_.ok()) {
       journal_status_ = st;
     }
     // Checkpoint, so a run killed mid-fleet still warms the next one. A
-    // CACHED_SAFE row taught the cache nothing; a failed save is retried at
-    // the next checkpoint and at Close.
-    if (result.outcome != Outcome::kCachedSafe && lock_ != nullptr && cache_ != nullptr &&
-        ++journaled_runs_ % 8 == 0) {
+    // failed save is retried at the next checkpoint and at Close.
+    if (lock_ != nullptr && cache_ != nullptr && ++journaled_ % 8 == 0) {
       (void)sym::SaveSolverCache(*cache_, SolverCacheStorePath(cache_dir_), kVerifierEpoch,
                                  cache_max_bytes_);
     }

@@ -1,7 +1,8 @@
 // One verification session: a run's persistent state and its per-unit path,
-// shared by `verify-all` (BatchVerifier) and `icarusd` (ServerCore), so the
-// rules for when a stored verdict may stand in for a fresh one live in one
-// place. See docs/ARCHITECTURE.md §"The verification session".
+// shared by `verify-all` (BatchVerifier) and `icarusd` (ServerCore). Every
+// stored verdict, from the verdict store or the journal, reaches the run
+// through one VerdictStore and its one restore rule (verdict_store.h). See
+// docs/ARCHITECTURE.md §"The verification session".
 #ifndef ICARUS_VERIFIER_SESSION_H_
 #define ICARUS_VERIFIER_SESSION_H_
 
@@ -30,26 +31,26 @@ namespace icarus::verifier {
 class Session {
  public:
   // Reads the persistence and budget fields of `options` (use_cache,
-  // solver_limits, record, journal_path, resume_path, incremental, cache_dir,
+  // solver_limits, record, journal_path, incremental, cache_dir,
   // cache_max_mb); the rest belong to the driver. In incremental mode it
   // creates cache_dir and takes its advisory lock — if another process holds
   // it, the stores are read but never written back — then loads the verdict
-  // store and the solver cache. The rows of this verifier epoch in
-  // resume_path are appended to `*replayed` in file order; the VERIFIED ones
-  // also re-enter a writable store. Errors: an unreadable, corrupt or foreign
-  // replay journal, and a journal_path that cannot be opened for appending.
+  // store and the solver cache. With a journal_path it opens the journal for
+  // appending (creating it) and Puts every row it holds into the verdict
+  // store, after the store's own. Errors: a journal that cannot be opened,
+  // or one with a malformed line before the last or an unknown schema.
   // Store problems are notes.
   static StatusOr<std::unique_ptr<Session>> Open(const platform::Platform* platform,
-                                                 const BatchOptions& options,
-                                                 std::vector<GeneratorResult>* replayed);
+                                                 const BatchOptions& options);
   ~Session();
 
-  // Returns the unit's row: CACHED_SAFE when incremental and a stored PASS
-  // matches its fingerprint and budget, else VerifyOne's row, with a crash
-  // (or `fail_site`, fired when non-null) contained to INTERNAL_ERROR. The
-  // row is stamped with fingerprint and budget, Put into a writable store if
-  // VERIFIED, and journaled; every 8 journaled rows that ran, a writable
-  // session checkpoints the solver cache. `cancel` may be null.
+  // Returns the unit's row. With a journal or a store the unit is
+  // fingerprinted, and a stored PASS that matches its fingerprint and budget
+  // makes the row CACHED_SAFE; nothing is written for it. Otherwise it is
+  // VerifyOne's row, with a crash (or `fail_site`, fired when non-null)
+  // contained to INTERNAL_ERROR, stamped with fingerprint and budget, Put
+  // into the store if VERIFIED, and journaled; every 8 journaled rows, a
+  // writable session checkpoints the solver cache. `cancel` may be null.
   GeneratorResult Verify(const std::string& generator, const std::atomic<bool>* cancel,
                          const char* fail_site = nullptr);
 
@@ -70,11 +71,10 @@ class Session {
   Session(const platform::Platform* platform, const BatchOptions& options);
 
   const platform::Platform* platform_;
-  const bool incremental_;
+  const bool keyed_;  // A journal or a store: units are fingerprinted.
   const std::string cache_dir_;
   const int64_t cache_max_bytes_;
   VerifyOptions verify_options_;  // All but `cancel`, which is per call.
-  std::string fingerprint_;       // Platform::Fingerprint() of journal rows.
   std::unique_ptr<sym::SolverCache> cache_;
   std::unique_ptr<FileLock> lock_;  // Held iff the stores are written back.
   bool read_only_ = false;
@@ -85,7 +85,7 @@ class Session {
   VerdictStore store_;
   bool store_changed_ = false;  // Close must save the verdict store.
   std::unique_ptr<JournalWriter> journal_;
-  int journaled_runs_ = 0;  // Journaled rows that ran; drives the checkpoint.
+  int journaled_ = 0;  // Rows appended to the journal; drives the checkpoint.
   Status journal_status_;
 };
 

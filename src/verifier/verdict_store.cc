@@ -8,6 +8,7 @@
 #include <cstring>
 #include <fstream>
 #include <utility>
+#include <vector>
 
 #ifndef _WIN32
 #include <unistd.h>
@@ -39,40 +40,28 @@ Status EnsureCacheDir(const std::string& cache_dir) {
 
 VerdictStore::LoadResult VerdictStore::Load(const std::string& path, const std::string& epoch) {
   by_generator_.clear();
+  epoch_ = epoch;
   LoadResult result;
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     return result;  // Absent store: clean cold start, no note.
   }
-  std::string line;
-  int line_no = 0;
-  std::map<std::string, JournalRecord> loaded;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) {
-      continue;
-    }
-    JournalRecord rec;
-    if (!ParseJournalLine(line, &rec)) {
-      result.note = StrFormat("verdict store line %d is malformed; starting cold", line_no);
-      return result;
-    }
-    if (rec.schema < kJournalMinReadSchemaVersion || rec.schema > kJournalSchemaVersion) {
-      result.note = StrFormat("verdict store line %d has schema %d (this build reads %d..%d); "
-                              "starting cold",
-                              line_no, rec.schema, kJournalMinReadSchemaVersion,
-                              kJournalSchemaVersion);
-      return result;
-    }
-    if (rec.platform != epoch) {
-      result.note = StrCat("verdict store was written under epoch '", rec.platform,
+  // Save replaces the file whole, so no crash tears its last line: a
+  // malformed line anywhere is damage.
+  StatusOr<std::vector<JournalRecord>> records = ReadRecords(in, /*drop_torn_tail=*/false);
+  if (!records.ok()) {
+    result.note = StrCat("verdict store ", records.status().message(), "; starting cold");
+    return result;
+  }
+  for (const JournalRecord& rec : records.value()) {
+    if (rec.epoch != epoch) {
+      by_generator_.clear();
+      result.note = StrCat("verdict store was written under epoch '", rec.epoch,
                            "' (this build is '", epoch, "'); starting cold");
       return result;
     }
-    std::string generator = rec.generator;
-    loaded[std::move(generator)] = std::move(rec);
+    Put(rec);
   }
-  by_generator_ = std::move(loaded);
   result.entries = by_generator_.size();
   return result;
 }
@@ -80,28 +69,26 @@ VerdictStore::LoadResult VerdictStore::Load(const std::string& path, const std::
 const JournalRecord* VerdictStore::FindPass(const std::string& generator,
                                             const std::string& unit_fp,
                                             const sym::Solver::Limits& limits) const {
-  if (unit_fp.empty()) {
-    return nullptr;
-  }
   auto it = by_generator_.find(generator);
   if (it == by_generator_.end()) {
     return nullptr;
   }
   const JournalRecord& rec = it->second;
-  if (rec.outcome != "VERIFIED" || rec.unit_fp != unit_fp) {
-    return nullptr;
-  }
-  return rec.budget_decisions == limits.max_decisions ? &rec : nullptr;
+  return rec.unit_fp == unit_fp && rec.budget_decisions == limits.max_decisions ? &rec : nullptr;
 }
 
 bool VerdictStore::Put(const JournalRecord& rec) {
-  if (rec.outcome != "VERIFIED" || rec.unit_fp.empty()) {
+  if ((rec.outcome != "VERIFIED" && rec.outcome != "CACHED_SAFE") || rec.unit_fp.empty() ||
+      rec.epoch != epoch_) {
     return false;
   }
-  JournalRecord& stored = by_generator_[rec.generator];  // A new one has no outcome.
-  bool changed = stored.outcome != rec.outcome || stored.unit_fp != rec.unit_fp ||
-                 stored.budget_decisions != rec.budget_decisions;
-  stored = rec;
+  auto [it, added] = by_generator_.try_emplace(rec.generator, rec);
+  if (added) {
+    return true;
+  }
+  bool changed = it->second.unit_fp != rec.unit_fp ||
+                 it->second.budget_decisions != rec.budget_decisions;
+  it->second = rec;
   return changed;
 }
 

@@ -1,12 +1,15 @@
-// Persistent verdict store for incremental cross-run verification.
+// The verdict store: the one index that decides when a stored verdict
+// stands in for a run.
 //
-// The store maps a generator to the last PASS (VERIFIED) it earned, together
-// with the content fingerprint of its verification unit (ast/fingerprint.h)
-// and the solver decision budget the pass ran under. `verify-all --incremental`
-// consults it before dispatching a generator: a stored PASS whose fingerprint
-// matches the generator's current unit fingerprint *and* whose budget equals
-// the requested budget means a cold run would reproduce the same VERIFIED
-// verdict — the generator is skipped and reported as CACHED_SAFE.
+// The store maps a generator to the last PASS it earned, together with the
+// content fingerprint of its verification unit (ast/fingerprint.h), the
+// solver decision budget the pass ran under and the verifier epoch. A
+// verification session (session.h) consults it before running a unit. One
+// rule decides, and Put applies it to every row that enters: a row restores
+// only if it is VERIFIED or CACHED_SAFE and its epoch equals this build's;
+// FindPass then matches it only on an equal unit fingerprint and budget. A
+// match means a cold run would reproduce the same VERIFIED verdict, so the
+// unit is reported CACHED_SAFE instead.
 //
 // Matching is deliberately strict:
 //   - Fingerprint equality is the soundness condition: the unit fingerprint
@@ -14,21 +17,21 @@
 //     "same semantics as when the pass was earned".
 //   - Budget equality (not >=) is the fidelity condition: a pass earned under
 //     a larger budget might have been INCONCLUSIVE under the requested one,
-//     and incremental mode promises verdicts identical to a cold run.
-//   - Only PASSes are stored. Failures are cheap to rediscover, and
-//     re-running them keeps counterexample reporting live.
+//     and a restored verdict promises what a cold run would report.
+//   - Epoch equality covers the C++ side: kVerifierEpoch names the solver,
+//     meta-executor and extern semantics the verdict assumed.
+//   - Only PASSes restore. A COUNTEREXAMPLE, INCONCLUSIVE, ERROR or
+//     INTERNAL_ERROR row is verified again: a refuted unit costs well under
+//     a millisecond and comes back with a live counterexample.
 //
-// On disk the store is a JSONL file of journal records (journal.h wire
-// format, schema v4) whose `platform` field holds the *verifier epoch* — a
-// constant naming the C++-side semantics (solver, meta-executor, extern host
-// bindings) rather than Platform::Fingerprint(), which any declaration's
-// edit moves and would defeat per-unit invalidation. Bump the epoch when a
-// C++ change invalidates old verdicts wholesale.
+// Rows reach the index from two files of journal records (journal.h): the
+// store file under `--cache-dir` (Load, `--incremental`) and a run journal
+// (`--journal`), whose rows the session Puts after the load.
 //
-// Corruption policy matches the solver-cache store (sym/cache_store.h): any
-// anomaly — malformed line, epoch mismatch, unknown outcome — degrades to an
-// empty store with a note; never a crash, never a wrong verdict. Save is
-// crash-safe via write-temp-then-rename.
+// The store file's corruption policy matches the solver-cache store
+// (sym/cache_store.h): any anomaly — malformed line, unknown schema, a row
+// of another epoch — degrades to an empty store with a note; never a crash,
+// never a wrong verdict. Save is crash-safe via write-temp-then-rename.
 #ifndef ICARUS_VERIFIER_VERDICT_STORE_H_
 #define ICARUS_VERIFIER_VERDICT_STORE_H_
 
@@ -68,10 +71,11 @@ class VerdictStore {
     std::string note;
   };
 
-  // Loads the store at `path` written under `epoch`. Tolerant: any anomaly
-  // yields an empty store with a note (see header comment). Later records
-  // for the same generator win (append-style updates are allowed, though
-  // Save rewrites the file compactly).
+  // Replaces the index with the store at `path`, whose rows must all carry
+  // `epoch`, and makes `epoch` the one Put accepts (kVerifierEpoch until
+  // then). Tolerant: any anomaly yields an empty store with a note (see
+  // header comment). Rows enter through Put, so later rows for the same
+  // generator win.
   LoadResult Load(const std::string& path, const std::string& epoch);
 
   // Returns the stored PASS for `generator` iff its fingerprint equals
@@ -80,10 +84,10 @@ class VerdictStore {
   const JournalRecord* FindPass(const std::string& generator, const std::string& unit_fp,
                                 const sym::Solver::Limits& limits) const;
 
-  // Records a PASS (callers only Put VERIFIED rows; rows with other outcomes
-  // or an empty unit_fp are ignored). Last Put per generator wins. Returns
-  // true when the Put changed what FindPass matches: the generator's stored
-  // outcome, fingerprint or budget.
+  // Indexes `rec` if it can restore: VERIFIED or CACHED_SAFE, with a unit
+  // fingerprint and the store's epoch. Other rows are ignored. Last Put per
+  // generator wins. Returns true when the Put changed what FindPass matches:
+  // a new generator, or its fingerprint or budget.
   bool Put(const JournalRecord& rec);
 
   // Rewrites the store at `path` (crash-safe temp+rename). Errors only on
@@ -93,6 +97,7 @@ class VerdictStore {
   size_t size() const { return by_generator_.size(); }
 
  private:
+  std::string epoch_ = kVerifierEpoch;
   std::map<std::string, JournalRecord> by_generator_;
 };
 

@@ -2,7 +2,8 @@
 // diagnostics, and the ServerCore request lifecycle end to end — real
 // verdicts, the warm view, bounded-queue shedding, per-request deadlines
 // degrading to INCONCLUSIVE, contained dispatch faults, graceful drain,
-// journal replay into a warm restart, read-only degradation when another
+// a restart on the journal answering its PASSes CACHED_SAFE, read-only
+// degradation when another
 // process holds the cache lock, and a concurrent incremental daemon whose
 // stored PASSes a restart answers CACHED_SAFE. Everything here is in-process;
 // daemon_e2e_test.cc covers the real icarusd binary over a Unix socket.
@@ -657,7 +658,7 @@ TEST_F(ServerCoreTest, DrainFaultSurfacesAsErrorNotCrash) {
   EXPECT_NE(st.message().find("drain fault"), std::string::npos) << st.message();
 }
 
-TEST_F(ServerCoreTest, JournalReplayRestoresTheWarmView) {
+TEST_F(ServerCoreTest, RestartOnTheJournalAnswersItsPassesCachedSafe) {
   std::string journal = TempPath("daemon_journal_replay.jsonl");
   std::remove(journal.c_str());
 
@@ -668,29 +669,30 @@ TEST_F(ServerCoreTest, JournalReplayRestoresTheWarmView) {
     ASSERT_TRUE(core.Start().ok());
     EXPECT_EQ(core.Execute(Verify("tryAttachCompareInt32")).outcome, "VERIFIED");
     EXPECT_EQ(core.Execute(Verify("bug1451976_buggy")).outcome, "COUNTEREXAMPLE");
-    // An ERROR verdict is journaled but must NOT be replayed as warm.
+    // An ERROR verdict is journaled but never restored.
     EXPECT_EQ(core.Execute(Verify("noSuchGenerator")).outcome, "ERROR");
     ASSERT_TRUE(core.FinishDrain().ok());
   }
 
-  // The restarted instance replays the journal: decisive verdicts are served
-  // warm (cached, identical outcomes) without recomputation.
+  // The restarted instance restores the journaled PASS by the store's rule
+  // (CACHED_SAFE, nothing runs) and verifies the refuted unit again, to a
+  // live counterexample.
   DaemonOptions options;
   options.journal_path = journal;
   ServerCore core(platform_, options);
   ASSERT_TRUE(core.Start().ok());
-  EXPECT_EQ(core.StatsSnapshot().replayed, 2);
 
   Response verified = core.Execute(Verify("tryAttachCompareInt32"));
-  EXPECT_EQ(verified.outcome, "VERIFIED");
+  EXPECT_EQ(verified.outcome, "CACHED_SAFE");
   EXPECT_TRUE(verified.cached);
   Response refuted = core.Execute(Verify("bug1451976_buggy"));
   EXPECT_EQ(refuted.outcome, "COUNTEREXAMPLE");
-  EXPECT_TRUE(refuted.cached);
+  EXPECT_FALSE(refuted.cached);
 
   DaemonStats stats = core.StatsSnapshot();
-  EXPECT_EQ(stats.warm_hits, 2);
-  EXPECT_EQ(stats.served, 0);  // Nothing recomputed.
+  EXPECT_EQ(stats.warm_hits, 0);
+  EXPECT_EQ(stats.served, 2);
+  EXPECT_EQ(stats.cached_safe, 1);
   EXPECT_TRUE(core.FinishDrain().ok());
 }
 
@@ -710,7 +712,6 @@ TEST_F(ServerCoreTest, JournalReplaySkipsRowsFromAnotherVerifierEpoch) {
   options.journal_path = journal;
   ServerCore core(platform_, options);
   ASSERT_TRUE(core.Start().ok());
-  EXPECT_EQ(core.StatsSnapshot().replayed, 0);
   Response resp = core.Execute(Verify("bug1685925_buggy"));
   EXPECT_EQ(resp.status, kStatusOk) << resp.error;
   EXPECT_EQ(resp.outcome, "COUNTEREXAMPLE");
@@ -832,7 +833,6 @@ TEST_F(ServerCoreTest, ConcurrentIncrementalDaemonPersistsEveryPass) {
   }
   DaemonStats stats = restarted.StatsSnapshot();
   EXPECT_EQ(stats.cached_safe, 32);
-  EXPECT_EQ(stats.replayed, 0);
   EXPECT_TRUE(restarted.FinishDrain().ok());
 }
 

@@ -214,7 +214,7 @@ TEST(CacheStore, SaveEvictsLeastRecentlyUsedToFitBudget) {
 
 JournalRecord PassRecord(const std::string& generator, const std::string& fp) {
   JournalRecord rec;
-  rec.platform = kVerifierEpoch;
+  rec.epoch = kVerifierEpoch;
   rec.generator = generator;
   rec.outcome = "VERIFIED";
   rec.unit_fp = fp;
@@ -284,7 +284,7 @@ TEST(VerdictStoreTest, CorruptionAndEpochMismatchStartCold) {
   EXPECT_EQ(store.size(), 0u);
 
   JournalRecord other_epoch = PassRecord("genA", "aaaa");
-  other_epoch.platform = "some-other-epoch";
+  other_epoch.epoch = "some-other-epoch";
   WriteFile(path, other_epoch.ToJsonLine() + "\n");
   load = store.Load(path, kVerifierEpoch);
   EXPECT_EQ(load.entries, 0u);
@@ -526,7 +526,7 @@ std::unique_ptr<platform::Platform> LoadContractProbe(const char* bound) {
   return loaded.ok() ? loaded.take() : nullptr;
 }
 
-TEST(IncrementalE2E, ResumeRefusesAJournalWrittenUnderAnotherContract) {
+TEST(IncrementalE2E, JournalRowEarnedUnderAnotherContractIsVerifiedAgain) {
   std::unique_ptr<platform::Platform> loose = LoadContractProbe("-2147483648");
   std::unique_ptr<platform::Platform> strict = LoadContractProbe("0");
   ASSERT_NE(loose, nullptr);
@@ -545,14 +545,39 @@ TEST(IncrementalE2E, ResumeRefusesAJournalWrittenUnderAnotherContract) {
   ASSERT_TRUE(cold.ok()) << cold.status().message();
   EXPECT_EQ(cold.value().results[0].outcome, Outcome::kRefuted);
 
-  // Restoring the journaled VERIFIED row would contradict the cold run.
-  BatchOptions resume;
-  resume.resume_path = journal;
-  StatusOr<BatchReport> resumed = BatchVerifier(strict.get()).VerifyAll(unit, resume);
-  ASSERT_FALSE(resumed.ok()) << "resumed as "
-                             << OutcomeName(resumed.value().results[0].outcome);
-  EXPECT_NE(resumed.status().message().find("cannot replay journal"), std::string::npos)
-      << resumed.status().message();
+  // The contract edit moves the unit's fingerprint, so the journaled
+  // VERIFIED row does not restore: the unit is verified again and refuted,
+  // as the cold run refutes it, and the journal is not refused.
+  StatusOr<BatchReport> rerun = BatchVerifier(strict.get()).VerifyAll(unit, write);
+  ASSERT_TRUE(rerun.ok()) << rerun.status().message();
+  EXPECT_EQ(rerun.value().results[0].outcome, Outcome::kRefuted);
+  std::remove(journal.c_str());
+}
+
+TEST(IncrementalE2E, HelperEditUnderAJournalReverifiesDependentsOnly) {
+  // The journal alone, with no store, restores by the store's rule: after
+  // the helper edit only the unit whose closure reaches it runs again.
+  std::unique_ptr<platform::Platform> p1 = LoadTestPlatform(kHelperV1);
+  std::unique_ptr<platform::Platform> p2 = LoadTestPlatform(kHelperV2);
+  ASSERT_NE(p1, nullptr);
+  ASSERT_NE(p2, nullptr);
+  const std::vector<std::string> fleet = {"incrTestAdd", "incrTestSub"};
+  std::string journal = TempPath("icarus_incr_helper_journal.jsonl");
+  std::remove(journal.c_str());
+  BatchOptions options;
+  options.journal_path = journal;
+
+  StatusOr<BatchReport> first = BatchVerifier(p1.get()).VerifyAll(fleet, options);
+  ASSERT_TRUE(first.ok()) << first.status().message();
+  for (const GeneratorResult& r : first.value().results) {
+    EXPECT_EQ(r.outcome, Outcome::kVerified) << r.generator << ": " << r.error;
+  }
+  StatusOr<BatchReport> edited = BatchVerifier(p2.get()).VerifyAll(fleet, options);
+  ASSERT_TRUE(edited.ok()) << edited.status().message();
+  EXPECT_EQ(edited.value().results[0].outcome, Outcome::kVerified)
+      << "helper edit must force a real re-verification";
+  EXPECT_EQ(edited.value().results[1].outcome, Outcome::kCachedSafe)
+      << "untouched unit must be restored from the journal";
   std::remove(journal.c_str());
 }
 
@@ -583,7 +608,7 @@ TEST(IncrementalE2E, WarmRunSkipsEverythingAndHelperEditInvalidatesDependentsOnl
   }
 
   // Warm run on the unchanged fleet: all CACHED_SAFE, zero solver activity,
-  // and the CACHED_SAFE rows journal with their fingerprints (schema v4).
+  // and no journal row, since a restored row is stored already.
   std::string journal_path = TempPath("icarus_incr_warm.jsonl");
   std::remove(journal_path.c_str());
   BatchOptions warm_options = options;
@@ -602,16 +627,9 @@ TEST(IncrementalE2E, WarmRunSkipsEverythingAndHelperEditInvalidatesDependentsOnl
   EXPECT_NE(warm.RenderTable().find("CACHED_SAFE"), std::string::npos);
   EXPECT_NE(warm.RenderTable().find("cached safe"), std::string::npos);
 
-  StatusOr<std::vector<JournalRecord>> journaled =
-      ReadJournal(journal_path, p1->Fingerprint());
+  StatusOr<std::vector<JournalRecord>> journaled = ReadJournal(journal_path);
   ASSERT_TRUE(journaled.ok()) << journaled.status().message();
-  ASSERT_EQ(journaled.value().size(), 2u);
-  for (const JournalRecord& rec : journaled.value()) {
-    EXPECT_EQ(rec.outcome, "CACHED_SAFE");
-    EXPECT_EQ(rec.schema, kJournalSchemaVersion);
-    EXPECT_EQ(rec.unit_fp.size(), 32u);
-    EXPECT_EQ(rec.budget_decisions, options.solver_limits.max_decisions);
-  }
+  EXPECT_EQ(journaled.value().size(), 0u);
   std::remove(journal_path.c_str());
 
   // The CACHED_SAFE rows render with their own badge and tile in the HTML

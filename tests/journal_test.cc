@@ -1,8 +1,10 @@
-// Journal + resume tests: record round-tripping, torn-tail tolerance,
-// platform/schema mismatch refusal, re-verification of rows from another
-// verifier epoch, and the headline crash-recovery scenario — kill a
-// verify-all mid-run (via an abort-action fail point) and prove the resumed
-// run reproduces exactly the verdicts of an uninterrupted run; a killed
+// Journal tests: record round-tripping, torn-tail tolerance on read and on
+// append, schema refusal, the one restore rule applied to journal rows (a
+// PASS restores as CACHED_SAFE by unit fingerprint, budget and epoch; every
+// other row, and every row of another epoch, is verified again), and the
+// headline crash-recovery scenario — kill a verify-all mid-run (via an
+// abort-action fail point) and prove that the same command on the same
+// journal reproduces exactly the verdicts of an uninterrupted run; a killed
 // incremental run leaves a checkpointed solver cache the next run preloads.
 // The CLI cases also pin what `icarus verify` prints and what a fresh
 // journal row holds.
@@ -40,7 +42,6 @@ void WriteFile(const std::string& path, const std::string& content) {
 
 JournalRecord MakeRecord(const std::string& generator, const std::string& outcome) {
   JournalRecord rec;
-  rec.platform = "cafef00dcafef00d";
   rec.generator = generator;
   rec.outcome = outcome;
   rec.paths = 12;
@@ -65,7 +66,7 @@ TEST(Journal, RecordRoundTripsThroughDisk) {
     ASSERT_TRUE(writer.value()->Append(rec).ok());
     ASSERT_TRUE(writer.value()->Append(MakeRecord("bug1685925_buggy", "COUNTEREXAMPLE")).ok());
   }
-  StatusOr<std::vector<JournalRecord>> read = ReadJournal(path, "cafef00dcafef00d");
+  StatusOr<std::vector<JournalRecord>> read = ReadJournal(path);
   ASSERT_TRUE(read.ok()) << read.status().message();
   ASSERT_EQ(read.value().size(), 2u);
   const JournalRecord& r = read.value()[0];
@@ -86,13 +87,13 @@ TEST(Journal, RecordRoundTripsThroughDisk) {
 
 TEST(Journal, SchemaOneRecordStillReads) {
   // A journal written before the schema-2 cost-attribution fields existed
-  // must still resume: the missing fields default to zero.
+  // must still read: the missing fields default to zero.
   std::string path = TempPath("schema1.jsonl");
   WriteFile(path,
             "{\"schema\":1,\"platform\":\"cafef00dcafef00d\",\"generator\":\"g\","
             "\"outcome\":\"VERIFIED\",\"error\":\"\",\"paths\":3,\"queries\":7,"
             "\"seconds\":0.5,\"attempts\":1}\n");
-  StatusOr<std::vector<JournalRecord>> read = ReadJournal(path, "cafef00dcafef00d");
+  StatusOr<std::vector<JournalRecord>> read = ReadJournal(path);
   ASSERT_TRUE(read.ok()) << read.status().message();
   ASSERT_EQ(read.value().size(), 1u);
   const JournalRecord& r = read.value()[0];
@@ -113,7 +114,7 @@ TEST(Journal, SchemaZeroIsRefused) {
   JournalRecord rec = MakeRecord("g", "VERIFIED");
   rec.schema = 0;
   WriteFile(path, rec.ToJsonLine() + "\n");
-  StatusOr<std::vector<JournalRecord>> read = ReadJournal(path, "");
+  StatusOr<std::vector<JournalRecord>> read = ReadJournal(path);
   ASSERT_FALSE(read.ok());
   EXPECT_NE(read.status().message().find("schema version"), std::string::npos)
       << read.status().message();
@@ -126,9 +127,29 @@ TEST(Journal, TornFinalLineIsDropped) {
   std::string good2 = MakeRecord("b", "VERIFIED").ToJsonLine();
   // A crash mid-append leaves a prefix of the record with no closing brace.
   WriteFile(path, good1 + "\n" + good2 + "\n" + good2.substr(0, good2.size() / 2));
-  StatusOr<std::vector<JournalRecord>> read = ReadJournal(path, "");
+  StatusOr<std::vector<JournalRecord>> read = ReadJournal(path);
   ASSERT_TRUE(read.ok()) << read.status().message();
   EXPECT_EQ(read.value().size(), 2u);
+  std::remove(path.c_str());
+}
+
+TEST(Journal, AppendAfterATornTailStartsItsOwnLine) {
+  // A crash tore the last append. The writer that opens the journal next
+  // cuts the fragment, so its rows neither merge into it nor get dropped
+  // with it, and a third open still reads every row.
+  std::string path = TempPath("torn_append.jsonl");
+  std::string good = MakeRecord("a", "VERIFIED").ToJsonLine();
+  WriteFile(path, good + "\n" + good + "\n" + good.substr(0, 60));
+  for (const char* generator : {"b", "c"}) {
+    StatusOr<std::unique_ptr<JournalWriter>> writer = JournalWriter::Open(path);
+    ASSERT_TRUE(writer.ok()) << writer.status().message();
+    ASSERT_TRUE(writer.value()->Append(MakeRecord(generator, "VERIFIED")).ok());
+  }
+  StatusOr<std::vector<JournalRecord>> read = ReadJournal(path);
+  ASSERT_TRUE(read.ok()) << read.status().message();
+  ASSERT_EQ(read.value().size(), 4u);
+  EXPECT_EQ(read.value()[2].generator, "b");
+  EXPECT_EQ(read.value()[3].generator, "c");
   std::remove(path.c_str());
 }
 
@@ -136,7 +157,7 @@ TEST(Journal, MalformedMiddleLineIsCorruption) {
   std::string path = TempPath("corrupt.jsonl");
   std::string good = MakeRecord("a", "VERIFIED").ToJsonLine();
   WriteFile(path, good + "\n{not json\n" + good + "\n");
-  StatusOr<std::vector<JournalRecord>> read = ReadJournal(path, "");
+  StatusOr<std::vector<JournalRecord>> read = ReadJournal(path);
   ASSERT_FALSE(read.ok());
   EXPECT_NE(read.status().message().find("malformed"), std::string::npos)
       << read.status().message();
@@ -144,7 +165,7 @@ TEST(Journal, MalformedMiddleLineIsCorruption) {
 }
 
 TEST(Journal, OutOfRangeIntegersAreMalformed) {
-  // A --resume file is input from outside the process: a value that does not
+  // A journal is input from outside the process: a value that does not
   // fit its integer field makes the line malformed instead of being narrowed.
   const std::string good = MakeRecord("g", "VERIFIED").ToJsonLine();
   JournalRecord rec;
@@ -157,29 +178,19 @@ TEST(Journal, OutOfRangeIntegersAreMalformed) {
   }
 }
 
-TEST(Journal, MismatchedPlatformIsRefused) {
-  std::string path = TempPath("mismatch.jsonl");
-  WriteFile(path, MakeRecord("a", "VERIFIED").ToJsonLine() + "\n");
-  StatusOr<std::vector<JournalRecord>> read = ReadJournal(path, "deadbeefdeadbeef");
-  ASSERT_FALSE(read.ok());
-  EXPECT_NE(read.status().message().find("refusing to mix"), std::string::npos)
-      << read.status().message();
-  std::remove(path.c_str());
-}
-
 TEST(Journal, UnknownSchemaIsRefused) {
   std::string path = TempPath("schema.jsonl");
   JournalRecord rec = MakeRecord("a", "VERIFIED");
   rec.schema = kJournalSchemaVersion + 1;
   WriteFile(path, rec.ToJsonLine() + "\n");
-  StatusOr<std::vector<JournalRecord>> read = ReadJournal(path, "");
+  StatusOr<std::vector<JournalRecord>> read = ReadJournal(path);
   ASSERT_FALSE(read.ok());
   EXPECT_NE(read.status().message().find("schema version"), std::string::npos)
       << read.status().message();
   std::remove(path.c_str());
 }
 
-// --- Library-level resume ------------------------------------------------
+// --- Library-level restore ------------------------------------------------
 
 class JournalBatchTest : public ::testing::Test {
  protected:
@@ -197,7 +208,7 @@ class JournalBatchTest : public ::testing::Test {
 
 platform::Platform* JournalBatchTest::platform_ = nullptr;
 
-TEST_F(JournalBatchTest, ResumeSkipsJournaledGeneratorsAndRestoresRows) {
+TEST_F(JournalBatchTest, JournalRestoresItsPassesAndVerifiesTheRest) {
   std::string path = TempPath("resume_lib.jsonl");
   std::remove(path.c_str());
   const std::vector<std::string> names = {"tryAttachCompareInt32", "tryAttachObjectLength",
@@ -212,61 +223,79 @@ TEST_F(JournalBatchTest, ResumeSkipsJournaledGeneratorsAndRestoresRows) {
       batch.VerifyAll({names[0], names[2]}, first);
   ASSERT_TRUE(partial.ok()) << partial.status().message();
 
-  // Second run over the full fleet resumes: the journaled rows come back
-  // restored (same outcome, paths, queries, seconds) and only the missing
-  // generator is verified.
+  // Second run over the full fleet on the same journal: the journaled PASS
+  // comes back CACHED_SAFE without running, the missing generator is
+  // verified, and the journaled counterexample is verified again, to the
+  // same counts.
   BatchOptions second;
   second.jobs = 2;
   second.journal_path = path;
-  second.resume_path = path;
   StatusOr<BatchReport> full_or = batch.VerifyAll(names, second);
   ASSERT_TRUE(full_or.ok()) << full_or.status().message();
   BatchReport full = full_or.take();
   ASSERT_EQ(full.results.size(), 3u);
-  EXPECT_EQ(full.num_resumed, 2);
-  EXPECT_TRUE(full.results[0].resumed);
-  EXPECT_FALSE(full.results[1].resumed);
-  EXPECT_TRUE(full.results[2].resumed);
-  EXPECT_EQ(full.results[0].outcome, Outcome::kVerified);
+  EXPECT_EQ(full.results[0].outcome, Outcome::kCachedSafe);
+  EXPECT_EQ(full.results[0].report.meta.solver_queries, 0);
   EXPECT_EQ(full.results[1].outcome, Outcome::kVerified);
   EXPECT_EQ(full.results[2].outcome, Outcome::kRefuted);
-  for (const GeneratorResult& r : partial.value().results) {
-    for (const GeneratorResult& f : full.results) {
-      if (f.generator == r.generator) {
-        EXPECT_TRUE(f.resumed);
-        EXPECT_EQ(f.outcome, r.outcome) << f.generator;
-        EXPECT_EQ(f.report.meta.paths_explored, r.report.meta.paths_explored) << f.generator;
-        EXPECT_EQ(f.report.meta.solver_queries, r.report.meta.solver_queries) << f.generator;
-        EXPECT_DOUBLE_EQ(f.seconds, r.seconds) << f.generator;
-      }
-    }
-  }
-  // The journal now also covers the generator added by the second run.
-  StatusOr<std::vector<JournalRecord>> records = ReadJournal(path, platform_->Fingerprint());
+  const GeneratorResult& refuted = partial.value().results[1];
+  EXPECT_EQ(full.results[2].report.meta.paths_explored, refuted.report.meta.paths_explored);
+  EXPECT_EQ(full.results[2].report.meta.solver_queries, refuted.report.meta.solver_queries);
+  EXPECT_FALSE(full.results[2].report.meta.violations.empty());
+  // The journal gained the two rows that ran, and no row for the restored
+  // PASS.
+  StatusOr<std::vector<JournalRecord>> records = ReadJournal(path);
   ASSERT_TRUE(records.ok()) << records.status().message();
-  EXPECT_EQ(records.value().size(), 3u);
+  ASSERT_EQ(records.value().size(), 4u);
+  EXPECT_EQ(records.value()[2].outcome, "VERIFIED");
+  EXPECT_EQ(records.value()[3].outcome, "COUNTEREXAMPLE");
+  std::remove(path.c_str());
+}
+
+TEST_F(JournalBatchTest, RowsCutShortByADeadlineAreVerifiedAgain) {
+  // A deadline journals every unit INCONCLUSIVE. The next run on that
+  // journal restores none of them: every unit gets its expected outcome.
+  std::string path = TempPath("deadline.jsonl");
+  std::remove(path.c_str());
+  BatchVerifier batch(platform_);
+  BatchOptions starved;
+  starved.journal_path = path;
+  starved.deadline_seconds = 1e-6;
+  StatusOr<BatchReport> cut = batch.VerifyEverything(starved);
+  ASSERT_TRUE(cut.ok()) << cut.status().message();
+  EXPECT_GT(cut.value().NumWithOutcome(Outcome::kInconclusive), 0);
+
+  BatchOptions rerun;
+  rerun.journal_path = path;
+  StatusOr<BatchReport> finished = batch.VerifyEverything(rerun);
+  ASSERT_TRUE(finished.ok()) << finished.status().message();
+  ASSERT_EQ(finished.value().results.size(), 38u);
+  for (const GeneratorResult& r : finished.value().results) {
+    EXPECT_TRUE(IsExpectedOutcome(r.generator, r.outcome))
+        << r.generator << " is " << OutcomeName(r.outcome);
+  }
   std::remove(path.c_str());
 }
 
 TEST_F(JournalBatchTest, SchemaSixWorkerRowsStillParseAndResume) {
   // Schema 6 added a `worker` key that only the multi-process fleet wrote,
   // and schema 7 a `paths_merged` key that only the path-merging executor
-  // wrote; every row before this build carried `cfa_s`. All three are gone
-  // and readers skip the keys like any unknown one, so a journal mixing such
-  // rows still reads and resumes. The rows predate the `epoch` key, so
-  // resume verifies both generators again.
+  // wrote; every row before this build carried `cfa_s` and `platform`. All
+  // are gone and readers skip the keys like any unknown one, so a journal
+  // mixing such rows still reads. The rows predate the `epoch` and
+  // `unit_fp` keys, so a run on the journal verifies both generators again.
   std::string path = TempPath("schema6_worker.jsonl");
-  const std::string fp = platform_->Fingerprint();
+  std::remove(path.c_str());
   WriteFile(path,
-            StrCat("{\"schema\":6,\"platform\":\"", fp,
-                   "\",\"generator\":\"tryAttachCompareInt32\",\"outcome\":\"VERIFIED\","
-                   "\"error\":\"\",\"paths\":5,\"queries\":17,\"seconds\":0.25,\"attempts\":1,"
-                   "\"worker\":\"w0\"}\n",
-                   "{\"schema\":7,\"platform\":\"", fp,
-                   "\",\"generator\":\"bug1685925_buggy\",\"outcome\":\"COUNTEREXAMPLE\","
-                   "\"error\":\"\",\"paths\":9,\"queries\":23,\"seconds\":0.5,\"attempts\":1,"
-                   "\"cfa_s\":0,\"paths_merged\":2}\n"));
-  StatusOr<std::vector<JournalRecord>> read = ReadJournal(path, fp);
+            "{\"schema\":6,\"platform\":\"cafef00dcafef00d\","
+            "\"generator\":\"tryAttachCompareInt32\",\"outcome\":\"VERIFIED\","
+            "\"error\":\"\",\"paths\":5,\"queries\":17,\"seconds\":0.25,\"attempts\":1,"
+            "\"worker\":\"w0\"}\n"
+            "{\"schema\":7,\"platform\":\"cafef00dcafef00d\","
+            "\"generator\":\"bug1685925_buggy\",\"outcome\":\"COUNTEREXAMPLE\","
+            "\"error\":\"\",\"paths\":9,\"queries\":23,\"seconds\":0.5,\"attempts\":1,"
+            "\"cfa_s\":0,\"paths_merged\":2}\n");
+  StatusOr<std::vector<JournalRecord>> read = ReadJournal(path);
   ASSERT_TRUE(read.ok()) << read.status().message();
   ASSERT_EQ(read.value().size(), 2u);
   EXPECT_EQ(read.value()[0].schema, 6);
@@ -277,74 +306,59 @@ TEST_F(JournalBatchTest, SchemaSixWorkerRowsStillParseAndResume) {
   EXPECT_EQ(read.value()[1].paths, 9);
   // Rewriting a parsed row drops the key rather than carrying it forward.
   EXPECT_EQ(read.value()[0].ToJsonLine().find("worker"), std::string::npos);
+  EXPECT_EQ(read.value()[0].ToJsonLine().find("platform"), std::string::npos);
   EXPECT_EQ(read.value()[1].ToJsonLine().find("paths_merged"), std::string::npos);
   EXPECT_EQ(read.value()[1].ToJsonLine().find("cfa_s"), std::string::npos);
 
   BatchVerifier batch(platform_);
   BatchOptions opts;
-  opts.resume_path = path;
+  opts.journal_path = path;
   StatusOr<BatchReport> report =
       batch.VerifyAll({"tryAttachCompareInt32", "bug1685925_buggy"}, opts);
   ASSERT_TRUE(report.ok()) << report.status().message();
   ASSERT_EQ(report.value().results.size(), 2u);
-  EXPECT_EQ(report.value().num_resumed, 0);
   const GeneratorResult& six = report.value().results[0];
   const GeneratorResult& seven = report.value().results[1];
-  EXPECT_FALSE(six.resumed);
   EXPECT_EQ(six.outcome, Outcome::kVerified);
   EXPECT_EQ(six.report.meta.paths_explored, 25);
-  EXPECT_FALSE(seven.resumed);
   EXPECT_EQ(seven.outcome, Outcome::kRefuted);
   EXPECT_EQ(seven.report.meta.paths_explored, 12);
   EXPECT_EQ(seven.report.meta.solver_queries, 31);
   std::remove(path.c_str());
 }
 
-TEST_F(JournalBatchTest, ResumeReverifiesRowsFromAnotherVerifierEpoch) {
+TEST_F(JournalBatchTest, JournalRowsOfAnotherEpochOrWithoutAUnitKeyAreVerifiedAgain) {
   // A VERIFIED row for a buggy generator, earned under an older verifier
   // epoch (e.g. a solver that answered UNSAT on satisfiable queries), must
-  // not be restored: resume verifies it again and finds the counterexample.
-  // A row stamped with this build's epoch is still restored.
+  // not be restored: the run verifies it again and finds the
+  // counterexample. A current-epoch PASS without a unit fingerprint (written
+  // by a run that fingerprinted nothing) restores nothing either; one that
+  // carries the unit's fingerprint and budget comes back CACHED_SAFE.
   std::string path = TempPath("foreign_epoch.jsonl");
-  const std::string fp = platform_->Fingerprint();
-  WriteFile(path,
-            StrCat("{\"schema\":7,\"platform\":\"", fp,
-                   "\",\"epoch\":\"icarus-cdcl-v2\",\"generator\":\"bug1685925_buggy\","
-                   "\"outcome\":\"VERIFIED\",\"error\":\"\",\"paths\":12,\"queries\":31,"
-                   "\"seconds\":0.5}\n",
-                   "{\"schema\":7,\"platform\":\"", fp, "\",\"epoch\":\"", kVerifierEpoch,
-                   "\",\"generator\":\"tryAttachCompareInt32\",\"outcome\":\"VERIFIED\","
-                   "\"error\":\"\",\"paths\":5,\"queries\":17,\"seconds\":0.25}\n"));
-  BatchVerifier batch(platform_);
-  BatchOptions opts;
-  opts.resume_path = path;
-  StatusOr<BatchReport> report =
-      batch.VerifyAll({"bug1685925_buggy", "tryAttachCompareInt32"}, opts);
-  ASSERT_TRUE(report.ok()) << report.status().message();
-  ASSERT_EQ(report.value().results.size(), 2u);
-  EXPECT_EQ(report.value().num_resumed, 1);
-  const GeneratorResult& foreign = report.value().results[0];
-  EXPECT_FALSE(foreign.resumed);
-  EXPECT_EQ(foreign.outcome, Outcome::kRefuted);
-  const GeneratorResult& current = report.value().results[1];
-  EXPECT_TRUE(current.resumed);
-  EXPECT_EQ(current.outcome, Outcome::kVerified);
-  EXPECT_EQ(current.report.meta.paths_explored, 5);
   std::remove(path.c_str());
-}
-
-TEST_F(JournalBatchTest, ResumeAgainstForeignJournalFails) {
-  std::string path = TempPath("foreign.jsonl");
-  JournalRecord rec = MakeRecord("tryAttachCompareInt32", "VERIFIED");
-  rec.platform = "0123456789abcdef";  // Not this platform's fingerprint.
-  WriteFile(path, rec.ToJsonLine() + "\n");
+  WriteFile(path,
+            StrCat("{\"schema\":7,\"platform\":\"cafef00dcafef00d\",\"epoch\":\"icarus-cdcl-v2\","
+                   "\"generator\":\"bug1685925_buggy\",\"outcome\":\"VERIFIED\",\"error\":\"\","
+                   "\"paths\":12,\"queries\":31,\"seconds\":0.5,"
+                   "\"unit_fp\":\"4b20a52683f140aa26a70de6967020bb\",\"budget_decisions\":2000000}\n",
+                   "{\"schema\":7,\"epoch\":\"", kVerifierEpoch,
+                   "\",\"generator\":\"tryAttachObjectLength\",\"outcome\":\"VERIFIED\","
+                   "\"error\":\"\",\"paths\":5,\"queries\":17,\"seconds\":0.25}\n",
+                   "{\"schema\":7,\"epoch\":\"", kVerifierEpoch,
+                   "\",\"generator\":\"tryAttachCompareInt32\",\"outcome\":\"VERIFIED\","
+                   "\"error\":\"\",\"paths\":5,\"queries\":17,\"seconds\":0.25,"
+                   "\"unit_fp\":\"e4f688501eab4bc75764f64473fb901a\",\"budget_decisions\":2000000}\n"));
   BatchVerifier batch(platform_);
   BatchOptions opts;
-  opts.resume_path = path;
-  StatusOr<BatchReport> report = batch.VerifyAll({"tryAttachCompareInt32"}, opts);
-  ASSERT_FALSE(report.ok());
-  EXPECT_NE(report.status().message().find("refusing to mix"), std::string::npos)
-      << report.status().message();
+  opts.journal_path = path;
+  StatusOr<BatchReport> report = batch.VerifyAll(
+      {"bug1685925_buggy", "tryAttachObjectLength", "tryAttachCompareInt32"}, opts);
+  ASSERT_TRUE(report.ok()) << report.status().message();
+  ASSERT_EQ(report.value().results.size(), 3u);
+  EXPECT_EQ(report.value().results[0].outcome, Outcome::kRefuted);
+  EXPECT_EQ(report.value().results[1].outcome, Outcome::kVerified);
+  EXPECT_GT(report.value().results[1].report.meta.solver_queries, 0);
+  EXPECT_EQ(report.value().results[2].outcome, Outcome::kCachedSafe);
   std::remove(path.c_str());
 }
 
@@ -358,11 +372,10 @@ struct VerdictRow {
   int64_t queries = 0;
 };
 
-// Final verdict per generator from a journal (later records win, matching
-// the resume semantics).
+// Final verdict per generator from a journal (later records win).
 std::map<std::string, VerdictRow> VerdictsFrom(const std::string& journal_path) {
   std::map<std::string, VerdictRow> verdicts;
-  StatusOr<std::vector<JournalRecord>> records = ReadJournal(journal_path, "");
+  StatusOr<std::vector<JournalRecord>> records = ReadJournal(journal_path);
   EXPECT_TRUE(records.ok()) << records.status().message();
   if (records.ok()) {
     for (const JournalRecord& rec : records.value()) {
@@ -398,8 +411,7 @@ TEST(CrashRecovery, KilledRunResumesToIdenticalVerdicts) {
       << "the abort fired after every verdict was journaled; pick an earlier site count";
 
   // Resume the crashed journal in place and finish the fleet.
-  cmd = cli + " verify-all --jobs 2 --journal " + crashed + " --resume " + crashed +
-        " >/dev/null 2>&1";
+  cmd = cli + " verify-all --jobs 2 --journal " + crashed + " >/dev/null 2>&1";
   ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
 
   // The resumed journal must now hold exactly the reference verdicts:
@@ -432,7 +444,7 @@ TEST(CrashRecovery, KilledIncrementalRunLeavesAWarmSolverCache) {
                     " --journal " + journal +
                     " --fail at=cache-insert:600,action=abort >/dev/null 2>&1";
   EXPECT_NE(std::system(cmd.c_str()), 0) << "crash run unexpectedly survived";
-  StatusOr<std::vector<JournalRecord>> rows = ReadJournal(journal, "");
+  StatusOr<std::vector<JournalRecord>> rows = ReadJournal(journal);
   ASSERT_TRUE(rows.ok()) << rows.status().message();
   EXPECT_GE(rows.value().size(), 8u) << "the abort fired before the first checkpoint";
   EXPECT_LT(rows.value().size(), 38u) << "the abort fired after the last verdict";
@@ -488,7 +500,10 @@ TEST(CliOutput, JournalRowsCarryTheEpochAndNoCfaStage) {
   while (std::getline(in, line)) {
     ++rows;
     EXPECT_EQ(line.find("\"cfa_s\""), std::string::npos) << line;
+    EXPECT_EQ(line.find("\"platform\""), std::string::npos) << line;
     EXPECT_NE(line.find(StrCat("\"epoch\":\"", kVerifierEpoch, "\"")), std::string::npos) << line;
+    EXPECT_NE(line.find("\"unit_fp\":\""), std::string::npos) << line;
+    EXPECT_NE(line.find("\"budget_decisions\":2000000"), std::string::npos) << line;
   }
   EXPECT_EQ(rows, 38);
   std::remove(path.c_str());

@@ -62,7 +62,11 @@ INSTANTIATE_TEST_SUITE_P(
         CorpusCase{"recursive_contract.icarus",
                    "line 3, col 50: recursive call involving ok "},
         CorpusCase{"emitting_helper_in_contract.icarus",
-                   "line 7, col 50: cannot call probeHelper (emits CacheIR)"}),
+                   "line 7, col 50: cannot call probeHelper (emits CacheIR)"},
+        CorpusCase{"unknown_op_param_type.icarus",
+                   "line 3, col 6: unknown type 'NoSuchType'"},
+        CorpusCase{"unknown_compiler_language.icarus",
+                   "line 2, col 10: compiler ProbeCompiler: unknown language"}),
     [](const ::testing::TestParamInfo<CorpusCase>& info) {
       std::string name = info.param.file;
       return name.substr(0, name.find('.'));

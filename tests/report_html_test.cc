@@ -54,7 +54,6 @@ TEST(HtmlReport, CompleteDocumentEvenWhenEmpty) {
 
 TEST(HtmlReport, RendersRowsVerdictsAndCounterexampleDrilldown) {
   ReportInput input;
-  input.fingerprint = "cafef00dcafef00d";
   input.rows.push_back(VerifiedRow("tryAttachCompareInt32"));
   input.rows.push_back(RefutedRow());
   input.cache_summary = "solver cache: 10 lookups, 50.0% hit rate, 0 upgrades";
@@ -63,7 +62,6 @@ TEST(HtmlReport, RendersRowsVerdictsAndCounterexampleDrilldown) {
   EXPECT_NE(html.find("bug1685925_buggy"), std::string::npos);
   EXPECT_NE(html.find("VERIFIED"), std::string::npos);
   EXPECT_NE(html.find("COUNTEREXAMPLE"), std::string::npos);
-  EXPECT_NE(html.find("cafef00dcafef00d"), std::string::npos);
   // The counterexample details are embedded (escaped form of the contract).
   EXPECT_NE(html.find("idx &lt; numFixedSlots(shape)"), std::string::npos);
   EXPECT_NE(html.find("TTF"), std::string::npos);

@@ -146,16 +146,17 @@ int VerifyAllHelp() {
       "  --metrics FILE  Export the metrics registry after the run: Prometheus\n"
       "                  text format, or JSON when FILE ends in .json. Enables\n"
       "                  the observability runtime for the run.\n"
-      "  --journal FILE  Append each verdict to FILE as a JSON line, fsync'd as\n"
-      "                  it lands, so a killed run can be resumed.\n"
-      "  --resume FILE   Skip generators FILE already holds a verdict for,\n"
-      "                  restoring their rows. Refused if FILE was written by a\n"
-      "                  different platform (fingerprint mismatch). Typically\n"
-      "                  used with --journal pointing at the same FILE.\n"
+      "  --journal FILE  Append each verdict that runs to FILE as a JSON line,\n"
+      "                  fsync'd as it lands. A run on an existing FILE first\n"
+      "                  reads it: a generator whose journaled PASS still\n"
+      "                  matches its unit fingerprint and decision budget is\n"
+      "                  skipped as CACHED_SAFE, every other one is verified\n"
+      "                  again. So the same command finishes a killed run.\n"
       "  --incremental   Skip generators whose verification unit (the generator\n"
       "                  plus every DSL decl its verdict depends on) is unchanged\n"
       "                  since a previously stored PASS under the same decision\n"
-      "                  budget. Skipped rows report CACHED_SAFE — it stands for\n"
+      "                  budget (the rule --journal applies to its rows).\n"
+      "                  Skipped rows report CACHED_SAFE — it stands for\n"
       "                  VERIFIED and satisfies the exit code the same way. The\n"
       "                  persistent stores (verdict store + solver-result cache)\n"
       "                  live under --cache-dir and are written back crash-safely\n"
@@ -175,7 +176,7 @@ int VerifyAllHelp() {
       "                    p=SITE:P      fault each hit with probability P\n"
       "                  with optional suffixes `,seed=S` (for p=) and\n"
       "                  `,action=abort` (kill the process instead of throwing;\n"
-      "                  simulates a crash for journal/resume testing).\n"
+      "                  simulates a crash for journal recovery testing).\n"
       "                  Repeatable. Sites: %s.\n"
       "\n"
       "Exit codes:\n"
@@ -306,7 +307,7 @@ int WriteHtmlReport(icarus::verifier::ReportInput input, const std::string& out_
 }
 
 // `icarus report <journal> [out.html] [--metrics FILE] [--title T]`: offline
-// aggregation — needs no platform, just the journal (any fingerprint).
+// aggregation — needs no platform, just the journal.
 int ReportCmd(int argc, char** argv) {
   std::string journal_path;
   std::string out_path = "icarus-report.html";
@@ -335,7 +336,7 @@ int ReportCmd(int argc, char** argv) {
   if (journal_path.empty()) {
     return Usage();
   }
-  auto records = icarus::verifier::ReadJournal(journal_path, /*expect_platform=*/"");
+  auto records = icarus::verifier::ReadJournal(journal_path);
   if (!records.ok()) {
     std::fprintf(stderr, "%s\n", records.status().message().c_str());
     return 2;
@@ -344,16 +345,14 @@ int ReportCmd(int argc, char** argv) {
   if (!title.empty()) {
     input.title = title;
   }
-  // Last verdict wins per generator (a resumed journal appends a fresh row),
-  // but rows keep first-appearance order so the dashboard is stable.
+  // Last verdict wins per generator (a later run on the journal appends a
+  // fresh row), but rows keep first-appearance order so the dashboard is
+  // stable.
   std::vector<std::string> order;
   std::map<std::string, icarus::verifier::JournalRecord> latest;
   for (const icarus::verifier::JournalRecord& rec : records.value()) {
     if (latest.find(rec.generator) == latest.end()) {
       order.push_back(rec.generator);
-    }
-    if (input.fingerprint.empty()) {
-      input.fingerprint = rec.platform;
     }
     latest[rec.generator] = rec;
   }
@@ -424,9 +423,8 @@ int VerifyAll(const Platform& platform, const icarus::verifier::BatchOptions& op
   }
   if (!obs_flags.report_path.empty()) {
     icarus::verifier::ReportInput input;
-    input.fingerprint = platform.Fingerprint();
     for (const icarus::verifier::GeneratorResult& r : report.results) {
-      input.rows.push_back(icarus::verifier::RecordFromResult(r, input.fingerprint));
+      input.rows.push_back(icarus::verifier::RecordFromResult(r));
     }
     if (report.cache.lookups() > 0) {
       input.cache_summary = report.cache.ToString();
@@ -460,13 +458,13 @@ int VerifyAll(const Platform& platform, const icarus::verifier::BatchOptions& op
   if (report.interrupted) {
     if (!options.journal_path.empty()) {
       std::printf(
-          "interrupted: every finished verdict is fsync'd in '%s'; resume with\n"
-          "  icarus verify-all --journal %s --resume %s\n",
-          options.journal_path.c_str(), options.journal_path.c_str(),
-          options.journal_path.c_str());
+          "interrupted: every finished verdict is fsync'd in '%s'; finish with\n"
+          "  icarus verify-all --journal %s\n"
+          "(journaled PASSes come back CACHED_SAFE, every other unit is verified again)\n",
+          options.journal_path.c_str(), options.journal_path.c_str());
     } else {
       std::printf(
-          "interrupted: run again with --journal FILE to make interrupted runs resumable\n");
+          "interrupted: run with --journal FILE so that a rerun restores finished verdicts\n");
     }
   }
   return failures == 0 ? 0 : 1;
@@ -869,8 +867,6 @@ int Run(int argc, char** argv) {
         options.solver_limits.max_decisions = std::atoll(argv[++i]);
       } else if (flag == "--journal" && i + 1 < argc) {
         options.journal_path = argv[++i];
-      } else if (flag == "--resume" && i + 1 < argc) {
-        options.resume_path = argv[++i];
       } else if (flag == "--incremental") {
         options.incremental = true;
       } else if (flag == "--cache-dir" && i + 1 < argc) {
@@ -889,7 +885,7 @@ int Run(int argc, char** argv) {
       }
     }
     // SIGINT/SIGTERM wind the batch down gracefully (verdicts stay fsync'd
-    // in the journal and a resume hint is printed) instead of killing the
+    // in the journal and a rerun hint is printed) instead of killing the
     // process mid-write.
     options.interrupt = &g_interrupt;
     std::signal(SIGINT, OnInterrupt);

@@ -11,8 +11,9 @@
 // the daemon stops accepting, fails queued requests fast with
 // SHUTTING_DOWN, cancels in-flight work to INCONCLUSIVE, fsyncs and closes
 // the journal, saves the persistent stores, and exits 0. A crashed daemon
-// loses at most the verdict being written; the next instance replays the
-// journal back into an identical warm view.
+// loses at most the verdict being written; the next instance on the same
+// journal answers its PASSes CACHED_SAFE while their units are unchanged
+// and verifies everything else again.
 
 #include <csignal>
 #include <cstdio>
@@ -62,8 +63,9 @@ int Usage() {
       "                   degrades to INCONCLUSIVE (default: none).\n"
       "  --max-decisions N  Per-query solver decision budget; exhaustion\n"
       "                   degrades that request to INCONCLUSIVE.\n"
-      "  --journal FILE   Append every verdict (fsync'd) and replay it into\n"
-      "                   the warm verdict view on startup.\n"
+      "  --journal FILE   Append every verdict that runs (fsync'd). A PASS it\n"
+      "                   holds answers CACHED_SAFE while the unit fingerprint\n"
+      "                   and budget match; other units verify again.\n"
       "  --incremental    Use the persistent stores under --cache-dir; if\n"
       "                   another process holds the cache lock, degrade to a\n"
       "                   read-only cache view.\n"
