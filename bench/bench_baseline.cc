@@ -1,5 +1,7 @@
 #include "bench/bench_baseline.h"
 
+#include <time.h>
+
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
@@ -290,6 +292,12 @@ uint64_t CalibrationKernel() {
 }
 
 }  // namespace
+
+double ProcessCpuSeconds() {
+  timespec ts;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
 
 void Calibration::Sample() {
   WallTimer timer;

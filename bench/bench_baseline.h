@@ -55,6 +55,12 @@ class Calibration {
   std::vector<double> ms_;
 };
 
+// CPU seconds this process has used so far, on all of its threads
+// (CLOCK_PROCESS_CPUTIME_ID). A few milliseconds of wall clock read several
+// times longer whenever the host takes the CPU away; CPU time does not see
+// that, so the gated benches time their requests and runs with it.
+double ProcessCpuSeconds();
+
 // A run's calibration needs at least this many kernel timings.
 inline constexpr int kMinCalibrationSamples = 5;
 

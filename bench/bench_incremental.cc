@@ -19,7 +19,6 @@
 // not see.
 
 #include <sys/stat.h>
-#include <time.h>
 
 #include <cstdio>
 #include <cstring>
@@ -44,19 +43,13 @@ ino_t InodeOf(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0 ? st.st_ino : 0;
 }
 
-// CPU seconds this process has used so far, on all of its threads.
-double ProcessCpuSeconds() {
-  timespec ts;
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
 }  // namespace
 
 // Usage: bench_incremental [--json PATH] [--cache-dir DIR]
 // --json writes one {name, mean_ms, median_ms, stddev_ms, runs} entry per
 // phase over its kSamples runs.
 int main(int argc, char** argv) {
+  using icarus::bench::ProcessCpuSeconds;
   using icarus::platform::Platform;
   using icarus::verifier::BatchOptions;
   using icarus::verifier::BatchReport;

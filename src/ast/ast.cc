@@ -2,7 +2,7 @@
 
 namespace icarus::ast {
 
-const LanguageDecl* Module::FindLanguage(const std::string& name) const {
+const LanguageDecl* Module::FindLanguage(std::string_view name) const {
   for (const auto& l : languages) {
     if (l->name == name) {
       return l.get();
@@ -11,17 +11,7 @@ const LanguageDecl* Module::FindLanguage(const std::string& name) const {
   return nullptr;
 }
 
-const FunctionDecl* Module::FindFunction(const std::string& name) const {
-  auto it = functions_by_name.find(name);
-  return it == functions_by_name.end() ? nullptr : it->second;
-}
-
-const ExternFnDecl* Module::FindExtern(const std::string& name) const {
-  auto it = externs_by_name.find(name);
-  return it == externs_by_name.end() ? nullptr : it->second;
-}
-
-const CompilerDecl* Module::FindCompiler(const std::string& name) const {
+const CompilerDecl* Module::FindCompiler(std::string_view name) const {
   for (const auto& c : compilers) {
     if (c->name == name) {
       return c.get();
@@ -30,7 +20,7 @@ const CompilerDecl* Module::FindCompiler(const std::string& name) const {
   return nullptr;
 }
 
-const InterpreterDecl* Module::FindInterpreter(const std::string& name) const {
+const InterpreterDecl* Module::FindInterpreter(std::string_view name) const {
   for (const auto& i : interpreters) {
     if (i->name == name) {
       return i.get();
@@ -50,7 +40,15 @@ std::vector<const FunctionDecl*> Module::Generators() const {
 }
 
 std::vector<const FunctionDecl*> Module::AllFunctions() const {
+  size_t count = functions.size();
+  for (const auto& c : compilers) {
+    count += c->op_callbacks.size();
+  }
+  for (const auto& i : interpreters) {
+    count += i->op_callbacks.size();
+  }
   std::vector<const FunctionDecl*> out;
+  out.reserve(count);
   for (const auto& f : functions) {
     out.push_back(f.get());
   }

@@ -33,18 +33,36 @@
 //
 //   fn helper(objId: ObjectId) emits CacheIR { ... }
 //   generator tryAttachX(value: Value, valueId: ValueId) emits CacheIR { ... }
+//
+// Who owns what. The Module owns everything reachable from it, and no
+// pointer, span or view into it may outlive it:
+//   - its arena (Module::arena) holds one copy of each source chunk parsed
+//     into it, every Expr and Stmt node, and every list of the AST: child
+//     and statement lists, parameters, contract clauses, enum members and
+//     the resolver's References. They are freed together with the module;
+//     none is destroyed on its own, so arena types are trivially
+//     destructible;
+//   - every name, type name, emit callee and FunctionDecl::source_text is a
+//     std::string_view into the module's copy of its chunk, or into the
+//     arena when a qualified name was written with spaces around its `::`.
+//     A view is valid exactly as long as the module;
+//   - declarations (languages, ops, functions, externs, compilers,
+//     interpreters, enums, types) are owned one by one through unique_ptr
+//     or by the TypeTable, since a function or extern also owns its lowered
+//     code.
 #ifndef ICARUS_AST_AST_H_
 #define ICARUS_AST_AST_H_
 
-#include <map>
+#include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
+#include <span>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/ast/type.h"
+#include "src/support/arena.h"
+#include "src/support/name_table.h"
 
 namespace icarus::exec {
 struct Code;  // src/exec/code.h
@@ -61,7 +79,7 @@ struct SrcLoc {
 // Expressions
 // ---------------------------------------------------------------------------
 
-enum class ExprKind {
+enum class ExprKind : uint8_t {
   kIntLit,
   kBoolLit,
   kEnumLit,   // Condition::Equal
@@ -71,14 +89,14 @@ enum class ExprKind {
   kBinary,    // arithmetic / comparison / logical
 };
 
-enum class BinOp {
+enum class BinOp : uint8_t {
   kAdd, kSub, kMul, kDiv, kMod,
   kBitAnd, kBitOr, kBitXor, kShl, kShr,
   kEq, kNe, kLt, kLe, kGt, kGe,
   kLAnd, kLOr,
 };
 
-enum class UnOp {
+enum class UnOp : uint8_t {
   kNot,
   kNeg,
 };
@@ -86,26 +104,30 @@ enum class UnOp {
 struct FunctionDecl;
 struct ExternFnDecl;
 struct Expr;
-using ExprPtr = std::unique_ptr<Expr>;
+struct Stmt;
+
+// A list of nodes, in the module's arena like the nodes themselves.
+using ExprList = std::span<Expr* const>;
+using StmtList = std::span<Stmt* const>;
 
 struct Expr {
-  ExprKind kind;
+  ExprKind kind = ExprKind::kIntLit;
+  BinOp bin_op = BinOp::kAdd;
+  UnOp un_op = UnOp::kNot;
+  bool bool_val = false;     // kBoolLit
   SrcLoc loc;
 
   int64_t int_val = 0;       // kIntLit
-  bool bool_val = false;     // kBoolLit
-  std::string name;          // kVar: variable name; kEnumLit: "Enum::Member";
+  std::string_view name;     // kVar: variable name; kEnumLit: "Enum::Member";
                              // kCall: qualified callee name
-  BinOp bin_op = BinOp::kAdd;
-  UnOp un_op = UnOp::kNot;
-  std::vector<ExprPtr> args;  // kCall arguments; kUnary/kBinary operands
+  ExprList args;             // kCall arguments; kUnary/kBinary operands
 
   // --- Filled by the resolver ---
-  const Type* type = nullptr;
-  const EnumDecl* enum_decl = nullptr;  // kEnumLit
+  bool is_label = false;                // kVar naming a label
   int enum_index = -1;                  // kEnumLit
   int var_slot = -1;                    // kVar: index into the frame
-  bool is_label = false;                // kVar naming a label
+  const Type* type = nullptr;
+  const EnumDecl* enum_decl = nullptr;  // kEnumLit
   const FunctionDecl* callee_fn = nullptr;   // kCall to a DSL function
   const ExternFnDecl* callee_ext = nullptr;  // kCall to an extern
 };
@@ -115,10 +137,8 @@ struct Expr {
 // ---------------------------------------------------------------------------
 
 struct OpDecl;
-struct Stmt;
-using StmtPtr = std::unique_ptr<Stmt>;
 
-enum class StmtKind {
+enum class StmtKind : uint8_t {
   kLet,          // let x [: T] = e;
   kAssign,       // x = e;
   kIf,           // if e { ... } else { ... }
@@ -134,17 +154,17 @@ enum class StmtKind {
 };
 
 struct Stmt {
-  StmtKind kind;
+  StmtKind kind = StmtKind::kLet;
   SrcLoc loc;
 
-  std::string name;        // kLet/kAssign target; label name for label stmts
-  std::string type_name;   // kLet optional annotation
-  ExprPtr expr;            // kLet init / kAssign value / condition / operand
-  std::vector<StmtPtr> then_block;
-  std::vector<StmtPtr> else_block;
+  std::string_view name;        // kLet/kAssign target; label name for label stmts
+  std::string_view type_name;   // kLet optional annotation
+  Expr* expr = nullptr;         // kLet init / kAssign value / condition / operand
+  StmtList then_block;
+  StmtList else_block;
 
-  std::string emit_callee;      // kEmit: qualified op name
-  std::vector<ExprPtr> args;    // kEmit arguments
+  std::string_view emit_callee;  // kEmit: qualified op name
+  ExprList args;                 // kEmit arguments
 
   // --- Filled by the resolver ---
   int var_slot = -1;                  // kLet/kAssign/kLabelDecl/kFailureLabel
@@ -158,8 +178,8 @@ struct Stmt {
 // ---------------------------------------------------------------------------
 
 struct Param {
-  std::string name;
-  std::string type_name;   // As written; empty for labels.
+  std::string_view name;
+  std::string_view type_name;   // As written; empty for labels.
   bool is_label = false;
   // Resolved:
   const Type* type = nullptr;
@@ -178,14 +198,14 @@ struct References {
     const ExternFnDecl* ext = nullptr;
     SrcLoc loc;
   };
-  std::vector<Call> calls;
-  std::vector<const OpDecl*> emits;    // The ops of the body's `emit`s.
-  std::vector<const EnumDecl*> enums;  // Enum parameter types and enum literals.
+  std::span<const Call> calls;
+  std::span<const OpDecl* const> emits;    // The ops of the body's `emit`s.
+  std::span<const EnumDecl* const> enums;  // Enum parameter types and enum literals.
 };
 
 struct OpDecl {
-  std::string name;
-  std::vector<Param> params;
+  std::string_view name;
+  std::span<Param> params;
   SrcLoc loc;
   const LanguageDecl* language = nullptr;
   int index = -1;  // Position within the language.
@@ -193,17 +213,14 @@ struct OpDecl {
 };
 
 struct LanguageDecl {
-  std::string name;
+  std::string_view name;
   std::vector<std::unique_ptr<OpDecl>> ops;
-  std::map<std::string, OpDecl*> by_name;
+  NameTable<const OpDecl> by_name;
 
-  const OpDecl* FindOp(const std::string& op) const {
-    auto it = by_name.find(op);
-    return it == by_name.end() ? nullptr : it->second;
-  }
+  const OpDecl* FindOp(std::string_view op) const { return by_name.Find(op); }
 };
 
-enum class FnKind {
+enum class FnKind : uint8_t {
   kHelper,      // fn — pure or emitting helper
   kGenerator,   // generator — top-level IC stub generator
   kCompilerOp,  // `op` callback inside a compiler block
@@ -212,11 +229,11 @@ enum class FnKind {
 
 struct FunctionDecl {
   FnKind fn_kind = FnKind::kHelper;
-  std::string name;  // Qualified (e.g. "CacheIRCompiler::emitGuardToObject").
-  std::vector<Param> params;
-  std::string return_type_name;           // Empty → Void.
-  std::string emits_language_name;        // `emits Lang`; empty if pure.
-  std::vector<StmtPtr> body;
+  std::string_view name;  // Qualified (e.g. "CacheIRCompiler::emitGuardToObject").
+  std::span<Param> params;
+  std::string_view return_type_name;     // Empty → Void.
+  std::string_view emits_language_name;  // `emits Lang`; empty if pure.
+  StmtList body;
   SrcLoc loc;
 
   // Resolved:
@@ -229,7 +246,7 @@ struct FunctionDecl {
   References refs;
 
   // Source text of this function as written (for LoC reporting à la Fig. 12).
-  std::string source_text;
+  std::string_view source_text;
 
   // The flat form the evaluator runs (exec::Lowered), built at the first
   // execution of this function. Threads that share the module race for it
@@ -240,14 +257,14 @@ struct FunctionDecl {
 
 struct ContractClause {
   bool is_requires = false;  // requires vs ensures
-  ExprPtr expr;
+  Expr* expr = nullptr;
 };
 
 struct ExternFnDecl {
-  std::string name;  // Qualified.
-  std::vector<Param> params;
-  std::string return_type_name;  // Empty → Void.
-  std::vector<ContractClause> contracts;
+  std::string_view name;  // Qualified.
+  std::span<Param> params;
+  std::string_view return_type_name;  // Empty → Void.
+  std::span<const ContractClause> contracts;
   SrcLoc loc;
 
   // Resolved:
@@ -262,9 +279,9 @@ struct ExternFnDecl {
 };
 
 struct CompilerDecl {
-  std::string name;
-  std::string source_language_name;
-  std::string target_language_name;
+  std::string_view name;
+  std::string_view source_language_name;
+  std::string_view target_language_name;
   std::vector<std::unique_ptr<FunctionDecl>> op_callbacks;
   SrcLoc loc;
 
@@ -282,8 +299,8 @@ struct CompilerDecl {
 };
 
 struct InterpreterDecl {
-  std::string name;
-  std::string language_name;
+  std::string_view name;
+  std::string_view language_name;
   std::vector<std::unique_ptr<FunctionDecl>> op_callbacks;
   SrcLoc loc;
 
@@ -306,10 +323,17 @@ struct InterpreterDecl {
 struct FingerprintMemo;  // fingerprint.cc
 
 class Module {
+  // Declared first, so it is freed last: the rest holds views into it.
+  Arena arena_;
+
  public:
   Module() = default;
   Module(const Module&) = delete;
   Module& operator=(const Module&) = delete;
+
+  // Holds the module's source copies, nodes and lists (see the top of this
+  // file); the parser and the resolver allocate from it.
+  Arena& arena() { return arena_; }
 
   TypeTable& types() { return types_; }
   const TypeTable& types() const { return types_; }
@@ -320,17 +344,21 @@ class Module {
   std::vector<std::unique_ptr<CompilerDecl>> compilers;
   std::vector<std::unique_ptr<InterpreterDecl>> interpreters;
 
-  // Resolved: the name tables of `functions` and `externs`, keyed by views
-  // of the declarations' own names. Resolve fills them and rejects a
-  // duplicate name, so FindFunction and FindExtern answer only after it.
-  std::unordered_map<std::string_view, const FunctionDecl*> functions_by_name;
-  std::unordered_map<std::string_view, const ExternFnDecl*> externs_by_name;
+  // Resolved: the name tables of `functions` and `externs`. Resolve fills
+  // them and rejects a duplicate name, so FindFunction and FindExtern
+  // answer only after it.
+  NameTable<const FunctionDecl> functions_by_name;
+  NameTable<const ExternFnDecl> externs_by_name;
 
-  const LanguageDecl* FindLanguage(const std::string& name) const;
-  const FunctionDecl* FindFunction(const std::string& name) const;
-  const ExternFnDecl* FindExtern(const std::string& name) const;
-  const CompilerDecl* FindCompiler(const std::string& name) const;
-  const InterpreterDecl* FindInterpreter(const std::string& name) const;
+  const LanguageDecl* FindLanguage(std::string_view name) const;
+  const FunctionDecl* FindFunction(std::string_view name) const {
+    return functions_by_name.Find(name);
+  }
+  const ExternFnDecl* FindExtern(std::string_view name) const {
+    return externs_by_name.Find(name);
+  }
+  const CompilerDecl* FindCompiler(std::string_view name) const;
+  const InterpreterDecl* FindInterpreter(std::string_view name) const;
 
   // Every generator (FnKind::kGenerator) in declaration order.
   std::vector<const FunctionDecl*> Generators() const;

@@ -214,7 +214,7 @@ std::string Fingerprint::ToHex() const {
                    static_cast<unsigned long long>(hi));
 }
 
-StatusOr<Fingerprint> UnitFingerprint(const Module& module, const std::string& generator_name) {
+StatusOr<Fingerprint> UnitFingerprint(const Module& module, std::string_view generator_name) {
   const FunctionDecl* generator = module.FindFunction(generator_name);
   if (generator == nullptr || generator->fn_kind != FnKind::kGenerator) {
     return Status::Error(StrCat("no generator named '", generator_name, "' to fingerprint"));

@@ -36,6 +36,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "src/ast/ast.h"
 #include "src/support/status.h"
@@ -61,7 +62,7 @@ struct Fingerprint {
 // nothing, matching how verification treats them). The combination over
 // closure items is order-insensitive, so the result is independent of
 // declaration and traversal order.
-StatusOr<Fingerprint> UnitFingerprint(const Module& module, const std::string& generator_name);
+StatusOr<Fingerprint> UnitFingerprint(const Module& module, std::string_view generator_name);
 
 // The platform fingerprint (Platform::Fingerprint): every declaration's item
 // hash, in declaration order, plus the language, compiler and interpreter

@@ -1,8 +1,7 @@
 #include "src/ast/lexer.h"
 
-#include <cctype>
+#include <array>
 #include <cstdint>
-#include <map>
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -12,113 +11,118 @@ namespace icarus::ast {
 
 namespace {
 
-const std::map<std::string_view, Tok>& Keywords() {
-  static const std::map<std::string_view, Tok> kKeywords = {
-      {"language", Tok::kKwLanguage},
-      {"op", Tok::kKwOp},
-      {"enum", Tok::kKwEnum},
-      {"extern", Tok::kKwExtern},
-      {"type", Tok::kKwType},
-      {"fn", Tok::kKwFn},
-      {"compiler", Tok::kKwCompiler},
-      {"interpreter", Tok::kKwInterpreter},
-      {"generator", Tok::kKwGenerator},
-      {"emits", Tok::kKwEmits},
-      {"emit", Tok::kKwEmit},
-      {"let", Tok::kKwLet},
-      {"if", Tok::kKwIf},
-      {"else", Tok::kKwElse},
-      {"assert", Tok::kKwAssert},
-      {"assume", Tok::kKwAssume},
-      {"label", Tok::kKwLabel},
-      {"bind", Tok::kKwBind},
-      {"goto", Tok::kKwGoto},
-      {"failure", Tok::kKwFailure},
-      {"return", Tok::kKwReturn},
-      {"true", Tok::kKwTrue},
-      {"false", Tok::kKwFalse},
-      {"requires", Tok::kKwRequires},
-      {"ensures", Tok::kKwEnsures},
-  };
-  return kKeywords;
-}
+// Character classes, ASCII only (as the "C" locale's isspace/isalpha/
+// isdigit): one table load instead of a chain of range tests per byte.
+enum CharClass : uint8_t {
+  kBlank = 1,       // ' ', '\t', '\r'
+  kIdentStart = 2,  // letters and '_'
+  kDigit = 4,
+  kHexLetter = 8,   // a-f, A-F
+};
 
-// ASCII only, as the "C" locale's isalpha/isalnum.
-bool IsIdentStart(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
+constexpr std::array<uint8_t, 256> MakeCharClasses() {
+  std::array<uint8_t, 256> classes{};
+  classes[' '] = classes['\t'] = classes['\r'] = kBlank;
+  for (int c = 'a'; c <= 'z'; ++c) {
+    classes[c] = kIdentStart | (c <= 'f' ? kHexLetter : 0);
+    classes[c - 'a' + 'A'] = kIdentStart | (c <= 'f' ? kHexLetter : 0);
+  }
+  classes['_'] = kIdentStart;
+  for (int c = '0'; c <= '9'; ++c) {
+    classes[c] = kDigit;
+  }
+  return classes;
 }
-bool IsIdentCont(char c) {
-  return IsIdentStart(c) || (c >= '0' && c <= '9');
+constexpr std::array<uint8_t, 256> kCharClasses = MakeCharClasses();
+
+bool Is(char c, uint8_t classes) {
+  return (kCharClasses[static_cast<unsigned char>(c)] & classes) != 0;
+}
+bool IsDigit(char c) { return Is(c, kDigit); }
+bool IsHexDigit(char c) { return Is(c, kDigit | kHexLetter); }
+
+// The keyword spelled `word`, else kIdent.
+Tok KeywordOr(std::string_view word) {
+  switch (word.size()) {
+    case 2:
+      if (word == "op") return Tok::kKwOp;
+      if (word == "fn") return Tok::kKwFn;
+      if (word == "if") return Tok::kKwIf;
+      break;
+    case 3:
+      if (word == "let") return Tok::kKwLet;
+      break;
+    case 4:
+      switch (word[0]) {
+        case 'e':
+          if (word == "enum") return Tok::kKwEnum;
+          if (word == "emit") return Tok::kKwEmit;
+          if (word == "else") return Tok::kKwElse;
+          break;
+        case 't':
+          if (word == "type") return Tok::kKwType;
+          if (word == "true") return Tok::kKwTrue;
+          break;
+        case 'b':
+          if (word == "bind") return Tok::kKwBind;
+          break;
+        case 'g':
+          if (word == "goto") return Tok::kKwGoto;
+          break;
+        default:
+          break;
+      }
+      break;
+    case 5:
+      if (word == "emits") return Tok::kKwEmits;
+      if (word == "label") return Tok::kKwLabel;
+      if (word == "false") return Tok::kKwFalse;
+      break;
+    case 6:
+      switch (word[0]) {
+        case 'e':
+          if (word == "extern") return Tok::kKwExtern;
+          break;
+        case 'a':
+          if (word == "assert") return Tok::kKwAssert;
+          if (word == "assume") return Tok::kKwAssume;
+          break;
+        case 'r':
+          if (word == "return") return Tok::kKwReturn;
+          break;
+        default:
+          break;
+      }
+      break;
+    case 7:
+      if (word == "failure") return Tok::kKwFailure;
+      if (word == "ensures") return Tok::kKwEnsures;
+      break;
+    case 8:
+      if (word == "language") return Tok::kKwLanguage;
+      if (word == "compiler") return Tok::kKwCompiler;
+      if (word == "requires") return Tok::kKwRequires;
+      break;
+    case 9:
+      if (word == "generator") return Tok::kKwGenerator;
+      break;
+    case 11:
+      if (word == "interpreter") return Tok::kKwInterpreter;
+      break;
+    default:
+      break;
+  }
+  return Tok::kIdent;
 }
 
 }  // namespace
 
 Lexer::Lexer(std::string_view source) : src_(source) {}
 
-char Lexer::Peek(int ahead) const {
-  size_t p = pos_ + static_cast<size_t>(ahead);
-  return p < src_.size() ? src_[p] : '\0';
-}
-
-char Lexer::Advance() {
-  char c = Peek();
-  ++pos_;
-  if (c == '\n') {
-    ++line_;
-    col_ = 1;
-  } else {
-    ++col_;
-  }
-  return c;
-}
-
-bool Lexer::Match(char c) {
-  if (Peek() == c) {
-    Advance();
-    return true;
-  }
-  return false;
-}
-
-// Returns true on success; false when a block comment ran to EOF unclosed
-// (a classic truncated-file symptom), with the comment start in *err_line /
-// *err_col for the diagnostic.
-bool Lexer::SkipTrivia(int* err_line, int* err_col) {
-  while (true) {
-    char c = Peek();
-    if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
-      Advance();
-    } else if (c == '/' && Peek(1) == '/') {
-      while (Peek() != '\n' && Peek() != '\0') {
-        Advance();
-      }
-    } else if (c == '/' && Peek(1) == '*') {
-      *err_line = line_;
-      *err_col = col_;
-      Advance();
-      Advance();
-      while (!(Peek() == '*' && Peek(1) == '/') && Peek() != '\0') {
-        Advance();
-      }
-      if (Peek() == '\0') {
-        return false;
-      }
-      Advance();
-      Advance();
-    } else {
-      break;
-    }
-  }
-  return true;
-}
-
-Token Lexer::Make(Tok kind) {
-  Token t;
+Token Lexer::Make(Tok kind) const {
+  Token t = tok_;
   t.kind = kind;
-  t.text = src_.substr(tok_offset_, pos_ - tok_offset_);
-  t.line = tok_line_;
-  t.col = tok_col_;
-  t.offset = tok_offset_;
+  t.length = static_cast<uint32_t>(pos_ - tok_.offset);
   return t;
 }
 
@@ -126,101 +130,131 @@ Token Lexer::Error(int line, int col, std::string message) {
   Token t = Make(Tok::kError);
   t.line = line;
   t.col = col;
-  t.message = std::move(message);
+  error_ = std::move(message);
   return t;
 }
 
 Token Lexer::Next() {
-  int trivia_line = 0;
-  int trivia_col = 0;
-  if (!SkipTrivia(&trivia_line, &trivia_col)) {
-    return Error(trivia_line, trivia_col,
-                 StrFormat("unterminated block comment starting at line %d, col %d "
-                           "(truncated file?)",
-                           trivia_line, trivia_col));
+  // Trivia. Only a newline moves the line; a column is an offset from the
+  // start of its line, worked out when a token needs it.
+  const size_t size = src_.size();
+  const char* const text = src_.data();
+  size_t pos = pos_;
+  while (pos < size) {
+    const char c = text[pos];
+    if (Is(c, kBlank)) {
+      ++pos;
+    } else if (c == '\n') {
+      NewLine(pos++);
+    } else if (c == '/' && At(pos + 1) == '/') {
+      pos += 2;
+      while (pos < size && text[pos] != '\n' && text[pos] != '\0') {
+        ++pos;
+      }
+    } else if (c == '/' && At(pos + 1) == '*') {
+      const int start_line = line_;
+      const int start_col = Col(pos);
+      pos += 2;
+      while (!(At(pos) == '*' && At(pos + 1) == '/')) {
+        const char d = At(pos);
+        if (d == '\0') {
+          // A classic truncated-file symptom.
+          pos_ = pos;
+          tok_.offset = static_cast<uint32_t>(pos);
+          return Error(start_line, start_col,
+                       StrFormat("unterminated block comment starting at line %d, col %d "
+                                 "(truncated file?)",
+                                 start_line, start_col));
+        }
+        if (d == '\n') {
+          NewLine(pos);
+        }
+        ++pos;
+      }
+      pos += 2;
+    } else {
+      break;
+    }
   }
-  tok_line_ = line_;
-  tok_col_ = col_;
-  tok_offset_ = pos_;
-  char c = Peek();
+  pos_ = pos;
+  tok_.offset = static_cast<uint32_t>(pos_);
+  tok_.line = line_;
+  tok_.col = Col(pos_);
+  const char c = At(pos_);
   if (c == '\0') {
     return Make(Tok::kEof);
   }
-  if (IsIdentStart(c)) {
-    // An identifier never spans a newline, so only the column moves.
+  if (Is(c, kIdentStart)) {
     size_t end = pos_ + 1;
-    while (end < src_.size() && IsIdentCont(src_[end])) {
+    while (end < size && Is(text[end], kIdentStart | kDigit)) {
       ++end;
     }
-    col_ += static_cast<int>(end - pos_);
     pos_ = end;
-    auto it = Keywords().find(src_.substr(tok_offset_, pos_ - tok_offset_));
-    return Make(it != Keywords().end() ? it->second : Tok::kIdent);
+    return Make(KeywordOr(src_.substr(tok_.offset, pos_ - tok_.offset)));
   }
-  if (std::isdigit(static_cast<unsigned char>(c)) != 0) {
-    // Accumulate with an explicit overflow guard: a runaway literal is a
-    // diagnostic, not signed-overflow UB.
-    uint64_t value = 0;
-    bool overflow = false;
-    if (c == '0' && (Peek(1) == 'x' || Peek(1) == 'X')) {
-      Advance();
-      Advance();
-      if (std::isxdigit(static_cast<unsigned char>(Peek())) == 0) {
-        return Error(tok_line_, tok_col_,
-                     StrFormat("hex literal with no digits at line %d, col %d", tok_line_,
-                               tok_col_));
+  if (IsDigit(c)) {
+    if (c == '0' && (At(pos_ + 1) == 'x' || At(pos_ + 1) == 'X')) {
+      pos_ += 2;
+      if (!IsHexDigit(At(pos_))) {
+        return Error(tok_.line, tok_.col,
+                     StrFormat("hex literal with no digits at line %d, col %d", tok_.line,
+                               tok_.col));
       }
-      while (std::isxdigit(static_cast<unsigned char>(Peek())) != 0) {
-        char d = Advance();
-        uint64_t digit = std::isdigit(static_cast<unsigned char>(d)) != 0
-                             ? static_cast<uint64_t>(d - '0')
-                             : static_cast<uint64_t>(std::tolower(d) - 'a' + 10);
-        overflow = overflow || value > (UINT64_MAX - digit) / 16;
-        value = value * 16 + digit;
+      while (IsHexDigit(At(pos_))) {
+        ++pos_;
       }
     } else {
-      while (std::isdigit(static_cast<unsigned char>(Peek())) != 0) {
-        uint64_t digit = static_cast<uint64_t>(Advance() - '0');
-        overflow = overflow || value > (UINT64_MAX - digit) / 10;
-        value = value * 10 + digit;
+      while (IsDigit(At(pos_))) {
+        ++pos_;
       }
     }
-    if (overflow || value > static_cast<uint64_t>(INT64_MAX)) {
-      return Error(tok_line_, tok_col_,
-                   StrFormat("integer literal overflows int64 at line %d, col %d", tok_line_,
-                             tok_col_));
+    int64_t value = 0;
+    if (!ReadIntLiteral(src_.substr(tok_.offset, pos_ - tok_.offset), &value)) {
+      return Error(tok_.line, tok_.col,
+                   StrFormat("integer literal overflows int64 at line %d, col %d", tok_.line,
+                             tok_.col));
     }
-    Token t = Make(Tok::kIntLit);
-    t.int_val = static_cast<int64_t>(value);
-    return t;
+    return Make(Tok::kIntLit);
   }
   if (c == '"') {
-    Advance();
+    ++pos_;
     while (true) {
-      char d = Peek();
+      const char d = At(pos_);
       if (d == '\0' || d == '\n') {
-        return Error(tok_line_, tok_col_,
+        return Error(tok_.line, tok_.col,
                      StrFormat("unterminated string literal starting at line %d, col %d",
-                               tok_line_, tok_col_));
+                               tok_.line, tok_.col));
       }
-      Advance();
+      ++pos_;
       if (d == '"') {
         break;
       }
       if (d == '\\') {
         // Consume the escaped character so an escaped quote doesn't end the
         // literal; the DSL rejects strings anyway, so no unescaping needed.
-        if (Peek() == '\0') {
-          return Error(tok_line_, tok_col_,
+        const char escaped = At(pos_);
+        if (escaped == '\0') {
+          return Error(tok_.line, tok_.col,
                        StrFormat("unterminated string literal starting at line %d, col %d",
-                                 tok_line_, tok_col_));
+                                 tok_.line, tok_.col));
         }
-        Advance();
+        if (escaped == '\n') {
+          NewLine(pos_);
+        }
+        ++pos_;
       }
     }
     return Make(Tok::kStrLit);
   }
-  Advance();
+  ++pos_;
+  // The second byte of a two-byte operator, consumed if it is `next`.
+  auto match = [this](char next) {
+    if (At(pos_) != next) {
+      return false;
+    }
+    ++pos_;
+    return true;
+  };
   switch (c) {
     case '(': return Make(Tok::kLParen);
     case ')': return Make(Tok::kRParen);
@@ -228,20 +262,20 @@ Token Lexer::Next() {
     case '}': return Make(Tok::kRBrace);
     case ',': return Make(Tok::kComma);
     case ';': return Make(Tok::kSemi);
-    case ':': return Match(':') ? Make(Tok::kColonColon) : Make(Tok::kColon);
-    case '-': return Match('>') ? Make(Tok::kArrow) : Make(Tok::kMinus);
-    case '=': return Match('=') ? Make(Tok::kEqEq) : Make(Tok::kAssign);
-    case '!': return Match('=') ? Make(Tok::kNe) : Make(Tok::kBang);
+    case ':': return Make(match(':') ? Tok::kColonColon : Tok::kColon);
+    case '-': return Make(match('>') ? Tok::kArrow : Tok::kMinus);
+    case '=': return Make(match('=') ? Tok::kEqEq : Tok::kAssign);
+    case '!': return Make(match('=') ? Tok::kNe : Tok::kBang);
     case '<':
-      if (Match('=')) return Make(Tok::kLe);
-      if (Match('<')) return Make(Tok::kShl);
+      if (match('=')) return Make(Tok::kLe);
+      if (match('<')) return Make(Tok::kShl);
       return Make(Tok::kLt);
     case '>':
-      if (Match('=')) return Make(Tok::kGe);
-      if (Match('>')) return Make(Tok::kShr);
+      if (match('=')) return Make(Tok::kGe);
+      if (match('>')) return Make(Tok::kShr);
       return Make(Tok::kGt);
-    case '&': return Match('&') ? Make(Tok::kAndAnd) : Make(Tok::kAmp);
-    case '|': return Match('|') ? Make(Tok::kOrOr) : Make(Tok::kPipe);
+    case '&': return Make(match('&') ? Tok::kAndAnd : Tok::kAmp);
+    case '|': return Make(match('|') ? Tok::kOrOr : Tok::kPipe);
     case '+': return Make(Tok::kPlus);
     case '*': return Make(Tok::kStar);
     case '/': return Make(Tok::kSlash);
@@ -250,27 +284,30 @@ Token Lexer::Next() {
     default: {
       // Render non-printable bytes as \xNN so a stray control byte in the
       // input produces a readable diagnostic.
-      std::string spelling = std::isprint(static_cast<unsigned char>(c)) != 0
-                                 ? StrFormat("'%c'", c)
-                                 : StrFormat("byte \\x%02x", static_cast<unsigned char>(c));
-      return Error(tok_line_, tok_col_,
-                   StrFormat("unexpected %s at line %d, col %d", spelling.c_str(), tok_line_,
-                             tok_col_));
+      const auto byte = static_cast<unsigned char>(c);
+      std::string spelling = byte >= 0x20 && byte < 0x7f ? StrFormat("'%c'", c)
+                                                         : StrFormat("byte \\x%02x", byte);
+      return Error(tok_.line, tok_.col,
+                   StrFormat("unexpected %s at line %d, col %d", spelling.c_str(), tok_.line,
+                             tok_.col));
     }
   }
 }
 
 std::vector<Token> Lexer::LexAll() {
   obs::ScopedSpan span("frontend.lex");
+  std::vector<Token> out;
+  if (src_.size() >= UINT32_MAX) {
+    tok_ = Token{};
+    out.push_back(Error(1, 1, StrFormat("source of %zu bytes is too large to lex", src_.size())));
+    return out;
+  }
   // The platform's DSL averages about five bytes per token; reserving for
   // four spares the vector its regrowth copies (and their peak memory).
-  std::vector<Token> out;
   out.reserve(src_.size() / 4 + 1);
   while (true) {
-    Token t = Next();
-    bool done = (t.kind == Tok::kEof || t.kind == Tok::kError);
-    out.push_back(std::move(t));
-    if (done) {
+    out.push_back(Next());
+    if (out.back().kind == Tok::kEof || out.back().kind == Tok::kError) {
       break;
     }
   }

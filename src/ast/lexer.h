@@ -1,6 +1,11 @@
 // Lexer for the Icarus DSL. Supports `//` line comments and `/* */` block
 // comments, decimal and hex integer literals, and the operator set used by
 // the paper's figures.
+//
+// The lexer reads `source` in place and keeps no copy of it: the tokens it
+// returns are offsets into `source` (token.h), so they are read against the
+// same text, which must outlive them. A NUL byte ends the input, as the end
+// of `source` does.
 #ifndef ICARUS_AST_LEXER_H_
 #define ICARUS_AST_LEXER_H_
 
@@ -9,7 +14,6 @@
 #include <vector>
 
 #include "src/ast/token.h"
-#include "src/support/status.h"
 
 namespace icarus::ast {
 
@@ -17,26 +21,30 @@ class Lexer {
  public:
   explicit Lexer(std::string_view source);
 
-  // Lexes the entire input. On error, the final token is kError with its
-  // diagnostic in `message`. Token texts are views into `source`.
+  // Lexes the entire input. The last token is kEof, or kError when the
+  // input is malformed; error() then holds its diagnostic.
   std::vector<Token> LexAll();
+
+  // The diagnostic of the kError token; empty if LexAll returned none.
+  const std::string& error() const { return error_; }
 
  private:
   Token Next();
-  char Peek(int ahead = 0) const;
-  char Advance();
-  bool Match(char c);
-  bool SkipTrivia(int* err_line, int* err_col);
-  Token Make(Tok kind);
+  char At(size_t pos) const { return pos < src_.size() ? src_[pos] : '\0'; }
+  int Col(size_t pos) const { return static_cast<int>(pos - line_start_) + 1; }
+  void NewLine(size_t newline_pos) {
+    ++line_;
+    line_start_ = newline_pos + 1;
+  }
+  Token Make(Tok kind) const;
   Token Error(int line, int col, std::string message);
 
   std::string_view src_;
   size_t pos_ = 0;
   int line_ = 1;
-  int col_ = 1;
-  int tok_line_ = 1;
-  int tok_col_ = 1;
-  size_t tok_offset_ = 0;
+  size_t line_start_ = 0;  // Offset of the first byte of line_.
+  Token tok_;              // The token being lexed: its kind, start and position.
+  std::string error_;
 };
 
 }  // namespace icarus::ast

@@ -1,6 +1,9 @@
 #include "src/ast/parser.h"
 
+#include <initializer_list>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/ast/lexer.h"
 #include "src/obs/metrics.h"
@@ -44,17 +47,36 @@ BinaryOperator BinaryOperatorOf(Tok tok) {
   }
 }
 
+// A stack of list elements: a list under construction pushes its elements
+// above a mark, and Pop moves them into the arena at their exact size. Lists
+// nest (an argument's own arguments are pushed and popped before the
+// argument is), so one stack serves every list of its element type.
+template <typename T>
+class ListStack {
+ public:
+  size_t Mark() const { return items_.size(); }
+  void Push(const T& item) { items_.push_back(item); }
+  std::span<T> Pop(size_t mark, Arena* arena) {
+    std::span<T> list = arena->Copy(std::span<const T>(items_).subspan(mark));
+    items_.resize(mark);
+    return list;
+  }
+
+ private:
+  std::vector<T> items_;
+};
+
 class ParserImpl {
  public:
+  // `source` is the module's own copy, which every kept name views.
   ParserImpl(Module* module, std::string_view source)
-      : module_(module), source_(source) {
-    Lexer lexer(source);
-    tokens_ = lexer.LexAll();
+      : module_(module), arena_(&module->arena()), source_(source), lexer_(source) {
+    tokens_ = lexer_.LexAll();
   }
 
   Status Run() {
     if (tokens_.back().kind == Tok::kError) {
-      return Status::Error(tokens_.back().message);
+      return Status::Error(lexer_.error());
     }
     while (!At(Tok::kEof)) {
       ICARUS_RETURN_IF_ERROR(TopLevel());
@@ -79,11 +101,17 @@ class ParserImpl {
     }
     return false;
   }
+  std::string_view Text(const Token& t) const { return TokenText(source_, t); }
 
   Status Err(const std::string& msg) {
-    std::string found = Cur().kind == Tok::kIdent ? std::string(Cur().text) : TokName(Cur().kind);
-    return Status::Error(StrFormat("parse error at line %d, col %d: %s (found '%s')", Cur().line,
-                                   Cur().col, msg.c_str(), found.c_str()));
+    std::string_view found = Cur().kind == Tok::kIdent ? Text(Cur()) : TokName(Cur().kind);
+    return Status::Error(StrCat("parse error at line ", Cur().line, ", col ", Cur().col, ": ",
+                                msg, " (found '", found, "')"));
+  }
+
+  // An error about the declaration named by `name`, at its position.
+  static Status ErrAt(const Token& name, const std::string& msg) {
+    return Status::Error(StrCat("parse error at line ", name.line, ", col ", name.col, ": ", msg));
   }
 
   // Consumes a `k` token; `text` (optional) receives its spelling, a view
@@ -94,12 +122,16 @@ class ParserImpl {
     }
     const Token& t = Take();
     if (text != nullptr) {
-      *text = t.text;
+      *text = Text(t);
     }
     return Status::Ok();
   }
 
   SrcLoc Loc() const { return SrcLoc{Cur().line, Cur().col}; }
+
+  ExprList Exprs(std::initializer_list<Expr*> items) {
+    return arena_->Copy(std::span<Expr* const>(items.begin(), items.size()));
+  }
 
   // --- Top-level declarations ---------------------------------------------
 
@@ -125,22 +157,23 @@ class ParserImpl {
 
   Status EnumDeclTop() {
     Take();  // enum
-    std::string_view name;
-    ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &name));
-    ICARUS_RETURN_IF_ERROR(Expect(Tok::kLBrace));
+    const Token& name_tok = Cur();
     EnumDecl decl;
-    decl.name = name;
+    ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &decl.name));
+    ICARUS_RETURN_IF_ERROR(Expect(Tok::kLBrace));
+    const size_t mark = members_.Mark();
     while (!At(Tok::kRBrace)) {
       std::string_view member;
       ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &member));
-      decl.members.emplace_back(member);
+      members_.Push(member);
       if (!Eat(Tok::kComma)) {
         break;
       }
     }
     ICARUS_RETURN_IF_ERROR(Expect(Tok::kRBrace));
-    if (module_->types().DeclareEnum(std::move(decl)) == nullptr) {
-      return Status::Error(StrCat("duplicate type name '", name, "'"));
+    decl.members = members_.Pop(mark, arena_);
+    if (module_->types().DeclareEnum(decl) == nullptr) {
+      return ErrAt(name_tok, StrCat("duplicate type name '", decl.name, "'"));
     }
     return Status::Ok();
   }
@@ -148,11 +181,12 @@ class ParserImpl {
   Status ExternDeclTop() {
     Take();  // extern
     if (Eat(Tok::kKwType)) {
+      const Token& name_tok = Cur();
       std::string_view name;
       ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &name));
       ICARUS_RETURN_IF_ERROR(Expect(Tok::kSemi));
-      if (module_->types().DeclareOpaque(std::string(name)) == nullptr) {
-        return Status::Error(StrCat("duplicate type name '", name, "'"));
+      if (module_->types().DeclareOpaque(name) == nullptr) {
+        return ErrAt(name_tok, StrCat("duplicate type name '", name, "'"));
       }
       return Status::Ok();
     }
@@ -162,16 +196,16 @@ class ParserImpl {
     ICARUS_RETURN_IF_ERROR(QualIdent(&decl->name));
     ICARUS_RETURN_IF_ERROR(ParamList(&decl->params));
     if (Eat(Tok::kArrow)) {
-      std::string_view ret;
-      ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &ret));
-      decl->return_type_name = ret;
+      ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &decl->return_type_name));
     }
+    const size_t mark = clauses_.Mark();
     while (At(Tok::kKwRequires) || At(Tok::kKwEnsures)) {
       ContractClause clause;
       clause.is_requires = Take().kind == Tok::kKwRequires;
       ICARUS_RETURN_IF_ERROR(ParseExpr(&clause.expr));
-      decl->contracts.push_back(std::move(clause));
+      clauses_.Push(clause);
     }
+    decl->contracts = clauses_.Pop(mark, arena_);
     ICARUS_RETURN_IF_ERROR(Expect(Tok::kSemi));
     module_->externs.push_back(std::move(decl));
     return Status::Ok();
@@ -179,26 +213,23 @@ class ParserImpl {
 
   Status LanguageDeclTop() {
     Take();  // language
-    std::string_view name;
-    ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &name));
-    ICARUS_RETURN_IF_ERROR(Expect(Tok::kLBrace));
     auto lang = std::make_unique<LanguageDecl>();
-    lang->name = name;
+    ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &lang->name));
+    ICARUS_RETURN_IF_ERROR(Expect(Tok::kLBrace));
     while (!At(Tok::kRBrace)) {
       ICARUS_RETURN_IF_ERROR(Expect(Tok::kKwOp));
       auto op = std::make_unique<OpDecl>();
       op->loc = Loc();
-      std::string_view op_name;
-      ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &op_name));
-      op->name = op_name;
+      const Token& name_tok = Cur();
+      ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &op->name));
       ICARUS_RETURN_IF_ERROR(ParamList(&op->params));
       ICARUS_RETURN_IF_ERROR(Expect(Tok::kSemi));
       op->language = lang.get();
       op->index = static_cast<int>(lang->ops.size());
-      if (lang->by_name.count(op->name) != 0) {
-        return Status::Error(StrCat("duplicate op '", op->name, "' in language ", lang->name));
+      if (!lang->by_name.Insert(op->name, op.get())) {
+        return ErrAt(name_tok,
+                     StrCat("duplicate op '", op->name, "' in language ", lang->name));
       }
-      lang->by_name[op->name] = op.get();
       lang->ops.push_back(std::move(op));
     }
     ICARUS_RETURN_IF_ERROR(Expect(Tok::kRBrace));
@@ -210,17 +241,11 @@ class ParserImpl {
     Take();  // compiler
     auto decl = std::make_unique<CompilerDecl>();
     decl->loc = Loc();
-    std::string_view name;
-    ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &name));
-    decl->name = name;
+    ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &decl->name));
     ICARUS_RETURN_IF_ERROR(Expect(Tok::kColon));
-    std::string_view src;
-    ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &src));
-    decl->source_language_name = src;
+    ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &decl->source_language_name));
     ICARUS_RETURN_IF_ERROR(Expect(Tok::kArrow));
-    std::string_view tgt;
-    ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &tgt));
-    decl->target_language_name = tgt;
+    ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &decl->target_language_name));
     ICARUS_RETURN_IF_ERROR(Expect(Tok::kLBrace));
     while (!At(Tok::kRBrace)) {
       std::unique_ptr<FunctionDecl> cb;
@@ -236,13 +261,9 @@ class ParserImpl {
     Take();  // interpreter
     auto decl = std::make_unique<InterpreterDecl>();
     decl->loc = Loc();
-    std::string_view name;
-    ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &name));
-    decl->name = name;
+    ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &decl->name));
     ICARUS_RETURN_IF_ERROR(Expect(Tok::kColon));
-    std::string_view lang;
-    ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &lang));
-    decl->language_name = lang;
+    ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &decl->language_name));
     ICARUS_RETURN_IF_ERROR(Expect(Tok::kLBrace));
     while (!At(Tok::kRBrace)) {
       std::unique_ptr<FunctionDecl> cb;
@@ -261,13 +282,11 @@ class ParserImpl {
     auto fn = std::make_unique<FunctionDecl>();
     fn->fn_kind = kind;
     fn->loc = Loc();
-    std::string_view name;
-    ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &name));
-    fn->name = name;
+    ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &fn->name));
     ICARUS_RETURN_IF_ERROR(ParamList(&fn->params));
     size_t end_offset = 0;
     ICARUS_RETURN_IF_ERROR(Block(&fn->body, &end_offset));
-    fn->source_text = std::string(source_.substr(start_offset, end_offset - start_offset));
+    fn->source_text = source_.substr(start_offset, end_offset - start_offset);
     *out = std::move(fn);
     return Status::Ok();
   }
@@ -282,90 +301,112 @@ class ParserImpl {
     ICARUS_RETURN_IF_ERROR(QualIdent(&fn->name));
     ICARUS_RETURN_IF_ERROR(ParamList(&fn->params));
     if (Eat(Tok::kArrow)) {
-      std::string_view ret;
-      ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &ret));
-      fn->return_type_name = ret;
+      ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &fn->return_type_name));
     }
     if (Eat(Tok::kKwEmits)) {
-      std::string_view lang;
-      ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &lang));
-      fn->emits_language_name = lang;
+      ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &fn->emits_language_name));
     }
     if (is_generator && fn->return_type_name.empty()) {
       fn->return_type_name = "AttachDecision";
     }
     size_t end_offset = 0;
     ICARUS_RETURN_IF_ERROR(Block(&fn->body, &end_offset));
-    fn->source_text = std::string(source_.substr(start_offset, end_offset - start_offset));
+    fn->source_text = source_.substr(start_offset, end_offset - start_offset);
     module_->functions.push_back(std::move(fn));
     return Status::Ok();
   }
 
   // --- Shared pieces -------------------------------------------------------
 
-  Status QualIdent(std::string* out) {
-    std::string_view first;
-    ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &first));
-    *out = first;
+  // `A::B::c`: a view of the source when written without spaces around the
+  // `::`s, as it nearly always is; otherwise the joined spelling, copied
+  // into the arena.
+  Status QualIdent(std::string_view* out) {
+    const size_t first = idx_;
+    ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent));
+    size_t joined = Text(tokens_[first]).size();
     while (At(Tok::kColonColon)) {
       Take();
-      std::string_view next;
-      ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &next));
-      out->append("::");
-      out->append(next);
+      ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent));
+      joined += 2 + Text(tokens_[idx_ - 1]).size();
     }
+    const Token& last = tokens_[idx_ - 1];
+    const size_t begin = tokens_[first].offset;
+    if (last.offset + last.length - begin == joined) {
+      *out = source_.substr(begin, joined);
+      return Status::Ok();
+    }
+    name_.clear();
+    for (size_t i = first; i < idx_; ++i) {
+      name_.append(tokens_[i].kind == Tok::kColonColon ? "::" : Text(tokens_[i]));
+    }
+    *out = arena_->Copy(name_);
     return Status::Ok();
   }
 
-  Status ParamList(std::vector<Param>* out) {
+  Status ParamList(std::span<Param>* out) {
     ICARUS_RETURN_IF_ERROR(Expect(Tok::kLParen));
+    const size_t mark = params_.Mark();
     while (!At(Tok::kRParen)) {
       Param p;
       if (Eat(Tok::kKwLabel)) {
         p.is_label = true;
-        std::string_view name;
-        ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &name));
-        p.name = name;
+        ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &p.name));
         // Optional `: Lang` annotation, accepted and ignored (the target
         // language of a label is implied by its context).
         if (Eat(Tok::kColon)) {
           ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent));
         }
       } else {
-        std::string_view name;
-        ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &name));
-        p.name = name;
+        ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &p.name));
         ICARUS_RETURN_IF_ERROR(Expect(Tok::kColon));
-        std::string_view type;
-        ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &type));
-        p.type_name = type;
+        ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &p.type_name));
       }
-      out->push_back(std::move(p));
+      params_.Push(p);
       if (!Eat(Tok::kComma)) {
         break;
       }
     }
+    *out = params_.Pop(mark, arena_);
     return Expect(Tok::kRParen);
   }
 
   // Parses `{ stmt* }`. `end_offset` (optional) receives the offset just
   // past the closing brace.
-  Status Block(std::vector<StmtPtr>* out, size_t* end_offset = nullptr) {
+  Status Block(StmtList* out, size_t* end_offset = nullptr) {
     ICARUS_RETURN_IF_ERROR(Expect(Tok::kLBrace));
+    const size_t mark = stmts_.Mark();
     while (!At(Tok::kRBrace)) {
-      StmtPtr stmt;
+      Stmt* stmt = nullptr;
       ICARUS_RETURN_IF_ERROR(Statement(&stmt));
-      out->push_back(std::move(stmt));
+      stmts_.Push(stmt);
     }
+    *out = stmts_.Pop(mark, arena_);
     if (end_offset != nullptr) {
       *end_offset = Cur().offset + 1;  // '}' is one byte.
     }
     return Expect(Tok::kRBrace);
   }
 
+  // Parses `(expr, ...)` after a callee.
+  Status Arguments(ExprList* out) {
+    ICARUS_RETURN_IF_ERROR(Expect(Tok::kLParen));
+    const size_t mark = exprs_.Mark();
+    while (!At(Tok::kRParen)) {
+      Expr* arg = nullptr;
+      ICARUS_RETURN_IF_ERROR(ParseExpr(&arg));
+      exprs_.Push(arg);
+      if (!Eat(Tok::kComma)) {
+        break;
+      }
+    }
+    *out = exprs_.Pop(mark, arena_);
+    return Expect(Tok::kRParen);
+  }
+
   // --- Statements ----------------------------------------------------------
 
-  Status Statement(StmtPtr* out) {
+  Status Statement(Stmt** out) {
     if (++depth_ > kMaxNestingDepth) {
       --depth_;
       return Err("statement nesting too deep");
@@ -375,20 +416,16 @@ class ParserImpl {
     return st;
   }
 
-  Status StatementImpl(StmtPtr* out) {
-    auto stmt = std::make_unique<Stmt>();
+  Status StatementImpl(Stmt** out) {
+    Stmt* stmt = arena_->New<Stmt>();
     stmt->loc = Loc();
     switch (Cur().kind) {
       case Tok::kKwLet: {
         Take();
         stmt->kind = StmtKind::kLet;
-        std::string_view name;
-        ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &name));
-        stmt->name = name;
+        ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &stmt->name));
         if (Eat(Tok::kColon)) {
-          std::string_view type;
-          ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &type));
-          stmt->type_name = type;
+          ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &stmt->type_name));
         }
         ICARUS_RETURN_IF_ERROR(Expect(Tok::kAssign));
         ICARUS_RETURN_IF_ERROR(ParseExpr(&stmt->expr));
@@ -402,9 +439,9 @@ class ParserImpl {
         ICARUS_RETURN_IF_ERROR(Block(&stmt->then_block));
         if (Eat(Tok::kKwElse)) {
           if (At(Tok::kKwIf)) {
-            StmtPtr nested;
+            Stmt* nested = nullptr;
             ICARUS_RETURN_IF_ERROR(Statement(&nested));
-            stmt->else_block.push_back(std::move(nested));
+            stmt->else_block = arena_->Copy(std::span<Stmt* const>(&nested, 1));
           } else {
             ICARUS_RETURN_IF_ERROR(Block(&stmt->else_block));
           }
@@ -422,25 +459,14 @@ class ParserImpl {
         Take();
         stmt->kind = StmtKind::kEmit;
         ICARUS_RETURN_IF_ERROR(QualIdent(&stmt->emit_callee));
-        ICARUS_RETURN_IF_ERROR(Expect(Tok::kLParen));
-        while (!At(Tok::kRParen)) {
-          ExprPtr arg;
-          ICARUS_RETURN_IF_ERROR(ParseExpr(&arg));
-          stmt->args.push_back(std::move(arg));
-          if (!Eat(Tok::kComma)) {
-            break;
-          }
-        }
-        ICARUS_RETURN_IF_ERROR(Expect(Tok::kRParen));
+        ICARUS_RETURN_IF_ERROR(Arguments(&stmt->args));
         ICARUS_RETURN_IF_ERROR(Expect(Tok::kSemi));
         break;
       }
       case Tok::kKwLabel: {
         Take();
         stmt->kind = StmtKind::kLabelDecl;
-        std::string_view name;
-        ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &name));
-        stmt->name = name;
+        ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &stmt->name));
         if (Eat(Tok::kColon)) {
           ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent));
         }
@@ -454,9 +480,7 @@ class ParserImpl {
         stmt->kind = k == Tok::kKwBind    ? StmtKind::kBind
                      : k == Tok::kKwGoto  ? StmtKind::kGoto
                                           : StmtKind::kFailureLabel;
-        std::string_view name;
-        ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &name));
-        stmt->name = name;
+        ICARUS_RETURN_IF_ERROR(Expect(Tok::kIdent, &stmt->name));
         ICARUS_RETURN_IF_ERROR(Expect(Tok::kSemi));
         break;
       }
@@ -473,19 +497,17 @@ class ParserImpl {
         // Either `x = expr;` or an expression statement.
         if (At(Tok::kIdent) && Ahead(1).kind == Tok::kAssign) {
           stmt->kind = StmtKind::kAssign;
-          stmt->name = Take().text;
+          stmt->name = Text(Take());
           Take();  // '='
-          ICARUS_RETURN_IF_ERROR(ParseExpr(&stmt->expr));
-          ICARUS_RETURN_IF_ERROR(Expect(Tok::kSemi));
         } else {
           stmt->kind = StmtKind::kExprStmt;
-          ICARUS_RETURN_IF_ERROR(ParseExpr(&stmt->expr));
-          ICARUS_RETURN_IF_ERROR(Expect(Tok::kSemi));
         }
+        ICARUS_RETURN_IF_ERROR(ParseExpr(&stmt->expr));
+        ICARUS_RETURN_IF_ERROR(Expect(Tok::kSemi));
         break;
       }
     }
-    *out = std::move(stmt);
+    *out = stmt;
     return Status::Ok();
   }
 
@@ -495,7 +517,7 @@ class ParserImpl {
   // nested malformed input must produce a diagnostic, not a stack overflow.
   static constexpr int kMaxNestingDepth = 200;
 
-  Status ParseExpr(ExprPtr* out) {
+  Status ParseExpr(Expr** out) {
     if (++depth_ > kMaxNestingDepth) {
       --depth_;
       return Err("expression nesting too deep");
@@ -508,7 +530,7 @@ class ParserImpl {
   // Precedence climbing: a unary operand, then every binary operator that
   // binds at least as tightly as `min_prec`. An operator's right operand
   // takes only tighter operators, so equal precedences associate left.
-  Status BinaryExpr(int min_prec, ExprPtr* out) {
+  Status BinaryExpr(int min_prec, Expr** out) {
     ICARUS_RETURN_IF_ERROR(UnaryExpr(out));
     while (true) {
       BinaryOperator bin = BinaryOperatorOf(Cur().kind);
@@ -517,77 +539,65 @@ class ParserImpl {
       }
       SrcLoc loc = Loc();
       Take();
-      ExprPtr rhs;
+      Expr* rhs = nullptr;
       ICARUS_RETURN_IF_ERROR(BinaryExpr(bin.prec + 1, &rhs));
-      auto expr = std::make_unique<Expr>();
+      Expr* expr = arena_->New<Expr>();
       expr->kind = ExprKind::kBinary;
       expr->loc = loc;
       expr->bin_op = bin.op;
-      expr->args.push_back(std::move(*out));
-      expr->args.push_back(std::move(rhs));
-      *out = std::move(expr);
+      expr->args = Exprs({*out, rhs});
+      *out = expr;
     }
   }
 
-  Status UnaryExpr(ExprPtr* out) {
+  Status UnaryExpr(Expr** out) {
     if (At(Tok::kBang) || At(Tok::kMinus)) {
-      auto expr = std::make_unique<Expr>();
+      Expr* expr = arena_->New<Expr>();
       expr->kind = ExprKind::kUnary;
       expr->loc = Loc();
       expr->un_op = Take().kind == Tok::kBang ? UnOp::kNot : UnOp::kNeg;
-      ExprPtr operand;
+      Expr* operand = nullptr;
       ICARUS_RETURN_IF_ERROR(UnaryExpr(&operand));
-      expr->args.push_back(std::move(operand));
-      *out = std::move(expr);
+      expr->args = Exprs({operand});
+      *out = expr;
       return Status::Ok();
     }
     return PrimaryExpr(out);
   }
 
-  Status PrimaryExpr(ExprPtr* out) {
-    auto expr = std::make_unique<Expr>();
-    expr->loc = Loc();
+  Status PrimaryExpr(Expr** out) {
+    SrcLoc loc = Loc();
+    Expr* expr = nullptr;
     switch (Cur().kind) {
-      case Tok::kIntLit:
+      case Tok::kIntLit: {
+        expr = arena_->New<Expr>();
         expr->kind = ExprKind::kIntLit;
-        expr->int_val = Take().int_val;
+        const bool read = ReadIntLiteral(Text(Take()), &expr->int_val);
+        ICARUS_CHECK(read);  // The lexer lets only readable literals through.
         break;
+      }
       case Tok::kKwTrue:
       case Tok::kKwFalse:
+        expr = arena_->New<Expr>();
         expr->kind = ExprKind::kBoolLit;
         expr->bool_val = Take().kind == Tok::kKwTrue;
         break;
       case Tok::kLParen: {
         Take();
-        ExprPtr inner;
-        ICARUS_RETURN_IF_ERROR(ParseExpr(&inner));
-        ICARUS_RETURN_IF_ERROR(Expect(Tok::kRParen));
-        *out = std::move(inner);
-        return Status::Ok();
+        ICARUS_RETURN_IF_ERROR(ParseExpr(out));
+        return Expect(Tok::kRParen);
       }
       case Tok::kIdent: {
-        std::string name;
-        ICARUS_RETURN_IF_ERROR(QualIdent(&name));
+        expr = arena_->New<Expr>();
+        ICARUS_RETURN_IF_ERROR(QualIdent(&expr->name));
         if (At(Tok::kLParen)) {
           expr->kind = ExprKind::kCall;
-          expr->name = std::move(name);
-          Take();  // '('
-          while (!At(Tok::kRParen)) {
-            ExprPtr arg;
-            ICARUS_RETURN_IF_ERROR(ParseExpr(&arg));
-            expr->args.push_back(std::move(arg));
-            if (!Eat(Tok::kComma)) {
-              break;
-            }
-          }
-          ICARUS_RETURN_IF_ERROR(Expect(Tok::kRParen));
-        } else if (Contains(name, "::")) {
+          ICARUS_RETURN_IF_ERROR(Arguments(&expr->args));
+        } else if (Contains(expr->name, "::")) {
           // Qualified non-call: an enum literal like Condition::Equal.
           expr->kind = ExprKind::kEnumLit;
-          expr->name = std::move(name);
         } else {
           expr->kind = ExprKind::kVar;
-          expr->name = std::move(name);
         }
         break;
       }
@@ -596,15 +606,25 @@ class ParserImpl {
       default:
         return Err("expected an expression");
     }
-    *out = std::move(expr);
+    expr->loc = loc;
+    *out = expr;
     return Status::Ok();
   }
 
   Module* module_;
+  Arena* arena_;
   std::string_view source_;
+  Lexer lexer_;
   std::vector<Token> tokens_;
   size_t idx_ = 0;
   int depth_ = 0;
+  // Elements of the lists being built, one stack per element type.
+  ListStack<Expr*> exprs_;
+  ListStack<Stmt*> stmts_;
+  ListStack<Param> params_;
+  ListStack<ContractClause> clauses_;
+  ListStack<std::string_view> members_;
+  std::string name_;  // QualIdent's buffer for a spaced-out name.
 };
 
 }  // namespace
@@ -612,7 +632,7 @@ class ParserImpl {
 Status Parser::ParseInto(Module* module, std::string_view source) {
   ICARUS_CHECK(!module->frozen());
   obs::ScopedSpan span("frontend.parse");
-  ParserImpl impl(module, source);
+  ParserImpl impl(module, module->arena().Copy(source));
   Status status = impl.Run();
   if (obs::Enabled()) {
     static obs::Counter* parses = obs::Registry::Global().GetCounter(

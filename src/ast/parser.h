@@ -17,8 +17,9 @@ class Parser {
  public:
   // Parses `source` (a sequence of top-level declarations) appending into
   // `module`, which must not be frozen (ast.h). Returns an error with
-  // line/column on malformed input. The AST owns copies of every name it
-  // keeps, so `source` need only outlive the call.
+  // line/column on malformed input. The module first copies `source` into
+  // its arena and parses that copy, so every name it keeps is a view into
+  // its own copy: `source` need only outlive the call.
   static Status ParseInto(Module* module, std::string_view source);
 };
 

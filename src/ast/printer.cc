@@ -31,7 +31,7 @@ const char* BinOpText(BinOp op) {
   return "?";
 }
 
-void AppendParams(const std::vector<Param>& params, std::string* out) {
+void AppendParams(std::span<const Param> params, std::string* out) {
   for (size_t i = 0; i < params.size(); ++i) {
     const Param& p = params[i];
     out->append(i > 0 ? ", " : "").append(p.is_label ? "label " : "").append(p.name);
@@ -41,9 +41,9 @@ void AppendParams(const std::vector<Param>& params, std::string* out) {
   }
 }
 
-std::string PrintBlock(const std::vector<StmtPtr>& block, int indent) {
+std::string PrintBlock(StmtList block, int indent) {
   std::string out = "{\n";
-  for (const StmtPtr& stmt : block) {
+  for (const Stmt* stmt : block) {
     out += PrintStmt(*stmt, indent + 2);
   }
   out += std::string(static_cast<size_t>(indent), ' ');
@@ -115,7 +115,7 @@ std::string PrintStmt(const Stmt& stmt, int indent) {
     case StmtKind::kEmit: {
       std::vector<std::string> args;
       args.reserve(stmt.args.size());
-      for (const ExprPtr& a : stmt.args) {
+      for (const Expr* a : stmt.args) {
         args.push_back(PrintExpr(*a));
       }
       return StrCat(pad, "emit ", stmt.emit_callee, "(", Join(args, ", "), ");\n");

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
+#include <span>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -30,10 +29,19 @@ class ResolverImpl {
   }
 
  private:
-  Status Err(SrcLoc loc, const std::string& msg) {
+  static Status Err(SrcLoc loc, const std::string& msg) {
     return Status::Error(
         StrFormat("resolve error at line %d, col %d: %s", loc.line, loc.col, msg.c_str()));
   }
+
+  // The References of the declaration being resolved, in lists that are
+  // reused from one declaration to the next; CommitReferences copies them
+  // into the arena at their exact size.
+  struct PendingReferences {
+    std::vector<References::Call> calls;
+    std::vector<const OpDecl*> emits;
+    std::vector<const EnumDecl*> enums;
+  };
 
   // Adds `item` to a References list unless it is there already.
   template <typename T>
@@ -43,7 +51,7 @@ class ResolverImpl {
     }
   }
 
-  static void ReferenceParamEnums(const std::vector<Param>& params, References* refs) {
+  static void ReferenceParamEnums(std::span<const Param> params, PendingReferences* refs) {
     for (const Param& p : params) {
       if (p.type->kind() == TypeKind::kEnum) {
         Reference(&refs->enums, p.type->enum_decl());
@@ -51,12 +59,27 @@ class ResolverImpl {
     }
   }
 
-  const Type* LookupType(const std::string& name) {
-    return module_->types().Lookup(name);
+  // Starts recording the references of a declaration with `params`.
+  void BeginReferences(std::span<const Param> params) {
+    pending_.calls.clear();
+    pending_.emits.clear();
+    pending_.enums.clear();
+    ReferenceParamEnums(params, &pending_);
   }
 
-  Status ResolveParamTypes(std::vector<Param>* params, SrcLoc loc) {
-    for (Param& p : *params) {
+  References CommitReferences() {
+    Arena& arena = module_->arena();
+    References refs;
+    refs.calls = arena.Copy(std::span<const References::Call>(pending_.calls));
+    refs.emits = arena.Copy(std::span<const OpDecl* const>(pending_.emits));
+    refs.enums = arena.Copy(std::span<const EnumDecl* const>(pending_.enums));
+    return refs;
+  }
+
+  const Type* LookupType(std::string_view name) { return module_->types().Lookup(name); }
+
+  Status ResolveParamTypes(std::span<Param> params, SrcLoc loc) {
+    for (Param& p : params) {
       if (p.is_label) {
         p.type = module_->types().Label();
       } else {
@@ -77,15 +100,17 @@ class ResolverImpl {
   // Fills the module's function and extern tables, which every later call
   // lookup reads; a second declaration of a name is an error, not a shadow.
   Status IndexNames() {
-    module_->functions_by_name.clear();
-    module_->externs_by_name.clear();
+    module_->functions_by_name.Clear();
+    module_->functions_by_name.Reserve(module_->functions.size());
+    module_->externs_by_name.Clear();
+    module_->externs_by_name.Reserve(module_->externs.size());
     for (const auto& fn : module_->functions) {
-      if (!module_->functions_by_name.emplace(fn->name, fn.get()).second) {
+      if (!module_->functions_by_name.Insert(fn->name, fn.get())) {
         return Err(fn->loc, StrCat("duplicate function '", fn->name, "'"));
       }
     }
     for (const auto& ext : module_->externs) {
-      if (!module_->externs_by_name.emplace(ext->name, ext.get()).second) {
+      if (!module_->externs_by_name.Insert(ext->name, ext.get())) {
         return Err(ext->loc, StrCat("duplicate extern '", ext->name, "'"));
       }
     }
@@ -98,14 +123,14 @@ class ResolverImpl {
     // Language ops.
     for (auto& lang : module_->languages) {
       for (auto& op : lang->ops) {
-        ICARUS_RETURN_IF_ERROR(ResolveParamTypes(&op->params, op->loc));
-        op->refs = References();
-        ReferenceParamEnums(op->params, &op->refs);
+        ICARUS_RETURN_IF_ERROR(ResolveParamTypes(op->params, op->loc));
+        BeginReferences(op->params);
+        op->refs = CommitReferences();
       }
     }
     // Externs.
     for (auto& ext : module_->externs) {
-      ICARUS_RETURN_IF_ERROR(ResolveParamTypes(&ext->params, ext->loc));
+      ICARUS_RETURN_IF_ERROR(ResolveParamTypes(ext->params, ext->loc));
       for (const Param& p : ext->params) {
         if (p.is_label) {
           return Err(ext->loc, "extern functions cannot take label parameters");
@@ -142,7 +167,7 @@ class ResolverImpl {
         cb->compiler = comp.get();
         cb->emits_language = comp->target_language;
         cb->return_type = module_->types().Void();
-        ICARUS_RETURN_IF_ERROR(ResolveParamTypes(&cb->params, cb->loc));
+        ICARUS_RETURN_IF_ERROR(ResolveParamTypes(cb->params, cb->loc));
         ICARUS_RETURN_IF_ERROR(CheckCallbackSignature(cb.get(), op));
         const FunctionDecl*& slot = comp->by_op[static_cast<size_t>(op->index)];
         if (slot != nullptr) {
@@ -168,7 +193,7 @@ class ResolverImpl {
         cb->op = op;
         cb->interpreter = interp.get();
         cb->return_type = module_->types().Void();
-        ICARUS_RETURN_IF_ERROR(ResolveParamTypes(&cb->params, cb->loc));
+        ICARUS_RETURN_IF_ERROR(ResolveParamTypes(cb->params, cb->loc));
         ICARUS_RETURN_IF_ERROR(CheckCallbackSignature(cb.get(), op));
         const FunctionDecl*& slot = interp->by_op[static_cast<size_t>(op->index)];
         if (slot != nullptr) {
@@ -182,7 +207,7 @@ class ResolverImpl {
   }
 
   Status ResolveFunctionSignature(FunctionDecl* fn) {
-    ICARUS_RETURN_IF_ERROR(ResolveParamTypes(&fn->params, fn->loc));
+    ICARUS_RETURN_IF_ERROR(ResolveParamTypes(fn->params, fn->loc));
     if (fn->return_type_name.empty()) {
       fn->return_type = module_->types().Void();
     } else {
@@ -246,14 +271,24 @@ class ResolverImpl {
   };
 
   // The visible names, innermost last, keyed by views of the AST's own
-  // names; each open block owns the entries from its start mark on.
+  // names; each open block owns the entries from its start mark on. One
+  // scope serves every declaration in turn (Reset), so its lists are
+  // allocated once per Resolve.
   struct FnScope {
     FunctionDecl* fn = nullptr;  // Null in extern contract clauses.
     std::vector<std::pair<std::string_view, LocalVar>> vars;
     std::vector<size_t> block_starts;
     int next_slot = 0;
-    std::map<std::string_view, int> bind_counts;  // Local label name → textual binds.
+    // Local label name → textual binds, in declaration order.
+    std::vector<std::pair<std::string_view, int>> bind_counts;
 
+    void Reset(FunctionDecl* decl) {
+      fn = decl;
+      vars.clear();
+      block_starts.clear();
+      next_slot = 0;
+      bind_counts.clear();
+    }
     void Enter() { block_starts.push_back(vars.size()); }
     void Leave() {
       vars.resize(block_starts.back());
@@ -278,22 +313,21 @@ class ResolverImpl {
       }
       return nullptr;
     }
+    // The bind count of local label `name`, or null.
+    int* BindCount(std::string_view name) {
+      for (auto& [label, count] : bind_counts) {
+        if (label == name) {
+          return &count;
+        }
+      }
+      return nullptr;
+    }
   };
-
-  // Starts recording the references of the declaration being resolved in
-  // `pending_`, whose lists are reused; the declaration copies them when it
-  // is resolved, at their exact size, since lists grown in place would cost
-  // several allocations each.
-  void BeginReferences(const std::vector<Param>& params) {
-    pending_.calls.clear();
-    pending_.emits.clear();
-    pending_.enums.clear();
-    ReferenceParamEnums(params, &pending_);
-  }
 
   Status ResolveExternContracts(ExternFnDecl* ext) {
     BeginReferences(ext->params);
-    FnScope scope;
+    FnScope& scope = scope_;
+    scope.Reset(nullptr);
     scope.Enter();
     for (Param& p : ext->params) {
       p.slot = scope.next_slot++;
@@ -305,22 +339,22 @@ class ResolverImpl {
       result_slot = scope.next_slot++;
       scope.Declare("result", LocalVar{ext->return_type, result_slot, false, false});
     }
-    for (ContractClause& clause : ext->contracts) {
+    for (const ContractClause& clause : ext->contracts) {
       const Type* t = nullptr;
-      ICARUS_RETURN_IF_ERROR(ResolveExpr(clause.expr.get(), &scope, &t));
+      ICARUS_RETURN_IF_ERROR(ResolveExpr(clause.expr, &scope, &t));
       if (t->kind() != TypeKind::kBool) {
         return Err(ext->loc, StrCat("contract on ", ext->name, " must be Bool"));
       }
     }
     ext->num_slots = scope.next_slot;
-    ext->refs = pending_;
+    ext->refs = CommitReferences();
     return Status::Ok();
   }
 
   Status ResolveFunctionBody(FunctionDecl* fn) {
     BeginReferences(fn->params);
-    FnScope scope;
-    scope.fn = fn;
+    FnScope& scope = scope_;
+    scope.Reset(fn);
     scope.Enter();
     for (Param& p : fn->params) {
       if (scope.DeclaredInBlock(p.name)) {
@@ -331,22 +365,27 @@ class ResolverImpl {
     }
     ICARUS_RETURN_IF_ERROR(ResolveBlock(fn->body, &scope));
     // Exactly-one-textual-bind for locally declared labels (the evaluator
-    // additionally enforces bind-exactly-once dynamically).
-    for (const auto& [label, count] : scope.bind_counts) {
-      if (count != 1) {
-        return Err(fn->loc, StrCat("label '", label, "' in ", fn->name, " must be bound ",
-                                   "exactly once (found ", count, " binds)"));
+    // additionally enforces bind-exactly-once dynamically). Of several bad
+    // labels, the first by name is reported.
+    const std::pair<std::string_view, int>* bad = nullptr;
+    for (const auto& entry : scope.bind_counts) {
+      if (entry.second != 1 && (bad == nullptr || entry.first < bad->first)) {
+        bad = &entry;
       }
     }
+    if (bad != nullptr) {
+      return Err(fn->loc, StrCat("label '", bad->first, "' in ", fn->name, " must be bound ",
+                                 "exactly once (found ", bad->second, " binds)"));
+    }
     fn->num_slots = scope.next_slot;
-    fn->refs = pending_;
+    fn->refs = CommitReferences();
     return Status::Ok();
   }
 
-  Status ResolveBlock(const std::vector<StmtPtr>& block, FnScope* scope) {
+  Status ResolveBlock(StmtList block, FnScope* scope) {
     scope->Enter();
-    for (const StmtPtr& stmt : block) {
-      ICARUS_RETURN_IF_ERROR(ResolveStmt(stmt.get(), scope));
+    for (Stmt* stmt : block) {
+      ICARUS_RETURN_IF_ERROR(ResolveStmt(stmt, scope));
     }
     scope->Leave();
     return Status::Ok();
@@ -366,7 +405,7 @@ class ResolverImpl {
     switch (stmt->kind) {
       case StmtKind::kLet: {
         const Type* init_type = nullptr;
-        ICARUS_RETURN_IF_ERROR(ResolveExpr(stmt->expr.get(), scope, &init_type));
+        ICARUS_RETURN_IF_ERROR(ResolveExpr(stmt->expr, scope, &init_type));
         if (init_type->kind() == TypeKind::kVoid) {
           return Err(stmt->loc, StrCat("cannot bind void value to '", stmt->name, "'"));
         }
@@ -400,7 +439,7 @@ class ResolverImpl {
           return Err(stmt->loc, "labels cannot be assigned");
         }
         const Type* value_type = nullptr;
-        ICARUS_RETURN_IF_ERROR(ResolveExpr(stmt->expr.get(), scope, &value_type));
+        ICARUS_RETURN_IF_ERROR(ResolveExpr(stmt->expr, scope, &value_type));
         if (!Compatible(var->type, value_type)) {
           return Err(stmt->loc, StrCat("type mismatch assigning to '", stmt->name, "'"));
         }
@@ -409,7 +448,7 @@ class ResolverImpl {
       }
       case StmtKind::kIf: {
         const Type* cond = nullptr;
-        ICARUS_RETURN_IF_ERROR(ResolveExpr(stmt->expr.get(), scope, &cond));
+        ICARUS_RETURN_IF_ERROR(ResolveExpr(stmt->expr, scope, &cond));
         if (cond->kind() != TypeKind::kBool) {
           return Err(stmt->loc, "if condition must be Bool");
         }
@@ -420,7 +459,7 @@ class ResolverImpl {
       case StmtKind::kAssert:
       case StmtKind::kAssume: {
         const Type* t = nullptr;
-        ICARUS_RETURN_IF_ERROR(ResolveExpr(stmt->expr.get(), scope, &t));
+        ICARUS_RETURN_IF_ERROR(ResolveExpr(stmt->expr, scope, &t));
         if (t->kind() != TypeKind::kBool) {
           return Err(stmt->loc, "assert/assume operand must be Bool");
         }
@@ -437,8 +476,8 @@ class ResolverImpl {
         bool is_failure = stmt->kind == StmtKind::kFailureLabel;
         scope->Declare(stmt->name, LocalVar{module_->types().Label(), stmt->var_slot, true,
                                             /*label_is_param=*/false});
-        if (!is_failure) {
-          scope->bind_counts.emplace(stmt->name, 0);
+        if (!is_failure && scope->BindCount(stmt->name) == nullptr) {
+          scope->bind_counts.emplace_back(stmt->name, 0);
         }
         return Status::Ok();
       }
@@ -451,9 +490,8 @@ class ResolverImpl {
           return Err(stmt->loc, "label parameters cannot be bound locally");
         }
         stmt->var_slot = var->slot;
-        auto it = scope->bind_counts.find(stmt->name);
-        if (it != scope->bind_counts.end()) {
-          ++it->second;
+        if (int* count = scope->BindCount(stmt->name)) {
+          ++*count;
         }
         return Status::Ok();
       }
@@ -477,7 +515,7 @@ class ResolverImpl {
           return Status::Ok();
         }
         const Type* have = nullptr;
-        ICARUS_RETURN_IF_ERROR(ResolveExpr(stmt->expr.get(), scope, &have));
+        ICARUS_RETURN_IF_ERROR(ResolveExpr(stmt->expr, scope, &have));
         if (have->kind() == TypeKind::kLabel) {
           return Err(stmt->loc, "labels cannot be returned");
         }
@@ -488,7 +526,7 @@ class ResolverImpl {
       }
       case StmtKind::kExprStmt: {
         const Type* t = nullptr;
-        return ResolveExpr(stmt->expr.get(), scope, &t);
+        return ResolveExpr(stmt->expr, scope, &t);
       }
     }
     ICARUS_BUG("statement kind");
@@ -500,11 +538,11 @@ class ResolverImpl {
     if (lang == nullptr) {
       return Err(stmt->loc, StrCat("function ", fn->name, " does not declare `emits`"));
     }
-    std::string op_name = stmt->emit_callee;
+    std::string_view op_name = stmt->emit_callee;
     // Accept `Lang::Op`; the language must match the emit context.
     size_t sep = op_name.rfind("::");
-    if (sep != std::string::npos) {
-      std::string qualifier = op_name.substr(0, sep);
+    if (sep != std::string_view::npos) {
+      std::string_view qualifier = op_name.substr(0, sep);
       if (module_->FindLanguage(qualifier) != nullptr) {
         if (qualifier != lang->name) {
           return Err(stmt->loc, StrCat("cannot emit ", qualifier, " ops here; this context ",
@@ -527,31 +565,31 @@ class ResolverImpl {
       stmt->emit_op = nullptr;
       stmt->emit_lang = lang;
       // Rewrite as an expression statement call.
-      auto call = std::make_unique<Expr>();
+      Expr* call = module_->arena().New<Expr>();
       call->kind = ExprKind::kCall;
       call->loc = stmt->loc;
       call->name = stmt->emit_callee;
-      call->args = std::move(stmt->args);
+      call->args = stmt->args;
+      stmt->args = {};
       stmt->kind = StmtKind::kExprStmt;
-      stmt->expr = std::move(call);
+      stmt->expr = call;
       const Type* t = nullptr;
-      return ResolveExpr(stmt->expr.get(), scope, &t);
+      return ResolveExpr(stmt->expr, scope, &t);
     }
     return Err(stmt->loc, StrCat("no op or emitting helper named '", stmt->emit_callee,
                                  "' in language ", lang->name));
   }
 
   // `what` and `name` label the diagnostics; they are joined only on error.
-  Status CheckArgs(SrcLoc loc, const std::vector<Param>& params,
-                   const std::vector<ExprPtr>& args, FnScope* scope, const char* what,
-                   const std::string& name) {
+  Status CheckArgs(SrcLoc loc, std::span<const Param> params, ExprList args, FnScope* scope,
+                   const char* what, std::string_view name) {
     if (params.size() != args.size()) {
       return Err(loc, StrCat(what, name, ": expected ", params.size(), " arguments, got ",
                              args.size()));
     }
     for (size_t i = 0; i < params.size(); ++i) {
       const Type* t = nullptr;
-      ICARUS_RETURN_IF_ERROR(ResolveExpr(args[i].get(), scope, &t));
+      ICARUS_RETURN_IF_ERROR(ResolveExpr(args[i], scope, &t));
       if (params[i].is_label) {
         if (t->kind() != TypeKind::kLabel) {
           return Err(loc, StrCat(what, name, ": argument ", i + 1, " must be a label"));
@@ -562,7 +600,7 @@ class ResolverImpl {
         }
         if (!Compatible(params[i].type, t)) {
           return Err(loc, StrCat(what, name, ": argument ", i + 1, " type mismatch (expected ",
-                                 params[i].type->ToString(), ", got ", t->ToString(), ")"));
+                                 params[i].type->name(), ", got ", t->name(), ")"));
         }
       }
     }
@@ -579,9 +617,10 @@ class ResolverImpl {
         break;
       case ExprKind::kEnumLit: {
         size_t sep = expr->name.rfind("::");
-        std::string enum_name = expr->name.substr(0, sep);
-        std::string member = expr->name.substr(sep + 2);
-        const EnumDecl* decl = module_->types().LookupEnum(enum_name);
+        std::string_view enum_name = expr->name.substr(0, sep);
+        std::string_view member = expr->name.substr(sep + 2);
+        const Type* type = module_->types().Lookup(enum_name);
+        const EnumDecl* decl = type != nullptr ? type->enum_decl() : nullptr;
         if (decl == nullptr) {
           return Err(expr->loc, StrCat("unknown enum '", enum_name, "'"));
         }
@@ -591,7 +630,7 @@ class ResolverImpl {
         }
         expr->enum_decl = decl;
         expr->enum_index = idx;
-        expr->type = module_->types().Lookup(enum_name);
+        expr->type = type;
         Reference(&pending_.enums, decl);
         break;
       }
@@ -611,7 +650,7 @@ class ResolverImpl {
         if (fn == nullptr && ext == nullptr) {
           return Err(expr->loc, StrCat("unknown function '", expr->name, "'"));
         }
-        const std::vector<Param>& params = fn != nullptr ? fn->params : ext->params;
+        std::span<const Param> params = fn != nullptr ? fn->params : ext->params;
         ICARUS_RETURN_IF_ERROR(
             CheckArgs(expr->loc, params, expr->args, scope, "call to ", expr->name));
         if (fn != nullptr) {
@@ -641,7 +680,7 @@ class ResolverImpl {
       }
       case ExprKind::kUnary: {
         const Type* t = nullptr;
-        ICARUS_RETURN_IF_ERROR(ResolveExpr(expr->args[0].get(), scope, &t));
+        ICARUS_RETURN_IF_ERROR(ResolveExpr(expr->args[0], scope, &t));
         if (expr->un_op == UnOp::kNot) {
           if (t->kind() != TypeKind::kBool) {
             return Err(expr->loc, "operand of ! must be Bool");
@@ -658,8 +697,8 @@ class ResolverImpl {
       case ExprKind::kBinary: {
         const Type* lhs = nullptr;
         const Type* rhs = nullptr;
-        ICARUS_RETURN_IF_ERROR(ResolveExpr(expr->args[0].get(), scope, &lhs));
-        ICARUS_RETURN_IF_ERROR(ResolveExpr(expr->args[1].get(), scope, &rhs));
+        ICARUS_RETURN_IF_ERROR(ResolveExpr(expr->args[0], scope, &lhs));
+        ICARUS_RETURN_IF_ERROR(ResolveExpr(expr->args[1], scope, &rhs));
         switch (expr->bin_op) {
           case BinOp::kLAnd:
           case BinOp::kLOr:
@@ -724,37 +763,63 @@ class ResolverImpl {
   // its caller is recursion too. The error names the call closing the cycle.
   Status CheckNonRecursive() {
     enum Visit : uint8_t { kNew, kOnPath, kDone };
-    // Only declarations that call something are looked up: one that calls
-    // nothing closes no cycle.
-    std::unordered_map<const References*, Visit> state;
+    // Only declarations that call something have a state: one that calls
+    // nothing closes no cycle. Sorted by address, for a binary search.
+    const std::vector<const FunctionDecl*> functions = module_->AllFunctions();
+    std::vector<std::pair<const References*, Visit>> states;
+    states.reserve(functions.size() + module_->externs.size());
+    for (const FunctionDecl* fn : functions) {
+      if (!fn->refs.calls.empty()) {
+        states.emplace_back(&fn->refs, kNew);
+      }
+    }
+    for (const auto& ext : module_->externs) {
+      if (!ext->refs.calls.empty()) {
+        states.emplace_back(&ext->refs, kNew);
+      }
+    }
+    std::sort(states.begin(), states.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    auto state = [&states](const References& refs) -> Visit& {
+      return std::lower_bound(states.begin(), states.end(), &refs,
+                              [](const auto& entry, const References* key) {
+                                return entry.first < key;
+                              })
+          ->second;
+    };
     Status result = Status::Ok();
-    auto visit = [&](auto&& self, const References& refs) -> bool {
-      if (refs.calls.empty() || state[&refs] == kDone) {
+    // `st` is the state of `refs`, which calls something.
+    auto visit = [&](auto&& self, const References& refs, Visit& st) -> bool {
+      if (st == kDone) {
         return true;
       }
-      state[&refs] = kOnPath;
+      st = kOnPath;
       for (const References::Call& call : refs.calls) {
         const References& callee = call.fn != nullptr ? call.fn->refs : call.ext->refs;
-        if (!callee.calls.empty() && state[&callee] == kOnPath) {
+        if (callee.calls.empty()) {
+          continue;
+        }
+        Visit& callee_st = state(callee);
+        if (callee_st == kOnPath) {
           result = Err(call.loc, StrCat("recursive call involving ",
                                         call.fn != nullptr ? call.fn->name : call.ext->name,
                                         " (Icarus programs must be non-recursive)"));
           return false;
         }
-        if (!self(self, callee)) {
+        if (!self(self, callee, callee_st)) {
           return false;
         }
       }
-      state[&refs] = kDone;
+      st = kDone;
       return true;
     };
-    for (const FunctionDecl* fn : module_->AllFunctions()) {
-      if (!visit(visit, fn->refs)) {
+    for (const FunctionDecl* fn : functions) {
+      if (!fn->refs.calls.empty() && !visit(visit, fn->refs, state(fn->refs))) {
         return result;
       }
     }
     for (const auto& ext : module_->externs) {
-      if (!visit(visit, ext->refs)) {
+      if (!ext->refs.calls.empty() && !visit(visit, ext->refs, state(ext->refs))) {
         return result;
       }
     }
@@ -762,7 +827,8 @@ class ResolverImpl {
   }
 
   Module* module_;
-  References pending_;  // Of the declaration being resolved.
+  PendingReferences pending_;  // Of the declaration being resolved.
+  FnScope scope_;              // Of the declaration being resolved.
 };
 
 }  // namespace

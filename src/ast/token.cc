@@ -2,6 +2,37 @@
 
 namespace icarus::ast {
 
+bool ReadIntLiteral(std::string_view spelling, int64_t* value) {
+  // Accumulate with an explicit overflow guard: a runaway literal is a
+  // diagnostic, not signed-overflow UB.
+  const bool hex = spelling.size() >= 2 && spelling[0] == '0' &&
+                   (spelling[1] == 'x' || spelling[1] == 'X');
+  const uint64_t base = hex ? 16 : 10;
+  uint64_t result = 0;
+  bool overflow = false;
+  for (size_t i = hex ? 2 : 0; i < spelling.size(); ++i) {
+    const char d = spelling[i];
+    uint64_t digit;
+    if (d >= '0' && d <= '9') {
+      digit = static_cast<uint64_t>(d - '0');
+    } else if (hex && d >= 'a' && d <= 'f') {
+      digit = static_cast<uint64_t>(d - 'a' + 10);
+    } else if (hex && d >= 'A' && d <= 'F') {
+      digit = static_cast<uint64_t>(d - 'A' + 10);
+    } else {
+      return false;
+    }
+    overflow = overflow || result > (UINT64_MAX - digit) / base;
+    result = result * base + digit;
+  }
+  if (spelling.size() == (hex ? 2u : 0u) || overflow ||
+      result > static_cast<uint64_t>(INT64_MAX)) {
+    return false;
+  }
+  *value = static_cast<int64_t>(result);
+  return true;
+}
+
 const char* TokName(Tok t) {
   switch (t) {
     case Tok::kEof: return "<eof>";

@@ -1,65 +1,41 @@
 #include "src/ast/type.h"
 
-#include "src/support/check.h"
-
 namespace icarus::ast {
 
-std::string Type::ToString() const { return name_; }
-
 TypeTable::TypeTable() {
-  void_ = MakePrimitive(TypeKind::kVoid, "Void");
-  bool_ = MakePrimitive(TypeKind::kBool, "Bool");
-  int32_ = MakePrimitive(TypeKind::kInt32, "Int32");
-  int64_ = MakePrimitive(TypeKind::kInt64, "Int64");
-  double_ = MakePrimitive(TypeKind::kDouble, "Double");
-  label_ = MakePrimitive(TypeKind::kLabel, "label");
+  void_ = Add(TypeKind::kVoid, "Void", nullptr);
+  bool_ = Add(TypeKind::kBool, "Bool", nullptr);
+  int32_ = Add(TypeKind::kInt32, "Int32", nullptr);
+  int64_ = Add(TypeKind::kInt64, "Int64", nullptr);
+  double_ = Add(TypeKind::kDouble, "Double", nullptr);
+  label_ = Add(TypeKind::kLabel, "label", nullptr);
 }
 
-const Type* TypeTable::MakePrimitive(TypeKind kind, const std::string& name) {
-  auto t = std::make_unique<Type>();
-  t->kind_ = kind;
-  t->name_ = name;
-  const Type* ref = t.get();
-  types_.push_back(std::move(t));
-  by_name_[name] = ref;
-  return ref;
-}
-
-const Type* TypeTable::DeclareEnum(EnumDecl decl) {
-  if (by_name_.count(decl.name) != 0) {
+const Type* TypeTable::Add(TypeKind kind, std::string_view name, const EnumDecl* enum_decl) {
+  if (by_name_.Find(name) != nullptr) {
     return nullptr;
   }
-  enums_.push_back(std::make_unique<EnumDecl>(std::move(decl)));
-  const EnumDecl* ed = enums_.back().get();
-  auto t = std::make_unique<Type>();
-  t->kind_ = TypeKind::kEnum;
-  t->enum_decl_ = ed;
-  t->name_ = ed->name;
-  const Type* ref = t.get();
-  types_.push_back(std::move(t));
-  by_name_[ed->name] = ref;
-  return ref;
+  Type& t = types_.emplace_back();
+  t.kind_ = kind;
+  t.enum_decl_ = enum_decl;
+  t.name_ = name;
+  by_name_.Insert(name, &t);
+  return &t;
 }
 
-const Type* TypeTable::DeclareOpaque(const std::string& name) {
-  if (by_name_.count(name) != 0) {
+const Type* TypeTable::DeclareEnum(const EnumDecl& decl) {
+  if (by_name_.Find(decl.name) != nullptr) {
     return nullptr;
   }
-  auto t = std::make_unique<Type>();
-  t->kind_ = TypeKind::kOpaque;
-  t->name_ = name;
-  const Type* ref = t.get();
-  types_.push_back(std::move(t));
-  by_name_[name] = ref;
-  return ref;
+  enums_.push_back(std::make_unique<EnumDecl>(decl));
+  return Add(TypeKind::kEnum, decl.name, enums_.back().get());
 }
 
-const Type* TypeTable::Lookup(const std::string& name) const {
-  auto it = by_name_.find(name);
-  return it == by_name_.end() ? nullptr : it->second;
+const Type* TypeTable::DeclareOpaque(std::string_view name) {
+  return Add(TypeKind::kOpaque, name, nullptr);
 }
 
-const EnumDecl* TypeTable::LookupEnum(const std::string& name) const {
+const EnumDecl* TypeTable::LookupEnum(std::string_view name) const {
   const Type* t = Lookup(name);
   return (t != nullptr && t->kind() == TypeKind::kEnum) ? t->enum_decl() : nullptr;
 }

@@ -12,19 +12,23 @@
 #ifndef ICARUS_AST_TYPE_H_
 #define ICARUS_AST_TYPE_H_
 
-#include <map>
+#include <deque>
 #include <memory>
-#include <string>
+#include <span>
+#include <string_view>
 #include <vector>
+
+#include "src/support/name_table.h"
 
 namespace icarus::ast {
 
+// The name and members are views into the declaring module (ast.h).
 struct EnumDecl {
-  std::string name;
-  std::vector<std::string> members;
+  std::string_view name;
+  std::span<const std::string_view> members;
 
   // Index of `member`, or -1.
-  int IndexOf(const std::string& member) const {
+  int IndexOf(std::string_view member) const {
     for (size_t i = 0; i < members.size(); ++i) {
       if (members[i] == member) {
         return static_cast<int>(i);
@@ -49,18 +53,17 @@ class Type {
  public:
   TypeKind kind() const { return kind_; }
   const EnumDecl* enum_decl() const { return enum_decl_; }
-  const std::string& name() const { return name_; }
+  // A view into the declaring module, or a literal for the primitives.
+  std::string_view name() const { return name_; }
 
   bool IsInteger() const { return kind_ == TypeKind::kInt32 || kind_ == TypeKind::kInt64; }
   bool IsNumeric() const { return IsInteger() || kind_ == TypeKind::kDouble; }
-
-  std::string ToString() const;
 
  private:
   friend class TypeTable;
   TypeKind kind_ = TypeKind::kVoid;
   const EnumDecl* enum_decl_ = nullptr;
-  std::string name_;
+  std::string_view name_;
 };
 
 // Owns and interns types. One per Module.
@@ -75,26 +78,29 @@ class TypeTable {
   const Type* Double() const { return double_; }
   const Type* Label() const { return label_; }
 
-  // Declares a new enum type; returns null if the name is taken.
-  const Type* DeclareEnum(EnumDecl decl);
-  // Declares a new opaque type; returns null if the name is taken.
-  const Type* DeclareOpaque(const std::string& name);
+  // Declares a new enum type; returns null if the name is taken. The
+  // table keys on the declaration's name, so it must outlive the table.
+  const Type* DeclareEnum(const EnumDecl& decl);
+  // Declares a new opaque type; returns null if the name is taken. `name`
+  // must outlive the table.
+  const Type* DeclareOpaque(std::string_view name);
 
   // Looks up any named type (primitive, enum or opaque); null if unknown.
-  const Type* Lookup(const std::string& name) const;
+  const Type* Lookup(std::string_view name) const { return by_name_.Find(name); }
 
   // The enum declaration owning `name`, or null.
-  const EnumDecl* LookupEnum(const std::string& name) const;
+  const EnumDecl* LookupEnum(std::string_view name) const;
 
   // Every enum, in declaration order.
   const std::vector<std::unique_ptr<EnumDecl>>& enums() const { return enums_; }
 
  private:
-  const Type* MakePrimitive(TypeKind kind, const std::string& name);
+  // Adds a type unless its name is taken.
+  const Type* Add(TypeKind kind, std::string_view name, const EnumDecl* enum_decl);
 
-  std::vector<std::unique_ptr<Type>> types_;
+  std::deque<Type> types_;  // A deque, so a type never moves.
   std::vector<std::unique_ptr<EnumDecl>> enums_;
-  std::map<std::string, const Type*> by_name_;
+  NameTable<const Type> by_name_;
   const Type* void_ = nullptr;
   const Type* bool_ = nullptr;
   const Type* int32_ = nullptr;

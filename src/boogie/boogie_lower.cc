@@ -11,7 +11,7 @@ namespace icarus::boogie {
 
 namespace {
 
-std::string Mangle(const std::string& name) {
+std::string Mangle(std::string_view name) {
   return "$" + ReplaceAll(name, "::", "$");
 }
 
@@ -39,7 +39,7 @@ std::string TypeName(const ast::Type* type) {
 // cannot contain procedure calls).
 class FnLowerer {
  public:
-  FnLowerer(const ast::Module& module, const std::set<std::string>& host_externs,
+  FnLowerer(const ast::Module& module, const std::set<std::string, std::less<>>& host_externs,
             Program* program)
       : module_(module), host_externs_(host_externs), program_(program) {}
 
@@ -73,7 +73,7 @@ class FnLowerer {
   }
 
  private:
-  static std::string SlotVar(int slot, const std::string& name) {
+  static std::string SlotVar(int slot, std::string_view name) {
     return StrCat("$v", slot, "$", name);
   }
 
@@ -140,7 +140,7 @@ class FnLowerer {
       case ast::ExprKind::kCall: {
         std::vector<ExprPtr> args;
         args.reserve(expr.args.size());
-        for (const ast::ExprPtr& a : expr.args) {
+        for (const ast::Expr* a : expr.args) {
           args.push_back(LowerExpr(*a, out));
         }
         std::string result_type =
@@ -162,8 +162,8 @@ class FnLowerer {
     ICARUS_BUG("expr kind");
   }
 
-  void LowerBlock(const std::vector<ast::StmtPtr>& block, std::vector<StmtPtr>* out) {
-    for (const ast::StmtPtr& stmt : block) {
+  void LowerBlock(ast::StmtList block, std::vector<StmtPtr>* out) {
+    for (const ast::Stmt* stmt : block) {
       LowerStmt(*stmt, out);
     }
   }
@@ -213,7 +213,7 @@ class FnLowerer {
       }
       case ast::StmtKind::kEmit: {
         std::vector<ExprPtr> args;
-        for (const ast::ExprPtr& a : stmt.args) {
+        for (const ast::Expr* a : stmt.args) {
           args.push_back(LowerExpr(*a, out));
         }
         Emit(out, MakeCall(StrCat("$emit$", stmt.emit_lang->name, "$", stmt.emit_op->name),
@@ -271,7 +271,7 @@ class FnLowerer {
   }
 
   const ast::Module& module_;
-  const std::set<std::string>& host_externs_;
+  const std::set<std::string, std::less<>>& host_externs_;
   Program* program_;
   ProcedureDecl* proc_ = nullptr;
   std::map<int, std::string> slot_names_;
@@ -310,10 +310,10 @@ ExprPtr LowerContractExpr(const ast::Expr& expr,
     }
     case ast::ExprKind::kCall: {
       std::vector<ExprPtr> args;
-      for (const ast::ExprPtr& a : expr.args) {
+      for (const ast::Expr* a : expr.args) {
         args.push_back(LowerContractExpr(*a, slot_names));
       }
-      const std::string& callee =
+      std::string_view callee =
           expr.callee_ext != nullptr ? expr.callee_ext->name : expr.callee_fn->name;
       return Expr::App(StrCat(Mangle(callee), "#fn"), std::move(args));
     }
@@ -329,8 +329,8 @@ StatusOr<std::unique_ptr<Program>> LowerToBoogie(const ast::Module& module,
                                                  const LowerOptions& options) {
   ICARUS_FAILPOINT(failpoint::kBoogieLower);
   auto program = std::make_unique<Program>();
-  std::set<std::string> host_externs(options.host_externs.begin(),
-                                     options.host_externs.end());
+  std::set<std::string, std::less<>> host_externs(options.host_externs.begin(),
+                                                  options.host_externs.end());
 
   // Abstract state: machine model, emit buffer length, interpreter dispatch.
   program->types.push_back({"$Double"});
@@ -339,7 +339,7 @@ StatusOr<std::unique_ptr<Program>> LowerToBoogie(const ast::Module& module,
   program->globals.push_back({"$pc$next", "int"});
 
   // Enum members as unique int constants with value axioms.
-  std::set<std::string> declared_enums;
+  std::set<std::string_view> declared_enums;
   auto declare_enum = [&](const ast::EnumDecl* decl) {
     if (!declared_enums.insert(decl->name).second) {
       return;
@@ -384,7 +384,7 @@ StatusOr<std::unique_ptr<Program>> LowerToBoogie(const ast::Module& module,
     proc->has_body = false;
     std::map<int, std::string> slot_names;
     for (const ast::Param& p : ext->params) {
-      proc->params.push_back({p.name, TypeName(p.type)});
+      proc->params.push_back({std::string(p.name), TypeName(p.type)});
       slot_names[p.slot] = p.name;
     }
     bool has_result = ext->return_type->kind() != ast::TypeKind::kVoid;
@@ -399,7 +399,7 @@ StatusOr<std::unique_ptr<Program>> LowerToBoogie(const ast::Module& module,
       FunctionDecl fn;
       fn.name = StrCat(Mangle(ext->name), "#fn");
       for (const ast::Param& p : ext->params) {
-        fn.params.push_back({p.name, TypeName(p.type)});
+        fn.params.push_back({std::string(p.name), TypeName(p.type)});
       }
       fn.return_type = has_result ? TypeName(ext->return_type) : "bool";
       program->functions.push_back(std::move(fn));
@@ -408,7 +408,7 @@ StatusOr<std::unique_ptr<Program>> LowerToBoogie(const ast::Module& module,
       if (has_result) {
         std::vector<ExprPtr> args;
         for (const ast::Param& p : ext->params) {
-          args.push_back(Expr::Var(p.name));
+          args.push_back(Expr::Var(std::string(p.name)));
         }
         proc->ensures_clauses.push_back(Expr::Binary(
             "==", Expr::Var("result"),
@@ -450,7 +450,7 @@ StatusOr<std::unique_ptr<Program>> LowerToBoogie(const ast::Module& module,
       auto proc = std::make_unique<ProcedureDecl>();
       proc->name = StrCat("$emit$", lang->name, "$", op->name);
       for (const ast::Param& p : op->params) {
-        proc->params.push_back({p.name, p.is_label ? "int" : TypeName(p.type)});
+        proc->params.push_back({std::string(p.name), p.is_label ? "int" : TypeName(p.type)});
       }
       proc->modifies = {"$machine", "$buf$len", "$pc$next"};
       proc->has_body = true;

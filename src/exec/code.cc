@@ -16,8 +16,8 @@ class Lowerer {
     code_->num_slots = resolver_slots;
   }
 
-  void Block(const std::vector<ast::StmtPtr>& block) {
-    for (const ast::StmtPtr& stmt : block) {
+  void Block(ast::StmtList block) {
+    for (const ast::Stmt* stmt : block) {
       Stmt(*stmt);
     }
   }
@@ -162,10 +162,10 @@ class Lowerer {
 
   // Lowers each argument, then records their slots contiguously (an
   // argument that is itself a call records its own arguments first).
-  std::pair<int, int> Args(const std::vector<ast::ExprPtr>& exprs) {
+  std::pair<int, int> Args(ast::ExprList exprs) {
     std::vector<int> slots;
     slots.reserve(exprs.size());
-    for (const ast::ExprPtr& e : exprs) {
+    for (const ast::Expr* e : exprs) {
       slots.push_back(Expr(*e));
     }
     const int begin = static_cast<int>(code_->arg_slots.size());

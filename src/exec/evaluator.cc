@@ -107,7 +107,7 @@ std::vector<std::string> ExternRegistry::HostBoundNames() const {
   std::vector<std::string> names;
   names.reserve(handlers_.size());
   for (const auto& [ext, handler] : handlers_) {
-    names.push_back(ext->name);
+    names.emplace_back(ext->name);
   }
   std::sort(names.begin(), names.end());
   return names;
@@ -248,7 +248,7 @@ bool EvalContext::CountStep() {
   return true;
 }
 
-Value EvalContext::FreshValue(const std::string& prefix, const ast::Type* type) {
+Value EvalContext::FreshValue(std::string_view prefix, const ast::Type* type) {
   sym::ExprRef term = pool_->Fresh(prefix, SortOf(type));
   symbolic_inputs_.emplace_back(term->name, term);
   if (type->kind() == ast::TypeKind::kEnum) {

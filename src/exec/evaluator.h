@@ -256,7 +256,7 @@ class EvalContext {
 
   // Fresh symbolic constant of the given DSL type, with enum-range
   // assumptions applied automatically.
-  Value FreshValue(const std::string& prefix, const ast::Type* type);
+  Value FreshValue(std::string_view prefix, const ast::Type* type);
 
   // --- Flight recorder ---
   // With recording on, the context keeps a bounded human-readable event log

@@ -14,7 +14,7 @@ namespace {
 // of the return from the callback's result.
 constexpr char kReturnFromStub[] = "MASM::returnFromStub";
 
-std::string Mangle(const std::string& name) { return ReplaceAll(name, "::", "_"); }
+std::string Mangle(std::string_view name) { return ReplaceAll(name, "::", "_"); }
 
 // Generated-code type for a DSL type. Integer DSL values extract as int64_t:
 // the interpreter semantics compute mathematically and range-check at Int32
@@ -32,7 +32,7 @@ std::string CppType(const ast::Type* type) {
       return "double";
     case ast::TypeKind::kEnum:
     case ast::TypeKind::kOpaque:
-      return type->name();
+      return std::string(type->name());
     case ast::TypeKind::kLabel:
       return "Label";
   }
@@ -116,7 +116,7 @@ class Generator {
       case ast::ExprKind::kEnumLit:
         return ReplaceAll(expr.name, "::", "::k");
       case ast::ExprKind::kVar:
-        return expr.name;
+        return std::string(expr.name);
       case ast::ExprKind::kUnary:
         return StrCat(expr.un_op == ast::UnOp::kNot ? "!" : "-", "(",
                       GenExpr(*expr.args[0]), ")");
@@ -131,12 +131,12 @@ class Generator {
         args.reserve(expr.args.size() + 1);
         if (expr.callee_fn != nullptr) {
           args.push_back("host");
-          for (const ast::ExprPtr& a : expr.args) {
+          for (const ast::Expr* a : expr.args) {
             args.push_back(GenExpr(*a));
           }
           return StrCat(FnName(*expr.callee_fn), "(", Join(args, ", "), ")");
         }
-        for (const ast::ExprPtr& a : expr.args) {
+        for (const ast::Expr* a : expr.args) {
           args.push_back(GenExpr(*a));
         }
         return StrCat("host.", Mangle(expr.callee_ext->name), "(", Join(args, ", "), ")");
@@ -162,7 +162,7 @@ class Generator {
     std::vector<std::string> args;
     args.reserve(stmt.args.size() + 1);
     args.emplace_back();  // The host, or the target op.
-    for (const ast::ExprPtr& a : stmt.args) {
+    for (const ast::Expr* a : stmt.args) {
       args.push_back(GenExpr(*a));
     }
     const ast::CompilerDecl* compiler = CompilerFrom(stmt.emit_lang);
@@ -187,10 +187,9 @@ class Generator {
            expr.callee_ext->name == name;
   }
 
-  void GenBlock(const std::vector<ast::StmtPtr>& block, int indent, bool in_interp,
-                std::string* out) {
+  void GenBlock(ast::StmtList block, int indent, bool in_interp, std::string* out) {
     std::string pad(static_cast<size_t>(indent), ' ');
-    for (const ast::StmtPtr& stmt : block) {
+    for (const ast::Stmt* stmt : block) {
       switch (stmt->kind) {
         case ast::StmtKind::kLet:
           *out += StrCat(pad, CppType(stmt->decl_type), " ", stmt->name, " = ",
@@ -284,7 +283,7 @@ class Generator {
   }
 
   // Arguments unpacking baked operands for a call of `params`.
-  static std::vector<std::string> OperandArgs(const std::vector<ast::Param>& params,
+  static std::vector<std::string> OperandArgs(std::span<const ast::Param> params,
                                               const char* array) {
     std::vector<std::string> args = {"host"};
     for (size_t i = 0; i < params.size(); ++i) {
@@ -306,8 +305,8 @@ class Generator {
       }
       std::vector<std::string> members;
       members.reserve(decl->members.size());
-      for (const std::string& m : decl->members) {
-        members.push_back("k" + m);
+      for (std::string_view m : decl->members) {
+        members.push_back(StrCat("k", m));
       }
       out += StrCat("enum class ", decl->name, " : int { ", Join(members, ", "), " };\n");
     }
@@ -337,7 +336,7 @@ class Generator {
       std::vector<std::string> members;
       members.reserve(lang->ops.size());
       for (const auto& op : lang->ops) {
-        members.push_back("k" + op->name);
+        members.push_back(StrCat("k", op->name));
       }
       out += StrCat("enum class ", lang->name, "Op : int { ", Join(members, ", "), " };\n");
     }
@@ -518,7 +517,7 @@ class Generator {
     std::vector<std::string> names;
     names.reserve(key.ops.size());
     for (const ast::OpDecl* op : key.ops) {
-      names.push_back(op->name);
+      names.emplace_back(op->name);
     }
     return names;
   }
@@ -639,7 +638,7 @@ class Generator {
 
 }  // namespace
 
-StatusOr<StubRunnerKey> RunnerKeyForPath(const std::string& generator,
+StatusOr<StubRunnerKey> RunnerKeyForPath(std::string_view generator,
                                          const exec::EmitState& emits,
                                          const std::vector<int>& input_regs) {
   StubRunnerKey key;
@@ -647,7 +646,7 @@ StatusOr<StubRunnerKey> RunnerKeyForPath(const std::string& generator,
   const int n = static_cast<int>(emits.target.size());
   for (int i = 0; i < n; ++i) {
     const exec::Instr& instr = emits.target[static_cast<size_t>(i)];
-    const std::vector<ast::Param>& params = instr.op->params;
+    std::span<const ast::Param> params = instr.op->params;
     if (instr.args.size() != params.size()) {
       return Status::Error(StrCat(generator, ": MASM instruction ", i, " (", instr.op->name,
                                   ") has ", instr.args.size(), " operands, not ",
@@ -692,7 +691,7 @@ StatusOr<StubRunnerKey> RunnerKeyForPath(const std::string& generator,
 }
 
 StatusOr<std::vector<StubRunnerKey>> RunnerKeysForGenerator(const platform::Platform& platform,
-                                                            const std::string& generator,
+                                                            std::string_view generator,
                                                             meta::MetaExecutor& executor) {
   StatusOr<meta::MetaStub> made = platform.MakeMetaStub(generator);
   if (!made.ok()) {
@@ -754,9 +753,9 @@ StatusOr<std::vector<StubRunner>> EnumerateStubRunners(const platform::Platform&
       auto it = std::find_if(runners.begin(), runners.end(),
                              [&](const StubRunner& r) { return r.key == key; });
       if (it == runners.end()) {
-        runners.push_back({std::move(key), {gen->name}});
+        runners.push_back({std::move(key), {std::string(gen->name)}});
       } else if (it->generators.back() != gen->name) {
-        it->generators.push_back(gen->name);
+        it->generators.emplace_back(gen->name);
       }
     }
   }

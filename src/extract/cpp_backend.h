@@ -77,7 +77,7 @@ struct StubRunner {
 // inputs. Fails, naming `generator`, when a register or label operand is not
 // a constant, a register lies outside the register file or a label targets
 // an earlier instruction.
-StatusOr<StubRunnerKey> RunnerKeyForPath(const std::string& generator,
+StatusOr<StubRunnerKey> RunnerKeyForPath(std::string_view generator,
                                          const exec::EmitState& emits,
                                          const std::vector<int>& input_regs);
 
@@ -85,7 +85,7 @@ StatusOr<StubRunnerKey> RunnerKeyForPath(const std::string& generator,
 // key of each attached path. Fails, naming the generator, when the SME
 // result is inconclusive.
 StatusOr<std::vector<StubRunnerKey>> RunnerKeysForGenerator(const platform::Platform& platform,
-                                                            const std::string& generator,
+                                                            std::string_view generator,
                                                             meta::MetaExecutor& executor);
 
 // Runs SME over every generator of `platform` (a fresh executor each) and

@@ -50,10 +50,10 @@ void CollectViolation(const exec::EvalContext& ctx, MetaResult* result) {
   // CheckAssert to the values the replay harness must pin.
   v.decisions = ctx.decisions();
   for (const exec::Instr& i : ctx.emits().source_trace) {
-    v.source_ops.push_back(i.op->name);
+    v.source_ops.emplace_back(i.op->name);
   }
   for (const exec::Instr& i : ctx.emits().target) {
-    v.target_ops.push_back(i.op->name);
+    v.target_ops.emplace_back(i.op->name);
   }
   for (const auto& [name, term] : ctx.symbolic_inputs()) {
     v.symbolic_inputs.push_back(name);

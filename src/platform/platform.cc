@@ -14,7 +14,7 @@ bool IsOperandIdType(const ast::Type* t) {
   if (t->kind() != ast::TypeKind::kOpaque) {
     return false;
   }
-  const std::string& n = t->name();
+  std::string_view n = t->name();
   return n == "ValueId" || n == "ObjectId" || n == "Int32Id" || n == "StringId" ||
          n == "SymbolId";
 }
@@ -29,16 +29,18 @@ StatusOr<std::unique_ptr<Platform>> Platform::LoadWithExtra(
   platform->module_ = std::make_unique<ast::Module>();
   ast::Module* module = platform->module_.get();
 
-  std::vector<std::string> sources = {
+  // Views: ParseInto copies each chunk into the module.
+  std::vector<std::string_view> sources = {
       PreludeSource(), CacheIRSource(), MasmSource(), CompilerSource(), InterpreterSource(),
       GeneratorsSource(),
   };
+  sources.reserve(sources.size() + 2 * Bugs().size() + extra_sources.size());
   for (const BugDef& bug : Bugs()) {
     sources.emplace_back(bug.buggy_src);
     sources.emplace_back(bug.fixed_src);
   }
   for (const std::string& extra : extra_sources) {
-    sources.push_back(extra);
+    sources.emplace_back(extra);
   }
   for (size_t i = 0; i < sources.size(); ++i) {
     Status st = ast::Parser::ParseInto(module, sources[i]);
@@ -51,7 +53,7 @@ StatusOr<std::unique_ptr<Platform>> Platform::LoadWithExtra(
   return platform;
 }
 
-StatusOr<meta::MetaStub> Platform::MakeMetaStub(const std::string& generator_name) const {
+StatusOr<meta::MetaStub> Platform::MakeMetaStub(std::string_view generator_name) const {
   const ast::FunctionDecl* generator = module_->FindFunction(generator_name);
   if (generator == nullptr || generator->fn_kind != ast::FnKind::kGenerator) {
     return Status::Error(StrCat("no generator named '", generator_name, "'"));
@@ -80,7 +82,7 @@ StatusOr<meta::MetaStub> Platform::MakeMetaStub(const std::string& generator_nam
         if (!reg.ok()) {
           return reg.status();
         }
-        const std::string& type_name = p.type->name();
+        std::string_view type_name = p.type->name();
         machine::RegContent content;
         const ast::Type* payload_type;
         if (type_name == "ObjectId") {
@@ -120,7 +122,7 @@ std::string Platform::Fingerprint() const {
   return StrFormat("%016llx", static_cast<unsigned long long>(ast::ModuleHash(*module_)));
 }
 
-int Platform::TotalLoc(const std::string& generator_name) const {
+int Platform::TotalLoc(std::string_view generator_name) const {
   const ast::FunctionDecl* generator = module_->FindFunction(generator_name);
   if (generator == nullptr) {
     return 0;

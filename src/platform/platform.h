@@ -77,12 +77,12 @@ class Platform {
   // enum / Int32 parameters become fresh symbolic inputs, and operand-id
   // parameters (ValueId, ObjectId, Int32Id, ...) allocate an input register
   // whose run-time content is an independent fresh symbolic value.
-  StatusOr<meta::MetaStub> MakeMetaStub(const std::string& generator_name) const;
+  StatusOr<meta::MetaStub> MakeMetaStub(std::string_view generator_name) const;
 
   // Total Icarus LoC attributable to `generator_name`: its own source plus
   // the sources of everything in its call/emit graph (compiler callbacks,
   // interpreter callbacks, helpers), the way Figure 12 counts.
-  int TotalLoc(const std::string& generator_name) const;
+  int TotalLoc(std::string_view generator_name) const;
 
   // Stable fingerprint of the loaded platform (ast::ModuleHash, in hex): it
   // covers each declaration as unit fingerprints do, extern contracts, op

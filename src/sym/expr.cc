@@ -128,11 +128,11 @@ ExprRef ExprPool::Var(const std::string& name, Sort sort) {
   return Intern(std::move(n));
 }
 
-ExprRef ExprPool::Fresh(const std::string& prefix, Sort sort) {
+ExprRef ExprPool::Fresh(std::string_view prefix, Sort sort) {
   return Var(StrCat(prefix, "#", fresh_counter_++), sort);
 }
 
-ExprRef ExprPool::App(const std::string& fn, std::vector<ExprRef> args, Sort result_sort) {
+ExprRef ExprPool::App(std::string_view fn, std::vector<ExprRef> args, Sort result_sort) {
   Node n;
   n.kind = Kind::kApp;
   n.sort = result_sort;

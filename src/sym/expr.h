@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -98,7 +99,7 @@ class ExprPool {
   // Named variable; same (name, sort) yields the same node.
   ExprRef Var(const std::string& name, Sort sort);
   // Fresh variable with a unique suffix.
-  ExprRef Fresh(const std::string& prefix, Sort sort);
+  ExprRef Fresh(std::string_view prefix, Sort sort);
   // The Fresh() suffix sequence is part of a path's state. Exploration
   // restarts it at the start of every run and rewinds it to a choice
   // point's mark when it backtracks there, so a variable minted at a given
@@ -113,7 +114,7 @@ class ExprPool {
   void RewindFresh(uint64_t mark) { fresh_counter_ = mark; }
 
   // Uninterpreted function application.
-  ExprRef App(const std::string& fn, std::vector<ExprRef> args, Sort result_sort);
+  ExprRef App(std::string_view fn, std::vector<ExprRef> args, Sort result_sort);
 
   ExprRef Add(ExprRef a, ExprRef b);
   ExprRef Sub(ExprRef a, ExprRef b);

@@ -373,7 +373,7 @@ StatusOr<BatchReport> BatchVerifier::VerifyAll(const std::vector<std::string>& g
 StatusOr<BatchReport> BatchVerifier::VerifyEverything(const BatchOptions& options) {
   std::vector<std::string> names;
   for (const ast::FunctionDecl* fn : platform_->module().Generators()) {
-    names.push_back(fn->name);
+    names.emplace_back(fn->name);
   }
   return VerifyAll(names, options);
 }

@@ -779,7 +779,7 @@ TEST_F(ServerCoreTest, ConcurrentIncrementalDaemonPersistsEveryPass) {
   std::remove(verifier::SolverCacheStorePath(dir).c_str());
   std::vector<std::string> units;
   for (const ast::FunctionDecl* fn : platform_->module().Generators()) {
-    units.push_back(fn->name);
+    units.emplace_back(fn->name);
   }
   ASSERT_EQ(units.size(), 38u);
   auto buggy = [](const std::string& name) { return name.find("_buggy") != std::string::npos; };

@@ -84,7 +84,8 @@ TEST_F(ExtractTest, RunnersAreDistinctAndCoverEveryGenerator) {
     contributors.insert(all[i].generators.begin(), all[i].generators.end());
   }
   for (const ast::FunctionDecl* gen : platform_->module().Generators()) {
-    EXPECT_EQ(contributors.count(gen->name), 1u) << gen->name << " contributes no runner";
+    EXPECT_EQ(contributors.count(std::string(gen->name)), 1u)
+        << gen->name << " contributes no runner";
   }
   // The header holds exactly these runners.
   const std::string& header = extraction_->header;

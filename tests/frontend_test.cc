@@ -16,16 +16,18 @@ namespace icarus::ast {
 namespace {
 
 TEST(Lexer, BasicTokens) {
-  Lexer lexer("fn foo(x: Int32) -> Bool { return x == 0x10; } // comment");
+  constexpr std::string_view kSource = "fn foo(x: Int32) -> Bool { return x == 0x10; } // comment";
+  Lexer lexer(kSource);
   std::vector<Token> toks = lexer.LexAll();
   ASSERT_GE(toks.size(), 2u);
   EXPECT_EQ(toks[0].kind, Tok::kKwFn);
   EXPECT_EQ(toks[1].kind, Tok::kIdent);
-  EXPECT_EQ(toks[1].text, "foo");
+  EXPECT_EQ(TokenText(kSource, toks[1]), "foo");
   EXPECT_EQ(toks.back().kind, Tok::kEof);
   bool saw_hex = false;
   for (const Token& t : toks) {
-    if (t.kind == Tok::kIntLit && t.int_val == 16) {
+    int64_t value = 0;
+    if (t.kind == Tok::kIntLit && ReadIntLiteral(TokenText(kSource, t), &value) && value == 16) {
       saw_hex = true;
     }
   }
@@ -296,12 +298,12 @@ interpreter I : T {
 // parameters and code, and collects what they reference on the way.
 class PostconditionWalk {
  public:
-  PostconditionWalk(std::string where, int num_slots)
-      : where_(std::move(where)), num_slots_(num_slots) {}
+  PostconditionWalk(std::string_view where, int num_slots)
+      : where_(where), num_slots_(num_slots) {}
 
   int exprs() const { return exprs_; }
 
-  void Params(const std::vector<Param>& params) {
+  void Params(std::span<const Param> params) {
     for (const Param& p : params) {
       Slot(p.slot, p.name);
       if (p.type->kind() == TypeKind::kEnum) {
@@ -341,13 +343,13 @@ class PostconditionWalk {
     if (e.kind == ExprKind::kVar) {
       Slot(e.var_slot, e.name);
     }
-    for (const ExprPtr& a : e.args) {
+    for (const Expr* a : e.args) {
       Walk(*a);
     }
   }
 
-  void Walk(const std::vector<StmtPtr>& block) {
-    for (const StmtPtr& stmt : block) {
+  void Walk(StmtList block) {
+    for (const Stmt* stmt : block) {
       switch (stmt->kind) {
         case StmtKind::kLet:
         case StmtKind::kAssign:
@@ -376,7 +378,7 @@ class PostconditionWalk {
       if (stmt->expr != nullptr) {
         Walk(*stmt->expr);
       }
-      for (const ExprPtr& a : stmt->args) {
+      for (const Expr* a : stmt->args) {
         Walk(*a);
       }
       Walk(stmt->then_block);
@@ -385,7 +387,7 @@ class PostconditionWalk {
   }
 
  private:
-  void Slot(int slot, const std::string& name) {
+  void Slot(int slot, std::string_view name) {
     EXPECT_GE(slot, 0) << where_ << ": " << name;
     EXPECT_LT(slot, num_slots_) << where_ << ": " << name;
   }

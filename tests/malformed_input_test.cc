@@ -66,7 +66,13 @@ INSTANTIATE_TEST_SUITE_P(
         CorpusCase{"unknown_op_param_type.icarus",
                    "line 3, col 6: unknown type 'NoSuchType'"},
         CorpusCase{"unknown_compiler_language.icarus",
-                   "line 2, col 10: compiler ProbeCompiler: unknown language"}),
+                   "line 2, col 10: compiler ProbeCompiler: unknown language"},
+        CorpusCase{"duplicate_enum.icarus",
+                   "line 3, col 6: duplicate type name 'ProbeKind'"},
+        CorpusCase{"duplicate_opaque_type.icarus",
+                   "line 4, col 13: duplicate type name 'ProbeHandle'"},
+        CorpusCase{"duplicate_op.icarus",
+                   "line 4, col 6: duplicate op 'Probe' in language ProbeLang"}),
     [](const ::testing::TestParamInfo<CorpusCase>& info) {
       std::string name = info.param.file;
       return name.substr(0, name.find('.'));

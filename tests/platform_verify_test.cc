@@ -31,7 +31,7 @@ class PlatformVerifyTest : public ::testing::Test {
     platform_ = nullptr;
   }
 
-  static meta::MetaResult Verify(const std::string& generator) {
+  static meta::MetaResult Verify(std::string_view generator) {
     StatusOr<meta::MetaStub> stub = platform_->MakeMetaStub(generator);
     EXPECT_TRUE(stub.ok()) << stub.status().message();
     meta::MetaExecutor executor(&platform_->module(), &platform_->externs());

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <limits>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "src/support/arena.h"
+#include "src/support/name_table.h"
 #include "src/support/rng.h"
 #include "src/support/status.h"
 #include "src/support/str_util.h"
@@ -122,6 +128,86 @@ TEST(Rng, DeterministicAndInRange) {
     EXPECT_LT(d, 1.0);
     EXPECT_LT(r.NextBelow(10), 10u);
   }
+}
+
+TEST(Arena, AlignsKeepsAndCopies) {
+  Arena arena;
+  std::vector<void*> small;
+  for (int i = 0; i < 5000; ++i) {  // Several standard blocks' worth.
+    auto* p = static_cast<uint64_t*>(arena.Allocate(sizeof(uint64_t), alignof(uint64_t)));
+    ASSERT_EQ(reinterpret_cast<uintptr_t>(p) % alignof(uint64_t), 0u);
+    *p = static_cast<uint64_t>(i);
+    small.push_back(p);
+    arena.Allocate(3, 1);  // Misaligns the next request.
+  }
+  // A request bigger than a quarter block gets a block of its own and
+  // leaves the current block in use.
+  const std::string big(Arena::kBlockBytes, 'x');
+  std::string_view big_copy = arena.Copy(big);
+  auto* after = static_cast<uint64_t*>(arena.Allocate(sizeof(uint64_t), alignof(uint64_t)));
+  *after = 7;
+  for (int i = 0; i < 5000; ++i) {
+    EXPECT_EQ(*static_cast<uint64_t*>(small[static_cast<size_t>(i)]), static_cast<uint64_t>(i));
+  }
+  EXPECT_EQ(big_copy, big);
+  EXPECT_NE(big_copy.data(), big.data());
+  EXPECT_TRUE(arena.Copy(std::string_view()).empty());
+  const int items[] = {1, 2, 3};
+  std::span<int> copied = arena.Copy(std::span<const int>(items));
+  ASSERT_EQ(copied.size(), 3u);
+  EXPECT_EQ(copied[2], 3);
+  EXPECT_NE(copied.data(), items);
+}
+
+TEST(Arena, ArenasOnSeveralThreadsShareTheBlockCache) {
+  // Every arena takes its standard blocks from, and gives them back to, one
+  // process-wide cache; the batch label runs this under the thread
+  // sanitizer.
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([t] {
+      for (int round = 0; round < 20; ++round) {
+        Arena arena;
+        std::vector<int64_t*> written;
+        for (int i = 0; i < 3000; ++i) {  // About three standard blocks.
+          auto* p = static_cast<int64_t*>(arena.Allocate(64, alignof(int64_t)));
+          *p = t * 10000 + i;
+          written.push_back(p);
+        }
+        for (int i = 0; i < 3000; ++i) {
+          EXPECT_EQ(*written[static_cast<size_t>(i)], t * 10000 + i);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+}
+
+TEST(NameTable, InsertsFindsAndRefusesDuplicates) {
+  std::vector<std::string> names;
+  for (int i = 0; i < 300; ++i) {
+    names.push_back("Name::n" + std::to_string(i));
+  }
+  std::vector<int> entries(names.size());
+  NameTable<int> table;
+  EXPECT_EQ(table.Find("Name::n0"), nullptr);
+  for (size_t i = 0; i < names.size(); ++i) {  // Grows past its first size.
+    EXPECT_TRUE(table.Insert(names[i], &entries[i]));
+  }
+  EXPECT_FALSE(table.Insert(names[7], &entries[0]));
+  EXPECT_EQ(table.size(), names.size());
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(table.Find(std::string_view(names[i])), &entries[i]);
+  }
+  EXPECT_EQ(table.Find("Name::n300"), nullptr);
+  table.Clear();
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.Find(names[7]), nullptr);
+  table.Reserve(1000);
+  EXPECT_TRUE(table.Insert(names[7], &entries[7]));
+  EXPECT_EQ(table.Find(names[7]), &entries[7]);
 }
 
 }  // namespace

@@ -201,7 +201,7 @@ int VerifyAllHelp() {
 
 int ListGenerators(const Platform& platform) {
   for (const auto* fn : platform.module().Generators()) {
-    std::printf("%s\n", fn->name.c_str());
+    std::printf("%.*s\n", static_cast<int>(fn->name.size()), fn->name.data());
   }
   return 0;
 }
@@ -585,7 +585,7 @@ int ClientCmd(int argc, char** argv) {
       return 2;
     }
     for (const auto* fn : loaded.value()->module().Generators()) {
-      generators.push_back(fn->name);
+      generators.emplace_back(fn->name);
     }
   }
 
