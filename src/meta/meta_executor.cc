@@ -252,6 +252,8 @@ MetaResult MetaExecutor::Run(const MetaStub& stub) {
   result.solver_theory_conflicts =
       solver.stats().theory_conflicts - stats_before.theory_conflicts;
   result.solver_lemma_literals = solver.stats().lemma_literals - stats_before.lemma_literals;
+  result.solver_levels_kept = solver.stats().levels_kept - stats_before.levels_kept;
+  result.solver_theory_literals = solver.stats().theory_literals - stats_before.theory_literals;
   if (obs::Enabled()) {
     static obs::Counter* explored = obs::Registry::Global().GetCounter(
         "icarus_meta_paths_explored_total", "Meta-execution paths explored");

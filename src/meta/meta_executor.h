@@ -87,6 +87,8 @@ struct MetaResult {
   int64_t solver_restarts = 0;         // Luby restarts.
   int64_t solver_theory_conflicts = 0;  // Theory conflicts, one lemma each.
   int64_t solver_lemma_literals = 0;    // Literals over all theory lemmas.
+  int64_t solver_levels_kept = 0;       // Assumption levels kept from the previous query.
+  int64_t solver_theory_literals = 0;   // Theory literals read by full-assignment checks.
   std::string Summary() const;
 };
 

@@ -20,7 +20,7 @@ std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2))
 template <typename... Args>
 std::string StrCat(const Args&... args) {
   std::ostringstream os;
-  (os << ... << args);
+  ((os << args), ...);  // A comma fold: no effectless `os;` for StrCat().
   return os.str();
 }
 

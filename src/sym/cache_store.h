@@ -32,10 +32,12 @@
 
 namespace icarus::sym {
 
-// Current on-disk format version; bump on any layout change. Version 2
+// Current on-disk format version; bump on any layout or key change. Version 2
 // dropped the per-entry budget stamps when kUnknown entries stopped being
-// cached; a version-1 store is discarded with the unknown-version note.
-inline constexpr uint32_t kCacheStoreVersion = 2;
+// cached; version 3 keys entries by the summed set hash (QueryFold) instead
+// of a hash chained over the sorted conjunct hashes. An older store is
+// discarded with the unknown-version note.
+inline constexpr uint32_t kCacheStoreVersion = 3;
 
 struct CacheLoadResult {
   size_t entries = 0;  // Entries preloaded into the cache.

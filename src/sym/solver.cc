@@ -1,13 +1,13 @@
 #include "src/sym/solver.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "src/obs/metrics.h"
 #include "src/support/check.h"
 #include "src/support/failpoint.h"
 #include "src/support/str_util.h"
 #include "src/support/timing.h"
+#include "src/sym/id_map.h"
 #include "src/sym/solver_cache.h"
 #include "src/sym/theory.h"
 
@@ -111,6 +111,15 @@ class Solver::Cdcl {
   using Lit = int32_t;
 
   explicit Cdcl(SolverStats* stats) : stats_(stats) {
+    // A solver encodes every query of its generator and usually stays well
+    // under these sizes; growing each table from empty is a visible share of
+    // a cold pass.
+    vars_.reserve(kInitialVars);
+    watches_.reserve(2 * kInitialVars);
+    seen_.reserve(kInitialVars);
+    trail_.reserve(kInitialVars);
+    clauses_.reserve(2 * kInitialVars);
+    relevant_list_.reserve(kInitialVars);
     // Variable 0 is the distinguished "true" variable, pinned by a level-0
     // unit clause; ConstBool terms encode to ±true_var_.
     true_var_ = NewVar(nullptr, /*is_atom=*/false);
@@ -118,6 +127,10 @@ class Solver::Cdcl {
   }
 
   // Solves the conjunction of `assumptions`, each placed as a decision.
+  // Assumption i sits on decision level i + 1. The levels this query shares
+  // with the previous one (equal terms, in order) are kept from it: the query
+  // cancels to the first level that differs, and encodes and marks relevant
+  // only the conjuncts past it.
   SolveResult Solve(const std::vector<ExprRef>& assumptions, const Limits& limits,
                     bool want_model) {
     SolveResult res;
@@ -125,18 +138,34 @@ class Solver::Cdcl {
       res.verdict = Verdict::kUnsat;
       return res;
     }
-    CancelUntil(0);
-    // Encode at level 0: new Tseitin definitions become permanent clauses.
-    assump_lits_.clear();
-    for (ExprRef t : assumptions) {
-      assump_lits_.push_back(EncodeTerm(t));
+    size_t keep = 0;
+    while (keep < assump_terms_.size() && keep < assumptions.size() &&
+           assump_terms_[keep] == assumptions[keep]) {
+      ++keep;
     }
+    keep = std::min(keep, static_cast<size_t>(DecisionLevel()));
+    CancelUntil(static_cast<int>(keep));
+    stats_->levels_kept += static_cast<int64_t>(keep);
+    assump_terms_.resize(keep);
+    assump_lits_.resize(keep);
     // Relevancy: decisions (and hence theory-check size) are confined to the
-    // closure of this query's assumptions.
-    ++relevancy_stamp_;
-    relevant_list_.clear();
-    for (ExprRef t : assumptions) {
-      MarkRelevant(t);
+    // closure of this query's assumptions. The relevant list is a stack with
+    // one boundary per assumption, so the kept prefix keeps its marks and
+    // the list has the order a from-scratch marking would give it.
+    for (size_t i = relevant_bounds_[keep]; i < relevant_list_.size(); ++i) {
+      vars_[static_cast<size_t>(relevant_list_[i])].relevant = false;
+    }
+    relevant_list_.resize(relevant_bounds_[keep]);
+    relevant_bounds_.resize(keep + 1);
+    // New Tseitin definitions become permanent clauses (AddClauseLits
+    // attaches them above level 0).
+    for (size_t i = keep; i < assumptions.size(); ++i) {
+      assump_terms_.push_back(assumptions[i]);
+      assump_lits_.push_back(EncodeTerm(assumptions[i]));
+    }
+    for (size_t i = keep; i < assumptions.size(); ++i) {
+      MarkRelevant(assumptions[i]);
+      relevant_bounds_.push_back(relevant_list_.size());
     }
 
     // The budget is per query; decisions count from this query's start.
@@ -157,7 +186,7 @@ class Solver::Cdcl {
           ++restart_seq;
           restart_limit = kRestartBase * Luby(restart_seq);
           conflicts_since_restart = 0;
-          CancelUntil(0);
+          CancelUntil(AssumptionLevel());
           continue;
         }
         if (DecisionLevel() < static_cast<int>(assump_lits_.size())) {
@@ -224,7 +253,8 @@ class Solver::Cdcl {
       ++stats_->learned_clauses;
       var_inc_ /= kActivityDecay;
     }
-    CancelUntil(0);
+    // Keep the placed assumption levels for the next query.
+    CancelUntil(AssumptionLevel());
     if (verdict == Verdict::kUnknown) {
       ++stats_->budget_exhausted;
     }
@@ -241,6 +271,7 @@ class Solver::Cdcl {
   static constexpr int64_t kRestartBase = 64;
   static constexpr double kActivityDecay = 0.95;
   static constexpr double kActivityLimit = 1e100;
+  static constexpr size_t kInitialVars = 256;
 
   struct VarData {
     ExprRef term = nullptr;  // The atom for is_atom vars; null for aux vars.
@@ -252,7 +283,7 @@ class Solver::Cdcl {
     int level = 0;
     int reason = kCRefUndef;
     double activity = 0.0;
-    int64_t relevant_mark = 0;
+    bool relevant = false;  // In the current query's relevant closure.
   };
 
   static Lit MkLit(int var, bool neg) { return var * 2 + (neg ? 1 : 0); }
@@ -285,6 +316,11 @@ class Solver::Cdcl {
   }
 
   int DecisionLevel() const { return static_cast<int>(trail_lim_.size()); }
+  // The highest level that holds only assumptions: a restart or the end of a
+  // query cancels to it.
+  int AssumptionLevel() const {
+    return std::min(DecisionLevel(), static_cast<int>(assump_lits_.size()));
+  }
   void NewDecisionLevel() { trail_lim_.push_back(static_cast<int>(trail_.size())); }
 
   int NewVar(ExprRef term, bool is_atom) {
@@ -305,9 +341,8 @@ class Solver::Cdcl {
     if (e->kind == Kind::kConstBool) {
       return MkLit(true_var_, e->value == 0);
     }
-    auto it = enc_cache_.find(e);
-    if (it != enc_cache_.end()) {
-      return it->second;
+    if (const Lit hit = enc_cache_.Find(e); hit >= 0) {
+      return hit;
     }
     Lit out = kLitUndef;
     if (IsAtomKind(e)) {
@@ -315,7 +350,6 @@ class Solver::Cdcl {
       if (e->kind != Kind::kVar) {
         vars_[static_cast<size_t>(v)].atom = theory_.AddAtom(e);
       }
-      var_of_[e] = v;
       out = MkLit(v, false);
     } else {
       switch (e->kind) {
@@ -346,76 +380,61 @@ class Solver::Cdcl {
           ICARUS_BUG("non-boolean node in skeleton");
       }
     }
-    enc_cache_[e] = out;
+    enc_cache_.Insert(e, out);
     return out;
   }
 
-  // Variables in the Tseitin closure of `root`, memoized per root term.
-  // Requires `root` to have been encoded already.
-  const std::vector<int>& ClosureVars(ExprRef root) {
-    auto it = closure_cache_.find(root);
-    if (it != closure_cache_.end()) {
-      return it->second;
-    }
-    std::vector<int> vars;
-    std::unordered_set<ExprRef> seen;
-    CollectClosure(root, &vars, &seen);
-    std::sort(vars.begin(), vars.end());
-    vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
-    return closure_cache_.emplace(root, std::move(vars)).first->second;
+  // Marks relevant the variables in the Tseitin closure of `root` (which
+  // must be encoded), appending them to the relevant list in variable order.
+  // The walk stops at a variable already relevant: its closure already is.
+  void MarkRelevant(ExprRef root) {
+    const size_t begin = relevant_list_.size();
+    MarkClosure(root);
+    std::sort(relevant_list_.begin() + static_cast<std::ptrdiff_t>(begin), relevant_list_.end());
   }
 
-  void CollectClosure(ExprRef e, std::vector<int>* out,
-                      std::unordered_set<ExprRef>* seen) {
-    if (!seen->insert(e).second) {
-      return;
-    }
-    if (e->kind == Kind::kConstBool) {
-      out->push_back(true_var_);
-      return;
-    }
-    if (IsAtomKind(e)) {
-      out->push_back(var_of_.at(e));
-      return;
-    }
+  void MarkClosure(ExprRef e) {
     // kNot has no variable of its own; kAnd/kOr own a Tseitin aux variable.
     if (e->kind != Kind::kNot) {
-      out->push_back(VarOf(enc_cache_.at(e)));
-    }
-    for (ExprRef a : e->args) {
-      CollectClosure(a, out, seen);
-    }
-  }
-
-  void MarkRelevant(ExprRef root) {
-    for (int v : ClosureVars(root)) {
+      const int v = e->kind == Kind::kConstBool ? true_var_ : VarOf(enc_cache_.Find(e));
       VarData& vd = vars_[static_cast<size_t>(v)];
-      if (vd.relevant_mark != relevancy_stamp_) {
-        vd.relevant_mark = relevancy_stamp_;
-        relevant_list_.push_back(v);
+      if (vd.relevant) {
+        return;
+      }
+      vd.relevant = true;
+      relevant_list_.push_back(v);
+      if (IsAtomKind(e)) {
+        return;
       }
     }
+    for (ExprRef a : e->args) {
+      MarkClosure(a);
+    }
   }
 
-  // Adds a permanent clause. Must run at decision level 0 (encoding time or
-  // right after a backjump to the root), because level-0 truth values are
-  // used to simplify the clause.
+  // Adds a permanent clause. Only level-0 values simplify it, so it may be
+  // added above level 0 (a new conjunct's Tseitin clauses arrive on top of
+  // the kept assumption levels): non-false literals are watched first, a
+  // clause already unit under the current levels propagates, and one already
+  // false falls back to level 0.
   void AddClauseLits(std::vector<Lit> lits) {
     if (!ok_) {
       return;
     }
     std::sort(lits.begin(), lits.end());
     lits.erase(std::unique(lits.begin(), lits.end()), lits.end());
+    Lit root_false = kLitUndef;  // One literal false at level 0, if any.
     size_t out = 0;
     for (size_t i = 0; i < lits.size(); ++i) {
       if (i + 1 < lits.size() && VarOf(lits[i]) == VarOf(lits[i + 1])) {
         return;  // l and ¬l adjacent after sorting: tautology.
       }
-      LB v = LitValue(lits[i]);
+      LB v = RootValue(lits[i]);
       if (v == LB::kTrue) {
         return;  // Already satisfied at level 0.
       }
       if (v == LB::kFalse) {
+        root_false = lits[i];
         continue;  // Falsified at level 0: drop the literal.
       }
       lits[out++] = lits[i];
@@ -426,10 +445,37 @@ class Solver::Cdcl {
       return;
     }
     if (lits.size() == 1) {
-      UncheckedEnqueue(lits[0], kCRefUndef);
+      // Above level 0 a unit keeps a dropped level-0 literal as its second
+      // watch, so that it holds, or propagates with a reason, on the kept
+      // levels; otherwise it is a level-0 fact.
+      if (DecisionLevel() == 0 || root_false == kLitUndef || LitValue(lits[0]) == LB::kFalse) {
+        CancelUntil(0);
+        UncheckedEnqueue(lits[0], kCRefUndef);
+        return;
+      }
+      lits.push_back(root_false);
+    }
+    // Non-false literals first; then false ones, highest level first.
+    auto rank = [this](Lit l) {
+      return LitValue(l) == LB::kFalse ? vars_[static_cast<size_t>(VarOf(l))].level : INT32_MAX;
+    };
+    std::stable_sort(lits.begin(), lits.end(), [&](Lit a, Lit b) { return rank(a) > rank(b); });
+    if (LitValue(lits[0]) == LB::kFalse) {
+      CancelUntil(0);  // False under the kept levels: attach at the root.
+      AttachClause(std::move(lits));
       return;
     }
-    AttachClause(std::move(lits));
+    const bool unit = LitValue(lits[0]) == LB::kUndef && LitValue(lits[1]) == LB::kFalse;
+    int cr = AttachClause(std::move(lits));
+    if (unit) {
+      UncheckedEnqueue(clauses_[static_cast<size_t>(cr)][0], cr);
+      ++stats_->propagations;
+    }
+  }
+
+  // A literal's value at level 0 (kUndef when it is assigned above it).
+  LB RootValue(Lit l) const {
+    return vars_[static_cast<size_t>(VarOf(l))].level == 0 ? LitValue(l) : LB::kUndef;
   }
 
   int AttachClause(std::vector<Lit> lits) {
@@ -515,6 +561,9 @@ class Solver::Cdcl {
     trail_.resize(static_cast<size_t>(trail_lim_[static_cast<size_t>(level)]));
     trail_lim_.resize(static_cast<size_t>(level));
     qhead_ = trail_.size();
+    theory_head_ = std::min(theory_head_, trail_.size());
+    theory_.Backtrack(level);
+    theory_vars_.resize(static_cast<size_t>(theory_.size()));
   }
 
   // Highest-activity unassigned variable among this query's relevant set.
@@ -600,23 +649,26 @@ class Solver::Cdcl {
   }
 
   // Theory check at a full assignment of the relevant closure. Hands the
-  // engine every assigned theory atom on the trail (a superset of the
-  // relevant atoms — all assigned literals are consequences of the current
-  // context, so including them is sound). On conflict the engine's
-  // explanation becomes the theory lemma, staged as either a unit level-0
-  // fact or a conflict clause for Analyze.
+  // engine the theory atoms assigned since the last check (the engine keeps
+  // the rest, level by level, and CancelUntil backtracks it); they are a
+  // superset of the relevant atoms — all assigned literals are consequences
+  // of the current context, so including them is sound. On conflict the
+  // engine's explanation becomes the theory lemma, staged as either a unit
+  // level-0 fact or a conflict clause for Analyze.
   TheoryOutcome TheoryCheckFull(bool want_model, Model* model, int* out_confl) {
     ++stats_->theory_checks;
-    theory_lits_.clear();
-    theory_vars_.clear();
-    for (Lit p : trail_) {
-      const VarData& vd = vars_[static_cast<size_t>(VarOf(p))];
+    for (; theory_head_ < trail_.size(); ++theory_head_) {
+      const int v = VarOf(trail_[theory_head_]);
+      const VarData& vd = vars_[static_cast<size_t>(v)];
       if (vd.atom >= 0) {
-        theory_lits_.push_back({vd.atom, vd.value == LB::kTrue});
-        theory_vars_.push_back(VarOf(p));
+        theory_.Assert(vd.atom, vd.value == LB::kTrue, vd.level);
+        theory_vars_.push_back(v);
       }
     }
-    if (theory_.Check(theory_lits_, &explanation_)) {
+    const int64_t read_before = theory_.literals_read();
+    const bool consistent = theory_.Check(&explanation_);
+    stats_->theory_literals += theory_.literals_read() - read_before;
+    if (consistent) {
       if (want_model) {
         BuildModel(model);
       }
@@ -632,7 +684,7 @@ class Solver::Cdcl {
     for (int pos : explanation_) {
       int v = theory_vars_[static_cast<size_t>(pos)];
       // Negation of the current literal.
-      lemma.push_back(MkLit(v, theory_lits_[static_cast<size_t>(pos)].truth));
+      lemma.push_back(MkLit(v, theory_.lit(pos).truth));
       max_level = std::max(max_level, vars_[static_cast<size_t>(v)].level);
     }
     stats_->lemma_literals += static_cast<int64_t>(lemma.size());
@@ -683,7 +735,7 @@ class Solver::Cdcl {
         model->atoms.emplace_back(vd.term, vd.value == LB::kTrue);
       }
     }
-    theory_.BuildModel(theory_lits_, model);
+    theory_.BuildModel(model);
     for (const auto& [atom, truth] : model->atoms) {
       if (atom->kind == Kind::kVar) {
         model->witnesses.push_back(Witness{atom->name, Sort::kBool, truth ? 1 : 0});
@@ -702,16 +754,15 @@ class Solver::Cdcl {
   size_t qhead_ = 0;
   std::vector<uint8_t> seen_;  // Scratch for Analyze, per var.
   double var_inc_ = 1.0;
-  int64_t relevancy_stamp_ = 0;
   std::vector<int> relevant_list_;
-  std::unordered_map<ExprRef, Lit> enc_cache_;
-  std::unordered_map<ExprRef, int> var_of_;  // Atom term → variable.
-  std::unordered_map<ExprRef, std::vector<int>> closure_cache_;
-  std::vector<Lit> assump_lits_;  // This query's assumption literals.
+  std::vector<size_t> relevant_bounds_{0};  // Per kept assumption: list size before it.
+  NodeIdMap enc_cache_;  // Term → its literal (memoized Tseitin encoding).
+  std::vector<ExprRef> assump_terms_;  // The last query's assumptions...
+  std::vector<Lit> assump_lits_;       // ...and their literals.
   TheoryEngine theory_;
-  std::vector<TheoryLit> theory_lits_;  // Scratch for TheoryCheckFull.
-  std::vector<int> theory_vars_;        // Parallel to theory_lits_.
-  std::vector<int> explanation_;        // Positions in theory_lits_.
+  size_t theory_head_ = 0;         // Trail prefix whose theory atoms the engine holds.
+  std::vector<int> theory_vars_;   // Per engine literal: its variable.
+  std::vector<int> explanation_;   // Positions on the engine's literal stack.
 };
 
 // ---------------------------------------------------------------------------
@@ -723,9 +774,7 @@ Solver::Solver(Limits limits) : limits_(limits) {}
 Solver::~Solver() = default;
 
 SolveResult Solver::Solve(const std::vector<ExprRef>& conjuncts, bool want_model) {
-  for (ExprRef c : conjuncts) {
-    ICARUS_REQUIRE_MSG(c->sort == Sort::kBool, "non-boolean conjunct in solver query");
-  }
+  NoteQuery(conjuncts);
   ++stats_.queries;
   if (!obs::Enabled()) {
     return SolveImpl(conjuncts, want_model);
@@ -753,6 +802,10 @@ SolveResult Solver::Solve(const std::vector<ExprRef>& conjuncts, bool want_model
       "icarus_solver_theory_conflicts_total", "Theory checks that ended in a lemma");
   static obs::Counter* lemma_literals = reg.GetCounter(
       "icarus_solver_lemma_literals_total", "Literals over all theory lemmas");
+  static obs::Counter* levels_kept = reg.GetCounter(
+      "icarus_solver_levels_kept_total", "Assumption levels a query kept from the previous one");
+  static obs::Counter* theory_literals = reg.GetCounter(
+      "icarus_solver_theory_literals_total", "Theory literals read by full-assignment checks");
   static obs::Counter* exhausted = reg.GetCounter("icarus_solver_budget_exhausted_total",
                                                   "Queries degraded to UNKNOWN by a budget");
   static obs::Counter* cache_hits =
@@ -778,6 +831,8 @@ SolveResult Solver::Solve(const std::vector<ExprRef>& conjuncts, bool want_model
   theory_checks->Add(stats_.theory_checks - before.theory_checks);
   theory_conflicts->Add(stats_.theory_conflicts - before.theory_conflicts);
   lemma_literals->Add(stats_.lemma_literals - before.lemma_literals);
+  levels_kept->Add(stats_.levels_kept - before.levels_kept);
+  theory_literals->Add(stats_.theory_literals - before.theory_literals);
   exhausted->Add(stats_.budget_exhausted - before.budget_exhausted);
   cache_hits->Add(stats_.cache_hits - before.cache_hits);
   cache_misses->Add(stats_.cache_misses - before.cache_misses);
@@ -799,7 +854,7 @@ SolveResult Solver::SolveImpl(const std::vector<ExprRef>& conjuncts, bool want_m
   if (cache_ == nullptr) {
     return SolveCore(conjuncts, want_model);
   }
-  QueryKey key = FingerprintQuery(conjuncts);
+  const QueryKey key = key_folds_.back().Finish();
   // A kSat entry stored without a model cannot serve a model-needing caller;
   // Lookup reports it as a miss and the re-solve below upgrades the entry.
   std::optional<SolverCache::Entry> entry = cache_->Lookup(key, want_model);
@@ -832,6 +887,28 @@ SolveResult Solver::SolveImpl(const std::vector<ExprRef>& conjuncts, bool want_m
   // uninformed search.
   cache_->Insert(key, std::move(fresh));
   return result;
+}
+
+void Solver::NoteQuery(const std::vector<ExprRef>& conjuncts) {
+  size_t keep = 0;
+  while (keep < key_terms_.size() && keep < conjuncts.size() &&
+         key_terms_[keep] == conjuncts[keep]) {
+    ++keep;
+  }
+  key_terms_.resize(keep);
+  key_hashes_.resize(keep);
+  key_folds_.resize(keep + 1);
+  for (size_t i = keep; i < conjuncts.size(); ++i) {
+    ExprRef c = conjuncts[i];
+    ICARUS_REQUIRE_MSG(c->sort == Sort::kBool, "non-boolean conjunct in solver query");
+    QueryFold fold = key_folds_.back();
+    if (std::find(key_hashes_.begin(), key_hashes_.end(), c->chash) == key_hashes_.end()) {
+      fold.Add(c->chash);
+    }
+    key_terms_.push_back(c);
+    key_hashes_.push_back(c->chash);
+    key_folds_.push_back(fold);
+  }
 }
 
 SolveResult Solver::SolveCore(const std::vector<ExprRef>& conjuncts, bool want_model) {

@@ -13,11 +13,15 @@
 //      clause database only ever accumulates facts that are true for every
 //      query — which is what lets one Solver instance stay warm across all
 //      paths of a generator and answer sibling-path queries from learned
-//      clauses;
+//      clauses. Assumption i sits on decision level i + 1, and a query keeps
+//      the levels of the assumptions it shares with the previous query, so
+//      it pays only for the conjuncts it adds;
 //   3. a theory check at each full (relevancy-bounded) assignment, by one
-//      engine over dense per-solver term tables (theory.h): congruence
-//      closure with a proof forest for equality + uninterpreted functions,
-//      difference bounds with negative-cycle detection, and interval
+//      backtrackable engine (theory.h) that keeps its state per decision
+//      level and reads only the atoms assigned since its last consistent
+//      check: congruence closure with a proof forest for equality +
+//      uninterpreted functions, difference bounds over a kept feasible
+//      potential with incremental negative-cycle detection, and interval
 //      propagation whose bounds remember where they came from. A conflict
 //      comes back with its explanation, the atoms that caused it; the
 //      negated explanation is the *theory lemma*, a valid clause learned
@@ -51,6 +55,7 @@
 namespace icarus::sym {
 
 class SolverCache;  // solver_cache.h
+struct QueryFold;   // solver_cache.h
 
 // Three-valued answer of a satisfiability query.
 enum class Verdict {
@@ -108,6 +113,8 @@ struct SolverStats {
   int64_t theory_checks = 0;     // Full-assignment theory checks.
   int64_t theory_conflicts = 0;  // Theory checks that produced a lemma.
   int64_t lemma_literals = 0;    // Literals over all theory lemmas.
+  int64_t levels_kept = 0;       // Assumption levels a query kept from the previous one.
+  int64_t theory_literals = 0;   // Theory literals read by full-assignment checks.
   int64_t queries = 0;
   int64_t cache_hits = 0;        // Queries answered by a cached entry.
   int64_t cache_misses = 0;      // Cache consulted but empty for the key.
@@ -135,9 +142,11 @@ bool IsAtomKind(ExprRef e);
 //
 // Solve() is the one query entry (see docs/SOLVER.md). Its conjuncts are
 // assumptions, and assumptions are decisions, never clauses: each query's
-// conjuncts are placed as decisions below the search and retracted when it
-// returns, so the clause database holds only consequences of the empty
-// context and nothing learned during one query depends on its conjuncts.
+// conjuncts are placed as decisions below the search, so the clause database
+// holds only consequences of the empty context and nothing learned during
+// one query depends on its conjuncts. A query returns with its assumption
+// levels still placed; the next query cancels to the first one it does not
+// share (compared by ExprRef, in order) and places only the rest.
 class Solver {
  public:
   // Per-query resource budget. A query that makes more than `max_decisions`
@@ -183,11 +192,18 @@ class Solver {
   SolveResult SolveImpl(const std::vector<ExprRef>& conjuncts, bool want_model);
   // Cache-independent search.
   SolveResult SolveCore(const std::vector<ExprRef>& conjuncts, bool want_model);
+  // Takes in a query past the prefix it shares with the previous one: checks
+  // that each new conjunct is boolean and folds it into the cache key, so
+  // key_folds_.back() is the fold of the whole query (FingerprintQuery).
+  void NoteQuery(const std::vector<ExprRef>& conjuncts);
 
   Limits limits_;
   SolverStats stats_;
   SolverCache* cache_ = nullptr;
   std::unique_ptr<Cdcl> cdcl_;  // Lazily created on first query.
+  std::vector<ExprRef> key_terms_;    // The last query's conjuncts,
+  std::vector<uint64_t> key_hashes_;  // their hashes,
+  std::vector<QueryFold> key_folds_;  // and the fold of each prefix of them.
 };
 
 }  // namespace icarus::sym

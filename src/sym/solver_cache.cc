@@ -19,10 +19,19 @@ uint64_t Mix(uint64_t h, uint64_t v) {
 
 }  // namespace
 
+void QueryFold::Add(uint64_t chash) {
+  // Two independent lanes: same input, different seeds and round constants.
+  lo += Mix(0x6a09e667f3bcc908ULL, chash);
+  hi += Mix(0xbb67ae8584caa73bULL, chash ^ 0xa5a5a5a5a5a5a5a5ULL);
+  ++count;
+}
+
+QueryKey QueryFold::Finish() const { return QueryKey{Mix(lo, count), Mix(hi, count + 1)}; }
+
 QueryKey FingerprintQuery(const std::vector<ExprRef>& conjuncts) {
-  // Sort the per-conjunct canonical hashes and drop duplicates so that the
-  // fingerprint is insensitive to conjunct order and repetition — a path
-  // condition is a *set* of facts.
+  // Drop duplicate hashes so that the fingerprint is insensitive to conjunct
+  // repetition — a path condition is a *set* of facts; the sum makes it
+  // insensitive to order.
   std::vector<uint64_t> hashes;
   hashes.reserve(conjuncts.size());
   for (ExprRef c : conjuncts) {
@@ -30,17 +39,11 @@ QueryKey FingerprintQuery(const std::vector<ExprRef>& conjuncts) {
   }
   std::sort(hashes.begin(), hashes.end());
   hashes.erase(std::unique(hashes.begin(), hashes.end()), hashes.end());
-
-  QueryKey key;
-  key.lo = 0x6a09e667f3bcc908ULL;  // Two independent lanes: same input stream,
-  key.hi = 0xbb67ae8584caa73bULL;  // different seeds and round constants.
+  QueryFold fold;
   for (uint64_t h : hashes) {
-    key.lo = Mix(key.lo, h);
-    key.hi = Mix(key.hi, h ^ 0xa5a5a5a5a5a5a5a5ULL);
+    fold.Add(h);
   }
-  key.lo = Mix(key.lo, hashes.size());
-  key.hi = Mix(key.hi, hashes.size() + 1);
-  return key;
+  return fold.Finish();
 }
 
 double SolverCacheStats::HitRate() const {

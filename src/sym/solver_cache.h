@@ -2,8 +2,11 @@
 // pipelines.
 //
 // Keying: a query is a conjunction of hash-consed boolean terms; its
-// fingerprint is derived from the *canonical structural hashes* of the
-// conjuncts (Node::chash), combined order-insensitively into 128 bits. Two
+// fingerprint is a set hash of the *canonical structural hashes* of the
+// conjuncts (Node::chash): two mixed 64-bit lanes summed over the distinct
+// hashes, each finished with their count, 128 bits in all. A sum folds one
+// conjunct at a time, so a Solver keys a query by folding only the conjuncts
+// past the prefix it shares with the previous one (QueryFold). Two
 // structurally identical conjunctions — even ones built in different
 // ExprPools by different worker threads — map to the same key, and structural
 // identity implies identical satisfiability, so a hit is sound (up to 128-bit
@@ -42,7 +45,18 @@ struct QueryKey {
   bool operator==(const QueryKey& o) const { return lo == o.lo && hi == o.hi; }
 };
 
-// Computes the canonical fingerprint of the conjunction of `conjuncts`.
+// The fold behind a QueryKey. Add each distinct conjunct hash once, in any
+// order; Finish gives the key.
+struct QueryFold {
+  uint64_t lo = 0;
+  uint64_t hi = 0;
+  uint64_t count = 0;
+  void Add(uint64_t chash);
+  QueryKey Finish() const;
+};
+
+// Computes the canonical fingerprint of the conjunction of `conjuncts`, from
+// scratch: the fold of its distinct conjunct hashes.
 QueryKey FingerprintQuery(const std::vector<ExprRef>& conjuncts);
 
 // Monotonic counters; snapshot with SolverCache::Snapshot().

@@ -132,6 +132,8 @@ std::string BatchReport::RenderStatsTable() const {
   long long sum_propagations = 0;
   long long sum_learned = 0;
   long long sum_restarts = 0;
+  long long sum_levels_kept = 0;
+  long long sum_theory_literals = 0;
   std::vector<double> row_seconds;
   for (const GeneratorResult& r : results) {
     if (r.outcome == Outcome::kError || r.outcome == Outcome::kInternalError) {
@@ -168,6 +170,8 @@ std::string BatchReport::RenderStatsTable() const {
     sum_propagations += r.report.meta.solver_propagations;
     sum_learned += r.report.meta.solver_learned_clauses;
     sum_restarts += r.report.meta.solver_restarts;
+    sum_levels_kept += r.report.meta.solver_levels_kept;
+    sum_theory_literals += r.report.meta.solver_theory_literals;
     row_seconds.push_back(r.seconds);
   }
   out += std::string(rule_width, '-') + "\n";
@@ -179,6 +183,8 @@ std::string BatchReport::RenderStatsTable() const {
       "%-44s %-15s %9.4f %8.4f %9.4f %9.4f %10lld %8lld %9lld %8lld %8lld\n", "TOTAL", "",
       sum_total, sum_gen, sum_interp, sum_solve, sum_decisions, sum_queries, sum_propagations,
       sum_learned, sum_restarts);
+  out += StrFormat("solver reuse: %lld assumption levels kept, %lld theory literals read\n",
+                   sum_levels_kept, sum_theory_literals);
   SampleStats stats = ComputeStats(row_seconds);
   out += StrFormat("per-generator seconds: p50 %.4f, p90 %.4f, p99 %.4f (n=%d)\n", stats.p50,
                    stats.p90, stats.p99, static_cast<int>(row_seconds.size()));

@@ -4,7 +4,7 @@
 
 #include "src/boogie/boogie_dce.h"
 #include "src/boogie/boogie_lower.h"
-#include "src/boogie/boogie_parser.h"
+#include "tests/boogie_parser.h"
 #include "src/boogie/boogie_printer.h"
 #include "src/platform/platform.h"
 #include "src/support/str_util.h"

@@ -463,7 +463,11 @@ TEST_F(ServerCoreTest, DeadlineDegradesQueuedRequestsToInconclusive) {
 
   // Occupy the one worker with the slowest unit (no deadline), so the
   // requests below are still queued when their deadline passes however the
-  // host schedules the client threads.
+  // host schedules the client threads: its dispatch stalls for 500 ms
+  // before it verifies, since the unit alone can finish before a client
+  // thread on a loaded host has even started.
+  ASSERT_TRUE(
+      failpoint::Arm(std::string("at=") + failpoint::kDaemonDispatch + ":1,action=stall").ok());
   Response head;
   std::thread head_client(
       [&core, &head] { head = core.Execute(Verify("tryAttachCompareStrictDifferentTypes")); });

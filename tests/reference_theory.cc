@@ -80,17 +80,22 @@ class TheoryChecker {
   bool Check(const std::vector<std::pair<ExprRef, bool>>& literals) {
     literals_ = &literals;
     CollectTerms();
-    if (!CongruenceClosure()) {
-      return false;
-    }
-    if (!CheckDisequalities()) {
-      return false;
-    }
-    if (!CheckBoolPredicates()) {
-      return false;
-    }
-    if (!DifferenceBounds()) {
-      return false;
+    // Difference bounds can force two classes equal (a zero-weight cycle);
+    // they merge, and the equality checks run again.
+    for (bool merged = true; merged;) {
+      if (!CongruenceClosure()) {
+        return false;
+      }
+      if (!CheckDisequalities()) {
+        return false;
+      }
+      if (!CheckBoolPredicates()) {
+        return false;
+      }
+      merged = false;
+      if (!DifferenceBounds(&merged)) {
+        return false;
+      }
     }
     if (!PropagateIntervals()) {
       return false;
@@ -257,10 +262,13 @@ class TheoryChecker {
   // Comparison literals and add/sub-by-constant structure become edges
   // "a - b <= w". A negative cycle is a theory conflict (this is what
   // decides chains like x < y ∧ y < x, which pure interval propagation
-  // cannot). Shortest paths from/to the distinguished ZERO node seed the
-  // interval table, and shortest-path potentials later provide a satisfying
-  // assignment for model extraction.
-  bool DifferenceBounds() {
+  // cannot). Two classes with a path of weight 0 each way between them are
+  // equal in every model: they merge (`*merged`). Shortest paths from/to the
+  // distinguished ZERO node seed the interval table, and shortest-path
+  // potentials later provide a satisfying assignment for model extraction.
+  bool DifferenceBounds(bool* merged) {
+    intervals_.clear();
+    potential_.clear();
     struct Edge {
       int from;
       int to;
@@ -355,6 +363,42 @@ class TheoryChecker {
       }
       return d;
     };
+    // All-pairs shortest paths; a zero-weight cycle pins its classes equal.
+    constexpr int64_t kNoPath = std::numeric_limits<int64_t>::max();
+    std::vector<std::vector<int64_t>> d(static_cast<size_t>(n),
+                                        std::vector<int64_t>(static_cast<size_t>(n), kNoPath));
+    for (const Edge& e : edges) {
+      int64_t& slot = d[static_cast<size_t>(e.from)][static_cast<size_t>(e.to)];
+      slot = std::min(slot, e.w);
+    }
+    for (int k = 0; k < n; ++k) {
+      for (int u = 0; u < n; ++u) {
+        for (int v = 0; v < n; ++v) {
+          int64_t uk = d[static_cast<size_t>(u)][static_cast<size_t>(k)];
+          int64_t kv = d[static_cast<size_t>(k)][static_cast<size_t>(v)];
+          if (uk != kNoPath && kv != kNoPath) {
+            int64_t& uv = d[static_cast<size_t>(u)][static_cast<size_t>(v)];
+            uv = std::min(uv, SatAdd(uk, kv));
+          }
+        }
+      }
+    }
+    for (const auto& [cu, u] : rep_node) {
+      for (const auto& [cv, v] : rep_node) {
+        if (cu == kZeroCls || cv == kZeroCls || u >= v ||
+            d[static_cast<size_t>(u)][static_cast<size_t>(v)] != 0 ||
+            d[static_cast<size_t>(v)][static_cast<size_t>(u)] != 0 || Find(cu) == Find(cv)) {
+          continue;
+        }
+        if (!Union(cu, cv)) {
+          return false;
+        }
+        *merged = true;
+      }
+    }
+    if (*merged) {
+      return true;  // The caller runs the equality checks and comes back.
+    }
     std::vector<int64_t> from_zero = shortest_from(zero_node, /*reversed=*/false);
     std::vector<int64_t> to_zero = shortest_from(zero_node, /*reversed=*/true);
     for (const auto& [cls, node] : rep_node) {

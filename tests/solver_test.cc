@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
+#include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/sym/expr.h"
 #include "src/sym/solver.h"
+#include "src/sym/solver_cache.h"
 #include "tests/decide_only_oracle.h"
 
 namespace icarus::sym {
@@ -278,6 +283,41 @@ TEST_F(SolverTest, WarmSolverStaysSoundAfterAssumptionConflict) {
   EXPECT_EQ(Solver().Solve(b).verdict, Verdict::kSat);
 }
 
+// The kept-level paths of the core, one query stream each. A new conjunct's
+// Tseitin clause can be unit under the levels the query keeps: the clause
+// (¬v ∨ ¬p ∨ ¬q) of v = ¬p ∨ ¬q is, once p and q are placed, and so is
+// (v ∨ ¬p ∨ ¬q) of v = p ∧ q. (No new Tseitin clause can be false there: each
+// has the new node's own variable, unassigned.) A query can also end on an
+// already-false assumption and be followed by queries that share part of
+// its prefix, the shape WarmSolverStaysSoundAfterAssumptionConflict pins
+// from scratch. Every answer is checked against a fresh solver.
+TEST_F(SolverTest, KeptLevelsStaySound) {
+  ExprRef p = pool_.Var("p", Sort::kBool);
+  ExprRef q = pool_.Var("q", Sort::kBool);
+  ExprRef r = pool_.Var("r", Sort::kBool);
+  ExprRef x = pool_.Var("x", Sort::kInt);
+  ExprRef y = pool_.Var("y", Sort::kInt);
+  ExprRef xy = pool_.Lt(x, y);
+  const std::vector<std::vector<ExprRef>> streams[] = {
+      {{p, q},
+       {p, q, pool_.Or(pool_.Not(p), pool_.Not(q))},  // Unit ¬v: unsat.
+       {p, q, pool_.And(p, q)},                       // Unit v: sat.
+       {p, q, pool_.And(p, q), xy, pool_.Lt(y, x)},
+       {p, q, pool_.And(p, q), xy}},
+      {{p, pool_.Or(pool_.Not(p), q), pool_.Not(q), r},  // ¬q is false when placed.
+       {p, pool_.Or(pool_.Not(p), q), r, xy},
+       {p, pool_.Not(q), xy},
+       {p, pool_.Or(pool_.Not(p), q), pool_.Not(q)}},
+  };
+  for (const auto& stream : streams) {
+    Solver warm;
+    for (const std::vector<ExprRef>& query : stream) {
+      EXPECT_EQ(warm.Solve(query).verdict, Solver().Solve(query).verdict);
+    }
+    EXPECT_GT(warm.stats().levels_kept, 0);
+  }
+}
+
 TEST_F(SolverTest, DecideOnlyAblationEngineAgrees) {
   // The decide-only search is the differential oracle, so pin it on a couple
   // of fixed formulas too.
@@ -367,6 +407,158 @@ TEST_P(SolverFuzzTest, CdclMatchesDecideOnlyOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomFormulas, SolverFuzzTest, ::testing::Range<uint64_t>(1, 401));
+
+// Prefix-sharing query streams on one warm solver: the shape the
+// meta-executor asks (a path condition grows by a few conjuncts, an
+// assertion is checked by pushing its negation, popping it and pushing it,
+// and a backtrack returns to a shorter prefix), which SolverFuzzTest's
+// independent conjunctions barely exercise. Every answer equals a fresh
+// solver's and the decide-only oracle's, every model's atom values satisfy
+// every conjunct (and, within difference logic, its variable values satisfy
+// every atom), and a solver with a cache keys each query exactly as
+// FingerprintQuery does: the cache then holds one entry per distinct
+// fingerprint asked, under that fingerprint.
+class SolverStreamTest : public ::testing::TestWithParam<uint64_t> {};
+
+// The truth of `e` under a model's atom values; false when an atom has none.
+bool Holds(const std::unordered_map<ExprRef, bool>& atoms, ExprRef e, bool* known) {
+  switch (e->kind) {
+    case Kind::kConstBool:
+      return e->value != 0;
+    case Kind::kNot:
+      return !Holds(atoms, e->args[0], known);
+    case Kind::kAnd:
+      return Holds(atoms, e->args[0], known) && Holds(atoms, e->args[1], known);
+    case Kind::kOr:
+      return Holds(atoms, e->args[0], known) || Holds(atoms, e->args[1], known);
+    default: {
+      auto it = atoms.find(e);
+      if (it == atoms.end()) {
+        *known = false;
+        return false;
+      }
+      return it->second;
+    }
+  }
+}
+
+// The value of an integer term of the fuzz vocabulary under the witnesses.
+bool IntValue(const Model& m, ExprRef t, int64_t* out) {
+  switch (t->kind) {
+    case Kind::kConstInt:
+      *out = t->value;
+      return true;
+    case Kind::kVar:
+      return m.LookupWitness(t->name, out);
+    case Kind::kAdd: {
+      int64_t a = 0;
+      int64_t b = 0;
+      if (!IntValue(m, t->args[0], &a) || !IntValue(m, t->args[1], &b)) {
+        return false;
+      }
+      *out = a + b;
+      return true;
+    }
+    default:
+      return false;
+  }
+}
+
+TEST_P(SolverStreamTest, PrefixSharingQueriesMatchFreshSolvers) {
+  uint64_t state = GetParam() * 0x9E3779B97F4A7C15ULL + 7;
+  auto rnd = [&state](int n) {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return static_cast<int>(state % static_cast<uint64_t>(n));
+  };
+  ExprPool pool;
+  std::vector<ExprRef> bools;
+  std::vector<ExprRef> ints;
+  for (int i = 0; i < 3; ++i) {
+    bools.push_back(pool.Var("p" + std::to_string(i), Sort::kBool));
+    ints.push_back(pool.Var("i" + std::to_string(i), Sort::kInt));
+  }
+  auto atom = [&]() -> ExprRef {
+    switch (rnd(4)) {
+      case 0:
+        return bools[static_cast<size_t>(rnd(3))];
+      case 1:
+        return pool.Lt(ints[static_cast<size_t>(rnd(3))], ints[static_cast<size_t>(rnd(3))]);
+      case 2:
+        return pool.Eq(ints[static_cast<size_t>(rnd(3))], pool.IntConst(rnd(4)));
+      default:
+        return pool.Le(ints[static_cast<size_t>(rnd(3))],
+                       pool.Add(ints[static_cast<size_t>(rnd(3))], pool.IntConst(rnd(3))));
+    }
+  };
+  auto literal = [&]() {
+    ExprRef a = atom();
+    return rnd(2) == 0 ? a : pool.Not(a);
+  };
+  auto conjunct = [&]() {
+    ExprRef c = literal();
+    if (rnd(3) == 0) {
+      c = pool.Or(c, literal());
+    }
+    return c;
+  };
+  Solver warm;
+  SolverCache cache;
+  Solver keyed;
+  keyed.set_cache(&cache);
+  std::set<std::pair<uint64_t, uint64_t>> fingerprints;
+  int step = 0;
+  auto ask = [&](const std::vector<ExprRef>& query) {
+    ++step;
+    SCOPED_TRACE("seed " + std::to_string(GetParam()) + " step " + std::to_string(step));
+    SolveResult got = warm.Solve(query);
+    ASSERT_EQ(got.verdict, Solver().Solve(query).verdict);
+    ASSERT_EQ(got.verdict, DecideOnlySolve(query).verdict);
+    if (got.verdict == Verdict::kSat) {
+      std::unordered_map<ExprRef, bool> atoms(got.model.atoms.begin(), got.model.atoms.end());
+      for (ExprRef c : query) {
+        bool known = true;
+        EXPECT_TRUE(Holds(atoms, c, &known)) << "model violates " << ExprPool::ToString(c);
+        EXPECT_TRUE(known) << "unassigned atom under " << ExprPool::ToString(c);
+      }
+      for (const auto& [a, truth] : got.model.atoms) {
+        int64_t lhs = 0;
+        int64_t rhs = 0;
+        if (a->kind == Kind::kVar || !IntValue(got.model, a->args[0], &lhs) ||
+            !IntValue(got.model, a->args[1], &rhs)) {
+          continue;
+        }
+        bool holds = a->kind == Kind::kEq   ? lhs == rhs
+                     : a->kind == Kind::kLt ? lhs < rhs
+                                            : lhs <= rhs;
+        EXPECT_EQ(holds, truth) << "values violate " << (truth ? "" : "!") << ExprPool::ToString(a);
+      }
+    }
+    ASSERT_EQ(keyed.Solve(query, /*want_model=*/false).verdict, got.verdict);
+    const QueryKey key = FingerprintQuery(query);
+    fingerprints.emplace(key.lo, key.hi);
+    ASSERT_TRUE(cache.Lookup(key).has_value());
+    ASSERT_EQ(cache.size(), fingerprints.size());
+  };
+  std::vector<ExprRef> query;
+  for (int round = 0; round < 12; ++round) {
+    for (int k = 1 + rnd(3); k > 0; --k) {
+      query.push_back(conjunct());
+    }
+    ask(query);
+    ExprRef a = literal();
+    query.push_back(pool.Not(a));
+    ask(query);
+    query.back() = a;
+    ask(query);
+    if (rnd(2) == 0) {
+      query.resize(static_cast<size_t>(rnd(static_cast<int>(query.size()))));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(QueryStreams, SolverStreamTest, ::testing::Range<uint64_t>(1, 401));
 
 // Parameterized sweep: push-pop style random clauses keep the solver total
 // (either SAT with a model or UNSAT) across formula shapes.

@@ -25,17 +25,18 @@ namespace {
 
 using Literal = std::pair<ExprRef, bool>;
 
-// Checks `lits` on `engine`; on a conflict `*lemma` receives the explained
-// literals, in the order they were given. `*tl` keeps the engine's literals
-// for BuildModel.
+// Checks `lits` on `engine` from an empty stack, each literal on a level of
+// its own (so the engine reasons one literal at a time); on a conflict
+// `*lemma` receives the explained literals, in the order they were given.
+// After a consistent check the literals stay asserted for BuildModel.
 bool EngineCheck(TheoryEngine* engine, const std::vector<Literal>& lits,
-                 std::vector<Literal>* lemma, std::vector<TheoryLit>* tl) {
-  tl->clear();
-  for (const auto& [atom, truth] : lits) {
-    tl->push_back({engine->AddAtom(atom), truth});
+                 std::vector<Literal>* lemma) {
+  engine->Backtrack(0);
+  for (size_t i = 0; i < lits.size(); ++i) {
+    engine->Assert(engine->AddAtom(lits[i].first), lits[i].second, static_cast<int>(i) + 1);
   }
   std::vector<int> positions;
-  bool ok = engine->Check(*tl, &positions);
+  bool ok = engine->Check(&positions);
   lemma->clear();
   for (int p : positions) {
     lemma->push_back(lits[static_cast<size_t>(p)]);
@@ -73,8 +74,7 @@ class TheoryTest : public ::testing::Test {
   // consistent.
   std::vector<Literal> Lemma(const std::vector<Literal>& lits) {
     std::vector<Literal> lemma;
-    std::vector<TheoryLit> tl;
-    EXPECT_FALSE(EngineCheck(&engine_, lits, &lemma, &tl)) << "expected a conflict";
+    EXPECT_FALSE(EngineCheck(&engine_, lits, &lemma)) << "expected a conflict";
     EXPECT_FALSE(CheckTheory(lits, nullptr)) << "the reference disagrees";
     EXPECT_FALSE(CheckTheory(lemma, nullptr)) << "the lemma is not a conflict";
     return lemma;
@@ -167,6 +167,37 @@ TEST_F(TheoryTest, UnrelatedAtomsStayOutOfTheLemma) {
   EXPECT_EQ(Lemma(lits), (std::vector<Literal>{lits[1], lits[5]}));
 }
 
+// Difference bounds that force two terms equal: x <= y <= x, a zero-weight
+// cycle through three terms, and the same equality seen through f, with the
+// direct x == y as the control. Both engines refute all four with every
+// literal in the lemma, and so do the production solver and the decide-only
+// search on the conjunctions.
+TEST_F(TheoryTest, ZeroWeightCyclesForceEquality) {
+  ExprRef x = Int("x");
+  ExprRef y = Int("y");
+  ExprRef z = Int("z");
+  ExprRef fx = pool_.App("f", {x}, Sort::kInt);
+  ExprRef fy = pool_.App("f", {y}, Sort::kInt);
+  const std::vector<std::vector<Literal>> probes = {
+      {{pool_.Le(x, y), true}, {pool_.Le(y, x), true}, {pool_.Eq(x, y), false}},
+      {{pool_.Le(x, y), true},
+       {pool_.Le(y, z), true},
+       {pool_.Le(z, x), true},
+       {pool_.Eq(x, z), false}},
+      {{pool_.Le(x, y), true}, {pool_.Le(y, x), true}, {pool_.Eq(fx, fy), false}},
+      {{pool_.Eq(x, y), true}, {pool_.Eq(x, y), false}},
+  };
+  for (const std::vector<Literal>& lits : probes) {
+    EXPECT_EQ(Lemma(lits), lits);
+    std::vector<ExprRef> conjuncts;
+    for (const auto& [atom, truth] : lits) {
+      conjuncts.push_back(truth ? atom : pool_.Not(atom));
+    }
+    EXPECT_EQ(Solver().Solve(conjuncts).verdict, Verdict::kUnsat);
+    EXPECT_EQ(DecideOnlySolve(conjuncts).verdict, Verdict::kUnsat);
+  }
+}
+
 TEST_F(TheoryTest, ConsistentLiteralsGetAModelThatSatisfiesThem) {
   ExprRef x = Int("x");
   ExprRef y = Int("y");
@@ -176,10 +207,9 @@ TEST_F(TheoryTest, ConsistentLiteralsGetAModelThatSatisfiesThem) {
                                {pool_.Eq(y, pool_.IntConst(2)), true},
                                {pool_.Eq(x, pool_.IntConst(1)), false}};
   std::vector<Literal> lemma;
-  std::vector<TheoryLit> tl;
-  ASSERT_TRUE(EngineCheck(&engine_, lits, &lemma, &tl));
+  ASSERT_TRUE(EngineCheck(&engine_, lits, &lemma));
   Model m;
-  engine_.BuildModel(tl, &m);
+  engine_.BuildModel(&m);
   int64_t xv = 0;
   int64_t yv = 0;
   ASSERT_TRUE(m.LookupWitness("x", &xv));
@@ -249,8 +279,7 @@ TEST_P(TheoryFuzzTest, EngineMatchesReference) {
       }
     }
     std::vector<Literal> lemma;
-    std::vector<TheoryLit> tl;
-    bool ok = EngineCheck(&engine, lits, &lemma, &tl);
+    bool ok = EngineCheck(&engine, lits, &lemma);
     ASSERT_EQ(ok, CheckTheory(lits, nullptr))
         << "seed " << GetParam() << " round " << round;
     if (!ok) {
@@ -260,7 +289,7 @@ TEST_P(TheoryFuzzTest, EngineMatchesReference) {
       continue;
     }
     Model m;
-    engine.BuildModel(tl, &m);
+    engine.BuildModel(&m);
     for (const auto& [a, truth] : lits) {
       if (a->kind == Kind::kVar) {
         continue;  // Boolean variables are the CDCL core's, not the theory's.
