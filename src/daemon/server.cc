@@ -376,8 +376,9 @@ Response ServerCore::ServeVerify(Ticket* ticket) {
   // Otherwise it verifies inside its containment boundary, where the
   // daemon-dispatch fail point fires: a crash becomes this request's
   // INTERNAL_ERROR and nothing else's, and the row is journaled.
+  const Cancellation cancel(&ticket->cancel);
   verifier::GeneratorResult result =
-      session_->Verify(request.generator, &ticket->cancel, failpoint::kDaemonDispatch);
+      session_->Verify(request.generator, &cancel, failpoint::kDaemonDispatch);
   Response resp = ResponseFromResult(result);
   const bool cached_safe = result.outcome == verifier::Outcome::kCachedSafe;
   const bool crashed = result.outcome == verifier::Outcome::kInternalError;

@@ -186,7 +186,9 @@ bool EvalContext::CheckAssert(sym::ExprRef cond, CheckLabel what, std::string_vi
   violation_.message = what();
   violation_.function = fn;
   violation_.line = line;
-  violation_.model = r.model.ToString();
+  // A solver with a cache hands back the text it rendered for the entry.
+  violation_.model =
+      r.model.rendered.empty() ? r.model.ToString() : std::move(r.model.rendered);
   // Witnesses are the structured form of the model: one concrete value per
   // named variable, pool-independent, consumed by counterexample reports
   // and the replay harness. The model was rendered above, so moving out of
@@ -449,12 +451,11 @@ Explorer::Stop Explorer::Run(Value* result) {
         // Deterministic function: the result is the UF application over the
         // argument terms, giving congruence across repeated calls.
         const ast::ExternFnDecl& ext = *code.ext;
-        std::vector<sym::ExprRef> terms;
-        terms.reserve(code.param_slots.size());
+        app_terms_.clear();
         for (int slot : code.param_slots) {
-          terms.push_back(s[slot].term);
+          app_terms_.push_back(s[slot].term);
         }
-        const sym::ExprRef term = pool.App(ext.name, std::move(terms), SortOf(ext.return_type));
+        const sym::ExprRef term = pool.App(ext.name, app_terms_, SortOf(ext.return_type));
         s[in.dst] = Value::Of(ext.return_type, term);
         if (ext.return_type->kind() == ast::TypeKind::kEnum) {
           int n = static_cast<int>(ext.return_type->enum_decl()->members.size());

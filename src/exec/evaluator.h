@@ -444,6 +444,7 @@ class Explorer {
   size_t num_choices_ = 0;
   int forks_ = 0;
   std::vector<Value> call_args_;  // Arguments of the host handler being called.
+  std::vector<sym::ExprRef> app_terms_;  // Arguments of the application being built.
 };
 
 }  // namespace icarus::exec

@@ -106,7 +106,7 @@ MetaResult MetaExecutor::Run(const MetaStub& stub) {
 
   // Counts a path that may start, or notes why the run stops instead.
   auto begin_path = [&](size_t unexplored) {
-    if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) {
+    if (cancel_ != nullptr && cancel_->Stop()) {
       result.cancelled = true;
       result.inconclusive = true;
       result.limit_notes.push_back(

@@ -25,7 +25,6 @@
 #ifndef ICARUS_META_META_EXECUTOR_H_
 #define ICARUS_META_META_EXECUTOR_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -33,6 +32,7 @@
 
 #include "src/ast/ast.h"
 #include "src/exec/evaluator.h"
+#include "src/support/cancel.h"
 #include "src/sym/solver.h"
 
 namespace icarus::meta {
@@ -103,9 +103,10 @@ class MetaExecutor {
   // Per-query decision budget of the persistent solver, which the first
   // Run() builds: set it before then.
   void set_solver_limits(const sym::Solver::Limits& limits) { solver_limits_ = limits; }
-  // Cooperative cancellation: checked between paths; when it flips true the
-  // run stops early and the result is marked cancelled + inconclusive.
-  void set_cancel_flag(const std::atomic<bool>* cancel) { cancel_ = cancel; }
+  // Cooperative cancellation: checked before each path; when it says stop,
+  // the run stops early and the result is marked cancelled + inconclusive.
+  // May be null; must outlive Run().
+  void set_cancellation(const Cancellation* cancel) { cancel_ = cancel; }
   // Flight recorder: with recording on, every path keeps a bounded event log
   // (branch decisions, emits, assertion checks) that is attached to any
   // Violation collected on that path. Structured counterexample data
@@ -132,7 +133,7 @@ class MetaExecutor {
   const exec::ExternRegistry* externs_;
   sym::SolverCache* solver_cache_ = nullptr;
   sym::Solver::Limits solver_limits_;
-  const std::atomic<bool>* cancel_ = nullptr;
+  const Cancellation* cancel_ = nullptr;
   bool recording_ = false;
   AttachedPathHook attached_path_hook_;
   // Warm state shared by every Run() on this executor (one executor per

@@ -1,7 +1,12 @@
 #include "src/sym/expr.h"
 
+#include <algorithm>
+#include <charconv>
+#include <cstring>
+#include <functional>
+#include <new>
+
 #include "src/support/check.h"
-#include "src/support/str_util.h"
 
 namespace icarus::sym {
 
@@ -59,120 +64,172 @@ const char* KindName(Kind k) {
   return "?";
 }
 
-}  // namespace
-
-size_t ExprPool::NodeKeyHash::operator()(const NodeKey& k) const {
-  uint64_t h = static_cast<uint64_t>(k.kind);
-  h = HashCombine(h, static_cast<uint64_t>(k.sort));
-  h = HashCombine(h, static_cast<uint64_t>(k.value));
-  h = HashCombine(h, std::hash<std::string>()(k.name));
-  for (ExprRef a : k.args) {
-    h = HashCombine(h, reinterpret_cast<uintptr_t>(a));
-  }
-  return static_cast<size_t>(h);
+// The table slot a structural hash starts probing from, before masking.
+size_t Home(uint64_t chash) {
+  return static_cast<size_t>((chash * 0x9E3779B97F4A7C15ULL) >> 32);
 }
 
+constexpr size_t kInitialSlots = 256;
+
+}  // namespace
+
 ExprPool::ExprPool() {
+  slots_.assign(kInitialSlots, nullptr);
   true_ = BoolConst(true);
   false_ = BoolConst(false);
 }
 
 ExprPool::~ExprPool() = default;
 
-ExprRef ExprPool::Intern(Node node) {
-  NodeKey key{node.kind, node.sort, node.value, node.name, node.args};
-  auto it = interned_.find(key);
-  if (it != interned_.end()) {
-    return it->second;
-  }
-  node.id = next_id_++;
+ExprRef ExprPool::Intern(Kind kind, Sort sort, int64_t value, std::string_view name,
+                         std::span<const ExprRef> args) {
   // Canonical structural hash: children are already interned (and hashed), so
   // this is O(1) per node. Uses only structural content — never pointers or
-  // ids — so two pools building the same term agree on the hash.
+  // ids — so two pools building the same term agree on the hash. It also
+  // places the node in the intern table.
   uint64_t h = 0xcbf29ce484222325ULL;
-  h = HashCombine(h, static_cast<uint64_t>(node.kind));
-  h = HashCombine(h, static_cast<uint64_t>(node.sort));
-  h = HashCombine(h, static_cast<uint64_t>(node.value));
-  h = HashCombine(h, std::hash<std::string>()(node.name));
-  for (ExprRef a : node.args) {
+  h = HashCombine(h, static_cast<uint64_t>(kind));
+  h = HashCombine(h, static_cast<uint64_t>(sort));
+  h = HashCombine(h, static_cast<uint64_t>(value));
+  h = HashCombine(h, std::hash<std::string_view>()(name));
+  for (ExprRef a : args) {
     h = HashCombine(h, a->chash);
   }
-  node.chash = h;
-  nodes_.push_back(std::make_unique<Node>(std::move(node)));
-  ExprRef ref = nodes_.back().get();
-  interned_.emplace(std::move(key), ref);
-  return ref;
+  const size_t mask = slots_.size() - 1;
+  size_t slot = Home(h) & mask;
+  for (; slots_[slot] != nullptr; slot = (slot + 1) & mask) {
+    const Node& n = *slots_[slot];
+    if (n.chash == h && n.kind == kind && n.sort == sort && n.value == value && n.name == name &&
+        std::equal(n.args.begin(), n.args.end(), args.begin(), args.end())) {
+      return &n;
+    }
+  }
+  if (2 * (size_ + 1) > slots_.size()) {
+    Grow();
+    slot = FreeSlot(h);
+  }
+  // One bump allocation: the node, then its arguments, then its name.
+  char* at = static_cast<char*>(
+      arena_.Allocate(sizeof(Node) + args.size_bytes() + name.size(), alignof(Node)));
+  auto* arg_copy = reinterpret_cast<ExprRef*>(at + sizeof(Node));
+  char* name_copy = reinterpret_cast<char*>(arg_copy + args.size());
+  if (!args.empty()) {
+    std::memcpy(arg_copy, args.data(), args.size_bytes());
+  }
+  if (!name.empty()) {
+    std::memcpy(name_copy, name.data(), name.size());
+  }
+  const Node* node = new (at) Node{kind,
+                                   sort,
+                                   static_cast<uint32_t>(size_++),
+                                   value,
+                                   h,
+                                   std::string_view(name_copy, name.size()),
+                                   std::span<const ExprRef>(arg_copy, args.size())};
+  slots_[slot] = node;
+  return node;
 }
 
-ExprRef ExprPool::IntConst(int64_t v) {
-  Node n;
-  n.kind = Kind::kConstInt;
-  n.sort = Sort::kInt;
-  n.value = v;
-  return Intern(std::move(n));
+size_t ExprPool::FreeSlot(uint64_t chash) const {
+  const size_t mask = slots_.size() - 1;
+  size_t slot = Home(chash) & mask;
+  while (slots_[slot] != nullptr) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
 }
+
+void ExprPool::Grow() {
+  std::vector<ExprRef> old = std::move(slots_);
+  slots_.assign(2 * old.size(), nullptr);
+  for (ExprRef n : old) {
+    if (n != nullptr) {
+      slots_[FreeSlot(n->chash)] = n;
+    }
+  }
+}
+
+ExprRef ExprPool::IntConst(int64_t v) { return Intern(Kind::kConstInt, Sort::kInt, v, {}, {}); }
 
 ExprRef ExprPool::BoolConst(bool v) {
-  Node n;
-  n.kind = Kind::kConstBool;
-  n.sort = Sort::kBool;
-  n.value = v ? 1 : 0;
-  return Intern(std::move(n));
+  return Intern(Kind::kConstBool, Sort::kBool, v ? 1 : 0, {}, {});
 }
 
-ExprRef ExprPool::Var(const std::string& name, Sort sort) {
-  Node n;
-  n.kind = Kind::kVar;
-  n.sort = sort;
-  n.name = name;
-  return Intern(std::move(n));
+ExprRef ExprPool::Var(std::string_view name, Sort sort) {
+  return Intern(Kind::kVar, sort, 0, name, {});
 }
 
 ExprRef ExprPool::Fresh(std::string_view prefix, Sort sort) {
-  return Var(StrCat(prefix, "#", fresh_counter_++), sort);
+  char digits[24];
+  char* end = std::to_chars(digits, digits + sizeof(digits), fresh_counter_++).ptr;
+  fresh_name_.assign(prefix);
+  fresh_name_ += '#';
+  fresh_name_.append(digits, static_cast<size_t>(end - digits));
+  return Var(fresh_name_, sort);
 }
 
-ExprRef ExprPool::App(std::string_view fn, std::vector<ExprRef> args, Sort result_sort) {
-  Node n;
-  n.kind = Kind::kApp;
-  n.sort = result_sort;
-  n.name = fn;
-  n.args = std::move(args);
-  return Intern(std::move(n));
+ExprRef ExprPool::App(std::string_view fn, std::span<const ExprRef> args, Sort result_sort) {
+  return Intern(Kind::kApp, result_sort, 0, fn, args);
+}
+
+ExprRef ExprPool::MakeUnary(Kind kind, Sort sort, ExprRef a) {
+  return Intern(kind, sort, 0, {}, std::span<const ExprRef>(&a, 1));
 }
 
 ExprRef ExprPool::MakeBinary(Kind kind, Sort sort, ExprRef a, ExprRef b) {
-  Node n;
-  n.kind = kind;
-  n.sort = sort;
-  n.args = {a, b};
-  return Intern(std::move(n));
+  const ExprRef args[] = {a, b};
+  return Intern(kind, sort, 0, {}, args);
 }
 
 std::string ExprPool::ToString(ExprRef e) {
+  std::string out;
+  AppendString(e, &out);
+  return out;
+}
+
+void ExprPool::AppendString(ExprRef e, std::string* out) {
   ICARUS_CHECK(e != nullptr);
   switch (e->kind) {
-    case Kind::kConstInt:
-      return StrCat(e->value);
-    case Kind::kConstBool:
-      return e->value != 0 ? "true" : "false";
-    case Kind::kVar:
-      return e->name;
-    case Kind::kApp: {
-      std::vector<std::string> parts;
-      parts.reserve(e->args.size());
-      for (ExprRef a : e->args) {
-        parts.push_back(ToString(a));
-      }
-      return StrCat(e->name, "(", Join(parts, ", "), ")");
+    case Kind::kConstInt: {
+      char digits[24];
+      char* end = std::to_chars(digits, digits + sizeof(digits), e->value).ptr;
+      out->append(digits, static_cast<size_t>(end - digits));
+      return;
     }
+    case Kind::kConstBool:
+      *out += e->value != 0 ? "true" : "false";
+      return;
+    case Kind::kVar:
+      *out += e->name;
+      return;
+    case Kind::kApp:
+      *out += e->name;
+      *out += '(';
+      for (size_t i = 0; i < e->args.size(); ++i) {
+        if (i > 0) {
+          *out += ", ";
+        }
+        AppendString(e->args[i], out);
+      }
+      *out += ')';
+      return;
     case Kind::kNeg:
-      return StrCat("-", ToString(e->args[0]));
+      *out += '-';
+      AppendString(e->args[0], out);
+      return;
     case Kind::kNot:
-      return StrCat("!", ToString(e->args[0]));
+      *out += '!';
+      AppendString(e->args[0], out);
+      return;
     default:
-      return StrCat("(", ToString(e->args[0]), " ", KindName(e->kind), " ",
-                    ToString(e->args[1]), ")");
+      *out += '(';
+      AppendString(e->args[0], out);
+      *out += ' ';
+      *out += KindName(e->kind);
+      *out += ' ';
+      AppendString(e->args[1], out);
+      *out += ')';
+      return;
   }
 }
 

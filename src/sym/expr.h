@@ -20,11 +20,13 @@
 #define ICARUS_SYM_EXPR_H_
 
 #include <cstdint>
-#include <memory>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
+
+#include "src/support/arena.h"
 
 namespace icarus::sym {
 
@@ -66,16 +68,18 @@ enum class Kind : uint8_t {
 struct Node;
 using ExprRef = const Node*;
 
+// A node, its argument list and its name live in the arena of the pool that
+// made them, so the views below are valid exactly as long as that pool.
 struct Node {
   Kind kind;
   Sort sort;
-  int64_t value = 0;        // kConstInt / kConstBool payload.
   uint32_t id = 0;          // Unique, creation-ordered; stable tiebreak for canonicalization.
+  int64_t value = 0;        // kConstInt / kConstBool payload.
   uint64_t chash = 0;       // Canonical structural hash: equal for structurally
                             // identical terms even across different pools, so it
                             // can key the cross-pipeline solver-result cache.
-  std::string name;         // kVar / kApp symbol.
-  std::vector<ExprRef> args;
+  std::string_view name;    // kVar / kApp symbol.
+  std::span<const ExprRef> args;
 
   bool IsConst() const { return kind == Kind::kConstInt || kind == Kind::kConstBool; }
   bool IsTrue() const { return kind == Kind::kConstBool && value == 1; }
@@ -84,6 +88,11 @@ struct Node {
 
 // Owns all nodes; provides smart constructors with local simplification.
 // Not thread-safe; each verification pipeline owns its own pool.
+//
+// Nodes are interned through one open-addressed table of ExprRefs probed
+// with the key as views, so a lookup that finds its term allocates nothing
+// and a new term is one bump allocation in the pool's arena: the node, then
+// its arguments, then its name.
 class ExprPool {
  public:
   ExprPool();
@@ -97,7 +106,7 @@ class ExprPool {
   ExprRef False() { return false_; }
 
   // Named variable; same (name, sort) yields the same node.
-  ExprRef Var(const std::string& name, Sort sort);
+  ExprRef Var(std::string_view name, Sort sort);
   // Fresh variable with a unique suffix.
   ExprRef Fresh(std::string_view prefix, Sort sort);
   // The Fresh() suffix sequence is part of a path's state. Exploration
@@ -114,7 +123,10 @@ class ExprPool {
   void RewindFresh(uint64_t mark) { fresh_counter_ = mark; }
 
   // Uninterpreted function application.
-  ExprRef App(std::string_view fn, std::vector<ExprRef> args, Sort result_sort);
+  ExprRef App(std::string_view fn, std::span<const ExprRef> args, Sort result_sort);
+  ExprRef App(std::string_view fn, std::initializer_list<ExprRef> args, Sort result_sort) {
+    return App(fn, std::span<const ExprRef>(args.begin(), args.size()), result_sort);
+  }
 
   ExprRef Add(ExprRef a, ExprRef b);
   ExprRef Sub(ExprRef a, ExprRef b);
@@ -139,34 +151,29 @@ class ExprPool {
   ExprRef And(ExprRef a, ExprRef b);
   ExprRef Or(ExprRef a, ExprRef b);
 
-  size_t size() const { return nodes_.size(); }
+  size_t size() const { return size_; }
 
   // Human-readable rendering (used in counterexample reports and tests).
   static std::string ToString(ExprRef e);
+  // Appends ToString(e) to `out`.
+  static void AppendString(ExprRef e, std::string* out);
 
  private:
-  ExprRef Intern(Node node);
+  // The node with this structure, made if absent.
+  ExprRef Intern(Kind kind, Sort sort, int64_t value, std::string_view name,
+                 std::span<const ExprRef> args);
+  ExprRef MakeUnary(Kind kind, Sort sort, ExprRef a);
   ExprRef MakeBinary(Kind kind, Sort sort, ExprRef a, ExprRef b);
+  // The slot of `slots_` for a node of structural hash `chash`: the first
+  // free one, probing from the hash.
+  size_t FreeSlot(uint64_t chash) const;
+  void Grow();
 
-  struct NodeKey {
-    Kind kind;
-    Sort sort;
-    int64_t value;
-    std::string name;
-    std::vector<ExprRef> args;
-    bool operator==(const NodeKey& o) const {
-      return kind == o.kind && sort == o.sort && value == o.value && name == o.name &&
-             args == o.args;
-    }
-  };
-  struct NodeKeyHash {
-    size_t operator()(const NodeKey& k) const;
-  };
-
-  std::vector<std::unique_ptr<Node>> nodes_;
-  std::unordered_map<NodeKey, ExprRef, NodeKeyHash> interned_;
-  uint32_t next_id_ = 0;
+  Arena arena_;
+  std::vector<ExprRef> slots_;  // Open-addressed, at most half full; null is free.
+  size_t size_ = 0;             // Nodes made; a node's id is its position.
   uint64_t fresh_counter_ = 0;
+  std::string fresh_name_;      // Reused buffer for Fresh's names.
   ExprRef true_ = nullptr;
   ExprRef false_ = nullptr;
 };

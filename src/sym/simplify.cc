@@ -117,11 +117,7 @@ ExprRef ExprPool::Neg(ExprRef a) {
   if (a->kind == Kind::kNeg) {
     return Rw(a->args[0]);
   }
-  Node n;
-  n.kind = Kind::kNeg;
-  n.sort = Sort::kInt;
-  n.args = {a};
-  return Intern(std::move(n));
+  return MakeUnary(Kind::kNeg, Sort::kInt, a);
 }
 
 ExprRef ExprPool::BitAnd(ExprRef a, ExprRef b) {
@@ -243,11 +239,7 @@ ExprRef ExprPool::Not(ExprRef a) {
   if (a->kind == Kind::kNot) {
     return Rw(a->args[0]);
   }
-  Node n;
-  n.kind = Kind::kNot;
-  n.sort = Sort::kBool;
-  n.args = {a};
-  return Intern(std::move(n));
+  return MakeUnary(Kind::kNot, Sort::kBool, a);
 }
 
 ExprRef ExprPool::And(ExprRef a, ExprRef b) {

@@ -1,6 +1,8 @@
 #include "src/sym/solver.h"
 
 #include <algorithm>
+#include <initializer_list>
+#include <span>
 
 #include "src/obs/metrics.h"
 #include "src/support/check.h"
@@ -47,17 +49,32 @@ std::string Model::ToString() const {
   if (!rendered.empty()) {
     return rendered;  // Cache-restored model: already rendered, no live terms.
   }
-  std::vector<std::string> parts;
+  // One line per atom, then one per non-constant term.
+  std::string out;
+  bool first = true;
+  auto next_line = [&] {
+    if (!first) {
+      out += '\n';
+    }
+    first = false;
+  };
   for (const auto& [atom, truth] : atoms) {
-    parts.push_back(StrCat(truth ? "" : "!", ExprPool::ToString(atom)));
+    next_line();
+    if (!truth) {
+      out += '!';
+    }
+    ExprPool::AppendString(atom, &out);
   }
   for (const auto& [term, value] : terms) {
     if (term->kind == Kind::kConstInt) {
       continue;
     }
-    parts.push_back(StrCat(ExprPool::ToString(term), " = ", value));
+    next_line();
+    ExprPool::AppendString(term, &out);
+    out += " = ";
+    out += std::to_string(value);
   }
-  return Join(parts, "\n");
+  return out;
 }
 
 bool Model::Lookup(ExprRef term, int64_t* out) const {
@@ -107,7 +124,8 @@ bool Model::LookupWitness(std::string_view name, int64_t* out) const {
 // ---------------------------------------------------------------------------
 class Solver::Cdcl {
  public:
-  // A literal is var*2 + sign (sign 1 = negated); clause refs index clauses_.
+  // A literal is var*2 + sign (sign 1 = negated). A clause ref is the
+  // clause's offset in clause_lits_, where its size precedes its literals.
   using Lit = int32_t;
 
   explicit Cdcl(SolverStats* stats) : stats_(stats) {
@@ -118,7 +136,7 @@ class Solver::Cdcl {
     watches_.reserve(2 * kInitialVars);
     seen_.reserve(kInitialVars);
     trail_.reserve(kInitialVars);
-    clauses_.reserve(2 * kInitialVars);
+    clause_lits_.reserve(8 * kInitialVars);
     relevant_list_.reserve(kInitialVars);
     // Variable 0 is the distinguished "true" variable, pinned by a level-0
     // unit clause; ConstBool terms encode to ±true_var_.
@@ -240,15 +258,13 @@ class Solver::Cdcl {
         verdict = Verdict::kUnsat;
         break;
       }
-      std::vector<Lit> learnt;
       int bt = 0;
-      Analyze(confl, &learnt, &bt);
+      Analyze(confl, &learnt_, &bt);
       CancelUntil(bt);
-      if (learnt.size() == 1) {
-        UncheckedEnqueue(learnt[0], kCRefUndef);  // Permanent level-0 fact.
+      if (learnt_.size() == 1) {
+        UncheckedEnqueue(learnt_[0], kCRefUndef);  // Permanent level-0 fact.
       } else {
-        int cr = AttachClause(std::move(learnt));
-        UncheckedEnqueue(clauses_[static_cast<size_t>(cr)][0], cr);
+        UncheckedEnqueue(learnt_[0], AttachClause(learnt_));
       }
       ++stats_->learned_clauses;
       var_inc_ /= kActivityDecay;
@@ -412,15 +428,20 @@ class Solver::Cdcl {
     }
   }
 
-  // Adds a permanent clause. Only level-0 values simplify it, so it may be
-  // added above level 0 (a new conjunct's Tseitin clauses arrive on top of
-  // the kept assumption levels): non-false literals are watched first, a
-  // clause already unit under the current levels propagates, and one already
-  // false falls back to level 0.
-  void AddClauseLits(std::vector<Lit> lits) {
+  // Adds a permanent clause, simplified in a reused buffer. Only level-0
+  // values simplify it, so it may be added above level 0 (a new conjunct's
+  // Tseitin clauses arrive on top of the kept assumption levels): non-false
+  // literals are watched first, a clause already unit under the current
+  // levels propagates, and one already false falls back to level 0.
+  void AddClauseLits(std::initializer_list<Lit> clause) {
+    AddClauseLits(std::span<const Lit>(clause.begin(), clause.size()));
+  }
+  void AddClauseLits(std::span<const Lit> clause) {
     if (!ok_) {
       return;
     }
+    std::vector<Lit>& lits = add_buf_;
+    lits.assign(clause.begin(), clause.end());
     std::sort(lits.begin(), lits.end());
     lits.erase(std::unique(lits.begin(), lits.end()), lits.end());
     Lit root_false = kLitUndef;  // One literal false at level 0, if any.
@@ -455,20 +476,29 @@ class Solver::Cdcl {
       }
       lits.push_back(root_false);
     }
-    // Non-false literals first; then false ones, highest level first.
+    // Non-false literals first; then false ones, highest level first. A
+    // stable insertion sort: the order std::stable_sort gives, without its
+    // temporary buffer.
     auto rank = [this](Lit l) {
       return LitValue(l) == LB::kFalse ? vars_[static_cast<size_t>(VarOf(l))].level : INT32_MAX;
     };
-    std::stable_sort(lits.begin(), lits.end(), [&](Lit a, Lit b) { return rank(a) > rank(b); });
+    for (size_t i = 1; i < lits.size(); ++i) {
+      const Lit l = lits[i];
+      size_t j = i;
+      for (; j > 0 && rank(lits[j - 1]) < rank(l); --j) {
+        lits[j] = lits[j - 1];
+      }
+      lits[j] = l;
+    }
     if (LitValue(lits[0]) == LB::kFalse) {
       CancelUntil(0);  // False under the kept levels: attach at the root.
-      AttachClause(std::move(lits));
+      AttachClause(lits);
       return;
     }
     const bool unit = LitValue(lits[0]) == LB::kUndef && LitValue(lits[1]) == LB::kFalse;
-    int cr = AttachClause(std::move(lits));
+    int cr = AttachClause(lits);
     if (unit) {
-      UncheckedEnqueue(clauses_[static_cast<size_t>(cr)][0], cr);
+      UncheckedEnqueue(lits[0], cr);
       ++stats_->propagations;
     }
   }
@@ -478,12 +508,20 @@ class Solver::Cdcl {
     return vars_[static_cast<size_t>(VarOf(l))].level == 0 ? LitValue(l) : LB::kUndef;
   }
 
-  int AttachClause(std::vector<Lit> lits) {
-    int cr = static_cast<int>(clauses_.size());
+  // Appends a clause of at least two literals to the store and watches its
+  // first two.
+  int AttachClause(std::span<const Lit> lits) {
+    int cr = static_cast<int>(clause_lits_.size());
     watches_[static_cast<size_t>(lits[0])].push_back(cr);
     watches_[static_cast<size_t>(lits[1])].push_back(cr);
-    clauses_.push_back(std::move(lits));
+    clause_lits_.push_back(static_cast<Lit>(lits.size()));
+    clause_lits_.insert(clause_lits_.end(), lits.begin(), lits.end());
     return cr;
+  }
+
+  std::span<Lit> Clause(int cr) {
+    const size_t at = static_cast<size_t>(cr);
+    return {clause_lits_.data() + at + 1, static_cast<size_t>(clause_lits_[at])};
   }
 
   void UncheckedEnqueue(Lit p, int reason) {
@@ -507,7 +545,7 @@ class Solver::Cdcl {
       size_t j = 0;
       while (i < ws.size()) {
         int cr = ws[i++];
-        std::vector<Lit>& c = clauses_[static_cast<size_t>(cr)];
+        std::span<Lit> c = Clause(cr);
         if (c[0] == false_lit) {
           std::swap(c[0], c[1]);
         }
@@ -606,7 +644,7 @@ class Solver::Cdcl {
     int index = static_cast<int>(trail_.size()) - 1;
     do {
       ICARUS_REQUIRE_MSG(confl != kCRefUndef, "conflict analysis lost its reason chain");
-      const std::vector<Lit>& c = clauses_[static_cast<size_t>(confl)];
+      std::span<const Lit> c = Clause(confl);
       for (size_t j = (p == kLitUndef) ? 0 : 1; j < c.size(); ++j) {
         int v = VarOf(c[j]);
         VarData& vd = vars_[static_cast<size_t>(v)];
@@ -678,8 +716,8 @@ class Solver::Cdcl {
     // The lemma: at least one explanation literal must flip. Valid in every model
     // (it mentions no aux variables), so it is learned permanently and keeps
     // pruning across queries.
-    std::vector<Lit> lemma;
-    lemma.reserve(explanation_.size());
+    std::vector<Lit>& lemma = lemma_;
+    lemma.clear();
     int max_level = 0;
     for (int pos : explanation_) {
       int v = theory_vars_[static_cast<size_t>(pos)];
@@ -695,7 +733,7 @@ class Solver::Cdcl {
     }
     if (lemma.size() == 1) {
       CancelUntil(0);
-      AddClauseLits({lemma[0]});
+      AddClauseLits(std::span<const Lit>(lemma.data(), 1));
       ++stats_->learned_clauses;
       return TheoryOutcome::kUnitLemma;
     }
@@ -720,7 +758,7 @@ class Solver::Cdcl {
       }
     }
     std::swap(lemma[1], lemma[hi1]);
-    int cr = AttachClause(std::move(lemma));
+    int cr = AttachClause(lemma);
     ++stats_->learned_clauses;
     *out_confl = cr;
     return TheoryOutcome::kLemmaConflict;
@@ -738,7 +776,7 @@ class Solver::Cdcl {
     theory_.BuildModel(model);
     for (const auto& [atom, truth] : model->atoms) {
       if (atom->kind == Kind::kVar) {
-        model->witnesses.push_back(Witness{atom->name, Sort::kBool, truth ? 1 : 0});
+        model->witnesses.push_back(Witness{std::string(atom->name), Sort::kBool, truth ? 1 : 0});
       }
     }
   }
@@ -747,12 +785,15 @@ class Solver::Cdcl {
   bool ok_ = true;  // False once the clause database is inconsistent.
   int true_var_ = 0;
   std::vector<VarData> vars_;
-  std::vector<std::vector<Lit>> clauses_;  // Arena; a clause ref indexes it.
+  std::vector<Lit> clause_lits_;  // Every clause, append-only: size, then literals.
   std::vector<std::vector<int>> watches_;  // Per literal: clauses watching it.
   std::vector<Lit> trail_;
   std::vector<int> trail_lim_;
   size_t qhead_ = 0;
   std::vector<uint8_t> seen_;  // Scratch for Analyze, per var.
+  std::vector<Lit> learnt_;    // Analyze's clause,
+  std::vector<Lit> lemma_;     // a theory lemma
+  std::vector<Lit> add_buf_;   // and AddClauseLits's copy, reused.
   double var_inc_ = 1.0;
   std::vector<int> relevant_list_;
   std::vector<size_t> relevant_bounds_{0};  // Per kept assumption: list size before it.
@@ -874,9 +915,12 @@ SolveResult Solver::SolveImpl(const std::vector<ExprRef>& conjuncts, bool want_m
   fresh.verdict = result.verdict;
   if (result.verdict == Verdict::kSat && want_model) {
     // Rendering the model is the expensive part of an insertion; skip it for
-    // verdict-only callers (the entry can be upgraded later if needed).
+    // verdict-only callers (the entry can be upgraded later if needed). The
+    // text goes back with the result too, so the caller does not render it
+    // again.
     fresh.has_model = true;
-    fresh.model_text = result.model.ToString();
+    result.model.rendered = result.model.ToString();
+    fresh.model_text = result.model.rendered;
     fresh.witnesses = result.model.witnesses;
   }
   // Insert keeps decisive verdicts only. A kUnknown is a fact about this

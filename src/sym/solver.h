@@ -89,7 +89,8 @@ struct Model {
   std::vector<Witness> witnesses;
   // Pre-rendered model text, set when the model was restored from the
   // solver-result cache (cached entries are pool-independent and carry no
-  // live ExprRefs). When non-empty, ToString() returns it verbatim.
+  // live ExprRefs) or rendered for a new cache entry. When non-empty,
+  // ToString() returns it verbatim.
   std::string rendered;
 
   // Renders the assignment for counterexample reports.

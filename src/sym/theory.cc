@@ -1769,7 +1769,7 @@ void TheoryEngine::BuildModel(Model* model) const {
     for (int32_t m : members[U(k)]) {
       ExprRef e = TermAt(m).expr;
       if (e->kind == Kind::kVar) {
-        model->witnesses.push_back(Witness{e->name, e->sort, val});
+        model->witnesses.push_back(Witness{std::string(e->name), e->sort, val});
       }
     }
   }

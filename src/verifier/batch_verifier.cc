@@ -1,7 +1,5 @@
 #include "src/verifier/batch_verifier.h"
 
-#include <atomic>
-#include <chrono>
 #include <exception>
 #include <future>
 #include <memory>
@@ -207,7 +205,7 @@ GeneratorResult VerifyOne(const platform::Platform* platform, const std::string&
   GeneratorResult result;
   result.generator = name;
   WallTimer timer;
-  if (options.cancel != nullptr && options.cancel->load(std::memory_order_relaxed)) {
+  if (options.cancel != nullptr && options.cancel->Stop()) {
     // Deadline expired before this task started: report it honestly rather
     // than paying for a verification that would be cancelled immediately.
     result.outcome = Outcome::kInconclusive;
@@ -279,57 +277,36 @@ StatusOr<BatchReport> BatchVerifier::VerifyAll(const std::vector<std::string>& g
   }
   std::unique_ptr<Session> session = opened.take();
 
-  std::atomic<bool> cancel{false};
+  // Every unit reads the deadline and the interrupt flag itself, at entry
+  // and before each path, so nothing has to poll for them.
+  const Cancellation cancel(options.interrupt, options.deadline_seconds > 0.0
+                                                  ? DeadlineAfter(options.deadline_seconds)
+                                                  : Cancellation::Clock::time_point::max());
+  auto verify_unit = [&](size_t i) {
+    obs::ScopedSpan task_span("batch.task", generator_names[i]);
+    report.results[i] = session->Verify(generator_names[i], &cancel);
+  };
   WallTimer timer;
-  {
+  if (report.jobs == 1) {
+    // One job runs on the caller: no pool thread, no hand-off per unit.
+    for (size_t i = 0; i < generator_names.size(); ++i) {
+      verify_unit(i);
+    }
+  } else {
     ThreadPool pool(report.jobs);
     std::vector<std::future<void>> futures;
     futures.reserve(generator_names.size());
     for (size_t i = 0; i < generator_names.size(); ++i) {
       WallTimer queue_timer;  // Copied into the task: measures submit → start.
-      futures.push_back(pool.Submit([&generator_names, &report, &session, &cancel, queue_timer, i]() {
+      futures.push_back(pool.Submit([&verify_unit, queue_timer, i]() {
         if (obs::Enabled()) {
           static obs::Histogram* queue_wait = obs::Registry::Global().GetHistogram(
               "icarus_batch_queue_wait_seconds",
               "Delay between task submission and a worker picking it up");
           queue_wait->Observe(queue_timer.ElapsedSeconds());
         }
-        obs::ScopedSpan task_span("batch.task", generator_names[i]);
-        report.results[i] = session->Verify(generator_names[i], &cancel);
+        verify_unit(i);
       }));
-    }
-    if (options.deadline_seconds > 0.0 || options.interrupt != nullptr) {
-      bool deadline_active = options.deadline_seconds > 0.0;
-      auto deadline = DeadlineAfter(deadline_active ? options.deadline_seconds : 0.0);
-      // Poll in short slices so an external interrupt (SIGINT/SIGTERM flag)
-      // is noticed within ~50ms even while futures are far from done. Once
-      // either trigger fires, flip the flag once and stop polling: every
-      // running task stops at its next path boundary and every queued task
-      // returns inconclusive on entry.
-      bool cancelled = false;
-      for (std::future<void>& f : futures) {
-        while (!cancelled) {
-          if (options.interrupt != nullptr &&
-              options.interrupt->load(std::memory_order_relaxed)) {
-            cancel.store(true, std::memory_order_relaxed);
-            report.interrupted = true;
-            cancelled = true;
-            break;
-          }
-          if (deadline_active && std::chrono::steady_clock::now() >= deadline) {
-            cancel.store(true, std::memory_order_relaxed);
-            report.deadline_hit = true;
-            cancelled = true;
-            break;
-          }
-          if (f.wait_for(std::chrono::milliseconds(50)) == std::future_status::ready) {
-            break;
-          }
-        }
-        if (cancelled) {
-          break;
-        }
-      }
     }
     for (size_t i = 0; i < futures.size(); ++i) {
       try {
@@ -347,6 +324,8 @@ StatusOr<BatchReport> BatchVerifier::VerifyAll(const std::vector<std::string>& g
       }
     }
   }
+  report.deadline_hit = cancel.deadline_seen();
+  report.interrupted = cancel.flag_seen();
   report.wall_seconds = timer.ElapsedSeconds();
   int contained_crashes = 0;
   for (const GeneratorResult& r : report.results) {

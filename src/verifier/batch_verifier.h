@@ -1,14 +1,16 @@
 // Parallel verification driver: verifies a fleet of generators concurrently
-// on a FIFO thread pool, with a shared solver-result cache, a per-query
-// decision budget and a fleet-level deadline.
+// on a FIFO thread pool (one job runs them in order on the caller), with a
+// shared solver-result cache, a per-query decision budget and a fleet-level
+// deadline.
 //
 // Each generator is one task; tasks are independent (each owns its ExprPool
 // and machine state; the Platform is shared read-only), so verdicts are
 // deterministic and identical to the serial driver's. The shared SolverCache
 // lets tasks reuse solver work across paths, runs, and generators that share
-// CacheIR prefixes. A fleet deadline flips a cancel flag that running tasks
-// observe between paths, degrading stragglers to "inconclusive" instead of
-// hanging the batch. See docs/ARCHITECTURE.md §"Batch driver".
+// CacheIR prefixes. Every task reads the fleet deadline and the interrupt
+// flag itself, at entry and between paths, degrading stragglers to
+// "inconclusive" instead of hanging the batch. See docs/ARCHITECTURE.md
+// §"Batch driver".
 #ifndef ICARUS_VERIFIER_BATCH_VERIFIER_H_
 #define ICARUS_VERIFIER_BATCH_VERIFIER_H_
 
@@ -25,7 +27,8 @@ namespace icarus::verifier {
 
 // Knobs for one batch run.
 struct BatchOptions {
-  // Worker threads; <= 0 selects ThreadPool::DefaultConcurrency().
+  // Worker threads; <= 0 selects ThreadPool::DefaultConcurrency(). One job
+  // runs every unit on the calling thread.
   int jobs = 0;
   // Share one solver-result cache across all tasks.
   bool use_cache = true;
@@ -138,8 +141,8 @@ Outcome OutcomeOf(const VerifyReport& report);
 
 // Verifies one generator and maps the report to its row: the per-unit path
 // Session::Verify runs for the batch driver and the daemon. If
-// `options.cancel` is already set on entry, the row is INCONCLUSIVE and
-// nothing runs. A pipeline error becomes an ERROR row; exceptions propagate
+// `options.cancel` says stop on entry, the row is INCONCLUSIVE and nothing
+// runs. A pipeline error becomes an ERROR row; exceptions propagate
 // to the caller's containment boundary.
 GeneratorResult VerifyOne(const platform::Platform* platform, const std::string& name,
                           const VerifyOptions& options);

@@ -16,6 +16,7 @@ Session::Session(const platform::Platform* platform, const BatchOptions& options
     : platform_(platform),
       keyed_(options.incremental || !options.journal_path.empty()),
       cache_dir_(options.cache_dir),
+      journal_path_(options.journal_path),
       cache_max_bytes_(options.cache_max_mb * 1024 * 1024) {
   verify_options_.solver_limits = options.solver_limits;
   verify_options_.record = options.record;
@@ -86,15 +87,16 @@ StatusOr<std::unique_ptr<Session>> Session::Open(const platform::Platform* platf
                                   rows.status().message(),
                                   " (remove or relocate the journal to start cold)"));
     }
-    for (const JournalRecord& rec : rows.value()) {
+    for (JournalRecord& rec : rows.value()) {
       s.store_changed_ |= s.store_.Put(rec);
+      s.KeepJournalRow(std::move(rec));
     }
     s.journal_ = writer.take();
   }
   return session;
 }
 
-GeneratorResult Session::Verify(const std::string& generator, const std::atomic<bool>* cancel,
+GeneratorResult Session::Verify(const std::string& generator, const Cancellation* cancel,
                                 const char* fail_site) {
   // A name the platform does not declare has no fingerprint, so it never
   // matches and is never stored; VerifyOne reports the unknown generator.
@@ -153,18 +155,31 @@ GeneratorResult Session::Verify(const std::string& generator, const std::atomic<
     store_changed_ |= store_.Put(RecordFromResult(result));
   }
   if (journal_ != nullptr) {
-    Status st = journal_->Append(RecordFromResult(result));
+    JournalRecord rec = RecordFromResult(result);
+    Status st = journal_->Append(rec);
     if (!st.ok() && journal_status_.ok()) {
       journal_status_ = st;
     }
+    KeepJournalRow(std::move(rec));
     // Checkpoint, so a run killed mid-fleet still warms the next one. A
     // failed save is retried at the next checkpoint and at Close.
-    if (lock_ != nullptr && cache_ != nullptr && ++journaled_ % 8 == 0) {
+    ++journaled_;
+    if (lock_ != nullptr && cache_ != nullptr && journaled_ % 8 == 0) {
       (void)sym::SaveSolverCache(*cache_, SolverCacheStorePath(cache_dir_), kVerifierEpoch,
                                  cache_max_bytes_);
     }
   }
   return result;
+}
+
+void Session::KeepJournalRow(JournalRecord rec) {
+  KeptRows& kept = journal_rows_[rec.generator];
+  if (store_.Restores(rec)) {
+    kept.pass.reset();
+  } else if (store_.Restores(kept.last)) {
+    kept.pass = std::move(kept.last);
+  }
+  kept.last = std::move(rec);
 }
 
 Status Session::Close() {
@@ -190,7 +205,24 @@ Status Session::Close() {
       }
     }
   }
-  journal_.reset();
+  if (journal_ != nullptr) {
+    journal_.reset();
+    if (journaled_ > 0) {
+      std::string body;
+      for (const auto& [generator, kept] : journal_rows_) {
+        if (kept.pass.has_value()) {
+          body += kept.pass->ToJsonLine();
+          body.push_back('\n');
+        }
+        body += kept.last.ToJsonLine();
+        body.push_back('\n');
+      }
+      Status compacted = ReplaceFile(journal_path_, body, "journal");
+      if (!compacted.ok()) {
+        failed.push_back(compacted.message());
+      }
+    }
+  }
   lock_.reset();
   return failed.empty() ? Status::Ok() : Status::Error(Join(failed, "; "));
 }

@@ -6,11 +6,12 @@
 #ifndef ICARUS_VERIFIER_SESSION_H_
 #define ICARUS_VERIFIER_SESSION_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,14 +52,19 @@ class Session {
   // contained to INTERNAL_ERROR, stamped with fingerprint and budget, Put
   // into the store if VERIFIED, and journaled; every 8 journaled rows, a
   // writable session checkpoints the solver cache. `cancel` may be null.
-  GeneratorResult Verify(const std::string& generator, const std::atomic<bool>* cancel,
+  GeneratorResult Verify(const std::string& generator, const Cancellation* cancel,
                          const char* fail_site = nullptr);
 
   // Once no Verify is running: if writable, saves the verdict store when a
   // Put changed an outcome, fingerprint or budget, and the solver cache when
   // it gained an entry or a model since Open; either also when it loaded
   // with a note, so a damaged or foreign file is replaced. Then closes the
-  // journal and releases the lock. Returns the save failures; idempotent.
+  // journal and, if this session appended to it, rewrites it to the last
+  // row per generator, preceded by the row a generator restores from when
+  // that is an earlier one (ReplaceFile, so a crash leaves every row). A
+  // reused journal so stops growing by its refuted units every run, and
+  // restores what it did. Then releases the lock. Returns the save
+  // failures; idempotent.
   Status Close();
 
   sym::SolverCache* solver_cache() const { return cache_.get(); }  // Null without use_cache.
@@ -69,10 +75,13 @@ class Session {
 
  private:
   Session(const platform::Platform* platform, const BatchOptions& options);
+  // Makes `rec` its generator's last row in journal_rows_. Under mu_.
+  void KeepJournalRow(JournalRecord rec);
 
   const platform::Platform* platform_;
   const bool keyed_;  // A journal or a store: units are fingerprinted.
   const std::string cache_dir_;
+  const std::string journal_path_;
   const int64_t cache_max_bytes_;
   VerifyOptions verify_options_;  // All but `cancel`, which is per call.
   std::unique_ptr<sym::SolverCache> cache_;
@@ -86,6 +95,15 @@ class Session {
   bool store_changed_ = false;  // Close must save the verdict store.
   std::unique_ptr<JournalWriter> journal_;
   int journaled_ = 0;  // Rows appended to the journal; drives the checkpoint.
+  // What Close compacts the journal to, per generator: its last row and,
+  // when that one cannot restore, the last one before it that can. Reading
+  // the compacted journal restores what reading the whole one did. Read at
+  // Open and kept up to date by every append.
+  struct KeptRows {
+    std::optional<JournalRecord> pass;
+    JournalRecord last;
+  };
+  std::map<std::string, KeptRows> journal_rows_;
   Status journal_status_;
 };
 

@@ -4,15 +4,9 @@
 #include <sys/types.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <utility>
 #include <vector>
-
-#ifndef _WIN32
-#include <unistd.h>
-#endif
 
 #include "src/support/str_util.h"
 
@@ -77,9 +71,13 @@ const JournalRecord* VerdictStore::FindPass(const std::string& generator,
   return rec.unit_fp == unit_fp && rec.budget_decisions == limits.max_decisions ? &rec : nullptr;
 }
 
+bool VerdictStore::Restores(const JournalRecord& rec) const {
+  return (rec.outcome == "VERIFIED" || rec.outcome == "CACHED_SAFE") && !rec.unit_fp.empty() &&
+         rec.epoch == epoch_;
+}
+
 bool VerdictStore::Put(const JournalRecord& rec) {
-  if ((rec.outcome != "VERIFIED" && rec.outcome != "CACHED_SAFE") || rec.unit_fp.empty() ||
-      rec.epoch != epoch_) {
+  if (!Restores(rec)) {
     return false;
   }
   auto [it, added] = by_generator_.try_emplace(rec.generator, rec);
@@ -99,27 +97,7 @@ Status VerdictStore::Save(const std::string& path) const {
     body += rec.ToJsonLine();
     body.push_back('\n');
   }
-  std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::Error(
-        StrCat("cannot open verdict store for writing: ", tmp, ": ", std::strerror(errno)));
-  }
-  bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  ok = std::fflush(f) == 0 && ok;
-#ifndef _WIN32
-  ok = fsync(fileno(f)) == 0 && ok;
-#endif
-  ok = std::fclose(f) == 0 && ok;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return Status::Error(StrCat("failed writing verdict store: ", tmp));
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Error(StrCat("failed renaming verdict store into place: ", path));
-  }
-  return Status::Ok();
+  return ReplaceFile(path, body, "verdict store");
 }
 
 }  // namespace icarus::verifier

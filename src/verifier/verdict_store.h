@@ -84,8 +84,11 @@ class VerdictStore {
   const JournalRecord* FindPass(const std::string& generator, const std::string& unit_fp,
                                 const sym::Solver::Limits& limits) const;
 
-  // Indexes `rec` if it can restore: VERIFIED or CACHED_SAFE, with a unit
-  // fingerprint and the store's epoch. Other rows are ignored. Last Put per
+  // True when `rec` can restore: VERIFIED or CACHED_SAFE, with a unit
+  // fingerprint and the store's epoch.
+  bool Restores(const JournalRecord& rec) const;
+
+  // Indexes `rec` if it can restore; other rows are ignored. Last Put per
   // generator wins. Returns true when the Put changed what FindPass matches:
   // a new generator, or its fingerprint or budget.
   bool Put(const JournalRecord& rec);

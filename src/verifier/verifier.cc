@@ -42,7 +42,7 @@ StatusOr<VerifyReport> Verifier::Verify(const std::string& generator_name,
   meta::MetaExecutor executor(&platform_->module(), &platform_->externs());
   executor.set_solver_cache(options.solver_cache);
   executor.set_solver_limits(options.solver_limits);
-  executor.set_cancel_flag(options.cancel);
+  executor.set_cancellation(options.cancel);
   executor.set_recording(options.record);
 
   VerifyReport report;

@@ -7,11 +7,11 @@
 #ifndef ICARUS_VERIFIER_VERIFIER_H_
 #define ICARUS_VERIFIER_VERIFIER_H_
 
-#include <atomic>
 #include <string>
 
 #include "src/meta/meta_executor.h"
 #include "src/platform/platform.h"
+#include "src/support/cancel.h"
 #include "src/support/status.h"
 #include "src/sym/solver.h"
 
@@ -27,8 +27,9 @@ struct VerifyOptions {
   // Per-query solver decision budget; over-budget queries degrade the report
   // to inconclusive rather than hanging the pipeline.
   sym::Solver::Limits solver_limits;
-  // Cooperative cancellation (fleet deadline); checked between paths.
-  const std::atomic<bool>* cancel = nullptr;
+  // Cooperative cancellation (fleet deadline, interrupt, daemon ticket
+  // deadline); checked before each path. May be null.
+  const Cancellation* cancel = nullptr;
   // Flight recorder: keep a bounded per-path event log, attached to any
   // violation found (see MetaExecutor::set_recording). Off by default — the
   // structured counterexample (witnesses, decisions, op sequences) is

@@ -6,15 +6,19 @@
 // bite.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/platform/platform.h"
+#include "src/support/failpoint.h"
 #include "src/support/str_util.h"
 #include "src/sym/cache_store.h"
 #include "src/verifier/batch_verifier.h"
@@ -260,6 +264,40 @@ TEST_F(BatchVerifierTest, HugeDeadlineMeansNoDeadline) {
     ASSERT_EQ(report.results.size(), 2u);
     EXPECT_EQ(report.results[0].outcome, Outcome::kVerified) << seconds;
     EXPECT_EQ(report.results[1].outcome, Outcome::kRefuted) << seconds;
+  }
+}
+
+TEST_F(BatchVerifierTest, InterruptDuringASingleJobBatchReportsInconclusive) {
+  // One job runs on the calling thread, so nothing polls the interrupt flag
+  // on its behalf: each unit reads it at entry and before each path. The
+  // first solver-cache insert holds the batch for half a second, and a
+  // second thread raises the flag inside that window.
+  const std::vector<std::string> names = {"tryAttachCompareInt32", "tryAttachInt32Add",
+                                          "bug1685925_buggy"};
+  ASSERT_TRUE(failpoint::Arm(StrCat("at=", failpoint::kCacheInsert, ":1,action=stall")).ok());
+  std::atomic<bool> interrupt{false};
+  std::thread raiser([&interrupt] {
+    while (failpoint::HitCount(failpoint::kCacheInsert) < 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    interrupt.store(true);
+  });
+  BatchVerifier batch(platform_);
+  BatchOptions opts;
+  opts.jobs = 1;
+  opts.interrupt = &interrupt;
+  StatusOr<BatchReport> report = batch.VerifyAll(names, opts);
+  raiser.join();
+  failpoint::DisarmAll();
+  ASSERT_TRUE(report.ok()) << report.status().message();
+  EXPECT_TRUE(report.value().interrupted);
+  EXPECT_FALSE(report.value().deadline_hit);
+  ASSERT_EQ(report.value().results.size(), names.size());
+  for (const GeneratorResult& r : report.value().results) {
+    // The first unit stops at its next path, the others before they start.
+    EXPECT_EQ(r.outcome, Outcome::kInconclusive) << r.generator;
+    EXPECT_TRUE(r.report.meta.cancelled) << r.generator;
+    EXPECT_FALSE(r.report.verified) << r.generator;
   }
 }
 

@@ -96,8 +96,9 @@ TEST_F(ExtractTest, RunnersAreDistinctAndCoverEveryGenerator) {
 TEST_F(ExtractTest, RefusesAnInconclusiveGenerator) {
   // A cancelled executor leaves every path unexplored: inconclusive.
   meta::MetaExecutor executor(&platform_->module(), &platform_->externs());
-  std::atomic<bool> cancel{true};
-  executor.set_cancel_flag(&cancel);
+  std::atomic<bool> raised{true};
+  Cancellation cancel(&raised);
+  executor.set_cancellation(&cancel);
   auto keys = RunnerKeysForGenerator(*platform_, "tryAttachInt32Add", executor);
   ASSERT_FALSE(keys.ok());
   EXPECT_TRUE(Contains(keys.status().message(), "tryAttachInt32Add")) << keys.status().message();

@@ -6,8 +6,8 @@
 // abort-action fail point) and prove that the same command on the same
 // journal reproduces exactly the verdicts of an uninterrupted run; a killed
 // incremental run leaves a checkpointed solver cache the next run preloads.
-// The CLI cases also pin what `icarus verify` prints and what a fresh
-// journal row holds.
+// The CLI cases also pin what `icarus verify` prints, what a fresh journal
+// row holds, and that a reused journal stays at one row per unit.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -242,13 +242,48 @@ TEST_F(JournalBatchTest, JournalRestoresItsPassesAndVerifiesTheRest) {
   EXPECT_EQ(full.results[2].report.meta.paths_explored, refuted.report.meta.paths_explored);
   EXPECT_EQ(full.results[2].report.meta.solver_queries, refuted.report.meta.solver_queries);
   EXPECT_FALSE(full.results[2].report.meta.violations.empty());
-  // The journal gained the two rows that ran, and no row for the restored
-  // PASS.
+  // The run appended the two rows that ran and none for the restored PASS,
+  // and closing compacted the journal to one row per generator: the PASS
+  // keeps the row the first run earned it with.
   StatusOr<std::vector<JournalRecord>> records = ReadJournal(path);
   ASSERT_TRUE(records.ok()) << records.status().message();
-  ASSERT_EQ(records.value().size(), 4u);
-  EXPECT_EQ(records.value()[2].outcome, "VERIFIED");
-  EXPECT_EQ(records.value()[3].outcome, "COUNTEREXAMPLE");
+  ASSERT_EQ(records.value().size(), 3u);
+  std::map<std::string, JournalRecord> by_generator;
+  for (const JournalRecord& rec : records.value()) {
+    by_generator[rec.generator] = rec;
+  }
+  EXPECT_EQ(by_generator[names[0]].outcome, "VERIFIED");
+  EXPECT_EQ(by_generator[names[0]].queries, partial.value().results[0].report.meta.solver_queries);
+  EXPECT_EQ(by_generator[names[1]].outcome, "VERIFIED");
+  EXPECT_EQ(by_generator[names[2]].outcome, "COUNTEREXAMPLE");
+  std::remove(path.c_str());
+}
+
+TEST_F(JournalBatchTest, CompactionKeepsTheRowsThatRestore) {
+  // A starved run appends an INCONCLUSIVE row after a unit's PASS. The
+  // compacted journal keeps that PASS ahead of it, so a run under the
+  // PASS's budget still restores the unit, as the uncompacted journal did.
+  std::string path = TempPath("compact_keeps_pass.jsonl");
+  std::remove(path.c_str());
+  const std::vector<std::string> names = {"tryAttachInt32Add"};
+  BatchVerifier batch(platform_);
+  BatchOptions full;
+  full.journal_path = path;
+  ASSERT_TRUE(batch.VerifyAll(names, full).ok());
+  BatchOptions starved = full;
+  starved.solver_limits.max_decisions = 0;
+  StatusOr<BatchReport> cut = batch.VerifyAll(names, starved);
+  ASSERT_TRUE(cut.ok()) << cut.status().message();
+  ASSERT_EQ(cut.value().results[0].outcome, Outcome::kInconclusive);
+
+  StatusOr<std::vector<JournalRecord>> rows = ReadJournal(path);
+  ASSERT_TRUE(rows.ok()) << rows.status().message();
+  ASSERT_EQ(rows.value().size(), 2u);
+  EXPECT_EQ(rows.value()[0].outcome, "VERIFIED");
+  EXPECT_EQ(rows.value()[1].outcome, "INCONCLUSIVE");
+  StatusOr<BatchReport> warm = batch.VerifyAll(names, full);
+  ASSERT_TRUE(warm.ok()) << warm.status().message();
+  EXPECT_EQ(warm.value().results[0].outcome, Outcome::kCachedSafe);
   std::remove(path.c_str());
 }
 
@@ -506,6 +541,23 @@ TEST(CliOutput, JournalRowsCarryTheEpochAndNoCfaStage) {
     EXPECT_NE(line.find("\"budget_decisions\":2000000"), std::string::npos) << line;
   }
   EXPECT_EQ(rows, 38);
+  std::remove(path.c_str());
+}
+
+TEST(CliOutput, AReusedJournalKeepsOneRowPerUnit) {
+  // Each rerun restores the 32 PASSes and verifies the 6 refuted units
+  // again, appending their rows; closing the run compacts the journal to
+  // the last row per generator, so it does not grow run after run.
+  const std::string path = TempPath("cli_reused.jsonl");
+  std::remove(path.c_str());
+  const std::string cmd =
+      std::string(ICARUS_CLI_PATH) + " verify-all --journal " + path + " >/dev/null 2>&1";
+  for (int run = 0; run < 3; ++run) {
+    ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+    StatusOr<std::vector<JournalRecord>> rows = ReadJournal(path);
+    ASSERT_TRUE(rows.ok()) << rows.status().message();
+    EXPECT_EQ(rows.value().size(), 38u) << "after run " << run + 1;
+  }
   std::remove(path.c_str());
 }
 

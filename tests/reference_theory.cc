@@ -210,7 +210,7 @@ class TheoryChecker {
         if (!all_first_order) {
           continue;
         }
-        std::string fn = (t->kind == Kind::kApp) ? t->name
+        std::string fn = (t->kind == Kind::kApp) ? std::string(t->name)
                                                  : StrCat("$op", static_cast<int>(t->kind));
         auto key = std::make_pair(std::move(fn), std::move(arg_classes));
         auto [it, inserted] = sig.emplace(key, static_cast<int>(i));
@@ -690,7 +690,7 @@ void TheoryChecker::BuildModel(Model* model) {
     // for each symbolic input, independent of class structure.
     for (ExprRef m : members) {
       if (m->kind == Kind::kVar) {
-        model->witnesses.push_back(Witness{m->name, m->sort, v});
+        model->witnesses.push_back(Witness{std::string(m->name), m->sort, v});
       }
     }
   }
@@ -712,7 +712,7 @@ bool CheckTheory(const std::vector<std::pair<ExprRef, bool>>& literals, Model* m
   // as witnesses alongside the integer/term class values.
   for (const auto& [atom, truth] : literals) {
     if (atom->kind == Kind::kVar && atom->sort == Sort::kBool) {
-      model->witnesses.push_back(Witness{atom->name, Sort::kBool, truth ? 1 : 0});
+      model->witnesses.push_back(Witness{std::string(atom->name), Sort::kBool, truth ? 1 : 0});
     }
   }
   return true;

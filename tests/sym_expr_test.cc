@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "src/support/str_util.h"
 #include "src/sym/expr.h"
+#include "src/sym/solver_cache.h"
 
 namespace icarus::sym {
 namespace {
@@ -101,6 +106,60 @@ TEST_F(ExprTest, ToString) {
   EXPECT_EQ(ExprPool::ToString(e), "((x + 1) < 10)");
   ExprRef app = pool_.App("f", {x}, Sort::kInt);
   EXPECT_EQ(ExprPool::ToString(app), "f(x)");
+}
+
+// Node::chash keys the persisted solver cache (kCacheStoreVersion 3), so a
+// change to how terms are stored or interned must not move it: these are
+// the values every earlier build computed.
+TEST_F(ExprTest, StructuralHashesArePinned) {
+  ExprRef x = pool_.Var("x", Sort::kInt);
+  ExprRef y = pool_.Var("y", Sort::kInt);
+  ExprRef obj = pool_.Var("obj", Sort::kTerm);
+  ExprRef eq = pool_.Eq(x, y);
+  ExprRef lt = pool_.Lt(x, pool_.IntConst(10));
+  EXPECT_EQ(x->chash, 0xe4b3bef4d51f8e15ULL);
+  EXPECT_EQ(pool_.IntConst(42)->chash, 0x87413d434e8d5be0ULL);
+  EXPECT_EQ(pool_.App("shapeOf", {obj}, Sort::kTerm)->chash, 0x6685e6f6b2d38c52ULL);
+  EXPECT_EQ(pool_.And(eq, lt)->chash, 0xdd58f20053907a83ULL);
+  EXPECT_EQ(pool_.Not(eq)->chash, 0x95f6a917aefe6a12ULL);
+  const QueryKey key = FingerprintQuery({lt, pool_.Not(eq), pool_.Var("p", Sort::kBool)});
+  EXPECT_EQ(key.lo, 0x91325bf442c05546ULL);
+  EXPECT_EQ(key.hi, 0xa797d3a141299a65ULL);
+}
+
+// Interning 100,000 distinct nodes and then rebuilding each finds every
+// node again: the table grows without losing one, ids follow creation
+// order, and a rebuild makes nothing new.
+TEST_F(ExprTest, RebuildingInternedNodesFindsThemAgain) {
+  constexpr int kNodes = 100000;
+  auto build = [this](int i, const std::vector<ExprRef>& made) {
+    switch (i % 3) {
+      case 0:
+        return pool_.IntConst(1000000 + i);
+      case 1:
+        return pool_.Var(StrCat("v", i), Sort::kInt);
+      default:
+        return pool_.App("f", {made[static_cast<size_t>(i - 1)], made[static_cast<size_t>(i - 2)]},
+                         Sort::kInt);
+    }
+  };
+  std::vector<ExprRef> made;
+  made.reserve(kNodes);
+  const size_t before = pool_.size();
+  for (int i = 0; i < kNodes; ++i) {
+    made.push_back(build(i, made));
+  }
+  ASSERT_EQ(pool_.size(), before + kNodes);
+  for (int i = 0; i < kNodes; ++i) {
+    EXPECT_EQ(made[static_cast<size_t>(i)]->id, before + static_cast<size_t>(i));
+  }
+  for (int i = 0; i < kNodes; ++i) {
+    ASSERT_EQ(build(i, made), made[static_cast<size_t>(i)]) << i;
+  }
+  EXPECT_EQ(pool_.size(), before + kNodes);
+  EXPECT_EQ(made[4]->name, "v4");
+  ASSERT_EQ(made[5]->args.size(), 2u);
+  EXPECT_EQ(made[5]->args[0], made[4]);
 }
 
 }  // namespace
