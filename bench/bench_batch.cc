@@ -14,6 +14,7 @@
 // as hardware_concurrency() claims: a container can report 4 cores and grant
 // about one.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -24,7 +25,6 @@
 #include "bench/bench_baseline.h"
 #include "src/platform/platform.h"
 #include "src/support/str_util.h"
-#include "src/support/thread_pool.h"
 #include "src/support/timing.h"
 #include "src/verifier/batch_verifier.h"
 
@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<Platform> platform = loaded.take();
   BatchVerifier batch(platform.get());
 
-  const int cores = icarus::ThreadPool::DefaultConcurrency();
+  const int cores = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   const double parallelism = MeasureParallelism();
   std::printf("Batch verification driver: serial vs. parallel+cache "
               "(%d hardware threads, measured parallelism %.2f at 4 threads)\n",

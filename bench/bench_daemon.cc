@@ -19,12 +19,18 @@
 // pass must be 100% served from the warm view, and warm p99 must beat the
 // cold p50 — the daemon's tail must be faster than the CLI's median.
 //
+// The JSON also carries each pass's total (`cold_total`,
+// `daemon_first_pass_total`: the sum of its per-request times). A request's
+// median and the warm entries sit under bench_check's 1 ms floor, so the
+// totals are what a slower verify path or serving path moves.
+//
 // Each request is timed in process CPU time, as bench_incremental times its
 // runs: a request takes a few milliseconds, and one that the host preempts
 // reads tens of times longer in wall-clock time, which used to set cold p99
 // on its own.
 #include <cstdio>
 #include <cstring>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -179,6 +185,12 @@ int main(int argc, char** argv) {
                        static_cast<int>(warm_ms.size())});
     entries.push_back({"daemon_warm_p99", clamped(warm.p99), clamped(warm.p99), 0.0,
                        static_cast<int>(warm_ms.size())});
+    const double cold_total = std::accumulate(cold_ms.begin(), cold_ms.end(), 0.0);
+    const double first_total = std::accumulate(first_ms.begin(), first_ms.end(), 0.0);
+    entries.push_back(
+        {"cold_total", cold_total, cold_total, 0.0, static_cast<int>(cold_ms.size())});
+    entries.push_back({"daemon_first_pass_total", first_total, first_total, 0.0,
+                       static_cast<int>(first_ms.size())});
     icarus::Status st = icarus::bench::WriteBenchJson(json_path, "bench_daemon", entries, calibration);
     if (!st.ok()) {
       std::fprintf(stderr, "--json: %s\n", st.message().c_str());

@@ -4,11 +4,11 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
-#include <future>
 
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/support/cancel.h"
 #include "src/support/failpoint.h"
 #include "src/support/flat_json.h"
 #include "src/support/net.h"
@@ -45,16 +45,6 @@ obs::Histogram* OpHistogram(const std::string& op) {
 }
 
 }  // namespace
-
-// One queued verify request. The ticket is allocated on the Execute()
-// caller's stack: exactly one of the worker pool or the drain path fulfils
-// the promise, and Execute() always waits on the future before returning, so
-// the ticket outlives every reference to it.
-struct ServerCore::Ticket {
-  Request request;
-  std::atomic<bool> cancel{false};
-  std::promise<Response> promise;
-};
 
 std::string DaemonStats::ToJson() const {
   obs::JsonWriter w;
@@ -107,11 +97,6 @@ Status ServerCore::Start() {
     return session.status();
   }
   session_ = session.take();
-
-  workers_.reserve(options_.jobs);
-  for (int i = 0; i < options_.jobs; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
   started_ = true;
   return Status::Ok();
 }
@@ -150,8 +135,8 @@ void ServerCore::UpdateGauges() {
   static obs::Gauge* in_flight = obs::Registry::Global().GetGauge(
       "icarus_daemon_in_flight", "Verify requests currently executing");
   std::lock_guard<std::mutex> lock(mu_);
-  depth->Set(static_cast<int64_t>(queue_.size()));
-  in_flight->Set(static_cast<int64_t>(active_.size()));
+  depth->Set(waiting_);
+  in_flight->Set(running_);
 }
 
 Response ServerCore::Execute(const Request& request) {
@@ -277,106 +262,86 @@ Response ServerCore::ExecuteVerify(const Request& request) {
     }
   }
 
-  Ticket ticket;
-  ticket.request = request;
-  std::future<Response> future = ticket.promise.get_future();
+  // Admission: a turn in the bounded queue, or an honest shed.
+  std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
   try {
     ICARUS_FAILPOINT(failpoint::kDaemonEnqueue);
-    std::lock_guard<std::mutex> lock(mu_);
-    if (draining_.load(std::memory_order_acquire)) {
-      ++counters_.rejected_draining;
-      resp.status = kStatusShuttingDown;
-      return resp;
-    }
-    // The bound check and the push share this critical section, so the
-    // queue never holds more than queue_limit tickets.
-    if (static_cast<int>(queue_.size()) >= options_.queue_limit) {
-      ++counters_.shed_queue;
-      if (obs::Enabled()) {
-        static obs::Counter* shed = obs::Registry::Global().GetCounter(
-            "icarus_daemon_shed_total", "Requests shed because the queue was full");
-        shed->Add(1);
-      }
-      resp.status = kStatusOverloaded;
-      resp.error = "request queue is full";
-      resp.retry_after_ms = kOverloadedRetryAfterMs;
-      return resp;
-    }
-    queue_.push_back(&ticket);
+    lock.lock();
   } catch (const std::exception& e) {
-    // An enqueue fault burns only this request: nothing was queued, so
+    // An enqueue fault burns only this request: it took no turn, so
     // answering ERROR (retryable) is honest.
     resp.status = kStatusError;
     resp.error = e.what();
     return resp;
   }
-  cv_.notify_one();
-  UpdateGauges();
-
-  // Per-request deadline: wait for the worker, and past the deadline flip
-  // this ticket's cancel flag — the verification observes it at its next
-  // path boundary and degrades to INCONCLUSIVE. The wait after cancellation
-  // is bounded by one path's solver budget.
-  double deadline_ms =
-      request.deadline_ms > 0 ? request.deadline_ms : options_.default_deadline_ms;
-  if (deadline_ms > 0) {
-    if (future.wait_until(DeadlineAfter(deadline_ms / 1e3)) == std::future_status::timeout) {
-      ticket.cancel.store(true, std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(mu_);
-      ++counters_.deadline_cancelled;
-    }
+  if (draining()) {
+    ++counters_.rejected_draining;
+    resp.status = kStatusShuttingDown;
+    return resp;
   }
-  Response out = future.get();
+  // The bound check and the count share this critical section, so no more
+  // than queue_limit requests ever wait.
+  if (waiting_ >= options_.queue_limit) {
+    ++counters_.shed_queue;
+    if (obs::Enabled()) {
+      static obs::Counter* shed = obs::Registry::Global().GetCounter(
+          "icarus_daemon_shed_total", "Requests shed because the queue was full");
+      shed->Add(1);
+    }
+    resp.status = kStatusOverloaded;
+    resp.error = "request queue is full";
+    resp.retry_after_ms = kOverloadedRetryAfterMs;
+    return resp;
+  }
+  // Slots go by turn, so requests run in arrival order. The deadline counts
+  // from arrival: a request past it still takes its turn and comes back
+  // INCONCLUSIVE from the entry check, and the drain flag stops a running
+  // one at its next path.
+  const uint64_t turn = next_turn_++;
+  ++waiting_;
+  const double deadline_ms =
+      request.deadline_ms > 0 ? request.deadline_ms : options_.default_deadline_ms;
+  const Cancellation cancel(&draining_, deadline_ms > 0
+                                            ? DeadlineAfter(deadline_ms / 1e3)
+                                            : Cancellation::Clock::time_point::max());
+  cv_.wait(lock, [&] { return draining() || (turn == head_turn_ && running_ < options_.jobs); });
+  --waiting_;
+  if (draining()) {
+    cv_.notify_all();  // FinishDrain waits for the counts to fall.
+    resp.status = kStatusShuttingDown;
+    return resp;
+  }
+  ++head_turn_;
+  ++running_;
+  cv_.notify_all();  // The next turn may take another free slot.
+  lock.unlock();
+
+  Response out;
+  try {
+    out = ServeVerify(request, cancel);
+  } catch (const std::exception& e) {
+    // The session contains verification crashes; this catches a fault in
+    // the serving bookkeeping around it, and the slot is given back either
+    // way.
+    out = Response{};
+    out.status = kStatusError;
+    out.error = e.what();
+  }
   out.generator = request.generator;
-  UpdateGauges();
+  lock.lock();
+  --running_;
+  counters_.deadline_cancelled += cancel.deadline_seen() ? 1 : 0;
+  cv_.notify_all();
   return out;
 }
 
-void ServerCore::WorkerLoop() {
-  while (true) {
-    Ticket* ticket = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stop_workers_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (stop_workers_) {
-          return;
-        }
-        continue;
-      }
-      ticket = queue_.front();
-      queue_.pop_front();
-      active_.insert(ticket);
-    }
-    Response resp;
-    try {
-      resp = ServeVerify(ticket);
-    } catch (const std::exception& e) {
-      // The session contains verification crashes; this net catches a fault
-      // in the serving bookkeeping around it. The promise must be
-      // fulfilled either way — the Execute() caller is blocked on it.
-      resp = Response{};
-      resp.status = kStatusError;
-      resp.generator = ticket->request.generator;
-      resp.error = e.what();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      active_.erase(ticket);
-    }
-    ticket->promise.set_value(std::move(resp));
-  }
-}
-
-Response ServerCore::ServeVerify(Ticket* ticket) {
-  const Request& request = ticket->request;
+Response ServerCore::ServeVerify(const Request& request, const Cancellation& cancel) {
   obs::ScopedSpan verify_span("daemon.verify", request.generator);
   // The session answers CACHED_SAFE for an unchanged unit whose PASS is
   // stored (or journaled) under this budget, as `verify-all` does.
   // Otherwise it verifies inside its containment boundary, where the
   // daemon-dispatch fail point fires: a crash becomes this request's
   // INTERNAL_ERROR and nothing else's, and the row is journaled.
-  const Cancellation cancel(&ticket->cancel);
   verifier::GeneratorResult result =
       session_->Verify(request.generator, &cancel, failpoint::kDaemonDispatch);
   Response resp = ResponseFromResult(result);
@@ -407,45 +372,21 @@ Response ServerCore::ServeVerify(Ticket* ticket) {
 }
 
 void ServerCore::BeginDrain() {
-  std::vector<Ticket*> queued;
   {
+    // Raised under mu_ so that no waiting request misses the wake-up.
     std::lock_guard<std::mutex> lock(mu_);
-    if (draining_.exchange(true, std::memory_order_acq_rel)) {
-      return;
-    }
-    queued.assign(queue_.begin(), queue_.end());
-    queue_.clear();
-    // Cancel in-flight work; each verification stops at its next path
-    // boundary and its caller sees INCONCLUSIVE.
-    for (Ticket* ticket : active_) {
-      ticket->cancel.store(true, std::memory_order_relaxed);
-    }
-  }
-  // Fail queued-but-unstarted tickets fast, outside the lock (their
-  // Execute() callers are blocked on these promises).
-  for (Ticket* ticket : queued) {
-    Response resp;
-    resp.status = kStatusShuttingDown;
-    resp.generator = ticket->request.generator;
-    ticket->promise.set_value(std::move(resp));
+    draining_.store(true, std::memory_order_release);
   }
   cv_.notify_all();
-  UpdateGauges();
 }
 
 Status ServerCore::FinishDrain() {
   BeginDrain();
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_workers_ = true;
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return running_ == 0 && waiting_ == 0; });
   }
-  cv_.notify_all();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) {
-      worker.join();
-    }
-  }
-  workers_.clear();
+  UpdateGauges();
   started_ = false;
 
   Status status = Status::Ok();
@@ -467,8 +408,8 @@ DaemonStats ServerCore::StatsSnapshot() const {
   {
     std::lock_guard<std::mutex> lock(mu_);
     stats = counters_;
-    stats.queue_depth = static_cast<int>(queue_.size());
-    stats.in_flight = static_cast<int>(active_.size());
+    stats.queue_depth = waiting_;
+    stats.in_flight = running_;
   }
   if (session_ != nullptr) {
     stats.read_only_cache = session_->read_only();

@@ -3,54 +3,56 @@
 //
 // One ServerCore owns the warm state a long-lived service exists to keep:
 // the loaded Platform, a verifier::Session (solver-result cache, verdict
-// store, journal and per-unit path, as `verify-all` uses them), a warm
-// verdict view (generator → last decisive verdict this process served), and
-// the worker pool that executes verify requests. Transports
-// (the Unix-socket loop in tools/icarusd_main.cc, in-process tests) parse
-// requests off the wire and call the synchronous, thread-safe `Execute()` —
-// one call per request, blocking until that request's response is ready.
-// Each connection thread therefore paces its own client (responses per
-// connection stay in request order) while independent connections proceed
-// concurrently.
+// store, journal and per-unit path, as `verify-all` uses them) and a warm
+// verdict view (generator → last decisive verdict this process served).
+// Transports (the Unix-socket loop in tools/icarusd_main.cc, in-process
+// tests) parse requests off the wire and call the synchronous, thread-safe
+// `Execute()` — one call per request, which verifies on the calling thread
+// and returns the response. Each connection thread therefore paces its own
+// client (responses per connection stay in request order) while independent
+// connections proceed concurrently, at most `jobs` of them verifying.
 //
 // Request lifecycle inside Execute():
 //
 //   draining? ──────────────▶ SHUTTING_DOWN
-//   warm view hit ──────────▶ OK (cached=true; no work, no queueing)
+//   warm view hit ──────────▶ OK (cached=true; no work, no waiting)
 //   queue full? ────────────▶ OVERLOADED (+retry_after_ms)
-//   bounded queue ──────────▶ worker dispatch inside the containment
-//                             boundary; per-request deadline flips the
-//                             ticket's cancel flag → INCONCLUSIVE
+//   take a turn, wait ──────▶ a slot, in arrival order; verify inside the
+//                             containment boundary, stopping at the next
+//                             path once the request's deadline passes or
+//                             the drain begins → INCONCLUSIVE
 //
 // Failure domains: a request that throws (a genuine bug or an injected
 // fault at daemon-dispatch) burns only itself — the session catches at the
-// boundary and the worker answers INTERNAL_ERROR for that request; the next
-// request for the same target runs normally. Drain (BeginDrain/FinishDrain)
-// stops admission, fails queued tickets fast with SHUTTING_DOWN, cancels
-// in-flight work, then closes the session, saving the persistent stores.
-// The journal is fsync'd per record at append time, so a crash loses at most
-// the record being written. A daemon restarted on the journal restores its
-// PASSes by the verdict store's rule (CACHED_SAFE while the unit
-// fingerprint, budget and epoch match) and verifies everything else again.
+// boundary and the request is answered INTERNAL_ERROR; the next request for
+// the same target runs normally. Drain (BeginDrain/FinishDrain) stops
+// admission, answers waiting requests SHUTTING_DOWN, cancels running ones,
+// waits for both counts to reach zero, then closes the session, saving the
+// persistent stores. The journal is fsync'd per record at append time, so a
+// crash loses at most the record being written. A daemon restarted on the
+// journal restores its PASSes by the verdict store's rule (CACHED_SAFE while
+// the unit fingerprint, budget and epoch match) and verifies everything else
+// again.
 #ifndef ICARUS_DAEMON_SERVER_H_
 #define ICARUS_DAEMON_SERVER_H_
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/daemon/protocol.h"
 #include "src/platform/platform.h"
 #include "src/support/status.h"
 #include "src/sym/solver.h"
+
+namespace icarus {
+class Cancellation;
+}  // namespace icarus
 
 namespace icarus::verifier {
 struct GeneratorResult;
@@ -60,9 +62,10 @@ class Session;
 namespace icarus::daemon {
 
 struct DaemonOptions {
-  int jobs = 1;  // Worker threads executing verify requests.
-  // Bound on verify requests waiting for a worker; past it a request is shed
-  // with OVERLOADED, so memory stays bounded however many clients pile on.
+  int jobs = 1;  // Verify requests running at once, each on its caller's thread.
+  // Bound on verify requests waiting for one of the `jobs` slots; past it a
+  // request is shed with OVERLOADED, so the waiting connection threads stay
+  // bounded however many clients pile on.
   int queue_limit = 32;
   // Deadline applied to requests that do not carry their own; 0 = none.
   double default_deadline_ms = 0;
@@ -117,25 +120,25 @@ class ServerCore {
   ServerCore& operator=(const ServerCore&) = delete;
 
   // Opens the verification session (persistent stores under the advisory
-  // cache lock, the journal read and opened for appending) and spawns the
-  // worker pool. A missing journal means a cold start; a corrupt one fails
-  // startup. Store problems degrade with a note.
+  // cache lock, the journal read and opened for appending). A missing
+  // journal means a cold start; a corrupt one fails startup. Store problems
+  // degrade with a note.
   Status Start();
 
-  // Serves one request, blocking until its response is ready. Thread-safe;
-  // call from any number of transport threads.
+  // Serves one request on the calling thread and returns its response.
+  // Thread-safe; call from any number of transport threads.
   Response Execute(const Request& request);
 
-  // Stops admitting verify work: queued-but-unstarted tickets complete
-  // immediately with SHUTTING_DOWN, in-flight tickets are cancelled (their
+  // Stops admitting verify work: waiting requests are answered
+  // SHUTTING_DOWN at once, running ones stop at their next path (their
   // callers see INCONCLUSIVE). Idempotent; callable from a signal-driven
   // transport thread.
   void BeginDrain();
 
-  // Joins the workers and closes the session, which durably saves the
-  // persistent stores. Call after BeginDrain once the transport has stopped
-  // feeding Execute. Returns the drain error (store save failures, injected
-  // daemon-drain fault).
+  // Waits until no request runs or waits, then closes the session, which
+  // durably saves the persistent stores. Call after BeginDrain once the
+  // transport has stopped feeding Execute. Returns the drain error (store
+  // save failures, injected daemon-drain fault).
   Status FinishDrain();
 
   bool draining() const { return draining_.load(std::memory_order_acquire); }
@@ -153,18 +156,14 @@ class ServerCore {
   std::vector<std::string> notes() const;
 
  private:
-  struct Ticket;
-
-  // Runs one verify ticket to a response through the session (worker
-  // thread).
-  Response ServeVerify(Ticket* ticket);
+  // Runs one admitted verify request to a response through the session.
+  Response ServeVerify(const Request& request, const Cancellation& cancel);
   Response ExecuteVerify(const Request& request);
   // The `metrics` op: this process's registry as an exposition document.
   Response ExecuteMetrics(const Request& request);
   // Appends one slow-request line (flat JSON) when the request cleared
   // options_.slow_ms, with per-stage cost attribution from the report.
   void MaybeLogSlow(const Request& request, const verifier::GeneratorResult& result);
-  void WorkerLoop();
   // Puts a decisive row (VERIFIED, COUNTEREXAMPLE, CACHED_SAFE) into the
   // warm view; other rows are verified again on the next request. Requires
   // mu_.
@@ -174,21 +173,23 @@ class ServerCore {
   const platform::Platform* platform_;
   DaemonOptions options_;
 
-  // Serving state. `mu_` guards the queue, the active set, the worker stop
-  // flag, the warm view and the counters; verification itself runs outside
-  // the lock, and the session locks its own state.
+  // Serving state. `mu_` guards the turns, the running and waiting counts,
+  // the warm view and the counters; verification itself runs outside the
+  // lock, and the session locks its own state. `cv_` wakes waiting requests
+  // when a slot frees or the drain begins, and FinishDrain when the counts
+  // fall.
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<Ticket*> queue_;
-  std::set<Ticket*> active_;
+  uint64_t next_turn_ = 0;  // Handed to the next admitted request.
+  uint64_t head_turn_ = 0;  // The oldest turn still waiting for a slot.
+  int running_ = 0;         // Requests holding a slot (at most jobs).
+  int waiting_ = 0;         // Admitted requests without one (at most queue_limit).
   std::map<std::string, Response> warm_;  // Decisive verdicts only.
-  bool stop_workers_ = false;
-  std::vector<std::thread> workers_;
-  std::atomic<bool> draining_{false};
+  std::atomic<bool> draining_{false};  // Every running request's cancel flag.
   std::atomic<bool> shutdown_requested_{false};
   bool started_ = false;
 
-  // Service counters (guarded by mu_); StatsSnapshot fills in the gauges.
+  // Service counters (guarded by mu_); StatsSnapshot fills in the counts.
   DaemonStats counters_;
 
   // Opened by Start, closed by FinishDrain; kept for stats and notes.

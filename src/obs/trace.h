@@ -18,8 +18,8 @@
 // Ring buffers: fixed capacity per thread, oldest events overwritten, so a
 // path-exploding generator cannot OOM the tracer — you lose the oldest
 // spans and the exporter reports how many were dropped. Buffers are owned by
-// a global registry (shared_ptr), so events survive thread exit — pool
-// workers die with the ThreadPool, before the CLI exports.
+// a global registry (shared_ptr), so events survive thread exit — a batch
+// joins its extra job threads before the CLI exports.
 //
 // Cost: when tracing is inactive, constructing a ScopedSpan is one relaxed
 // atomic load (the same discipline as metrics and fail points).

@@ -1,9 +1,10 @@
 // Cooperative cancellation of verification work.
 //
 // A run reads its Cancellation at unit entry and at every path boundary and
-// stops when a flag has been raised (a daemon ticket past its deadline, a
-// SIGINT/SIGTERM handler) or its wall-clock deadline has passed. Nothing
-// polls on the run's behalf, so a single-job batch needs no second thread.
+// stops when a flag has been raised (the daemon's drain, a SIGINT/SIGTERM
+// handler) or its wall-clock deadline (a batch's, a daemon request's) has
+// passed. Nothing polls on the run's behalf, so a single-job batch needs no
+// second thread.
 // One Cancellation may be shared by every job of a batch: Stop() is
 // thread-safe, and it notes which trigger it saw so the batch can report it.
 #ifndef ICARUS_SUPPORT_CANCEL_H_

@@ -55,9 +55,9 @@ std::atomic<bool> g_any_armed{false};
 
 const std::vector<std::string>& AllSites() {
   static const std::vector<std::string> kSites = {
-      kSolverDecision, kCacheLookup,    kCacheInsert,   kPoolTask,
-      kExternCall,     kBoogieLower,    kDaemonAccept,  kDaemonParse,
-      kDaemonEnqueue,  kDaemonDispatch, kDaemonRespond, kDaemonDrain,
+      kSolverDecision, kCacheLookup,   kCacheInsert,    kExternCall,
+      kBoogieLower,    kDaemonAccept,  kDaemonParse,    kDaemonEnqueue,
+      kDaemonDispatch, kDaemonRespond, kDaemonDrain,
   };
   return kSites;
 }

@@ -39,7 +39,6 @@ namespace icarus::failpoint {
 inline constexpr const char* kSolverDecision = "solver-decision";
 inline constexpr const char* kCacheLookup = "cache-lookup";
 inline constexpr const char* kCacheInsert = "cache-insert";
-inline constexpr const char* kPoolTask = "pool-task";
 inline constexpr const char* kExternCall = "extern-call";
 inline constexpr const char* kBoogieLower = "boogie-lower";
 // Serving-loop sites (src/daemon/, tools/icarusd_main.cc): one per stage of

@@ -1,7 +1,5 @@
 #include "src/sym/cache_store.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -10,6 +8,7 @@
 #include <vector>
 
 #include "src/obs/metrics.h"
+#include "src/support/replace_file.h"
 #include "src/support/str_util.h"
 
 namespace icarus::sym {
@@ -219,22 +218,9 @@ Status SaveSolverCache(const SolverCache& cache, const std::string& path,
   uint64_t count_le = kept;
   std::memcpy(body.data() + count_pos, &count_le, sizeof(count_le));
 
-  std::string tmp = path + ".tmp";
-  FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::Error(StrCat("cannot open cache store for writing: ", tmp));
-  }
-  bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  ok = std::fflush(f) == 0 && ok;
-  ok = fsync(fileno(f)) == 0 && ok;
-  ok = std::fclose(f) == 0 && ok;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return Status::Error(StrCat("failed writing cache store: ", tmp));
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Error(StrCat("failed renaming cache store into place: ", path));
+  Status written = ReplaceFile(path, body, "cache store");
+  if (!written.ok()) {
+    return written;
   }
   if (obs::Enabled()) {
     static auto& reg = obs::Registry::Global();

@@ -15,6 +15,11 @@
 
 namespace icarus::sym {
 
+// Conjuncts in the longest query among the 38 platform units (45), rounded
+// up: a solver's per-query stacks start this deep instead of growing from
+// empty.
+constexpr size_t kQueryDepth = 64;
+
 bool IsAtomKind(ExprRef e) {
   if (e->sort != Sort::kBool) {
     return false;
@@ -138,6 +143,11 @@ class Solver::Cdcl {
     trail_.reserve(kInitialVars);
     clause_lits_.reserve(8 * kInitialVars);
     relevant_list_.reserve(kInitialVars);
+    trail_lim_.reserve(kQueryDepth);
+    relevant_bounds_.reserve(kQueryDepth + 1);
+    relevant_bounds_.push_back(0);
+    assump_terms_.reserve(kQueryDepth);
+    assump_lits_.reserve(kQueryDepth);
     // Variable 0 is the distinguished "true" variable, pinned by a level-0
     // unit clause; ConstBool terms encode to ±true_var_.
     true_var_ = NewVar(nullptr, /*is_atom=*/false);
@@ -796,7 +806,7 @@ class Solver::Cdcl {
   std::vector<Lit> add_buf_;   // and AddClauseLits's copy, reused.
   double var_inc_ = 1.0;
   std::vector<int> relevant_list_;
-  std::vector<size_t> relevant_bounds_{0};  // Per kept assumption: list size before it.
+  std::vector<size_t> relevant_bounds_;  // Per kept assumption: list size before it.
   NodeIdMap enc_cache_;  // Term → its literal (memoized Tseitin encoding).
   std::vector<ExprRef> assump_terms_;  // The last query's assumptions...
   std::vector<Lit> assump_lits_;       // ...and their literals.
@@ -811,7 +821,11 @@ class Solver::Cdcl {
 // ---------------------------------------------------------------------------
 
 Solver::Solver() : Solver(Limits{}) {}
-Solver::Solver(Limits limits) : limits_(limits) {}
+Solver::Solver(Limits limits) : limits_(limits) {
+  key_terms_.reserve(kQueryDepth);
+  key_hashes_.reserve(kQueryDepth);
+  key_folds_.reserve(kQueryDepth + 1);
+}
 Solver::~Solver() = default;
 
 SolveResult Solver::Solve(const std::vector<ExprRef>& conjuncts, bool want_model) {

@@ -1,14 +1,15 @@
 #include "src/verifier/batch_verifier.h"
 
+#include <algorithm>
+#include <atomic>
 #include <exception>
-#include <future>
 #include <memory>
+#include <thread>
 
 #include "src/meta/path_recorder.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/support/str_util.h"
-#include "src/support/thread_pool.h"
 #include "src/support/timing.h"
 #include "src/verifier/journal.h"
 #include "src/verifier/session.h"
@@ -268,7 +269,9 @@ JournalRecord RecordFromResult(const GeneratorResult& r) {
 StatusOr<BatchReport> BatchVerifier::VerifyAll(const std::vector<std::string>& generator_names,
                                                const BatchOptions& options) {
   BatchReport report;
-  report.jobs = options.jobs > 0 ? options.jobs : ThreadPool::DefaultConcurrency();
+  report.jobs = options.jobs > 0
+                    ? options.jobs
+                    : std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   report.results.resize(generator_names.size());
 
   StatusOr<std::unique_ptr<Session>> opened = Session::Open(platform_, options);
@@ -282,40 +285,18 @@ StatusOr<BatchReport> BatchVerifier::VerifyAll(const std::vector<std::string>& g
   const Cancellation cancel(options.interrupt, options.deadline_seconds > 0.0
                                                   ? DeadlineAfter(options.deadline_seconds)
                                                   : Cancellation::Clock::time_point::max());
-  auto verify_unit = [&](size_t i) {
-    obs::ScopedSpan task_span("batch.task", generator_names[i]);
-    report.results[i] = session->Verify(generator_names[i], &cancel);
-  };
-  WallTimer timer;
-  if (report.jobs == 1) {
-    // One job runs on the caller: no pool thread, no hand-off per unit.
-    for (size_t i = 0; i < generator_names.size(); ++i) {
-      verify_unit(i);
-    }
-  } else {
-    ThreadPool pool(report.jobs);
-    std::vector<std::future<void>> futures;
-    futures.reserve(generator_names.size());
-    for (size_t i = 0; i < generator_names.size(); ++i) {
-      WallTimer queue_timer;  // Copied into the task: measures submit → start.
-      futures.push_back(pool.Submit([&verify_unit, queue_timer, i]() {
-        if (obs::Enabled()) {
-          static obs::Histogram* queue_wait = obs::Registry::Global().GetHistogram(
-              "icarus_batch_queue_wait_seconds",
-              "Delay between task submission and a worker picking it up");
-          queue_wait->Observe(queue_timer.ElapsedSeconds());
-        }
-        verify_unit(i);
-      }));
-    }
-    for (size_t i = 0; i < futures.size(); ++i) {
+  // Each job takes the next unit from one cursor until none is left, so the
+  // rows land in input order whatever the schedule.
+  std::atomic<size_t> next{0};
+  auto work = [&] {
+    for (size_t i = next++; i < generator_names.size(); i = next++) {
       try {
-        futures[i].get();
+        obs::ScopedSpan task_span("batch.task", generator_names[i]);
+        report.results[i] = session->Verify(generator_names[i], &cancel);
       } catch (const std::exception& e) {
-        // The session contains the task body, so an exception here means the
-        // fault fired before the body ran (e.g. the pool-task fail point).
-        // Contain it the same way; it is not journaled, so the next run on
-        // the journal verifies this generator again, the correct recovery.
+        // The session contains the unit's pipeline; this catches a fault in
+        // the bookkeeping around it (the store, the journal), which must not
+        // unwind a job's thread.
         GeneratorResult& row = report.results[i];
         row = GeneratorResult();
         row.generator = generator_names[i];
@@ -323,6 +304,18 @@ StatusOr<BatchReport> BatchVerifier::VerifyAll(const std::vector<std::string>& g
         row.error = e.what();
       }
     }
+  };
+  WallTimer timer;
+  // The caller is one job; the others run beside it, never more than there
+  // are units.
+  std::vector<std::thread> helpers;
+  const size_t threads = std::min(static_cast<size_t>(report.jobs), generator_names.size());
+  for (size_t t = 1; t < threads; ++t) {
+    helpers.emplace_back(work);
+  }
+  work();
+  for (std::thread& helper : helpers) {
+    helper.join();
   }
   report.deadline_hit = cancel.deadline_seen();
   report.interrupted = cancel.flag_seen();

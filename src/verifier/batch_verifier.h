@@ -1,7 +1,7 @@
-// Parallel verification driver: verifies a fleet of generators concurrently
-// on a FIFO thread pool (one job runs them in order on the caller), with a
-// shared solver-result cache, a per-query decision budget and a fleet-level
-// deadline.
+// Batch verification: verifies a fleet of generators on the calling thread
+// and, with more than one job, on threads beside it that take units from
+// the same cursor, with a shared solver-result cache, a per-query
+// decision budget and a fleet-level deadline.
 //
 // Each generator is one task; tasks are independent (each owns its ExprPool
 // and machine state; the Platform is shared read-only), so verdicts are
@@ -27,8 +27,9 @@ namespace icarus::verifier {
 
 // Knobs for one batch run.
 struct BatchOptions {
-  // Worker threads; <= 0 selects ThreadPool::DefaultConcurrency(). One job
-  // runs every unit on the calling thread.
+  // Units verified at once; <= 0 selects std::thread::hardware_concurrency().
+  // The caller is one job and each other job one thread, never more threads
+  // than units, so one job runs every unit on the calling thread.
   int jobs = 0;
   // Share one solver-result cache across all tasks.
   bool use_cache = true;

@@ -155,12 +155,6 @@ StatusOr<std::vector<JournalRecord>> ReadRecords(std::istream& in, bool drop_tor
 // the torn final line dropped. A missing file is an error.
 StatusOr<std::vector<JournalRecord>> ReadJournal(const std::string& path);
 
-// Replaces the file at `path` with `body`, crash-safely: it is written to
-// `<path>.tmp`, fsync'd and renamed over `path`, so a crash leaves the old
-// file or the new one, never a torn one. `what` names the file in errors.
-// How the verdict store is saved and a journal compacted.
-Status ReplaceFile(const std::string& path, std::string_view body, std::string_view what);
-
 }  // namespace icarus::verifier
 
 #endif  // ICARUS_VERIFIER_JOURNAL_H_

@@ -6,6 +6,7 @@
 #include "src/obs/metrics.h"
 #include "src/support/failpoint.h"
 #include "src/support/file_lock.h"
+#include "src/support/replace_file.h"
 #include "src/support/str_util.h"
 #include "src/support/timing.h"
 #include "src/sym/cache_store.h"

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <vector>
 
+#include "src/support/replace_file.h"
 #include "src/support/str_util.h"
 
 namespace icarus::verifier {

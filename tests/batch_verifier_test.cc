@@ -214,6 +214,33 @@ TEST_F(BatchVerifierTest, SingleJobNoCacheMatchesParallelCached) {
   }
 }
 
+TEST_F(BatchVerifierTest, MoreJobsThanUnitsReturnsTheSerialRowsInOrder) {
+  // Sixteen jobs over three units, of which only three run: the rows are the
+  // serial run's, in input order.
+  const std::vector<std::string> names = {"bug1685925_buggy", "tryAttachInt32Add",
+                                          "tryAttachCompareInt32"};
+  BatchVerifier batch(platform_);
+  BatchOptions serial;
+  serial.jobs = 1;
+  serial.use_cache = false;
+  BatchReport serial_report = batch.VerifyAll(names, serial).take();
+  BatchOptions wide;
+  wide.jobs = 16;
+  wide.use_cache = false;
+  BatchReport wide_report = batch.VerifyAll(names, wide).take();
+  EXPECT_EQ(wide_report.jobs, 16);
+  ASSERT_EQ(wide_report.results.size(), names.size());
+  ASSERT_EQ(serial_report.results.size(), names.size());
+  for (size_t i = 0; i < names.size(); ++i) {
+    const GeneratorResult& want = serial_report.results[i];
+    const GeneratorResult& got = wide_report.results[i];
+    EXPECT_EQ(got.generator, names[i]);
+    EXPECT_EQ(got.outcome, want.outcome) << names[i];
+    EXPECT_EQ(got.report.meta.paths_explored, want.report.meta.paths_explored) << names[i];
+    EXPECT_EQ(got.report.meta.solver_queries, want.report.meta.solver_queries) << names[i];
+  }
+}
+
 TEST_F(BatchVerifierTest, SerialRunMatchesTheVerdictPin) {
   BatchVerifier batch(platform_);
   BatchOptions serial;  // `verify-all --serial`.

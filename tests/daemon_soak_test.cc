@@ -60,8 +60,8 @@ class DaemonSoakTest : public ::testing::Test {
 
   // Fires `count` one-request client threads and collects every response.
   // The threads start together: released one by one as they are spawned,
-  // they can trickle in no faster than two workers drain the queue on a
-  // loaded host, and the storm never fills it.
+  // they can trickle in no faster than two jobs serve them on a loaded
+  // host, and the storm never fills the queue.
   static std::vector<Response> Storm(ServerCore* core, int count) {
     std::vector<Response> responses(count);
     std::atomic<bool> go{false};
@@ -99,6 +99,12 @@ TEST_F(DaemonSoakTest, OverloadStormShedsInsteadOfGrowing) {
   options.queue_limit = kQueueLimit;
   ServerCore core(platform_, options);
   ASSERT_TRUE(core.Start().ok());
+  // A request verifies on its caller's thread, so one that finds a slot free
+  // can finish before the next client is scheduled. Every dispatch stalls
+  // for 500 ms before it verifies, so the storm arrives while both slots
+  // are held.
+  ASSERT_TRUE(
+      failpoint::Arm(std::string("after=") + failpoint::kDaemonDispatch + ":0,action=stall").ok());
 
   std::vector<Response> responses = Storm(&core, kClients);
 
@@ -118,7 +124,7 @@ TEST_F(DaemonSoakTest, OverloadStormShedsInsteadOfGrowing) {
     }
   }
   EXPECT_EQ(ok + overloaded, kClients);
-  // With 120 requests racing two workers through a queue of 8, shedding is
+  // With 120 requests racing two jobs through a queue of 8, shedding is
   // not optional; and the first arrivals must still have been served.
   EXPECT_GE(overloaded, 1);
   EXPECT_GE(ok, 1);

@@ -29,6 +29,7 @@
 #include "src/support/net.h"
 #include "src/support/status.h"
 #include "src/verifier/batch_verifier.h"
+#include "src/verifier/journal.h"
 #include "src/verifier/verdict_store.h"
 
 namespace icarus::daemon {
@@ -407,6 +408,12 @@ TEST_F(ServerCoreTest, BoundedQueueShedsUnderConcurrentLoad) {
   options.queue_limit = 1;
   ServerCore core(platform_, options);
   ASSERT_TRUE(core.Start().ok());
+  // A request verifies on its caller's thread, so one that finds the slot
+  // free can finish before the next client thread has started. The first
+  // dispatch stalls for 500 ms before it verifies, so the other requests
+  // arrive while it holds the slot.
+  ASSERT_TRUE(
+      failpoint::Arm(std::string("at=") + failpoint::kDaemonDispatch + ":1,action=stall").ok());
 
   const std::vector<std::string> generators = {
       "tryAttachInt32Add",   "tryAttachInt32Sub",     "tryAttachInt32Mul",
@@ -512,6 +519,62 @@ TEST_F(ServerCoreTest, DeadlineDegradesQueuedRequestsToInconclusive) {
   EXPECT_TRUE(core.FinishDrain().ok());
 }
 
+TEST_F(ServerCoreTest, QueuedRequestsRunInArrivalOrder) {
+  // One slot, and the head request stalls in it for 500 ms. Three clients
+  // arrive one at a time behind it, each once the previous one waits; they
+  // take the slot in arrival order, which the journal records. The names
+  // arrive in reverse alphabetical order, so no sorted structure could pass
+  // for the queue.
+  std::string journal = TempPath("daemon_arrival_order.jsonl");
+  std::remove(journal.c_str());
+  DaemonOptions options;
+  options.jobs = 1;
+  options.journal_path = journal;
+  ServerCore core(platform_, options);
+  ASSERT_TRUE(core.Start().ok());
+  ASSERT_TRUE(
+      failpoint::Arm(std::string("at=") + failpoint::kDaemonDispatch + ":1,action=stall").ok());
+
+  const std::vector<std::string> order = {"tryAttachObjectLength", "tryAttachInt32Sub",
+                                          "tryAttachInt32Add", "tryAttachCompareInt32"};
+  std::vector<Response> responses(order.size());
+  std::vector<std::thread> clients;
+  auto wait_for = [&core](auto done) {
+    for (int spins = 0; spins < 2000000 && !done(core.StatsSnapshot()); ++spins) {
+      std::this_thread::yield();
+    }
+    return done(core.StatsSnapshot());
+  };
+  for (size_t i = 0; i < order.size(); ++i) {
+    clients.emplace_back(
+        [&core, &order, &responses, i] { responses[i] = core.Execute(Verify(order[i])); });
+    if (i == 0) {
+      EXPECT_TRUE(wait_for([](const DaemonStats& s) { return s.in_flight == 1; }));
+    } else {
+      EXPECT_TRUE(wait_for([i](const DaemonStats& s) {
+        return s.queue_depth == static_cast<int>(i);
+      })) << order[i] << " never queued";
+    }
+  }
+  for (std::thread& t : clients) {
+    t.join();
+  }
+  for (const Response& resp : responses) {
+    EXPECT_EQ(resp.status, kStatusOk) << resp.error;
+    EXPECT_EQ(resp.outcome, "VERIFIED") << resp.generator;
+  }
+  // Read before the drain, which compacts the journal in generator order.
+  StatusOr<std::vector<verifier::JournalRecord>> rows = verifier::ReadJournal(journal);
+  ASSERT_TRUE(rows.ok()) << rows.status().message();
+  std::vector<std::string> journaled;
+  for (const verifier::JournalRecord& rec : rows.value()) {
+    journaled.push_back(rec.generator);
+  }
+  EXPECT_EQ(journaled, order);
+  EXPECT_TRUE(core.FinishDrain().ok());
+  std::remove(journal.c_str());
+}
+
 TEST_F(ServerCoreTest, HugeDeadlineMeansNoDeadline) {
   // A deadline past the clock's range behaves as none, whether the request
   // carries it or the daemon's default supplies it. Converting it to clock
@@ -594,6 +657,10 @@ TEST_F(ServerCoreTest, DrainFailsQueuedRequestsFastAndStopsAdmission) {
   options.jobs = 1;
   ServerCore core(platform_, options);
   ASSERT_TRUE(core.Start().ok());
+  // The first dispatch holds the slot for 500 ms, so the others wait behind
+  // it when the drain begins (see BoundedQueueShedsUnderConcurrentLoad).
+  ASSERT_TRUE(
+      failpoint::Arm(std::string("at=") + failpoint::kDaemonDispatch + ":1,action=stall").ok());
 
   const std::vector<std::string> generators = {
       "tryAttachCompareStrictDifferentTypes", "tryAttachCompareNullUndefined",
@@ -775,7 +842,7 @@ TEST_F(ServerCoreTest, SecondWriterDegradesToReadOnlyCache) {
 }
 
 TEST_F(ServerCoreTest, ConcurrentIncrementalDaemonPersistsEveryPass) {
-  // Four workers and eight clients put every unit through the store
+  // Four jobs and eight clients put every unit through the store
   // concurrently: lookups and inserts race unless the store is locked.
   std::string dir = TempPath("daemon_concurrent_store");
   (void)mkdir(dir.c_str(), 0755);

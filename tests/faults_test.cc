@@ -79,7 +79,7 @@ platform::Platform* FaultsTest::platform_ = nullptr;
 TEST_F(FaultsTest, EveryVerifyPathSiteIsContained) {
   const std::vector<std::string> verify_path_sites = {
       failpoint::kSolverDecision, failpoint::kCacheLookup, failpoint::kCacheInsert,
-      failpoint::kPoolTask,       failpoint::kExternCall,
+      failpoint::kExternCall,
   };
   for (const std::string& site : verify_path_sites) {
     failpoint::DisarmAll();
@@ -133,7 +133,7 @@ TEST_F(FaultsTest, ProbabilisticModeIsSeededAndContained) {
   ASSERT_TRUE(failpoint::Arm(spec).ok());
   BatchReport second = RunFleet();
   ExpectNoWrongVerdicts(second);
-  // Note: with two workers the *interleaving* of cache lookups across threads
+  // Note: with two jobs the *interleaving* of cache lookups across threads
   // can differ, so per-generator outcomes may legitimately differ run-to-run;
   // what must hold is containment (checked above) plus the site actually
   // being exercised.

@@ -117,7 +117,9 @@ int VerifyAllHelp() {
       "icarus verify-all — verify every generator on the parallel batch driver\n"
       "\n"
       "Flags:\n"
-      "  --jobs N        Worker threads (default: all cores).\n"
+      "  --jobs N        Generators verified at once: the calling thread plus\n"
+      "                  N-1 more, never more than there are generators\n"
+      "                  (default: all cores).\n"
       "  --cache         Share one solver-result cache across tasks (default).\n"
       "  --no-cache      Disable the shared solver-result cache.\n"
       "  --deadline S    Fleet wall-clock deadline in seconds; on expiry,\n"

@@ -4,12 +4,13 @@
 // verdict store, and a warm verdict view in memory, and serves verify
 // requests over newline-delimited JSON on a Unix-domain socket (see
 // src/daemon/protocol.h for the wire format and src/daemon/server.h for the
-// serving semantics: bounded queue, per-request deadlines, graceful
-// drain).
+// serving semantics: each request verifies on its connection's thread, at
+// most --jobs at once, behind a bounded queue; per-request deadlines;
+// graceful drain).
 //
 // Lifecycle: SIGTERM/SIGINT (or a `shutdown` op) begins a graceful drain —
-// the daemon stops accepting, fails queued requests fast with
-// SHUTTING_DOWN, cancels in-flight work to INCONCLUSIVE, fsyncs and closes
+// the daemon stops accepting, answers waiting requests SHUTTING_DOWN,
+// cancels running work to INCONCLUSIVE, fsyncs and closes
 // the journal, saves the persistent stores, and exits 0. A crashed daemon
 // loses at most the verdict being written; the next instance on the same
 // journal answers its PASSes CACHED_SAFE while their units are unchanged
@@ -56,9 +57,10 @@ int Usage() {
       "\n"
       "Flags:\n"
       "  --socket PATH    Socket path (default: ./icarusd.sock).\n"
-      "  --jobs N         Worker threads executing verify requests (default 1).\n"
-      "  --queue N        Bounded request queue length; beyond it requests are\n"
-      "                   shed with OVERLOADED (default 32).\n"
+      "  --jobs N         Verify requests run at once, each on its connection's\n"
+      "                   thread (default 1).\n"
+      "  --queue N        Verify requests that may wait for a job; beyond it\n"
+      "                   requests are shed with OVERLOADED (default 32).\n"
       "  --deadline-ms D  Default per-request deadline; past it the request\n"
       "                   degrades to INCONCLUSIVE (default: none).\n"
       "  --max-decisions N  Per-query solver decision budget; exhaustion\n"
@@ -162,8 +164,8 @@ int RunDaemon(int argc, char** argv) {
   ::sigaction(SIGTERM, &sa, nullptr);
   ::sigaction(SIGINT, &sa, nullptr);
 
-  std::fprintf(stderr, "icarusd: serving on %s (%d worker%s, queue %d)\n", socket_path.c_str(),
-               options.jobs, options.jobs == 1 ? "" : "s", options.queue_limit);
+  std::fprintf(stderr, "icarusd: serving on %s (jobs %d, queue %d)\n", socket_path.c_str(),
+               options.jobs, options.queue_limit);
 
   std::mutex conn_mu;
   std::set<int> conn_fds;
@@ -200,8 +202,8 @@ int RunDaemon(int argc, char** argv) {
     });
   }
 
-  // Graceful drain: stop accepting, fail queued work fast, cancel in-flight
-  // work, wake every connection thread blocked in read, then persist.
+  // Graceful drain: stop accepting, answer waiting requests, cancel running
+  // ones, wake every connection thread blocked in read, then persist.
   std::fprintf(stderr, "icarusd: draining (%s)\n",
                g_signal != 0 ? "signal" : "shutdown requested");
   core.BeginDrain();
