@@ -48,7 +48,6 @@ icarus::daemon::Request VerifyRequest(const std::string& generator) {
   icarus::daemon::Request req;
   req.op = icarus::daemon::kOpVerify;
   req.generator = generator;
-  req.client = "bench";
   return req;
 }
 

@@ -3,7 +3,6 @@
 #include <array>
 #include <cstdint>
 
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/support/str_util.h"
 
@@ -310,11 +309,6 @@ std::vector<Token> Lexer::LexAll() {
     if (out.back().kind == Tok::kEof || out.back().kind == Tok::kError) {
       break;
     }
-  }
-  if (obs::Enabled()) {
-    static obs::Counter* tokens = obs::Registry::Global().GetCounter(
-        "icarus_frontend_tokens_total", "Tokens produced by the lexer (including EOF/error)");
-    tokens->Add(static_cast<int64_t>(out.size()));
   }
   return out;
 }

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "src/ast/lexer.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/support/check.h"
 #include "src/support/str_util.h"
@@ -633,18 +632,7 @@ Status Parser::ParseInto(Module* module, std::string_view source) {
   ICARUS_CHECK(!module->frozen());
   obs::ScopedSpan span("frontend.parse");
   ParserImpl impl(module, module->arena().Copy(source));
-  Status status = impl.Run();
-  if (obs::Enabled()) {
-    static obs::Counter* parses = obs::Registry::Global().GetCounter(
-        "icarus_frontend_parses_total", "Modules run through Parser::ParseInto");
-    parses->Add(1);
-    if (!status.ok()) {
-      static obs::Counter* errors = obs::Registry::Global().GetCounter(
-          "icarus_frontend_parse_errors_total", "Parses that returned an error status");
-      errors->Add(1);
-    }
-  }
-  return status;
+  return impl.Run();
 }
 
 }  // namespace icarus::ast

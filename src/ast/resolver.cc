@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/support/check.h"
 #include "src/support/str_util.h"
@@ -837,18 +836,7 @@ Status Resolve(Module* module) {
   ICARUS_CHECK(!module->frozen());
   obs::ScopedSpan span("frontend.resolve");
   ResolverImpl impl(module);
-  Status status = impl.Run();
-  if (obs::Enabled()) {
-    static obs::Counter* resolves = obs::Registry::Global().GetCounter(
-        "icarus_frontend_resolves_total", "Modules run through ast::Resolve");
-    resolves->Add(1);
-    if (!status.ok()) {
-      static obs::Counter* errors = obs::Registry::Global().GetCounter(
-          "icarus_frontend_resolve_errors_total", "Resolves that returned an error status");
-      errors->Add(1);
-    }
-  }
-  return status;
+  return impl.Run();
 }
 
 }  // namespace icarus::ast

@@ -15,13 +15,7 @@ std::string Request::ToJsonLine() const {
   AppendJsonString(op, &out);
   out += ",\"gen\":";
   AppendJsonString(generator, &out);
-  out += ",\"client\":";
-  AppendJsonString(client, &out);
   out += StrFormat(",\"deadline_ms\":%.17g", deadline_ms);
-  if (!format.empty()) {
-    out += ",\"format\":";
-    AppendJsonString(format, &out);
-  }
   out.push_back('}');
   return out;
 }
@@ -41,10 +35,6 @@ Status ParseRequest(std::string_view line, Request* request) {
           request->op = std::move(value);
         } else if (key == "gen") {
           request->generator = std::move(value);
-        } else if (key == "client") {
-          request->client = std::move(value);
-        } else if (key == "format") {
-          request->format = std::move(value);
         }
       },
       [&](const std::string& key, double value) {
@@ -63,17 +53,12 @@ Status ParseRequest(std::string_view line, Request* request) {
                                    version, kProtocolVersion));
   }
   if (request->op != kOpPing && request->op != kOpVerify && request->op != kOpStats &&
-      request->op != kOpShutdown && request->op != kOpMetrics) {
-    return Status::Error(StrCat("unknown op '", request->op,
-                                "' (want ping, verify, stats, metrics, or shutdown)"));
+      request->op != kOpShutdown) {
+    return Status::Error(
+        StrCat("unknown op '", request->op, "' (want ping, verify, stats, or shutdown)"));
   }
   if (request->op == kOpVerify && request->generator.empty()) {
     return Status::Error("verify request without a 'gen' field");
-  }
-  if (request->op == kOpMetrics && !request->format.empty() && request->format != "prom" &&
-      request->format != "json") {
-    return Status::Error(StrCat("unknown metrics format '", request->format,
-                                "' (want prom or json)"));
   }
   if (!std::isfinite(request->deadline_ms)) {
     return Status::Error("non-finite deadline_ms");
@@ -104,10 +89,6 @@ std::string Response::ToJsonLine() const {
     out += ",\"stats_json\":";
     AppendJsonString(stats_json, &out);
   }
-  if (!metrics.empty()) {
-    out += ",\"metrics\":";
-    AppendJsonString(metrics, &out);
-  }
   out.push_back('}');
   return out;
 }
@@ -133,8 +114,6 @@ Status ParseResponse(std::string_view line, Response* response) {
           response->error = std::move(value);
         } else if (key == "stats_json") {
           response->stats_json = std::move(value);
-        } else if (key == "metrics") {
-          response->metrics = std::move(value);
         }
       },
       [&](const std::string& key, double value) {

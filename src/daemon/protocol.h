@@ -13,9 +13,8 @@
 //   ping      liveness probe; answered inline (never queued or shed).
 //   verify    verify one generator; subject to the bounded queue and the
 //             per-request deadline.
-//   stats     service counters as a JSON document.
-//   metrics   the daemon's metric registry as a Prometheus text exposition
-//             (or JSON with `format:"json"`), for scrapers and `icarus top`.
+//   stats     service counters and verify-latency percentiles as a JSON
+//             document, for `icarus client stats` and `icarus top`.
 //   shutdown  ask the daemon to drain gracefully and exit 0.
 //
 // Response statuses (`status` field):
@@ -27,6 +26,9 @@
 //                  was executed.
 //   SHUTTING_DOWN  the daemon is draining; retry against the next instance.
 //   BAD_REQUEST    unparseable or semantically invalid request (`error`).
+//                  A request line over 1 MiB (net::LineReader::
+//                  kMaxLineBytes) is answered so once, and the daemon
+//                  closes that connection.
 //   ERROR          the serving machinery itself failed on this request (an
 //                  injected fault outside the verification boundary); the
 //                  request may be retried.
@@ -56,7 +58,6 @@ inline constexpr double kOverloadedRetryAfterMs = 50;
 inline constexpr char kOpPing[] = "ping";
 inline constexpr char kOpVerify[] = "verify";
 inline constexpr char kOpStats[] = "stats";
-inline constexpr char kOpMetrics[] = "metrics";
 inline constexpr char kOpShutdown[] = "shutdown";
 
 struct Request {
@@ -64,9 +65,7 @@ struct Request {
   std::string id;         // Client-chosen correlation id, echoed verbatim.
   std::string op;         // One of the kOp* tokens.
   std::string generator;  // Target for verify ops.
-  std::string client;     // Caller identity for the slow log; empty → "anon".
   double deadline_ms = 0; // Per-request deadline; 0 → server default.
-  std::string format;     // metrics: "prom" (default) or "json".
 
   std::string ToJsonLine() const;
 };
@@ -89,7 +88,6 @@ struct Response {
   int64_t queries = 0;
   double retry_after_ms = 0; // Backoff hint for OVERLOADED.
   std::string stats_json;    // `stats` op payload (a JSON document, escaped).
-  std::string metrics;       // `metrics` op payload (escaped exposition text).
 
   std::string ToJsonLine() const;
 };

@@ -1,16 +1,11 @@
 #include "src/daemon/server.h"
 
-#include <chrono>
-#include <cstdio>
 #include <exception>
-#include <fstream>
 
 #include "src/obs/json.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/support/cancel.h"
 #include "src/support/failpoint.h"
-#include "src/support/flat_json.h"
 #include "src/support/net.h"
 #include "src/support/str_util.h"
 #include "src/support/timing.h"
@@ -20,6 +15,10 @@
 namespace icarus::daemon {
 
 namespace {
+
+// How many of the latest verify service times the `stats` op's percentiles
+// read.
+constexpr size_t kServiceTimeWindow = 256;
 
 // The response that serves one verdict row.
 Response ResponseFromResult(const verifier::GeneratorResult& result) {
@@ -33,15 +32,6 @@ Response ResponseFromResult(const verifier::GeneratorResult& result) {
   resp.paths = result.report.meta.paths_explored;
   resp.queries = result.report.meta.solver_queries;
   return resp;
-}
-
-// Per-op service-time histograms. The registry has no labels, so each op
-// token gets its own instrument; the op set is fixed, so cardinality is
-// bounded. The registry's Get* is idempotent per name.
-obs::Histogram* OpHistogram(const std::string& op) {
-  return obs::Registry::Global().GetHistogram(
-      StrCat("icarus_daemon_op_", op, "_seconds"),
-      StrCat("Service time of daemon '", op, "' ops"));
 }
 
 }  // namespace
@@ -62,6 +52,8 @@ std::string DaemonStats::ToJson() const {
   w.Key("in_flight").Int(in_flight);
   w.Key("read_only_cache").Bool(read_only_cache);
   w.Key("store_entries").Int(store_entries);
+  w.Key("p50_ms").Double(p50_ms);
+  w.Key("p99_ms").Double(p99_ms);
   w.EndObject();
   return w.Take();
 }
@@ -126,112 +118,27 @@ void ServerCore::KeepWarm(const verifier::GeneratorResult& result) {
   warm_[result.generator] = std::move(warm);
 }
 
-void ServerCore::UpdateGauges() {
-  if (!obs::Enabled()) {
-    return;
-  }
-  static obs::Gauge* depth = obs::Registry::Global().GetGauge(
-      "icarus_daemon_queue_depth", "Verify requests waiting in the bounded queue");
-  static obs::Gauge* in_flight = obs::Registry::Global().GetGauge(
-      "icarus_daemon_in_flight", "Verify requests currently executing");
-  std::lock_guard<std::mutex> lock(mu_);
-  depth->Set(waiting_);
-  in_flight->Set(running_);
-}
-
 Response ServerCore::Execute(const Request& request) {
-  WallTimer op_timer;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++counters_.requests;
   }
-  if (obs::Enabled()) {
-    static obs::Counter* requests = obs::Registry::Global().GetCounter(
-        "icarus_daemon_requests_total", "Requests executed by the daemon core");
-    requests->Add(1);
-  }
-
-  Response resp = [&]() -> Response {
-    Response out;
-    out.id = request.id;
-    if (request.op == kOpPing) {
-      out.status = draining() ? kStatusShuttingDown : kStatusOk;
-      return out;
-    }
-    if (request.op == kOpStats) {
-      out.status = kStatusOk;
-      out.stats_json = StatsSnapshot().ToJson();
-      return out;
-    }
-    if (request.op == kOpMetrics) {
-      out = ExecuteMetrics(request);
-      out.id = request.id;
-      return out;
-    }
-    if (request.op == kOpShutdown) {
-      // The transport raises the flag once this reply is written
-      // (RequestShutdown): a drain that starts earlier would shut the
-      // requester's connection down under its reply.
-      out.status = kStatusOk;
-      return out;
-    }
+  Response out;
+  if (request.op == kOpPing) {
+    out.status = draining() ? kStatusShuttingDown : kStatusOk;
+  } else if (request.op == kOpStats) {
+    out.status = kStatusOk;
+    out.stats_json = StatsSnapshot().ToJson();
+  } else if (request.op == kOpShutdown) {
+    // The transport raises the flag once this reply is written
+    // (RequestShutdown): a drain that starts earlier would shut the
+    // requester's connection down under its reply.
+    out.status = kStatusOk;
+  } else {
     out = ExecuteVerify(request);
-    out.id = request.id;
-    return out;
-  }();
-
-  if (obs::Enabled() && !request.op.empty()) {
-    OpHistogram(request.op)->Observe(op_timer.ElapsedSeconds());
   }
-  return resp;
-}
-
-Response ServerCore::ExecuteMetrics(const Request& request) {
-  Response resp;
-  resp.status = kStatusOk;
-  UpdateGauges();  // Refresh occupancy gauges at scrape time.
-  resp.metrics = request.format == "json" ? obs::Registry::Global().RenderJson()
-                                          : obs::Registry::Global().RenderPrometheus();
-  return resp;
-}
-
-void ServerCore::MaybeLogSlow(const Request& request,
-                              const verifier::GeneratorResult& result) {
-  double ms = result.seconds * 1e3;
-  if (options_.slow_ms <= 0 || ms < options_.slow_ms) {
-    return;
-  }
-  // One flat JSON line per slow request, reusing the journal's per-stage
-  // cost attribution so "where did the time go" is answerable from the log
-  // alone: total = queue-excluded service time, stages = the two
-  // meta-execution phases (solver time excluded) and solver wall time.
-  std::string line = "{\"slow_request\":true,\"gen\":";
-  AppendJsonString(result.generator, &line);
-  line += ",\"client\":";
-  AppendJsonString(request.client.empty() ? "anon" : request.client, &line);
-  line += ",\"outcome\":";
-  AppendJsonString(verifier::OutcomeName(result.outcome), &line);
-  line += StrFormat(",\"seconds\":%.17g,\"slow_ms\":%.17g", result.seconds, options_.slow_ms);
-  line += StrFormat(",\"gen_s\":%.17g,\"interp_s\":%.17g,\"solve_s\":%.17g",
-                    result.report.meta.gen_seconds, result.report.meta.interp_seconds,
-                    result.report.meta.solve_seconds);
-  line += StrCat(",\"paths\":", std::to_string(result.report.meta.paths_explored),
-                 ",\"queries\":", std::to_string(result.report.meta.solver_queries), "}\n");
-  if (obs::Enabled()) {
-    static obs::Counter* slow = obs::Registry::Global().GetCounter(
-        "icarus_daemon_slow_requests_total",
-        "Verify requests slower than the --slow-ms threshold");
-    slow->Add(1);
-  }
-  std::lock_guard<std::mutex> lock(slow_mu_);
-  if (options_.slow_log_path.empty()) {
-    std::fwrite(line.data(), 1, line.size(), stderr);
-    return;
-  }
-  std::ofstream out(options_.slow_log_path, std::ios::binary | std::ios::app);
-  if (out) {
-    out << line;
-  }
+  out.id = request.id;
+  return out;
 }
 
 Response ServerCore::ExecuteVerify(const Request& request) {
@@ -252,13 +159,7 @@ Response ServerCore::ExecuteVerify(const Request& request) {
     auto it = warm_.find(request.generator);
     if (it != warm_.end()) {
       ++counters_.warm_hits;
-      if (obs::Enabled()) {
-        static obs::Counter* warm = obs::Registry::Global().GetCounter(
-            "icarus_daemon_warm_hits_total", "Requests served from the warm verdict view");
-        warm->Add(1);
-      }
-      Response out = it->second;
-      return out;
+      return it->second;
     }
   }
 
@@ -279,15 +180,13 @@ Response ServerCore::ExecuteVerify(const Request& request) {
     resp.status = kStatusShuttingDown;
     return resp;
   }
-  // The bound check and the count share this critical section, so no more
-  // than queue_limit requests ever wait.
-  if (waiting_ >= options_.queue_limit) {
+  // A request that finds a free slot and no earlier turn waiting takes the
+  // slot at once; only one that must wait counts against the bound. The
+  // check and the count share this critical section, so no more than
+  // queue_limit requests ever wait.
+  const bool must_wait = waiting_ > 0 || running_ >= options_.jobs;
+  if (must_wait && waiting_ >= options_.queue_limit) {
     ++counters_.shed_queue;
-    if (obs::Enabled()) {
-      static obs::Counter* shed = obs::Registry::Global().GetCounter(
-          "icarus_daemon_shed_total", "Requests shed because the queue was full");
-      shed->Add(1);
-    }
     resp.status = kStatusOverloaded;
     resp.error = "request queue is full";
     resp.retry_after_ms = kOverloadedRetryAfterMs;
@@ -348,25 +247,20 @@ Response ServerCore::ServeVerify(const Request& request, const Cancellation& can
   const bool cached_safe = result.outcome == verifier::Outcome::kCachedSafe;
   const bool crashed = result.outcome == verifier::Outcome::kInternalError;
 
-  if (!cached_safe) {
-    if (obs::Enabled()) {
-      static obs::Histogram* seconds = obs::Registry::Global().GetHistogram(
-          "icarus_daemon_request_seconds", "Verify-request service time (queue wait excluded)");
-      seconds->Observe(result.seconds);
-    }
-    MaybeLogSlow(request, result);
-  }
-  if (crashed && obs::Enabled()) {
-    static obs::Counter* contained = obs::Registry::Global().GetCounter(
-        "icarus_daemon_contained_faults_total",
-        "Request crashes contained to an INTERNAL_ERROR response");
-    contained->Add(1);
-  }
-
   std::lock_guard<std::mutex> lock(mu_);
   ++counters_.served;
   counters_.cached_safe += cached_safe ? 1 : 0;
   counters_.internal_errors += crashed ? 1 : 0;
+  if (!cached_safe) {
+    // A CACHED_SAFE answer ran nothing, so its time says nothing about
+    // service.
+    if (service_ms_.size() < kServiceTimeWindow) {
+      service_ms_.push_back(result.seconds * 1e3);
+    } else {
+      service_ms_[service_next_] = result.seconds * 1e3;
+    }
+    service_next_ = (service_next_ + 1) % kServiceTimeWindow;
+  }
   KeepWarm(result);
   return resp;
 }
@@ -386,7 +280,6 @@ Status ServerCore::FinishDrain() {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [this] { return running_ == 0 && waiting_ == 0; });
   }
-  UpdateGauges();
   started_ = false;
 
   Status status = Status::Ok();
@@ -405,11 +298,18 @@ Status ServerCore::FinishDrain() {
 
 DaemonStats ServerCore::StatsSnapshot() const {
   DaemonStats stats;
+  std::vector<double> service_ms;
   {
     std::lock_guard<std::mutex> lock(mu_);
     stats = counters_;
     stats.queue_depth = waiting_;
     stats.in_flight = running_;
+    service_ms = service_ms_;
+  }
+  if (!service_ms.empty()) {
+    SampleStats window = ComputeStats(std::move(service_ms));
+    stats.p50_ms = window.p50;
+    stats.p99_ms = window.p99;
   }
   if (session_ != nullptr) {
     stats.read_only_cache = session_->read_only();
@@ -424,6 +324,15 @@ void ServeConnection(ServerCore* core, int fd) {
   std::string error;
   while (true) {
     net::LineReader::Result got = reader.ReadLine(&line, &error);
+    if (got == net::LineReader::Result::kError) {
+      // An over-long line leaves no request boundary to resume at: say why
+      // once and end the connection. (After a read error the peer is gone
+      // and the write fails quietly.)
+      Response refused;
+      refused.status = kStatusBadRequest;
+      refused.error = StrCat("request ", error);
+      (void)net::WriteLine(fd, refused.ToJsonLine());
+    }
     if (got != net::LineReader::Result::kLine) {
       break;
     }

@@ -16,7 +16,7 @@
 //
 //   draining? ──────────────▶ SHUTTING_DOWN
 //   warm view hit ──────────▶ OK (cached=true; no work, no waiting)
-//   queue full? ────────────▶ OVERLOADED (+retry_after_ms)
+//   must wait, queue full? ─▶ OVERLOADED (+retry_after_ms)
 //   take a turn, wait ──────▶ a slot, in arrival order; verify inside the
 //                             containment boundary, stopping at the next
 //                             path once the request's deadline passes or
@@ -65,7 +65,9 @@ struct DaemonOptions {
   int jobs = 1;  // Verify requests running at once, each on its caller's thread.
   // Bound on verify requests waiting for one of the `jobs` slots; past it a
   // request is shed with OVERLOADED, so the waiting connection threads stay
-  // bounded however many clients pile on.
+  // bounded however many clients pile on. A request that finds a free slot
+  // and no earlier one waiting does not wait, so 0 still serves one request
+  // per free slot.
   int queue_limit = 32;
   // Deadline applied to requests that do not carry their own; 0 = none.
   double default_deadline_ms = 0;
@@ -83,15 +85,9 @@ struct DaemonOptions {
   bool incremental = false;
   std::string cache_dir = ".icarus-cache";
   int64_t cache_max_mb = 64;
-  // Observability. slow_ms > 0 appends one flat JSON line per verify request
-  // slower than the threshold to slow_log_path (stderr when empty), with the
-  // journal's per-stage cost attribution.
-  double slow_ms = 0;
-  std::string slow_log_path;
 };
 
-// Point-in-time service counters, exported via the `stats` op and mirrored
-// into the obs registry (icarus_daemon_* instruments).
+// Point-in-time service counters, exported via the `stats` op.
 struct DaemonStats {
   int64_t requests = 0;        // Every Execute() call.
   int64_t served = 0;          // Verify requests that ran to a verdict.
@@ -106,6 +102,11 @@ struct DaemonStats {
   int in_flight = 0;
   bool read_only_cache = false;
   int64_t store_entries = 0;   // Persistent verdict-store size.
+  // Nearest-rank percentiles of the service times of the last 256 verifies
+  // that ran (warm hits and CACHED_SAFE answers run nothing and add no
+  // sample); -1 before the first.
+  double p50_ms = -1;
+  double p99_ms = -1;
 
   std::string ToJson() const;
 };
@@ -159,23 +160,17 @@ class ServerCore {
   // Runs one admitted verify request to a response through the session.
   Response ServeVerify(const Request& request, const Cancellation& cancel);
   Response ExecuteVerify(const Request& request);
-  // The `metrics` op: this process's registry as an exposition document.
-  Response ExecuteMetrics(const Request& request);
-  // Appends one slow-request line (flat JSON) when the request cleared
-  // options_.slow_ms, with per-stage cost attribution from the report.
-  void MaybeLogSlow(const Request& request, const verifier::GeneratorResult& result);
   // Puts a decisive row (VERIFIED, COUNTEREXAMPLE, CACHED_SAFE) into the
   // warm view; other rows are verified again on the next request. Requires
   // mu_.
   void KeepWarm(const verifier::GeneratorResult& result);
-  void UpdateGauges();
 
   const platform::Platform* platform_;
   DaemonOptions options_;
 
   // Serving state. `mu_` guards the turns, the running and waiting counts,
-  // the warm view and the counters; verification itself runs outside the
-  // lock, and the session locks its own state. `cv_` wakes waiting requests
+  // the warm view, the counters and the service times; verification itself
+  // runs outside the lock, and the session locks its own state. `cv_` wakes waiting requests
   // when a slot frees or the drain begins, and FinishDrain when the counts
   // fall.
   mutable std::mutex mu_;
@@ -189,20 +184,24 @@ class ServerCore {
   std::atomic<bool> shutdown_requested_{false};
   bool started_ = false;
 
-  // Service counters (guarded by mu_); StatsSnapshot fills in the counts.
+  // Service counters (guarded by mu_); StatsSnapshot fills in the counts
+  // and the percentiles.
   DaemonStats counters_;
+  // The last 256 service times in ms (kServiceTimeWindow), the oldest
+  // overwritten at service_next_.
+  std::vector<double> service_ms_;
+  size_t service_next_ = 0;
 
   // Opened by Start, closed by FinishDrain; kept for stats and notes.
   std::unique_ptr<verifier::Session> session_;
-
-  // Slow-request log appends (open/append/close per line; slow path only).
-  std::mutex slow_mu_;
 };
 
 // Serves one accepted connection: a request line in, a response line out, in
 // order, until the peer closes or the daemon drains. Every fault here is
 // contained to this connection. A `shutdown` request raises the core's
-// shutdown flag only after its reply is written. Closes `fd` on exit.
+// shutdown flag only after its reply is written. A line longer than
+// net::LineReader::kMaxLineBytes is answered BAD_REQUEST once and ends the
+// connection. Closes `fd` on exit.
 void ServeConnection(ServerCore* core, int fd);
 
 }  // namespace icarus::daemon

@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "src/daemon/protocol.h"
-#include "src/obs/exposition.h"
 #include "src/support/flat_json.h"
 #include "src/support/net.h"
 #include "src/support/str_util.h"
@@ -36,9 +35,10 @@ bool Exchange(int fd, net::LineReader* reader, const Request& req, Response* res
   return ParseResponse(line, resp).ok();
 }
 
-double Fetch(const std::map<std::string, double>& numbers, const char* name) {
+double Fetch(const std::map<std::string, double>& numbers, const char* name,
+             double absent = 0) {
   auto it = numbers.find(name);
-  return it == numbers.end() ? 0 : it->second;
+  return it == numbers.end() ? absent : it->second;
 }
 
 std::string BaseName(const std::string& path) {
@@ -53,7 +53,7 @@ std::string BaseName(const std::string& path) {
 
 }  // namespace
 
-TopSample SampleWorker(const std::string& socket_path) {
+TopSample SampleDaemon(const std::string& socket_path) {
   TopSample sample;
   StatusOr<int> connected = net::ConnectUnix(socket_path);
   if (!connected.ok()) {
@@ -65,7 +65,6 @@ TopSample SampleWorker(const std::string& socket_path) {
 
   Request stats_req;
   stats_req.op = kOpStats;
-  stats_req.client = "top";
   Response stats_resp;
   if (!Exchange(fd, &reader, stats_req, &stats_resp)) {
     sample.status = "unreachable";
@@ -82,33 +81,17 @@ TopSample SampleWorker(const std::string& socket_path) {
   sample.queue_depth = Fetch(numbers, "queue_depth");
   sample.in_flight = Fetch(numbers, "in_flight");
   sample.shed_queue = Fetch(numbers, "shed_queue");
-
-  Request metrics_req;
-  metrics_req.op = kOpMetrics;
-  metrics_req.client = "top";
-  Response metrics_resp;
-  if (Exchange(fd, &reader, metrics_req, &metrics_resp) &&
-      metrics_resp.status == kStatusOk && !metrics_resp.metrics.empty()) {
-    StatusOr<obs::Exposition> parsed = obs::ParsePrometheus(metrics_resp.metrics);
-    if (parsed.ok()) {
-      if (const obs::ExpositionHistogram* seconds =
-              parsed.value().FindHistogram("icarus_daemon_request_seconds")) {
-        if (seconds->count > 0) {
-          sample.p50_ms = seconds->Quantile(0.5) * 1e3;
-          sample.p99_ms = seconds->Quantile(0.99) * 1e3;
-        }
-      }
-    }
-  }
+  sample.p50_ms = Fetch(numbers, "p50_ms", -1);
+  sample.p99_ms = Fetch(numbers, "p99_ms", -1);
   net::CloseFd(fd);
   return sample;
 }
 
 std::string RenderTopFrame(const std::vector<TopRow>& rows, double interval_s) {
   std::string out = StrFormat(
-      "icarus top — %d worker%s, refresh %.1fs\n"
+      "icarus top — %d daemon%s, refresh %.1fs\n"
       "%-10s %-8s %9s %6s %7s %8s %7s %9s %9s\n",
-      static_cast<int>(rows.size()), rows.size() == 1 ? "" : "s", interval_s, "WORKER",
+      static_cast<int>(rows.size()), rows.size() == 1 ? "" : "s", interval_s, "DAEMON",
       "STATUS", "VERD/S", "QUEUE", "INFLT", "HIT%", "SHED", "P50(ms)", "P99(ms)");
   for (const TopRow& row : rows) {
     if (!row.sample.reachable) {
@@ -151,7 +134,7 @@ Status RunTop(const TopOptions& options, std::FILE* out) {
     for (size_t i = 0; i < sockets.size(); ++i) {
       TopRow row;
       row.name = BaseName(sockets[i]);
-      row.sample = SampleWorker(sockets[i]);
+      row.sample = SampleDaemon(sockets[i]);
       if (have_prev && row.sample.reachable && prev[i].reachable) {
         double delta = row.sample.served - prev[i].served;
         row.verdicts_per_s = delta > 0 ? delta / interval_s : 0;

@@ -1,13 +1,13 @@
 // `icarus top`: live daemon introspection.
 //
-// Polls one or more daemons over their Unix sockets with `stats` +
-// `metrics` ops and renders a refreshing table: per-daemon throughput
-// (verdicts/s between polls), queue depth and in-flight count, cache hit
-// rate, queue sheds, and p50/p99 verify latency from the metrics
-// histogram. One fresh connection per daemon per poll — a daemon serves a
-// connection strictly serially, so `top` never competes with a long verify
-// already in flight on another connection, and a daemon that dies between
-// polls just renders as unreachable.
+// Polls one or more daemons over their Unix sockets with one `stats` op each
+// and renders a refreshing table: per-daemon throughput (verdicts/s between
+// polls), queue depth and in-flight count, cache hit rate, queue sheds, and
+// p50/p99 verify service time over the daemon's latest verifies. One fresh
+// connection per daemon per poll — a daemon serves a connection strictly
+// serially, so `top` never competes with a long verify already in flight on
+// another connection, and a daemon that dies between polls just renders as
+// unreachable.
 //
 // The frame renderer is a pure function of samples, so tests drive it
 // without a terminal; RunTop owns the poll/refresh loop.
@@ -43,7 +43,7 @@ struct TopSample {
   double queue_depth = 0;
   double in_flight = 0;
   double shed_queue = 0;
-  // From the `metrics` exposition (absent instruments stay negative).
+  // Verify service-time percentiles; negative before the first verify.
   double p50_ms = -1;
   double p99_ms = -1;
 };
@@ -56,8 +56,8 @@ struct TopRow {
   double verdicts_per_s = 0;  // Δserved / interval.
 };
 
-// One stats+metrics poll against a daemon (fresh connection).
-TopSample SampleWorker(const std::string& socket_path);
+// One `stats` poll against a daemon (fresh connection).
+TopSample SampleDaemon(const std::string& socket_path);
 
 // Renders one frame as a table (no ANSI control codes; RunTop adds those).
 std::string RenderTopFrame(const std::vector<TopRow>& rows, double interval_s);

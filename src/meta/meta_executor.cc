@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/obs/metrics.h"
 #include "src/sym/solver_cache.h"
 #include "src/obs/trace.h"
 #include "src/support/str_util.h"
@@ -127,16 +126,7 @@ MetaResult MetaExecutor::Run(const MetaStub& stub) {
   // they attached too. `attached_view` is the context as it was there, for
   // the hook.
   int attach_depth = -1;
-  size_t attached_buffer_len = 0;
   std::unique_ptr<exec::EvalContext> attached_view;
-  auto count_attached_path = [&] {
-    ++result.paths_attached;
-    if (obs::Enabled()) {
-      static obs::Histogram* buffer_len = obs::Registry::Global().GetHistogram(
-          "icarus_meta_buffer_len", "Target-buffer length per attached path");
-      buffer_len->Observe(static_cast<double>(attached_buffer_len));
-    }
-  };
 
   bool more = begin_path(1);
   if (more) {
@@ -184,8 +174,7 @@ MetaResult MetaExecutor::Run(const MetaStub& stub) {
         break;
       }
       attach_depth = static_cast<int>(explorer.pending());
-      attached_buffer_len = ctx.emits().target.size();
-      count_attached_path();
+      ++result.paths_attached;
       Status bound = ctx.emits().CheckAllBound();
       if (!bound.ok()) {
         ctx.FailPath(bound.message(), stub.generator->name, 0);
@@ -229,7 +218,7 @@ MetaResult MetaExecutor::Run(const MetaStub& stub) {
     resume_interpreting =
         attach_depth >= 0 && static_cast<int>(explorer.pending()) > attach_depth;
     if (resume_interpreting) {
-      count_attached_path();
+      ++result.paths_attached;
       if (attached_path_hook_) {
         attached_path_hook_(*attached_view);
       }
@@ -254,23 +243,8 @@ MetaResult MetaExecutor::Run(const MetaStub& stub) {
   result.solver_lemma_literals = solver.stats().lemma_literals - stats_before.lemma_literals;
   result.solver_levels_kept = solver.stats().levels_kept - stats_before.levels_kept;
   result.solver_theory_literals = solver.stats().theory_literals - stats_before.theory_literals;
-  if (obs::Enabled()) {
-    static obs::Counter* explored = obs::Registry::Global().GetCounter(
-        "icarus_meta_paths_explored_total", "Meta-execution paths explored");
-    static obs::Counter* forked = obs::Registry::Global().GetCounter(
-        "icarus_meta_paths_forked_total", "Choice points pushed by symbolic branches");
-    static obs::Counter* infeasible = obs::Registry::Global().GetCounter(
-        "icarus_meta_paths_infeasible_total", "Paths pruned as infeasible");
-    static obs::Counter* attached = obs::Registry::Global().GetCounter(
-        "icarus_meta_paths_attached_total", "Paths on which a stub attached");
-    static obs::Counter* limited = obs::Registry::Global().GetCounter(
-        "icarus_meta_paths_limited_total", "Paths abandoned on a resource limit");
-    explored->Add(result.paths_explored);
-    forked->Add(result.paths_forked);
-    infeasible->Add(result.paths_infeasible);
-    attached->Add(result.paths_attached);
-    limited->Add(result.paths_limited);
-  }
+  result.solver_budget_exhausted =
+      solver.stats().budget_exhausted - stats_before.budget_exhausted;
   return result;
 }
 

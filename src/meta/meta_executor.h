@@ -89,6 +89,7 @@ struct MetaResult {
   int64_t solver_lemma_literals = 0;    // Literals over all theory lemmas.
   int64_t solver_levels_kept = 0;       // Assumption levels kept from the previous query.
   int64_t solver_theory_literals = 0;   // Theory literals read by full-assignment checks.
+  int64_t solver_budget_exhausted = 0;  // Queries the decision budget degraded to kUnknown.
   std::string Summary() const;
 };
 

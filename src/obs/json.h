@@ -1,7 +1,7 @@
-// Minimal streaming JSON writer shared by the observability exporters (the
-// metrics registry's JSON dump, the Chrome trace exporter) and the benchmark
-// `--json` emitters. It produces compact, valid JSON and nothing else — no
-// parsing, no DOM — because every consumer here only ever *writes*.
+// Minimal streaming JSON writer shared by the Chrome trace exporter, the
+// daemon's `stats` document and the benchmark `--json` emitters. It produces
+// compact, valid JSON and nothing else — no parsing, no DOM — because every
+// consumer here only ever *writes*.
 //
 // Commas and nesting are managed by an explicit container stack, so callers
 // compose Begin/End/Key/value calls without tracking "is this the first

@@ -22,7 +22,8 @@
 // joins its extra job threads before the CLI exports.
 //
 // Cost: when tracing is inactive, constructing a ScopedSpan is one relaxed
-// atomic load (the same discipline as metrics and fail points).
+// atomic load (the same discipline as fail points). StartTracing and
+// StopTracing are the only switch.
 #ifndef ICARUS_OBS_TRACE_H_
 #define ICARUS_OBS_TRACE_H_
 

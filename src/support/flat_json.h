@@ -6,8 +6,8 @@
 //
 // Writers build lines with AppendJsonString (controls escape as \u00XX);
 // readers scan them with FlatLineParser, which surfaces each key through a
-// string or number callback. Pre-rendered documents (the daemon `stats`
-// object, metric expositions) travel inside a string field of a flat line.
+// string or number callback. A pre-rendered document (the daemon `stats`
+// object) travels inside a string field of a flat line.
 #ifndef ICARUS_SUPPORT_FLAT_JSON_H_
 #define ICARUS_SUPPORT_FLAT_JSON_H_
 

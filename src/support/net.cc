@@ -149,6 +149,10 @@ void ShutdownFd(int fd) {
 LineReader::Result LineReader::ReadLine(std::string* line, std::string* error) {
   while (true) {
     size_t nl = buffer_.find('\n', pos_);
+    if ((nl == std::string::npos ? buffer_.size() : nl) - pos_ > kMaxLineBytes) {
+      *error = "line too long";
+      return Result::kError;
+    }
     if (nl != std::string::npos) {
       line->assign(buffer_, pos_, nl - pos_);
       pos_ = nl + 1;

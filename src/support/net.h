@@ -49,10 +49,16 @@ class LineReader {
  public:
   explicit LineReader(int fd) : fd_(fd) {}
 
+  // The longest line ReadLine accepts. A longer one is kError ("line too
+  // long") once this many bytes are buffered without a terminator, so one
+  // peer cannot grow the buffer without bound; the stream has no line
+  // boundary left to resume at.
+  static constexpr size_t kMaxLineBytes = size_t{1} << 20;
+
   enum class Result {
     kLine,  // *line holds the next line (terminator stripped).
     kEof,   // Clean end of stream (and no buffered partial line).
-    kError, // Read error; *error describes it.
+    kError, // Read error or over-long line; *error describes it.
   };
 
   // Reads the next '\n'-terminated line. A final unterminated chunk before

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/obs/metrics.h"
 #include "src/support/replace_file.h"
 #include "src/support/str_util.h"
 
@@ -178,11 +177,6 @@ CacheLoadResult LoadSolverCache(const std::string& path, const std::string& expe
   for (auto& [key, entry] : entries) {
     cache->Preload(key, std::move(entry));
   }
-  if (obs::Enabled()) {
-    static obs::Counter* loaded = obs::Registry::Global().GetCounter(
-        "icarus_cache_persist_loaded_total", "Solver-cache entries restored from disk");
-    loaded->Add(static_cast<int64_t>(entries.size()));
-  }
   CacheLoadResult result;
   result.entries = entries.size();
   return result;
@@ -204,13 +198,11 @@ Status SaveSolverCache(const SolverCache& cache, const std::string& path,
   PutRaw<uint64_t>(&body, 0);  // Patched below.
 
   uint64_t kept = 0;
-  int64_t evicted = 0;
   for (const auto& [key, entry] : entries) {
     size_t before = body.size();
     PutEntry(&body, key, entry);
     if (max_bytes > 0 && body.size() > static_cast<size_t>(max_bytes)) {
       body.resize(before);
-      evicted = static_cast<int64_t>(entries.size()) - static_cast<int64_t>(kept);
       break;
     }
     ++kept;
@@ -218,21 +210,7 @@ Status SaveSolverCache(const SolverCache& cache, const std::string& path,
   uint64_t count_le = kept;
   std::memcpy(body.data() + count_pos, &count_le, sizeof(count_le));
 
-  Status written = ReplaceFile(path, body, "cache store");
-  if (!written.ok()) {
-    return written;
-  }
-  if (obs::Enabled()) {
-    static auto& reg = obs::Registry::Global();
-    static obs::Counter* saved = reg.GetCounter("icarus_cache_persist_saved_total",
-                                                "Solver-cache entries persisted to disk");
-    static obs::Counter* evictions = reg.GetCounter(
-        "icarus_cache_persist_evicted_total",
-        "Solver-cache entries dropped by the --cache-max-mb LRU bound at save time");
-    saved->Add(static_cast<int64_t>(kept));
-    evictions->Add(evicted);
-  }
-  return Status::Ok();
+  return ReplaceFile(path, body, "cache store");
 }
 
 }  // namespace icarus::sym

@@ -4,11 +4,9 @@
 #include <initializer_list>
 #include <span>
 
-#include "src/obs/metrics.h"
 #include "src/support/check.h"
 #include "src/support/failpoint.h"
 #include "src/support/str_util.h"
-#include "src/support/timing.h"
 #include "src/sym/id_map.h"
 #include "src/sym/solver_cache.h"
 #include "src/sym/theory.h"
@@ -831,81 +829,6 @@ Solver::~Solver() = default;
 SolveResult Solver::Solve(const std::vector<ExprRef>& conjuncts, bool want_model) {
   NoteQuery(conjuncts);
   ++stats_.queries;
-  if (!obs::Enabled()) {
-    return SolveImpl(conjuncts, want_model);
-  }
-  // Observability wrapper: per-outcome latency histograms plus counters for
-  // search effort and cache traffic. Deltas are measured against this
-  // solver's own stats so persistent (per-generator) Solver instances
-  // attribute each query exactly once.
-  static auto& reg = obs::Registry::Global();
-  static obs::Counter* queries =
-      reg.GetCounter("icarus_solver_queries_total", "Satisfiability queries issued");
-  static obs::Counter* decisions =
-      reg.GetCounter("icarus_solver_decisions_total", "Branching decisions");
-  static obs::Counter* propagations = reg.GetCounter(
-      "icarus_solver_propagations_total", "Literals assigned by unit propagation");
-  static obs::Counter* conflicts =
-      reg.GetCounter("icarus_solver_conflicts_total", "Conflicts (propositional + theory)");
-  static obs::Counter* learned = reg.GetCounter("icarus_solver_learned_clauses_total",
-                                                "Clauses learned (1-UIP + theory lemmas)");
-  static obs::Counter* restarts =
-      reg.GetCounter("icarus_solver_restarts_total", "Search restarts (Luby policy)");
-  static obs::Counter* theory_checks = reg.GetCounter(
-      "icarus_solver_theory_checks_total", "Full-assignment theory checks");
-  static obs::Counter* theory_conflicts = reg.GetCounter(
-      "icarus_solver_theory_conflicts_total", "Theory checks that ended in a lemma");
-  static obs::Counter* lemma_literals = reg.GetCounter(
-      "icarus_solver_lemma_literals_total", "Literals over all theory lemmas");
-  static obs::Counter* levels_kept = reg.GetCounter(
-      "icarus_solver_levels_kept_total", "Assumption levels a query kept from the previous one");
-  static obs::Counter* theory_literals = reg.GetCounter(
-      "icarus_solver_theory_literals_total", "Theory literals read by full-assignment checks");
-  static obs::Counter* exhausted = reg.GetCounter("icarus_solver_budget_exhausted_total",
-                                                  "Queries degraded to UNKNOWN by a budget");
-  static obs::Counter* cache_hits =
-      reg.GetCounter("icarus_solver_cache_hits_total", "Queries answered by a cached entry");
-  static obs::Counter* cache_misses =
-      reg.GetCounter("icarus_solver_cache_misses_total", "Cache consulted, no usable entry");
-  static obs::Histogram* lat_sat = reg.GetHistogram("icarus_solver_latency_sat_seconds",
-                                                    "Per-query wall clock, SAT outcomes");
-  static obs::Histogram* lat_unsat = reg.GetHistogram("icarus_solver_latency_unsat_seconds",
-                                                      "Per-query wall clock, UNSAT outcomes");
-  static obs::Histogram* lat_unknown = reg.GetHistogram(
-      "icarus_solver_latency_unknown_seconds", "Per-query wall clock, UNKNOWN outcomes");
-  const SolverStats before = stats_;
-  WallTimer timer;
-  SolveResult result = SolveImpl(conjuncts, want_model);
-  double seconds = timer.ElapsedSeconds();
-  queries->Add(1);
-  decisions->Add(stats_.decisions - before.decisions);
-  propagations->Add(stats_.propagations - before.propagations);
-  conflicts->Add(stats_.conflicts - before.conflicts);
-  learned->Add(stats_.learned_clauses - before.learned_clauses);
-  restarts->Add(stats_.restarts - before.restarts);
-  theory_checks->Add(stats_.theory_checks - before.theory_checks);
-  theory_conflicts->Add(stats_.theory_conflicts - before.theory_conflicts);
-  lemma_literals->Add(stats_.lemma_literals - before.lemma_literals);
-  levels_kept->Add(stats_.levels_kept - before.levels_kept);
-  theory_literals->Add(stats_.theory_literals - before.theory_literals);
-  exhausted->Add(stats_.budget_exhausted - before.budget_exhausted);
-  cache_hits->Add(stats_.cache_hits - before.cache_hits);
-  cache_misses->Add(stats_.cache_misses - before.cache_misses);
-  switch (result.verdict) {
-    case Verdict::kSat:
-      lat_sat->Observe(seconds);
-      break;
-    case Verdict::kUnsat:
-      lat_unsat->Observe(seconds);
-      break;
-    case Verdict::kUnknown:
-      lat_unknown->Observe(seconds);
-      break;
-  }
-  return result;
-}
-
-SolveResult Solver::SolveImpl(const std::vector<ExprRef>& conjuncts, bool want_model) {
   if (cache_ == nullptr) {
     return SolveCore(conjuncts, want_model);
   }

@@ -189,8 +189,6 @@ class Solver {
  private:
   class Cdcl;  // The clause-learning engine (solver.cc).
 
-  // Solve minus the observability wrapper (cache consult + search).
-  SolveResult SolveImpl(const std::vector<ExprRef>& conjuncts, bool want_model);
   // Cache-independent search.
   SolveResult SolveCore(const std::vector<ExprRef>& conjuncts, bool want_model);
   // Takes in a query past the prefix it shares with the previous one: checks

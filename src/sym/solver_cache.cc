@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/obs/metrics.h"
 #include "src/support/failpoint.h"
 #include "src/support/str_util.h"
 
@@ -100,11 +99,6 @@ void SolverCache::Insert(const QueryKey& key, Entry entry) {
     // a verdict-only caller; keep the richer entry.
     it->second = std::move(entry);
     upgrades_.fetch_add(1, std::memory_order_relaxed);
-    if (obs::Enabled()) {
-      static obs::Counter* upgrades = obs::Registry::Global().GetCounter(
-          "icarus_solver_cache_upgrades_total", "Model-free kSat entries upgraded with a model");
-      upgrades->Add(1);
-    }
   }
 }
 

@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "src/meta/path_recorder.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/support/str_util.h"
 #include "src/support/timing.h"
@@ -133,6 +132,7 @@ std::string BatchReport::RenderStatsTable() const {
   long long sum_restarts = 0;
   long long sum_levels_kept = 0;
   long long sum_theory_literals = 0;
+  long long sum_exhausted = 0;
   std::vector<double> row_seconds;
   for (const GeneratorResult& r : results) {
     if (r.outcome == Outcome::kError || r.outcome == Outcome::kInternalError) {
@@ -171,6 +171,7 @@ std::string BatchReport::RenderStatsTable() const {
     sum_restarts += r.report.meta.solver_restarts;
     sum_levels_kept += r.report.meta.solver_levels_kept;
     sum_theory_literals += r.report.meta.solver_theory_literals;
+    sum_exhausted += r.report.meta.solver_budget_exhausted;
     row_seconds.push_back(r.seconds);
   }
   out += std::string(rule_width, '-') + "\n";
@@ -182,8 +183,10 @@ std::string BatchReport::RenderStatsTable() const {
       "%-44s %-15s %9.4f %8.4f %9.4f %9.4f %10lld %8lld %9lld %8lld %8lld\n", "TOTAL", "",
       sum_total, sum_gen, sum_interp, sum_solve, sum_decisions, sum_queries, sum_propagations,
       sum_learned, sum_restarts);
-  out += StrFormat("solver reuse: %lld assumption levels kept, %lld theory literals read\n",
-                   sum_levels_kept, sum_theory_literals);
+  out += StrFormat(
+      "solver reuse: %lld assumption levels kept, %lld theory literals read, %lld queries "
+      "exhausted their budget\n",
+      sum_levels_kept, sum_theory_literals, sum_exhausted);
   SampleStats stats = ComputeStats(row_seconds);
   out += StrFormat("per-generator seconds: p50 %.4f, p90 %.4f, p99 %.4f (n=%d)\n", stats.p50,
                    stats.p90, stats.p99, static_cast<int>(row_seconds.size()));
@@ -320,15 +323,6 @@ StatusOr<BatchReport> BatchVerifier::VerifyAll(const std::vector<std::string>& g
   report.deadline_hit = cancel.deadline_seen();
   report.interrupted = cancel.flag_seen();
   report.wall_seconds = timer.ElapsedSeconds();
-  int contained_crashes = 0;
-  for (const GeneratorResult& r : report.results) {
-    contained_crashes += r.outcome == Outcome::kInternalError ? 1 : 0;
-  }
-  if (contained_crashes > 0 && obs::Enabled()) {
-    static obs::Counter* contained = obs::Registry::Global().GetCounter(
-        "icarus_batch_contained_faults_total", "Task crashes contained to an INTERNAL_ERROR row");
-    contained->Add(contained_crashes);
-  }
   Status journaled = session->journal_status();
   if (!journaled.ok()) {
     // The run finished but its durability contract is broken; fail loudly

@@ -117,8 +117,7 @@ struct BatchReport {
   bool interrupted = false;  // BatchOptions::interrupt fired mid-run.
   sym::SolverCacheStats cache;  // Zero-valued when the cache was disabled.
   // Another process held the advisory cache lock: this run warmed from the
-  // persistent stores but could not write them back. Surfaced in --stats and
-  // as an obs counter so fleet tooling can detect silently-cold writers.
+  // persistent stores but could not write them back. Surfaced in --stats.
   bool read_only_cache = false;
   // Incremental-mode diagnostics (store load notes, save failures). Rendered
   // after the table; empty outside --incremental runs.

@@ -63,7 +63,7 @@ td.num { text-align: right; font-variant-numeric: tabular-nums; }
 .hbar { height: 12px; background: #6fa8dc; border-radius: 2px; }
 .hcount { color: #555; }
 details.cx { margin: 0.2em 0; }
-details.cx pre, details.metrics pre { background: #23233b; color: #e8e8f0;
+details.cx pre { background: #23233b; color: #e8e8f0;
   padding: 0.8em; border-radius: 6px; overflow-x: auto; font-size: 0.95em; }
 .cxgrid dt { font-weight: 600; margin-top: 0.4em; font-size: 0.85em; }
 .cxgrid dd { margin: 0.1em 0 0 0; font-family: monospace; font-size: 0.9em; }
@@ -269,12 +269,6 @@ std::string RenderHtmlReport(const ReportInput& input) {
 
   if (!input.cache_summary.empty()) {
     out += StrFormat("<p class=\"meta\">%s</p>\n", HtmlEscape(input.cache_summary).c_str());
-  }
-  if (!input.metrics_json.empty()) {
-    out += "<h2>Metrics snapshot</h2>\n<details class=\"metrics\"><summary>registry dump"
-           "</summary><pre>";
-    out += HtmlEscape(input.metrics_json);
-    out += "</pre></details>\n";
   }
   out += "</body>\n</html>\n";
   return out;

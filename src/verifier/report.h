@@ -1,5 +1,5 @@
-// HTML run report: aggregates a verification run (journal records) plus an
-// optional metrics snapshot into one self-contained dashboard file.
+// HTML run report: aggregates a verification run (journal records) into one
+// self-contained dashboard file.
 //
 // Rows are the journal's own records, so `icarus report` renders a journal
 // as read and `verify-all --report` renders RecordFromResult() of its
@@ -22,9 +22,6 @@ namespace icarus::verifier {
 struct ReportInput {
   std::string title;  // Page heading; defaults applied when empty.
   std::vector<JournalRecord> rows;  // One per generator, in display order.
-  // Raw metrics-registry JSON text (ExportJson()); embedded verbatim in a
-  // collapsible section when non-empty.
-  std::string metrics_json;
   // Optional pre-rendered solver-cache summary line.
   std::string cache_summary;
   // Ring-buffer drop count from the trace exporter; < 0 = no trace attached.

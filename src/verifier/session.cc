@@ -3,7 +3,6 @@
 #include <exception>
 
 #include "src/ast/fingerprint.h"
-#include "src/obs/metrics.h"
 #include "src/support/failpoint.h"
 #include "src/support/file_lock.h"
 #include "src/support/replace_file.h"
@@ -46,12 +45,6 @@ StatusOr<std::unique_ptr<Session>> Session::Open(const platform::Platform* platf
         s.read_only_ = true;
         s.notes_.push_back(
             StrCat(lock.message, "; cache degraded to read-only (stores not written back)"));
-        if (obs::Enabled()) {
-          static obs::Counter* degraded = obs::Registry::Global().GetCounter(
-              "icarus_cache_readonly_degraded_total",
-              "Runs degraded to a read-only cache view by advisory-lock contention");
-          degraded->Add(1);
-        }
       }
       VerdictStore::LoadResult loaded =
           s.store_.Load(VerdictStorePath(options.cache_dir), kVerifierEpoch);
@@ -119,12 +112,6 @@ GeneratorResult Session::Verify(const std::string& generator, const Cancellation
     result.generator = generator;
     result.outcome = Outcome::kCachedSafe;
     result.report.generator = generator;
-    if (obs::Enabled()) {
-      static obs::Counter* skips = obs::Registry::Global().GetCounter(
-          "icarus_incremental_skips_total",
-          "Generators skipped as CACHED_SAFE by the persistent verdict store");
-      skips->Add(1);
-    }
   } else {
     // Containment boundary: a crash in this unit's pipeline (an
     // ICARUS_REQUIRE/ICARUS_BUG violation or an injected fault) becomes its

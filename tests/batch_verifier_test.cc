@@ -369,6 +369,35 @@ TEST_F(BatchVerifierTest, TinyDecisionBudgetDegradesToInconclusive) {
   std::filesystem::remove_all(cache_dir);
 }
 
+TEST_F(BatchVerifierTest, StatsTableCountsQueriesThatExhaustTheBudget) {
+  // Each row's exhausted count is a delta of its unit's SolverStats, and
+  // `--stats` prints their sum on the solver-reuse line. A 0-decision budget
+  // starves real queries; the default budget starves none.
+  BatchVerifier batch(platform_);
+  for (int64_t budget : {int64_t{0}, sym::Solver::Limits{}.max_decisions}) {
+    BatchOptions opts;  // `verify-all --serial --max-decisions <budget>`.
+    opts.jobs = 1;
+    opts.use_cache = false;
+    opts.solver_limits.max_decisions = budget;
+    StatusOr<BatchReport> report = batch.VerifyEverything(opts);
+    ASSERT_TRUE(report.ok()) << report.status().message();
+    int64_t exhausted = 0;
+    for (const GeneratorResult& r : report.value().results) {
+      exhausted += r.report.meta.solver_budget_exhausted;
+    }
+    if (budget == 0) {
+      EXPECT_GT(exhausted, 0);
+    } else {
+      EXPECT_EQ(exhausted, 0);
+    }
+    const std::string stats = report.value().RenderStatsTable();
+    EXPECT_NE(stats.find(StrCat(", ", exhausted, " queries exhausted their budget\n")),
+              std::string::npos)
+        << "budget " << budget << ":\n"
+        << stats;
+  }
+}
+
 TEST_F(BatchVerifierTest, RenderTableMentionsEveryGenerator) {
   BatchVerifier batch(platform_);
   BatchOptions opts;

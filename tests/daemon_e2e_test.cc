@@ -118,7 +118,6 @@ Request VerifyReq(const std::string& generator) {
   Request req;
   req.op = kOpVerify;
   req.generator = generator;
-  req.client = "e2e";
   return req;
 }
 
@@ -318,6 +317,68 @@ TEST(DaemonE2E, RejectsUnknownFailpointSiteAtStartup) {
   EXPECT_EQ(WaitForExit(pid), 2);
 }
 
+// The kB figure of a `Key:` line in /proc/<pid>/status, or -1.
+long StatusKb(pid_t pid, const std::string& key) {
+  std::ifstream in("/proc/" + std::to_string(pid) + "/status");
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind(key + ":", 0) == 0) {
+      return std::strtol(line.c_str() + key.size() + 1, nullptr, 10);
+    }
+  }
+  return -1;
+}
+
+// A finished connection gives its thread back: the accept loop, which wakes
+// at least every 100 ms, joins it. An unjoined thread keeps its stack mapped
+// (8 MiB by default), so 200 sequential connections would grow the daemon's
+// virtual size by about 1.6 GB; joined, by the stacks the C library caches
+// for reuse. The daemon runs with one malloc arena: glibc gives a thread
+// that starts while another still runs an arena of its own, which reserves
+// 64 MiB of address space for good, so the figure would otherwise move by
+// how closely this loop's connections overlap, not by the stacks.
+TEST(DaemonE2E, FinishedConnectionsAreJoined) {
+  std::string socket = TempPath("e2e_conn_threads.sock");
+  ASSERT_EQ(::setenv("MALLOC_ARENA_MAX", "1", 1), 0);
+  pid_t pid = SpawnDaemon({"--socket", socket, "--jobs", "1"});
+  ::unsetenv("MALLOC_ARENA_MAX");
+  ASSERT_GT(pid, 0);
+  ASSERT_TRUE(AwaitReady(socket)) << "daemon never became ready";
+  const long before_kb = StatusKb(pid, "VmSize");
+  ASSERT_GT(before_kb, 0);
+  Request ping;
+  ping.op = kOpPing;
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_EQ(RoundTrip(socket, ping).status, kStatusOk) << "ping " << i;
+  }
+  // The last connections may still be closing; give the loop a few wakes.
+  long after_kb = StatusKb(pid, "VmSize");
+  for (int waited_ms = 0; after_kb - before_kb >= 64 * 1024 && waited_ms < 2000;
+       waited_ms += 20) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    after_kb = StatusKb(pid, "VmSize");
+  }
+  EXPECT_LT(after_kb - before_kb, 64 * 1024) << before_kb << " kB -> " << after_kb << " kB";
+  ASSERT_EQ(::kill(pid, SIGTERM), 0);
+  EXPECT_EQ(WaitForExit(pid), 0);
+}
+
+// The flags of the removed metrics registry and slow-request log are
+// unknown flags now, and so is a negative queue bound: each is a usage
+// error at startup.
+TEST(DaemonE2E, RemovedAndInvalidFlagsAreUsageErrors) {
+  std::string socket = TempPath("e2e_badflag.sock");
+  const std::vector<std::vector<std::string>> cases = {
+      {"--obs"}, {"--metrics", "m.prom"}, {"--slow-ms", "5"}, {"--slow-log", "slow.jsonl"},
+      {"--queue", "-1"}};
+  for (const std::vector<std::string>& flags : cases) {
+    std::vector<std::string> args = {"--socket", socket};
+    args.insert(args.end(), flags.begin(), flags.end());
+    pid_t pid = SpawnDaemon(args);
+    ASSERT_GT(pid, 0);
+    EXPECT_EQ(WaitForExit(pid), 2) << flags[0];
+  }
+}
+
 #ifdef ICARUS_CLI_PATH
 TEST(DaemonE2E, CliClientSubcommandRoundTrips) {
   std::string socket = TempPath("e2e_cli.sock");
@@ -400,13 +461,14 @@ TEST(DaemonE2E, DaemonAndVerifyAllShareTheIncrementalStore) {
 
 // `icarus top` against one live daemon and one socket nobody listens on: the
 // live one renders an OK row with latency quantiles, the missing one a dead
-// row — never a dropped row or a failed run.
+// row — never a dropped row or a failed run. A plain daemon serves the
+// quantiles: they come with its `stats` op.
 TEST(DaemonE2E, TopRendersLiveAndDeadDaemons) {
   std::string socket = TempPath("e2e_top.sock");
-  pid_t pid = SpawnDaemon({"--socket", socket, "--jobs", "1", "--obs"});
+  pid_t pid = SpawnDaemon({"--socket", socket, "--jobs", "1"});
   ASSERT_GT(pid, 0);
   ASSERT_TRUE(AwaitReady(socket)) << "daemon never became ready";
-  // One served verify puts a sample in the latency histogram.
+  // One served verify puts a sample in the service-time window.
   ASSERT_EQ(RoundTrip(socket, VerifyReq("tryAttachCompareInt32")).outcome, "VERIFIED");
 
   std::string out = TempPath("e2e_top.out");
@@ -432,7 +494,7 @@ TEST(DaemonE2E, TopRendersLiveAndDeadDaemons) {
       continue;
     }
     if (cols[0] == "e2e_top" && cols[1] == kStatusOk) {
-      // P50 and P99 are numbers, not the '-' of an empty histogram.
+      // P50 and P99 are numbers, not the '-' of an empty window.
       live_row = std::strtod(cols[7].c_str(), nullptr) > 0 &&
                  std::strtod(cols[8].c_str(), nullptr) > 0;
     }

@@ -50,11 +50,10 @@ class DaemonSoakTest : public ::testing::Test {
   }
   void TearDown() override { failpoint::DisarmAll(); }
 
-  static Request Verify(const std::string& generator, int i) {
+  static Request Verify(const std::string& generator) {
     Request req;
     req.op = kOpVerify;
     req.generator = generator;
-    req.client = "soak-" + std::to_string(i % 4);
     return req;
   }
 
@@ -72,7 +71,7 @@ class DaemonSoakTest : public ::testing::Test {
         while (!go.load(std::memory_order_acquire)) {
           std::this_thread::yield();
         }
-        responses[i] = core->Execute(Verify(kPool[i % kPool.size()], i));
+        responses[i] = core->Execute(Verify(kPool[i % kPool.size()]));
       });
     }
     go.store(true, std::memory_order_release);
@@ -203,7 +202,7 @@ TEST_F(DaemonSoakTest, FaultStormWithMidStormDrainCompletesCleanly) {
   EXPECT_TRUE(core.FinishDrain().ok());
 
   // Post-drain the core refuses new work honestly.
-  EXPECT_EQ(core.Execute(Verify("tryAttachInt32Add", 0)).status, kStatusShuttingDown);
+  EXPECT_EQ(core.Execute(Verify("tryAttachInt32Add")).status, kStatusShuttingDown);
   (void)shut_down;  // How many were failed fast depends on timing; zero is legal.
 }
 
@@ -220,7 +219,7 @@ TEST_F(DaemonSoakTest, DrainIsIdempotentUnderConcurrentCallers) {
   std::atomic<int> responded{0};
   for (int i = 0; i < 32; ++i) {
     clients.emplace_back([&core, &responded, i] {
-      (void)core.Execute(Verify(kPool[i % kPool.size()], i));
+      (void)core.Execute(Verify(kPool[i % kPool.size()]));
       responded.fetch_add(1);
     });
   }

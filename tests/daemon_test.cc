@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <sys/socket.h>
@@ -20,8 +21,6 @@
 
 #include "src/daemon/protocol.h"
 #include "src/daemon/server.h"
-#include "src/obs/exposition.h"
-#include "src/obs/metrics.h"
 #include "src/platform/platform.h"
 #include "src/support/failpoint.h"
 #include "src/support/file_lock.h"
@@ -43,10 +42,9 @@ std::string TempPath(const std::string& name) {
 
 TEST(Protocol, RequestRoundTripsAllFields) {
   Request req;
-  req.id = "req-7";
+  req.id = "ci \"shard\\3\"\n";  // Echoed verbatim: quotes, backslash, newline survive.
   req.op = kOpVerify;
   req.generator = "tryAttachCompareInt32";
-  req.client = "ci \"shard\\3\"\n";  // Quotes, backslash, newline must survive.
   req.deadline_ms = 1500.5;
 
   Request back;
@@ -56,7 +54,6 @@ TEST(Protocol, RequestRoundTripsAllFields) {
   EXPECT_EQ(back.id, req.id);
   EXPECT_EQ(back.op, req.op);
   EXPECT_EQ(back.generator, req.generator);
-  EXPECT_EQ(back.client, req.client);
   EXPECT_DOUBLE_EQ(back.deadline_ms, req.deadline_ms);
 }
 
@@ -108,6 +105,8 @@ TEST(Protocol, ParseRequestRejectsMalformedInput) {
   Status unknown_op = ParseRequest("{\"op\":\"frobnicate\"}", &req);
   ASSERT_FALSE(unknown_op.ok());
   EXPECT_NE(unknown_op.message().find("ping"), std::string::npos) << unknown_op.message();
+  // The daemon exports no metric registry: `metrics` is an unknown op.
+  EXPECT_FALSE(ParseRequest("{\"op\":\"metrics\"}", &req).ok());
   // verify needs a target.
   EXPECT_FALSE(ParseRequest("{\"op\":\"verify\"}", &req).ok());
   // Negative deadlines are nonsense, not "no deadline".
@@ -138,24 +137,6 @@ TEST(Protocol, ParseResponseRequiresStatus) {
   EXPECT_FALSE(ParseResponse("{\"status\":\"OK\",\"v\":4294967297}", &resp).ok());
 }
 
-TEST(Protocol, MetricsFieldsRoundTrip) {
-  Request metrics;
-  metrics.op = kOpMetrics;
-  metrics.format = "json";
-  Request mback;
-  ASSERT_TRUE(ParseRequest(metrics.ToJsonLine(), &mback).ok());
-  EXPECT_EQ(mback.op, kOpMetrics);
-  EXPECT_EQ(mback.format, "json");
-  EXPECT_FALSE(ParseRequest("{\"op\":\"metrics\",\"format\":\"xml\"}", &metrics).ok());
-
-  Response resp;
-  resp.status = kStatusOk;
-  resp.metrics = "# HELP x y\n# TYPE x counter\nx 1\n";
-  Response rback;
-  ASSERT_TRUE(ParseResponse(resp.ToJsonLine(), &rback).ok());
-  EXPECT_EQ(rback.metrics, resp.metrics);
-}
-
 // --- ServerCore: the full request lifecycle -------------------------------
 
 class ServerCoreTest : public ::testing::Test {
@@ -175,12 +156,10 @@ class ServerCoreTest : public ::testing::Test {
   }
   void TearDown() override { failpoint::DisarmAll(); }
 
-  static Request Verify(const std::string& generator, const std::string& client = "test",
-                        double deadline_ms = 0) {
+  static Request Verify(const std::string& generator, double deadline_ms = 0) {
     Request req;
     req.op = kOpVerify;
     req.generator = generator;
-    req.client = client;
     req.deadline_ms = deadline_ms;
     return req;
   }
@@ -287,20 +266,22 @@ TEST_F(ServerCoreTest, ServesRealVerdictsAndWarmRepeats) {
 }
 
 TEST_F(ServerCoreTest, OlderClientTraceContextIsParsedAndServed) {
-  // Older clients stamp a trace label and a 53-bit parent span id onto
-  // verify requests. The daemon no longer reads either key, but such a line
-  // must still parse like any other with unknown keys and be served.
+  // Older clients stamp a client name, a metrics format, a trace label and a
+  // 53-bit parent span id onto verify requests. The daemon reads none of
+  // these keys any more, but such a line must still parse like any other
+  // with unknown keys and be served.
   const std::string line =
       "{\"v\":1,\"id\":\"old-1\",\"op\":\"verify\",\"gen\":\"tryAttachCompareInt32\","
-      "\"client\":\"old\",\"deadline_ms\":0,\"trace_id\":\"trace-123-456\","
-      "\"parent_span\":116653459243050}";
+      "\"client\":\"old\",\"format\":\"json\",\"deadline_ms\":0,"
+      "\"trace_id\":\"trace-123-456\",\"parent_span\":116653459243050}";
   Request req;
   Status parsed = ParseRequest(line, &req);
   ASSERT_TRUE(parsed.ok()) << parsed.message();
   EXPECT_EQ(req.op, kOpVerify);
   EXPECT_EQ(req.generator, "tryAttachCompareInt32");
-  EXPECT_EQ(req.client, "old");
-  EXPECT_EQ(req.ToJsonLine().find("trace_id"), std::string::npos);
+  for (const char* dropped : {"client", "format", "trace_id"}) {
+    EXPECT_EQ(req.ToJsonLine().find(dropped), std::string::npos) << dropped;
+  }
 
   ServerCore core(platform_, DaemonOptions{});
   ASSERT_TRUE(core.Start().ok());
@@ -309,97 +290,6 @@ TEST_F(ServerCoreTest, OlderClientTraceContextIsParsedAndServed) {
   EXPECT_EQ(resp.status, kStatusOk);
   EXPECT_EQ(resp.outcome, "VERIFIED");
   EXPECT_TRUE(core.FinishDrain().ok());
-}
-
-TEST_F(ServerCoreTest, MetricsOpServesAParseableExposition) {
-  obs::SetEnabled(true);
-  obs::Registry::Global().ResetAll();
-  ServerCore core(platform_, DaemonOptions{});
-  ASSERT_TRUE(core.Start().ok());
-  EXPECT_EQ(core.Execute(Verify("tryAttachInt32Add")).status, kStatusOk);
-
-  Request metrics;
-  metrics.op = kOpMetrics;
-  Response resp = core.Execute(metrics);
-  EXPECT_EQ(resp.status, kStatusOk);
-  StatusOr<obs::Exposition> parsed = obs::ParsePrometheus(resp.metrics);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  // The service-time histogram recorded the verify, and quantile queries
-  // against the parsed exposition answer something positive — exactly what
-  // `icarus top` renders as P50/P99.
-  const obs::ExpositionHistogram* request_seconds =
-      parsed.value().FindHistogram("icarus_daemon_request_seconds");
-  ASSERT_NE(request_seconds, nullptr);
-  EXPECT_GE(request_seconds->count, 1);
-  EXPECT_GT(request_seconds->Quantile(0.5), 0);
-  // Per-op attribution: the verify (and this metrics op itself, admitted
-  // before the render) have op-level histograms.
-  const obs::ExpositionHistogram* op_verify =
-      parsed.value().FindHistogram("icarus_daemon_op_verify_seconds");
-  ASSERT_NE(op_verify, nullptr);
-  EXPECT_GE(op_verify->count, 1);
-  // Queue gauges are exported (occupancy may legitimately be zero by now).
-  EXPECT_NE(parsed.value().FindGauge("icarus_daemon_queue_depth"), nullptr);
-
-  Request as_json;
-  as_json.op = kOpMetrics;
-  as_json.format = "json";
-  Response json_resp = core.Execute(as_json);
-  EXPECT_EQ(json_resp.status, kStatusOk);
-  ASSERT_FALSE(json_resp.metrics.empty());
-  EXPECT_EQ(json_resp.metrics.front(), '{');
-  EXPECT_NE(json_resp.metrics.find("\"histograms\""), std::string::npos);
-
-  EXPECT_TRUE(core.FinishDrain().ok());
-  obs::SetEnabled(false);
-}
-
-TEST_F(ServerCoreTest, SlowRequestLogAttributesStageCosts) {
-  DaemonOptions options;
-  options.slow_ms = 1e-6;  // Every served request is "slow".
-  options.slow_log_path = TempPath("slow_log_test.jsonl");
-  std::remove(options.slow_log_path.c_str());
-  ServerCore core(platform_, options);
-  ASSERT_TRUE(core.Start().ok());
-  // A hostile (or merely buggy) client name: quote, backslash, newline, and
-  // raw control bytes. The log line must carry it loss-free, and a raw
-  // newline would tear the JSONL framing.
-  const std::string client = std::string("ci\x01\x1f\"\\\n\t") + "shard";
-  EXPECT_EQ(core.Execute(Verify("tryAttachCompareInt32", client)).status, kStatusOk);
-  // Warm hits skip the service path entirely — no second log line.
-  EXPECT_EQ(core.Execute(Verify("tryAttachCompareInt32", client)).status, kStatusOk);
-  EXPECT_TRUE(core.FinishDrain().ok());
-
-  std::ifstream in(options.slow_log_path);
-  ASSERT_TRUE(in.good()) << "slow log not written";
-  std::string line;
-  int lines = 0;
-  while (std::getline(in, line)) {
-    ++lines;
-    EXPECT_NE(line.find("\"slow_request\":true"), std::string::npos) << line;
-    EXPECT_NE(line.find("\"gen\":\"tryAttachCompareInt32\""), std::string::npos);
-    EXPECT_NE(line.find("\"outcome\":\"VERIFIED\""), std::string::npos);
-    // Control bytes are \u-escaped, and the name parses back intact.
-    EXPECT_NE(line.find("\\u0001"), std::string::npos) << line;
-    std::string logged;
-    EXPECT_TRUE(FlatLineParser(line).Parse(
-        [&logged](const std::string& key, std::string value) {
-          if (key == "client") {
-            logged = std::move(value);
-          }
-        },
-        [](const std::string&, double) {}))
-        << line;
-    EXPECT_EQ(logged, client);
-    // Stage attribution mirrors the journal's breakdown, which has no CFA
-    // stage: no verification builds the automaton.
-    for (const char* key : {"\"seconds\":", "\"gen_s\":", "\"interp_s\":", "\"solve_s\":",
-                            "\"paths\":", "\"queries\":"}) {
-      EXPECT_NE(line.find(key), std::string::npos) << key << " missing in " << line;
-    }
-    EXPECT_EQ(line.find("cfa"), std::string::npos) << line;
-  }
-  EXPECT_EQ(lines, 1);
 }
 
 TEST_F(ServerCoreTest, BoundedQueueShedsUnderConcurrentLoad) {
@@ -462,6 +352,115 @@ TEST_F(ServerCoreTest, BoundedQueueShedsUnderConcurrentLoad) {
   EXPECT_TRUE(core.FinishDrain().ok());
 }
 
+TEST_F(ServerCoreTest, ZeroQueueServesAnIdleCoreAndShedsWhileBusy) {
+  // The queue bound counts only requests that must wait: with no room to
+  // wait, an idle core still serves, and a request that finds the one slot
+  // taken is shed.
+  DaemonOptions options;
+  options.jobs = 1;
+  options.queue_limit = 0;
+  ServerCore core(platform_, options);
+  ASSERT_TRUE(core.Start().ok());
+  Response idle = core.Execute(Verify("tryAttachInt32Add"));
+  EXPECT_EQ(idle.status, kStatusOk) << idle.error;
+  EXPECT_EQ(idle.outcome, "VERIFIED");
+
+  // The next dispatch holds the slot for 500 ms.
+  ASSERT_TRUE(
+      failpoint::Arm(std::string("at=") + failpoint::kDaemonDispatch + ":1,action=stall").ok());
+  Response held;
+  std::thread holder([&core, &held] { held = core.Execute(Verify("tryAttachInt32Sub")); });
+  for (int spins = 0; spins < 2000000 && core.StatsSnapshot().in_flight == 0; ++spins) {
+    std::this_thread::yield();
+  }
+  ASSERT_EQ(core.StatsSnapshot().in_flight, 1) << "the held request never took the slot";
+  Response busy = core.Execute(Verify("tryAttachObjectLength"));
+  holder.join();
+  EXPECT_EQ(busy.status, kStatusOverloaded);
+  EXPECT_EQ(held.outcome, "VERIFIED");
+
+  DaemonStats stats = core.StatsSnapshot();
+  EXPECT_EQ(stats.served, 2);
+  EXPECT_EQ(stats.shed_queue, 1);
+  EXPECT_EQ(stats.queue_depth, 0);
+  EXPECT_TRUE(core.FinishDrain().ok());
+}
+
+TEST_F(ServerCoreTest, StatsCarryServiceTimePercentiles) {
+  ServerCore core(platform_, DaemonOptions{});
+  ASSERT_TRUE(core.Start().ok());
+  Request stats_op;
+  stats_op.op = kOpStats;
+  // Nothing served yet: no percentile to report.
+  DaemonStats cold = core.StatsSnapshot();
+  EXPECT_EQ(cold.p50_ms, -1);
+  EXPECT_EQ(cold.p99_ms, -1);
+  EXPECT_NE(core.Execute(stats_op).stats_json.find("\"p50_ms\":-1"), std::string::npos);
+
+  ASSERT_EQ(core.Execute(Verify("tryAttachCompareInt32")).outcome, "VERIFIED");
+  DaemonStats served = core.StatsSnapshot();
+  EXPECT_GT(served.p50_ms, 0);
+  EXPECT_GT(served.p99_ms, 0);
+  // The `stats` op carries them (`icarus top` reads them from there).
+  std::map<std::string, double> numbers;
+  ASSERT_TRUE(FlatLineParser(core.Execute(stats_op).stats_json)
+                  .Parse([](const std::string&, std::string) {},
+                         [&numbers](const std::string& key, double v) { numbers[key] = v; }));
+  EXPECT_DOUBLE_EQ(numbers["p50_ms"], served.p50_ms);
+  EXPECT_DOUBLE_EQ(numbers["p99_ms"], served.p99_ms);
+
+  // A warm hit runs nothing and adds no sample: with one sample in the
+  // window, any second one would move p50 (the lower) or p99 (the upper).
+  Response warm = core.Execute(Verify("tryAttachCompareInt32"));
+  ASSERT_TRUE(warm.cached);
+  DaemonStats after_warm = core.StatsSnapshot();
+  EXPECT_EQ(after_warm.p50_ms, served.p50_ms);
+  EXPECT_EQ(after_warm.p99_ms, served.p99_ms);
+  EXPECT_TRUE(core.FinishDrain().ok());
+}
+
+TEST_F(ServerCoreTest, OverlongRequestLineIsRefusedOnceAndEndsTheConnection) {
+  ServerCore core(platform_, DaemonOptions{});
+  ASSERT_TRUE(core.Start().ok());
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::thread conn([&core, fd = fds[1]] { ServeConnection(&core, fd); });
+  // 2 MiB without a newline. The daemon stops reading past 1 MiB and closes,
+  // so the rest of the write may fail: only the answer matters.
+  std::thread writer([fd = fds[0]] {
+    (void)net::WriteAll(fd, std::string(2 * net::LineReader::kMaxLineBytes, 'x'));
+  });
+  net::LineReader reader(fds[0]);
+  std::string line;
+  std::string err;
+  ASSERT_EQ(reader.ReadLine(&line, &err), net::LineReader::Result::kLine) << err;
+  Response refused;
+  ASSERT_TRUE(ParseResponse(line, &refused).ok()) << line;
+  EXPECT_EQ(refused.status, kStatusBadRequest);
+  EXPECT_EQ(refused.error, "request line too long");
+  // Nothing follows: the stream ends at EOF, or at a reset when the daemon
+  // closed with bytes of the line still unread.
+  EXPECT_NE(reader.ReadLine(&line, &err), net::LineReader::Result::kLine) << line;
+  writer.join();
+  conn.join();
+  net::CloseFd(fds[0]);
+
+  // The daemon serves the next connection as usual.
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::thread next([&core, fd = fds[1]] { ServeConnection(&core, fd); });
+  Request ping;
+  ping.op = kOpPing;
+  ASSERT_TRUE(net::WriteLine(fds[0], ping.ToJsonLine()).ok());
+  net::LineReader next_reader(fds[0]);
+  ASSERT_EQ(next_reader.ReadLine(&line, &err), net::LineReader::Result::kLine) << err;
+  Response pong;
+  ASSERT_TRUE(ParseResponse(line, &pong).ok()) << line;
+  EXPECT_EQ(pong.status, kStatusOk);
+  net::CloseFd(fds[0]);
+  next.join();
+  EXPECT_TRUE(core.FinishDrain().ok());
+}
+
 TEST_F(ServerCoreTest, DeadlineDegradesQueuedRequestsToInconclusive) {
   DaemonOptions options;
   options.jobs = 1;
@@ -493,7 +492,7 @@ TEST_F(ServerCoreTest, DeadlineDegradesQueuedRequestsToInconclusive) {
   std::vector<std::thread> clients;
   for (size_t i = 0; i < generators.size(); ++i) {
     clients.emplace_back([&core, &generators, &responses, i] {
-      responses[i] = core.Execute(Verify(generators[i], "test", /*deadline_ms=*/0.05));
+      responses[i] = core.Execute(Verify(generators[i], /*deadline_ms=*/0.05));
     });
   }
   for (std::thread& t : clients) {
@@ -583,7 +582,7 @@ TEST_F(ServerCoreTest, HugeDeadlineMeansNoDeadline) {
   options.default_deadline_ms = 1e300;
   ServerCore core(platform_, options);
   ASSERT_TRUE(core.Start().ok());
-  Response own = core.Execute(Verify("tryAttachInt32Add", "test", /*deadline_ms=*/1e300));
+  Response own = core.Execute(Verify("tryAttachInt32Add", /*deadline_ms=*/1e300));
   EXPECT_EQ(own.status, kStatusOk) << own.error;
   EXPECT_EQ(own.outcome, "VERIFIED");
   Response by_default = core.Execute(Verify("tryAttachObjectLength"));

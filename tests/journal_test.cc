@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
+#include <sys/wait.h>
 
 #include <cstdlib>
 #include <filesystem>
@@ -559,6 +560,27 @@ TEST(CliOutput, AReusedJournalKeepsOneRowPerUnit) {
     EXPECT_EQ(rows.value().size(), 38u) << "after run " << run + 1;
   }
   std::remove(path.c_str());
+}
+
+TEST(CliOutput, RemovedMetricsFlagsAreUsageErrors) {
+  // `--stats`, the journal and the daemon's `stats` op carry every count;
+  // the flags that exported a second copy are unknown flags now.
+  const std::string cli = ICARUS_CLI_PATH;
+  const std::string journal = TempPath("cli_removed_flags.jsonl");
+  const std::string snapshot = TempPath("cli_removed_flags.json");
+  std::ofstream(journal).flush();
+  std::ofstream(snapshot) << "{}";
+  for (const std::string& args :
+       {" verify-all --metrics " + snapshot,
+        " report " + journal + " " + TempPath("cli_removed_flags.html") + " --metrics " + snapshot,
+        std::string(" client --client ci --help")}) {
+    const std::string cmd = cli + args + " >/dev/null 2>&1";
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << cmd;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << cmd;
+  }
+  std::remove(journal.c_str());
+  std::remove(snapshot.c_str());
 }
 
 #endif  // ICARUS_CLI_PATH

@@ -4,6 +4,7 @@
 // verdict journal's writer + reader.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <string>
@@ -60,6 +61,24 @@ TEST(JsonWriter, NonFiniteDoublesRenderAsNull) {
   JsonWriter w;
   w.BeginArray().Double(0.5).Double(std::numeric_limits<double>::infinity()).EndArray();
   EXPECT_EQ(w.str(), "[0.5,null]");
+}
+
+TEST(JsonWriter, EscapesAndFormats) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("s");
+  w.String("a\"b\\c\nd\x01");
+  w.Key("i");
+  w.Int(-42);
+  w.Key("d");
+  w.Double(0.5);
+  w.Key("nan");
+  w.Double(std::nan(""));
+  w.Key("b");
+  w.Bool(true);
+  w.EndObject();
+  EXPECT_EQ(w.str(),
+            "{\"s\":\"a\\\"b\\\\c\\nd\\u0001\",\"i\":-42,\"d\":0.5,\"nan\":null,\"b\":true}");
 }
 
 // The journal shares the same escaping contract; hostile text placed in every

@@ -11,21 +11,13 @@
 #include <thread>
 #include <vector>
 
-#include "src/obs/metrics.h"
-
 namespace icarus::obs {
 namespace {
 
 class ObsTraceTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    SetEnabled(true);
-    StartTracing();
-  }
-  void TearDown() override {
-    StopTracing();
-    SetEnabled(false);
-  }
+  void SetUp() override { StartTracing(); }
+  void TearDown() override { StopTracing(); }
 };
 
 const SpanEvent* FindSpan(const std::vector<SpanEvent>& spans, const std::string& name) {

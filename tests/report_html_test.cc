@@ -75,7 +75,6 @@ TEST(HtmlReport, RendersRowsVerdictsAndCounterexampleDrilldown) {
 TEST(HtmlReport, SelfContainedNoExternalReferences) {
   ReportInput input;
   input.rows.push_back(RefutedRow());
-  input.metrics_json = "{\"counters\":{\"verify.paths\":12}}";
   std::string html = RenderHtmlReport(input);
   EXPECT_EQ(html.find("http://"), std::string::npos);
   EXPECT_EQ(html.find("https://"), std::string::npos);

@@ -12,10 +12,9 @@
 //                                    bug studies) on the parallel batch driver.
 //                                    See `icarus verify-all --help` for the
 //                                    flag list and exit codes.
-//   icarus report <journal> [out.html] [--metrics FILE] [--title T]
-//                                    Aggregate a verdict journal (and optional
-//                                    metrics snapshot) into a self-contained
-//                                    HTML dashboard.
+//   icarus report <journal> [out.html] [--title T]
+//                                    Aggregate a verdict journal into a
+//                                    self-contained HTML dashboard.
 //   icarus cfa <generator>           Print the CFA as GraphViz DOT.
 //   icarus cfa-dot <generator> [out.dot]
 //                                    Same rendering, written to a file (or
@@ -27,9 +26,9 @@
 //   icarus client [flags] <op>       Talk to a running icarusd service:
 //                                    ping, stats, shutdown, verify GEN...,
 //                                    verify-all. See `icarus client --help`.
-//   icarus top [flags]               Live daemon introspection: poll stats +
-//                                    metrics across running daemons and
-//                                    render a refreshing per-daemon table.
+//   icarus top [flags]               Live daemon introspection: poll stats
+//                                    across running daemons and render a
+//                                    refreshing per-daemon table.
 //                                    See `icarus top --help`.
 
 #include <unistd.h>
@@ -59,7 +58,6 @@
 #include "src/cfa/cfa.h"
 #include "src/extract/cpp_backend.h"
 #include "src/meta/path_recorder.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/support/failpoint.h"
 #include "src/support/net.h"
@@ -99,7 +97,6 @@ struct ObsFlags {
   bool stats = false;         // Render the per-generator cost table.
   bool explain = false;       // Render flight-recorder counterexamples.
   std::string trace_path;     // Chrome trace_event JSON (Perfetto-loadable).
-  std::string metrics_path;   // Metrics export; .json suffix selects JSON.
   std::string report_path;    // Self-contained HTML dashboard.
 };
 
@@ -132,8 +129,10 @@ int VerifyAllHelp() {
       "  --stats         Also render the cost-attribution table: per-generator\n"
       "                  stage breakdown (generate / interpret / solve),\n"
       "                  decision/propagation counts, learned clauses, restarts,\n"
-      "                  and the dominant stage. With --trace, also reports the\n"
-      "                  span ring-buffer retention/drop count.\n"
+      "                  and the dominant stage, then the solver-reuse line\n"
+      "                  (assumption levels kept, theory literals read, queries\n"
+      "                  that exhausted --max-decisions). With --trace, also\n"
+      "                  reports the span ring-buffer retention/drop count.\n"
       "  --explain       Turn the flight recorder on and, after the table,\n"
       "                  print a full counterexample block for every refuted\n"
       "                  generator: violated contract, branch decisions, the\n"
@@ -144,10 +143,6 @@ int VerifyAllHelp() {
       "                  cost bars, path/solver histograms.\n"
       "  --trace FILE    Record pipeline spans and write a Chrome trace_event\n"
       "                  JSON file (load in Perfetto or chrome://tracing).\n"
-      "                  Enables the observability runtime for the run.\n"
-      "  --metrics FILE  Export the metrics registry after the run: Prometheus\n"
-      "                  text format, or JSON when FILE ends in .json. Enables\n"
-      "                  the observability runtime for the run.\n"
       "  --journal FILE  Append each verdict that runs to FILE as a JSON line,\n"
       "                  fsync'd as it lands. A run on an existing FILE first\n"
       "                  reads it: a generator whose journaled PASS still\n"
@@ -308,19 +303,16 @@ int WriteHtmlReport(icarus::verifier::ReportInput input, const std::string& out_
   return rc;
 }
 
-// `icarus report <journal> [out.html] [--metrics FILE] [--title T]`: offline
-// aggregation — needs no platform, just the journal.
+// `icarus report <journal> [out.html] [--title T]`: offline aggregation —
+// needs no platform, just the journal.
 int ReportCmd(int argc, char** argv) {
   std::string journal_path;
   std::string out_path = "icarus-report.html";
-  std::string metrics_path;
   std::string title;
   int positional = 0;
   for (int i = 2; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--metrics" && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else if (arg == "--title" && i + 1 < argc) {
+    if (arg == "--title" && i + 1 < argc) {
       title = argv[++i];
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "unknown report flag: %s\n", arg.c_str());
@@ -360,16 +352,6 @@ int ReportCmd(int argc, char** argv) {
   }
   for (const std::string& name : order) {
     input.rows.push_back(std::move(latest[name]));
-  }
-  if (!metrics_path.empty()) {
-    std::ifstream in(metrics_path, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "cannot read metrics snapshot '%s'\n", metrics_path.c_str());
-      return 2;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    input.metrics_json = buf.str();
   }
   return WriteHtmlReport(std::move(input), out_path);
 }
@@ -412,17 +394,6 @@ int VerifyAll(const Platform& platform, const icarus::verifier::BatchOptions& op
       std::printf("trace written to %s\n", obs_flags.trace_path.c_str());
     }
   }
-  if (!obs_flags.metrics_path.empty()) {
-    const std::string& path = obs_flags.metrics_path;
-    bool json = path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
-    const auto& registry = icarus::obs::Registry::Global();
-    int rc = WriteTextFile(path, json ? registry.RenderJson() : registry.RenderPrometheus(),
-                           "metrics");
-    if (rc != 0) {
-      return rc;
-    }
-    std::printf("metrics written to %s\n", path.c_str());
-  }
   if (!obs_flags.report_path.empty()) {
     icarus::verifier::ReportInput input;
     for (const icarus::verifier::GeneratorResult& r : report.results) {
@@ -430,9 +401,6 @@ int VerifyAll(const Platform& platform, const icarus::verifier::BatchOptions& op
     }
     if (report.cache.lookups() > 0) {
       input.cache_summary = report.cache.ToString();
-    }
-    if (icarus::obs::Enabled()) {
-      input.metrics_json = icarus::obs::Registry::Global().RenderJson();
     }
     if (!obs_flags.trace_path.empty()) {
       input.trace_dropped_spans = icarus::obs::DroppedSpans();
@@ -521,8 +489,7 @@ int Extract(const Platform& platform) {
 int ClientUsage() {
   std::fprintf(
       stderr,
-      "usage: icarus client [--socket PATH] [--client NAME] [--deadline-ms D]\n"
-      "                     [--retries N]\n"
+      "usage: icarus client [--socket PATH] [--deadline-ms D] [--retries N]\n"
       "                     <ping|stats|shutdown|verify GEN...|verify-all>\n"
       "\n"
       "Talks to a running icarusd over its Unix-domain socket.\n"
@@ -530,7 +497,9 @@ int ClientUsage() {
       "  with OVERLOADED is resent up to N times (default 2), sleeping the\n"
       "  daemon's advertised retry_after_ms (with jitter) between attempts.\n"
       "  ping        Liveness probe; prints the daemon's status token.\n"
-      "  stats       Print the daemon's service counters as JSON.\n"
+      "  stats       Print the daemon's service counters as JSON, with the\n"
+      "              p50/p99 service time (ms) of its latest 256 verifies\n"
+      "              (-1 before the first).\n"
       "  shutdown    Ask the daemon to drain gracefully and exit.\n"
       "  verify GEN...   Verify the named generators on the daemon.\n"
       "  verify-all      Verify every generator the platform declares.\n"
@@ -544,7 +513,6 @@ int ClientCmd(int argc, char** argv) {
   using icarus::daemon::Request;
   using icarus::daemon::Response;
   std::string socket_path = "./icarusd.sock";
-  std::string client_name = "cli";
   double deadline_ms = 0;
   int retries = 2;
   std::vector<std::string> positional;
@@ -555,8 +523,6 @@ int ClientCmd(int argc, char** argv) {
       return 0;
     } else if (arg == "--socket" && i + 1 < argc) {
       socket_path = argv[++i];
-    } else if (arg == "--client" && i + 1 < argc) {
-      client_name = argv[++i];
     } else if (arg == "--deadline-ms" && i + 1 < argc) {
       deadline_ms = std::atof(argv[++i]);
     } else if (arg == "--retries" && i + 1 < argc) {
@@ -602,7 +568,6 @@ int ClientCmd(int argc, char** argv) {
   // One request line out, one response line in; `ok` means transport-level
   // success — the response's own status still decides the exit code.
   auto send_once = [&](Request req, Response* resp) -> bool {
-    req.client = client_name;
     req.id = std::to_string(++next_id);
     if (!icarus::net::WriteLine(fd, req.ToJsonLine()).ok()) {
       std::fprintf(stderr, "icarus client: cannot write to %s\n", socket_path.c_str());
@@ -722,12 +687,11 @@ int TopUsage() {
       "usage: icarus top [--socket PATH]... [--interval-ms N] [--iterations N]\n"
       "                  [--no-clear]\n"
       "\n"
-      "Live daemon introspection: polls every named daemon with stats+metrics\n"
+      "Live daemon introspection: polls every named daemon with one stats op\n"
       "each refresh and renders a per-daemon table — throughput (verdicts/s\n"
       "between polls), queue depth, in-flight count, cache hit rate, queue\n"
-      "sheds, and p50/p99 request latency from the daemon's metrics\n"
-      "histogram (needs daemons running with --obs; latency columns render\n"
-      "'-' otherwise).\n"
+      "sheds, and the p50/p99 service time of the daemon's latest 256\n"
+      "verifies ('-' until it has served one).\n"
       "  --socket PATH   Poll the daemon at PATH. Repeatable.\n"
       "  --interval-ms N Refresh interval (default 1000).\n"
       "  --iterations N  Render N frames then exit (default: until ^C).\n"
@@ -800,12 +764,9 @@ int Run(int argc, char** argv) {
         return VerifyAllHelp();
       }
     }
-    // Enable observability before Platform::Load() so the frontend stages
-    // (lex/parse/resolve) land in the trace and metrics too.
+    // Start tracing before Platform::Load() so the frontend stages
+    // (lex/parse/resolve) land in the trace too.
     for (int i = 2; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--trace") == 0 || std::strcmp(argv[i], "--metrics") == 0) {
-        icarus::obs::SetEnabled(true);
-      }
       if (std::strcmp(argv[i], "--trace") == 0) {
         icarus::obs::StartTracing();
       }
@@ -852,8 +813,6 @@ int Run(int argc, char** argv) {
         obs_flags.report_path = argv[++i];
       } else if (flag == "--trace" && i + 1 < argc) {
         obs_flags.trace_path = argv[++i];
-      } else if (flag == "--metrics" && i + 1 < argc) {
-        obs_flags.metrics_path = argv[++i];
       } else if (flag == "--jobs" && i + 1 < argc) {
         options.jobs = std::atoi(argv[++i]);
       } else if (flag == "--cache") {

@@ -21,26 +21,20 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <fstream>
+#include <list>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "src/daemon/protocol.h"
 #include "src/daemon/server.h"
-#include "src/obs/metrics.h"
 #include "src/support/failpoint.h"
 #include "src/support/net.h"
 
 namespace {
 
-using icarus::daemon::Request;
-using icarus::daemon::Response;
 using icarus::daemon::ServerCore;
 
 volatile std::sig_atomic_t g_signal = 0;
@@ -60,7 +54,9 @@ int Usage() {
       "  --jobs N         Verify requests run at once, each on its connection's\n"
       "                   thread (default 1).\n"
       "  --queue N        Verify requests that may wait for a job; beyond it\n"
-      "                   requests are shed with OVERLOADED (default 32).\n"
+      "                   requests are shed with OVERLOADED (default 32). A\n"
+      "                   request that finds a job free never waits, so 0\n"
+      "                   serves what the jobs can take and sheds the rest.\n"
       "  --deadline-ms D  Default per-request deadline; past it the request\n"
       "                   degrades to INCONCLUSIVE (default: none).\n"
       "  --max-decisions N  Per-query solver decision budget; exhaustion\n"
@@ -73,15 +69,12 @@ int Usage() {
       "                   read-only cache view.\n"
       "  --cache-dir D    Store directory (default: .icarus-cache).\n"
       "  --cache-max-mb N Persisted solver-cache size bound (default 64).\n"
-      "  --metrics FILE   Export the metrics registry on exit (Prometheus\n"
-      "                   text, or JSON when FILE ends in .json).\n"
-      "  --obs            Enable the metrics registry without an exit export\n"
-      "                   (the `metrics` protocol op serves live scrapes).\n"
-      "  --slow-ms D      Append a flat JSON line with per-stage cost\n"
-      "                   attribution for every verify slower than D ms.\n"
-      "  --slow-log FILE  Slow-request log destination (default: stderr).\n"
       "  --fail SPEC      Arm a fail-point (see `icarus verify-all --help`).\n"
       "                   Unknown sites are a startup error. Repeatable.\n"
+      "\n"
+      "Service counters and the p50/p99 service time of the latest verifies:\n"
+      "`icarus client stats` or `icarus top`. Each verdict's stage costs\n"
+      "(gen_s, interp_s, solve_s) are in its --journal row.\n"
       "\n"
       "Exit codes: 0 clean drain, 1 drain error, 2 startup/usage error.\n");
   return 2;
@@ -89,7 +82,6 @@ int Usage() {
 
 int RunDaemon(int argc, char** argv) {
   std::string socket_path = "./icarusd.sock";
-  std::string metrics_path;
   icarus::daemon::DaemonOptions options;
   for (int i = 1; i < argc; ++i) {
     std::string flag = argv[i];
@@ -102,6 +94,10 @@ int RunDaemon(int argc, char** argv) {
       options.jobs = std::atoi(argv[++i]);
     } else if (flag == "--queue" && i + 1 < argc) {
       options.queue_limit = std::atoi(argv[++i]);
+      if (options.queue_limit < 0) {
+        std::fprintf(stderr, "--queue: want a count >= 0\n");
+        return Usage();
+      }
     } else if (flag == "--deadline-ms" && i + 1 < argc) {
       options.default_deadline_ms = std::atof(argv[++i]);
     } else if (flag == "--max-decisions" && i + 1 < argc) {
@@ -114,15 +110,6 @@ int RunDaemon(int argc, char** argv) {
       options.cache_dir = argv[++i];
     } else if (flag == "--cache-max-mb" && i + 1 < argc) {
       options.cache_max_mb = std::atoll(argv[++i]);
-    } else if (flag == "--metrics" && i + 1 < argc) {
-      metrics_path = argv[++i];
-      icarus::obs::SetEnabled(true);
-    } else if (flag == "--obs") {
-      icarus::obs::SetEnabled(true);
-    } else if (flag == "--slow-ms" && i + 1 < argc) {
-      options.slow_ms = std::atof(argv[++i]);
-    } else if (flag == "--slow-log" && i + 1 < argc) {
-      options.slow_log_path = argv[++i];
     } else if (flag == "--fail" && i + 1 < argc) {
       icarus::Status st = icarus::failpoint::Arm(argv[++i]);
       if (!st.ok()) {
@@ -167,11 +154,31 @@ int RunDaemon(int argc, char** argv) {
   std::fprintf(stderr, "icarusd: serving on %s (jobs %d, queue %d)\n", socket_path.c_str(),
                options.jobs, options.queue_limit);
 
+  // One entry per connection thread. Each marks itself done as it returns,
+  // and the accept loop, which wakes at least every 100 ms, joins the done
+  // ones, so a long-lived daemon holds only its open connections' threads.
+  struct Connection {
+    int fd = -1;
+    bool done = false;  // Guarded by conn_mu.
+    std::thread thread;
+  };
   std::mutex conn_mu;
-  std::set<int> conn_fds;
-  std::vector<std::thread> conn_threads;
+  std::list<Connection> conns;
+  auto join_finished = [&] {
+    // A done thread takes conn_mu no more, so joining under it cannot block
+    // on it.
+    std::lock_guard<std::mutex> lock(conn_mu);
+    conns.remove_if([](Connection& c) {
+      if (!c.done) {
+        return false;
+      }
+      c.thread.join();
+      return true;
+    });
+  };
 
   while (g_signal == 0 && !core.shutdown_requested()) {
+    join_finished();
     int ready = icarus::net::PollReadable(listen_fd, 100);
     if (ready < 0) {
       break;
@@ -191,14 +198,13 @@ int RunDaemon(int argc, char** argv) {
       icarus::net::CloseFd(fd);
       continue;
     }
-    {
+    std::lock_guard<std::mutex> lock(conn_mu);
+    Connection& conn = conns.emplace_back();
+    conn.fd = fd;
+    conn.thread = std::thread([&core, &conn_mu, &conn] {
+      ServeConnection(&core, conn.fd);
       std::lock_guard<std::mutex> lock(conn_mu);
-      conn_fds.insert(fd);
-    }
-    conn_threads.emplace_back([&core, &conn_mu, &conn_fds, fd] {
-      ServeConnection(&core, fd);
-      std::lock_guard<std::mutex> lock(conn_mu);
-      conn_fds.erase(fd);
+      conn.done = true;
     });
   }
 
@@ -210,27 +216,17 @@ int RunDaemon(int argc, char** argv) {
   icarus::net::CloseFd(listen_fd);
   {
     std::lock_guard<std::mutex> lock(conn_mu);
-    for (int fd : conn_fds) {
-      icarus::net::ShutdownFd(fd);
+    for (const Connection& conn : conns) {
+      if (!conn.done) {
+        icarus::net::ShutdownFd(conn.fd);
+      }
     }
   }
-  for (std::thread& t : conn_threads) {
-    if (t.joinable()) {
-      t.join();
-    }
+  for (Connection& conn : conns) {
+    conn.thread.join();
   }
   icarus::Status drained = core.FinishDrain();
   ::unlink(socket_path.c_str());
-
-  if (!metrics_path.empty()) {
-    bool json = metrics_path.size() >= 5 &&
-                metrics_path.compare(metrics_path.size() - 5, 5, ".json") == 0;
-    const auto& registry = icarus::obs::Registry::Global();
-    std::ofstream out(metrics_path, std::ios::binary);
-    if (out) {
-      out << (json ? registry.RenderJson() : registry.RenderPrometheus());
-    }
-  }
 
   if (!drained.ok()) {
     std::fprintf(stderr, "icarusd: drain error: %s\n", drained.message().c_str());
